@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -445,8 +446,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_NEGATIVE_VALUE = re.compile(r"^-[\d.]")
+
+
+def _attach_negative_values(argv):
+    """['--gammas', '-0.6,0.2'] -> ['--gammas=-0.6,0.2'].
+
+    argparse takes a token such as '-0.6,0.2' for a flag; joining it to the
+    option before it makes it that option's value.
+    """
+    out = []
+    for tok in argv:
+        if (out and _NEGATIVE_VALUE.match(tok) and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

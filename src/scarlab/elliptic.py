@@ -3,8 +3,9 @@
 Everything is evaluated with the arithmetic-geometric mean (AGM) /
 descending-Landen scheme: the complete integral K(kappa) is pi/(2*AGM(1, kappa')),
 and sn/cn/dn come from the AGM amplitude back-substitution.  The incomplete
-integral F(phi, kappa) is done by adaptive Gauss-Legendre quadrature and is the
-inverse map used to recover q from XYZ couplings.
+integral F(phi, kappa) is Carlson's symmetric R_F, evaluated by duplication to
+double rounding at a fixed, small cost even as kappa -> 1; it is the inverse
+map used to recover q from XYZ couplings.
 
 The modulus convention is kappa (not the parameter m = kappa^2) throughout.
 """
@@ -164,47 +165,44 @@ def jacobi_sc(u: float, kappa: float) -> float:
     return sn / cn
 
 
-def _gauss_legendre(f, a: float, b: float, nodes, weights) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+_RF_Q_SCALE = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)   # Carlson's (3r)^(-1/6), r = double eps
 
 
-def _adaptive_gl(f, a: float, b: float, tol: float, nodes, weights, whole: float, depth: int) -> float:
-    mid = 0.5 * (a + b)
-    left = _gauss_legendre(f, a, mid, nodes, weights)
-    right = _gauss_legendre(f, mid, b, nodes, weights)
-    if abs(left + right - whole) <= tol or depth >= 40:
-        return left + right
-    return (_adaptive_gl(f, a, mid, 0.5 * tol, nodes, weights, left, depth + 1)
-            + _adaptive_gl(f, mid, b, 0.5 * tol, nodes, weights, right, depth + 1))
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_F(x, y, z) by duplication.
+
+    x, y, z >= 0 with at most one of them zero.  Iterates until the spread
+    of the arguments is below double rounding, then sums the fifth-order
+    series (Carlson, Numer. Algorithms 10, 13 (1995)).
+    """
+    a0 = a = (x + y + z) / 3.0
+    q = _RF_Q_SCALE * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
+    scale = 1.0                      # 4^-m after m duplications
+    x0, y0 = x, y
+    while q * scale >= abs(a):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        scale *= 0.25
+    X = (a0 - x0) * scale / a
+    Y = (a0 - y0) * scale / a
+    Z = -X - Y
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
 
 
-_GL_NODES_WEIGHTS = None
+def incomplete_F(phi: float, kappa: float) -> float:
+    """Incomplete elliptic integral of the first kind F(phi, kappa).
 
-
-def _gl_rule():
-    global _GL_NODES_WEIGHTS
-    if _GL_NODES_WEIGHTS is None:
-        import numpy as np
-        x, w = np.polynomial.legendre.leggauss(20)
-        _GL_NODES_WEIGHTS = (x.tolist(), w.tolist())
-    return _GL_NODES_WEIGHTS
-
-
-def incomplete_F(phi: float, kappa: float, tol: float = 1e-13) -> float:
-    """Incomplete elliptic integral of the first kind F(phi, kappa)."""
+    With phi = n pi + r, |r| <= pi/2:  F = 2 n K + sin r R_F(cos^2 r, 1 - kappa^2 sin^2 r, 1).
+    """
     _check_modulus(kappa)
-    if phi == 0.0:
-        return 0.0
-    nodes, weights = _gl_rule()
-    m = kappa * kappa
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        return 1.0 / math.sqrt(1.0 - m * s * s)
-
-    whole = _gauss_legendre(integrand, 0.0, phi, nodes, weights)
-    return _adaptive_gl(integrand, 0.0, phi, tol, nodes, weights, whole, 0)
+    n = round(phi / math.pi)
+    r = phi - n * math.pi
+    s, c = math.sin(r), math.cos(r)
+    F = s * _carlson_rf(c * c, 1.0 - (kappa * s) ** 2, 1.0) if s else 0.0
+    return 2.0 * n * complete_K(kappa) + F if n else F
 
 
 def solve_q_kappa(Jx: float, Jy: float, Jz: float) -> tuple[float, EllipticModulus]:

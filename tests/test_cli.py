@@ -19,6 +19,12 @@ def test_elliptic_subcommand(tmp_path):
     assert doc["config"]["points"] == 200
 
 
+def test_elliptic_subcommand_seed_with_near_unit_modulus(tmp_path):
+    # seed 202 draws a coupling triple with kappa close to 1
+    assert run(["--out", str(tmp_path), "elliptic", "--points=2000",
+                "--seed=202"]) == EXIT_OK
+
+
 def test_frame_subcommand(tmp_path):
     out = str(tmp_path)
     path = tmp_path / "c.json"
@@ -52,6 +58,16 @@ def test_projections_subcommand(tmp_path):
     out = str(tmp_path)
     assert run(["--out", out, "projections", "--N", "6", "--S", "1",
                 "--p", "1", "--kappa", "0.8"]) == EXIT_OK
+
+
+def test_negative_comma_list_values(tmp_path):
+    out = str(tmp_path)
+    assert run(["--out", out, "projections", "--N", "5", "--S", "1",
+                "--kappa", "0.5", "--gammas", "-0.6,0.2"]) == EXIT_OK
+    body = (tmp_path / "projections.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in body[1:]] == ["-0.6", "0.2"]
+    assert run(["--out", out, "frame", "--J1", "-0.3", "--J2", "0.8",
+                "--J3", "0.1", "--J12", "-.2"]) == EXIT_OK
 
 
 def test_lattice_generate_and_check(tmp_path, capsys):

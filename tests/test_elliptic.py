@@ -112,6 +112,25 @@ def test_incomplete_F_against_mpmath():
             float(mpmath.ellipf(phi, kappa * kappa)), abs=1e-12)
 
 
+def test_incomplete_F_beyond_quarter_period_and_near_unit_modulus():
+    # phi outside [0, pi/2] goes through F(n pi + r) = 2 n K + F(r)
+    for _ in range(100):
+        kappa = float(RNG.uniform(0.9, 0.99999))
+        phi = float(RNG.uniform(-2.0 * math.pi, 2.0 * math.pi))
+        want = float(mpmath.ellipf(phi, kappa * kappa))
+        assert incomplete_F(phi, kappa) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def test_solve_q_kappa_near_unit_modulus():
+    # kappa = 0.9997: the inversion must return, with residuals at rounding level
+    jx, jy, jz = 0.19690911936288535, 0.9898076994458243, -0.1954703025328386
+    q, mod = solve_q_kappa(jx, jy, jz)
+    assert mod.kappa > 0.9996
+    _, cn, dn = jacobi(q, mod.kappa)
+    assert abs(dn - jx / jy) <= 1e-12
+    assert abs(cn - jz / jy) <= 1e-12
+
+
 def test_solve_q_kappa_roundtrip():
     count = 0
     while count < 50:

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from scarlab import spectra
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionCap, NotTranslationInvariant
 from scarlab.hamiltonian import build_xyz_chain
@@ -117,3 +118,39 @@ def test_scan_isolates_row_failures():
     scan = scan_degeneracy([2.5], [8], 0.8, [1])
     assert len(scan.rows) == 1
     assert scan.rows[0].flag.startswith("error:")
+    # the cap is checked before the 1.68M-dim operator would be built
+    assert scan.rows[0].flag == "error:DimensionCap"
+    assert scan.rows[0].dim == 6 ** 8
+
+
+def test_scan_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a builder")
+    monkeypatch.setattr(spectra, "build_xyz_chain", broken)
+    with pytest.raises(TypeError):
+        scan_degeneracy([0.5], [5], 0.8, [1])
+
+
+def test_scan_records_how_each_row_was_computed():
+    scan = scan_degeneracy([0.5], [5], 0.8, [1])
+    rec = json.loads(scan.sidecar())["records"][0]
+    assert rec["dim"] == 32 and rec["dtype"] == "float64"
+    assert rec["blocks"] == [16, 16]            # the two Sz-parity sectors
+    assert rec["count"] == 10 and rec["flag"] == ""
+    evals = full_spectrum(build_xyz_chain(5, 0.5, *_scar_couplings(5, 0.8)), vectors=False)
+    assert rec["tol"] == pytest.approx(spectra.TOL_SCALE * (evals[-1] - evals[0]))
+    assert rec["gap"] >= 10.0 * rec["tol"]
+
+
+def test_degeneracy_default_and_explicit_tol():
+    evals = np.array([-2.0, 0.0, 1e-5, 2.0])
+    strict = degeneracy_at(evals, 0.0)
+    assert strict.tol == pytest.approx(4.0 * spectra.TOL_SCALE) and strict.count == 1
+    loose = degeneracy_at(evals, 0.0, tol=4e-5)
+    assert loose.tol == 4e-5 and loose.count == 2
+
+
+def _scar_couplings(N, kappa):
+    q = commensurate_q(1, N, kappa)
+    _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+    return dn, 1.0, cn

@@ -1,0 +1,66 @@
+"""Property tests: the block/real full_spectrum against a dense complex solve."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scarlab.elliptic import commensurate_q
+from scarlab.frames import CsseCouplings
+from scarlab.hamiltonian import build_csse_chain, build_on_graph, build_xyz_chain
+from scarlab.lattice import generate
+from scarlab.spectra import _blocks, full_spectrum
+
+# (S, largest N) pairs that keep the dense oracle at dim <= 81
+CHAIN_SIZES = [(0.5, 2), (0.5, 3), (0.5, 4), (0.5, 5), (0.5, 6),
+               (1.0, 2), (1.0, 3), (1.0, 4), (1.5, 2), (1.5, 3)]
+couplings = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _block_count(H):
+    return int(_blocks(H)[1].max()) + 1
+
+
+def _assert_matches_dense(H):
+    dense = H.dense()
+    want = np.linalg.eigvalsh(dense)
+    tol = 1e-10 * max(1.0, float(want[-1] - want[0]))
+    evals = full_spectrum(H, vectors=False)
+    assert np.abs(evals - want).max() <= tol
+    evals, V = full_spectrum(H)
+    assert np.abs(evals - want).max() <= tol
+    assert np.abs(V.conj().T @ V - np.eye(len(evals))).max() <= 1e-10
+    assert np.abs((V * evals) @ V.conj().T - dense).max() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from(CHAIN_SIZES), jx=couplings, jy=couplings, jz=couplings,
+       xxz=st.booleans(), periodic=st.booleans())
+def test_block_spectrum_of_xyz_chains(size, jx, jy, jz, xxz, periodic):
+    S, N = size
+    H = build_xyz_chain(N, S, jy if xxz else jx, jy, jz, periodic=periodic)
+    real, _ = _blocks(H)
+    assert real and _block_count(H) >= 2
+    _assert_matches_dense(H)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), S=st.sampled_from([0.5, 1.0]))
+def test_block_spectrum_of_rotated_csse_chain(seed, S):
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    M = rot @ np.diag(rng.uniform(-1.0, 1.0, 3)) @ rot.T
+    c = CsseCouplings(J1=M[0, 0], J2=M[1, 1], J3=M[2, 2],
+                      J12=M[0, 1], J13=M[0, 2], J23=M[1, 2])
+    H = build_csse_chain(3, S, c)
+    real, _ = _blocks(H)
+    assert not real and _block_count(H) == 1
+    _assert_matches_dense(H)
+
+
+@settings(max_examples=5, deadline=None)
+@given(kappa=st.floats(0.0, 0.95))
+def test_block_spectrum_of_square_graph(kappa):
+    # 3x3 is the smallest square torus the generator builds (dim 512)
+    H = build_on_graph(generate("square", 3, 3), 0.5, commensurate_q(1, 3, kappa))
+    assert _block_count(H) >= 2
+    _assert_matches_dense(H)
