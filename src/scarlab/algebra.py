@@ -23,8 +23,8 @@ from .elliptic import CommensurateQ, jacobi_fraction
 from .errors import ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import ScarSpec, gz_state, residual
-from .spinops import (ManyBodyOperator, SpinSystem, StateVector, embed,
-                      expectation, local_spin_matrices)
+from .spinops import (ManyBodyOperator, SpinSystem, StateVector, expectation,
+                      local_spin_matrices, local_sum, tau)
 
 
 @dataclass
@@ -35,17 +35,6 @@ class SgaWitness:
     omega: float
 
 
-def tau(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
-    """tau_+/- = sum_n e^{+/- i (n+1) q0} S^-_n; lowers total Sz by one."""
-    system = SpinSystem(S, N)
-    _, _, _, _, sm = local_spin_matrices(S)
-    total = None
-    for n in range(N):
-        term = complex(np.exp(1j * sign * (n + 1) * q0)) * embed(sm, n, system).matrix
-        total = term if total is None else total + term
-    return ManyBodyOperator(system, total, hermitian=False)
-
-
 def lambda_op(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
     """Lambda = i sin(q0) sum_n e^{+/- i (n+1) q0} S^-_n (S^z_{n+1} - S^z_{n-1}).
 
@@ -54,13 +43,9 @@ def lambda_op(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
     """
     system = SpinSystem(S, N)
     _, _, sz, _, sm = local_spin_matrices(S)
-    total = None
-    for n in range(N):
-        zdiff = embed(sz, (n + 1) % N, system).matrix - embed(sz, (n - 1) % N, system).matrix
-        term = (1j * math.sin(q0) * complex(np.exp(1j * sign * (n + 1) * q0))
-                * embed(sm, n, system).matrix @ zdiff)
-        total = term if total is None else total + term
-    return ManyBodyOperator(system, total, hermitian=False)
+    terms = [((n, (n + s) % N), s * 1j * math.sin(q0) * np.exp(1j * sign * (n + 1) * q0)
+              * np.kron(sz, sm)) for n in range(N) for s in (+1, -1)]
+    return ManyBodyOperator(system, local_sum(system, terms), hermitian=False)
 
 
 def standard_sga_witness(N: int, S: float, p: int, helicity: int = +1) -> SgaWitness:
@@ -95,13 +80,10 @@ def _lifted_sc_angle(frac, modulus) -> float:
 def tau_double_prime(N: int, S: float, q: CommensurateQ) -> ManyBodyOperator:
     """Deformed generator sum_n e^{i q_n} S^-_n with q_n = arctan(sc((n+1)q, kappa))."""
     system = SpinSystem(S, N)
-    _, _, _, _, sm = local_spin_matrices(S)
-    total = None
-    for n in range(N):
-        qn = _lifted_sc_angle((n + 1) * q.fraction, q.modulus)
-        term = complex(np.exp(1j * qn)) * embed(sm, n, system).matrix
-        total = term if total is None else total + term
-    return ManyBodyOperator(system, total, hermitian=False)
+    sm = local_spin_matrices(S)[4]
+    terms = [((n,), np.exp(1j * _lifted_sc_angle((n + 1) * q.fraction, q.modulus)) * sm)
+             for n in range(N)]
+    return ManyBodyOperator(system, local_sum(system, terms), hermitian=False)
 
 
 def perturbative_split(N: int, S: float, q0: float):
@@ -110,12 +92,9 @@ def perturbative_split(N: int, S: float, q0: float):
     H0 is the XXZ chain at Jz = cos(q0); H1 = -(sin^2(q0)/2) * sum_n
     [Sx_n Sx_{n+1} + (cos(q0)/2) Sz_n Sz_{n+1}].
     """
-    h0 = build_xyz_chain(N, S, 1.0, 1.0, math.cos(q0))
     s2 = math.sin(q0) ** 2
-    h1a = build_xyz_chain(N, S, 1.0, 0.0, 0.0)
-    h1b = build_xyz_chain(N, S, 0.0, 0.0, 1.0)
-    h1 = (-0.5 * s2) * h1a + (-0.25 * s2 * math.cos(q0)) * h1b
-    return h0, h1
+    return (build_xyz_chain(N, S, 1.0, 1.0, math.cos(q0)),
+            build_xyz_chain(N, S, -0.5 * s2, 0.0, -0.25 * s2 * math.cos(q0)))
 
 
 def reduced_resolvent_apply(H0: ManyBodyOperator, E0: float, vec: np.ndarray,

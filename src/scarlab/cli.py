@@ -86,8 +86,10 @@ def _write_outputs(outdir: str, name: str, header, rows, config: dict):
 def _parse_range(text: str):
     """'4..7' -> [4,5,6,7]; '4,6,8' -> [4,6,8]; '5' -> [5]."""
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(t) for t in text.split(".."))
+        if hi < lo:
+            raise ValueError(f"empty range {text!r}")
+        return list(range(lo, hi + 1))
     return [int(t) for t in text.split(",")]
 
 
@@ -98,6 +100,8 @@ def _parse_floats(text: str):
 def _parse_spin(text: str) -> float:
     if "/" in text:
         num, den = text.split("/")
+        if float(den) == 0.0:
+            raise ValueError(f"zero denominator in spin {text!r}")
         return float(num) / float(den)
     return float(text)
 

@@ -10,30 +10,21 @@ checks of the scar construction.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .elliptic import CommensurateQ
+from .elliptic import CommensurateQ, jacobi_fraction
 from .frames import CsseCouplings
 from .lattice import SU2, ScarGraph
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, all_up,
-                      basis_state, local_spin_matrices, product_rotation,
-                      two_site)
+                      basis_state, local_spin_matrices, local_sum,
+                      product_rotation)
 
 
-def _bond_term(M: np.ndarray, n: int, m: int, system: SpinSystem) -> sp.csr_matrix:
-    """sum_ab M[a,b] S^a_n S^b_m for one bond (M symmetric covers both orders)."""
-    sx, sy, sz, _, _ = local_spin_matrices(system.S)
-    ops = (sx, sy, sz)
-    total = None
-    for a in range(3):
-        for b in range(3):
-            if M[a, b] == 0.0:
-                continue
-            term = M[a, b] * two_site(ops[a], n, ops[b], m, system)
-            total = term if total is None else total + term
-    if total is None:
-        total = sp.csr_matrix((system.total_dim, system.total_dim), dtype=complex)
-    return total
+def _bond_matrix(S: float, M: np.ndarray) -> np.ndarray:
+    """d^2 x d^2 matrix of sum_ab M[a,b] S^a_u S^b_v for local_sum's sites (u, v)."""
+    ops = local_spin_matrices(S)[:3]
+    return sum((M[a, b] * np.kron(ops[b], ops[a])
+                for a in range(3) for b in range(3) if M[a, b] != 0.0),
+               np.zeros((ops[0].size,) * 2))
 
 
 def _chain_bonds(N: int, periodic: bool):
@@ -45,44 +36,39 @@ def _chain_bonds(N: int, periodic: bool):
     return bonds
 
 
+def _chain_operator(N: int, S: float, M: np.ndarray, periodic: bool) -> ManyBodyOperator:
+    system = SpinSystem(S, N)
+    bond = _bond_matrix(S, M)
+    terms = [(b, bond) for b in _chain_bonds(N, periodic)]
+    return ManyBodyOperator(system, local_sum(system, terms), hermitian=True)
+
+
 def build_xyz_chain(N: int, S: float, Jx: float, Jy: float, Jz: float,
                     periodic: bool = True) -> ManyBodyOperator:
     """H = sum_n Jx Sx_n Sx_{n+1} + Jy Sy_n Sy_{n+1} + Jz Sz_n Sz_{n+1}."""
-    system = SpinSystem(S, N)
-    M = np.diag([Jx, Jy, Jz]).astype(float)
-    total = sp.csr_matrix((system.total_dim, system.total_dim), dtype=complex)
-    for n, m in _chain_bonds(N, periodic):
-        total = total + _bond_term(M, n, m, system)
-    return ManyBodyOperator(system, total, hermitian=True)
+    return _chain_operator(N, S, np.diag([Jx, Jy, Jz]).astype(float), periodic)
 
 
 def build_csse_chain(N: int, S: float, c: CsseCouplings,
                      periodic: bool = True) -> ManyBodyOperator:
     """Chain with the full symmetric 3x3 exchange matrix on every bond."""
-    system = SpinSystem(S, N)
-    M = c.matrix()
-    total = sp.csr_matrix((system.total_dim, system.total_dim), dtype=complex)
-    for n, m in _chain_bonds(N, periodic):
-        total = total + _bond_term(M, n, m, system)
-    return ManyBodyOperator(system, total, hermitian=True)
+    return _chain_operator(N, S, c.matrix(), periodic)
 
 
 def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator:
     """Graph Hamiltonian: CSSE bonds J*(dn(r q) SxSx + SySy + cn(r q) SzSz),
     SU(2) bonds J * S_n . S_m; the r multiplier evaluates the elliptic factors
     at r*q on the exact rational tag."""
-    from .elliptic import jacobi_fraction
-
     system = SpinSystem(S, g.num_vertices)
-    total = sp.csr_matrix((system.total_dim, system.total_dim), dtype=complex)
+    terms = []
     for e in g.edges:
         if e.kind == SU2:
             M = e.J * np.eye(3)
         else:
             _, cn, dn = jacobi_fraction(e.r * q.fraction, q.modulus)
             M = e.J * np.diag([dn, 1.0, cn])
-        total = total + _bond_term(M, e.u, e.v, system)
-    return ManyBodyOperator(system, total, hermitian=True)
+        terms.append(((e.u, e.v), _bond_matrix(S, M)))
+    return ManyBodyOperator(system, local_sum(system, terms), hermitian=True)
 
 
 def rotated_hamiltonian(H: ManyBodyOperator, angles: SiteAngles,

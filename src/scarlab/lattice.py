@@ -538,15 +538,7 @@ def modified_honeycomb(Nx: int, Ny: int, J: float = 1.0) -> ScarGraph:
     """
     if Nx < 4 or Nx % 2 or Ny < 3:
         raise UnsupportedDims("modified honeycomb needs even Nx >= 4 and Ny >= 3")
-    edges = []
-    for y in range(Ny):
-        for x in range(Nx):
-            u = x + Nx * y
-            edges.append(Edge(u, (x + 1) % Nx + Nx * y, -1, CSSE, 1, J,
-                              crossing=(1 if x == Nx - 1 else 0, 0)))
-            edges.append(Edge(u, x + Nx * ((y + 1) % Ny), -1, CSSE, 1, J,
-                              crossing=(0, 1 if y == Ny - 1 else 0)))
-    return ScarGraph(Nx * Ny, edges, _torus(Nx, Ny))
+    return square(Nx, Ny, J)
 
 
 def trimer_ladder(L: int, J: float = 1.0, Jprime: float = 1.0) -> ScarGraph:

@@ -23,8 +23,8 @@ from .elliptic import CommensurateQ, commensurate_q, jacobi_fraction
 from .errors import DimensionMismatch, IncommensurateQ, ScarlabError
 from .lattice import ScarGraph, assign_site_phases
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
-                      all_up, coherent_product_state, embed,
-                      local_spin_matrices)
+                      all_up, coherent_product_state, local_spin_matrices,
+                      local_sum, tau)
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ def chain_phases(N: int, q: CommensurateQ) -> list:
     return [(n + 1) * q.fraction for n in range(N)]
 
 
-def gz_state(system: SpinSystem, spec: ScarSpec,
-             graph: ScarGraph | None = None) -> StateVector:
-    """Product scar state on a chain (default) or on a rule-satisfying graph."""
+def gz_angles(system: SpinSystem, spec: ScarSpec,
+              graph: ScarGraph | None = None) -> SiteAngles:
+    """Bloch angles of the scar on a chain (default) or a rule-satisfying graph."""
     if graph is None:
         if spec.q.denominator != system.N:
             raise IncommensurateQ(
@@ -100,16 +100,13 @@ def gz_state(system: SpinSystem, spec: ScarSpec,
         if graph.num_vertices != system.N:
             raise DimensionMismatch("graph order != number of spins")
         phases = assign_site_phases(graph, spec.q)
-    return coherent_product_state(site_angles(spec, phases), system)
-
-
-def gz_angles(system: SpinSystem, spec: ScarSpec,
-              graph: ScarGraph | None = None) -> SiteAngles:
-    if graph is None:
-        phases = chain_phases(system.N, spec.q)
-    else:
-        phases = assign_site_phases(graph, spec.q)
     return site_angles(spec, phases)
+
+
+def gz_state(system: SpinSystem, spec: ScarSpec,
+             graph: ScarGraph | None = None) -> StateVector:
+    """Product scar state on a chain (default) or on a rule-satisfying graph."""
+    return coherent_product_state(gz_angles(system, spec, graph), system)
 
 
 def gz_energy(N: int, S: float, q: CommensurateQ) -> float:
@@ -155,16 +152,12 @@ def helical_tower(N: int, S: float, helicity: int, p: int) -> ScarTower:
     """
     system = SpinSystem(S, N)
     q0 = 2.0 * math.pi * p / N
-    _, _, _, _, sm = local_spin_matrices(S)
-    tau = None
-    for n in range(N):
-        term = complex(np.exp(1j * helicity * (n + 1) * q0)) * embed(sm, n, system).matrix
-        tau = term if tau is None else tau + term
+    lower = tau(N, S, q0, sign=helicity).matrix
     two_ns = int(round(2 * N * S))
     states = [all_up(system)]
     vec = states[0].amplitudes
     for _ in range(two_ns):
-        vec = tau @ vec
+        vec = lower @ vec
         nrm = np.linalg.norm(vec)
         states.append(StateVector(system, vec / nrm))
     return ScarTower(system=system, states=states, helicity=helicity, q0=q0, p=p)
@@ -258,15 +251,13 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
 def local_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec,
                      H: ManyBodyOperator) -> np.ndarray:
     """<i[H, Sz_n]> on the graph scar state, one value per vertex."""
-    psi = gz_state(system, spec, graph=g)
-    _, _, sz, _, _ = local_spin_matrices(system.S)
+    psi = gz_state(system, spec, graph=g).amplitudes
+    sz = local_spin_matrices(system.S)[2]
     out = np.zeros(g.num_vertices)
-    hpsi = H.matrix @ psi.amplitudes
+    hpsi = H.matrix @ psi
     for n in range(g.num_vertices):
-        zn = embed(sz, n, system).matrix
-        val = 1j * (np.vdot(psi.amplitudes, H.matrix @ (zn @ psi.amplitudes))
-                    - np.vdot(psi.amplitudes, zn @ hpsi))
-        out[n] = val.real
+        zn = local_sum(system, [((n,), sz)]).diagonal()
+        out[n] = (1j * (np.vdot(psi, H.matrix @ (zn * psi)) - np.vdot(psi, zn * hpsi))).real
     return out
 
 

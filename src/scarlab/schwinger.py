@@ -31,7 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, SameSite, ScarlabError
-from .spinops import SpinSystem, basis_state
+from .hamiltonian import _bond_matrix, _chain_bonds
+from .spinops import SpinSystem, basis_state, local_spin_matrices, local_sum
 
 UP, DOWN = 0, 1
 _MODES = ("constrained", "hardcore", "enlarged")
@@ -197,17 +198,13 @@ def rotated_tower_states(N: int, S: float, p: int) -> list:
     under the Fock-spin bijection up to a global phase.
     """
     from .scar import helical_tower
-    from .spinops import embed, local_spin_matrices
     system = SpinSystem(S, N)
     q0 = 2.0 * math.pi * p / N
-    _, _, sz, _, _ = local_spin_matrices(S)
-    rot = sp.identity(system.total_dim, dtype=complex, format="csr")
-    for n in range(N):
-        zn = embed(sz, n, system).matrix
-        phase = sp.diags(np.exp(1j * (n + 1) * q0 * zn.diagonal()))
-        rot = (rot @ phase).tocsr()
+    sz = local_spin_matrices(S)[2]
+    angle = local_sum(system, [((n,), (n + 1) * q0 * sz) for n in range(N)]).diagonal()
+    rot = np.exp(1j * angle)
     tower = helical_tower(N, S, +1, p)
-    return [rot @ st.amplitudes for st in tower.states]
+    return [rot * st.amplitudes for st in tower.states]
 
 
 def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
@@ -271,17 +268,10 @@ def zeta_annihilation_residuals(N: int, S: float) -> dict:
 
 def _rotated_spin_hamiltonian(N: int, S: float, q0: float, Jx: float) -> sp.csr_matrix:
     """Jx cos(q0) sum S.S - Jx sin(q0) sum (Sx_n Sy_{n+1} - Sy_n Sx_{n+1})."""
-    from .hamiltonian import _chain_bonds
-    from .spinops import local_spin_matrices, two_site
-    system = SpinSystem(S, N)
-    sx, sy, sz, _, _ = local_spin_matrices(S)
-    total = sp.csr_matrix((system.total_dim, system.total_dim), dtype=complex)
-    for n, m in _chain_bonds(N, periodic=True):
-        heis = (two_site(sx, n, sx, m, system) + two_site(sy, n, sy, m, system)
-                + two_site(sz, n, sz, m, system))
-        dm_z = two_site(sx, n, sy, m, system) - two_site(sy, n, sx, m, system)
-        total = total + Jx * math.cos(q0) * heis - Jx * math.sin(q0) * dm_z
-    return total.tocsr()
+    M = Jx * math.cos(q0) * np.eye(3)
+    M[0, 1], M[1, 0] = -Jx * math.sin(q0), Jx * math.sin(q0)
+    bond = _bond_matrix(S, M)
+    return local_sum(SpinSystem(S, N), [(b, bond) for b in _chain_bonds(N, periodic=True)])
 
 
 def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
@@ -303,8 +293,7 @@ def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
     dim = enl.dim
     total = sp.csr_matrix((dim, dim), dtype=complex)
     cos_q, sin_q = math.cos(q0), math.sin(q0)
-    bonds = [(n, (n + 1) % N) for n in range(N)] if N > 2 else [(0, 1)]
-    for n, m in bonds:
+    for n, m in _chain_bonds(N, periodic=True):
         z_nm = bilinear(enl, "zeta", n, m)
         z_mn = bilinear(enl, "zeta", m, n)
         e_nm = bilinear(enl, "eta", n, m)

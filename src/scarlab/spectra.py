@@ -50,7 +50,7 @@ def _blocks(H: ManyBodyOperator):
     from scipy.sparse.csgraph import connected_components
     A = H.matrix
     _, labels = connected_components(A != 0, directed=False)
-    return not np.any(A.data.imag), labels
+    return A.dtype.kind != "c" or not np.any(A.data.imag), labels
 
 
 def full_spectrum(H: ManyBodyOperator, vectors: bool = True):
@@ -63,7 +63,7 @@ def full_spectrum(H: ManyBodyOperator, vectors: bool = True):
     """
     _check_dense_cap(H.system.total_dim, vectors)
     real, labels = _blocks(H)
-    A = H.matrix.real if real else H.matrix
+    A = H.matrix.real if real and H.matrix.dtype.kind == "c" else H.matrix
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     if labels.max() == 0:
         res = solve(A.toarray())

@@ -11,7 +11,8 @@ from scarlab.algebra import (degenerate_subspace, first_order_deformation,
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.hamiltonian import build_xyz_chain
 from scarlab.scar import gz_energy
-from scarlab.spinops import SpinSystem, StateVector, all_up
+from scarlab.spinops import (SpinSystem, StateVector, all_up, embed,
+                             local_spin_matrices)
 
 
 def test_ladder_commutation_relations():
@@ -32,6 +33,22 @@ def test_sga_witness_closes_on_tower():
     wit = standard_sga_witness(6, 1.0, 1)
     assert wit.omega == 0.0
     assert max(wit.commutator_residuals) <= 1e-10
+
+
+def test_tau_and_lambda_match_kron_reference():
+    for N, S, sign in [(5, 1.0, +1), (4, 1.5, -1)]:
+        q0 = 2.0 * math.pi / N
+        system = SpinSystem(S, N)
+        _, _, sz, _, sm = local_spin_matrices(S)
+        want_tau = want_lam = 0.0
+        for n in range(N):
+            lower = np.exp(1j * sign * (n + 1) * q0) * embed(sm, n, system).matrix
+            zdiff = (embed(sz, (n + 1) % N, system).matrix
+                     - embed(sz, (n - 1) % N, system).matrix)
+            want_tau = want_tau + lower
+            want_lam = want_lam + 1j * math.sin(q0) * lower @ zdiff
+        assert abs(tau(N, S, q0, sign).matrix - want_tau).max() <= 1e-14
+        assert abs(lambda_op(N, S, q0, sign).matrix - want_lam).max() <= 1e-14
 
 
 def test_tau_double_prime_reduces_to_tau():

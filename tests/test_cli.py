@@ -91,6 +91,18 @@ def test_invalid_inputs(tmp_path):
     assert run(["no-such-command"]) == EXIT_INVALID
 
 
+def test_zero_denominator_spin_is_invalid_input(tmp_path):
+    assert run(["--out", str(tmp_path), "scar-verify", "--S", "1/0"]) == EXIT_INVALID
+    assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "1/0",
+                "--N", "4"]) == EXIT_INVALID
+
+
+def test_empty_size_range_is_invalid_input(tmp_path):
+    assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "1",
+                "--N", "7..4"]) == EXIT_INVALID
+    assert not (tmp_path / "degeneracy_scan.csv").exists()
+
+
 def test_physics_failure_exit_code(tmp_path):
     # an impossible residual tolerance must fail as physics, not crash
     code = run(["--out", str(tmp_path), "scar-verify", "--lattice", "chain",

@@ -9,6 +9,7 @@ from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import (build_csse_chain, build_on_graph,
                                  build_xyz_chain, load_parameters,
                                  rotated_hamiltonian, vanishing_conditions)
+from scarlab.lattice import CSSE, SU2, kagome_su2
 from scarlab.lattice import chain as chain_graph
 from scarlab.scar import ScarSpec, gz_angles
 from scarlab.spinops import SiteAngles, SpinSystem, local_spin_matrices, two_site
@@ -67,6 +68,35 @@ def test_graph_chain_matches_xyz_chain():
     H_graph = build_on_graph(chain_graph(5), 0.5, q)
     H_chain = build_xyz_chain(5, 0.5, dn, 1.0, cn)
     assert np.abs((H_graph.matrix - H_chain.matrix).toarray()).max() <= 1e-13
+
+
+def test_graph_builder_matches_two_site_sum():
+    # kagome_su2 mixes isotropic SU(2) bonds with elliptic CSSE bonds
+    g = kagome_su2(2, 2)
+    assert {e.kind for e in g.edges} == {SU2, CSSE}
+    q = commensurate_q(1, 4, 0.6)
+    H = build_on_graph(g, 0.5, q)
+    system = SpinSystem(0.5, g.num_vertices)
+    ops = local_spin_matrices(0.5)[:3]
+    want = 0.0
+    for e in g.edges:
+        if e.kind == SU2:
+            J = (e.J, e.J, e.J)
+        else:
+            _, cn, dn = jacobi_fraction(e.r * q.fraction, q.modulus)
+            J = (e.J * dn, e.J, e.J * cn)
+        for a in range(3):
+            want = want + J[a] * two_site(ops[a], e.u, ops[a], e.v, system)
+    assert abs(H.matrix - want).max() <= 1e-13
+
+
+def test_builder_dtypes():
+    # real in the Sz basis unless a coupling pairs Sy with Sx or Sz
+    q = commensurate_q(1, 4, 0.6)
+    assert build_xyz_chain(4, 1.0, 0.3, 1.0, -0.5).matrix.dtype == np.float64
+    assert build_on_graph(kagome_su2(2, 2), 0.5, q).matrix.dtype == np.float64
+    c = CsseCouplings(J1=0.2, J2=-0.4, J3=0.6, J12=0.1, J13=0.0, J23=0.0)
+    assert build_csse_chain(4, 0.5, c).matrix.dtype == np.complex128
 
 
 def test_rotated_hamiltonian_is_isospectral():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from scarlab.elliptic import commensurate_q, jacobi_fraction
-from scarlab.errors import IncommensurateQ, ScarlabError
+from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
 from scarlab.hamiltonian import build_on_graph, build_xyz_chain
 from scarlab.lattice import square
-from scarlab.scar import (ScarSpec, gz_energy, gz_state, helical_expansion,
+from scarlab.scar import (ScarSpec, gz_angles, gz_energy, gz_state,
+                          helical_expansion,
                           helical_tower, local_sz_current, predicted_sz_current,
                           projections, residual, shared_state_overlaps,
                           span_rank)
@@ -148,3 +149,11 @@ def test_graph_scar_and_current():
     # the vertex rule zeroes the predicted current on this lattice
     assert np.abs(predicted_sz_current(g, system, spec)).max() <= 1e-12
     assert np.abs(cur).max() <= 1e-10
+
+
+def test_gz_angles_checks_like_gz_state():
+    spec = ScarSpec.make(+1, 1, 0.3, 0.5, 5)
+    with pytest.raises(IncommensurateQ):
+        gz_angles(SpinSystem(0.5, 6), spec)
+    with pytest.raises(DimensionMismatch):
+        gz_angles(SpinSystem(0.5, 8), spec, graph=square(3, 3))

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from scarlab.errors import DimensionCap, DimensionMismatch, InvalidSpin
+from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
+                            SiteOutOfRange)
 from scarlab.spinops import (SiteAngles, SpinSystem,
                              all_down, all_up, basis_state,
                              coherent_product_state, embed,
                              entanglement_entropy, expectation,
-                             local_spin_matrices, product_rotation,
+                             local_spin_matrices, local_sum, product_rotation,
                              site_spin_expectations, two_site)
 
 RNG = np.random.default_rng(7)
@@ -81,6 +82,40 @@ def test_two_site_matches_kron_oracle():
     got = two_site(sx, 0, sz, 2, system).toarray()
     want = np.kron(np.kron(sz, np.eye(2)), sx)
     assert np.allclose(got, want, atol=1e-15)
+
+
+@pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
+def test_local_sum_matches_kron_oracle(S):
+    system = SpinSystem(S, 4)
+    ops = local_spin_matrices(S)[:3]
+    M = RNG.normal(size=(3, 3))            # not symmetric
+    # reversed and non-adjacent site pairs; sites[0] is the low local digit
+    for u, v in [(0, 1), (3, 1), (2, 0), (0, 3)]:
+        bond = sum(M[a, b] * np.kron(ops[b], ops[a]) for a in range(3) for b in range(3))
+        want = sum(M[a, b] * two_site(ops[a], u, ops[b], v, system)
+                   for a in range(3) for b in range(3))
+        got = local_sum(system, [((u, v), bond)])
+        assert np.abs((got - want).toarray()).max() <= 1e-14
+    d = system.local_dim
+    A = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    got = local_sum(system, [((2,), A), ((0,), A.T), ((2,), A)])
+    want = 2.0 * embed(A, 2, system).matrix + embed(A.T, 0, system).matrix
+    assert got.dtype == np.complex128
+    assert np.abs((got - want).toarray()).max() <= 1e-14
+
+
+def test_local_sum_dtype_and_guards():
+    system = SpinSystem(1.0, 3)
+    sx, sy, sz, _, _ = local_spin_matrices(1.0)
+    assert local_sum(system, [((0, 2), np.kron(sx, sz))]).dtype == np.float64
+    assert local_sum(system, [((0, 2), np.kron(sx, sy))]).dtype == np.complex128
+    assert local_sum(system, []).nnz == 0
+    with pytest.raises(SiteOutOfRange):
+        local_sum(system, [((1, 1), np.kron(sz, sz))])
+    with pytest.raises(SiteOutOfRange):
+        local_sum(system, [((3,), sz)])
+    with pytest.raises(DimensionMismatch):
+        local_sum(system, [((0, 1), sz)])
 
 
 def test_operator_algebra_helpers():
