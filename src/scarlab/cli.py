@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -106,6 +107,18 @@ def _parse_spin(text: str) -> float:
     return float(text)
 
 
+def _lattice_dims(kind: str, text: str):
+    """--dims as ints, exactly as many as the generator's size arguments."""
+    from .lattice import GENERATORS
+    dims = [int(t) for t in text.split(",")]
+    if kind in GENERATORS:
+        params = inspect.signature(GENERATORS[kind]).parameters.values()
+        need = sum(prm.default is prm.empty for prm in params)
+        if len(dims) != need:
+            raise ValueError(f"lattice {kind!r} takes {need} dims, got {len(dims)} ({text!r})")
+    return dims
+
+
 def cmd_elliptic(args, log: CheckLog) -> int:
     from .elliptic import complete_K, jacobi, solve_q_kappa
     rng = np.random.default_rng(args.seed)
@@ -174,8 +187,7 @@ def cmd_scar_verify(args, log: CheckLog) -> int:
         with open(args.graph) as fh:
             g = ScarGraph.from_json(fh.read())
     elif args.lattice != "chain":
-        dims = [int(t) for t in args.dims.split(",")] if args.dims else [args.N]
-        g = generate(args.lattice, *dims)
+        g = generate(args.lattice, *_lattice_dims(args.lattice, args.dims or str(args.N)))
     else:
         g = None
     denom = args.denominator or args.N
@@ -290,11 +302,8 @@ def cmd_lattice_check(args, log: CheckLog) -> int:
 
 def cmd_lattice_generate(args, log: CheckLog) -> int:
     from .lattice import generate
-    dims = [int(t) for t in args.dims.split(",")]
-    options = {}
-    if args.shift is not None:
-        options["shift"] = args.shift
-    g = generate(args.kind, *dims, **options)
+    options = {} if args.shift is None else {"shift": args.shift}
+    g = generate(args.kind, *_lattice_dims(args.kind, args.dims), **options)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.kind}.json")
     with open(path, "w") as fh:

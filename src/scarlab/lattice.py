@@ -10,7 +10,9 @@ whether a helical product state can live on the graph:
 
 The circuit rule is checked on a fundamental-cycle basis only (cycle-space
 linearity covers every other circuit) and is evaluated in exact integer
-arithmetic on the rational tag q/(4K) = p/denominator.
+arithmetic on the rational tag q/(4K) = p/denominator.  It runs on integer
+tree potentials from one BFS, so each chord's cycle costs O(1) and the rule
+and the site phases cost O(edges); no cycle is walked.
 
 On toroidal graphs the cycles that wrap the boundary are allowed a nonzero
 winding (they only restrict the admissible q); the lattice-independence
@@ -149,30 +151,34 @@ def check_vertex_rule(g: ScarGraph) -> list:
     return [n for n, s in enumerate(flow) if s != 0]
 
 
-def _spanning_tree(g: ScarGraph):
-    """BFS tree: (parent_edge per vertex as (edge_idx, dir), order, non-tree edges)."""
+def _spanning_tree(g: ScarGraph, root: int = 0):
+    """BFS tree: (parent edge (edge_idx, dir) per vertex, chords, potentials).
+
+    The potentials winding[n] = sum(d*sigma*r) and crossing[n] (summed crossing
+    vectors) run along the tree path root -> n, so the cycle closed by chord
+    (u, v) has winding sigma*r + winding[u] - winding[v], likewise crossing.
+    """
     adj = g.adjacency()
-    parent = [None] * g.num_vertices
-    seen = [False] * g.num_vertices
-    seen[0] = True
-    order = [0]
-    tree_edges = set()
-    queue = [0]
-    while queue:
-        n = queue.pop(0)
+    parent, winding, crossing = ([None] * g.num_vertices for _ in range(3))
+    winding[root], crossing[root] = 0, (0, 0)
+    in_tree = [False] * len(g.edges)
+    order = [root]
+    for n in order:             # order grows while it is walked: a BFS queue
+        wn, (cx, cy) = winding[n], crossing[n]
         for ei, dirn in adj[n]:
             e = g.edges[ei]
             m = e.v if dirn > 0 else e.u
-            if not seen[m]:
-                seen[m] = True
+            if winding[m] is None:
+                winding[m] = wn + dirn * e.sigma * e.r
+                crossing[m] = (cx + dirn * e.crossing[0], cy + dirn * e.crossing[1])
                 parent[m] = (ei, dirn)
-                tree_edges.add(ei)
+                in_tree[ei] = True
                 order.append(m)
-                queue.append(m)
-    if not all(seen):
-        raise DisconnectedGraph(f"{seen.count(False)} vertices unreachable from vertex 0")
-    chords = [i for i in range(len(g.edges)) if i not in tree_edges]
-    return parent, order, chords
+    if len(order) < g.num_vertices:
+        raise DisconnectedGraph(
+            f"{g.num_vertices - len(order)} vertices unreachable from vertex {root}")
+    chords = [i for i, t in enumerate(in_tree) if not t]
+    return parent, chords, winding, crossing
 
 
 def _root_path(g: ScarGraph, parent, n):
@@ -189,7 +195,7 @@ def _root_path(g: ScarGraph, parent, n):
 
 def fundamental_cycles(g: ScarGraph) -> list:
     """One cycle per non-tree edge, each a list of (edge_index, direction)."""
-    parent, _, chords = _spanning_tree(g)
+    parent, chords, _, _ = _spanning_tree(g)
     cycles = []
     for ci in chords:
         e = g.edges[ci]
@@ -206,28 +212,21 @@ def fundamental_cycles(g: ScarGraph) -> list:
     return cycles
 
 
-def cycle_winding(g: ScarGraph, cycle) -> int:
-    return sum(d * g.edges[ei].sigma * g.edges[ei].r for ei, d in cycle)
-
-
 def cycle_crossing(g: ScarGraph, cycle) -> tuple:
     wx = sum(d * g.edges[ei].crossing[0] for ei, d in cycle)
     wy = sum(d * g.edges[ei].crossing[1] for ei, d in cycle)
     return (wx, wy)
 
 
-def cycle_vertices(g: ScarGraph, cycle) -> list:
-    verts = []
-    for ei, d in cycle:
-        e = g.edges[ei]
-        verts.append(e.u if d > 0 else e.v)
-    return verts
+def _chord_winding(e: Edge, winding) -> int:
+    """Winding of the fundamental cycle closed by chord e."""
+    return e.sigma * e.r + winding[e.u] - winding[e.v]
 
 
 @dataclass
 class RuleReport:
     vertex_violations: list
-    circuit_constraints: list      # (vertex list, winding W) per fundamental cycle
+    circuit_constraints: list      # (chord edge index, winding W) per fundamental cycle
     circuit_violations: list       # subset failing W * p/denom integer test
     admissible_q: str
     classification: str
@@ -250,18 +249,20 @@ def _admissible_description(windings) -> str:
 def check_circuit_rule(g: ScarGraph, q: CommensurateQ) -> RuleReport:
     """Evaluate both rules for a given commensurate q; exact on the rational tag."""
     violations = check_vertex_rule(g)
-    cycles = fundamental_cycles(g)
-    constraints = []
-    failed = []
+    _, chords, winding, crossing = _spanning_tree(g)
+    num, den = q.fraction.numerator, q.fraction.denominator
+    constraints, failed = [], []
     contractible_ok = True
-    for cyc in cycles:
-        w = cycle_winding(g, cyc)
-        verts = cycle_vertices(g, cyc)
-        constraints.append((verts, w))
-        if (w * q.fraction).denominator != 1:
-            failed.append((verts, w))
-        if cycle_crossing(g, cyc) == (0, 0) and w != 0:
-            contractible_ok = False
+    for ci in chords:
+        e = g.edges[ci]
+        w = _chord_winding(e, winding)
+        constraints.append((ci, w))
+        if w * num % den:
+            failed.append((ci, w))
+        if w and contractible_ok:
+            cu, cv = crossing[e.u], crossing[e.v]
+            if (e.crossing[0] + cu[0] - cv[0], e.crossing[1] + cu[1] - cv[1]) == (0, 0):
+                contractible_ok = False
     if violations:
         classification = CLASS_NONE
     elif contractible_ok:
@@ -278,32 +279,24 @@ def check_circuit_rule(g: ScarGraph, q: CommensurateQ) -> RuleReport:
 def assign_site_phases(g: ScarGraph, q: CommensurateQ, root: int = 0) -> list:
     """Per-vertex phase q_n as an exact Fraction of 4K(kappa), root at zero.
 
-    Propagates q_m = q_n - sigma_nm * r * q over a breadth-first traversal and
-    cross-checks every non-tree edge, so an inconsistent sigma pattern (a
-    circuit-rule violation) is caught rather than silently averaged.
+    q_m = q_n - sigma_nm * r * q along every edge, so on the BFS tree the
+    phase is -winding[n] * q modulo 1.  Every chord is cross-checked, so an
+    inconsistent sigma pattern (a circuit-rule violation) is caught rather
+    than silently averaged.
     """
-    step = q.fraction
-    adj = g.adjacency()
-    phases = [None] * g.num_vertices
-    phases[root] = Fraction(0)
-    queue = [root]
-    while queue:
-        n = queue.pop(0)
-        for ei, dirn in adj[n]:
-            e = g.edges[ei]
-            m = e.v if dirn > 0 else e.u
-            sigma_nm = dirn * e.sigma
-            expected = (phases[n] - sigma_nm * e.r * step) % 1
-            if phases[m] is None:
-                phases[m] = expected
-                queue.append(m)
-            elif phases[m] != expected:
-                raise InconsistentPhases(
-                    f"edge ({e.u},{e.v}) implies phase {expected} at vertex {m}, "
-                    f"but propagation already fixed {phases[m]}")
-    if any(p is None for p in phases):
-        raise DisconnectedGraph("phase propagation did not reach every vertex")
-    return phases
+    try:
+        _, chords, winding, _ = _spanning_tree(g, root)
+    except DisconnectedGraph:
+        raise DisconnectedGraph("phase propagation did not reach every vertex") from None
+    num, den = q.fraction.numerator, q.fraction.denominator
+    for ci in chords:
+        e = g.edges[ci]
+        w = _chord_winding(e, winding)
+        if w * num % den:
+            raise InconsistentPhases(
+                f"edge ({e.u},{e.v}) closes a cycle of winding {w}, and {w} * {q.fraction} "
+                f"is not an integer: the phases at vertex {e.v} disagree")
+    return [Fraction(-w * num % den, den) for w in winding]
 
 
 def as_uniform_csse(g: ScarGraph) -> ScarGraph:
@@ -417,15 +410,9 @@ def square(Nx: int, Ny: int, J: float = 1.0) -> ScarGraph:
     """Toroidal square lattice with diagonal phase flow (all plaquettes W = 0)."""
     if Nx < 3 or Ny < 3:
         raise UnsupportedDims("square torus needs Nx, Ny >= 3 to avoid duplicate edges")
-    edges = []
-    for y in range(Ny):
-        for x in range(Nx):
-            u = x + Nx * y
-            edges.append(Edge(u, (x + 1) % Nx + Nx * y, -1, CSSE, 1, J,
-                              crossing=(1 if x == Nx - 1 else 0, 0)))
-            edges.append(Edge(u, x + Nx * ((y + 1) % Ny), -1, CSSE, 1, J,
-                              crossing=(0, 1 if y == Ny - 1 else 0)))
-    return ScarGraph(Nx * Ny, edges, _torus(Nx, Ny))
+    g = square_shifted(Nx, Ny, shift=0, J=J)    # the same edges, a plain torus
+    g.boundary = _torus(Nx, Ny)
+    return g
 
 
 def square_shifted(Nx: int, Ny: int, shift: int | None = None, J: float = 1.0) -> ScarGraph:

@@ -66,18 +66,22 @@ def site_angles(spec: ScarSpec, phases) -> SiteAngles:
     (cn, sn) winds once per 4K, and for half-integer S the resulting 2 pi
     increments of phi_n carry physical minus signs, so the winding from the
     exact rational tag is kept rather than wrapped away.  theta_n = arccos of
-    the Sz expectation over S.
+    the Sz expectation over S.  The elliptic functions are evaluated once per
+    distinct reduced phase frac - floor(frac).
     """
     two_pi = 2.0 * math.pi
+    local_angles = {}     # reduced phase -> (theta, in-period phi)
     thetas, phis = [], []
     for frac in phases:
-        sn, cn, dn = jacobi_fraction(frac, spec.q.modulus)
-        ux = spec.alpha * cn
-        uy = spec.beta * sn
-        uz = spec.gamma * dn
-        thetas.append(math.acos(max(-1.0, min(1.0, uz))))
-        local = math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0
         winding = math.floor(frac)
+        reduced = frac - winding
+        if reduced not in local_angles:
+            sn, cn, dn = jacobi_fraction(reduced, spec.q.modulus)
+            ux, uy = spec.alpha * cn, spec.beta * sn
+            local = math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0
+            local_angles[reduced] = (math.acos(max(-1.0, min(1.0, spec.gamma * dn))), local)
+        theta, local = local_angles[reduced]
+        thetas.append(theta)
         phis.append(spec.helicity * (two_pi * winding + local))
     return SiteAngles(tuple(thetas), tuple(phis))
 

@@ -3,7 +3,8 @@
 import json
 import os
 
-from scarlab.cli import EXIT_INVALID, EXIT_OK, EXIT_PHYSICS, main
+from scarlab.cli import (EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS,
+                         main)
 
 
 def run(args):
@@ -78,6 +79,39 @@ def test_lattice_generate_and_check(tmp_path, capsys):
     assert graph.exists()
     assert run(["--out", out, "lattice-check", "--graph", str(graph)]) == EXIT_OK
     assert "classification" in capsys.readouterr().out
+
+
+def test_readme_lattice_example_checks_both_rules(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["--out", out, "lattice-generate", "--kind", "square_shifted",
+                "--dims", "4,3", "--shift", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["--out", out, "lattice-check", "--graph", str(tmp_path / "square_shifted.json"),
+                "--p", "1", "--denominator", "4", "--kappa", "0.5"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split("  ")[0] for ln in lines if "rule" in ln] == \
+        ["PASS: vertex rule", "PASS: circuit rule"]
+
+
+def test_lattice_dims_count_must_match_generator(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["--out", out, "lattice-generate", "--kind", "square",
+                "--dims", "4,4,3"]) == EXIT_INVALID
+    assert not (tmp_path / "square.json").exists()
+    assert "takes 2 dims, got 3" in capsys.readouterr().err
+    assert run(["--out", out, "scar-verify", "--lattice", "square",
+                "--dims", "3"]) == EXIT_INVALID
+    assert "takes 2 dims, got 1" in capsys.readouterr().err
+
+
+def test_disconnected_brickwall_reports_unreachable_vertices(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["--out", out, "lattice-generate", "--kind", "trimer_brickwall",
+                "--dims", "3,6"]) == EXIT_OK
+    code = run(["--out", out, "lattice-check", "--graph", str(tmp_path / "trimer_brickwall.json"),
+                "--p", "1", "--denominator", "3"])
+    assert code == EXIT_NUMERICAL
+    assert "vertices unreachable" in capsys.readouterr().err
 
 
 def test_schwinger_subcommand(tmp_path):

@@ -3,7 +3,8 @@
 import pytest
 
 from scarlab.elliptic import commensurate_q
-from scarlab.errors import DisconnectedGraph, ScarlabError, UnsupportedDims
+from scarlab.errors import (DisconnectedGraph, InconsistentPhases, ScarlabError,
+                            UnsupportedDims)
 from scarlab.lattice import (CLASS_DEPENDENT, CLASS_INDEPENDENT, CLASS_NONE,
                              Edge, ScarGraph, as_uniform_csse,
                              assign_site_phases, chain, check_circuit_rule,
@@ -98,3 +99,62 @@ def test_disconnected_graph_rejected_for_phases():
     g = ScarGraph(4, [Edge(u=0, v=1, sigma=1), Edge(u=2, v=3, sigma=1)])
     with pytest.raises(DisconnectedGraph):
         assign_site_phases(g, commensurate_q(1, 4, 0.5))
+
+
+def _reference_report(g, q):
+    """(chord, W) per fundamental cycle, satisfied and classification, by walking each cycle."""
+    constraints, contractible_ok = [], True
+    for cyc in fundamental_cycles(g):
+        w = sum(d * g.edges[ei].sigma * g.edges[ei].r for ei, d in cyc)
+        cross = tuple(sum(d * g.edges[ei].crossing[k] for ei, d in cyc) for k in (0, 1))
+        constraints.append((cyc[0][0], w))
+        if cross == (0, 0) and w != 0:
+            contractible_ok = False
+    vertex_ok = not check_vertex_rule(g)
+    satisfied = vertex_ok and all((w * q.fraction).denominator == 1 for _, w in constraints)
+    cls = (CLASS_NONE if not vertex_ok else
+           CLASS_INDEPENDENT if contractible_ok else CLASS_DEPENDENT)
+    return constraints, satisfied, cls
+
+
+def test_tree_potential_windings_match_cycle_walks():
+    graphs = GENERATORS + [as_uniform_csse(g) for g in
+                           (triangular_su2(3, 3), kagome_su2(2, 2), honeycomb_su2(4, 2))]
+    outcomes = set()
+    for g in graphs:
+        for denom in range(1, 9):
+            for p in (1, 3):
+                q = commensurate_q(p, denom, 0.5)
+                rep = check_circuit_rule(g, q)
+                constraints, satisfied, cls = _reference_report(g, q)
+                assert rep.circuit_constraints == constraints
+                assert rep.satisfied == satisfied
+                assert rep.classification == cls
+                assert rep.circuit_violations == [
+                    (ci, w) for ci, w in constraints if (w * q.fraction).denominator != 1]
+                outcomes.add((satisfied, cls))
+    assert {s for s, _ in outcomes} == {True, False}
+    assert {c for _, c in outcomes} == {CLASS_NONE, CLASS_DEPENDENT, CLASS_INDEPENDENT}
+
+
+def test_assign_site_phases_rejects_violating_q():
+    with pytest.raises(InconsistentPhases):
+        assign_site_phases(chain(6), commensurate_q(1, 5, 0.5))
+    with pytest.raises(InconsistentPhases):
+        assign_site_phases(square_shifted(4, 3, shift=0), commensurate_q(1, 4, 0.5))
+
+
+def test_phase_step_holds_on_every_edge_of_every_generator():
+    with_nontrivial_q = 0
+    for g in GENERATORS:
+        admitted = [d for d in range(1, 13)
+                    if check_circuit_rule(g, commensurate_q(1, d, 0.5)).satisfied]
+        with_nontrivial_q += admitted != [1]
+        for denom in admitted:
+            q = commensurate_q(1, denom, 0.5)
+            phases = assign_site_phases(g, q)
+            assert phases[0] == 0 and all(0 <= f < 1 for f in phases)
+            for e in g.edges:
+                assert (phases[e.v] - phases[e.u] + e.sigma * e.r * q.fraction) % 1 == 0
+    # modified_honeycomb(4, 3) has wrap windings 4 and 3: only q = 4pK admitted
+    assert with_nontrivial_q == len(GENERATORS) - 1

@@ -8,9 +8,9 @@ import pytest
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
 from scarlab.hamiltonian import build_on_graph, build_xyz_chain
-from scarlab.lattice import square
-from scarlab.scar import (ScarSpec, gz_angles, gz_energy, gz_state,
-                          helical_expansion,
+from scarlab.lattice import assign_site_phases, lieb, square
+from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy, gz_state,
+                          helical_expansion, site_angles,
                           helical_tower, local_sz_current, predicted_sz_current,
                           projections, residual, shared_state_overlaps,
                           span_rank)
@@ -157,3 +157,25 @@ def test_gz_angles_checks_like_gz_state():
         gz_angles(SpinSystem(0.5, 6), spec)
     with pytest.raises(DimensionMismatch):
         gz_angles(SpinSystem(0.5, 8), spec, graph=square(3, 3))
+
+
+def _site_angles_per_site(spec, phases):
+    """Reference: one elliptic evaluation per site, no sharing."""
+    thetas, phis = [], []
+    for frac in phases:
+        sn, cn, dn = jacobi_fraction(frac, spec.q.modulus)
+        ux, uy, uz = spec.alpha * cn, spec.beta * sn, spec.gamma * dn
+        thetas.append(math.acos(max(-1.0, min(1.0, uz))))
+        local = math.atan2(uy, ux) % (2.0 * math.pi) if (abs(ux) > 0 or abs(uy) > 0) else 0.0
+        phis.append(spec.helicity * (2.0 * math.pi * math.floor(frac) + local))
+    return tuple(thetas), tuple(phis)
+
+
+def test_site_angles_bit_identical_to_per_site_evaluation():
+    for kappa, gamma, helicity in [(0.0, 0.0, +1), (0.4, 0.6, -1), (0.9, -0.8, +1)]:
+        q = commensurate_q(1, 4, kappa)
+        spec = ScarSpec(helicity=helicity, p=1, gamma=gamma, kappa=kappa, q=q)
+        for phases in (chain_phases(13, q), assign_site_phases(lieb(4, 4), q),
+                       [q.fraction * k for k in (-9, -1, 0, 3, 7, 7, 22)]):
+            angles = site_angles(spec, phases)
+            assert (angles.theta, angles.phi) == _site_angles_per_site(spec, phases)
