@@ -110,12 +110,13 @@ def _parse_spin(text: str) -> float:
 def _lattice_dims(kind: str, text: str):
     """--dims as ints, exactly as many as the generator's size arguments."""
     from .lattice import GENERATORS
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown lattice kind {kind!r}; valid kinds: {', '.join(GENERATORS)}")
     dims = [int(t) for t in text.split(",")]
-    if kind in GENERATORS:
-        params = inspect.signature(GENERATORS[kind]).parameters.values()
-        need = sum(prm.default is prm.empty for prm in params)
-        if len(dims) != need:
-            raise ValueError(f"lattice {kind!r} takes {need} dims, got {len(dims)} ({text!r})")
+    params = inspect.signature(GENERATORS[kind]).parameters.values()
+    need = sum(prm.default is prm.empty for prm in params)
+    if len(dims) != need:
+        raise ValueError(f"lattice {kind!r} takes {need} dims, got {len(dims)} ({text!r})")
     return dims
 
 
@@ -283,6 +284,8 @@ def cmd_span(args, log: CheckLog) -> int:
 def cmd_lattice_check(args, log: CheckLog) -> int:
     from .elliptic import commensurate_q
     from .lattice import ScarGraph, check_circuit_rule, check_vertex_rule, classify
+    if (args.p is None) != (args.denominator is None):
+        raise ValueError("the circuit rule needs both --p and --denominator")
     with open(args.graph) as fh:
         g = ScarGraph.from_json(fh.read())
     violations = check_vertex_rule(g)
@@ -292,6 +295,8 @@ def cmd_lattice_check(args, log: CheckLog) -> int:
         q = commensurate_q(args.p, args.denominator, args.kappa)
         rep = check_circuit_rule(g, q)
         log.check("circuit rule", rep.satisfied, rep.admissible_q)
+    else:
+        log.info("circuit rule", "not checked: needs --p and --denominator")
     cls = classify(g)
     log.info("classification", cls)
     rows = [[g.num_vertices, len(g.edges), cls]]
@@ -362,6 +367,9 @@ def cmd_schwinger_check(args, log: CheckLog) -> int:
     from .schwinger import (annihilator_report, decomposition_check,
                             zeta_tower_fidelities)
     N, S, p = args.N, args.S, args.p
+    if N < 3:
+        # the decomposition telescopes around a periodic ring of N >= 3 bonds
+        raise ValueError(f"schwinger-check needs a ring of N >= 3 sites, got N={N}")
     fids = zeta_tower_fidelities(N, S, p)
     dev = max(abs(1.0 - f) for f in fids)
     log.check("zeta-states = rotated tower", dev <= 1e-12, f"max dev {dev:.2e}")

@@ -19,20 +19,22 @@ Three basis modes:
 
 Operators are applied as boson monomials (amplitude sqrt factors from the
 occupations, projection onto the basis only at the final state), so the
-hard-core truncation never corrupts intermediate states.
+hard-core truncation never corrupts intermediate states.  A basis is an
+integer occupation array with one integer key per state, so a monomial is
+one vectorized pass over all states: column arithmetic on the touched
+occupations, then a sorted-key lookup of the final states.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product as iter_product
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, SameSite, ScarlabError
+from .errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
 from .hamiltonian import _bond_matrix, _chain_bonds
-from .spinops import SpinSystem, basis_state, local_spin_matrices, local_sum
+from .spinops import SpinSystem, local_spin_matrices, local_sum
 
 UP, DOWN = 0, 1
 _MODES = ("constrained", "hardcore", "enlarged")
@@ -40,7 +42,12 @@ _KINDS = ("zeta", "eta", "epsilon", "O1", "O2")
 
 
 class FockBasis:
-    """Two-flavor boson occupation basis in one of the three modes."""
+    """Two-flavor boson occupation basis in one of the three modes.
+
+    states: int array (dim, N, 2) of occupations [site, flavor] in product
+    order, site 0 most significant.  Each state has one integer key, sum
+    occ[n, f] (site_cap+1)^(2n+f); a lookup is a searchsorted on the keys.
+    """
 
     def __init__(self, N: int, S: float, mode: str = "constrained"):
         two_s = int(round(2 * S))
@@ -48,69 +55,74 @@ class FockBasis:
             raise ScarlabError(f"S must be a half-integer, got {S}")
         if mode not in _MODES:
             raise ScarlabError(f"unknown basis mode {mode!r}")
-        self.N = N
-        self.S = S
-        self.mode = mode
+        self.N, self.S, self.mode = N, S, mode
         if mode == "constrained":
             site_cap, slack = two_s, 0
         elif mode == "hardcore":
             site_cap, slack = two_s, 2
         else:
             site_cap, slack = two_s + 2, 2
-        site_occ = [(u, t - u) for t in range(site_cap + 1) for u in range(t + 1)]
+        if (site_cap + 1) ** (2 * N) > np.iinfo(np.int64).max:
+            raise DimensionCap(f"occupation keys of N={N} S={S} {mode} overflow int64")
+        site_occ = np.array([(u, t - u) for t in range(site_cap + 1) for u in range(t + 1)])
         lo, hi = two_s * N - slack, two_s * N + slack
-        states = []
-        for combo in iter_product(site_occ, repeat=N):
-            tot = sum(u + d for u, d in combo)
-            if lo <= tot <= hi:
-                states.append(combo)
-        self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
+        # extend site by site, keeping prefixes whose total can still land in [lo, hi]
+        states, run = np.zeros((1, 0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for left in range(N - 1, -1, -1):
+            tot = run[:, None] + site_occ.sum(axis=1)
+            i, j = np.nonzero((tot <= hi) & (tot + left * site_cap >= lo))
+            states, run = np.concatenate([states[i], site_occ[j, None]], axis=1), tot[i, j]
+        self.states, self._site_cap = states, site_cap
+        self._weights = (site_cap + 1) ** np.arange(2 * N, dtype=np.int64).reshape(N, 2)
+        self._keys = self._key(states)
+        self._order = np.argsort(self._keys)
+        self._sorted_keys = self._keys[self._order]
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
+    def _key(self, occ: np.ndarray) -> np.ndarray:
+        return occ.reshape(len(occ), -1) @ self._weights.ravel()
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Basis index of each key, -1 where the key is not a basis state."""
+        pos = np.searchsorted(self._sorted_keys, keys).clip(max=self.dim - 1)
+        return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
+
     def monomial(self, ops) -> sp.csr_matrix:
         """Normal boson action of a product of c / c+ factors.
 
-        ops is a sequence of (site, flavor, dagger) applied right to left.
-        Amplitudes are the exact sqrt(n) boson factors; only the final state
-        is checked against the basis, which implements the projection P o P
-        without truncating intermediates.
+        ops is a sequence of (site, flavor, dagger) applied right to left,
+        each to every state at once.  Amplitudes are the exact sqrt(n) boson
+        factors; only the final state is checked against the basis, which
+        implements the projection P o P without truncating intermediates.
         """
-        rows, cols, vals = [], [], []
-        for j, occ in enumerate(self.states):
-            amp = 1.0
-            work = [list(site) for site in occ]
-            dead = False
-            for site, flavor, dagger in reversed(list(ops)):
-                cnt = work[site][flavor]
-                if dagger:
-                    amp *= math.sqrt(cnt + 1)
-                    work[site][flavor] = cnt + 1
-                else:
-                    if cnt == 0:
-                        dead = True
-                        break
-                    amp *= math.sqrt(cnt)
-                    work[site][flavor] = cnt - 1
-            if dead:
-                continue
-            i = self.index.get(tuple(tuple(site) for site in work))
-            if i is None:
-                continue
-            rows.append(i)
-            cols.append(j)
-            vals.append(amp)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        amp = np.ones(self.dim)
+        alive = np.ones(self.dim, dtype=bool)
+        counts = {}
+        for site, flavor, dagger in reversed(list(ops)):
+            cnt = counts.get((site, flavor), self.states[:, site, flavor])
+            if dagger:
+                amp, counts[site, flavor] = amp * np.sqrt(cnt + 1), cnt + 1
+            else:
+                alive &= cnt > 0
+                # a dead state's count stays at 0 so no sqrt sees a negative
+                amp, counts[site, flavor] = amp * np.sqrt(cnt), np.maximum(cnt - 1, 0)
+        shift = np.zeros(self.dim, dtype=np.int64)
+        for (site, flavor), cnt in counts.items():
+            alive &= cnt <= self._site_cap
+            shift += self._weights[site, flavor] * (cnt - self.states[:, site, flavor])
+        cols = np.flatnonzero(alive)
+        rows = self._lookup(self._keys[cols] + shift[cols])
+        cols = cols[rows >= 0]
+        return sp.csr_matrix((amp[cols], (rows[rows >= 0], cols)), shape=(self.dim, self.dim))
 
     def vacuum_product(self) -> np.ndarray:
         """|down...down>: every site filled with 2S down bosons."""
-        two_s = int(round(2 * self.S))
-        occ = tuple((0, two_s) for _ in range(self.N))
+        occ = np.broadcast_to([0, int(round(2 * self.S))], (1, self.N, 2))
         vec = np.zeros(self.dim, dtype=complex)
-        vec[self.index[occ]] = 1.0
+        vec[self._lookup(self._key(occ))] = 1.0
         return vec
 
     def spin_isometry(self) -> np.ndarray:
@@ -125,14 +137,14 @@ class FockBasis:
         if system.total_dim != self.dim:
             raise DimensionMismatch("constrained basis size != spin dimension")
         U = np.zeros((system.total_dim, self.dim))
-        for j, occ in enumerate(self.states):
-            idx = [d for _, d in occ]
-            U[:, j] = basis_state(system, idx).amplitudes.real
+        U[self.states[:, :, DOWN] @ system.local_dim ** np.arange(self.N), np.arange(self.dim)] = 1.0
         return U
 
     def embed_into(self, other: "FockBasis") -> sp.csr_matrix:
         """Inclusion matrix of this basis's states inside a larger basis."""
-        rows = [other.index[occ] for occ in self.states]
+        rows = other._lookup(other._key(self.states))
+        if (rows < 0).any():
+            raise DimensionMismatch(f"{self.mode} states missing from the {other.mode} basis")
         return sp.csr_matrix((np.ones(self.dim), (rows, range(self.dim))),
                              shape=(other.dim, self.dim))
 

@@ -151,3 +151,40 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cli._apply_thread_cap()
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_schwinger_check_needs_a_ring(tmp_path, capsys):
+    for n in ("1", "2"):
+        assert run(["--out", str(tmp_path), "schwinger-check", "--N", n,
+                    "--S", "1/2"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and f"N={n}" in err
+        assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "schwinger_check.csv").exists()
+
+
+def test_unknown_lattice_kind_is_invalid_input(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["--out", out, "lattice-generate", "--kind", "nosuch",
+                "--dims", "6"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "unknown lattice kind 'nosuch'" in err and "square_shifted" in err
+    assert not (tmp_path / "nosuch.json").exists()
+    assert run(["--out", out, "scar-verify", "--lattice", "nosuch"]) == EXIT_INVALID
+    assert "unknown lattice kind 'nosuch'" in capsys.readouterr().err
+
+
+def test_lattice_check_circuit_rule_options(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["--out", out, "lattice-generate", "--kind", "square_shifted",
+                "--dims", "4,3", "--shift", "1"]) == EXIT_OK
+    graph = str(tmp_path / "square_shifted.json")
+    capsys.readouterr()
+    for lone in (["--p", "1"], ["--denominator", "4"]):
+        assert run(["--out", out, "lattice-check", "--graph", graph, *lone]) == EXIT_INVALID
+        assert "needs both --p and --denominator" in capsys.readouterr().err
+    assert run(["--out", out, "lattice-check", "--graph", graph]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split("  ")[0] for ln in lines if "rule" in ln] == \
+        ["PASS: vertex rule", "INFO: circuit rule"]
+    assert "not checked: needs --p and --denominator" in lines[1]

@@ -1,11 +1,13 @@
 """Two-flavor boson realization of the helical scar subspace."""
 
 import math
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from scarlab.errors import SameSite, ScarlabError
+from scarlab.errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
 from scarlab.schwinger import (DOWN, UP, FockBasis, annihilator_report,
                                bilinear, decomposition_check,
                                zeta_annihilation_residuals, zeta_states,
@@ -117,3 +119,104 @@ def test_guards():
         FockBasis(2, 0.5, mode="bogus")
     with pytest.raises(ScarlabError):
         FockBasis(2, 0.5, mode="hardcore").spin_isometry()
+
+
+# reference: the per-state loop over tuple occupations that FockBasis replaced
+
+_SITE_CAP_SLACK = {"constrained": (0, 0), "hardcore": (0, 2), "enlarged": (2, 2)}
+
+
+def _reference_states(N, S, mode):
+    """itertools.product over site occupations, filtered by the global total."""
+    two_s = int(round(2 * S))
+    extra, slack = _SITE_CAP_SLACK[mode]
+    site_cap = two_s + extra
+    site_occ = [(u, t - u) for t in range(site_cap + 1) for u in range(t + 1)]
+    lo, hi = two_s * N - slack, two_s * N + slack
+    return [combo for combo in iter_product(site_occ, repeat=N)
+            if lo <= sum(u + d for u, d in combo) <= hi]
+
+
+def _reference_monomial(states, ops):
+    index = {s: i for i, s in enumerate(states)}
+    rows, cols, vals = [], [], []
+    for j, occ in enumerate(states):
+        amp = 1.0
+        work = [list(site) for site in occ]
+        dead = False
+        for site, flavor, dagger in reversed(list(ops)):
+            cnt = work[site][flavor]
+            if dagger:
+                amp *= math.sqrt(cnt + 1)
+                work[site][flavor] = cnt + 1
+            else:
+                if cnt == 0:
+                    dead = True
+                    break
+                amp *= math.sqrt(cnt)
+                work[site][flavor] = cnt - 1
+        if dead:
+            continue
+        i = index.get(tuple(tuple(site) for site in work))
+        if i is None:
+            continue
+        rows.append(i)
+        cols.append(j)
+        vals.append(amp)
+    dim = len(states)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def _assert_same_csr(a, b):
+    assert a.dtype == b.dtype and a.indices.dtype == b.indices.dtype
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("mode", ["constrained", "hardcore", "enlarged"])
+@pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
+def test_vectorized_basis_matches_per_state_reference(mode, S):
+    rng = np.random.default_rng(int(4 * S) + 10 * len(mode))
+    two_s = int(round(2 * S))
+    cap = two_s + _SITE_CAP_SLACK[mode][0]
+    for N in (2, 3, 4) if S < 1.5 else (2, 3):
+        basis = FockBasis(N, S, mode)
+        ref = _reference_states(N, S, mode)
+        assert np.array_equal(basis.states, np.array(ref).reshape(len(ref), N, 2))
+        strings = [
+            [],
+            [(0, UP, True)] * (cap + 1),                  # creation past site_cap
+            [(0, UP, True), (0, UP, False), (0, UP, False)],  # repeated factor
+            [(N - 1, DOWN, False)] * (two_s + 1),         # annihilates past empty
+            [(1, UP, False), (1, UP, True), (0, DOWN, True), (0, DOWN, True)],
+        ]
+        for _ in range(25):
+            strings.append([(int(rng.integers(N)), int(rng.integers(2)), bool(rng.integers(2)))
+                            for _ in range(int(rng.integers(1, 6)))])
+        for ops in strings:
+            _assert_same_csr(basis.monomial(ops), _reference_monomial(ref, ops))
+        vac = np.zeros(basis.dim, dtype=complex)
+        vac[ref.index(((0, two_s),) * N)] = 1.0
+        got = basis.vacuum_product()
+        assert got.dtype == vac.dtype and np.array_equal(got, vac)
+
+
+@pytest.mark.parametrize("N,S", [(3, 0.5), (2, 1.0), (2, 1.5)])
+def test_embed_into_matches_reference(N, S):
+    small, big = FockBasis(N, S), FockBasis(N, S, mode="enlarged")
+    big_ref = _reference_states(N, S, "enlarged")
+    index = {s: i for i, s in enumerate(big_ref)}
+    rows = [index[occ] for occ in _reference_states(N, S, "constrained")]
+    ref = sp.csr_matrix((np.ones(small.dim), (rows, range(small.dim))),
+                        shape=(big.dim, small.dim))
+    _assert_same_csr(small.embed_into(big), ref)
+
+
+def test_key_overflow_and_missing_states_raise():
+    # 2^(2N) occupation keys overflow int64 at N=32: refused before any allocation
+    with pytest.raises(DimensionCap):
+        FockBasis(32, 0.5)
+    # enlarged states with a site total above 2S are not in the constrained basis
+    with pytest.raises(DimensionMismatch):
+        FockBasis(2, 0.5, mode="enlarged").embed_into(FockBasis(2, 0.5))
