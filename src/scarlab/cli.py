@@ -41,7 +41,7 @@ _apply_thread_cap()
 import numpy as np  # noqa: E402  (after the thread cap)
 
 from . import __version__  # noqa: E402
-from .errors import ScarlabError  # noqa: E402
+from .errors import InvalidInput, ScarlabError  # noqa: E402
 
 
 class CheckLog:
@@ -121,16 +121,17 @@ def _lattice_dims(kind: str, text: str):
 
 
 def cmd_elliptic(args, log: CheckLog) -> int:
-    from .elliptic import complete_K, jacobi, solve_q_kappa
+    from .elliptic import EllipticModulus, _jacobi_reduced, jacobi, solve_q_kappa
     rng = np.random.default_rng(args.seed)
     kappas = rng.uniform(0.0, 0.95, args.points)
     us = rng.uniform(-20.0, 20.0, args.points)
     worst_id1 = worst_id2 = worst_per = 0.0
     for kappa, u in zip(kappas, us):
-        sn, cn, dn = jacobi(u, kappa)
+        mod = EllipticModulus.from_kappa(kappa)     # one AGM for K per sample point
+        sn, cn, dn = _jacobi_reduced(u, mod)
         worst_id1 = max(worst_id1, abs(sn * sn + cn * cn - 1.0))
         worst_id2 = max(worst_id2, abs(dn * dn + kappa * kappa * sn * sn - 1.0))
-        sn4, cn4, dn4 = jacobi(u + 4.0 * complete_K(kappa), kappa)
+        sn4, cn4, dn4 = _jacobi_reduced(u + 4.0 * mod.quarter_period, mod)
         worst_per = max(worst_per, abs(sn4 - sn), abs(cn4 - cn), abs(dn4 - dn))
     log.check("sn^2 + cn^2 = 1", worst_id1 <= 1e-11, f"max {worst_id1:.2e}")
     log.check("dn^2 + k^2 sn^2 = 1", worst_id2 <= 1e-11, f"max {worst_id2:.2e}")
@@ -496,7 +497,7 @@ def main(argv=None) -> int:
     log = CheckLog()
     try:
         return args.func(args, log)
-    except (FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError, ValueError, KeyError, InvalidInput) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ScarlabError as exc:

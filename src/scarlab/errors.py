@@ -5,6 +5,14 @@ class ScarlabError(Exception):
     """Base class for all scarlab errors."""
 
 
+class InvalidInput(ScarlabError):
+    """Base class for errors caused by the caller's input, not by a computation."""
+
+
+class InvalidGraph(InvalidInput):
+    """Graph edges or graph file fail validation."""
+
+
 class ModulusOutOfRange(ScarlabError):
     """Elliptic modulus kappa outside [0, 1)."""
 
@@ -45,7 +53,7 @@ class InconsistentPhases(ScarlabError):
     """Site-phase propagation met a contradiction (circuit rule violated)."""
 
 
-class UnsupportedDims(ScarlabError):
+class UnsupportedDims(InvalidInput):
     """Lattice generator cannot realize the requested dimensions."""
 
 

@@ -22,14 +22,16 @@ carries a boundary-crossing vector so cycle contractibility is computable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import eq, itemgetter
+from typing import NamedTuple
 
 from .elliptic import CommensurateQ
-from .errors import (DisconnectedGraph, InconsistentPhases, ScarlabError,
-                     UnsupportedDims)
+from .errors import DisconnectedGraph, InconsistentPhases, InvalidGraph, UnsupportedDims
 
 CSSE = "csse"
 SU2 = "su2"
@@ -41,9 +43,10 @@ CLASS_UNKNOWN = "Unknown"
 
 SIGMA_SEARCH_CAP = 30   # exact sigma-assignment search above this many CSSE edges
 
+_KIND_SIGMAS = {(SU2, 0), (CSSE, 1), (CSSE, -1)}
 
-@dataclass(frozen=True)
-class Edge:
+
+class Edge(NamedTuple):
     u: int
     v: int
     sigma: int
@@ -60,26 +63,34 @@ class ScarGraph:
     boundary: dict = field(default_factory=lambda: {"type": "none"})
 
     def __post_init__(self):
-        seen = set()
+        """Reject invalid edges: whole-column checks, then a per-edge walk only on failure."""
+        us, vs, sigmas, kinds, rs, _, _ = zip(*self.edges) if self.edges else ((),) * 7
+        n, ends = self.num_vertices, us + vs
+        keys = {u * n + v for u, v in zip(us, vs)}   # unique once in range; no tuple per edge
+        if not (any(map(eq, us, vs)) or min(ends, default=0) < 0 or max(ends, default=-1) >= n
+                or len(keys) < len(us) or not keys.isdisjoint([v * n + u for u, v in zip(us, vs)])
+                or not set(zip(kinds, sigmas)) <= _KIND_SIGMAS or min(rs, default=1) < 1):
+            return
+        seen = set()      # the walk names the first invalid edge
         for e in self.edges:
             if e.u == e.v:
-                raise ScarlabError(f"self-loop at vertex {e.u}")
+                raise InvalidGraph(f"self-loop at vertex {e.u}")
             if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
-                raise ScarlabError(f"edge ({e.u},{e.v}) outside vertex range")
+                raise InvalidGraph(f"edge ({e.u},{e.v}) outside vertex range")
             key = (min(e.u, e.v), max(e.u, e.v))
             if key in seen:
-                raise ScarlabError(f"duplicate edge {key}")
+                raise InvalidGraph(f"duplicate edge {key}")
             seen.add(key)
             if e.kind == SU2:
                 if e.sigma != 0:
-                    raise ScarlabError("SU(2) edges must carry sigma = 0")
+                    raise InvalidGraph("SU(2) edges must carry sigma = 0")
             elif e.kind == CSSE:
                 if e.sigma not in (-1, 1):
-                    raise ScarlabError("CSSE edges must carry sigma = +1 or -1")
+                    raise InvalidGraph("CSSE edges must carry sigma = +1 or -1")
             else:
-                raise ScarlabError(f"unknown edge kind {e.kind!r}")
+                raise InvalidGraph(f"unknown edge kind {e.kind!r}")
             if e.r < 1:
-                raise ScarlabError("multiplier r must be >= 1")
+                raise InvalidGraph("multiplier r must be >= 1")
 
     def adjacency(self):
         """Per-vertex list of (edge_index, direction) with direction +1 for u->v."""
@@ -90,47 +101,55 @@ class ScarGraph:
         return adj
 
     def to_json(self) -> str:
-        doc = {
-            "vertices": self.num_vertices,
-            "edges": [{"u": e.u, "v": e.v, "sigma": e.sigma, "kind": e.kind,
-                       "r": e.r, "J": e.J, "crossing": list(e.crossing)}
-                      for e in self.edges],
-            "boundary": dict(self.boundary),
-        }
-        return json.dumps(doc, indent=1)
+        """One compact JSON document; json.dumps without indent runs the C encoder."""
+        return json.dumps({"vertices": self.num_vertices,
+                           "edges": [e._asdict() for e in self.edges],
+                           "boundary": dict(self.boundary)})
 
     @classmethod
     def from_json(cls, text: str) -> "ScarGraph":
         doc = json.loads(text)
         boundary = dict(doc.get("boundary", {"type": "none"}))
-        edges = []
-        for rec in doc["edges"]:
-            if "crossing" in rec:
-                crossing = tuple(int(c) for c in rec["crossing"])
-            else:
-                crossing = _infer_crossing(rec, doc["vertices"], boundary)
-            edges.append(Edge(u=int(rec["u"]), v=int(rec["v"]),
-                              sigma=int(rec["sigma"]), kind=str(rec["kind"]),
-                              r=int(rec.get("r", 1)), J=float(rec.get("J", 1.0)),
-                              crossing=crossing))
-        return cls(num_vertices=int(doc["vertices"]), edges=edges, boundary=boundary)
+        recs = doc["edges"]
+        (n,) = _strict_ints([doc["vertices"]], "vertices")
+        us, vs, sigmas = (_strict_ints(map(itemgetter(k), recs), k) for k in ("u", "v", "sigma"))
+        rs = _strict_ints([rec.get("r", 1) for rec in recs], "r")
+        crossings = [tuple(rec["crossing"]) if "crossing" in rec
+                     else _infer_crossing(u, v, n, boundary) for rec, u, v in zip(recs, us, vs)]
+        if not set(map(type, itertools.chain.from_iterable(crossings))) <= {int}:
+            crossings = [tuple(_strict_ints(c, "crossing")) for c in crossings]
+        edges = list(map(Edge, us, vs, sigmas, map(str, map(itemgetter("kind"), recs)), rs,
+                         map(float, [rec.get("J", 1.0) for rec in recs]), crossings))
+        return cls(num_vertices=n, edges=edges, boundary=boundary)
 
 
-def _infer_crossing(rec, num_vertices, boundary) -> tuple:
+def _strict_ints(values, name) -> list:
+    """values as a list of ints; a non-integral value (1.7, "1", null) is invalid input."""
+    values = list(values)
+    try:
+        ints = list(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise InvalidGraph(f"graph file: every {name!r} must be an integer")
+    return ints
+
+
+def _infer_crossing(u, v, num_vertices, boundary) -> tuple:
     """Reconstruct boundary crossings for plain-grid vertex numbering.
 
     Only applies when vertices are numbered v = x + nx*y on a torus; other
     encodings get (0, 0), which is the conservative choice (every cycle is
-    treated as contractible, so classification can only get stricter).
+    treated as contractible, so classification can only get stricter).  A
+    y-wrap on a shifted torus lands `shift` columns left; that is undone first.
     """
     if boundary.get("type") not in ("toroidal", "toroidal_shifted"):
         return (0, 0)
     nx, ny = int(boundary.get("nx", 0)), int(boundary.get("ny", 0))
     if nx * ny != num_vertices or nx < 2 or ny < 1:
         return (0, 0)
-    xu, yu = rec["u"] % nx, rec["u"] // nx
-    xv, yv = rec["v"] % nx, rec["v"] // nx
-    return (_wrap_count(xu, xv, nx), _wrap_count(yu, yv, ny))
+    wy = _wrap_count(u // nx, v // nx, ny)
+    return (_wrap_count(u % nx, v % nx + wy * int(boundary.get("shift", 0)), nx), wy)
 
 
 def _wrap_count(a, b, n) -> int:
@@ -430,7 +449,8 @@ def square_shifted(Nx: int, Ny: int, shift: int | None = None, J: float = 1.0) -
             if y < Ny - 1:
                 edges.append(Edge(u, x + Nx * (y + 1), -1, CSSE, 1, J))
             else:
-                edges.append(Edge(u, (x - shift) % Nx, -1, CSSE, 1, J, crossing=(0, 1)))
+                edges.append(Edge(u, (x - shift) % Nx, -1, CSSE, 1, J,
+                                  crossing=((x - shift) // Nx, 1)))
     return ScarGraph(Nx * Ny, edges, _torus(Nx, Ny, shift=shift))
 
 

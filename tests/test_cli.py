@@ -188,3 +188,47 @@ def test_lattice_check_circuit_rule_options(tmp_path, capsys):
     assert [ln.split("  ")[0] for ln in lines if "rule" in ln] == \
         ["PASS: vertex rule", "INFO: circuit rule"]
     assert "not checked: needs --p and --denominator" in lines[1]
+
+
+def _edited_graph(tmp_path, edit):
+    """Write square 3x3 as a graph file after edit(doc) changed its document."""
+    assert run(["--out", str(tmp_path), "lattice-generate", "--kind", "square",
+                "--dims", "3,3"]) == EXIT_OK
+    path = tmp_path / "square.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _check_graph(tmp_path, capsys, graph):
+    capsys.readouterr()
+    code = run(["--out", str(tmp_path), "lattice-check", "--graph", graph,
+                "--p", "1", "--denominator", "3"])
+    return code, capsys.readouterr()
+
+
+def test_non_integral_graph_value_is_invalid_input(tmp_path, capsys):
+    graph = _edited_graph(tmp_path, lambda doc: doc["edges"][0].update(v=1.7))
+    code, cap = _check_graph(tmp_path, capsys, graph)
+    assert code == EXIT_INVALID and "PASS" not in cap.out
+    assert cap.err == "invalid input: graph file: every 'v' must be an integer\n"
+
+
+def test_duplicate_edge_in_graph_file_is_invalid_input(tmp_path, capsys):
+    graph = _edited_graph(tmp_path, lambda doc: doc["edges"].append(dict(doc["edges"][0])))
+    code, cap = _check_graph(tmp_path, capsys, graph)
+    assert code == EXIT_INVALID and cap.err == "invalid input: duplicate edge (0, 1)\n"
+
+
+def test_self_loop_in_graph_file_is_invalid_input(tmp_path, capsys):
+    graph = _edited_graph(tmp_path, lambda doc: doc["edges"][0].update(v=0))
+    code, cap = _check_graph(tmp_path, capsys, graph)
+    assert code == EXIT_INVALID and cap.err == "invalid input: self-loop at vertex 0\n"
+
+
+def test_unsupported_dims_is_invalid_input(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "lattice-generate", "--kind", "square",
+                "--dims", "2,2"]) == EXIT_INVALID
+    assert "square torus needs Nx, Ny >= 3" in capsys.readouterr().err
+    assert not (tmp_path / "square.json").exists()

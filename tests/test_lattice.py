@@ -1,6 +1,11 @@
 """Scar graphs: rules, classification, generators, serialization."""
 
+import json
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scarlab.elliptic import commensurate_q
 from scarlab.errors import (DisconnectedGraph, InconsistentPhases, ScarlabError,
@@ -44,12 +49,76 @@ def test_json_round_trip():
 
 
 def test_graph_validation():
-    with pytest.raises(ScarlabError):
-        ScarGraph(2, [Edge(u=0, v=0, sigma=1)])
-    with pytest.raises(ScarlabError):
-        ScarGraph(2, [Edge(u=0, v=1, sigma=1), Edge(u=1, v=0, sigma=-1)])
-    with pytest.raises(ScarlabError):
-        ScarGraph(2, [Edge(u=0, v=1, sigma=2)])
+    ok = Edge(u=0, v=1, sigma=1)
+    assert (ok.kind, ok.r, ok.J, ok.crossing) == ("csse", 1, 1.0, (0, 0))
+    cases = [
+        ([Edge(u=0, v=0, sigma=1)], "self-loop at vertex 0"),
+        ([ok, Edge(u=1, v=3, sigma=1)], "edge (1,3) outside vertex range"),
+        ([ok, Edge(u=-1, v=1, sigma=1)], "edge (-1,1) outside vertex range"),
+        ([ok, Edge(u=1, v=0, sigma=-1)], "duplicate edge (0, 1)"),
+        ([Edge(u=0, v=1, sigma=1, kind="su2")], "SU(2) edges must carry sigma = 0"),
+        ([Edge(u=0, v=1, sigma=2)], "CSSE edges must carry sigma = +1 or -1"),
+        ([Edge(u=0, v=1, sigma=0)], "CSSE edges must carry sigma = +1 or -1"),
+        ([Edge(u=0, v=1, sigma=1, kind="xyz")], "unknown edge kind 'xyz'"),
+        ([Edge(u=0, v=1, sigma=1, r=0)], "multiplier r must be >= 1"),
+        # several bad edges: the message names the first one in edge order
+        ([Edge(u=1, v=2, sigma=1, r=0), Edge(u=2, v=2, sigma=1)], "multiplier r must be >= 1"),
+        ([ok, Edge(u=2, v=1, sigma=5), Edge(u=0, v=1, sigma=1, r=0)],
+         "CSSE edges must carry sigma = +1 or -1"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ScarlabError) as err:
+            ScarGraph(3, edges)
+        assert str(err.value) == message
+    assert ScarGraph(3, []).edges == []
+
+
+def _reference_json(g):
+    """The indented document the graph files used to be written as."""
+    return json.dumps({"vertices": g.num_vertices,
+                       "edges": [{"u": e.u, "v": e.v, "sigma": e.sigma, "kind": e.kind,
+                                  "r": e.r, "J": e.J, "crossing": list(e.crossing)}
+                                 for e in g.edges],
+                       "boundary": dict(g.boundary)}, indent=1)
+
+
+def test_compact_json_holds_the_indented_document():
+    for g in GENERATORS:
+        text, old = g.to_json(), _reference_json(g)
+        assert "\n" not in text and json.loads(text) == json.loads(old)
+        g2 = ScarGraph.from_json(old)
+        assert g2.edges == g.edges and g2.boundary == g.boundary
+        assert all(type(x) is int for e in g2.edges for x in (e.u, e.v, e.sigma, e.r, *e.crossing))
+
+
+def test_missing_crossings_are_inferred_from_grid_numbering():
+    grids = [chain(6), square(3, 3), square(4, 5), triangular_su2(3, 3), modified_honeycomb(4, 3),
+             trimer_brickwall(3, 3), nnn_chain(6)]
+    grids += [square_shifted(nx, ny, shift=s) for nx, ny in ((3, 3), (3, 4), (4, 3), (5, 4))
+              for s in range(nx)]
+    for g in grids:
+        doc = json.loads(g.to_json())
+        for rec in doc["edges"]:
+            del rec["crossing"]
+        assert ScarGraph.from_json(json.dumps(doc)).edges == g.edges, g.boundary
+    # Lieb numbering is not a plain grid: every crossing falls back to (0, 0)
+    doc = json.loads(lieb(2, 2).to_json())
+    for rec in doc["edges"]:
+        del rec["crossing"]
+    assert {e.crossing for e in ScarGraph.from_json(json.dumps(doc)).edges} == {(0, 0)}
+
+
+def test_graph_file_values_must_be_integers():
+    doc = json.loads(square(3, 3).to_json())
+    assert ScarGraph.from_json(json.dumps(doc)).edges == square(3, 3).edges
+    doc["edges"][4]["v"] = float(doc["edges"][4]["v"])     # an integral float loads as int
+    assert type(ScarGraph.from_json(json.dumps(doc)).edges[4].v) is int
+    for key, value in (("u", 1.7), ("v", 1.7), ("sigma", -0.5), ("r", 1.5), ("r", "2"),
+                       ("u", None), ("crossing", [0.5, 0]), ("crossing", ["1", 0])):
+        bad = json.loads(square(3, 3).to_json())
+        bad["edges"][2][key] = value
+        with pytest.raises(ScarlabError, match=f"every '{key}' must be an integer"):
+            ScarGraph.from_json(json.dumps(bad))
 
 
 def test_circuit_rule_on_chain():
@@ -158,3 +227,29 @@ def test_phase_step_holds_on_every_edge_of_every_generator():
                 assert (phases[e.v] - phases[e.u] + e.sigma * e.r * q.fraction) % 1 == 0
     # modified_honeycomb(4, 3) has wrap windings 4 and 3: only q = 4pK admitted
     assert with_nontrivial_q == len(GENERATORS) - 1
+
+
+RELABEL_GRAPHS = GENERATORS + [square_shifted(3, 3, shift=1), square_shifted(3, 4, shift=1),
+                               square_shifted(4, 3, shift=1), square_shifted(3, 3, shift=2)]
+
+
+def _relabelled(g, rng):
+    """Same graph with permuted vertices, shuffled edges and some edges reversed."""
+    perm = list(range(g.num_vertices))
+    rng.shuffle(perm)
+    edges = []
+    for e in g.edges:
+        u, v, sigma, crossing = e.u, e.v, e.sigma, e.crossing
+        if rng.random() < 0.5:
+            u, v, sigma, crossing = v, u, -sigma, (-crossing[0], -crossing[1])
+        edges.append(Edge(perm[u], perm[v], sigma, e.kind, e.r, e.J, crossing))
+    rng.shuffle(edges)
+    return ScarGraph(g.num_vertices, edges, g.boundary)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_classification_does_not_depend_on_labelling(seed):
+    rng = random.Random(seed)
+    for g in RELABEL_GRAPHS:
+        assert classify(_relabelled(g, rng)) == classify(g), g.boundary
