@@ -151,8 +151,9 @@ def cmd_elliptic(args, log: CheckLog) -> int:
         sn, cn, dn = jacobi(q, mod.kappa)
         worst_rt = max(worst_rt, abs(dn - jx2 / jy2), abs(cn - jz2 / jy2))
     log.check("coupling round-trip", worst_rt <= 1e-10, f"max {worst_rt:.2e}")
-    rows = [["sn2cn2", repr(worst_id1)], ["dn2k2sn2", repr(worst_id2)],
-            ["periodicity", repr(worst_per)], ["roundtrip", repr(worst_rt)]]
+    rows = [[name, repr(float(worst))] for name, worst in (
+        ("sn2cn2", worst_id1), ("dn2k2sn2", worst_id2),
+        ("periodicity", worst_per), ("roundtrip", worst_rt))]
     _write_outputs(args.out, "elliptic", ["check", "max_residual"], rows, vars(args))
     return log.exit_code
 
@@ -180,11 +181,17 @@ def cmd_frame(args, log: CheckLog) -> int:
 
 def cmd_scar_verify(args, log: CheckLog) -> int:
     from .elliptic import commensurate_q, jacobi_fraction
-    from .hamiltonian import build_on_graph, build_xyz_chain
+    from .hamiltonian import chain_terms, graph_terms
     from .lattice import ScarGraph, check_circuit_rule, generate
     from .scar import ScarSpec, gz_state, residual
-    from .spinops import SpinSystem
+    from .spinops import SpinSystem, _check_spin
     helicity = +1 if args.helicity in ("+", "+1", "1") else -1
+    denom = args.N if args.denominator is None else args.denominator
+    # S, the denominator, kappa and gamma are checked before any graph is read
+    _check_spin(args.S)
+    q = commensurate_q(args.p, denom, args.kappa)
+    spec = ScarSpec(helicity=helicity, p=args.p, gamma=args.gamma,
+                    kappa=args.kappa, q=q)
     if args.graph:
         with open(args.graph) as fh:
             g = ScarGraph.from_json(fh.read())
@@ -192,23 +199,20 @@ def cmd_scar_verify(args, log: CheckLog) -> int:
         g = generate(args.lattice, *_lattice_dims(args.lattice, args.dims or str(args.N)))
     else:
         g = None
-    denom = args.denominator or args.N
-    q = commensurate_q(args.p, denom, args.kappa)
-    spec = ScarSpec(helicity=helicity, p=args.p, gamma=args.gamma,
-                    kappa=args.kappa, q=q)
     if g is None:
         system = SpinSystem(args.S, args.N)
+        psi = gz_state(system, spec)            # checks denominator == N before the state
         sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-        H = build_xyz_chain(args.N, args.S, dn, 1.0, cn)
+        terms = chain_terms(args.N, args.S, np.diag([dn, 1.0, cn]))
     else:
         rep = check_circuit_rule(g, q)
         log.check("circuit rule", rep.satisfied, rep.admissible_q)
         if not rep.satisfied:
             return log.exit_code
         system = SpinSystem(args.S, g.num_vertices)
-        H = build_on_graph(g, args.S, q)
-    psi = gz_state(system, spec, graph=g)
-    res = residual(H, psi)
+        psi = gz_state(system, spec, graph=g)
+        terms = graph_terms(g, args.S, q)
+    res = residual(terms, psi)
     log.check("eigenstate residual", res <= args.tol, f"{res:.2e} <= {args.tol:.1e}")
     rows = [[args.S, system.N, args.p, args.kappa, args.gamma, helicity, repr(res)]]
     _write_outputs(args.out, "scar_verify",

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModulusOutOfRange, OrderingViolated, PoleAtQuarterPeriod, ScarlabError
+from .errors import (InvalidInput, ModulusOutOfRange, OrderingViolated,
+                     PoleAtQuarterPeriod, ScarlabError)
 
 _AGM_TOL = 1e-16      # convergence threshold on the modulus sequence c_n
 _SC_POLE_TOL = 1e-12  # |cn| below this counts as a quarter-period pole
@@ -82,7 +83,7 @@ class CommensurateQ:
     @classmethod
     def make(cls, p: int, denominator: int, kappa: float) -> "CommensurateQ":
         if denominator < 1:
-            raise ScarlabError("denominator must be >= 1")
+            raise InvalidInput("denominator must be >= 1")
         mod = EllipticModulus.from_kappa(kappa)
         value = 4.0 * p * mod.quarter_period / denominator
         return cls(p=int(p), denominator=int(denominator), modulus=mod, value=value)

@@ -13,7 +13,7 @@ class InvalidGraph(InvalidInput):
     """Graph edges or graph file fail validation."""
 
 
-class ModulusOutOfRange(ScarlabError):
+class ModulusOutOfRange(InvalidInput):
     """Elliptic modulus kappa outside [0, 1)."""
 
 
@@ -25,7 +25,7 @@ class OrderingViolated(ScarlabError):
     """XYZ couplings do not satisfy Jy >= Jx > Jz."""
 
 
-class InvalidSpin(ScarlabError):
+class InvalidSpin(InvalidInput):
     """2S is not a non-negative integer."""
 
 
@@ -57,7 +57,7 @@ class UnsupportedDims(InvalidInput):
     """Lattice generator cannot realize the requested dimensions."""
 
 
-class IncommensurateQ(ScarlabError):
+class IncommensurateQ(InvalidInput):
     """q is not commensurate with the chain/graph wrap."""
 
 

@@ -36,11 +36,16 @@ def _chain_bonds(N: int, periodic: bool):
     return bonds
 
 
+def chain_terms(N: int, S: float, M: np.ndarray, periodic: bool = True) -> list:
+    """local_sum terms of the chain with exchange matrix M on every bond."""
+    bond = _bond_matrix(S, M)
+    return [(b, bond) for b in _chain_bonds(N, periodic)]
+
+
 def _chain_operator(N: int, S: float, M: np.ndarray, periodic: bool) -> ManyBodyOperator:
     system = SpinSystem(S, N)
-    bond = _bond_matrix(S, M)
-    terms = [(b, bond) for b in _chain_bonds(N, periodic)]
-    return ManyBodyOperator(system, local_sum(system, terms), hermitian=True)
+    return ManyBodyOperator(system, local_sum(system, chain_terms(N, S, M, periodic)),
+                            hermitian=True)
 
 
 def build_xyz_chain(N: int, S: float, Jx: float, Jy: float, Jz: float,
@@ -55,11 +60,10 @@ def build_csse_chain(N: int, S: float, c: CsseCouplings,
     return _chain_operator(N, S, c.matrix(), periodic)
 
 
-def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator:
-    """Graph Hamiltonian: CSSE bonds J*(dn(r q) SxSx + SySy + cn(r q) SzSz),
-    SU(2) bonds J * S_n . S_m; the r multiplier evaluates the elliptic factors
-    at r*q on the exact rational tag."""
-    system = SpinSystem(S, g.num_vertices)
+def graph_terms(g: ScarGraph, S: float, q: CommensurateQ) -> list:
+    """local_sum terms of the graph Hamiltonian: CSSE bonds
+    J*(dn(r q) SxSx + SySy + cn(r q) SzSz), SU(2) bonds J * S_n . S_m; the r
+    multiplier evaluates the elliptic factors at r*q on the exact rational tag."""
     terms = []
     for e in g.edges:
         if e.kind == SU2:
@@ -68,7 +72,13 @@ def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator
             _, cn, dn = jacobi_fraction(e.r * q.fraction, q.modulus)
             M = e.J * np.diag([dn, 1.0, cn])
         terms.append(((e.u, e.v), _bond_matrix(S, M)))
-    return ManyBodyOperator(system, local_sum(system, terms), hermitian=True)
+    return terms
+
+
+def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator:
+    """The graph Hamiltonian of graph_terms as a sparse operator."""
+    system = SpinSystem(S, g.num_vertices)
+    return ManyBodyOperator(system, local_sum(system, graph_terms(g, S, q)), hermitian=True)
 
 
 def rotated_hamiltonian(H: ManyBodyOperator, angles: SiteAngles,

@@ -109,8 +109,17 @@ class ScarGraph:
     @classmethod
     def from_json(cls, text: str) -> "ScarGraph":
         doc = json.loads(text)
+        if not (isinstance(doc, dict) and isinstance(doc.get("edges"), list)
+                and isinstance(doc.get("boundary", {}), dict)):
+            raise InvalidGraph("graph file: expected an object with an 'edges' list "
+                               "and an optional 'boundary' object")
         boundary = dict(doc.get("boundary", {"type": "none"}))
         recs = doc["edges"]
+        if not all(type(rec) is dict for rec in recs):
+            raise InvalidGraph("graph file: every edge must be an object")
+        if not all(type(rec["crossing"]) is list and len(rec["crossing"]) == 2
+                   for rec in recs if "crossing" in rec):
+            raise InvalidGraph("graph file: every 'crossing' must be a list of two integers")
         (n,) = _strict_ints([doc["vertices"]], "vertices")
         us, vs, sigmas = (_strict_ints(map(itemgetter(k), recs), k) for k in ("u", "v", "sigma"))
         rs = _strict_ints([rec.get("r", 1) for rec in recs], "r")

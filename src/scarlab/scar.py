@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import CommensurateQ, commensurate_q, jacobi_fraction
-from .errors import DimensionMismatch, IncommensurateQ, ScarlabError
+from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from .lattice import ScarGraph, assign_site_phases
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
-                      all_up, coherent_product_state, local_spin_matrices,
-                      local_sum, tau)
+                      all_up, apply_sum, coherent_product_state,
+                      local_spin_matrices, tau)
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class ScarSpec:
 
     def __post_init__(self):
         if self.helicity not in (-1, +1):
-            raise ScarlabError("helicity must be +1 or -1")
+            raise InvalidInput("helicity must be +1 or -1")
         if abs(self.gamma) > 1.0:
-            raise ScarlabError(f"|gamma| must be <= 1, got {self.gamma}")
+            raise InvalidInput(f"|gamma| must be <= 1, got {self.gamma}")
 
     @classmethod
     def make(cls, helicity: int, p: int, gamma: float, kappa: float,
@@ -130,11 +130,18 @@ def gz_energy(N: int, S: float, q: CommensurateQ) -> float:
     return N * S * S * cn_q * dn_q + (kappa * S * sn_q) ** 2 * acc
 
 
-def residual(H: ManyBodyOperator, psi: StateVector) -> float:
-    """Eigenstate defect ||H psi - <H> psi||_2 for a normalized psi."""
-    if psi.system != H.system:
+def residual(H, psi: StateVector) -> float:
+    """Eigenstate defect ||H psi - <H> psi||_2 for a normalized psi.
+
+    H is a ManyBodyOperator or a local_sum term list; a term list is applied
+    to psi by apply_sum, with no matrix formed.
+    """
+    if not isinstance(H, ManyBodyOperator):
+        hpsi = apply_sum(psi.system, H, psi.amplitudes)
+    elif psi.system != H.system:
         raise DimensionMismatch("operator and state on different systems")
-    hpsi = H.matrix @ psi.amplitudes
+    else:
+        hpsi = H.matrix @ psi.amplitudes
     e = np.vdot(psi.amplitudes, hpsi)
     return float(np.linalg.norm(hpsi - e * psi.amplitudes))
 
@@ -254,15 +261,17 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
 
 def local_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec,
                      H: ManyBodyOperator) -> np.ndarray:
-    """<i[H, Sz_n]> on the graph scar state, one value per vertex."""
+    """<i[H, Sz_n]> on the graph scar state, one value per vertex.
+
+    For Hermitian H this is 2 Im <psi| Sz_n H |psi>: one matvec, then the
+    site-n marginal of conj(psi) * H psi weighted by the Sz eigenvalues.
+    """
     psi = gz_state(system, spec, graph=g).amplitudes
-    sz = local_spin_matrices(system.S)[2]
-    out = np.zeros(g.num_vertices)
-    hpsi = H.matrix @ psi
-    for n in range(g.num_vertices):
-        zn = local_sum(system, [((n,), sz)]).diagonal()
-        out[n] = (1j * (np.vdot(psi, H.matrix @ (zn * psi)) - np.vdot(psi, zn * hpsi))).real
-    return out
+    d = system.local_dim
+    w = (psi.conj() * (H.matrix @ psi)).imag
+    m = np.diag(local_spin_matrices(system.S)[2]).real
+    return np.array([2.0 * m @ w.reshape(-1, d, d ** n).sum(axis=(0, 2))
+                     for n in range(g.num_vertices)])
 
 
 def predicted_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec) -> np.ndarray:

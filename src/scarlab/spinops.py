@@ -5,7 +5,8 @@ Basis conventions (fixed globally, do not change):
   * composite index i = sum_n l_n * (2S+1)^n with site 0 least significant.
 
 Every many-body operator is assembled by local_sum from a list of local
-terms; embed and two_site are the Kronecker-product reference it is tested
+terms, and apply_sum applies the same list to a vector without a matrix;
+embed and two_site are the Kronecker-product reference local_sum is tested
 against.
 """
 
@@ -170,6 +171,24 @@ def two_site(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int,
     return (a @ b).tocsr()
 
 
+def _checked_terms(system: SpinSystem, terms):
+    """(terms as (sites tuple, op array) pairs checked against the system, dtype).
+
+    dtype is float64 when every op is real, else complex128; every op has it.
+    """
+    d, N = system.local_dim, system.N
+    terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
+    for sites, op in terms:
+        if len(set(sites)) != len(sites) or not all(0 <= n < N for n in sites):
+            raise SiteOutOfRange(f"sites {sites} must be distinct and in [0, {N})")
+        if op.shape != (d ** len(sites),) * 2:
+            raise DimensionMismatch(f"{sites} needs a {d ** len(sites)}-square matrix")
+    real = not any(np.any(np.imag(op)) for _, op in terms)
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    return [(sites, (op.real if real else op).astype(dtype, copy=False))
+            for sites, op in terms], dtype
+
+
 def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     """Sparse sum_t (op_t on sites_t), identity on the other sites.
 
@@ -181,22 +200,15 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     the operator strings of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
     """
     d, N, dim = system.local_dim, system.N, system.total_dim
-    terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
-    for sites, op in terms:
-        if len(set(sites)) != len(sites) or not all(0 <= n < N for n in sites):
-            raise SiteOutOfRange(f"sites {sites} must be distinct and in [0, {N})")
-        if op.shape != (d ** len(sites),) * 2:
-            raise DimensionMismatch(f"{sites} needs a {d ** len(sites)}-square matrix")
-    real = not any(np.any(np.imag(op)) for _, op in terms)
+    terms, dtype = _checked_terms(system, terms)
     n_off = sum((np.count_nonzero(op) - np.count_nonzero(np.diag(op))) * d ** (N - len(sites))
                 for sites, op in terms)
     rows, cols = np.empty((2, n_off + dim), dtype=np.int32)
-    vals = np.empty(n_off + dim, dtype=np.float64 if real else np.complex128)
+    vals = np.empty(n_off + dim, dtype=dtype)
     diag = np.zeros(dim, dtype=vals.dtype)
     stride = d ** np.arange(N, dtype=np.int64)
     pos = 0
     for sites, op in terms:
-        op = op.real if real else op
         base = np.zeros(1, dtype=np.int64)       # every digit string off the sites
         for n in range(N):
             if n not in sites:
@@ -218,6 +230,39 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     out = sp.coo_matrix((vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
     out.eliminate_zeros()                    # duplicates that cancelled
     return out
+
+
+def apply_sum(system: SpinSystem, terms, amplitudes) -> np.ndarray:
+    """(sum_t op_t on sites_t) @ amplitudes without forming a matrix.
+
+    Same terms as local_sum.  Per term the vector is viewed as
+    (d^a, d, d^b, d, ..., d^z), one length-d axis per site, and every nonzero
+    op[r, c] adds op[r, c] times the slice at the digits of c to the slice at
+    the digits of r: no index arrays, only strided views.
+    """
+    d, N = system.local_dim, system.N
+    terms, dtype = _checked_terms(system, terms)
+    src = np.asarray(amplitudes)
+    if src.shape != (system.total_dim,):
+        raise DimensionMismatch("amplitude vector length != total_dim")
+    dst = np.zeros(src.shape, np.result_type(src, dtype))
+    for sites, op in terms:
+        shape, axis, top = [], {}, N             # C order: the highest site first
+        for t in sorted(range(len(sites)), key=sites.__getitem__, reverse=True):
+            shape += [d ** (top - sites[t] - 1), d]
+            axis[t], top = len(shape) - 1, sites[t]
+        shape.append(d ** top)
+        src_t, dst_t = src.reshape(shape), dst.reshape(shape)
+
+        def view(local):
+            idx = [slice(None)] * len(shape)
+            for t, ax in axis.items():
+                idx[ax] = local // d ** t % d
+            return tuple(idx)
+
+        for r, c in zip(*np.nonzero(op)):
+            dst_t[view(r)] += op[r, c] * src_t[view(c)]
+    return dst
 
 
 def tau(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:

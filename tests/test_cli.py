@@ -2,7 +2,11 @@
 
 import json
 import os
+import sys
 
+import pytest
+
+from scarlab import spinops
 from scarlab.cli import (EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS,
                          main)
 
@@ -232,3 +236,87 @@ def test_unsupported_dims_is_invalid_input(tmp_path, capsys):
                 "--dims", "2,2"]) == EXIT_INVALID
     assert "square torus needs Nx, Ny >= 3" in capsys.readouterr().err
     assert not (tmp_path / "square.json").exists()
+
+
+def _one_invalid_input_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("invalid input:") and len(err.strip().splitlines()) == 1
+
+
+def _no_graph_built(*args, **kwargs):
+    raise AssertionError("a lattice was generated before the input check")
+
+
+@pytest.mark.parametrize("bad", [["--kappa", "1.5"], ["--S", "0.3"], ["--gamma", "1.5"],
+                                 ["--denominator", "0"]])
+def test_scar_verify_parameter_out_of_range_is_invalid_input(tmp_path, capsys, monkeypatch,
+                                                             bad):
+    out = str(tmp_path)
+    assert run(["--out", out, "scar-verify", *bad]) == EXIT_INVALID
+    assert _one_invalid_input_line(capsys)
+    monkeypatch.setattr("scarlab.lattice.generate", _no_graph_built)
+    # the bad value comes last, so it overrides the lattice's --denominator
+    assert run(["--out", out, "scar-verify", "--lattice", "square", "--dims", "3,3",
+                "--denominator", "3", *bad]) == EXIT_INVALID
+    assert _one_invalid_input_line(capsys)
+    assert not (tmp_path / "scar_verify.csv").exists()
+
+
+def test_scar_verify_chain_denominator_must_be_n(tmp_path, capsys, monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built before the input check")
+    monkeypatch.setattr("scarlab.spinops.coherent_product_state", no_state)
+    monkeypatch.setattr("scarlab.scar.coherent_product_state", no_state)
+    assert run(["--out", str(tmp_path), "scar-verify", "--N", "6",
+                "--denominator", "5"]) == EXIT_INVALID
+    assert _one_invalid_input_line(capsys)
+    assert not (tmp_path / "scar_verify.csv").exists()
+
+
+def _raw_graph_file(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_malformed_graph_file_shapes_are_invalid_input(tmp_path, capsys):
+    edge = {"u": 0, "v": 1, "sigma": 1, "kind": "csse"}
+    docs = {"top-level array": "[1, 2]",
+            "edge record not an object": json.dumps({"vertices": 2, "edges": [[0, 1]]}),
+            "non-list crossing": json.dumps({"vertices": 2,
+                                             "edges": [dict(edge, crossing=5)]}),
+            "non-object boundary": json.dumps({"vertices": 2, "edges": [edge],
+                                               "boundary": 5})}
+    for what, text in docs.items():
+        graph = _raw_graph_file(tmp_path, text)
+        for argv in (["lattice-check", "--graph", graph],
+                     ["scar-verify", "--graph", graph, "--denominator", "2"]):
+            assert run(["--out", str(tmp_path), *argv]) == EXIT_INVALID, (what, argv)
+            assert _one_invalid_input_line(capsys), what
+
+
+def test_elliptic_csv_holds_numbers(tmp_path):
+    assert run(["--out", str(tmp_path), "elliptic", "--points", "50", "--seed", "0"]) == EXIT_OK
+    lines = (tmp_path / "elliptic.csv").read_text().splitlines()
+    assert lines[0] == "check,max_residual"
+    assert [ln.split(",")[0] for ln in lines[1:]] == \
+        ["sn2cn2", "dn2k2sn2", "periodicity", "roundtrip"]
+    for ln in lines[1:]:
+        value = ln.split(",")[1]
+        assert repr(float(value)) == value
+
+
+def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("scar-verify assembled a sparse operator")
+    assembler = spinops.local_sum
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scarlab") and getattr(module, "local_sum", None) is assembler:
+            monkeypatch.setattr(module, "local_sum", no_matrix)
+    out = str(tmp_path)
+    assert run(["--out", out, "scar-verify", "--N", "6", "--S", "1", "--kappa", "0.8",
+                "--gamma", "0.5"]) == EXIT_OK
+    assert run(["--out", out, "scar-verify", "--lattice", "lieb", "--dims", "2,2",
+                "--denominator", "4", "--kappa", "0.6", "--gamma", "-0.3",
+                "--helicity", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: eigenstate residual") == 2

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scarlab.elliptic import commensurate_q
-from scarlab.errors import (DisconnectedGraph, InconsistentPhases, ScarlabError,
-                            UnsupportedDims)
+from scarlab.errors import (DisconnectedGraph, InconsistentPhases, InvalidGraph,
+                            ScarlabError, UnsupportedDims)
 from scarlab.lattice import (CLASS_DEPENDENT, CLASS_INDEPENDENT, CLASS_NONE,
                              Edge, ScarGraph, as_uniform_csse,
                              assign_site_phases, chain, check_circuit_rule,
@@ -119,6 +119,22 @@ def test_graph_file_values_must_be_integers():
         bad["edges"][2][key] = value
         with pytest.raises(ScarlabError, match=f"every '{key}' must be an integer"):
             ScarGraph.from_json(json.dumps(bad))
+
+
+_EDGE = {"u": 0, "v": 1, "sigma": 1, "kind": "csse"}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],                                                     # top-level array
+    {"vertices": 2, "edges": [[0, 1]]},                         # edge record not an object
+    {"vertices": 2, "edges": [dict(_EDGE, crossing=5)]},        # non-list crossing
+    {"vertices": 2, "edges": [dict(_EDGE, crossing=[0, 1, 0])]},  # crossing not a pair
+    {"vertices": 2, "edges": {"0": _EDGE}},                     # edges not a list
+    {"vertices": 2, "edges": [_EDGE], "boundary": 5},           # boundary not an object
+])
+def test_malformed_graph_documents_raise_invalid_graph(doc):
+    with pytest.raises(InvalidGraph):
+        ScarGraph.from_json(json.dumps(doc))
 
 
 def test_circuit_rule_on_chain():

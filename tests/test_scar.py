@@ -7,8 +7,11 @@ import pytest
 
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
-from scarlab.hamiltonian import build_on_graph, build_xyz_chain
-from scarlab.lattice import assign_site_phases, lieb, square
+from scarlab.hamiltonian import build_on_graph, build_xyz_chain, chain_terms, graph_terms
+from scarlab.lattice import (assign_site_phases, chain, check_circuit_rule,
+                             honeycomb_su2, kagome_su2, lieb, modified_honeycomb,
+                             nnn_chain, square, square_shifted, triangular_su2,
+                             trimer_brickwall, trimer_ladder)
 from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy, gz_state,
                           helical_expansion, site_angles,
                           helical_tower, local_sz_current, predicted_sz_current,
@@ -16,7 +19,7 @@ from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy, gz_state
                           span_rank)
 from scarlab.spectra import _translation_matrix
 from scarlab.spinops import (SpinSystem, embed, expectation,
-                             local_spin_matrices, site_spin_expectations)
+                             local_spin_matrices, local_sum, site_spin_expectations)
 
 
 def chain_setup(N, S, p, kappa):
@@ -179,3 +182,69 @@ def test_site_angles_bit_identical_to_per_site_evaluation():
                        [q.fraction * k for k in (-9, -1, 0, 3, 7, 7, 22)]):
             angles = site_angles(spec, phases)
             assert (angles.theta, angles.phi) == _site_angles_per_site(spec, phases)
+
+
+# every generator at ED size, with the spin per graph
+ED_GRAPHS = [
+    (chain(6), 0.5), (square(3, 3), 0.5), (square_shifted(4, 3), 0.5), (lieb(2, 2), 0.5),
+    (triangular_su2(3, 3), 0.5), (kagome_su2(2, 2), 0.5), (honeycomb_su2(4, 2), 0.5),
+    (modified_honeycomb(4, 3), 0.5), (trimer_ladder(4), 0.5), (trimer_brickwall(3, 3), 0.5),
+    (nnn_chain(8), 1.0),
+]
+
+
+def _largest_admitted_denominator(g):
+    return max(d for d in range(1, 13)
+               if check_circuit_rule(g, commensurate_q(1, d, 0.5)).satisfied)
+
+
+@pytest.mark.parametrize("g,S", ED_GRAPHS)
+def test_term_list_residual_matches_sparse_residual(g, S):
+    denom = _largest_admitted_denominator(g)
+    system = SpinSystem(S, g.num_vertices)
+    spec = ScarSpec(helicity=-1, p=1, gamma=0.3, kappa=0.4, q=commensurate_q(1, denom, 0.4))
+    psi = gz_state(system, spec, graph=g)
+    # kappa_H = 0.4 is the scar's own H; 0.8 makes psi a non-eigenstate
+    for kappa_h in (0.4, 0.8):
+        q = commensurate_q(1, denom, kappa_h)
+        got = residual(graph_terms(g, S, q), psi)
+        want = residual(build_on_graph(g, S, q), psi)
+        assert abs(got - want) <= 1e-13 + 1e-12 * want
+    assert residual(graph_terms(g, S, spec.q), psi) <= 1e-12
+
+
+def test_term_list_residual_on_the_chain():
+    for N, S, p, kappa, gamma in [(5, 0.5, 1, 0.6, 0.5), (6, 1.0, 1, 0.8, 0.9),
+                                  (4, 1.5, 1, 0.5, 0.7)]:
+        psi = gz_state(SpinSystem(S, N), ScarSpec.make(+1, p, gamma, kappa, N))
+        for kappa_h in (kappa, 0.3):
+            q = commensurate_q(p, N, kappa_h)
+            sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+            got = residual(chain_terms(N, S, np.diag([dn, 1.0, cn])), psi)
+            want = residual(build_xyz_chain(N, S, dn, 1.0, cn), psi)
+            assert abs(got - want) <= 1e-13 + 1e-12 * want
+            assert (got <= 1e-12) == (kappa_h == kappa)
+
+
+def _local_sz_current_per_site(g, system, spec, H):
+    """Reference: one diagonal Sz_n and one extra matvec per site."""
+    psi = gz_state(system, spec, graph=g).amplitudes
+    sz = local_spin_matrices(system.S)[2]
+    out = np.zeros(g.num_vertices)
+    hpsi = H.matrix @ psi
+    for n in range(g.num_vertices):
+        zn = local_sum(system, [((n,), sz)]).diagonal()
+        out[n] = (1j * (np.vdot(psi, H.matrix @ (zn * psi)) - np.vdot(psi, zn * hpsi))).real
+    return out
+
+
+@pytest.mark.parametrize("g,S,denom", [(square(3, 3), 0.5, 3), (nnn_chain(8), 1.0, 8)])
+def test_local_sz_current_matches_per_site_reference(g, S, denom):
+    system = SpinSystem(S, g.num_vertices)
+    spec = ScarSpec(helicity=+1, p=1, gamma=0.4, kappa=0.4, q=commensurate_q(1, denom, 0.4))
+    for kappa_h in (0.4, 0.8):
+        H = build_on_graph(g, S, commensurate_q(1, denom, kappa_h))
+        want = _local_sz_current_per_site(g, system, spec, H)
+        assert np.abs(local_sz_current(g, system, spec, H) - want).max() <= 1e-14
+    # at kappa_H = 0.8 the state is no eigenstate and carries a current
+    assert np.abs(want).max() >= 1e-2
