@@ -185,7 +185,9 @@ def cmd_scar_verify(args, log: CheckLog) -> int:
     from .lattice import ScarGraph, check_circuit_rule, generate
     from .scar import ScarSpec, gz_state, residual
     from .spinops import SpinSystem, _check_spin
-    helicity = +1 if args.helicity in ("+", "+1", "1") else -1
+    helicity = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}.get(args.helicity)
+    if helicity is None:
+        raise InvalidInput(f"--helicity must be +, +1, 1, - or -1, got {args.helicity!r}")
     denom = args.N if args.denominator is None else args.denominator
     # S, the denominator, kappa and gamma are checked before any graph is read
     _check_spin(args.S)

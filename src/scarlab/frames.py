@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRootFound
+from .errors import InvalidInput, NoRootFound
 
 _ROOT_TOL = 1e-12
 
@@ -32,6 +32,10 @@ class CsseCouplings:
     J12: float = 0.0
     J13: float = 0.0
     J23: float = 0.0
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.matrix())):
+            raise InvalidInput(f"couplings must be finite, got {self}")
 
     @classmethod
     def from_json(cls, text: str) -> "CsseCouplings":

@@ -1,11 +1,11 @@
 """Exact diagonalization, degeneracy counting, and scan persistence.
 
-Dense Hermitian diagonalization at desk scale, one decoupled block of H at a
-time and in real arithmetic when H is real, a clustered degeneracy count
-at the scar energy with an explicit gap audit, momentum-sector reduction on
-periodic chains, and the degeneracy-versus-size scan (count 4NS away from
-the special commensurabilities where q hits a multiple of the quarter
-period K).
+Dense Hermitian diagonalization at desk scale, one momentum x decoupled block
+of H at a time (momentum only when H is translation invariant) and in real
+arithmetic when the block is real, a clustered degeneracy count at the scar
+energy with an explicit gap audit, and the degeneracy-versus-size scan
+(count 4NS away from the special commensurabilities where q hits a multiple
+of the quarter period K).
 """
 
 from __future__ import annotations
@@ -53,47 +53,111 @@ def _blocks(H: ManyBodyOperator):
     return A.dtype.kind != "c" or not np.any(A.data.imag), labels
 
 
-def full_spectrum(H: ManyBodyOperator, vectors: bool = True):
-    """Ascending eigenvalues (and eigenvectors) of a Hermitian operator.
+def _rotations(system: SpinSystem) -> np.ndarray:
+    """(N, dim) int64: row j holds T^j s for every basis index s, where the
+    one-site shift T moves the state of site n+1 to site n (site 0 to N-1)."""
+    d, N = system.local_dim, system.N
+    rot = [np.arange(system.total_dim)]
+    for _ in range(N - 1):
+        rot.append(rot[-1] // d + rot[-1] % d * d ** (N - 1))
+    return np.array(rot)
 
-    Solves densely, one block of _blocks(H) at a time, in float64 when every
-    entry of H is real (the eigenvectors are then real too).
-    Single-state blocks are read off the diagonal.  The block-diagonal
-    scheme follows Sandvik, AIP Conf. Proc. 1297, 135 (2010).
+
+def _solve(H: ManyBodyOperator, vectors: bool):
+    """(evals, V, ks, record): ascending eigenvalues of H, the eigenvectors
+    (None unless vectors), the momentum of each eigenvalue, and what was solved.
+
+    When H commutes with the one-site shift T the group is {T^j} of order N,
+    otherwise only the identity.  Each orbit is labelled by its smallest
+    index a and has length L_a.  An entry h of H from representative b into
+    i = T^l a adds h e^{2 pi i k l/N} sqrt(L_b/L_a) to H_k[a, b], and only
+    orbits with kL = 0 mod N carry momentum k (Sandvik, AIP Conf. Proc. 1297,
+    135 (2010)).  Each block is one momentum k times one connected component
+    of the orbit graph (a ~ b when H links orbit a to b: the Sz-parity
+    sectors for XYZ).  A block is solved in float64 when its entries are
+    real, and 1-state blocks are read off the diagonal.  With the trivial
+    group the blocks are exactly those of _blocks(H).
     """
+    # deferred: importing csgraph at module load adds ~130 ms to every start
+    from scipy.sparse.csgraph import connected_components
     _check_dense_cap(H.system.total_dim, vectors)
-    real, labels = _blocks(H)
-    A = H.matrix.real if real and H.matrix.dtype.kind == "c" else H.matrix
+    A = H.matrix
+    rot = _rotations(H.system)
+    P = rot[1 % len(rot)]
+    invariant = abs(A[P][:, P] - A).max() <= 1e-12 * abs(A).max()
+    G = len(rot) if invariant else 1
+    rot = rot[:G]
+    rep = rot.min(axis=0)
+    back = -rot.argmin(axis=0) % G                   # s = T^back[s] rep[s]
+    L = G // np.count_nonzero(rot == rot[0], axis=0)  # orbit lengths
+    reps = np.flatnonzero(rep == rot[0])
+    rpos = np.searchsorted(reps, rep)                # orbit of every state
+    C = A.tocsc()[:, reps].tocoo()
+    i, b, h = C.row[C.data != 0], C.col[C.data != 0], C.data[C.data != 0]
+    a, h = rpos[i], h * np.sqrt(L[reps[b]] / L[i])
+    n = reps.size
+    _, comp = connected_components(sp.csr_matrix((np.ones(a.size), (a, b)), (n, n)),
+                                   directed=False)
+    m = np.arange(G)                                 # e^{2 pi i m/G}, exact at quarters
+    phase = np.where(4 * m % G == 0, np.array([1, 1j, -1, -1j])[4 * m // G % 4],
+                     np.exp(2j * np.pi * m / G))
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    if labels.max() == 0:
-        res = solve(A.toarray())
-        return tuple(res) if vectors else res
-    order = np.argsort(labels, kind="stable")      # block members, contiguous
-    sizes = np.bincount(labels)
-    stops = np.cumsum(sizes)
-    starts = stops - sizes
-    A = A[order][:, order]
-    evals = A.diagonal().real                      # exact on 1-state blocks
-    vecs = []
-    for lo, hi in zip(starts[sizes > 1], stops[sizes > 1]):
-        res = solve(A[lo:hi, lo:hi].toarray())
-        if vectors:
-            evals[lo:hi], v = res
-            vecs.append((lo, hi, v))
-        else:
-            evals[lo:hi] = res
+    evals, ks, sizes_all, vecs, cplx = [], [], [], [], False
+    for k in range(G):
+        ok = k * L[reps] % G == 0
+        e = ok[a] & ok[b]
+        sel = np.flatnonzero(ok)
+        order = sel[np.argsort(comp[sel], kind="stable")]   # block members, contiguous
+        sizes = np.bincount(comp[sel])
+        sizes = sizes[sizes > 0]
+        Hk = sp.csr_matrix((h[e] * phase[k * back[i[e]] % G], (a[e], b[e])), (n, n))
+        Hk = Hk[order][:, order]
+        ev = Hk.diagonal().real                          # exact on 1-state blocks
+        if vectors:                     # psi[T^l a] = v[a] e^{-2 pi i kl/N} / sqrt(L_a)
+            coef = phase[k * back % G].conj() / np.sqrt(L)
+            E = sp.csc_matrix((coef if np.any(coef.imag) else coef.real,
+                               (np.arange(rpos.size), rpos)), (rpos.size, n))[:, order]
+        base = sum(map(len, evals))
+        for lo, hi in zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)):
+            blk = Hk[lo:hi, lo:hi]
+            real = not np.any(blk.data.imag)
+            cplx |= not real and hi - lo > 1
+            if hi - lo > 1:
+                res = solve((blk.real if real else blk).toarray())
+                ev[lo:hi] = res[0] if vectors else res
+            if vectors:
+                vecs.append((base + lo, E[:, lo:hi], res[1] if hi - lo > 1 else np.ones((1, 1))))
+        evals.append(ev)
+        ks.append(np.full(ev.size, k))
+        sizes_all.extend(sizes.tolist())
+    evals = np.concatenate(evals)
     rank = np.argsort(evals, kind="stable")
+    record = {"symmetry": "translation" if invariant else "none",
+              "dtype": "complex128" if np.any(A.data.imag) else "float64",
+              "blocks": sorted(np.bincount(comp, weights=L[reps]).astype(int).tolist()),
+              "solved_blocks": sorted(sizes_all),
+              "solved_dtype": "complex128" if cplx else "float64"}
     if not vectors:
-        return evals[rank]
+        return evals[rank], None, np.concatenate(ks)[rank], record
     # column j of the block solve lands at the position of eigenvalue j
     pos = np.empty_like(rank)
     pos[rank] = np.arange(rank.size)
-    V = np.zeros((rank.size, rank.size), dtype=A.dtype)
-    singles = starts[sizes == 1]
-    V[order[singles], pos[singles]] = 1.0
-    for lo, hi, v in vecs:
-        V[np.ix_(order[lo:hi], pos[lo:hi])] = v
-    return evals[rank], V
+    V = np.zeros((rank.size, rank.size),
+                 dtype=np.result_type(*(x.dtype for _, Eb, v in vecs for x in (Eb, v))))
+    for lo, Eb, v in vecs:
+        V[:, pos[lo:lo + v.shape[1]]] = Eb @ v
+    return evals[rank], V, np.concatenate(ks)[rank], record
+
+
+def full_spectrum(H: ManyBodyOperator, vectors: bool = True):
+    """Ascending eigenvalues (and eigenvectors, columns of V) of a Hermitian
+    operator, solved densely one momentum x connected block at a time (_solve).
+
+    The eigenvectors are real when H is real and has no translation symmetry;
+    a translation-invariant H has complex momentum eigenvectors.
+    """
+    evals, V, _, _ = _solve(H, vectors)
+    return (evals, V) if vectors else evals
 
 
 @dataclass
@@ -125,70 +189,24 @@ def degeneracy_at(evals: np.ndarray, E: float, tol: float | None = None) -> Dege
 
 
 def _translation_matrix(system: SpinSystem) -> sp.csr_matrix:
-    """One-site cyclic shift on the product basis (site n -> n+1)."""
-    d = system.local_dim
-    N = system.N
-    dim = system.total_dim
-    src = np.arange(dim)
-    digits = []
-    rem = src
-    for _ in range(N):
-        digits.append(rem % d)
-        rem = rem // d
-    digits = list(reversed(digits))            # digits[0] = site 0, big-endian
-    shifted = [digits[(n - 1) % N] for n in range(N)]
-    dst = np.zeros(dim, dtype=np.int64)
-    for n in range(N):
-        dst = dst * d + shifted[n]
-    return sp.csr_matrix((np.ones(dim), (dst, src)), shape=(dim, dim))
+    """One-site cyclic shift T on the product basis (site n+1 -> n)."""
+    rot = _rotations(system)
+    return sp.csr_matrix((np.ones(rot.shape[1]), (rot[1 % system.N], rot[0])),
+                         shape=(rot.shape[1],) * 2)
 
 
 def translation_sectors(H: ManyBodyOperator, N: int) -> dict:
     """Momentum-resolved spectra {k: eigenvalues} of a periodic chain.
 
-    Sector bases come from diagonalizing the shift operator; the multiset
-    union over k reproduces the full spectrum.
+    The momentum blocks of _solve; the multiset union over k reproduces the
+    full spectrum.
     """
-    system = H.system
-    if system.N != N:
-        raise NotTranslationInvariant(f"operator acts on {system.N} sites, not {N}")
-    T = _translation_matrix(system)
-    comm = (H.matrix @ T - T @ H.matrix)
-    defect = np.abs(comm.toarray()).max() if comm.nnz else 0.0
-    if defect > 1e-12:
-        raise NotTranslationInvariant(f"[H, T] = {defect:.3e} exceeds 1e-12")
-    Hd = H.dense()
-    dim = system.total_dim
-    # T is a permutation matrix; extract destination index per source column
-    perm = np.zeros(dim, dtype=np.int64)
-    coo = T.tocoo()
-    perm[coo.col] = coo.row
-    seen = np.zeros(dim, dtype=bool)
-    sector_vecs = {k: [] for k in range(N)}
-    for start in range(dim):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        cur = perm[start]
-        while cur != start:
-            seen[cur] = True
-            orbit.append(cur)
-            cur = perm[cur]
-        L = len(orbit)
-        # an orbit of length L carries the momenta k that are multiples of N/L
-        for k in range(N):
-            if (k * L) % N != 0:
-                continue
-            vec = np.zeros(dim, dtype=complex)
-            for j, idx in enumerate(orbit):
-                vec[idx] = np.exp(-2j * np.pi * k * j / N)
-            sector_vecs[k].append(vec / math.sqrt(L))
-    out = {}
-    for k in range(N):
-        basis = np.array(sector_vecs[k]).T
-        out[k] = np.linalg.eigvalsh(basis.conj().T @ Hd @ basis)
-    return out
+    if H.system.N != N:
+        raise NotTranslationInvariant(f"operator acts on {H.system.N} sites, not {N}")
+    evals, _, ks, record = _solve(H, vectors=False)
+    if record["symmetry"] != "translation":
+        raise NotTranslationInvariant("H does not commute with the one-site shift")
+    return {k: evals[ks == k] for k in range(N)}
 
 
 def is_special_q(p: int, N: int) -> bool:
@@ -209,18 +227,28 @@ class ScanRow:
     dim: int | None = None
     dtype: str | None = None
     blocks: list | None = None
+    symmetry: str | None = None
+    solved_blocks: list | None = None
+    solved_dtype: str | None = None
     tol: float | None = None
     gap: float | None = None
 
     def record(self) -> dict:
         """The row with how it was computed, for the JSON sidecar.
 
-        A gap of None means no eigenvalue lies outside the tolerance.
+        dtype and blocks describe H: the dtype of its entries and the sizes
+        of its decoupled sectors (the two Sz-parity sectors for XYZ).
+        symmetry, solved_blocks and solved_dtype describe the solve: the
+        group used, the sizes of the momentum blocks (they sum to dim) and
+        complex128 when any block was solved in complex arithmetic.  A gap
+        of None means no eigenvalue lies outside the tolerance.
         """
         gap = None if self.gap is None or math.isinf(self.gap) else self.gap
         return {"S": self.S, "N": self.N, "p": self.p, "count": self.count,
                 "flag": self.flag, "dim": self.dim, "dtype": self.dtype,
-                "blocks": self.blocks, "tol": self.tol, "gap": gap}
+                "blocks": self.blocks, "symmetry": self.symmetry,
+                "solved_blocks": self.solved_blocks, "solved_dtype": self.solved_dtype,
+                "tol": self.tol, "gap": gap}
 
 
 @dataclass
@@ -269,10 +297,10 @@ def scan_degeneracy(S_list, N_range, kappa: float, p_range) -> DegeneracyScan:
                     _check_dense_cap(row.dim, vectors=False)
                     H = build_xyz_chain(N, S, dn, 1.0, cn)
                     row.E = gz_energy(N, S, q)
-                    real, labels = _blocks(H)
-                    row.dtype = "float64" if real else "complex128"
-                    row.blocks = sorted(np.bincount(labels).tolist())
-                    res = degeneracy_at(full_spectrum(H, vectors=False), row.E)
+                    evals, _, _, solved = _solve(H, vectors=False)
+                    for key, value in solved.items():
+                        setattr(row, key, value)
+                    res = degeneracy_at(evals, row.E)
                     row.count, row.tol, row.gap = res.count, res.tol, res.gap
                     if not res.resolved:
                         flags.append("unresolved")

@@ -320,3 +320,33 @@ def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
                 "--denominator", "4", "--kappa", "0.6", "--gamma", "-0.3",
                 "--helicity", "-"]) == EXIT_OK
     assert capsys.readouterr().out.count("PASS: eigenstate residual") == 2
+
+
+def test_scar_verify_rejects_unknown_helicity(tmp_path, capsys, monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built before the input check")
+    out = str(tmp_path)
+    for good in ("-", "-1", "+1"):
+        assert run(["--out", out, "scar-verify", "--N", "6", "--helicity", good]) == EXIT_OK
+    (tmp_path / "scar_verify.csv").unlink()
+    monkeypatch.setattr("scarlab.spinops.coherent_product_state", no_state)
+    monkeypatch.setattr("scarlab.scar.coherent_product_state", no_state)
+    for bad in ("x", "2", "0", "plus"):
+        assert run(["--out", out, "scar-verify", "--N", "6", "--helicity", bad]) == EXIT_INVALID
+        assert _one_invalid_input_line(capsys)
+    assert not (tmp_path / "scar_verify.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_frame_rejects_non_finite_couplings(tmp_path, capsys, monkeypatch, value):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the root search ran on a non-finite coupling")
+    monkeypatch.setattr("scarlab.frames.xyz_reduction", no_search)
+    out = str(tmp_path)
+    assert run(["--out", out, "frame", "--J1", "0.3", f"--J13={value}"]) == EXIT_INVALID
+    assert _one_invalid_input_line(capsys)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"J1": 0.3, "J2": float(value)}))   # NaN/Infinity tokens
+    assert run(["--out", out, "frame", "--couplings", str(path)]) == EXIT_INVALID
+    assert _one_invalid_input_line(capsys)
+    assert not (tmp_path / "frame.csv").exists()

@@ -1,5 +1,7 @@
 """Property tests: the block/real full_spectrum against a dense complex solve."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from scarlab.elliptic import commensurate_q
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import build_csse_chain, build_on_graph, build_xyz_chain
 from scarlab.lattice import generate
-from scarlab.spectra import _blocks, full_spectrum
+from scarlab.spectra import _blocks, _solve, _translation_matrix, full_spectrum
 
 # (S, largest N) pairs that keep the dense oracle at dim <= 81
 CHAIN_SIZES = [(0.5, 2), (0.5, 3), (0.5, 4), (0.5, 5), (0.5, 6),
@@ -64,3 +66,60 @@ def test_block_spectrum_of_square_graph(kappa):
     H = build_on_graph(generate("square", 3, 3), 0.5, commensurate_q(1, 3, kappa))
     assert _block_count(H) >= 2
     _assert_matches_dense(H)
+
+
+# periodic chains up to dim 256; N = 4 and 6 have orbits shorter than N
+PERIODIC_SIZES = [(0.5, n) for n in range(2, 7)] + [(1.0, n) for n in range(2, 6)] \
+    + [(1.5, n) for n in range(2, 5)]
+
+
+def _rotated_couplings(rng):
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    M = rot @ np.diag(rng.uniform(-1.0, 1.0, 3)) @ rot.T
+    return CsseCouplings(J1=M[0, 0], J2=M[1, 1], J3=M[2, 2],
+                         J12=M[0, 1], J13=M[0, 2], J23=M[1, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from(PERIODIC_SIZES), kind=st.sampled_from(["xyz", "xxz", "csse"]),
+       jx=couplings, jy=couplings, jz=couplings, seed=st.integers(0, 2 ** 32 - 1))
+def test_momentum_blocks_of_periodic_chains(size, kind, jx, jy, jz, seed):
+    S, N = size
+    if kind == "csse":
+        H = build_csse_chain(N, S, _rotated_couplings(np.random.default_rng(seed)))
+    else:
+        H = build_xyz_chain(N, S, jy if kind == "xxz" else jx, jy, jz)
+    _assert_matches_dense(H)
+    _, V, ks, record = _solve(H, vectors=True)
+    assert record["symmetry"] == "translation"
+    assert sum(record["solved_blocks"]) == H.system.total_dim
+    assert sorted(set(ks.tolist())) == list(range(N))
+    # each eigenvector is a shift eigenvector with the momentum it is labelled by
+    T = _translation_matrix(H.system)
+    assert np.abs(T @ V - V * np.exp(2j * np.pi * ks / N)).max() <= 1e-10
+
+
+def test_periodic_chain_is_solved_in_momentum_blocks():
+    N = 10
+    H = build_xyz_chain(N, 0.5, 0.7, 1.0, 0.3)
+    dim = H.system.total_dim
+    evals, _, _, record = _solve(H, vectors=False)
+    assert record["symmetry"] == "translation"
+    assert max(record["solved_blocks"]) <= math.ceil(dim / N) + N
+    assert sum(record["solved_blocks"]) == dim
+    assert record["blocks"] == [512, 512]       # the Sz-parity sectors of H
+    assert np.abs(evals - np.linalg.eigvalsh(H.dense())).max() <= 1e-10 * np.ptp(evals)
+
+
+def test_open_chain_and_graph_keep_their_component_blocks():
+    q = commensurate_q(1, 3, 0.5)
+    for H in (build_xyz_chain(7, 0.5, 0.7, 1.0, 0.3, periodic=False),
+              build_on_graph(generate("square", 3, 3), 0.5, q)):
+        real, labels = _blocks(H)
+        for vectors in (False, True):
+            _, V, _, record = _solve(H, vectors)
+            assert record["symmetry"] == "none"
+            assert record["solved_blocks"] == sorted(np.bincount(labels).tolist())
+            assert record["blocks"] == record["solved_blocks"]
+            assert record["solved_dtype"] == record["dtype"] == "float64" and real
+        assert V.dtype == np.float64
