@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabErr
 from .lattice import ScarGraph, assign_site_phases
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
                       all_up, apply_sum, coherent_product_state,
-                      local_spin_matrices, tau)
+                      coherent_product_states, local_spin_matrices, tau)
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,32 @@ class ScarSpec:
                              + (self.kappa * self.gamma) ** 2))
 
 
+def _phase_table(phases, modulus):
+    """Step 1 of site_angles, kappa only: (winding, index, [(sn, cn, dn), ...]).
+
+    The phases go over one common denominator L as integer numerators n:
+    winding = n // L per site, and index points at the distinct reduced phase
+    (n % L) / L, where the elliptic functions are evaluated once.
+    """
+    dens = [f.denominator for f in phases]
+    L = math.lcm(*set(dens))
+    num = np.array([f.numerator * (L // d) for f, d in zip(phases, dens)], dtype=np.int64)
+    winding, reduced = np.divmod(num, L)
+    distinct, index = np.unique(reduced, return_inverse=True)
+    return winding, index, [jacobi_fraction(Fraction(int(r), L), modulus) for r in distinct]
+
+
+def _table_angles(spec: ScarSpec, table):
+    """Step 2 of site_angles: (theta, phi) arrays for one spec over a phase table."""
+    winding, index, elliptic = table
+    two_pi, theta, local = 2.0 * math.pi, [], []
+    for sn, cn, dn in elliptic:
+        ux, uy = spec.alpha * cn, spec.beta * sn
+        local.append(math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0)
+        theta.append(math.acos(max(-1.0, min(1.0, spec.gamma * dn))))
+    return np.array(theta)[index], spec.helicity * (two_pi * winding + np.array(local)[index])
+
+
 def site_angles(spec: ScarSpec, phases) -> SiteAngles:
     """Bloch angles realizing the elliptic expectations at given site phases.
 
@@ -66,24 +93,11 @@ def site_angles(spec: ScarSpec, phases) -> SiteAngles:
     (cn, sn) winds once per 4K, and for half-integer S the resulting 2 pi
     increments of phi_n carry physical minus signs, so the winding from the
     exact rational tag is kept rather than wrapped away.  theta_n = arccos of
-    the Sz expectation over S.  The elliptic functions are evaluated once per
-    distinct reduced phase frac - floor(frac).
+    the Sz expectation over S.  The elliptic functions, math.acos and
+    math.atan2 run once per distinct reduced phase, then a gather per site.
     """
-    two_pi = 2.0 * math.pi
-    local_angles = {}     # reduced phase -> (theta, in-period phi)
-    thetas, phis = [], []
-    for frac in phases:
-        winding = math.floor(frac)
-        reduced = frac - winding
-        if reduced not in local_angles:
-            sn, cn, dn = jacobi_fraction(reduced, spec.q.modulus)
-            ux, uy = spec.alpha * cn, spec.beta * sn
-            local = math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0
-            local_angles[reduced] = (math.acos(max(-1.0, min(1.0, spec.gamma * dn))), local)
-        theta, local = local_angles[reduced]
-        thetas.append(theta)
-        phis.append(spec.helicity * (two_pi * winding + local))
-    return SiteAngles(tuple(thetas), tuple(phis))
+    theta, phi = _table_angles(spec, _phase_table(phases, spec.q.modulus))
+    return SiteAngles(tuple(theta.tolist()), tuple(phi.tolist()))
 
 
 def chain_phases(N: int, q: CommensurateQ) -> list:
@@ -189,8 +203,9 @@ def projections(N: int, S: float, p: int, kappa: float, gamma: float,
     """Weights of the elliptic scar in the two helical towers.
 
     The same-helicity projection sums all tower states; the opposite-helicity
-    one skips the states shared between the towers, m = multiples of N/f with
-    f = 1 for odd N and f = 2 for even N (including the fully polarized ends).
+    one skips the states the towers can share: state m of the two towers has
+    momenta -/+ 2 pi m p / N, equal modulo 2 pi when 2 m p / N is an integer,
+    i.e. m a multiple of N / gcd(2p, N) (including the fully polarized ends).
     """
     system = SpinSystem(S, N)
     spec = ScarSpec.make(helicity, p, gamma, kappa, N)
@@ -198,8 +213,7 @@ def projections(N: int, S: float, p: int, kappa: float, gamma: float,
     same = helical_tower(N, S, helicity, p)
     oppo = helical_tower(N, S, -helicity, p)
     p_same = sum(abs(st.overlap(psi)) ** 2 for st in same.states)
-    f = 1 if N % 2 else 2
-    shared = N // f
+    shared = N // math.gcd(2 * p, N)
     two_ns = len(same.states) - 1
     p_oppo = 0.0
     for m in range(1, two_ns):
@@ -210,11 +224,10 @@ def projections(N: int, S: float, p: int, kappa: float, gamma: float,
 
 
 def shared_state_overlaps(N: int, S: float, p: int):
-    """Overlap matrix between the two towers' shared-index states (reported only)."""
+    """Overlap matrix of the towers' states at multiples of N / gcd(2p, N) (reported only)."""
     same = helical_tower(N, S, +1, p)
     oppo = helical_tower(N, S, -1, p)
-    f = 1 if N % 2 else 2
-    idx = [m for m in range(len(same.states)) if m % (N // f) == 0]
+    idx = [m for m in range(len(same.states)) if m % (N // math.gcd(2 * p, N)) == 0]
     mat = np.array([[oppo.states[j].overlap(same.states[i]) for j in idx] for i in idx])
     return idx, mat
 
@@ -231,17 +244,18 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
 
     Rank of the matrix of gz_state columns, singular values thresholded at
     rel_tol * sigma_max; a doubled grid must reproduce the rank, otherwise the
-    sampling is declared unstable.
+    sampling is declared unstable.  Each grid is one batch of product states.
     """
     system = SpinSystem(S, N)
     min_pts = int(round(4 * N * S)) + 4
+    q = commensurate_q(p, N, kappa)
+    table = _phase_table(chain_phases(N, q), q.modulus)
 
     def rank_for(grid):
-        cols = []
-        for g in grid:
-            spec = ScarSpec.make(helicity, p, float(g), kappa, N)
-            cols.append(gz_state(system, spec).amplitudes)
-        sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
+        angles = np.array([_table_angles(ScarSpec(helicity, p, float(g), float(kappa), q), table)
+                           for g in grid])
+        states = coherent_product_states(system, angles[:, 0], angles[:, 1])
+        sv = np.linalg.svd(states.T, compute_uv=False)
         return int(np.sum(sv > rel_tol * sv[0]))
 
     if gamma_grid is None:

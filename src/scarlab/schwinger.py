@@ -27,7 +27,9 @@ occupations, then a sorted-key lookup of the final states.
 
 from __future__ import annotations
 
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -166,19 +168,19 @@ def bilinear(basis: FockBasis, kind: str, m: int, n: int) -> sp.csr_matrix:
     if kind not in _KINDS:
         raise ScarlabError(f"unknown bilinear kind {kind!r}")
     if kind == "zeta":
-        return (basis.monomial([(m, UP, True), (n, UP, False)])
-                + basis.monomial([(m, DOWN, True), (n, DOWN, False)]))
+        return (basis.monomial(((m, UP, True), (n, UP, False)))
+                + basis.monomial(((m, DOWN, True), (n, DOWN, False))))
     if kind == "eta":
-        return (basis.monomial([(m, UP, False), (n, DOWN, False)])
-                - basis.monomial([(m, DOWN, False), (n, UP, False)]))
+        return (basis.monomial(((m, UP, False), (n, DOWN, False)))
+                - basis.monomial(((m, DOWN, False), (n, UP, False))))
     if kind == "epsilon":
-        return (basis.monomial([(m, UP, True), (n, DOWN, False)])
-                - basis.monomial([(m, DOWN, True), (n, UP, False)]))
+        return (basis.monomial(((m, UP, True), (n, DOWN, False)))
+                - basis.monomial(((m, DOWN, True), (n, UP, False))))
     if kind == "O1":
-        return (basis.monomial([(m, UP, True), (n, UP, False)])
-                - basis.monomial([(m, DOWN, False), (n, DOWN, False)]))
-    return (basis.monomial([(m, UP, True), (n, DOWN, False)])
-            + basis.monomial([(m, DOWN, True), (n, UP, False)]))
+        return (basis.monomial(((m, UP, True), (n, UP, False)))
+                - basis.monomial(((m, DOWN, False), (n, DOWN, False))))
+    return (basis.monomial(((m, UP, True), (n, DOWN, False)))
+            + basis.monomial(((m, DOWN, True), (n, UP, False))))
 
 
 def tau_prime(basis: FockBasis) -> sp.csr_matrix:
@@ -306,16 +308,19 @@ def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
     total = sp.csr_matrix((dim, dim), dtype=complex)
     cos_q, sin_q = math.cos(q0), math.sin(q0)
     for n, m in _chain_bonds(N, periodic=True):
-        z_nm = bilinear(enl, "zeta", n, m)
-        z_mn = bilinear(enl, "zeta", m, n)
-        e_nm = bilinear(enl, "eta", n, m)
-        e_mn = bilinear(enl, "eta", m, n)
-        o1_nm = bilinear(enl, "O1", n, m)
-        o1_mn = bilinear(enl, "O1", m, n)
-        o2_nm = bilinear(enl, "O2", n, m)
-        o2_mn = bilinear(enl, "O2", m, n)
-        eps_nm = bilinear(enl, "epsilon", n, m)
-        eps_mn = bilinear(enl, "epsilon", m, n)
+        # bilinear only calls .monomial; O1 and O2 reuse three of the bond's
+        # zeta and epsilon monomials each way, so each op tuple is built once
+        bond = SimpleNamespace(monomial=functools.cache(enl.monomial))
+        z_nm = bilinear(bond, "zeta", n, m)
+        z_mn = bilinear(bond, "zeta", m, n)
+        e_nm = bilinear(bond, "eta", n, m)
+        e_mn = bilinear(bond, "eta", m, n)
+        o1_nm = bilinear(bond, "O1", n, m)
+        o1_mn = bilinear(bond, "O1", m, n)
+        o2_nm = bilinear(bond, "O2", n, m)
+        o2_mn = bilinear(bond, "O2", m, n)
+        eps_nm = bilinear(bond, "epsilon", n, m)
+        eps_mn = bilinear(bond, "epsilon", m, n)
         total = total + (Jx * cos_q / 4.0) * (z_nm @ z_mn + e_nm.conj().T @ e_mn)
         total = total + (-0.5j * Jx * sin_q) * (
             o1_nm @ z_mn - o1_mn @ z_nm + o2_nm @ eps_mn - o2_mn @ eps_nm)

@@ -305,35 +305,44 @@ class SiteAngles:
         return cls(theta, phi)
 
 
-def _local_rotation(S: float, theta: float, phi: float) -> np.ndarray:
-    """d x d unitary rotating |S, S> to polar angle theta, azimuth phi.
+def _site_rotations(S: float, theta, phi) -> np.ndarray:
+    """exp(-i phi Sz) exp(-i theta Sy), stacked over the shape of theta and phi.
 
-    Built as exp(-i*phi*Sz) exp(-i*theta*Sy) through eigendecomposition of Sy,
-    exact for any S.  With this sign convention the single-site expectations
-    are (S sin(theta) cos(phi), S sin(theta) sin(phi), S cos(theta)).
+    Each rotates |S, S> to polar angle theta, azimuth phi, so the single-site
+    expectations are (S sin(theta) cos(phi), S sin(theta) sin(phi), S cos(theta));
+    exp(-i theta Sy) comes from one eigendecomposition of Sy, exact for any S.
     """
-    sx, sy, sz, _, _ = local_spin_matrices(S)
+    _, sy, sz, _, _ = local_spin_matrices(S)
     evals, evecs = np.linalg.eigh(sy)
+    theta, phi = np.asarray(theta, float)[..., None, None], np.asarray(phi, float)[..., None]
     rot_y = (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
-    rot_z = np.diag(np.exp(-1j * phi * np.diag(sz).real))
+    rot_z = np.zeros(rot_y.shape, dtype=complex)
+    diag = np.arange(len(evals))
+    rot_z[..., diag, diag] = np.exp(-1j * phi * np.diag(sz).real)
     return rot_z @ rot_y
 
 
-def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVector:
-    """Unit-norm spin-coherent product state with per-site Bloch angles.
+def coherent_product_states(system: SpinSystem, theta, phi) -> np.ndarray:
+    """(G, d^N) unit-norm spin-coherent product states from (G, N) Bloch angles.
 
-    Site n points along (sin(theta_n) cos(phi_n), sin(theta_n) sin(phi_n),
-    cos(theta_n)); helicity enters through the sign of the phi sequence.
+    Site n of row g points along theta[g, n], phi[g, n]; helicity enters through
+    the sign of phi.  Each site vector is its rotation times |S, S> (a matvec: a
+    column slice would keep the sign of zero entries), joined highest site first
+    by the broadcast outer products np.kron takes (site 0 least significant).
     """
-    if len(angles.theta) != system.N:
-        raise DimensionMismatch("angle sequences must have length N")
-    up = np.zeros(system.local_dim, dtype=complex)
-    up[0] = 1.0
-    full = np.array([1.0 + 0.0j])
-    for n in range(system.N - 1, -1, -1):   # site 0 least significant
-        v = _local_rotation(system.S, angles.theta[n], angles.phi[n]) @ up
-        full = np.kron(full, v)
-    return StateVector(system, full)
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if theta.ndim != 2 or theta.shape != phi.shape or theta.shape[1] != system.N:
+        raise DimensionMismatch(f"angle arrays must both have shape (G, {system.N})")
+    vecs = _site_rotations(system.S, theta, phi) @ np.eye(system.local_dim, dtype=complex)[0]
+    full = np.ones((len(theta), 1), dtype=complex)
+    for n in range(system.N - 1, -1, -1):
+        full = (full[:, :, None] * vecs[:, n, None, :]).reshape(len(theta), -1)
+    return full
+
+
+def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVector:
+    """One coherent product state: coherent_product_states with G = 1."""
+    return StateVector(system, coherent_product_states(system, [angles.theta], [angles.phi])[0])
 
 
 def product_rotation(angles: SiteAngles, system: SpinSystem, dagger: bool = False,
@@ -346,8 +355,7 @@ def product_rotation(angles: SiteAngles, system: SpinSystem, dagger: bool = Fals
     if system.total_dim > dim_cap:
         raise DimensionCap(f"product rotation dense at dim {system.total_dim} > {dim_cap}")
     full = np.array([[1.0 + 0.0j]])
-    for n in range(system.N - 1, -1, -1):
-        u = _local_rotation(system.S, angles.theta[n], angles.phi[n])
+    for u in _site_rotations(system.S, angles.theta, angles.phi)[::-1]:
         full = np.kron(full, u)
     if dagger:
         full = full.conj().T

@@ -65,6 +65,15 @@ def test_projections_subcommand(tmp_path):
                 "--p", "1", "--kappa", "0.8"]) == EXIT_OK
 
 
+def test_projections_skips_every_shared_state(tmp_path):
+    # at p = 2, N = 4, 2mp/N is an integer for every m: the towers share every
+    # state, and counting them in P- would break P+ + P- <= 1
+    assert run(["--out", str(tmp_path), "projections", "--N", "4", "--S", "1/2",
+                "--p", "2", "--kappa", "0.5", "--gammas", "0.2"]) == EXIT_OK
+    row = (tmp_path / "projections.csv").read_text().splitlines()[1].split(",")
+    assert float(row[1]) + float(row[2]) <= 1.0 + 1e-12
+
+
 def test_negative_comma_list_values(tmp_path):
     out = str(tmp_path)
     assert run(["--out", out, "projections", "--N", "5", "--S", "1",

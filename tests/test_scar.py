@@ -118,6 +118,16 @@ def test_projections_limits_and_budget():
             prev = p_same
 
 
+@pytest.mark.parametrize("N,p", [(N, p) for N in range(3, 9) for p in range(1, N)])
+def test_opposite_tower_weight_vanishes_at_kappa_zero(N, p):
+    # the shared stride N / gcd(2p, N) skips every opposite-tower state the
+    # helical scar touches, also when gcd(2p, N) > 2
+    for gamma in (0.2, 0.7):
+        p_same, p_oppo = projections(N, 0.5, p, 0.0, gamma)
+        assert p_same == pytest.approx(1.0, abs=1e-10)
+        assert p_oppo <= 1e-28
+
+
 def test_shared_states_between_towers():
     idx, mat = shared_state_overlaps(6, 0.5, 1)
     # ends of the tower are the fully polarized states, shared exactly
@@ -132,6 +142,34 @@ def test_span_rank_bounds():
     ranks = [span_rank(N, S, k) for k in (0.2, 0.5, 0.8)]
     assert all(r <= int(round(4 * N * S)) for r in ranks)
     assert len(set(ranks + [15])) >= 2
+
+
+def _span_rank_per_column(N, S, kappa, helicity=+1, p=1, rel_tol=1e-8):
+    """Reference: one ScarSpec.make and one gz_state per gamma, doubling audit kept."""
+    system = SpinSystem(S, N)
+    min_pts = int(round(4 * N * S)) + 4
+
+    def grid(count):
+        nodes = np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))
+        return 0.99 * nodes
+
+    def rank_for(gammas):
+        cols = [gz_state(system, ScarSpec.make(helicity, p, float(g), kappa, N)).amplitudes
+                for g in gammas]
+        sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
+        return int(np.sum(sv > rel_tol * sv[0]))
+
+    r1, r2 = rank_for(grid(2 * min_pts)), rank_for(grid(4 * min_pts))
+    assert r1 == r2
+    return r1
+
+
+@pytest.mark.parametrize("N,S", [(6, 0.5), (5, 1.0), (4, 1.5)])
+def test_span_rank_matches_per_column_reference(N, S):
+    for kappa in (0.0, 0.35, 0.85):
+        for helicity, p in ((+1, 1), (-1, 2)):
+            assert span_rank(N, S, kappa, helicity, p) == _span_rank_per_column(
+                N, S, kappa, helicity, p)
 
 
 def test_span_rank_rejects_small_grid():
@@ -182,6 +220,50 @@ def test_site_angles_bit_identical_to_per_site_evaluation():
                        [q.fraction * k for k in (-9, -1, 0, 3, 7, 7, 22)]):
             angles = site_angles(spec, phases)
             assert (angles.theta, angles.phi) == _site_angles_per_site(spec, phases)
+
+
+def _site_angles_fraction_loop(spec, phases):
+    """Reference: the Fraction loop with a dict of reduced phases."""
+    two_pi = 2.0 * math.pi
+    local_angles = {}
+    thetas, phis = [], []
+    for frac in phases:
+        winding = math.floor(frac)
+        reduced = frac - winding
+        if reduced not in local_angles:
+            sn, cn, dn = jacobi_fraction(reduced, spec.q.modulus)
+            ux, uy = spec.alpha * cn, spec.beta * sn
+            local = math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0
+            local_angles[reduced] = (math.acos(max(-1.0, min(1.0, spec.gamma * dn))), local)
+        theta, local = local_angles[reduced]
+        thetas.append(theta)
+        phis.append(spec.helicity * (two_pi * winding + local))
+    return tuple(thetas), tuple(phis)
+
+
+def _phase_sets(q):
+    yield chain_phases(13, q)
+    for g in (lieb(3, 3), square_shifted(4, 3), nnn_chain(12)):
+        if check_circuit_rule(g, q).satisfied:
+            yield assign_site_phases(g, q)
+
+
+@pytest.mark.parametrize("kappa,gamma", [(0.0, -1.0), (0.0, 0.0), (0.0, 1.0),
+                                         (0.45, 0.3), (0.9, -0.75)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("helicity", [+1, -1])
+def test_site_angles_bit_identical_to_fraction_loop(kappa, gamma, p, helicity):
+    counted = 0
+    for denom in (13, 12, 6, 4, 3):
+        q = commensurate_q(p, denom, kappa)
+        spec = ScarSpec(helicity=helicity, p=p, gamma=gamma, kappa=kappa, q=q)
+        for phases in _phase_sets(q):
+            angles = site_angles(spec, phases)
+            theta, phi = _site_angles_fraction_loop(spec, phases)
+            assert np.array(angles.theta).tobytes() == np.array(theta).tobytes()
+            assert np.array(angles.phi).tobytes() == np.array(phi).tobytes()
+            counted += 1
+    assert counted >= 8
 
 
 # every generator at ED size, with the spin per graph

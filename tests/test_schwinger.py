@@ -2,11 +2,13 @@
 
 import math
 from itertools import product as iter_product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scarlab import schwinger
 from scarlab.errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
 from scarlab.schwinger import (DOWN, UP, FockBasis, annihilator_report,
                                bilinear, decomposition_check,
@@ -220,3 +222,23 @@ def test_key_overflow_and_missing_states_raise():
     # enlarged states with a site total above 2S are not in the constrained basis
     with pytest.raises(DimensionMismatch):
         FockBasis(2, 0.5, mode="enlarged").embed_into(FockBasis(2, 0.5))
+
+
+@pytest.mark.parametrize("N,S,q0", [(5, 0.5, 2 * math.pi / 5), (4, 1.0, 0.7)])
+def test_decomposition_check_computes_each_bond_monomial_once(monkeypatch, N, S, q0):
+    calls = []
+    raw = FockBasis.monomial
+
+    def counted(self, ops):
+        calls.append(tuple(ops))
+        return raw(self, ops)
+
+    monkeypatch.setattr(FockBasis, "monomial", counted)
+    memoized = decomposition_check(N, S, q0)
+    # 10 bilinears of 2 monomials per bond, 6 of which O1 and O2 repeat
+    assert len(calls) == 14 * N and len(set(calls)) == len(calls)
+    # reference: every bilinear straight from the basis, 20 monomials per bond
+    monkeypatch.setattr(schwinger, "functools", SimpleNamespace(cache=lambda fn: fn))
+    calls.clear()
+    assert decomposition_check(N, S, q0) == memoized
+    assert len(calls) == 20 * N

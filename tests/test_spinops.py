@@ -11,7 +11,7 @@ from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
                             SiteOutOfRange)
 from scarlab.spinops import (SiteAngles, SpinSystem,
                              all_down, all_up, apply_sum, basis_state,
-                             coherent_product_state, embed,
+                             coherent_product_state, coherent_product_states, embed,
                              entanglement_entropy, expectation,
                              local_spin_matrices, local_sum, product_rotation,
                              site_spin_expectations, two_site)
@@ -191,3 +191,65 @@ def test_dimension_guards():
     big = SpinSystem(0.5, 13)
     with pytest.raises(DimensionCap):
         product_rotation(SiteAngles((0.1,) * 13, (0.0,) * 13), big)
+
+
+def _local_rotation_reference(S, theta, phi):
+    """Reference: one site's exp(-i phi Sz) exp(-i theta Sy), from its own eigh(Sy)."""
+    sx, sy, sz, _, _ = local_spin_matrices(S)
+    evals, evecs = np.linalg.eigh(sy)
+    rot_y = (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
+    rot_z = np.diag(np.exp(-1j * phi * np.diag(sz).real))
+    return rot_z @ rot_y
+
+
+def _coherent_state_kron(theta, phi, system):
+    """Reference: the per-site rotation applied to |S, S>, joined by np.kron."""
+    up = np.zeros(system.local_dim, dtype=complex)
+    up[0] = 1.0
+    full = np.array([1.0 + 0.0j])
+    for n in range(system.N - 1, -1, -1):   # site 0 least significant
+        full = np.kron(full, _local_rotation_reference(system.S, theta[n], phi[n]) @ up)
+    return full
+
+
+ANGLE = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
+                  st.floats(-50.0, 50.0, allow_nan=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(S=st.sampled_from([0.5, 1.0, 1.5, 2.5]), N=st.integers(1, 6), G=st.integers(1, 5),
+       data=st.data())
+def test_batched_states_bit_identical_to_kron_reference(S, N, G, data):
+    system = SpinSystem(S, N)
+    theta = data.draw(st.lists(st.lists(ANGLE, min_size=N, max_size=N), min_size=G, max_size=G))
+    phi = data.draw(st.lists(st.lists(ANGLE, min_size=N, max_size=N), min_size=G, max_size=G))
+    got = coherent_product_states(system, theta, phi)
+    assert got.shape == (G, system.total_dim)
+    for g in range(G):
+        assert got[g].tobytes() == _coherent_state_kron(theta[g], phi[g], system).tobytes()
+    single = coherent_product_state(SiteAngles(tuple(theta[0]), tuple(phi[0])), system)
+    assert single.amplitudes.tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("S,N", [(0.5, 5), (1.5, 3)])
+def test_product_rotation_bit_identical_to_kron_reference(S, N):
+    system = SpinSystem(S, N)
+    theta = RNG.uniform(0.0, math.pi, N)
+    phi = RNG.uniform(-math.pi, math.pi, N)
+    want = np.array([[1.0 + 0.0j]])
+    for n in range(N - 1, -1, -1):
+        want = np.kron(want, _local_rotation_reference(S, theta[n], phi[n]))
+    got = product_rotation(SiteAngles.make(theta, phi), system).dense()
+    assert np.array_equal(got, want)
+
+
+def test_batched_states_check_shapes():
+    system = SpinSystem(1.0, 3)
+    with pytest.raises(DimensionMismatch):
+        coherent_product_states(system, np.zeros((2, 4)), np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatch):
+        coherent_product_states(system, np.zeros((2, 3)), np.zeros((1, 3)))
+    with pytest.raises(DimensionMismatch):
+        coherent_product_states(system, np.zeros(3), np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        coherent_product_state(SiteAngles((0.1,) * 2, (0.0,) * 2), system)
