@@ -254,12 +254,12 @@ def cmd_degeneracy_scan(args, log: CheckLog) -> int:
 
 
 def cmd_projections(args, log: CheckLog) -> int:
-    from .scar import projections
+    from .scar import projection_table
     gammas = _parse_floats(args.gammas)
     rows = []
     ok_budget = True
-    for gamma in gammas:
-        p_same, p_oppo = projections(args.N, args.S, args.p, args.kappa, gamma)
+    for gamma, (p_same, p_oppo) in zip(gammas, projection_table(args.N, args.S, args.p,
+                                                                 args.kappa, gammas)):
         rows.append([gamma, repr(p_same), repr(p_oppo)])
         if p_same + p_oppo > 1.0 + 1e-12:
             ok_budget = False
@@ -306,7 +306,7 @@ def cmd_lattice_check(args, log: CheckLog) -> int:
         log.info("circuit rule", "not checked: needs --p and --denominator")
     cls = classify(g)
     log.info("classification", cls)
-    rows = [[g.num_vertices, len(g.edges), cls]]
+    rows = [[g.num_vertices, g.num_edges, cls]]
     _write_outputs(args.out, "lattice_check", ["vertices", "edges", "classification"],
                    rows, vars(args))
     return log.exit_code
@@ -320,7 +320,7 @@ def cmd_lattice_generate(args, log: CheckLog) -> int:
     path = os.path.join(args.out, f"{args.kind}.json")
     with open(path, "w") as fh:
         fh.write(g.to_json())
-    log.check("generated", True, f"{g.num_vertices} vertices, {len(g.edges)} edges")
+    log.check("generated", True, f"{g.num_vertices} vertices, {g.num_edges} edges")
     print(f"wrote {path}")
     return log.exit_code
 

@@ -14,6 +14,9 @@ arithmetic on the rational tag q/(4K) = p/denominator.  It runs on integer
 tree potentials from one BFS, so each chord's cycle costs O(1) and the rule
 and the site phases cost O(edges); no cycle is walked.
 
+A graph is a set of numpy edge columns (u, v, sigma, kind, r, J, crossing);
+validation, the rules and the generators work on whole columns.
+
 On toroidal graphs the cycles that wrap the boundary are allowed a nonzero
 winding (they only restrict the admissible q); the lattice-independence
 classification constrains contractible cycles alone.  Each edge therefore
@@ -22,13 +25,16 @@ carries a boundary-crossing vector so cycle contractibility is computable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .elliptic import CommensurateQ
 from .errors import DisconnectedGraph, InconsistentPhases, InvalidGraph, UnsupportedDims
@@ -43,8 +49,6 @@ CLASS_UNKNOWN = "Unknown"
 
 SIGMA_SEARCH_CAP = 30   # exact sigma-assignment search above this many CSSE edges
 
-_KIND_SIGMAS = {(SU2, 0), (CSSE, 1), (CSSE, -1)}
-
 
 class Edge(NamedTuple):
     u: int
@@ -56,96 +60,211 @@ class Edge(NamedTuple):
     crossing: tuple = (0, 0)   # boundary-wrap counts (x, y)
 
 
-@dataclass
 class ScarGraph:
-    num_vertices: int
-    edges: list
-    boundary: dict = field(default_factory=lambda: {"type": "none"})
+    """A graph held as read-only numpy edge columns, row i describing edge i.
 
-    def __post_init__(self):
-        """Reject invalid edges: whole-column checks, then a per-edge walk only on failure."""
-        us, vs, sigmas, kinds, rs, _, _ = zip(*self.edges) if self.edges else ((),) * 7
-        n, ends = self.num_vertices, us + vs
-        keys = {u * n + v for u, v in zip(us, vs)}   # unique once in range; no tuple per edge
-        if not (any(map(eq, us, vs)) or min(ends, default=0) < 0 or max(ends, default=-1) >= n
-                or len(keys) < len(us) or not keys.isdisjoint([v * n + u for u, v in zip(us, vs)])
-                or not set(zip(kinds, sigmas)) <= _KIND_SIGMAS or min(rs, default=1) < 1):
-            return
-        seen = set()      # the walk names the first invalid edge
-        for e in self.edges:
-            if e.u == e.v:
-                raise InvalidGraph(f"self-loop at vertex {e.u}")
-            if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
-                raise InvalidGraph(f"edge ({e.u},{e.v}) outside vertex range")
-            key = (min(e.u, e.v), max(e.u, e.v))
-            if key in seen:
-                raise InvalidGraph(f"duplicate edge {key}")
-            seen.add(key)
-            if e.kind == SU2:
-                if e.sigma != 0:
-                    raise InvalidGraph("SU(2) edges must carry sigma = 0")
-            elif e.kind == CSSE:
-                if e.sigma not in (-1, 1):
-                    raise InvalidGraph("CSSE edges must carry sigma = +1 or -1")
-            else:
-                raise InvalidGraph(f"unknown edge kind {e.kind!r}")
-            if e.r < 1:
-                raise InvalidGraph("multiplier r must be >= 1")
+    u, v, sigma and r are int64, kind an object array of strings, J float64
+    and crossing an (m, 2) int64 array; r and crossing fall back to Python-int
+    objects for values beyond 64 bits.  `edges` rebuilds the Edge records
+    (once, on first use) for small-graph consumers.
+    """
 
-    def adjacency(self):
-        """Per-vertex list of (edge_index, direction) with direction +1 for u->v."""
-        adj = [[] for _ in range(self.num_vertices)]
-        for i, e in enumerate(self.edges):
-            adj[e.u].append((i, +1))
-            adj[e.v].append((i, -1))
-        return adj
+    def __init__(self, num_vertices: int, edges=(), boundary: dict | None = None):
+        """edges: Edge records, or a dict of columns keyed by Edge field, in which
+        kind, r and J may be scalars and kind, r, J and crossing may be left out."""
+        if not isinstance(edges, dict):
+            edges = list(edges)
+            edges = dict(zip(Edge._fields, zip(*edges))) if edges else {}
+        m = len(edges.get("u", ()))
+        cols = {"u": (), "v": (), "sigma": (), **edges}
+        for k in ("kind", "r", "J"):
+            c = cols.get(k, Edge._field_defaults[k])
+            cols[k] = [c] * m if np.isscalar(c) else c
+        self.num_vertices = num_vertices
+        self.boundary = {"type": "none"} if boundary is None else boundary
+        self.u, self.v, self.sigma, self.r = (_int_column(cols[k], k)
+                                              for k in ("u", "v", "sigma", "r"))
+        self.crossing = _crossing_column(cols.get("crossing", np.zeros((m, 2))), m)
+        self.kind = np.array(cols["kind"], dtype=object).reshape(m)
+        self.J = np.array(cols["J"], dtype=float).reshape(m)
+        _check_edges(num_vertices, self.u, self.v, self.sigma, self.kind, self.r)
+        self.u, self.v, self.sigma = (c.astype(np.int64, copy=False)
+                                      for c in (self.u, self.v, self.sigma))
+        for c in self.columns.values():
+            c.flags.writeable = False
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.u)
+
+    @property
+    def columns(self) -> dict:
+        return {k: getattr(self, k) for k in Edge._fields}
+
+    @functools.cached_property
+    def edges(self) -> list:
+        """The edges as Edge records of Python scalars."""
+        rows = zip(*(self.columns[k].tolist() for k in Edge._fields[:-1]),
+                   map(tuple, self.crossing.tolist()))
+        return list(map(functools.partial(tuple.__new__, Edge), rows))   # no per-edge __new__
 
     def to_json(self) -> str:
-        """One compact JSON document; json.dumps without indent runs the C encoder."""
+        """One compact JSON document, the edges as one object of seven columns."""
         return json.dumps({"vertices": self.num_vertices,
-                           "edges": [e._asdict() for e in self.edges],
+                           "edges": {k: c.tolist() for k, c in self.columns.items()},
                            "boundary": dict(self.boundary)})
 
     @classmethod
     def from_json(cls, text: str) -> "ScarGraph":
+        """Read a graph file: edges as one object of columns, or as a list of edge records.
+
+        Both layouts go through the same column checks, in the order the
+        record reader always made them.  A record may omit r, J and crossing
+        (inferred from grid numbering), a column document the r, J and
+        crossing columns.
+        """
         doc = json.loads(text)
-        if not (isinstance(doc, dict) and isinstance(doc.get("edges"), list)
+        if not (isinstance(doc, dict) and isinstance(doc.get("edges"), (list, dict))
                 and isinstance(doc.get("boundary", {}), dict)):
             raise InvalidGraph("graph file: expected an object with an 'edges' list "
                                "and an optional 'boundary' object")
         boundary = dict(doc.get("boundary", {"type": "none"}))
-        recs = doc["edges"]
-        if not all(type(rec) is dict for rec in recs):
-            raise InvalidGraph("graph file: every edge must be an object")
-        if not all(type(rec["crossing"]) is list and len(rec["crossing"]) == 2
-                   for rec in recs if "crossing" in rec):
+        edges = doc["edges"]
+        if isinstance(edges, list):
+            if not all(type(rec) is dict for rec in edges):
+                raise InvalidGraph("graph file: every edge must be an object")
+            column = functools.partial(_record_column, edges)
+        else:
+            _check_document(edges)
+            column = functools.partial(_document_column, edges)
+        crossing = column("crossing")
+        if not all(c is _MISSING or (type(c) is list and len(c) == 2) for c in crossing):
             raise InvalidGraph("graph file: every 'crossing' must be a list of two integers")
-        (n,) = _strict_ints([doc["vertices"]], "vertices")
-        us, vs, sigmas = (_strict_ints(map(itemgetter(k), recs), k) for k in ("u", "v", "sigma"))
-        rs = _strict_ints([rec.get("r", 1) for rec in recs], "r")
-        crossings = [tuple(rec["crossing"]) if "crossing" in rec
-                     else _infer_crossing(u, v, n, boundary) for rec, u, v in zip(recs, us, vs)]
-        if not set(map(type, itertools.chain.from_iterable(crossings))) <= {int}:
-            crossings = [tuple(_strict_ints(c, "crossing")) for c in crossings]
-        edges = list(map(Edge, us, vs, sigmas, map(str, map(itemgetter("kind"), recs)), rs,
-                         map(float, [rec.get("J", 1.0) for rec in recs]), crossings))
-        return cls(num_vertices=n, edges=edges, boundary=boundary)
+        n = int(_int_column([doc["vertices"]], "vertices", _FILE)[0])
+        u, v, sigma, r = (_int_column(column(k), k, _FILE) for k in ("u", "v", "sigma", "r"))
+        missing = [c is _MISSING for c in crossing]
+        if any(missing):
+            inferred = _infer_crossing(u, v, n, boundary).tolist()
+            crossing = [i if miss else c for c, i, miss in zip(crossing, inferred, missing)]
+        crossing = _crossing_column(crossing, len(u), _FILE)
+        kind, J = list(map(str, column("kind"))), column("J")
+        if not set(map(type, J)) <= {float}:
+            J = list(map(_float, J))
+        return cls(n, dict(u=u, v=v, sigma=sigma, kind=kind, r=r, J=J, crossing=crossing),
+                   boundary)
 
 
-def _strict_ints(values, name) -> list:
-    """values as a list of ints; a non-integral value (1.7, "1", null) is invalid input."""
-    values = list(values)
+_FILE = "graph file: "
+_MISSING = object()     # a record without a crossing: inferred from grid numbering
+
+
+def _record_column(recs, name) -> list:
+    """One column of per-record edges; u, v, sigma and kind are required (KeyError)."""
+    if name == "kind":
+        try:
+            return list(map(itemgetter("kind"), recs))
+        except KeyError:    # raise what a record-by-record read meets first: kind, then J
+            for rec in recs:
+                rec["kind"], _float(rec.get("J", 1.0))
+    if name == "crossing":
+        return [rec.get("crossing", _MISSING) for rec in recs]
+    if name in Edge._field_defaults:
+        return [rec.get(name, Edge._field_defaults[name]) for rec in recs]
+    return list(map(itemgetter(name), recs))
+
+
+def _check_document(cols) -> None:
+    """An edges object holds u, v, sigma and kind, and every column is a list of one length."""
+    for k in ("u", "v", "sigma", "kind"):
+        if k not in cols:
+            raise InvalidGraph(f"graph file: the 'edges' object has no {k!r} column")
+    m = len(cols["u"]) if type(cols["u"]) is list else 0
+    for k in Edge._fields:
+        if k in cols and type(cols[k]) is not list:
+            raise InvalidGraph(f"graph file: edge column {k!r} must be a list")
+        if k in cols and len(cols[k]) != m:
+            raise InvalidGraph(f"graph file: edge column {k!r} has {len(cols[k])} entries, "
+                               f"'u' has {m}")
+
+
+def _document_column(cols, name) -> list:
+    """One column of a checked edges object; a missing optional column takes the default."""
+    if name in cols:
+        return cols[name]
+    return [_MISSING if name == "crossing" else Edge._field_defaults[name]] * len(cols["u"])
+
+
+def _float(value) -> float:
     try:
-        ints = list(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != values:
-        raise InvalidGraph(f"graph file: every {name!r} must be an integer")
-    return ints
+        return float(value)
+    except (TypeError, OverflowError):
+        raise InvalidGraph(f"graph file: every 'J' must be a number, got {value!r}") from None
 
 
-def _infer_crossing(u, v, num_vertices, boundary) -> tuple:
-    """Reconstruct boundary crossings for plain-grid vertex numbering.
+def _int_column(values, name, source="") -> np.ndarray:
+    """values as an int64 array (Python-int objects beyond 64 bits).
+
+    A non-integral value (1.7, "1", null) is invalid input, named by column.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iub":
+        return values.astype(np.int64)
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        try:
+            ints = list(map(int, values))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != values:
+            raise InvalidGraph(f"{source}every {name!r} must be an integer")
+        values = ints
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _crossing_column(values, m, source="") -> np.ndarray:
+    """The (m, 2) crossing column from an array or from m integer pairs."""
+    if isinstance(values, np.ndarray):
+        values = values.reshape(-1)
+    else:
+        values = itertools.chain.from_iterable(values)
+    return _int_column(values, "crossing", source).reshape(m, 2)
+
+
+def _check_edges(n, u, v, sigma, kind, r) -> None:
+    """Reject invalid edges, naming the first one in edge order.
+
+    Per edge the checks run in a fixed order (self-loop, vertex range,
+    duplicate of an earlier edge, sigma for the kind, kind, multiplier), so
+    the message is the one an edge-by-edge walk would give.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loop = u == v
+    outside = (lo < 0) | (hi >= n)
+    dup = np.zeros(len(u), dtype=bool)
+    ok = np.flatnonzero(~(loop | outside))
+    if ok.size > 1:     # a stable sort by (lo, hi) puts the earlier of two equal edges first
+        ok = ok[np.lexsort((hi[ok].astype(np.int64), lo[ok].astype(np.int64)))]
+        same = (lo[ok[1:]] == lo[ok[:-1]]) & (hi[ok[1:]] == hi[ok[:-1]])
+        dup[ok[1:][same]] = True
+    su2, csse = kind == SU2, kind == CSSE
+    checks = (loop, outside, dup, su2 & (sigma != 0), csse & (sigma != 1) & (sigma != -1),
+              ~(su2 | csse), r < 1)
+    bad = np.logical_or.reduce(checks)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    ui, vi = u[i], v[i]
+    messages = (f"self-loop at vertex {ui}", f"edge ({ui},{vi}) outside vertex range",
+                f"duplicate edge ({min(ui, vi)}, {max(ui, vi)})",
+                "SU(2) edges must carry sigma = 0", "CSSE edges must carry sigma = +1 or -1",
+                f"unknown edge kind {kind[i]!r}", "multiplier r must be >= 1")
+    raise InvalidGraph(next(msg for check, msg in zip(checks, messages) if check[i]))
+
+
+def _infer_crossing(u, v, num_vertices, boundary) -> np.ndarray:
+    """Reconstruct (m, 2) boundary crossings for plain-grid vertex numbering.
 
     Only applies when vertices are numbered v = x + nx*y on a torus; other
     encodings get (0, 0), which is the conservative choice (every cycle is
@@ -153,82 +272,117 @@ def _infer_crossing(u, v, num_vertices, boundary) -> tuple:
     y-wrap on a shifted torus lands `shift` columns left; that is undone first.
     """
     if boundary.get("type") not in ("toroidal", "toroidal_shifted"):
-        return (0, 0)
+        return np.zeros((len(u), 2), dtype=np.int64)
     nx, ny = int(boundary.get("nx", 0)), int(boundary.get("ny", 0))
     if nx * ny != num_vertices or nx < 2 or ny < 1:
-        return (0, 0)
+        return np.zeros((len(u), 2), dtype=np.int64)
+    shift = int(boundary.get("shift", 0))
+    if abs(shift) >= 2 ** 31:       # keep wy * shift exact
+        u, v = u.astype(object), v.astype(object)
     wy = _wrap_count(u // nx, v // nx, ny)
-    return (_wrap_count(u % nx, v % nx + wy * int(boundary.get("shift", 0)), nx), wy)
+    return np.column_stack([_wrap_count(u % nx, v % nx + wy * shift, nx), wy])
 
 
-def _wrap_count(a, b, n) -> int:
+def _wrap_count(a, b, n):
     """Wraps crossed going from coordinate a to b, minimal-step assumption."""
     if n < 3:
-        return 0
+        return 0 * a
     d = b - a
     dmin = (d + n // 2) % n - n // 2   # minimal-magnitude representative
     return (dmin - d) // n
 
 
+def vertex_flow(g: ScarGraph) -> np.ndarray:
+    """Net sigma flow out of each vertex: +sigma at u, -sigma at v of every edge."""
+    n = g.num_vertices
+    return np.bincount(g.u, g.sigma, n) - np.bincount(g.v, g.sigma, n)
+
+
 def check_vertex_rule(g: ScarGraph) -> list:
     """Vertices where the signed sigma flow does not balance."""
-    flow = [0] * g.num_vertices
-    for e in g.edges:
-        flow[e.u] += e.sigma
-        flow[e.v] -= e.sigma
-    return [n for n, s in enumerate(flow) if s != 0]
+    return np.flatnonzero(vertex_flow(g)).tolist()
 
 
-def _spanning_tree(g: ScarGraph, root: int = 0):
-    """BFS tree: (parent edge (edge_idx, dir) per vertex, chords, potentials).
+class _Tree(NamedTuple):
+    parent: np.ndarray      # half-edge each vertex was reached by, -1 at the root
+    chords: np.ndarray      # non-tree edges, ascending
+    winding: np.ndarray     # sum(d*sigma*r) along the tree path root -> n
+    crossing: np.ndarray    # (n, 2) summed crossing vectors along the same path
 
-    The potentials winding[n] = sum(d*sigma*r) and crossing[n] (summed crossing
-    vectors) run along the tree path root -> n, so the cycle closed by chord
-    (u, v) has winding sigma*r + winding[u] - winding[v], likewise crossing.
+
+def _half_edges(a, b) -> np.ndarray:
+    """Interleaved per-half-edge values: a[i] at 2i (u_i -> v_i), b[i] at 2i+1 (v_i -> u_i)."""
+    return np.stack([a, b], axis=1).reshape(-1, *np.shape(a)[1:])
+
+
+def _spanning_tree(g: ScarGraph, root: int = 0) -> _Tree:
+    """BFS tree over flat CSR half-edges, with integer tree potentials.
+
+    Half-edge 2i runs u_i -> v_i (direction +1) and 2i+1 runs v_i -> u_i.  One
+    stable argsort by start vertex keeps each vertex's half-edges in edge
+    order, the order its adjacency list had, so the walk reaches every vertex
+    by the same edge as the per-edge BFS.  The potentials winding[n] and
+    crossing[n] run along the tree path root -> n, so the cycle closed by chord
+    (u, v) has winding sigma*r + winding[u] - winding[v], likewise crossing;
+    they are summed by pointer jumping, exactly (in Python ints when int64
+    could overflow).
     """
-    adj = g.adjacency()
-    parent, winding, crossing = ([None] * g.num_vertices for _ in range(3))
-    winding[root], crossing[root] = 0, (0, 0)
-    in_tree = [False] * len(g.edges)
-    order = [root]
-    for n in order:             # order grows while it is walked: a BFS queue
-        wn, (cx, cy) = winding[n], crossing[n]
-        for ei, dirn in adj[n]:
-            e = g.edges[ei]
-            m = e.v if dirn > 0 else e.u
-            if winding[m] is None:
-                winding[m] = wn + dirn * e.sigma * e.r
-                crossing[m] = (cx + dirn * e.crossing[0], cy + dirn * e.crossing[1])
-                parent[m] = (ei, dirn)
-                in_tree[ei] = True
-                order.append(m)
-    if len(order) < g.num_vertices:
-        raise DisconnectedGraph(
-            f"{g.num_vertices - len(order)} vertices unreachable from vertex {root}")
-    chords = [i for i, t in enumerate(in_tree) if not t]
-    return parent, chords, winding, crossing
+    n = g.num_vertices
+    start = _half_edges(g.u, g.v)
+    order = np.argsort(start, kind="stable")
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(start, minlength=n), out=ptr[1:])
+    ptr, far, half = ptr.tolist(), _half_edges(g.v, g.u)[order].tolist(), order.tolist()
+    parent = [-1] * n
+    seen = bytearray(n)
+    seen[root] = 1
+    visit = [root]
+    for x in visit:             # visit grows while it is walked: a BFS queue
+        for k in range(ptr[x], ptr[x + 1]):
+            y = far[k]
+            if not seen[y]:
+                seen[y] = 1
+                parent[y] = half[k]
+                visit.append(y)
+    if len(visit) < n:
+        raise DisconnectedGraph(f"{n - len(visit)} vertices unreachable from vertex {root}")
+    parent = np.array(parent, dtype=np.int64)
+    step = np.column_stack([g.sigma * g.r, g.crossing])          # per edge, direction +1
+    step = _half_edges(step, -step)
+    if step.dtype != object and int(np.abs(step).max(initial=0)) * (2 * n + 2) >= 2 ** 63:
+        step = step.astype(object)
+    tree = parent >= 0
+    pot = np.zeros((n, 3), dtype=step.dtype)
+    pot[tree] = step[parent[tree]]
+    anc = np.full(n, root)
+    anc[tree] = start[parent[tree]]
+    while (anc != root).any():  # pot[x] sums the path anc[x] -> x; double it until the root
+        pot += pot[anc]
+        anc = anc[anc]
+    in_tree = np.zeros(g.num_edges, dtype=bool)
+    in_tree[parent[tree] >> 1] = True
+    return _Tree(parent, np.flatnonzero(~in_tree), pot[:, 0], pot[:, 1:])
 
 
 def _root_path(g: ScarGraph, parent, n):
     """Edge walk (edge_idx, dir) from the tree root down to vertex n."""
     path = []
-    while parent[n] is not None:
-        ei, dirn = parent[n]
-        path.append((ei, dirn))
-        e = g.edges[ei]
-        n = e.u if dirn > 0 else e.v
+    while parent[n] >= 0:
+        ei, back = divmod(parent[n], 2)
+        path.append((ei, 1 - 2 * back))
+        n = g.v[ei] if back else g.u[ei]
     path.reverse()
     return path
 
 
 def fundamental_cycles(g: ScarGraph) -> list:
     """One cycle per non-tree edge, each a list of (edge_index, direction)."""
-    parent, chords, _, _ = _spanning_tree(g)
+    tree = _spanning_tree(g)
+    parent = tree.parent.tolist()
     cycles = []
-    for ci in chords:
-        e = g.edges[ci]
-        to_u = _root_path(g, parent, e.u)
-        to_v = _root_path(g, parent, e.v)
+    for ci in tree.chords.tolist():
+        to_u = _root_path(g, parent, g.u[ci])
+        to_v = _root_path(g, parent, g.v[ci])
         k = 0
         while k < len(to_u) and k < len(to_v) and to_u[k] == to_v[k]:
             k += 1
@@ -241,14 +395,20 @@ def fundamental_cycles(g: ScarGraph) -> list:
 
 
 def cycle_crossing(g: ScarGraph, cycle) -> tuple:
-    wx = sum(d * g.edges[ei].crossing[0] for ei, d in cycle)
-    wy = sum(d * g.edges[ei].crossing[1] for ei, d in cycle)
+    idx, d = np.array(cycle).T
+    wx, wy = (d[:, None] * g.crossing[idx]).sum(axis=0).tolist()
     return (wx, wy)
 
 
-def _chord_winding(e: Edge, winding) -> int:
-    """Winding of the fundamental cycle closed by chord e."""
-    return e.sigma * e.r + winding[e.u] - winding[e.v]
+def _chord_windings(g: ScarGraph, tree: _Tree) -> np.ndarray:
+    """Winding of the fundamental cycle closed by each chord."""
+    c = tree.chords
+    return g.sigma[c] * g.r[c] + tree.winding[g.u[c]] - tree.winding[g.v[c]]
+
+
+def _residues(w, den) -> np.ndarray:
+    """w mod den, exact: in Python ints when den leaves the int64 range."""
+    return w.astype(object) % den if den >= 2 ** 62 else w % den
 
 
 @dataclass
@@ -275,32 +435,26 @@ def _admissible_description(windings) -> str:
 
 
 def check_circuit_rule(g: ScarGraph, q: CommensurateQ) -> RuleReport:
-    """Evaluate both rules for a given commensurate q; exact on the rational tag."""
+    """Evaluate both rules for a given commensurate q; exact on the rational tag.
+
+    q/(4K) = p/d in lowest terms, so W * p/d is an integer exactly when d divides W.
+    """
     violations = check_vertex_rule(g)
-    _, chords, winding, crossing = _spanning_tree(g)
-    num, den = q.fraction.numerator, q.fraction.denominator
-    constraints, failed = [], []
-    contractible_ok = True
-    for ci in chords:
-        e = g.edges[ci]
-        w = _chord_winding(e, winding)
-        constraints.append((ci, w))
-        if w * num % den:
-            failed.append((ci, w))
-        if w and contractible_ok:
-            cu, cv = crossing[e.u], crossing[e.v]
-            if (e.crossing[0] + cu[0] - cv[0], e.crossing[1] + cu[1] - cv[1]) == (0, 0):
-                contractible_ok = False
+    tree = _spanning_tree(g)
+    c, w = tree.chords, _chord_windings(g, tree)
+    off = (_residues(w, q.fraction.denominator) != 0).tolist()
+    constraints = list(zip(c.tolist(), w.tolist()))
+    cross = g.crossing[c] + tree.crossing[g.u[c]] - tree.crossing[g.v[c]]
     if violations:
         classification = CLASS_NONE
-    elif contractible_ok:
-        classification = CLASS_INDEPENDENT
-    else:
+    elif ((w != 0) & ~(cross != 0).any(axis=1)).any():     # a contractible cycle winds
         classification = CLASS_DEPENDENT
+    else:
+        classification = CLASS_INDEPENDENT
     return RuleReport(vertex_violations=violations,
                       circuit_constraints=constraints,
-                      circuit_violations=failed,
-                      admissible_q=_admissible_description([w for _, w in constraints]),
+                      circuit_violations=list(itertools.compress(constraints, off)),
+                      admissible_q=_admissible_description(w.tolist()),
                       classification=classification)
 
 
@@ -310,21 +464,24 @@ def assign_site_phases(g: ScarGraph, q: CommensurateQ, root: int = 0) -> list:
     q_m = q_n - sigma_nm * r * q along every edge, so on the BFS tree the
     phase is -winding[n] * q modulo 1.  Every chord is cross-checked, so an
     inconsistent sigma pattern (a circuit-rule violation) is caught rather
-    than silently averaged.
+    than silently averaged.  One Fraction is built per distinct phase.
     """
     try:
-        _, chords, winding, _ = _spanning_tree(g, root)
+        tree = _spanning_tree(g, root)
     except DisconnectedGraph:
         raise DisconnectedGraph("phase propagation did not reach every vertex") from None
     num, den = q.fraction.numerator, q.fraction.denominator
-    for ci in chords:
-        e = g.edges[ci]
-        w = _chord_winding(e, winding)
-        if w * num % den:
-            raise InconsistentPhases(
-                f"edge ({e.u},{e.v}) closes a cycle of winding {w}, and {w} * {q.fraction} "
-                f"is not an integer: the phases at vertex {e.v} disagree")
-    return [Fraction(-w * num % den, den) for w in winding]
+    w = _chord_windings(g, tree)
+    off = np.flatnonzero(_residues(w, den))
+    if off.size:
+        i = off[0]
+        u, v, wi = g.u[tree.chords[i]], g.v[tree.chords[i]], w[i]
+        raise InconsistentPhases(
+            f"edge ({u},{v}) closes a cycle of winding {wi}, and {wi} * {q.fraction} "
+            f"is not an integer: the phases at vertex {v} disagree")
+    distinct, index = np.unique(_residues(-tree.winding, den), return_inverse=True)
+    table = [Fraction(k * num % den, den) for k in distinct.tolist()]
+    return [table[i] for i in index.tolist()]
 
 
 def as_uniform_csse(g: ScarGraph) -> ScarGraph:
@@ -334,19 +491,9 @@ def as_uniform_csse(g: ScarGraph) -> ScarGraph:
     the classification question (which sigma assignments satisfy both rules)
     concerns the bond topology, not the couplings.
     """
-    edges = [Edge(u=e.u, v=e.v, sigma=e.sigma if e.sigma != 0 else 1,
-                  kind=CSSE, r=e.r, J=e.J, crossing=e.crossing)
-             for e in g.edges]
-    return ScarGraph(num_vertices=g.num_vertices, edges=edges, boundary=g.boundary)
-
-
-def _csse_degrees(g: ScarGraph):
-    deg = [0] * g.num_vertices
-    for e in g.edges:
-        if e.kind == CSSE:
-            deg[e.u] += 1
-            deg[e.v] += 1
-    return deg
+    return ScarGraph(
+        g.num_vertices, dict(g.columns, sigma=np.where(g.sigma != 0, g.sigma, 1), kind=CSSE),
+        g.boundary)
 
 
 def classify(g: ScarGraph) -> str:
@@ -358,9 +505,11 @@ def classify(g: ScarGraph) -> str:
     that is decided by exhaustive assignment search with vertex-sum pruning,
     capped at SIGMA_SEARCH_CAP CSSE edges.
     """
-    if any(d % 2 for d in _csse_degrees(g)):
+    csse = g.kind == CSSE
+    n = g.num_vertices
+    if ((np.bincount(g.u[csse], minlength=n) + np.bincount(g.v[csse], minlength=n)) % 2).any():
         return CLASS_NONE
-    csse_idx = [i for i, e in enumerate(g.edges) if e.kind == CSSE]
+    csse_idx = np.flatnonzero(csse).tolist()
     if not csse_idx:
         return CLASS_INDEPENDENT
     if len(csse_idx) > SIGMA_SEARCH_CAP:
@@ -425,22 +574,47 @@ def _torus(nx, ny, shift=None):
     return b
 
 
+def _bond(u, v, sigma, kind=CSSE, r=1, J=1.0, cx=0, cy=0, keep=True):
+    """One bond per site; u sets the site shape, every other field broadcasts to it."""
+    return tuple(np.broadcast_to(f, np.shape(u)) for f in (u, v, sigma, kind, r, J, cx, cy, keep))
+
+
+def _site_bonds(*bonds) -> dict:
+    """Edge columns of bonds emitted site by site: sites in row-major order, and
+    at each site its bonds in argument order (those with keep false left out)."""
+    u, v, sigma, kind, r, J, cx, cy, keep = (np.stack(f, axis=-1).ravel() for f in zip(*bonds))
+    keep = keep.astype(bool)
+    return dict(u=u[keep], v=v[keep], sigma=sigma[keep], kind=kind[keep], r=r[keep],
+                J=J[keep], crossing=np.column_stack([cx[keep], cy[keep]]))
+
+
+def _graph(num_vertices, boundary, *parts) -> ScarGraph:
+    """Graph whose edges are the column dicts of parts, one after the other."""
+    columns = {k: np.concatenate([p[k] for p in parts]) for k in Edge._fields}
+    return ScarGraph(num_vertices, columns, boundary)
+
+
 def chain(N: int, J: float = 1.0) -> ScarGraph:
     """Periodic chain, sigma = +1 along the ring."""
     if N < 3:
         raise UnsupportedDims("chain needs N >= 3 to stay a simple graph")
-    edges = [Edge(n, (n + 1) % N, +1, CSSE, 1, J,
-                  crossing=(1 if n == N - 1 else 0, 0)) for n in range(N)]
-    return ScarGraph(N, edges, _torus(N, 1))
+    n = np.arange(N)
+    return _graph(N, _torus(N, 1), _site_bonds(_bond(n, (n + 1) % N, +1, J=J, cx=n == N - 1)))
+
+
+def _square_bonds(Nx, Ny, shift, J) -> dict:
+    y, x = np.indices((Ny, Nx))
+    site, top = x + Nx * y, y == Ny - 1
+    return _site_bonds(_bond(site, (x + 1) % Nx + Nx * y, -1, J=J, cx=x == Nx - 1),
+                       _bond(site, np.where(top, (x - shift) % Nx, site + Nx), -1, J=J,
+                             cx=np.where(top, (x - shift) // Nx, 0), cy=top))
 
 
 def square(Nx: int, Ny: int, J: float = 1.0) -> ScarGraph:
     """Toroidal square lattice with diagonal phase flow (all plaquettes W = 0)."""
     if Nx < 3 or Ny < 3:
         raise UnsupportedDims("square torus needs Nx, Ny >= 3 to avoid duplicate edges")
-    g = square_shifted(Nx, Ny, shift=0, J=J)    # the same edges, a plain torus
-    g.boundary = _torus(Nx, Ny)
-    return g
+    return _graph(Nx * Ny, _torus(Nx, Ny), _square_bonds(Nx, Ny, 0, J))
 
 
 def square_shifted(Nx: int, Ny: int, shift: int | None = None, J: float = 1.0) -> ScarGraph:
@@ -449,42 +623,23 @@ def square_shifted(Nx: int, Ny: int, shift: int | None = None, J: float = 1.0) -
         raise UnsupportedDims("shifted square torus needs Nx, Ny >= 3")
     if shift is None:
         shift = abs(Nx - Ny)
-    edges = []
-    for y in range(Ny):
-        for x in range(Nx):
-            u = x + Nx * y
-            edges.append(Edge(u, (x + 1) % Nx + Nx * y, -1, CSSE, 1, J,
-                              crossing=(1 if x == Nx - 1 else 0, 0)))
-            if y < Ny - 1:
-                edges.append(Edge(u, x + Nx * (y + 1), -1, CSSE, 1, J))
-            else:
-                edges.append(Edge(u, (x - shift) % Nx, -1, CSSE, 1, J,
-                                  crossing=((x - shift) // Nx, 1)))
-    return ScarGraph(Nx * Ny, edges, _torus(Nx, Ny, shift=shift))
-
-
-def _lieb_ids(i, j, Nx, Ny):
-    cell = (i % Nx) + Nx * (j % Ny)
-    return 3 * cell, 3 * cell + 1, 3 * cell + 2   # corner, x-midpoint, y-midpoint
+    return _graph(Nx * Ny, _torus(Nx, Ny, shift=shift), _square_bonds(Nx, Ny, shift, J))
 
 
 def lieb(Nx: int, Ny: int, J: float = 1.0) -> ScarGraph:
-    """Toroidal Lieb lattice; every bond is a half step of the diagonal flow."""
+    """Toroidal Lieb lattice; every bond is a half step of the diagonal flow.
+
+    Cell (i, j) holds the corner 3c, the x-midpoint 3c+1 and the y-midpoint
+    3c+2, c = i + Nx*j.
+    """
     if Nx < 2 or Ny < 2:
         raise UnsupportedDims("Lieb torus needs Nx, Ny >= 2")
-    edges = []
-    for j in range(Ny):
-        for i in range(Nx):
-            c, mx, my = _lieb_ids(i, j, Nx, Ny)
-            cx, _, _ = _lieb_ids(i + 1, j, Nx, Ny)
-            cy, _, _ = _lieb_ids(i, j + 1, Nx, Ny)
-            edges.append(Edge(c, mx, -1, CSSE, 1, J))
-            edges.append(Edge(mx, cx, -1, CSSE, 1, J,
-                              crossing=(1 if i == Nx - 1 else 0, 0)))
-            edges.append(Edge(c, my, -1, CSSE, 1, J))
-            edges.append(Edge(my, cy, -1, CSSE, 1, J,
-                              crossing=(0, 1 if j == Ny - 1 else 0)))
-    return ScarGraph(3 * Nx * Ny, edges, _torus(Nx, Ny))
+    j, i = np.indices((Ny, Nx))
+    c = 3 * (i + Nx * j)
+    right, up = 3 * ((i + 1) % Nx + Nx * j), 3 * (i + Nx * ((j + 1) % Ny))
+    return _graph(3 * Nx * Ny, _torus(Nx, Ny), _site_bonds(
+        _bond(c, c + 1, -1, J=J), _bond(c + 1, right, -1, J=J, cx=i == Nx - 1),
+        _bond(c, c + 2, -1, J=J), _bond(c + 2, up, -1, J=J, cy=j == Ny - 1)))
 
 
 def triangular_su2(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> ScarGraph:
@@ -494,15 +649,10 @@ def triangular_su2(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> Sca
     equal phase under the diagonal flow, so both rules keep holding.
     """
     g = square(Nx, Ny, J=J)
-    edges = list(g.edges)
-    for y in range(Ny):
-        for x in range(Nx):
-            u = (x + 1) % Nx + Nx * y
-            v = x + Nx * ((y + 1) % Ny)
-            edges.append(Edge(u, v, 0, SU2, 1, Jprime,
-                              crossing=(-1 if x == Nx - 1 else 0,
-                                        1 if y == Ny - 1 else 0)))
-    return ScarGraph(Nx * Ny, edges, _torus(Nx, Ny))
+    y, x = np.indices((Ny, Nx))
+    return _graph(Nx * Ny, _torus(Nx, Ny), g.columns, _site_bonds(
+        _bond((x + 1) % Nx + Nx * y, x + Nx * ((y + 1) % Ny), 0, SU2, J=Jprime,
+              cx=np.where(x == Nx - 1, -1, 0), cy=y == Ny - 1)))
 
 
 def kagome_su2(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> ScarGraph:
@@ -512,16 +662,13 @@ def kagome_su2(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> ScarGra
     the two midpoint sites of equal phase in a triangle.
     """
     g = lieb(Nx, Ny, J=J)
-    edges = list(g.edges)
-    for j in range(Ny):
-        for i in range(Nx):
-            _, mx, my = _lieb_ids(i, j, Nx, Ny)
-            _, _, my2 = _lieb_ids(i + 1, j - 1, Nx, Ny)
-            edges.append(Edge(mx, my, 0, SU2, 1, Jprime))
-            edges.append(Edge(mx, my2, 0, SU2, 1, Jprime,
-                              crossing=(1 if i == Nx - 1 else 0,
-                                        -1 if j == 0 else 0)))
-    return ScarGraph(3 * Nx * Ny, edges, _torus(Nx, Ny))
+    j, i = np.indices((Ny, Nx))
+    c = 3 * (i + Nx * j)
+    down_right = 3 * ((i + 1) % Nx + Nx * ((j - 1) % Ny))
+    return _graph(3 * Nx * Ny, _torus(Nx, Ny), g.columns, _site_bonds(
+        _bond(c + 1, c + 2, 0, SU2, J=Jprime),
+        _bond(c + 1, down_right + 2, 0, SU2, J=Jprime, cx=i == Nx - 1,
+              cy=np.where(j == 0, -1, 0))))
 
 
 def honeycomb_su2(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> ScarGraph:
@@ -532,16 +679,12 @@ def honeycomb_su2(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> Scar
     """
     if Nx < 4 or Nx % 2 or Ny < 2 or Ny % 2:
         raise UnsupportedDims("brick-wall honeycomb needs even Nx >= 4 and even Ny >= 2")
-    edges = []
-    for y in range(Ny):
-        for x in range(Nx):
-            u = x + Nx * y
-            edges.append(Edge(u, (x + 1) % Nx + Nx * y, +1, CSSE, 1, J,
-                              crossing=(1 if x == Nx - 1 else 0, 0)))
-            if (x + y) % 2 == 0:
-                edges.append(Edge(u, x + Nx * ((y + 1) % Ny), 0, SU2, 1, Jprime,
-                                  crossing=(0, 1 if y == Ny - 1 else 0)))
-    return ScarGraph(Nx * Ny, edges, _torus(Nx, Ny))
+    y, x = np.indices((Ny, Nx))
+    site = x + Nx * y
+    return _graph(Nx * Ny, _torus(Nx, Ny), _site_bonds(
+        _bond(site, (x + 1) % Nx + Nx * y, +1, J=J, cx=x == Nx - 1),
+        _bond(site, x + Nx * ((y + 1) % Ny), 0, SU2, J=Jprime, cy=y == Ny - 1,
+              keep=(x + y) % 2 == 0)))
 
 
 def modified_honeycomb(Nx: int, Ny: int, J: float = 1.0) -> ScarGraph:
@@ -565,17 +708,12 @@ def trimer_ladder(L: int, J: float = 1.0, Jprime: float = 1.0) -> ScarGraph:
     """
     if L < 3:
         raise UnsupportedDims("trimer ladder needs at least 3 trimers")
-    edges = []
-    for t in range(L):
-        a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
-        a2, c2 = 3 * ((t + 1) % L), 3 * ((t + 1) % L) + 2
-        wrap = 1 if t == L - 1 else 0
-        edges.append(Edge(a, b, 0, SU2, 1, J))
-        edges.append(Edge(b, c, 0, SU2, 1, J))
-        edges.append(Edge(a, c, 0, SU2, 1, J))
-        edges.append(Edge(a, a2, +1, CSSE, 1, Jprime, crossing=(wrap, 0)))
-        edges.append(Edge(c, c2, +1, CSSE, 1, Jprime, crossing=(wrap, 0)))
-    return ScarGraph(3 * L, edges, _torus(L, 1))
+    a = 3 * np.arange(L)
+    a2, wrap = np.roll(a, -1), a == 3 * (L - 1)
+    return _graph(3 * L, _torus(L, 1), _site_bonds(
+        _bond(a, a + 1, 0, SU2, J=J), _bond(a + 1, a + 2, 0, SU2, J=J),
+        _bond(a, a + 2, 0, SU2, J=J), _bond(a, a2, +1, J=Jprime, cx=wrap),
+        _bond(a + 2, a2 + 2, +1, J=Jprime, cx=wrap)))
 
 
 def trimer_brickwall(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> ScarGraph:
@@ -586,28 +724,21 @@ def trimer_brickwall(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> S
     """
     if Nx < 3 or Ny < 3 or Ny % 3:
         raise UnsupportedDims("trimer brick wall needs Nx >= 3 and Ny a multiple of 3")
-    edges = []
-    for y in range(Ny):
-        for x in range(Nx):
-            u = x + Nx * y
-            edges.append(Edge(u, (x + 1) % Nx + Nx * y, +1, CSSE, 1, Jprime,
-                              crossing=(1 if x == Nx - 1 else 0, 0)))
-            if y % 3 != 2:
-                edges.append(Edge(u, x + Nx * (y + 1), 0, SU2, 1, J))
-    return ScarGraph(Nx * Ny, edges, _torus(Nx, Ny))
+    y, x = np.indices((Ny, Nx))
+    site = x + Nx * y
+    return _graph(Nx * Ny, _torus(Nx, Ny), _site_bonds(
+        _bond(site, (x + 1) % Nx + Nx * y, +1, J=Jprime, cx=x == Nx - 1),
+        _bond(site, site + Nx, 0, SU2, J=J, keep=y % 3 != 2)))
 
 
 def nnn_chain(N: int, J: float = 1.0, Jnnn: float = 1.0) -> ScarGraph:
     """Periodic chain with next-nearest bonds carrying a doubled multiplier."""
     if N < 5:
         raise UnsupportedDims("next-nearest chain needs N >= 5 to stay simple")
-    edges = []
-    for n in range(N):
-        edges.append(Edge(n, (n + 1) % N, +1, CSSE, 1, J,
-                          crossing=(1 if n == N - 1 else 0, 0)))
-        edges.append(Edge(n, (n + 2) % N, +1, CSSE, 2, Jnnn,
-                          crossing=(1 if n >= N - 2 else 0, 0)))
-    return ScarGraph(N, edges, _torus(N, 1))
+    n = np.arange(N)
+    return _graph(N, _torus(N, 1), _site_bonds(
+        _bond(n, (n + 1) % N, +1, J=J, cx=n == N - 1),
+        _bond(n, (n + 2) % N, +1, r=2, J=Jnnn, cx=n >= N - 2)))
 
 
 GENERATORS = {

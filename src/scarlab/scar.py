@@ -22,7 +22,7 @@ import numpy as np
 
 from .elliptic import CommensurateQ, commensurate_q, jacobi_fraction
 from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
-from .lattice import ScarGraph, assign_site_phases
+from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
                       all_up, apply_sum, coherent_product_state,
                       coherent_product_states, local_spin_matrices, tau)
@@ -207,20 +207,30 @@ def projections(N: int, S: float, p: int, kappa: float, gamma: float,
     momenta -/+ 2 pi m p / N, equal modulo 2 pi when 2 m p / N is an integer,
     i.e. m a multiple of N / gcd(2p, N) (including the fully polarized ends).
     """
+    return projection_table(N, S, p, kappa, [gamma], helicity)[0]
+
+
+def projection_table(N: int, S: float, p: int, kappa: float, gammas,
+                     helicity: int = +1) -> list:
+    """(P+, P-) of `projections` at every gamma; the towers depend on N, S and
+    p only, so both are built once."""
     system = SpinSystem(S, N)
-    spec = ScarSpec.make(helicity, p, gamma, kappa, N)
-    psi = gz_state(system, spec)
+    specs = [ScarSpec.make(helicity, p, gamma, kappa, N) for gamma in gammas]
     same = helical_tower(N, S, helicity, p)
     oppo = helical_tower(N, S, -helicity, p)
-    p_same = sum(abs(st.overlap(psi)) ** 2 for st in same.states)
     shared = N // math.gcd(2 * p, N)
     two_ns = len(same.states) - 1
-    p_oppo = 0.0
-    for m in range(1, two_ns):
-        if m % shared == 0:
-            continue
-        p_oppo += abs(oppo.states[m].overlap(psi)) ** 2
-    return float(p_same), float(p_oppo)
+    table = []
+    for spec in specs:
+        psi = gz_state(system, spec)
+        p_same = sum(abs(st.overlap(psi)) ** 2 for st in same.states)
+        p_oppo = 0.0
+        for m in range(1, two_ns):
+            if m % shared == 0:
+                continue
+            p_oppo += abs(oppo.states[m].overlap(psi)) ** 2
+        table.append((float(p_same), float(p_oppo)))
+    return table
 
 
 def shared_state_overlaps(N: int, S: float, p: int):
@@ -292,10 +302,7 @@ def predicted_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec) -> np
     """Closed form -alpha beta S^2 dn(q_n) sn(q) sum_m sigma_nm per vertex."""
     phases = assign_site_phases(g, spec.q)
     sn_q, _, _ = jacobi_fraction(spec.q.fraction, spec.q.modulus)
-    flow = np.zeros(g.num_vertices)
-    for e in g.edges:
-        flow[e.u] += e.sigma
-        flow[e.v] -= e.sigma
+    flow = vertex_flow(g)
     out = np.zeros(g.num_vertices)
     S = system.S
     for n in range(g.num_vertices):

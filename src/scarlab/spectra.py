@@ -93,7 +93,10 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     reps = np.flatnonzero(rep == rot[0])
     rpos = np.searchsorted(reps, rep)                # orbit of every state
     C = A.tocsc()[:, reps].tocoo()
-    i, b, h = C.row[C.data != 0], C.col[C.data != 0], C.data[C.data != 0]
+    # entries below 1e-30 max|H| move no eigenvalue at double precision; kept beside
+    # O(1) entries, values-only eigvalsh lost digits on them (+-1.2269 for +-1.25 at 1e-146)
+    nz = np.abs(C.data) > 1e-30 * np.abs(C.data).max(initial=0.0)
+    i, b, h = C.row[nz], C.col[nz], C.data[nz]
     a, h = rpos[i], h * np.sqrt(L[reps[b]] / L[i])
     n = reps.size
     _, comp = connected_components(sp.csr_matrix((np.ones(a.size), (a, b)), (n, n)),

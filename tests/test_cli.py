@@ -203,12 +203,19 @@ def test_lattice_check_circuit_rule_options(tmp_path, capsys):
     assert "not checked: needs --p and --denominator" in lines[1]
 
 
-def _edited_graph(tmp_path, edit):
-    """Write square 3x3 as a graph file after edit(doc) changed its document."""
+def _edited_graph(tmp_path, edit, records=True):
+    """Write square 3x3 as a graph file after edit(doc) changed its document.
+
+    The document is the per-record layout older graph files have, or with
+    records=False the column layout lattice-generate writes.
+    """
     assert run(["--out", str(tmp_path), "lattice-generate", "--kind", "square",
                 "--dims", "3,3"]) == EXIT_OK
     path = tmp_path / "square.json"
     doc = json.loads(path.read_text())
+    if records:
+        cols = doc["edges"]
+        doc["edges"] = [dict(zip(cols, rec)) for rec in zip(*cols.values())]
     edit(doc)
     path.write_text(json.dumps(doc))
     return str(path)
@@ -238,6 +245,67 @@ def test_self_loop_in_graph_file_is_invalid_input(tmp_path, capsys):
     graph = _edited_graph(tmp_path, lambda doc: doc["edges"][0].update(v=0))
     code, cap = _check_graph(tmp_path, capsys, graph)
     assert code == EXIT_INVALID and cap.err == "invalid input: self-loop at vertex 0\n"
+
+
+def test_non_integral_graph_column_value_is_invalid_input(tmp_path, capsys):
+    for value in (1.7, "2", None):
+        graph = _edited_graph(tmp_path, lambda doc: doc["edges"]["v"].__setitem__(0, value),
+                              records=False)
+        code, cap = _check_graph(tmp_path, capsys, graph)
+        assert code == EXIT_INVALID and "PASS" not in cap.out
+        assert cap.err == "invalid input: graph file: every 'v' must be an integer\n"
+
+
+def test_duplicate_edge_in_graph_columns_is_invalid_input(tmp_path, capsys):
+    def duplicate_first(doc):
+        for col in doc["edges"].values():
+            col.append(col[0])
+    graph = _edited_graph(tmp_path, duplicate_first, records=False)
+    code, cap = _check_graph(tmp_path, capsys, graph)
+    assert code == EXIT_INVALID and cap.err == "invalid input: duplicate edge (0, 1)\n"
+
+
+def test_self_loop_in_graph_columns_is_invalid_input(tmp_path, capsys):
+    graph = _edited_graph(tmp_path, lambda doc: doc["edges"]["v"].__setitem__(0, 0),
+                          records=False)
+    code, cap = _check_graph(tmp_path, capsys, graph)
+    assert code == EXIT_INVALID and cap.err == "invalid input: self-loop at vertex 0\n"
+
+
+def _drop(key):
+    return lambda doc: doc["edges"].pop(key)
+
+
+def _set(key, value):
+    return lambda doc: doc["edges"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("u"), "the 'edges' object has no 'u' column"),
+    (_drop("v"), "the 'edges' object has no 'v' column"),
+    (_drop("sigma"), "the 'edges' object has no 'sigma' column"),
+    (_drop("kind"), "the 'edges' object has no 'kind' column"),
+    (lambda doc: doc["edges"]["J"].pop(), "edge column 'J' has 17 entries, 'u' has 18"),
+    (lambda doc: doc["edges"]["u"].append(0), "edge column 'v' has 18 entries, 'u' has 19"),
+    (_set("r", 1), "edge column 'r' must be a list"),
+    (_set("kind", "csse"), "edge column 'kind' must be a list"),
+    (_set("crossing", [0, 0] * 9), "every 'crossing' must be a list of two integers"),
+    (lambda doc: doc["edges"]["crossing"].__setitem__(3, [0, 0, 0]),
+     "every 'crossing' must be a list of two integers"),
+    (lambda doc: doc["edges"]["crossing"].__setitem__(3, [0.5, 0]),
+     "every 'crossing' must be an integer"),
+    (lambda doc: doc["edges"]["sigma"].__setitem__(3, 1.7), "every 'sigma' must be an integer"),
+    (lambda doc: doc["edges"]["r"].__setitem__(3, "2"), "every 'r' must be an integer"),
+    (lambda doc: doc["edges"]["u"].__setitem__(3, None), "every 'u' must be an integer"),
+    (lambda doc: doc["edges"]["J"].__setitem__(3, None), "every 'J' must be a number, got None"),
+])
+def test_malformed_graph_columns_are_invalid_input(tmp_path, capsys, edit, message):
+    graph = _edited_graph(tmp_path, edit, records=False)
+    for argv in (["lattice-check", "--graph", graph],
+                 ["scar-verify", "--graph", graph, "--denominator", "3"]):
+        capsys.readouterr()
+        assert run(["--out", str(tmp_path), *argv]) == EXIT_INVALID, argv
+        assert capsys.readouterr().err == f"invalid input: graph file: {message}\n", argv
 
 
 def test_unsupported_dims_is_invalid_input(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -82,13 +83,30 @@ def _reference_json(g):
                        "boundary": dict(g.boundary)}, indent=1)
 
 
+def _records(doc):
+    """The document with its edge columns turned back into per-edge records."""
+    cols = doc["edges"]
+    return dict(doc, edges=[dict(zip(cols, rec)) for rec in zip(*cols.values())])
+
+
 def test_compact_json_holds_the_indented_document():
     for g in GENERATORS:
         text, old = g.to_json(), _reference_json(g)
-        assert "\n" not in text and json.loads(text) == json.loads(old)
+        assert "\n" not in text and _records(json.loads(text)) == json.loads(old)
         g2 = ScarGraph.from_json(old)
         assert g2.edges == g.edges and g2.boundary == g.boundary
         assert all(type(x) is int for e in g2.edges for x in (e.u, e.v, e.sigma, e.r, *e.crossing))
+
+
+def test_column_document_loads_the_same_graph():
+    for g in GENERATORS:
+        doc = json.loads(g.to_json())
+        assert list(doc["edges"]) == ["u", "v", "sigma", "kind", "r", "J", "crossing"]
+        g2 = ScarGraph.from_json(g.to_json())
+        assert g2.edges == g.edges and g2.boundary == g.boundary
+        assert g2.num_edges == g.num_edges == len(g.edges)
+        assert all(type(x) is int for e in g2.edges for x in (e.u, e.v, e.sigma, e.r, *e.crossing))
+        assert all(type(e.J) is float and type(e.kind) is str for e in g2.edges)
 
 
 def test_missing_crossings_are_inferred_from_grid_numbering():
@@ -97,27 +115,59 @@ def test_missing_crossings_are_inferred_from_grid_numbering():
     grids += [square_shifted(nx, ny, shift=s) for nx, ny in ((3, 3), (3, 4), (4, 3), (5, 4))
               for s in range(nx)]
     for g in grids:
-        doc = json.loads(g.to_json())
+        doc = json.loads(_reference_json(g))
         for rec in doc["edges"]:
             del rec["crossing"]
         assert ScarGraph.from_json(json.dumps(doc)).edges == g.edges, g.boundary
     # Lieb numbering is not a plain grid: every crossing falls back to (0, 0)
-    doc = json.loads(lieb(2, 2).to_json())
+    doc = json.loads(_reference_json(lieb(2, 2)))
     for rec in doc["edges"]:
         del rec["crossing"]
     assert {e.crossing for e in ScarGraph.from_json(json.dumps(doc)).edges} == {(0, 0)}
 
 
+def test_missing_crossing_column_is_inferred_from_grid_numbering():
+    grids = [chain(6), square(4, 5), triangular_su2(3, 3), nnn_chain(6)]
+    grids += [square_shifted(nx, ny, shift=s) for nx, ny in ((3, 4), (5, 4)) for s in range(nx)]
+    for g in grids:
+        doc = json.loads(g.to_json())
+        del doc["edges"]["crossing"]
+        assert ScarGraph.from_json(json.dumps(doc)).edges == g.edges, g.boundary
+    doc = json.loads(lieb(2, 2).to_json())
+    del doc["edges"]["crossing"]
+    assert {e.crossing for e in ScarGraph.from_json(json.dumps(doc)).edges} == {(0, 0)}
+    # records that keep their crossing keep it; the others are inferred
+    g = square_shifted(4, 3, shift=1)
+    doc = json.loads(_reference_json(g))
+    for rec in doc["edges"][::2]:
+        del rec["crossing"]
+    assert ScarGraph.from_json(json.dumps(doc)).edges == g.edges
+
+
+_BAD_VALUES = (("u", 1.7), ("v", 1.7), ("sigma", -0.5), ("r", 1.5), ("r", "2"),
+               ("u", None), ("crossing", [0.5, 0]), ("crossing", ["1", 0]))
+
+
 def test_graph_file_values_must_be_integers():
-    doc = json.loads(square(3, 3).to_json())
+    doc = json.loads(_reference_json(square(3, 3)))
     assert ScarGraph.from_json(json.dumps(doc)).edges == square(3, 3).edges
     doc["edges"][4]["v"] = float(doc["edges"][4]["v"])     # an integral float loads as int
     assert type(ScarGraph.from_json(json.dumps(doc)).edges[4].v) is int
-    for key, value in (("u", 1.7), ("v", 1.7), ("sigma", -0.5), ("r", 1.5), ("r", "2"),
-                       ("u", None), ("crossing", [0.5, 0]), ("crossing", ["1", 0])):
-        bad = json.loads(square(3, 3).to_json())
+    for key, value in _BAD_VALUES:
+        bad = json.loads(_reference_json(square(3, 3)))
         bad["edges"][2][key] = value
         with pytest.raises(ScarlabError, match=f"every '{key}' must be an integer"):
+            ScarGraph.from_json(json.dumps(bad))
+
+
+def test_graph_file_columns_must_hold_integers():
+    doc = json.loads(square(3, 3).to_json())
+    doc["edges"]["v"][4] = float(doc["edges"]["v"][4])     # an integral float loads as int
+    assert type(ScarGraph.from_json(json.dumps(doc)).edges[4].v) is int
+    for key, value in _BAD_VALUES + (("sigma", None), ("v", "2"), ("crossing", [None, 0])):
+        bad = json.loads(square(3, 3).to_json())
+        bad["edges"][key][2] = value
+        with pytest.raises(InvalidGraph, match=f"^graph file: every '{key}' must be an integer$"):
             ScarGraph.from_json(json.dumps(bad))
 
 
@@ -129,7 +179,7 @@ _EDGE = {"u": 0, "v": 1, "sigma": 1, "kind": "csse"}
     {"vertices": 2, "edges": [[0, 1]]},                         # edge record not an object
     {"vertices": 2, "edges": [dict(_EDGE, crossing=5)]},        # non-list crossing
     {"vertices": 2, "edges": [dict(_EDGE, crossing=[0, 1, 0])]},  # crossing not a pair
-    {"vertices": 2, "edges": {"0": _EDGE}},                     # edges not a list
+    {"vertices": 2, "edges": {"0": _EDGE}},                     # edges object lacks the columns
     {"vertices": 2, "edges": [_EDGE], "boundary": 5},           # boundary not an object
 ])
 def test_malformed_graph_documents_raise_invalid_graph(doc):
@@ -269,3 +319,174 @@ def test_classification_does_not_depend_on_labelling(seed):
     rng = random.Random(seed)
     for g in RELABEL_GRAPHS:
         assert classify(_relabelled(g, rng)) == classify(g), g.boundary
+
+
+# --- columns against the per-edge reference implementations ---------------------------
+
+import lattice_reference as ref  # noqa: E402  (tests/ is on sys.path under pytest)
+from scarlab.lattice import _spanning_tree  # noqa: E402
+
+TEST_SIZES = [("chain", 6), ("chain", 3), ("square", 3, 3), ("square", 4, 5),
+              ("square_shifted", 4, 3), ("square_shifted", 3, 5), ("lieb", 2, 2), ("lieb", 3, 2),
+              ("triangular_su2", 3, 3), ("kagome_su2", 2, 2), ("kagome_su2", 3, 2),
+              ("honeycomb_su2", 4, 2), ("honeycomb_su2", 6, 4), ("modified_honeycomb", 4, 3),
+              ("trimer_ladder", 4), ("trimer_brickwall", 3, 3), ("trimer_brickwall", 4, 6),
+              ("nnn_chain", 6), ("nnn_chain", 7)]
+# the lattices of the lattice_scale benchmark workload
+SCALE_SIZES = [("square", 100, 100), ("square_shifted", 60, 60), ("lieb", 30, 30),
+               ("kagome_su2", 30, 30), ("honeycomb_su2", 60, 60), ("triangular_su2", 50, 50),
+               ("trimer_ladder", 1000), ("nnn_chain", 3000), ("trimer_brickwall", 30, 30)]
+
+
+def _assert_same_tree(g, root=0):
+    """The CSR walk builds the tree of the adjacency-list BFS, potentials included."""
+    try:
+        parent, chords, winding, crossing = ref.spanning_tree(g.num_vertices, g.edges, root)
+    except DisconnectedGraph as exc:
+        with pytest.raises(DisconnectedGraph) as err:
+            _spanning_tree(g, root)
+        assert str(err.value) == str(exc)
+        return
+    tree = _spanning_tree(g, root)
+    assert [None if h < 0 else (h >> 1, 1 - 2 * (h & 1)) for h in tree.parent.tolist()] == parent
+    assert tree.chords.tolist() == chords
+    assert tree.winding.tolist() == winding
+    assert list(map(tuple, tree.crossing.tolist())) == crossing
+
+
+@pytest.mark.parametrize("kind, dims", [(k, d) for k, *d in TEST_SIZES + SCALE_SIZES])
+def test_generators_emit_the_reference_edges_and_tree(kind, dims):
+    g = generate(kind, *dims)
+    n, edges, boundary = ref.GENERATORS[kind](*dims)
+    assert (g.num_vertices, g.boundary, g.num_edges) == (n, boundary, len(edges))
+    assert g.edges == edges
+    assert all(type(x) is int for e in g.edges for x in (e.u, e.v, e.sigma, e.r, *e.crossing))
+    _assert_same_tree(g)
+
+
+def test_generator_options_reach_the_columns():
+    g = square_shifted(5, 3, shift=2, J=0.5)
+    assert g.edges == ref.square_shifted(5, 3, shift=2, J=0.5)[1]
+    for kind, args in (("triangular_su2", (3, 4, 0.5, 2.0)), ("kagome_su2", (3, 2, 0.5, 2.0)),
+                       ("honeycomb_su2", (4, 4, 0.5, 2.0)), ("trimer_ladder", (5, 0.5, 2.0)),
+                       ("trimer_brickwall", (4, 3, 0.5, 2.0)), ("nnn_chain", (8, 0.5, 2.0)),
+                       ("chain", (5, 0.5)), ("lieb", (2, 3, 0.5))):
+        assert generate(kind, *args).edges == ref.GENERATORS[kind](*args)[1], kind
+
+
+def test_disconnected_brickwall_names_the_unreachable_vertices():
+    with pytest.raises(DisconnectedGraph, match="^810 vertices unreachable from vertex 0$"):
+        _spanning_tree(trimer_brickwall(30, 30))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_column_and_record_documents_load_alike(seed):
+    rng = random.Random(seed)
+    for g in RELABEL_GRAPHS:
+        h = _relabelled(g, rng)
+        columns, records = ScarGraph.from_json(h.to_json()), ScarGraph.from_json(_reference_json(h))
+        assert columns.edges == records.edges == h.edges
+        assert columns.boundary == records.boundary == h.boundary
+        assert columns.to_json() == records.to_json() == h.to_json()
+        _assert_same_tree(h, root=rng.randrange(h.num_vertices))
+
+
+def test_columns_are_read_only():
+    g = square(3, 3)
+    for name, col in g.columns.items():
+        assert len(col) == g.num_edges and not col.flags.writeable, name
+        with pytest.raises(ValueError):
+            col[0] = col[1]
+    assert g.crossing.shape == (g.num_edges, 2)
+
+
+_EDGE_VALUES = st.sampled_from([-1, 0, 1, 2, 3, 4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), records=st.lists(st.tuples(
+    _EDGE_VALUES, _EDGE_VALUES, st.sampled_from([-2, -1, 0, 1, 2]),
+    st.sampled_from(["csse", "su2", "xyz"]), st.sampled_from([0, 1, 2])), max_size=6))
+def test_column_validation_names_the_edge_the_walk_names(n, records):
+    edges = [Edge(u, v, sigma, kind, r) for u, v, sigma, kind, r in records]
+    try:
+        ref.validate(n, edges)
+    except InvalidGraph as exc:
+        with pytest.raises(InvalidGraph) as err:
+            ScarGraph(n, edges)
+        assert str(err.value) == str(exc)
+    else:
+        assert ScarGraph(n, edges).edges == edges
+
+
+_DOC_VALUES = [1.7, "2", None, True, -1, 0, 1, 2, 3, 8, 9, 2 ** 70, -2 ** 70, 1.0, -0.5,
+               [0, 1], [0.5, 0], ["1", 0], [0, 0, 0], [2 ** 70, 0], "csse", "su2", "xyz",
+               "1.5", {}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), edits=st.integers(1, 3))
+def test_record_documents_load_as_the_record_reader_did(seed, edits):
+    """Edited per-record files load to the same graph, or fail with the same error."""
+    rng = random.Random(seed)
+    doc = json.loads(_reference_json(rng.choice([square(3, 3), square_shifted(4, 3), lieb(2, 2),
+                                                 kagome_su2(2, 2), nnn_chain(6)])))
+    for _ in range(edits):
+        where = rng.random()
+        if where < 0.1:
+            doc["vertices"] = rng.choice(_DOC_VALUES)
+        elif where < 0.15:
+            doc["boundary"]["shift"] = rng.choice([1, 2 ** 40, "x"])
+        else:
+            rec = rng.choice(doc["edges"])
+            key = rng.choice(["u", "v", "sigma", "kind", "r", "J", "crossing"])
+            if rng.random() < 0.25:
+                rec.pop(key, None)
+            else:
+                rec[key] = rng.choice(_DOC_VALUES)
+    text = json.dumps(doc)
+    try:
+        n, edges, boundary = ref.load_records(text)
+    except (InvalidGraph, KeyError, ValueError) as exc:    # one line and exit 3 from the CLI
+        with pytest.raises(type(exc)) as err:
+            ScarGraph.from_json(text)
+        assert str(err.value) == str(exc)
+    except (TypeError, OverflowError):                     # a J that float() rejects
+        with pytest.raises(InvalidGraph, match="every 'J' must be a number"):
+            ScarGraph.from_json(text)
+    else:
+        g = ScarGraph.from_json(text)
+        assert (g.num_vertices, g.edges, g.boundary) == (n, edges, boundary)
+
+
+def test_values_beyond_64_bits_stay_exact():
+    big = 2 ** 70
+    edges = [Edge(0, 1, 1, r=big), Edge(1, 2, 1, crossing=(big, 0)), Edge(2, 0, 1)]
+    g = ScarGraph(3, edges)
+    assert g.edges == edges and ScarGraph.from_json(g.to_json()).edges == edges
+    _assert_same_tree(g)
+    for denom in (1, 2, 3, big + 2, 2 ** 80):
+        q = commensurate_q(1, denom, 0.5)
+        constraints, satisfied, cls = _reference_report(g, q)
+        rep = check_circuit_rule(g, q)
+        assert (rep.circuit_constraints, rep.satisfied, rep.classification) == \
+            (constraints, satisfied, cls)
+    # a denominator beyond 64 bits on int64 windings
+    for g in (square(3, 3), chain(6)):
+        q = commensurate_q(1, 2 ** 70, 0.5)
+        rep = check_circuit_rule(g, q)
+        assert (rep.circuit_constraints, rep.satisfied, rep.classification) == \
+            _reference_report(g, q)
+    with pytest.raises(InconsistentPhases, match="winding -3, and -3 \\* 1/1180591620717411303424"):
+        assign_site_phases(square(3, 3), commensurate_q(1, 2 ** 70, 0.5))
+    # windings that leave int64 on a long path go through Python ints
+    N = 40
+    edges = [Edge(k, (k + 1) % N, 1, r=2 ** 60, crossing=(int(k == N - 1), 0)) for k in range(N)]
+    g = ScarGraph(N, edges)
+    _assert_same_tree(g)
+    rep = check_circuit_rule(g, commensurate_q(1, 5, 0.5))
+    assert rep.circuit_constraints == _reference_report(g, commensurate_q(1, 5, 0.5))[0] == \
+        [(N // 2, N * 2 ** 60)]
+    phases = assign_site_phases(g, commensurate_q(1, 2, 0.5))
+    assert phases == [Fraction(0)] * N

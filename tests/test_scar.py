@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from scarlab import scar as scar_module
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
 from scarlab.hamiltonian import build_on_graph, build_xyz_chain, chain_terms, graph_terms
@@ -15,8 +16,8 @@ from scarlab.lattice import (assign_site_phases, chain, check_circuit_rule,
 from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy, gz_state,
                           helical_expansion, site_angles,
                           helical_tower, local_sz_current, predicted_sz_current,
-                          projections, residual, shared_state_overlaps,
-                          span_rank)
+                          projection_table, projections, residual,
+                          shared_state_overlaps, span_rank)
 from scarlab.spectra import _translation_matrix
 from scarlab.spinops import (SpinSystem, embed, expectation,
                              local_spin_matrices, local_sum, site_spin_expectations)
@@ -126,6 +127,36 @@ def test_opposite_tower_weight_vanishes_at_kappa_zero(N, p):
         p_same, p_oppo = projections(N, 0.5, p, 0.0, gamma)
         assert p_same == pytest.approx(1.0, abs=1e-10)
         assert p_oppo <= 1e-28
+
+
+def _reference_projections(N, S, p, kappa, gamma, helicity=+1):
+    """The per-call projections: both towers rebuilt for every gamma."""
+    system = SpinSystem(S, N)
+    psi = gz_state(system, ScarSpec.make(helicity, p, gamma, kappa, N))
+    same = helical_tower(N, S, helicity, p)
+    oppo = helical_tower(N, S, -helicity, p)
+    p_same = sum(abs(st.overlap(psi)) ** 2 for st in same.states)
+    shared = N // math.gcd(2 * p, N)
+    p_oppo = 0.0
+    for m in range(1, len(same.states) - 1):
+        if m % shared:
+            p_oppo += abs(oppo.states[m].overlap(psi)) ** 2
+    return float(p_same), float(p_oppo)
+
+
+@pytest.mark.parametrize("N,S,p,helicity", [(6, 0.5, 1, +1), (5, 1.0, 2, -1), (4, 1.5, 1, +1),
+                                            (8, 0.5, 2, -1)])
+def test_projection_table_equals_the_per_call_path(N, S, p, helicity, monkeypatch):
+    gammas = [-0.9, -0.3, 0.0, 0.45, 0.9]
+    for kappa in (0.0, 0.35, 0.8):
+        want = [_reference_projections(N, S, p, kappa, g, helicity) for g in gammas]
+        calls = []
+        monkeypatch.setattr(scar_module, "helical_tower",
+                            lambda *a: calls.append(a) or helical_tower(*a))
+        assert projection_table(N, S, p, kappa, gammas, helicity) == want    # bit for bit
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert projections(N, S, p, kappa, gammas[1], helicity) == want[1]
 
 
 def test_shared_states_between_towers():

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,3 +124,12 @@ def test_open_chain_and_graph_keep_their_component_blocks():
             assert record["blocks"] == record["solved_blocks"]
             assert record["solved_dtype"] == record["dtype"] == "float64" and real
         assert V.dtype == np.float64
+
+
+@pytest.mark.parametrize("N, S, jx, jy, jz, periodic", [
+    (5, 1.0, 0.06727955046631484, 0.06727955046631484, 1.0358923308807974e-160, True),
+    (2, 1.0, 0.0, 1.25, 1.3663502658159292e-146, False),
+])
+def test_couplings_near_underflow_beside_order_one_ones(N, S, jx, jy, jz, periodic):
+    # values-only LAPACK gave +-1.2269 for +-1.25 on a 4x4 block holding 1e-146 diagonals
+    _assert_matches_dense(build_xyz_chain(N, S, jx, jy, jz, periodic=periodic))
