@@ -7,6 +7,10 @@ integral F(phi, kappa) is Carlson's symmetric R_F, evaluated by duplication to
 double rounding at a fixed, small cost even as kappa -> 1; it is the inverse
 map used to recover q from XYZ couplings.
 
+complete_K_array and jacobi_array evaluate many points in one numpy pass and
+reproduce the scalar functions bit for bit; the scalar functions stay the
+cheaper path for a single point.
+
 The modulus convention is kappa (not the parameter m = kappa^2) throughout.
 """
 
@@ -15,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (InvalidInput, ModulusOutOfRange, OrderingViolated,
                      PoleAtQuarterPeriod, ScarlabError)
@@ -53,22 +59,6 @@ class EllipticModulus:
         return cls(kappa=float(kappa),
                    kappa_prime=math.sqrt(1.0 - kappa * kappa),
                    quarter_period=complete_K(kappa))
-
-
-@dataclass(frozen=True)
-class EllipticPoint:
-    """Cached (sn, cn, dn) values of one real argument u at a fixed modulus."""
-
-    u: float
-    modulus: EllipticModulus
-    sn: float
-    cn: float
-    dn: float
-
-    @classmethod
-    def at(cls, u: float, modulus: EllipticModulus) -> "EllipticPoint":
-        sn, cn, dn = _jacobi_reduced(u, modulus)
-        return cls(u=u, modulus=modulus, sn=sn, cn=cn, dn=dn)
 
 
 @dataclass(frozen=True)
@@ -156,6 +146,78 @@ def jacobi_fraction(frac: Fraction, modulus: EllipticModulus) -> tuple[float, fl
     r = frac - math.floor(frac)
     u = 4.0 * modulus.quarter_period * float(r)
     return _jacobi_reduced(u, modulus)
+
+
+# The array kernel below repeats the scalar path operation for operation, so
+# each element is bit-identical to complete_K / _jacobi_reduced.  numpy's
+# sin, cos and sqrt agree with libm bit for bit; numpy's arcsin and x*x do
+# not always agree with math.asin and x ** 2 (libm pow), so those two run
+# element by element through the Python functions.
+_asin = np.frompyfunc(math.asin, 1, 1)
+_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _modulus_array(kappa) -> np.ndarray:
+    kappa = np.asarray(kappa, dtype=float)
+    ok = (kappa >= 0.0) & (kappa < 1.0)
+    if not ok.all():
+        raise ModulusOutOfRange(f"kappa must lie in [0, 1), got {kappa[~ok].flat[0]}")
+    return kappa
+
+
+def complete_K_array(kappa) -> np.ndarray:
+    """complete_K elementwise over an array of moduli, bit for bit."""
+    kappa = _modulus_array(kappa)
+    a, b = np.ones_like(kappa), np.sqrt(1.0 - kappa * kappa)
+    # |a - b| <= 1e-16 a is below one ulp, so a == b, and further steps
+    # leave a converged element unchanged: no per-element stop is needed
+    for _ in range(64):
+        if np.all(np.abs(a - b) <= _AGM_TOL * a):
+            break
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return math.pi / (a + b)
+
+
+def jacobi_array(u, kappa, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sn, cn, dn) arrays over broadcast u, kappa and K = complete_K_array(kappa).
+
+    Element for element bit-identical to _jacobi_reduced: the 4K/2K/K
+    reduction is applied by masks, the descending AGM runs to a stop index
+    n per element, and the amplitude back-substitution step i is applied
+    only where i <= n.
+    """
+    u, kappa, K = np.broadcast_arrays(np.asarray(u, dtype=float), _modulus_array(kappa),
+                                      np.asarray(K, dtype=float))
+    shape = u.shape
+    u, kappa, K = u.ravel(), kappa.ravel(), K.ravel()
+    t = np.fmod(u, 4.0 * K)
+    t = np.where(t < 0.0, t + 4.0 * K, t)
+    half = t >= 2.0 * K                 # sn(u+2K) = -sn, cn(u+2K) = -cn, dn unchanged
+    t = np.where(half, t - 2.0 * K, t)
+    sign_sn = np.where(half, -1.0, 1.0)
+    fold = t > K                        # sn(2K-u) = sn, cn(2K-u) = -cn, dn unchanged
+    t = np.where(fold, 2.0 * K - t, t)
+    sign_cn = np.where(fold, -sign_sn, sign_sn)
+
+    a, b, c = np.ones_like(kappa), np.sqrt(1.0 - kappa * kappa), kappa
+    n = np.zeros(kappa.shape, dtype=int)
+    ratios = []                         # c_i / a_i at AGM step i = 1, 2, ...
+    for _ in range(64):
+        going = ~(c <= _AGM_TOL)        # a stopped element keeps its a, b, c
+        if not going.any():
+            break
+        a, b, c = (np.where(going, new, old) for new, old in
+                   ((0.5 * (a + b), a), (np.sqrt(a * b), b), (0.5 * (a - b), c)))
+        n += going
+        ratios.append(c / a)
+    phi = np.ldexp(a, n) * t            # (2 ** n) * a_n * t
+    for i in range(len(ratios), 0, -1):
+        on = n >= i
+        s = np.clip(ratios[i - 1][on] * np.sin(phi[on]), -1.0, 1.0)
+        phi[on] = 0.5 * (phi[on] + _asin(s).astype(float))
+    sn, cn = np.sin(phi), np.cos(phi)
+    dn = np.sqrt(np.maximum(0.0, 1.0 - _pow(kappa * sn, 2).astype(float)))
+    return tuple(x.reshape(shape) for x in (sign_sn * sn, sign_cn * cn, dn))
 
 
 def jacobi_sc(u: float, kappa: float) -> float:

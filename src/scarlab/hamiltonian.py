@@ -63,15 +63,20 @@ def build_csse_chain(N: int, S: float, c: CsseCouplings,
 def graph_terms(g: ScarGraph, S: float, q: CommensurateQ) -> list:
     """local_sum terms of the graph Hamiltonian: CSSE bonds
     J*(dn(r q) SxSx + SySy + cn(r q) SzSz), SU(2) bonds J * S_n . S_m; the r
-    multiplier evaluates the elliptic factors at r*q on the exact rational tag."""
-    terms = []
-    for e in g.edges:
-        if e.kind == SU2:
-            M = e.J * np.eye(3)
-        else:
-            _, cn, dn = jacobi_fraction(e.r * q.fraction, q.modulus)
-            M = e.J * np.diag([dn, 1.0, cn])
-        terms.append(((e.u, e.v), _bond_matrix(S, M)))
+    multiplier evaluates the elliptic factors at r*q on the exact rational tag.
+    One bond matrix is built per distinct (kind, r, J); the terms keep the
+    edge order."""
+    bonds, terms = {}, []
+    for u, v, kind, r, J in zip(*(c.tolist() for c in (g.u, g.v, g.kind, g.r, g.J))):
+        bond = bonds.get((kind, r, J))
+        if bond is None:
+            if kind == SU2:
+                M = J * np.eye(3)
+            else:
+                _, cn, dn = jacobi_fraction(r * q.fraction, q.modulus)
+                M = J * np.diag([dn, 1.0, cn])
+            bond = bonds[kind, r, J] = _bond_matrix(S, M)
+        terms.append(((u, v), bond))
     return terms
 
 

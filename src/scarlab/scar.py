@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import CommensurateQ, commensurate_q, jacobi_fraction
+from .elliptic import CommensurateQ, commensurate_q, jacobi_array, jacobi_fraction
 from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
@@ -59,25 +58,28 @@ class ScarSpec:
 
 
 def _phase_table(phases, modulus):
-    """Step 1 of site_angles, kappa only: (winding, index, [(sn, cn, dn), ...]).
+    """Step 1 of site_angles, kappa only: (winding, index, (sn, cn, dn) arrays).
 
     The phases go over one common denominator L as integer numerators n:
     winding = n // L per site, and index points at the distinct reduced phase
-    (n % L) / L, where the elliptic functions are evaluated once.
+    (n % L) / L, where the elliptic functions are evaluated once, in one
+    jacobi_array call on u = 4K * (r / L), the operations of jacobi_fraction.
     """
     dens = [f.denominator for f in phases]
     L = math.lcm(*set(dens))
     num = np.array([f.numerator * (L // d) for f, d in zip(phases, dens)], dtype=np.int64)
     winding, reduced = np.divmod(num, L)
     distinct, index = np.unique(reduced, return_inverse=True)
-    return winding, index, [jacobi_fraction(Fraction(int(r), L), modulus) for r in distinct]
+    K = modulus.quarter_period
+    u = 4.0 * K * np.array([r / L for r in distinct.tolist()])
+    return winding, index, jacobi_array(u, modulus.kappa, K)
 
 
 def _table_angles(spec: ScarSpec, table):
     """Step 2 of site_angles: (theta, phi) arrays for one spec over a phase table."""
     winding, index, elliptic = table
     two_pi, theta, local = 2.0 * math.pi, [], []
-    for sn, cn, dn in elliptic:
+    for sn, cn, dn in zip(*(f.tolist() for f in elliptic)):
         ux, uy = spec.alpha * cn, spec.beta * sn
         local.append(math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0)
         theta.append(math.acos(max(-1.0, min(1.0, spec.gamma * dn))))
@@ -300,12 +302,7 @@ def local_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec,
 
 def predicted_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec) -> np.ndarray:
     """Closed form -alpha beta S^2 dn(q_n) sn(q) sum_m sigma_nm per vertex."""
-    phases = assign_site_phases(g, spec.q)
+    _, index, (_, _, dn) = _phase_table(assign_site_phases(g, spec.q), spec.q.modulus)
     sn_q, _, _ = jacobi_fraction(spec.q.fraction, spec.q.modulus)
-    flow = vertex_flow(g)
-    out = np.zeros(g.num_vertices)
     S = system.S
-    for n in range(g.num_vertices):
-        _, _, dn_n = jacobi_fraction(phases[n], spec.q.modulus)
-        out[n] = -spec.alpha * spec.beta * S * S * dn_n * sn_q * flow[n]
-    return out
+    return -spec.alpha * spec.beta * S * S * dn[index] * sn_q * vertex_flow(g)

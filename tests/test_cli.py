@@ -383,6 +383,54 @@ def test_elliptic_csv_holds_numbers(tmp_path):
         assert repr(float(value)) == value
 
 
+# elliptic.csv bodies at 20,000 points as the per-point scalar loop wrote them
+_ELLIPTIC_BODIES = {
+    0: "check,max_residual\n"
+       "sn2cn2,2.220446049250313e-16\n"
+       "dn2k2sn2,2.220446049250313e-16\n"
+       "periodicity,1.8041124150158794e-15\n"
+       "roundtrip,2.740863092043355e-16\n",
+    202: "check,max_residual\n"
+         "sn2cn2,2.220446049250313e-16\n"
+         "dn2k2sn2,2.220446049250313e-16\n"
+         "periodicity,1.790234627208065e-15\n"
+         "roundtrip,1.6237011735142914e-15\n",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_ELLIPTIC_BODIES))
+def test_elliptic_csv_body_is_pinned(tmp_path, seed):
+    assert run(["--out", str(tmp_path), "elliptic", "--points", "20000",
+                "--seed", str(seed)]) == EXIT_OK
+    assert (tmp_path / "elliptic.csv").read_text() == _ELLIPTIC_BODIES[seed]
+
+
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_elliptic_needs_at_least_one_point(tmp_path, capsys, points):
+    assert run(["--out", str(tmp_path), "elliptic", f"--points={points}"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err == f"invalid input: --points must be >= 1, got {points}\n"
+    assert not (tmp_path / "elliptic.csv").exists()
+
+
+def test_degeneracy_scan_fails_error_rows_behind_special_q(tmp_path, capsys):
+    # 4p/N = 1 makes the row special-q; S=5/2 N=8 is over the dense cap
+    assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "5/2", "--N", "8",
+                "--kappa", "0.6", "--p", "2"]) == EXIT_PHYSICS
+    assert "FAIL: S=2.5 N=8 p=2  (special-q;error:DimensionCap)" in capsys.readouterr().out
+    assert (tmp_path / "degeneracy_scan.csv").read_text().splitlines()[1] == \
+        "2.5,8,2,0.6,nan,0,80,special-q;error:DimensionCap"
+
+
+@pytest.mark.parametrize("kappa", ["-0.6", "1.0", "nan"])
+def test_degeneracy_scan_rejects_modulus_outside_unit_interval(tmp_path, capsys, kappa):
+    assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "1/2", "--N", "4",
+                "--kappa", kappa, "--p", "1"]) == EXIT_INVALID
+    assert _one_invalid_input_line(capsys)
+    assert not (tmp_path / "degeneracy_scan.csv").exists()
+
+
 def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
     def no_matrix(*args, **kwargs):
         raise AssertionError("scar-verify assembled a sparse operator")

@@ -6,10 +6,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scarlab.elliptic import (EllipticModulus, commensurate_q,
-                              complete_K, incomplete_F, jacobi,
-                              jacobi_fraction, jacobi_sc, solve_q_kappa)
+from scarlab.elliptic import (EllipticModulus, _jacobi_reduced, commensurate_q,
+                              complete_K, complete_K_array, incomplete_F, jacobi,
+                              jacobi_array, jacobi_fraction, jacobi_sc, solve_q_kappa)
 from scarlab.errors import (ModulusOutOfRange, OrderingViolated,
                             PoleAtQuarterPeriod)
 
@@ -156,6 +158,43 @@ def test_modulus_range_guard():
         EllipticModulus.from_kappa(1.0)
     with pytest.raises(ModulusOutOfRange):
         EllipticModulus.from_kappa(-0.1)
+    for bad in (1.0, -0.1, float("nan")):
+        with pytest.raises(ModulusOutOfRange):
+            complete_K_array([0.5, bad])
+        with pytest.raises(ModulusOutOfRange):
+            jacobi_array([0.1, 0.2], [0.5, bad], [complete_K(0.5)] * 2)
+
+
+_KAPPA = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
+# an argument in [-1e3, 1e3], +-0.0, or an exact integer multiple of K(kappa)
+_ARG = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]),
+                 st.integers(-400, 400).map(lambda k: ("K", k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(_KAPPA, _ARG), min_size=1, max_size=12))
+def test_array_kernel_bit_identical_to_scalar_path(points):
+    kappas = [kappa for kappa, _ in points]
+    Ks = [complete_K(kappa) for kappa in kappas]
+    us = [arg[1] * K if isinstance(arg, tuple) else arg for (_, arg), K in zip(points, Ks)]
+    got_K = complete_K_array(kappas)
+    assert got_K.tobytes() == np.array(Ks).tobytes()
+    got = jacobi_array(us, kappas, got_K)
+    want = np.array([_jacobi_reduced(u, EllipticModulus.from_kappa(kappa))
+                     for u, kappa in zip(us, kappas)]).reshape(-1, 3)
+    for j in range(3):
+        assert got[j].tobytes() == want[:, j].copy().tobytes()
+
+
+def test_array_kernel_broadcasts_a_scalar_modulus():
+    kappa = 0.7
+    K = complete_K(kappa)
+    us = np.linspace(-3.0 * K, 5.0 * K, 33)
+    got = jacobi_array(us, kappa, K)
+    assert np.shape(jacobi_array(0.25, kappa, K)[0]) == ()
+    mod = EllipticModulus.from_kappa(kappa)
+    want = np.array([_jacobi_reduced(u, mod) for u in us.tolist()])
+    assert np.array(got).T.tobytes() == want.tobytes()
 
 
 def test_sc_pole_guard():

@@ -6,10 +6,10 @@ import numpy as np
 
 from scarlab.elliptic import commensurate_q, jacobi, jacobi_fraction
 from scarlab.frames import CsseCouplings
-from scarlab.hamiltonian import (build_csse_chain, build_on_graph,
-                                 build_xyz_chain, load_parameters,
+from scarlab.hamiltonian import (_bond_matrix, build_csse_chain, build_on_graph,
+                                 build_xyz_chain, graph_terms, load_parameters,
                                  rotated_hamiltonian, vanishing_conditions)
-from scarlab.lattice import CSSE, SU2, kagome_su2
+from scarlab.lattice import CSSE, SU2, kagome_su2, nnn_chain
 from scarlab.lattice import chain as chain_graph
 from scarlab.scar import ScarSpec, gz_angles
 from scarlab.spinops import SiteAngles, SpinSystem, local_spin_matrices, two_site
@@ -88,6 +88,26 @@ def test_graph_builder_matches_two_site_sum():
         for a in range(3):
             want = want + J[a] * two_site(ops[a], e.u, ops[a], e.v, system)
     assert abs(H.matrix - want).max() <= 1e-13
+
+
+def test_graph_terms_equal_the_per_edge_bond_matrices():
+    # one bond matrix per (kind, r, J) class, the terms still in edge order
+    q = commensurate_q(1, 6, 0.45)
+    for g, S in ((kagome_su2(2, 2, J=0.7, Jprime=-1.3), 0.5), (nnn_chain(12, Jnnn=0.4), 1.0)):
+        want = []
+        for e in g.edges:
+            if e.kind == SU2:
+                M = e.J * np.eye(3)
+            else:
+                _, cn, dn = jacobi_fraction(e.r * q.fraction, q.modulus)
+                M = e.J * np.diag([dn, 1.0, cn])
+            want.append(((e.u, e.v), _bond_matrix(S, M)))
+        got = graph_terms(g, S, q)
+        assert len({id(bond) for _, bond in got}) < len(got)
+        assert [sites for sites, _ in got] == [sites for sites, _ in want]
+        assert all(type(n) is int for sites, _ in got for n in sites)
+        for (_, a), (_, b) in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_builder_dtypes():

@@ -9,10 +9,11 @@ from scarlab import scar as scar_module
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
 from scarlab.hamiltonian import build_on_graph, build_xyz_chain, chain_terms, graph_terms
-from scarlab.lattice import (assign_site_phases, chain, check_circuit_rule,
-                             honeycomb_su2, kagome_su2, lieb, modified_honeycomb,
+from scarlab.lattice import (Edge, ScarGraph, assign_site_phases, chain,
+                             check_circuit_rule, honeycomb_su2, kagome_su2, lieb,
+                             modified_honeycomb,
                              nnn_chain, square, square_shifted, triangular_su2,
-                             trimer_brickwall, trimer_ladder)
+                             trimer_brickwall, trimer_ladder, vertex_flow)
 from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy, gz_state,
                           helical_expansion, site_angles,
                           helical_tower, local_sz_current, predicted_sz_current,
@@ -295,6 +296,36 @@ def test_site_angles_bit_identical_to_fraction_loop(kappa, gamma, p, helicity):
             assert np.array(angles.phi).tobytes() == np.array(phi).tobytes()
             counted += 1
     assert counted >= 8
+
+
+@pytest.mark.parametrize("g,denom", [(square(100, 100), 100), (nnn_chain(3000), 3000)])
+def test_site_angles_on_large_lattices_bit_identical_to_fraction_loop(g, denom):
+    # 10^4 sites with 100 distinct phases, 3,000 sites with 3,000 distinct phases
+    for kappa, gamma, helicity in [(0.0, 0.4, +1), (0.37, -0.6, -1), (0.93, 0.9, +1)]:
+        q = commensurate_q(1, denom, kappa)
+        spec = ScarSpec(helicity=helicity, p=1, gamma=gamma, kappa=kappa, q=q)
+        phases = assign_site_phases(g, q)
+        angles = site_angles(spec, phases)
+        theta, phi = _site_angles_fraction_loop(spec, phases)
+        assert np.array(angles.theta).tobytes() == np.array(theta).tobytes()
+        assert np.array(angles.phi).tobytes() == np.array(phi).tobytes()
+
+
+def test_predicted_sz_current_bit_identical_to_per_vertex_evaluation():
+    # an open path carries net sigma flow at its ends and where sigma turns
+    g = ScarGraph(5, [Edge(0, 1, +1), Edge(1, 2, +1), Edge(2, 3, -1), Edge(3, 4, +1, r=2)])
+    system = SpinSystem(1.0, 5)
+    for kappa in (0.0, 0.55):
+        spec = ScarSpec.make(-1, 1, 0.3, kappa, 7)
+        phases = assign_site_phases(g, spec.q)
+        sn_q, _, _ = jacobi_fraction(spec.q.fraction, spec.q.modulus)
+        flow = vertex_flow(g)
+        want = [-spec.alpha * spec.beta * 1.0 * 1.0
+                * jacobi_fraction(phases[n], spec.q.modulus)[2] * sn_q * flow[n]
+                for n in range(5)]
+        got = predicted_sz_current(g, system, spec)
+        assert np.any(got != 0.0)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 # every generator at ED size, with the spin per graph
