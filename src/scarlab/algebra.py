@@ -97,17 +97,16 @@ def perturbative_split(N: int, S: float, q0: float):
             build_xyz_chain(N, S, -0.5 * s2, 0.0, -0.25 * s2 * math.cos(q0)))
 
 
-def reduced_resolvent_apply(H0: ManyBodyOperator, E0: float, vec: np.ndarray,
-                            tol: float = 1e-8) -> np.ndarray:
+def reduced_resolvent_apply(H0: ManyBodyOperator, E0: float, vec: np.ndarray) -> np.ndarray:
     """(H0 - E0)^+ vec with the degenerate eigenspace at E0 projected out.
 
     Dense eigendecomposition; the inverse is taken only on eigenvalues
-    farther than tol from E0 (the standard first-order prescription when the
+    farther than 1e-8 from E0 (the standard first-order prescription when the
     unperturbed level is degenerate).
     """
     evals, evecs = np.linalg.eigh(H0.dense())
     coeffs = evecs.conj().T @ vec
-    keep = np.abs(evals - E0) > tol
+    keep = np.abs(evals - E0) > 1e-8
     coeffs = np.where(keep, coeffs / np.where(keep, evals - E0, 1.0), 0.0)
     return evecs @ coeffs
 
@@ -123,10 +122,10 @@ def first_order_deformation(N: int, S: float, p: int, kappa: float,
     return StateVector(psi0.system, amps).normalized()
 
 
-def degenerate_subspace(H: ManyBodyOperator, E: float, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal columns spanning the eigenspace of H within tol of E."""
+def degenerate_subspace(H: ManyBodyOperator, E: float) -> np.ndarray:
+    """Orthonormal columns spanning the eigenspace of H within 1e-8 max(1, |H|) of E."""
     evals, evecs = np.linalg.eigh(H.dense())
-    cols = evecs[:, np.abs(evals - E) <= tol * max(1.0, np.abs(evals).max())]
+    cols = evecs[:, np.abs(evals - E) <= 1e-8 * max(1.0, np.abs(evals).max())]
     if cols.shape[1] == 0:
         raise ScarlabError(f"no eigenvalues within tolerance of E = {E}")
     return cols
@@ -147,8 +146,8 @@ class FamilyVerdict:
     rank: int
 
 
-def orthonormalize(vectors, drop_tol: float = 1e-10):
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
+def orthonormalize(vectors):
+    """Modified Gram-Schmidt with one re-orthogonalization pass; drops residuals <= 1e-10."""
     basis = []
     for v in vectors:
         w = np.array(v, dtype=complex)
@@ -156,7 +155,7 @@ def orthonormalize(vectors, drop_tol: float = 1e-10):
             for b in basis:
                 w = w - np.vdot(b, w) * b
         nrm = np.linalg.norm(w)
-        if nrm > drop_tol:
+        if nrm > 1e-10:
             basis.append(w / nrm)
     return basis
 

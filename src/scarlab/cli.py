@@ -316,8 +316,11 @@ def cmd_lattice_check(args, log: CheckLog) -> int:
 
 def cmd_lattice_generate(args, log: CheckLog) -> int:
     from .lattice import generate
+    dims = _lattice_dims(args.kind, args.dims)
+    if args.shift is not None and args.kind != "square_shifted":
+        raise InvalidInput(f"--shift applies to square_shifted only, not {args.kind!r}")
     options = {} if args.shift is None else {"shift": args.shift}
-    g = generate(args.kind, *_lattice_dims(args.kind, args.dims), **options)
+    g = generate(args.kind, *dims, **options)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.kind}.json")
     with open(path, "w") as fh:
@@ -335,6 +338,9 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
     from .scar import gz_energy
     from .spinops import SpinSystem, StateVector, all_up
     N, S, p = args.N, args.S, args.p
+    if N < 3:
+        # the tower energy counts N bonds of a periodic ring
+        raise InvalidInput(f"algebra-check needs a ring of N >= 3 sites, got N={N}")
     q0 = 2.0 * math.pi * p / N
     H = build_xyz_chain(N, S, 1.0, 1.0, math.cos(q0))
     t = tau(N, S, q0)
@@ -379,6 +385,9 @@ def cmd_schwinger_check(args, log: CheckLog) -> int:
     if N < 3:
         # the decomposition telescopes around a periodic ring of N >= 3 bonds
         raise ValueError(f"schwinger-check needs a ring of N >= 3 sites, got N={N}")
+    if S < 0.5:
+        # at S = 0 every bilinear vanishes, so no control can fail
+        raise InvalidInput(f"schwinger-check needs S >= 1/2, got S={S:g}")
     fids = zeta_tower_fidelities(N, S, p)
     dev = max(abs(1.0 - f) for f in fids)
     log.check("zeta-states = rotated tower", dev <= 1e-12, f"max dev {dev:.2e}")

@@ -45,10 +45,6 @@ class NoRootFound(ScarlabError):
     """Frame-angle root search failed from every start point."""
 
 
-class DisconnectedGraph(ScarlabError):
-    """Circuit analysis requires a connected graph."""
-
-
 class InconsistentPhases(ScarlabError):
     """Site-phase propagation met a contradiction (circuit rule violated)."""
 

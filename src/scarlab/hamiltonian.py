@@ -87,15 +87,15 @@ def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator
 
 
 def rotated_hamiltonian(H: ManyBodyOperator, angles: SiteAngles,
-                        helicity: int = +1, dim_cap: int = 4096) -> ManyBodyOperator:
+                        helicity: int = +1) -> ManyBodyOperator:
     """H' = U H U^dag with U the inverse of the coherent-state product rotation.
 
     U maps the product scar state with the given Bloch angles onto |up...up>,
     so when the angles are scar angles, H'|up...up> = E |up...up>.  Dense
-    under the hood, hence the dimension cap.
+    under the hood, hence product_rotation's dimension cap.
     """
     phi = tuple(helicity * p for p in angles.phi)
-    V = product_rotation(SiteAngles(angles.theta, phi), H.system, dim_cap=dim_cap)
+    V = product_rotation(SiteAngles(angles.theta, phi), H.system)
     Vd = V.dagger()
     return ManyBodyOperator(H.system, (Vd.matrix @ H.matrix @ V.matrix).tocsr(),
                             hermitian=H.hermitian)

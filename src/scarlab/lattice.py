@@ -10,9 +10,11 @@ whether a helical product state can live on the graph:
 
 The circuit rule is checked on a fundamental-cycle basis only (cycle-space
 linearity covers every other circuit) and is evaluated in exact integer
-arithmetic on the rational tag q/(4K) = p/denominator.  It runs on integer
-tree potentials from one BFS, so each chord's cycle costs O(1) and the rule
-and the site phases cost O(edges); no cycle is walked.
+arithmetic on the rational tag q/(4K) = p/denominator.  Every cycle question
+(the circuit rule, the site phases and the classification) reads its cycles
+from one path: integer potentials of a per-edge step on a BFS spanning
+forest, so each chord's cycle costs O(1) and no cycle is walked.  A
+disconnected graph is handled component by component, each root at phase 0.
 
 A graph is a set of numpy edge columns (u, v, sigma, kind, r, J, crossing);
 validation, the rules and the generators work on whole columns.
@@ -37,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import CommensurateQ
-from .errors import DisconnectedGraph, InconsistentPhases, InvalidGraph, UnsupportedDims
+from .errors import InconsistentPhases, InvalidGraph, UnsupportedDims
 
 CSSE = "csse"
 SU2 = "su2"
@@ -303,29 +305,20 @@ def check_vertex_rule(g: ScarGraph) -> list:
     return np.flatnonzero(vertex_flow(g)).tolist()
 
 
-class _Tree(NamedTuple):
-    parent: np.ndarray      # half-edge each vertex was reached by, -1 at the root
-    chords: np.ndarray      # non-tree edges, ascending
-    winding: np.ndarray     # sum(d*sigma*r) along the tree path root -> n
-    crossing: np.ndarray    # (n, 2) summed crossing vectors along the same path
-
-
 def _half_edges(a, b) -> np.ndarray:
     """Interleaved per-half-edge values: a[i] at 2i (u_i -> v_i), b[i] at 2i+1 (v_i -> u_i)."""
     return np.stack([a, b], axis=1).reshape(-1, *np.shape(a)[1:])
 
 
-def _spanning_tree(g: ScarGraph, root: int = 0) -> _Tree:
-    """BFS tree over flat CSR half-edges, with integer tree potentials.
+def _forest(g: ScarGraph) -> tuple:
+    """BFS spanning forest over flat CSR half-edges: (parent, chords).
 
-    Half-edge 2i runs u_i -> v_i (direction +1) and 2i+1 runs v_i -> u_i.  One
-    stable argsort by start vertex keeps each vertex's half-edges in edge
-    order, the order its adjacency list had, so the walk reaches every vertex
-    by the same edge as the per-edge BFS.  The potentials winding[n] and
-    crossing[n] run along the tree path root -> n, so the cycle closed by chord
-    (u, v) has winding sigma*r + winding[u] - winding[v], likewise crossing;
-    they are summed by pointer jumping, exactly (in Python ints when int64
-    could overflow).
+    parent[x] is the half-edge x was reached by (-1 at a root); chords are the
+    non-tree edges, ascending.  Half-edge 2i runs u_i -> v_i and 2i+1 runs
+    v_i -> u_i.  One stable argsort by start vertex keeps each vertex's
+    half-edges in edge order, the order its adjacency list had, so the walk
+    reaches every vertex by the same edge as the per-edge BFS.  Vertex 0 roots
+    the first tree, and the lowest vertex not yet reached roots each next one.
     """
     n = g.num_vertices
     start = _half_edges(g.u, g.v)
@@ -335,75 +328,47 @@ def _spanning_tree(g: ScarGraph, root: int = 0) -> _Tree:
     ptr, far, half = ptr.tolist(), _half_edges(g.v, g.u)[order].tolist(), order.tolist()
     parent = [-1] * n
     seen = bytearray(n)
-    seen[root] = 1
-    visit = [root]
-    for x in visit:             # visit grows while it is walked: a BFS queue
-        for k in range(ptr[x], ptr[x + 1]):
-            y = far[k]
-            if not seen[y]:
-                seen[y] = 1
-                parent[y] = half[k]
-                visit.append(y)
-    if len(visit) < n:
-        raise DisconnectedGraph(f"{n - len(visit)} vertices unreachable from vertex {root}")
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        visit = [root]
+        for x in visit:         # visit grows while it is walked: a BFS queue
+            for k in range(ptr[x], ptr[x + 1]):
+                y = far[k]
+                if not seen[y]:
+                    seen[y] = 1
+                    parent[y] = half[k]
+                    visit.append(y)
     parent = np.array(parent, dtype=np.int64)
-    step = np.column_stack([g.sigma * g.r, g.crossing])          # per edge, direction +1
+    in_tree = np.zeros(g.num_edges, dtype=bool)
+    in_tree[parent[parent >= 0] >> 1] = True
+    return parent, np.flatnonzero(~in_tree)
+
+
+def _potentials(g: ScarGraph, step) -> tuple:
+    """Forest potentials of an (m, k) per-edge integer step: (chords, P, rows).
+
+    step[i] is what edge i adds going u_i -> v_i (its negative going back).
+    P[x] sums it along the forest path root -> x, so every root sits at 0, and
+    rows[j] = step[c] + P[u_c] - P[v_c] sums it around the fundamental cycle
+    closed by chord c = chords[j].  P is summed by pointer jumping, exactly (in
+    Python ints when int64 could overflow).
+    """
+    parent, chords = _forest(g)
+    n = g.num_vertices
     step = _half_edges(step, -step)
     if step.dtype != object and int(np.abs(step).max(initial=0)) * (2 * n + 2) >= 2 ** 63:
         step = step.astype(object)
     tree = parent >= 0
-    pot = np.zeros((n, 3), dtype=step.dtype)
+    pot = np.zeros((n, step.shape[1]), dtype=step.dtype)
     pot[tree] = step[parent[tree]]
-    anc = np.full(n, root)
-    anc[tree] = start[parent[tree]]
-    while (anc != root).any():  # pot[x] sums the path anc[x] -> x; double it until the root
+    anc = np.arange(n)
+    anc[tree] = _half_edges(g.u, g.v)[parent[tree]]
+    while (parent[anc] >= 0).any():     # pot[x] sums the path anc[x] -> x; double it to a root
         pot += pot[anc]
         anc = anc[anc]
-    in_tree = np.zeros(g.num_edges, dtype=bool)
-    in_tree[parent[tree] >> 1] = True
-    return _Tree(parent, np.flatnonzero(~in_tree), pot[:, 0], pot[:, 1:])
-
-
-def _root_path(g: ScarGraph, parent, n):
-    """Edge walk (edge_idx, dir) from the tree root down to vertex n."""
-    path = []
-    while parent[n] >= 0:
-        ei, back = divmod(parent[n], 2)
-        path.append((ei, 1 - 2 * back))
-        n = g.v[ei] if back else g.u[ei]
-    path.reverse()
-    return path
-
-
-def fundamental_cycles(g: ScarGraph) -> list:
-    """One cycle per non-tree edge, each a list of (edge_index, direction)."""
-    tree = _spanning_tree(g)
-    parent = tree.parent.tolist()
-    cycles = []
-    for ci in tree.chords.tolist():
-        to_u = _root_path(g, parent, g.u[ci])
-        to_v = _root_path(g, parent, g.v[ci])
-        k = 0
-        while k < len(to_u) and k < len(to_v) and to_u[k] == to_v[k]:
-            k += 1
-        # u -> v along the chord, v -> ancestor against the tree, ancestor -> u
-        cycle = [(ci, +1)]
-        cycle += [(ei, -d) for ei, d in reversed(to_v[k:])]
-        cycle += to_u[k:]
-        cycles.append(cycle)
-    return cycles
-
-
-def cycle_crossing(g: ScarGraph, cycle) -> tuple:
-    idx, d = np.array(cycle).T
-    wx, wy = (d[:, None] * g.crossing[idx]).sum(axis=0).tolist()
-    return (wx, wy)
-
-
-def _chord_windings(g: ScarGraph, tree: _Tree) -> np.ndarray:
-    """Winding of the fundamental cycle closed by each chord."""
-    c = tree.chords
-    return g.sigma[c] * g.r[c] + tree.winding[g.u[c]] - tree.winding[g.v[c]]
+    return chords, pot, step[2 * chords] + pot[g.u[chords]] - pot[g.v[chords]]
 
 
 def _residues(w, den) -> np.ndarray:
@@ -440,11 +405,10 @@ def check_circuit_rule(g: ScarGraph, q: CommensurateQ) -> RuleReport:
     q/(4K) = p/d in lowest terms, so W * p/d is an integer exactly when d divides W.
     """
     violations = check_vertex_rule(g)
-    tree = _spanning_tree(g)
-    c, w = tree.chords, _chord_windings(g, tree)
+    c, _, rows = _potentials(g, np.column_stack([g.sigma * g.r, g.crossing]))
+    w, cross = rows[:, 0], rows[:, 1:]
     off = (_residues(w, q.fraction.denominator) != 0).tolist()
     constraints = list(zip(c.tolist(), w.tolist()))
-    cross = g.crossing[c] + tree.crossing[g.u[c]] - tree.crossing[g.v[c]]
     if violations:
         classification = CLASS_NONE
     elif ((w != 0) & ~(cross != 0).any(axis=1)).any():     # a contractible cycle winds
@@ -458,28 +422,25 @@ def check_circuit_rule(g: ScarGraph, q: CommensurateQ) -> RuleReport:
                       classification=classification)
 
 
-def assign_site_phases(g: ScarGraph, q: CommensurateQ, root: int = 0) -> list:
-    """Per-vertex phase q_n as an exact Fraction of 4K(kappa), root at zero.
+def assign_site_phases(g: ScarGraph, q: CommensurateQ) -> list:
+    """Per-vertex phase q_n as an exact Fraction of 4K(kappa), each forest root at zero.
 
-    q_m = q_n - sigma_nm * r * q along every edge, so on the BFS tree the
-    phase is -winding[n] * q modulo 1.  Every chord is cross-checked, so an
-    inconsistent sigma pattern (a circuit-rule violation) is caught rather
-    than silently averaged.  One Fraction is built per distinct phase.
+    q_m = q_n - sigma_nm * r * q along every edge, so on the BFS forest the
+    phase is -P[n] * q modulo 1, P the potential of sigma * r.  Every chord is
+    cross-checked, so an inconsistent sigma pattern (a circuit-rule violation)
+    is caught rather than silently averaged.  One Fraction is built per
+    distinct phase.
     """
-    try:
-        tree = _spanning_tree(g, root)
-    except DisconnectedGraph:
-        raise DisconnectedGraph("phase propagation did not reach every vertex") from None
     num, den = q.fraction.numerator, q.fraction.denominator
-    w = _chord_windings(g, tree)
-    off = np.flatnonzero(_residues(w, den))
+    chords, pot, w = _potentials(g, (g.sigma * g.r)[:, None])
+    off = np.flatnonzero(_residues(w[:, 0], den))
     if off.size:
         i = off[0]
-        u, v, wi = g.u[tree.chords[i]], g.v[tree.chords[i]], w[i]
+        u, v, wi = g.u[chords[i]], g.v[chords[i]], w[i, 0]
         raise InconsistentPhases(
             f"edge ({u},{v}) closes a cycle of winding {wi}, and {wi} * {q.fraction} "
             f"is not an integer: the phases at vertex {v} disagree")
-    distinct, index = np.unique(_residues(-tree.winding, den), return_inverse=True)
+    distinct, index = np.unique(_residues(-pot[:, 0], den), return_inverse=True)
     table = [Fraction(k * num % den, den) for k in distinct.tolist()]
     return [table[i] for i in index.tolist()]
 
@@ -501,66 +462,61 @@ def classify(g: ScarGraph) -> str:
 
     The vertex rule is satisfiable iff every CSSE degree is even (an Eulerian
     orientation of each component realizes it).  Lattice independence
-    additionally needs zero winding on every contractible fundamental cycle;
-    that is decided by exhaustive assignment search with vertex-sum pruning,
-    capped at SIGMA_SEARCH_CAP CSSE edges.
+    additionally needs zero winding on every contractible cycle.  The forest
+    potentials of the step r_e * onehot(slot e) give each fundamental cycle's
+    winding as a row of coefficients on the CSSE sigmas; the rows whose
+    crossing is zero (the contractible cycles) go under the CSSE
+    vertex-incidence rows into one integer matrix A, and an exhaustive search
+    for sigma in {+1, -1}^m with A sigma = 0 decides.  It is capped at
+    SIGMA_SEARCH_CAP CSSE edges (Unknown above).
     """
     csse = g.kind == CSSE
     n = g.num_vertices
     if ((np.bincount(g.u[csse], minlength=n) + np.bincount(g.v[csse], minlength=n)) % 2).any():
         return CLASS_NONE
-    csse_idx = np.flatnonzero(csse).tolist()
-    if not csse_idx:
+    slots = np.flatnonzero(csse)
+    m = slots.size
+    if not m:
         return CLASS_INDEPENDENT
-    if len(csse_idx) > SIGMA_SEARCH_CAP:
+    if m > SIGMA_SEARCH_CAP:
         return CLASS_UNKNOWN
-    cycles = [c for c in fundamental_cycles(g) if cycle_crossing(g, c) == (0, 0)]
-    if not cycles:
-        return CLASS_INDEPENDENT
+    step = np.zeros((g.num_edges, m), dtype=g.r.dtype)
+    step[slots, np.arange(m)] = g.r[slots]
+    _, _, rows = _potentials(g, np.column_stack([step, g.crossing]))
+    cycles = rows[~(rows[:, m:] != 0).any(axis=1), :m]
+    ends, at = np.unique(np.concatenate([g.u[slots], g.v[slots]]), return_inverse=True)
+    incidence = np.zeros((ends.size, m), dtype=np.int64)
+    incidence[at[:m], np.arange(m)] = 1
+    incidence[at[m:], np.arange(m)] = -1
+    found = _sign_solution(np.vstack([incidence, cycles]))
+    return CLASS_INDEPENDENT if found else CLASS_DEPENDENT
 
-    pos = {ei: k for k, ei in enumerate(csse_idx)}
-    # per-vertex incident (slot, direction) over CSSE edges only
-    incident = [[] for _ in range(g.num_vertices)]
-    for ei in csse_idx:
-        e = g.edges[ei]
-        incident[e.u].append((pos[ei], +1))
-        incident[e.v].append((pos[ei], -1))
-    # cycle -> list of (slot, coefficient d*r); SU(2) edges contribute nothing
-    cyc_terms = []
-    for cyc in cycles:
-        terms = [(pos[ei], d * g.edges[ei].r) for ei, d in cyc if g.edges[ei].kind == CSSE]
-        last = max((t[0] for t in terms), default=-1)
-        cyc_terms.append((terms, last))
 
-    sigma = [0] * len(csse_idx)
+def _sign_solution(A) -> bool:
+    """Whether some sigma in {+1, -1}^m has A sigma = 0, A an integer matrix.
 
-    def feasible_vertex(n) -> bool:
-        total, free = 0, 0
-        for slot, d in incident[n]:
-            if sigma[slot] == 0:
-                free += 1
-            else:
-                total += d * sigma[slot]
-        return abs(total) <= free
+    A depth-first search assigns sigma column by column and prunes as soon as
+    a row's partial sum exceeds the sum of its |coefficients| not yet assigned.
+    """
+    rest = np.abs(A)[:, ::-1].cumsum(axis=1)[:, ::-1] - np.abs(A)   # sum over columns > k
+    A, rest = A.tolist(), rest.tolist()
+    cols = [[(i, row[k], rest[i][k]) for i, row in enumerate(A) if row[k]]
+            for k in range(len(A[0]))]
+    total = [0] * len(A)
 
-    def dfs(k: int) -> bool:
-        if k == len(csse_idx):
+    def search(k: int) -> bool:
+        if k == len(cols):
             return True
-        e = g.edges[csse_idx[k]]
         for s in (1, -1):
-            sigma[k] = s
-            ok = feasible_vertex(e.u) and feasible_vertex(e.v)
-            if ok:
-                for terms, last in cyc_terms:
-                    if last == k and sum(c * sigma[slot] for slot, c in terms) != 0:
-                        ok = False
-                        break
-            if ok and dfs(k + 1):
+            for i, c, _ in cols[k]:
+                total[i] += s * c
+            if all(abs(total[i]) <= left for i, _, left in cols[k]) and search(k + 1):
                 return True
-        sigma[k] = 0
+            for i, c, _ in cols[k]:
+                total[i] -= s * c
         return False
 
-    return CLASS_INDEPENDENT if dfs(0) else CLASS_DEPENDENT
+    return search(0)
 
 
 # ---------------------------------------------------------------------------

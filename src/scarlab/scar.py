@@ -251,11 +251,11 @@ def _chebyshev_grid(count: int, lo: float = -0.99, hi: float = 0.99):
 
 
 def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
-              gamma_grid=None, rel_tol: float = 1e-8) -> int:
+              gamma_grid=None) -> int:
     """Dimension of the span of the scar family over gamma.
 
     Rank of the matrix of gz_state columns, singular values thresholded at
-    rel_tol * sigma_max; a doubled grid must reproduce the rank, otherwise the
+    1e-8 * sigma_max; a doubled grid must reproduce the rank, otherwise the
     sampling is declared unstable.  Each grid is one batch of product states.
     """
     system = SpinSystem(S, N)
@@ -268,7 +268,7 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
                            for g in grid])
         states = coherent_product_states(system, angles[:, 0], angles[:, 1])
         sv = np.linalg.svd(states.T, compute_uv=False)
-        return int(np.sum(sv > rel_tol * sv[0]))
+        return int(np.sum(sv > 1e-8 * sv[0]))
 
     if gamma_grid is None:
         # twice the minimum: borderline singular values converge by then,

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
-from .hamiltonian import _bond_matrix, _chain_bonds
+from .hamiltonian import _chain_bonds, chain_terms
 from .spinops import SpinSystem, local_spin_matrices, local_sum
 
 UP, DOWN = 0, 1
@@ -284,8 +284,7 @@ def _rotated_spin_hamiltonian(N: int, S: float, q0: float, Jx: float) -> sp.csr_
     """Jx cos(q0) sum S.S - Jx sin(q0) sum (Sx_n Sy_{n+1} - Sy_n Sx_{n+1})."""
     M = Jx * math.cos(q0) * np.eye(3)
     M[0, 1], M[1, 0] = -Jx * math.sin(q0), Jx * math.sin(q0)
-    bond = _bond_matrix(S, M)
-    return local_sum(SpinSystem(S, N), [(b, bond) for b in _chain_bonds(N, periodic=True)])
+    return local_sum(SpinSystem(S, N), chain_terms(N, S, M))
 
 
 def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:

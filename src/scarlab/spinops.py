@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from .errors import DimensionCap, DimensionMismatch, InvalidSpin, SiteOutOfRange
 
 MATFREE_DIM_CAP = 20_000_000
+ROTATION_DIM_CAP = 4096     # product_rotation (and so rotated_hamiltonian) is dense
 
 
 def _check_spin(S: float) -> int:
@@ -88,9 +89,6 @@ class StateVector:
             raise DimensionMismatch("states live on different systems")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.overlap(other))
-
 
 @dataclass
 class ManyBodyOperator:
@@ -104,11 +102,6 @@ class ManyBodyOperator:
         d = self.system.total_dim
         if self.matrix.shape != (d, d):
             raise DimensionMismatch("matrix shape != (total_dim, total_dim)")
-
-    def apply(self, psi: StateVector) -> StateVector:
-        if psi.system != self.system:
-            raise DimensionMismatch("operator and state on different systems")
-        return StateVector(self.system, self.matrix @ psi.amplitudes)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -345,20 +338,18 @@ def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVecto
     return StateVector(system, coherent_product_states(system, [angles.theta], [angles.phi])[0])
 
 
-def product_rotation(angles: SiteAngles, system: SpinSystem, dagger: bool = False,
-                     dim_cap: int = 4096) -> ManyBodyOperator:
+def product_rotation(angles: SiteAngles, system: SpinSystem) -> ManyBodyOperator:
     """Full product rotation U = prod_n exp(-i phi_n Sz_n) exp(-i theta_n Sy_n).
 
     Dense under the hood (a product of per-site rotations has no sparsity), so
-    it is capped to small systems; use coherent_product_state for vectors.
+    it is capped at ROTATION_DIM_CAP; use coherent_product_state for vectors.
     """
-    if system.total_dim > dim_cap:
-        raise DimensionCap(f"product rotation dense at dim {system.total_dim} > {dim_cap}")
+    if system.total_dim > ROTATION_DIM_CAP:
+        raise DimensionCap(f"product rotation dense at dim {system.total_dim} > "
+                           f"{ROTATION_DIM_CAP}")
     full = np.array([[1.0 + 0.0j]])
     for u in _site_rotations(system.S, angles.theta, angles.phi)[::-1]:
         full = np.kron(full, u)
-    if dagger:
-        full = full.conj().T
     return ManyBodyOperator(system, sp.csr_matrix(full), hermitian=False)
 
 

@@ -2,17 +2,20 @@
 
 These are the Edge-record generators, the adjacency-list BFS, the per-edge
 validation walk and the per-record graph-file reader that `scarlab.lattice`
-replaced with edge columns.  The column versions must emit the same edges in
-the same order, walk exactly the same spanning tree, and load (or reject,
-with the same message) every per-record document the same way.
+replaced with edge columns, and the cycle walks and walk-based
+classification that it replaced with forest potentials.  The column versions
+must emit the same edges in the same order, walk exactly the same spanning
+forest, load (or reject, with the same message) every per-record document
+the same way, and classify every graph alike.
 """
 
 import itertools
 import json
 from operator import itemgetter
 
-from scarlab.errors import DisconnectedGraph, InvalidGraph
-from scarlab.lattice import CSSE, SU2, Edge
+from scarlab.errors import InvalidGraph
+from scarlab.lattice import (CLASS_DEPENDENT, CLASS_INDEPENDENT, CLASS_NONE, CLASS_UNKNOWN,
+                             CSSE, SIGMA_SEARCH_CAP, SU2, Edge)
 
 
 def _torus(nx, ny, shift=None):
@@ -160,33 +163,130 @@ GENERATORS = {
 }
 
 
-def spanning_tree(num_vertices, edges, root=0):
-    """Adjacency-list BFS: (parent (edge_idx, dir) or None per vertex, chords,
-    winding and crossing potentials)."""
+def spanning_tree(num_vertices, edges):
+    """Adjacency-list BFS forest rooted at vertex 0, then at the lowest vertex not
+    yet reached: (parent (edge_idx, dir) or None per vertex, chords, winding and
+    crossing potentials, zero at every root)."""
     adj = [[] for _ in range(num_vertices)]
     for i, e in enumerate(edges):
         adj[e.u].append((i, +1))
         adj[e.v].append((i, -1))
     parent, winding, crossing = ([None] * num_vertices for _ in range(3))
-    winding[root], crossing[root] = 0, (0, 0)
     in_tree = [False] * len(edges)
-    order = [root]
-    for n in order:
-        wn, (cx, cy) = winding[n], crossing[n]
-        for ei, dirn in adj[n]:
-            e = edges[ei]
-            m = e.v if dirn > 0 else e.u
-            if winding[m] is None:
-                winding[m] = wn + dirn * e.sigma * e.r
-                crossing[m] = (cx + dirn * e.crossing[0], cy + dirn * e.crossing[1])
-                parent[m] = (ei, dirn)
-                in_tree[ei] = True
-                order.append(m)
-    if len(order) < num_vertices:
-        raise DisconnectedGraph(
-            f"{num_vertices - len(order)} vertices unreachable from vertex {root}")
+    for root in range(num_vertices):
+        if winding[root] is not None:
+            continue
+        winding[root], crossing[root] = 0, (0, 0)
+        order = [root]
+        for n in order:
+            wn, (cx, cy) = winding[n], crossing[n]
+            for ei, dirn in adj[n]:
+                e = edges[ei]
+                m = e.v if dirn > 0 else e.u
+                if winding[m] is None:
+                    winding[m] = wn + dirn * e.sigma * e.r
+                    crossing[m] = (cx + dirn * e.crossing[0], cy + dirn * e.crossing[1])
+                    parent[m] = (ei, dirn)
+                    in_tree[ei] = True
+                    order.append(m)
     chords = [i for i, t in enumerate(in_tree) if not t]
     return parent, chords, winding, crossing
+
+
+def _root_path(edges, parent, n):
+    """Edge walk (edge_idx, dir) from the tree root down to vertex n."""
+    path = []
+    while parent[n] is not None:
+        ei, d = parent[n]
+        path.append((ei, d))
+        n = edges[ei].u if d > 0 else edges[ei].v
+    path.reverse()
+    return path
+
+
+def fundamental_cycles(num_vertices, edges):
+    """One cycle per chord of the BFS forest, each a list of (edge_index, direction)."""
+    parent, chords, _, _ = spanning_tree(num_vertices, edges)
+    cycles = []
+    for ci in chords:
+        to_u = _root_path(edges, parent, edges[ci].u)
+        to_v = _root_path(edges, parent, edges[ci].v)
+        k = 0
+        while k < len(to_u) and k < len(to_v) and to_u[k] == to_v[k]:
+            k += 1
+        # u -> v along the chord, v -> ancestor against the tree, ancestor -> u
+        cycle = [(ci, +1)]
+        cycle += [(ei, -d) for ei, d in reversed(to_v[k:])]
+        cycle += to_u[k:]
+        cycles.append(cycle)
+    return cycles
+
+
+def cycle_crossing(edges, cycle):
+    return tuple(sum(d * edges[ei].crossing[k] for ei, d in cycle) for k in (0, 1))
+
+
+def classify(num_vertices, edges):
+    """Walk each contractible fundamental cycle, then search sigma edge by edge with
+    vertex-sum pruning and each cycle's winding tested at its last CSSE edge."""
+    csse_idx = [i for i, e in enumerate(edges) if e.kind == CSSE]
+    degree = [0] * num_vertices
+    for ei in csse_idx:
+        degree[edges[ei].u] += 1
+        degree[edges[ei].v] += 1
+    if any(d % 2 for d in degree):
+        return CLASS_NONE
+    if not csse_idx:
+        return CLASS_INDEPENDENT
+    if len(csse_idx) > SIGMA_SEARCH_CAP:
+        return CLASS_UNKNOWN
+    cycles = [c for c in fundamental_cycles(num_vertices, edges)
+              if cycle_crossing(edges, c) == (0, 0)]
+    if not cycles:
+        return CLASS_INDEPENDENT
+
+    pos = {ei: k for k, ei in enumerate(csse_idx)}
+    # per-vertex incident (slot, direction) over CSSE edges only
+    incident = [[] for _ in range(num_vertices)]
+    for ei in csse_idx:
+        incident[edges[ei].u].append((pos[ei], +1))
+        incident[edges[ei].v].append((pos[ei], -1))
+    # cycle -> list of (slot, coefficient d*r); SU(2) edges contribute nothing
+    cyc_terms = []
+    for cyc in cycles:
+        terms = [(pos[ei], d * edges[ei].r) for ei, d in cyc if edges[ei].kind == CSSE]
+        last = max((t[0] for t in terms), default=-1)
+        cyc_terms.append((terms, last))
+
+    sigma = [0] * len(csse_idx)
+
+    def feasible_vertex(n) -> bool:
+        total, free = 0, 0
+        for slot, d in incident[n]:
+            if sigma[slot] == 0:
+                free += 1
+            else:
+                total += d * sigma[slot]
+        return abs(total) <= free
+
+    def dfs(k: int) -> bool:
+        if k == len(csse_idx):
+            return True
+        e = edges[csse_idx[k]]
+        for s in (1, -1):
+            sigma[k] = s
+            ok = feasible_vertex(e.u) and feasible_vertex(e.v)
+            if ok:
+                for terms, last in cyc_terms:
+                    if last == k and sum(c * sigma[slot] for slot, c in terms) != 0:
+                        ok = False
+                        break
+            if ok and dfs(k + 1):
+                return True
+        sigma[k] = 0
+        return False
+
+    return CLASS_INDEPENDENT if dfs(0) else CLASS_DEPENDENT
 
 
 def validate(num_vertices, edges):

@@ -117,14 +117,18 @@ def test_lattice_dims_count_must_match_generator(tmp_path, capsys):
     assert "takes 2 dims, got 1" in capsys.readouterr().err
 
 
-def test_disconnected_brickwall_reports_unreachable_vertices(tmp_path, capsys):
+def test_disconnected_brickwall_is_checked_band_by_band(tmp_path, capsys):
     out = str(tmp_path)
     assert run(["--out", out, "lattice-generate", "--kind", "trimer_brickwall",
                 "--dims", "3,6"]) == EXIT_OK
     code = run(["--out", out, "lattice-check", "--graph", str(tmp_path / "trimer_brickwall.json"),
                 "--p", "1", "--denominator", "3"])
-    assert code == EXIT_NUMERICAL
-    assert "vertices unreachable" in capsys.readouterr().err
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["PASS: vertex rule  (all zero)",
+                          "PASS: circuit rule  (q = 4pK(kappa)/d for integer p and any divisor"
+                          " d of 3)",
+                          "INFO: classification  (LatticeIndependent)"]
 
 
 def test_schwinger_subcommand(tmp_path):
@@ -173,6 +177,30 @@ def test_schwinger_check_needs_a_ring(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and f"N={n}" in err
         assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "schwinger_check.csv").exists()
+
+
+def test_shift_on_an_unshifted_lattice_is_invalid_input(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "lattice-generate", "--kind", "square", "--dims", "3,3",
+                "--shift", "1"]) == EXIT_INVALID
+    assert capsys.readouterr().err == \
+        "invalid input: --shift applies to square_shifted only, not 'square'\n"
+    assert not (tmp_path / "square.json").exists()
+
+
+def test_algebra_check_needs_a_ring(tmp_path, capsys):
+    for n in ("1", "2"):
+        assert run(["--out", str(tmp_path), "algebra-check", "--N", n, "--S", "1/2",
+                    "--kappas", "0.1"]) == EXIT_INVALID
+        assert capsys.readouterr().err == \
+            f"invalid input: algebra-check needs a ring of N >= 3 sites, got N={n}\n"
+    assert not (tmp_path / "algebra_check.csv").exists()
+
+
+def test_schwinger_check_needs_a_nonzero_spin(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "schwinger-check", "--N", "4", "--S", "0"]) == EXIT_INVALID
+    cap = capsys.readouterr()
+    assert cap.err == "invalid input: schwinger-check needs S >= 1/2, got S=0\n" and not cap.out
     assert not (tmp_path / "schwinger_check.csv").exists()
 
 

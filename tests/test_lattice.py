@@ -4,18 +4,17 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scarlab.elliptic import commensurate_q
-from scarlab.errors import (DisconnectedGraph, InconsistentPhases, InvalidGraph,
-                            ScarlabError, UnsupportedDims)
-from scarlab.lattice import (CLASS_DEPENDENT, CLASS_INDEPENDENT, CLASS_NONE,
+from scarlab.errors import InconsistentPhases, InvalidGraph, ScarlabError, UnsupportedDims
+from scarlab.lattice import (CLASS_DEPENDENT, CLASS_INDEPENDENT, CLASS_NONE, CSSE, SU2,
                              Edge, ScarGraph, as_uniform_csse,
                              assign_site_phases, chain, check_circuit_rule,
-                             check_vertex_rule, classify, fundamental_cycles,
-                             generate, honeycomb_su2, kagome_su2, lieb,
+                             check_vertex_rule, classify, generate, honeycomb_su2, kagome_su2, lieb,
                              modified_honeycomb, nnn_chain, square,
                              square_shifted, triangular_su2, trimer_brickwall,
                              trimer_ladder)
@@ -34,9 +33,12 @@ def test_generators_satisfy_vertex_rule():
 
 
 def test_fundamental_cycle_count():
-    for g in GENERATORS:
-        cycles = fundamental_cycles(g)
-        assert len(cycles) == len(g.edges) - g.num_vertices + 1
+    for g in GENERATORS + [trimer_brickwall(3, 6)]:
+        parent, chords = _forest(g)
+        components = int((parent < 0).sum())
+        assert len(chords) == len(ref.fundamental_cycles(g.num_vertices, g.edges)) == \
+            g.num_edges - g.num_vertices + components
+    assert int((_forest(trimer_brickwall(3, 6))[0] < 0).sum()) == 2
 
 
 def test_json_round_trip():
@@ -230,16 +232,22 @@ def test_generate_dispatch_and_dims_guards():
         generate("no_such_lattice", 2, 2)
 
 
-def test_disconnected_graph_rejected_for_phases():
-    g = ScarGraph(4, [Edge(u=0, v=1, sigma=1), Edge(u=2, v=3, sigma=1)])
-    with pytest.raises(DisconnectedGraph):
-        assign_site_phases(g, commensurate_q(1, 4, 0.5))
+def test_disconnected_graph_gets_phases_per_component():
+    # two rings of windings 3 and 6 and an isolated vertex; each root sits at phase 0
+    g = ScarGraph(7, [Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 0, 1),
+                      Edge(3, 4, 1, r=2), Edge(4, 5, 1, r=2), Edge(5, 3, 1, r=2)])
+    q = commensurate_q(1, 3, 0.5)
+    thirds = [0, 2, 1, 0, 1, 2, 0]
+    assert assign_site_phases(g, q) == [Fraction(k, 3) for k in thirds]
+    rep = check_circuit_rule(g, q)
+    assert rep.satisfied and rep.circuit_constraints == [(1, 3), (4, 6)]
+    assert classify(g) == CLASS_DEPENDENT
 
 
 def _reference_report(g, q):
     """(chord, W) per fundamental cycle, satisfied and classification, by walking each cycle."""
     constraints, contractible_ok = [], True
-    for cyc in fundamental_cycles(g):
+    for cyc in ref.fundamental_cycles(g.num_vertices, g.edges):
         w = sum(d * g.edges[ei].sigma * g.edges[ei].r for ei, d in cyc)
         cross = tuple(sum(d * g.edges[ei].crossing[k] for ei, d in cyc) for k in (0, 1))
         constraints.append((cyc[0][0], w))
@@ -318,13 +326,14 @@ def _relabelled(g, rng):
 def test_classification_does_not_depend_on_labelling(seed):
     rng = random.Random(seed)
     for g in RELABEL_GRAPHS:
-        assert classify(_relabelled(g, rng)) == classify(g), g.boundary
+        h = _relabelled(g, rng)
+        assert classify(h) == classify(g) == ref.classify(h.num_vertices, h.edges), g.boundary
 
 
 # --- columns against the per-edge reference implementations ---------------------------
 
 import lattice_reference as ref  # noqa: E402  (tests/ is on sys.path under pytest)
-from scarlab.lattice import _spanning_tree  # noqa: E402
+from scarlab.lattice import _forest, _potentials  # noqa: E402
 
 TEST_SIZES = [("chain", 6), ("chain", 3), ("square", 3, 3), ("square", 4, 5),
               ("square_shifted", 4, 3), ("square_shifted", 3, 5), ("lieb", 2, 2), ("lieb", 3, 2),
@@ -338,20 +347,16 @@ SCALE_SIZES = [("square", 100, 100), ("square_shifted", 60, 60), ("lieb", 30, 30
                ("trimer_ladder", 1000), ("nnn_chain", 3000), ("trimer_brickwall", 30, 30)]
 
 
-def _assert_same_tree(g, root=0):
-    """The CSR walk builds the tree of the adjacency-list BFS, potentials included."""
-    try:
-        parent, chords, winding, crossing = ref.spanning_tree(g.num_vertices, g.edges, root)
-    except DisconnectedGraph as exc:
-        with pytest.raises(DisconnectedGraph) as err:
-            _spanning_tree(g, root)
-        assert str(err.value) == str(exc)
-        return
-    tree = _spanning_tree(g, root)
-    assert [None if h < 0 else (h >> 1, 1 - 2 * (h & 1)) for h in tree.parent.tolist()] == parent
-    assert tree.chords.tolist() == chords
-    assert tree.winding.tolist() == winding
-    assert list(map(tuple, tree.crossing.tolist())) == crossing
+def _assert_same_tree(g):
+    """The CSR walk builds the forest of the adjacency-list BFS, potentials included."""
+    parent, chords, winding, crossing = ref.spanning_tree(g.num_vertices, g.edges)
+    tree_parent, tree_chords = _forest(g)
+    assert [None if h < 0 else (h >> 1, 1 - 2 * (h & 1)) for h in tree_parent.tolist()] == parent
+    assert tree_chords.tolist() == chords
+    c, pot, _ = _potentials(g, np.column_stack([g.sigma * g.r, g.crossing]))
+    assert c.tolist() == chords
+    assert pot[:, 0].tolist() == winding
+    assert list(map(tuple, pot[:, 1:].tolist())) == crossing
 
 
 @pytest.mark.parametrize("kind, dims", [(k, d) for k, *d in TEST_SIZES + SCALE_SIZES])
@@ -374,9 +379,15 @@ def test_generator_options_reach_the_columns():
         assert generate(kind, *args).edges == ref.GENERATORS[kind](*args)[1], kind
 
 
-def test_disconnected_brickwall_names_the_unreachable_vertices():
-    with pytest.raises(DisconnectedGraph, match="^810 vertices unreachable from vertex 0$"):
-        _spanning_tree(trimer_brickwall(30, 30))
+def test_disconnected_brickwall_gets_rules_and_phases_per_band():
+    g = trimer_brickwall(30, 30)
+    assert np.flatnonzero(_forest(g)[0] < 0).tolist() == list(range(0, 900, 90))
+    q = commensurate_q(1, 30, 0.5)
+    assert check_circuit_rule(g, q).satisfied
+    phases = assign_site_phases(g, q)
+    assert all(phases[k] == 0 for k in range(0, 900, 90))
+    assert all((phases[e.v] - phases[e.u] + e.sigma * e.r * q.fraction) % 1 == 0
+               for e in g.edges)
 
 
 @settings(max_examples=25, deadline=None)
@@ -389,7 +400,7 @@ def test_column_and_record_documents_load_alike(seed):
         assert columns.edges == records.edges == h.edges
         assert columns.boundary == records.boundary == h.boundary
         assert columns.to_json() == records.to_json() == h.to_json()
-        _assert_same_tree(h, root=rng.randrange(h.num_vertices))
+        _assert_same_tree(h)
 
 
 def test_columns_are_read_only():
@@ -490,3 +501,77 @@ def test_values_beyond_64_bits_stay_exact():
         [(N // 2, N * 2 ** 60)]
     phases = assign_site_phases(g, commensurate_q(1, 2, 0.5))
     assert phases == [Fraction(0)] * N
+
+
+# --- classification from forest potentials against the walk-based reference -----------
+
+@pytest.mark.parametrize("kind, dims", [(k, d) for k, *d in TEST_SIZES])
+def test_classify_matches_the_walk_reference_on_generators(kind, dims):
+    for g in (generate(kind, *dims), as_uniform_csse(generate(kind, *dims))):
+        assert classify(g) == ref.classify(g.num_vertices, g.edges), g.boundary
+
+
+def _cycle_union(rng) -> ScarGraph:
+    """Random CSSE edges forming the symmetric difference of random cycles (so every
+    CSSE degree is even), r in {1, 2, 3}, random sigmas and some random crossings,
+    plus a few SU(2) edges; vertices left out of every cycle stay isolated."""
+    n = rng.randint(3, 7)
+    pairs = {}
+    for _ in range(rng.randint(1, 4)):
+        cyc = rng.sample(range(n), rng.randint(3, n))
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            key = (min(a, b), max(a, b))
+            if pairs.pop(key, None) is None:
+                pairs[key] = (a, b)
+    su2 = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in pairs]
+    su2 = rng.sample(su2, min(len(su2), rng.randint(0, 3)))
+
+    def crossing():
+        return (rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))) if rng.random() < 0.3 else (0, 0)
+
+    edges = [Edge(a, b, rng.choice((1, -1)), CSSE, rng.choice((1, 2, 3)), 1.0, crossing())
+             for a, b in pairs.values()]
+    edges += [Edge(a, b, 0, SU2, rng.choice((1, 2, 3)), 1.0, crossing()) for a, b in su2]
+    rng.shuffle(edges)
+    return ScarGraph(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_classify_matches_the_walk_reference_on_cycle_unions(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        g = _cycle_union(rng)
+        assert classify(g) == ref.classify(g.num_vertices, g.edges)
+        q = commensurate_q(1, rng.randint(1, 6), 0.5)
+        rep = check_circuit_rule(g, q)
+        assert (rep.circuit_constraints, rep.satisfied, rep.classification) == \
+            _reference_report(g, q)
+
+
+def test_cycle_unions_reach_both_search_outcomes():
+    rng = random.Random(7)      # even CSSE degrees: every graph reaches the sigma search
+    seen = {classify(_cycle_union(rng)) for _ in range(200)}
+    assert seen == {CLASS_DEPENDENT, CLASS_INDEPENDENT}
+
+
+def _walked_rows(g, step):
+    """step summed edge by edge around each walked fundamental cycle."""
+    return [sum((d * step[ei] for ei, d in cyc), np.zeros(step.shape[1], dtype=step.dtype))
+            for cyc in ref.fundamental_cycles(g.num_vertices, g.edges)]
+
+
+def test_chord_rows_equal_the_walked_cycle_coefficients():
+    rng = np.random.default_rng(5)
+    pyrng = random.Random(5)
+    graphs = GENERATORS + [as_uniform_csse(g) for g in GENERATORS] + \
+        [trimer_brickwall(3, 6)] + [_cycle_union(pyrng) for _ in range(30)]
+    for g in graphs:
+        csse = np.flatnonzero(g.kind == CSSE)
+        slot_step = np.zeros((g.num_edges, csse.size), dtype=np.int64)
+        slot_step[csse, np.arange(csse.size)] = g.r[csse]     # classify's coefficient step
+        for step in (np.column_stack([slot_step, g.crossing]),
+                     rng.integers(-5, 6, size=(g.num_edges, 3))):
+            chords, _, rows = _potentials(g, step)
+            assert chords.tolist() == _forest(g)[1].tolist()
+            assert [r.tolist() for r in rows] == [r.tolist() for r in _walked_rows(g, step)]
