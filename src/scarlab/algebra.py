@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import CommensurateQ, jacobi_fraction
+from .elliptic import CommensurateQ, jacobi_fraction, jacobi_table
 from .errors import ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import ScarSpec, gz_state, residual
@@ -64,25 +64,25 @@ def standard_sga_witness(N: int, S: float, p: int, helicity: int = +1) -> SgaWit
     return SgaWitness(generator=t, commutator_residuals=residuals, omega=0.0)
 
 
-def _lifted_sc_angle(frac, modulus) -> float:
-    """Continuous branch of arctan(sc(u, kappa)) at u = 4K * frac.
+def _lifted_sc_angles(fracs, modulus) -> list:
+    """Continuous branch of arctan(sc(u, kappa)) at each u = 4K * frac.
 
     The principal arctangent jumps at the sc poles u = (2k+1) K; the lift adds
     the winding accumulated over full periods so the kappa -> 0 limit gives
     exactly u (arctan(tan u) unwrapped).
     """
-    sn, cn, _ = jacobi_fraction(frac, modulus)
+    _, index, (sn, cn, _) = jacobi_table(fracs, modulus)
     # atan2 jumps by 2 pi at u = 2K + 4kK; floor((u + 2K)/4K) jumps there too
-    winding = math.floor(frac + 0.5)
-    return math.atan2(sn, cn) + 2.0 * math.pi * winding
+    return [math.atan2(s, c) + 2.0 * math.pi * math.floor(frac + 0.5)
+            for s, c, frac in zip(sn[index].tolist(), cn[index].tolist(), fracs)]
 
 
 def tau_double_prime(N: int, S: float, q: CommensurateQ) -> ManyBodyOperator:
     """Deformed generator sum_n e^{i q_n} S^-_n with q_n = arctan(sc((n+1)q, kappa))."""
     system = SpinSystem(S, N)
     sm = local_spin_matrices(S)[4]
-    terms = [((n,), np.exp(1j * _lifted_sc_angle((n + 1) * q.fraction, q.modulus)) * sm)
-             for n in range(N)]
+    angles = _lifted_sc_angles([(n + 1) * q.fraction for n in range(N)], q.modulus)
+    terms = [((n,), np.exp(1j * angle) * sm) for n, angle in enumerate(angles)]
     return ManyBodyOperator(system, local_sum(system, terms), hermitian=False)
 
 

@@ -107,6 +107,13 @@ def _parse_spin(text: str) -> float:
     return float(text)
 
 
+def _check_spins(args):
+    """--S >= 1/2: at S = 0 every spin operator vanishes and each check is vacuous."""
+    for S in map(_parse_spin, args.S.split(",")) if isinstance(args.S, str) else [args.S]:
+        if not S >= 0.5:
+            raise InvalidInput(f"{args.command} needs S >= 1/2, got S={S:g}")
+
+
 def _lattice_dims(kind: str, text: str):
     """--dims as ints, exactly as many as the generator's size arguments."""
     from .lattice import GENERATORS
@@ -121,7 +128,7 @@ def _lattice_dims(kind: str, text: str):
 
 
 def cmd_elliptic(args, log: CheckLog) -> int:
-    from .elliptic import complete_K_array, jacobi, jacobi_array, solve_q_kappa
+    from .elliptic import complete_K_array, jacobi_array, solve_q_kappa_array
     if args.points < 1:
         raise InvalidInput(f"--points must be >= 1, got {args.points}")
     rng = np.random.default_rng(args.seed)
@@ -136,20 +143,14 @@ def cmd_elliptic(args, log: CheckLog) -> int:
     log.check("sn^2 + cn^2 = 1", worst_id1 <= 1e-11, f"max {worst_id1:.2e}")
     log.check("dn^2 + k^2 sn^2 = 1", worst_id2 <= 1e-11, f"max {worst_id2:.2e}")
     log.check("4K periodicity", worst_per <= 1e-11, f"max {worst_per:.2e}")
-    worst_rt = 0.0
-    for jx, jy, jz in rng.uniform(-1.0, 1.0, (50, 3)):
-        vals = sorted((jx, jy, jz))
-        jz2, jx2, jy2 = vals[0], vals[1], vals[2]
-        # kappa^2 = (Jy^2-Jx^2)/(Jy^2-Jz^2) <= 1 needs |Jz| < Jx
-        if jy2 <= 0.0 or jx2 <= 0.0 or jx2 - jz2 < 1e-3 \
-                or jy2 - jx2 < 1e-8 or abs(jz2) >= jx2:
-            continue
-        try:
-            q, mod = solve_q_kappa(jx2, jy2, jz2)
-        except ScarlabError:
-            continue
-        sn, cn, dn = jacobi(q, mod.kappa)
-        worst_rt = max(worst_rt, abs(dn - jx2 / jy2), abs(cn - jz2 / jy2))
+    jz, jx, jy = np.sort(rng.uniform(-1.0, 1.0, (50, 3)), axis=1).T
+    # kappa^2 = (Jy^2-Jx^2)/(Jy^2-Jz^2) <= 1 needs |Jz| < Jx
+    keep = (jy > 0.0) & (jx > 0.0) & (jx - jz >= 1e-3) & (jy - jx >= 1e-8) & (np.abs(jz) < jx)
+    jx, jy, jz = jx[keep], jy[keep], jz[keep]
+    _, _, _, cn, dn = solve_q_kappa_array(jx, jy, jz)
+    dev = np.maximum(np.abs(dn - jx / jy), np.abs(cn - jz / jy))
+    # solve_q_kappa rejects an inversion that is off by more than 1e-12
+    worst_rt = float(dev[dev <= 1e-12].max(initial=0.0))
     log.check("coupling round-trip", worst_rt <= 1e-10, f"max {worst_rt:.2e}")
     rows = [[name, repr(float(worst))] for name, worst in (
         ("sn2cn2", worst_id1), ("dn2k2sn2", worst_id2),
@@ -385,9 +386,6 @@ def cmd_schwinger_check(args, log: CheckLog) -> int:
     if N < 3:
         # the decomposition telescopes around a periodic ring of N >= 3 bonds
         raise ValueError(f"schwinger-check needs a ring of N >= 3 sites, got N={N}")
-    if S < 0.5:
-        # at S = 0 every bilinear vanishes, so no control can fail
-        raise InvalidInput(f"schwinger-check needs S >= 1/2, got S={S:g}")
     fids = zeta_tower_fidelities(N, S, p)
     dev = max(abs(1.0 - f) for f in fids)
     log.check("zeta-states = rotated tower", dev <= 1e-12, f"max dev {dev:.2e}")
@@ -513,6 +511,8 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0,) else 0
     log = CheckLog()
     try:
+        if hasattr(args, "S"):
+            _check_spins(args)
         return args.func(args, log)
     except (FileNotFoundError, json.JSONDecodeError, ValueError, KeyError, InvalidInput) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

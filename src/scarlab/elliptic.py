@@ -7,9 +7,10 @@ integral F(phi, kappa) is Carlson's symmetric R_F, evaluated by duplication to
 double rounding at a fixed, small cost even as kappa -> 1; it is the inverse
 map used to recover q from XYZ couplings.
 
-complete_K_array and jacobi_array evaluate many points in one numpy pass and
-reproduce the scalar functions bit for bit; the scalar functions stay the
-cheaper path for a single point.
+There is one AGM/Landen kernel, complete_K_array and jacobi_array, one numpy
+pass over whole arrays.  The scalar names (complete_K, jacobi, ...) are 0-d
+calls of it returning Python floats; a 0-d call costs 0.03-0.25 ms, so a
+caller with many points makes one call (jacobi_table for exact rational tags).
 
 The modulus convention is kappa (not the parameter m = kappa^2) throughout.
 """
@@ -29,20 +30,9 @@ _AGM_TOL = 1e-16      # convergence threshold on the modulus sequence c_n
 _SC_POLE_TOL = 1e-12  # |cn| below this counts as a quarter-period pole
 
 
-def _check_modulus(kappa: float) -> None:
-    if not 0.0 <= kappa < 1.0:
-        raise ModulusOutOfRange(f"kappa must lie in [0, 1), got {kappa}")
-
-
 def complete_K(kappa: float) -> float:
     """Complete elliptic integral of the first kind, K(kappa) = pi/(2*AGM(1, kappa'))."""
-    _check_modulus(kappa)
-    a, b = 1.0, math.sqrt(1.0 - kappa * kappa)
-    for _ in range(64):
-        if abs(a - b) <= _AGM_TOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
+    return float(complete_K_array(kappa))
 
 
 @dataclass(frozen=True)
@@ -55,10 +45,9 @@ class EllipticModulus:
 
     @classmethod
     def from_kappa(cls, kappa: float) -> "EllipticModulus":
-        _check_modulus(kappa)
-        return cls(kappa=float(kappa),
-                   kappa_prime=math.sqrt(1.0 - kappa * kappa),
-                   quarter_period=complete_K(kappa))
+        K = complete_K(kappa)       # rejects kappa outside [0, 1)
+        return cls(kappa=float(kappa), kappa_prime=math.sqrt(1.0 - kappa * kappa),
+                   quarter_period=K)
 
 
 @dataclass(frozen=True)
@@ -88,53 +77,14 @@ def commensurate_q(p: int, denom: int, kappa: float) -> CommensurateQ:
     return CommensurateQ.make(p, denom, kappa)
 
 
-def _agm_scheme(kappa: float):
-    """Descending AGM sequence (a_n, c_n) down to c_n < 1e-16."""
-    a, b, c = 1.0, math.sqrt(1.0 - kappa * kappa), kappa
-    seq_a, seq_c = [a], [c]
-    for _ in range(64):
-        if c <= _AGM_TOL:
-            break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        seq_a.append(a)
-        seq_c.append(c)
-    return seq_a, seq_c
-
-
-def _jacobi_core(u: float, kappa: float):
-    """sn, cn, dn for u already reduced into [0, K]; AGM amplitude back-substitution."""
-    seq_a, seq_c = _agm_scheme(kappa)
-    n = len(seq_a) - 1
-    phi = (2 ** n) * seq_a[n] * u
-    for i in range(n, 0, -1):
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, seq_c[i] / seq_a[i] * math.sin(phi)))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(max(0.0, 1.0 - (kappa * sn) ** 2))
-    return sn, cn, dn
-
-
 def _jacobi_reduced(u: float, modulus: EllipticModulus) -> tuple[float, float, float]:
-    """Reduce u modulo 4K, fold into [0, K] by the half/quarter-period symmetries."""
-    K = modulus.quarter_period
-    t = math.fmod(u, 4.0 * K)
-    if t < 0.0:
-        t += 4.0 * K
-    sign_sn = sign_cn = 1.0
-    if t >= 2.0 * K:          # sn(u+2K) = -sn, cn(u+2K) = -cn, dn unchanged
-        t -= 2.0 * K
-        sign_sn = sign_cn = -1.0
-    if t > K:                 # sn(2K-u) = sn, cn(2K-u) = -cn, dn unchanged
-        t = 2.0 * K - t
-        sign_cn = -sign_cn
-    sn, cn, dn = _jacobi_core(t, modulus.kappa)
-    return sign_sn * sn, sign_cn * cn, dn
+    """(sn, cn, dn) at one real u, as floats: a 0-d jacobi_array call."""
+    return tuple(float(f) for f in jacobi_array(u, modulus.kappa, modulus.quarter_period))
 
 
 def jacobi(u: float, kappa: float) -> tuple[float, float, float]:
     """Simultaneous (sn, cn, dn) at real argument u, modulus kappa."""
-    mod = EllipticModulus.from_kappa(kappa)
-    return _jacobi_reduced(u, mod)
+    return _jacobi_reduced(u, EllipticModulus.from_kappa(kappa))
 
 
 def jacobi_fraction(frac: Fraction, modulus: EllipticModulus) -> tuple[float, float, float]:
@@ -143,16 +93,32 @@ def jacobi_fraction(frac: Fraction, modulus: EllipticModulus) -> tuple[float, fl
     The tag is wrapped modulo 1 before touching floats, so many-period
     arguments lose no precision.
     """
-    r = frac - math.floor(frac)
-    u = 4.0 * modulus.quarter_period * float(r)
+    u = 4.0 * modulus.quarter_period * float(frac - math.floor(frac))
     return _jacobi_reduced(u, modulus)
 
 
-# The array kernel below repeats the scalar path operation for operation, so
-# each element is bit-identical to complete_K / _jacobi_reduced.  numpy's
-# sin, cos and sqrt agree with libm bit for bit; numpy's arcsin and x*x do
-# not always agree with math.asin and x ** 2 (libm pow), so those two run
-# element by element through the Python functions.
+def jacobi_table(fracs, modulus: EllipticModulus):
+    """jacobi_fraction at many exact tags: (winding, index, (sn, cn, dn) arrays).
+
+    The tags go over one common denominator L as integer numerators n:
+    winding = n // L per tag, and index points at the distinct reduced tag
+    (n % L) / L, where the elliptic functions are evaluated once, in one
+    jacobi_array call on u = 4K * (r / L), the operations of jacobi_fraction.
+    """
+    dens = [f.denominator for f in fracs]
+    L = math.lcm(*set(dens))
+    num = np.array([f.numerator * (L // d) for f, d in zip(fracs, dens)], dtype=np.int64)
+    winding, reduced = np.divmod(num, L)
+    distinct, index = np.unique(reduced, return_inverse=True)
+    K = modulus.quarter_period
+    u = 4.0 * K * np.array([r / L for r in distinct.tolist()])
+    return winding, index, jacobi_array(u, modulus.kappa, K)
+
+
+# Per element the kernel repeats the operations of the scalar reference in
+# tests/elliptic_reference.py, bit for bit.  numpy's sin, cos and sqrt agree
+# with libm; numpy's arcsin and x*x do not always agree with math.asin and
+# x ** 2 (libm pow), so those two run element by element through Python.
 _asin = np.frompyfunc(math.asin, 1, 1)
 _pow = np.frompyfunc(pow, 2, 1)
 
@@ -166,25 +132,25 @@ def _modulus_array(kappa) -> np.ndarray:
 
 
 def complete_K_array(kappa) -> np.ndarray:
-    """complete_K elementwise over an array of moduli, bit for bit."""
+    """K(kappa) = pi/(2*AGM(1, kappa')) elementwise over an array of moduli."""
     kappa = _modulus_array(kappa)
     a, b = np.ones_like(kappa), np.sqrt(1.0 - kappa * kappa)
-    # |a - b| <= 1e-16 a is below one ulp, so a == b, and further steps
-    # leave a converged element unchanged: no per-element stop is needed
+    # stop at the fixed point of the step: about one modulus in four (0.6
+    # among them) settles with b one ulp below a and never reaches a == b
     for _ in range(64):
-        if np.all(np.abs(a - b) <= _AGM_TOL * a):
+        a_next, b_next = 0.5 * (a + b), np.sqrt(a * b)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
             break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        a, b = a_next, b_next
     return math.pi / (a + b)
 
 
 def jacobi_array(u, kappa, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sn, cn, dn) arrays over broadcast u, kappa and K = complete_K_array(kappa).
 
-    Element for element bit-identical to _jacobi_reduced: the 4K/2K/K
-    reduction is applied by masks, the descending AGM runs to a stop index
-    n per element, and the amplitude back-substitution step i is applied
-    only where i <= n.
+    The 4K/2K/K reduction is applied by masks, the descending AGM runs to a
+    stop index n per element, and the amplitude back-substitution step i is
+    applied only where i <= n.
     """
     u, kappa, K = np.broadcast_arrays(np.asarray(u, dtype=float), _modulus_array(kappa),
                                       np.asarray(K, dtype=float))
@@ -255,17 +221,37 @@ def _carlson_rf(x: float, y: float, z: float) -> float:
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
 
 
+def _incomplete_F(phi: float, kappa: float, K: float) -> float:
+    """F(phi, kappa) given K = K(kappa)."""
+    n = round(phi / math.pi)
+    r = phi - n * math.pi
+    s, c = math.sin(r), math.cos(r)
+    F = s * _carlson_rf(c * c, 1.0 - (kappa * s) ** 2, 1.0) if s else 0.0
+    return 2.0 * n * K + F if n else F
+
+
 def incomplete_F(phi: float, kappa: float) -> float:
     """Incomplete elliptic integral of the first kind F(phi, kappa).
 
     With phi = n pi + r, |r| <= pi/2:  F = 2 n K + sin r R_F(cos^2 r, 1 - kappa^2 sin^2 r, 1).
     """
-    _check_modulus(kappa)
-    n = round(phi / math.pi)
-    r = phi - n * math.pi
-    s, c = math.sin(r), math.cos(r)
-    F = s * _carlson_rf(c * c, 1.0 - (kappa * s) ** 2, 1.0) if s else 0.0
-    return 2.0 * n * complete_K(kappa) + F if n else F
+    return _incomplete_F(phi, kappa, complete_K(kappa))
+
+
+def solve_q_kappa_array(Jx, Jy, Jz):
+    """(q, kappa, K, cn(q), dn(q)) arrays for couplings ordered Jy >= Jx > Jz, Jy > 0.
+
+    kappa^2 = (Jy^2-Jx^2)/(Jy^2-Jz^2) and q = F(arccos(Jz/Jy), kappa), with
+    one complete_K_array and one jacobi_array call for all elements; the
+    inversion is exact where dn(q) = Jx/Jy and cn(q) = Jz/Jy.
+    """
+    Jx, Jy, Jz = (np.asarray(J, dtype=float) for J in (Jx, Jy, Jz))
+    kappa = np.sqrt(np.maximum(0.0, (Jy * Jy - Jx * Jx) / (Jy * Jy - Jz * Jz)))
+    K = complete_K_array(kappa)
+    q = np.array([_incomplete_F(math.acos(z / y), k, KK) for z, y, k, KK in
+                  zip(*(x.ravel().tolist() for x in (Jz, Jy, kappa, K)))]).reshape(K.shape)
+    _, cn, dn = jacobi_array(q, kappa, K)
+    return q, kappa, K, cn, dn
 
 
 def solve_q_kappa(Jx: float, Jy: float, Jz: float) -> tuple[float, EllipticModulus]:
@@ -276,13 +262,10 @@ def solve_q_kappa(Jx: float, Jy: float, Jz: float) -> tuple[float, EllipticModul
     """
     if not (Jy >= Jx > Jz) or Jy <= 0.0:
         raise OrderingViolated(f"need Jy >= Jx > Jz with Jy > 0, got ({Jx}, {Jy}, {Jz})")
-    kappa2 = (Jy * Jy - Jx * Jx) / (Jy * Jy - Jz * Jz)
-    kappa = math.sqrt(max(0.0, kappa2))
-    mod = EllipticModulus.from_kappa(kappa)
-    q = incomplete_F(math.acos(Jz / Jy), kappa)
-    _, cn, dn = _jacobi_reduced(q, mod)
+    q, kappa, K, cn, dn = (float(x) for x in solve_q_kappa_array(Jx, Jy, Jz))
     if abs(dn - Jx / Jy) > 1e-12 or abs(cn - Jz / Jy) > 1e-12:
         raise ScarlabError(
             f"q-kappa inversion inconsistent: dn residual {dn - Jx / Jy:.2e}, "
             f"cn residual {cn - Jz / Jy:.2e}")
-    return q, mod
+    return q, EllipticModulus(kappa=kappa, kappa_prime=math.sqrt(1.0 - kappa * kappa),
+                              quarter_period=K)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import CommensurateQ, jacobi_fraction
+from .elliptic import CommensurateQ, jacobi_table
 from .frames import CsseCouplings
 from .lattice import SU2, ScarGraph
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, all_up,
@@ -63,18 +63,17 @@ def build_csse_chain(N: int, S: float, c: CsseCouplings,
 def graph_terms(g: ScarGraph, S: float, q: CommensurateQ) -> list:
     """local_sum terms of the graph Hamiltonian: CSSE bonds
     J*(dn(r q) SxSx + SySy + cn(r q) SzSz), SU(2) bonds J * S_n . S_m; the r
-    multiplier evaluates the elliptic factors at r*q on the exact rational tag.
-    One bond matrix is built per distinct (kind, r, J); the terms keep the
-    edge order."""
+    multiplier evaluates the elliptic factors at r*q on the exact rational tag,
+    in one jacobi_table call over the distinct r.  One bond matrix is built
+    per distinct (kind, r, J); the terms keep the edge order."""
+    rs = np.unique(g.r[g.kind != SU2]).tolist()
+    _, index, (_, cn, dn) = jacobi_table([r * q.fraction for r in rs], q.modulus)
+    csse = {r: np.diag([d, 1.0, c]) for r, d, c in zip(rs, dn[index].tolist(), cn[index].tolist())}
     bonds, terms = {}, []
     for u, v, kind, r, J in zip(*(c.tolist() for c in (g.u, g.v, g.kind, g.r, g.J))):
         bond = bonds.get((kind, r, J))
         if bond is None:
-            if kind == SU2:
-                M = J * np.eye(3)
-            else:
-                _, cn, dn = jacobi_fraction(r * q.fraction, q.modulus)
-                M = J * np.diag([dn, 1.0, cn])
+            M = J * (np.eye(3) if kind == SU2 else csse[r])
             bond = bonds[kind, r, J] = _bond_matrix(S, M)
         terms.append(((u, v), bond))
     return terms

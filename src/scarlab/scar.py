@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import CommensurateQ, commensurate_q, jacobi_array, jacobi_fraction
+from .elliptic import CommensurateQ, commensurate_q, jacobi_fraction, jacobi_table
 from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
@@ -57,26 +57,8 @@ class ScarSpec:
                              + (self.kappa * self.gamma) ** 2))
 
 
-def _phase_table(phases, modulus):
-    """Step 1 of site_angles, kappa only: (winding, index, (sn, cn, dn) arrays).
-
-    The phases go over one common denominator L as integer numerators n:
-    winding = n // L per site, and index points at the distinct reduced phase
-    (n % L) / L, where the elliptic functions are evaluated once, in one
-    jacobi_array call on u = 4K * (r / L), the operations of jacobi_fraction.
-    """
-    dens = [f.denominator for f in phases]
-    L = math.lcm(*set(dens))
-    num = np.array([f.numerator * (L // d) for f, d in zip(phases, dens)], dtype=np.int64)
-    winding, reduced = np.divmod(num, L)
-    distinct, index = np.unique(reduced, return_inverse=True)
-    K = modulus.quarter_period
-    u = 4.0 * K * np.array([r / L for r in distinct.tolist()])
-    return winding, index, jacobi_array(u, modulus.kappa, K)
-
-
 def _table_angles(spec: ScarSpec, table):
-    """Step 2 of site_angles: (theta, phi) arrays for one spec over a phase table."""
+    """(theta, phi) arrays for one spec over a jacobi_table of the site phases."""
     winding, index, elliptic = table
     two_pi, theta, local = 2.0 * math.pi, [], []
     for sn, cn, dn in zip(*(f.tolist() for f in elliptic)):
@@ -98,7 +80,7 @@ def site_angles(spec: ScarSpec, phases) -> SiteAngles:
     the Sz expectation over S.  The elliptic functions, math.acos and
     math.atan2 run once per distinct reduced phase, then a gather per site.
     """
-    theta, phi = _table_angles(spec, _phase_table(phases, spec.q.modulus))
+    theta, phi = _table_angles(spec, jacobi_table(phases, spec.q.modulus))
     return SiteAngles(tuple(theta.tolist()), tuple(phi.tolist()))
 
 
@@ -137,13 +119,12 @@ def gz_energy(N: int, S: float, q: CommensurateQ) -> float:
     cross-check in the tests.
     """
     kappa = q.modulus.kappa
-    sn_q, cn_q, dn_q = jacobi_fraction(q.fraction, q.modulus)
+    _, index, table = jacobi_table([n * q.fraction for n in range(1, N + 2)], q.modulus)
+    sn, cn, dn = (f[index].tolist() for f in table)     # at n q, n = 1..N+1
     acc = 0.0
-    for n in range(1, N + 1):
-        sn_n, _, _ = jacobi_fraction(n * q.fraction, q.modulus)
-        sn_n1, _, _ = jacobi_fraction((n + 1) * q.fraction, q.modulus)
-        acc += sn_n * sn_n1
-    return N * S * S * cn_q * dn_q + (kappa * S * sn_q) ** 2 * acc
+    for n in range(N):
+        acc += sn[n] * sn[n + 1]
+    return N * S * S * cn[0] * dn[0] + (kappa * S * sn[0]) ** 2 * acc
 
 
 def residual(H, psi: StateVector) -> float:
@@ -217,7 +198,8 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
     """(P+, P-) of `projections` at every gamma; the towers depend on N, S and
     p only, so both are built once."""
     system = SpinSystem(S, N)
-    specs = [ScarSpec.make(helicity, p, gamma, kappa, N) for gamma in gammas]
+    q = commensurate_q(p, N, kappa)
+    specs = [ScarSpec(helicity, p, float(gamma), float(kappa), q) for gamma in gammas]
     same = helical_tower(N, S, helicity, p)
     oppo = helical_tower(N, S, -helicity, p)
     shared = N // math.gcd(2 * p, N)
@@ -261,7 +243,7 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
     system = SpinSystem(S, N)
     min_pts = int(round(4 * N * S)) + 4
     q = commensurate_q(p, N, kappa)
-    table = _phase_table(chain_phases(N, q), q.modulus)
+    table = jacobi_table(chain_phases(N, q), q.modulus)
 
     def rank_for(grid):
         angles = np.array([_table_angles(ScarSpec(helicity, p, float(g), float(kappa), q), table)
@@ -302,7 +284,7 @@ def local_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec,
 
 def predicted_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec) -> np.ndarray:
     """Closed form -alpha beta S^2 dn(q_n) sn(q) sum_m sigma_nm per vertex."""
-    _, index, (_, _, dn) = _phase_table(assign_site_phases(g, spec.q), spec.q.modulus)
+    _, index, (_, _, dn) = jacobi_table(assign_site_phases(g, spec.q), spec.q.modulus)
     sn_q, _, _ = jacobi_fraction(spec.q.fraction, spec.q.modulus)
     S = system.S
     return -spec.alpha * spec.beta * S * S * dn[index] * sn_q * vertex_flow(g)

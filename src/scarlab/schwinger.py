@@ -46,7 +46,7 @@ _KINDS = ("zeta", "eta", "epsilon", "O1", "O2")
 class FockBasis:
     """Two-flavor boson occupation basis in one of the three modes.
 
-    states: int array (dim, N, 2) of occupations [site, flavor] in product
+    states: int8 array (dim, N, 2) of occupations [site, flavor] in product
     order, site 0 most significant.  Each state has one integer key, sum
     occ[n, f] (site_cap+1)^(2n+f); a lookup is a searchsorted on the keys.
     """
@@ -66,10 +66,11 @@ class FockBasis:
             site_cap, slack = two_s + 2, 2
         if (site_cap + 1) ** (2 * N) > np.iinfo(np.int64).max:
             raise DimensionCap(f"occupation keys of N={N} S={S} {mode} overflow int64")
-        site_occ = np.array([(u, t - u) for t in range(site_cap + 1) for u in range(t + 1)])
+        site_occ = np.array([(u, t - u) for t in range(site_cap + 1) for u in range(t + 1)],
+                            dtype=np.int8)
         lo, hi = two_s * N - slack, two_s * N + slack
         # extend site by site, keeping prefixes whose total can still land in [lo, hi]
-        states, run = np.zeros((1, 0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        states, run = np.zeros((1, 0, 2), dtype=np.int8), np.zeros(1, dtype=np.int64)
         for left in range(N - 1, -1, -1):
             tot = run[:, None] + site_occ.sum(axis=1)
             i, j = np.nonzero((tot <= hi) & (tot + left * site_cap >= lo))
@@ -85,7 +86,8 @@ class FockBasis:
         return len(self.states)
 
     def _key(self, occ: np.ndarray) -> np.ndarray:
-        return occ.reshape(len(occ), -1) @ self._weights.ravel()
+        # column by column: a matmul would first copy every occupation to int64
+        return sum(w * col for col, w in zip(occ.reshape(len(occ), -1).T, self._weights.ravel()))
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Basis index of each key, -1 where the key is not a basis state."""
@@ -105,12 +107,13 @@ class FockBasis:
         counts = {}
         for site, flavor, dagger in reversed(list(ops)):
             cnt = counts.get((site, flavor), self.states[:, site, flavor])
+            # counts are int8, and np.sqrt of int8 is float16: cast first
             if dagger:
-                amp, counts[site, flavor] = amp * np.sqrt(cnt + 1), cnt + 1
+                amp, counts[site, flavor] = amp * np.sqrt((cnt + 1).astype(float)), cnt + 1
             else:
                 alive &= cnt > 0
                 # a dead state's count stays at 0 so no sqrt sees a negative
-                amp, counts[site, flavor] = amp * np.sqrt(cnt), np.maximum(cnt - 1, 0)
+                amp, counts[site, flavor] = amp * np.sqrt(cnt.astype(float)), np.maximum(cnt - 1, 0)
         shift = np.zeros(self.dim, dtype=np.int64)
         for (site, flavor), cnt in counts.items():
             alive &= cnt <= self._site_cap

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+import elliptic_reference as ref
 from scarlab.algebra import (degenerate_subspace, first_order_deformation,
                              generalized_family, lambda_op, perturbative_split,
                              reduced_resolvent_apply, standard_sga_witness,
@@ -12,7 +13,7 @@ from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.hamiltonian import build_xyz_chain
 from scarlab.scar import gz_energy
 from scarlab.spinops import (SpinSystem, StateVector, all_up, embed,
-                             local_spin_matrices)
+                             local_spin_matrices, local_sum)
 
 
 def test_ladder_commutation_relations():
@@ -49,6 +50,23 @@ def test_tau_and_lambda_match_kron_reference():
             want_lam = want_lam + 1j * math.sin(q0) * lower @ zdiff
         assert abs(tau(N, S, q0, sign).matrix - want_tau).max() <= 1e-14
         assert abs(lambda_op(N, S, q0, sign).matrix - want_lam).max() <= 1e-14
+
+
+def test_tau_double_prime_equals_the_per_site_construction():
+    # one table over the phases (n+1) q, against one scalar evaluation per site
+    for (N, S, kappa) in [(5, 0.5, 0.4), (6, 1.0, 0.8), (7, 0.5, 0.93)]:
+        q = commensurate_q(2, N, kappa)
+        mod = ref.modulus(kappa)
+        sm = local_spin_matrices(S)[4]
+        terms = []
+        for n in range(N):
+            frac = (n + 1) * q.fraction
+            sn, cn, _ = ref.jacobi_fraction(frac, mod)
+            angle = math.atan2(sn, cn) + 2.0 * math.pi * math.floor(frac + 0.5)
+            terms.append(((n,), np.exp(1j * angle) * sm))
+        got = tau_double_prime(N, S, q).matrix
+        want = local_sum(SpinSystem(S, N), terms)
+        assert (got != want).nnz == 0
 
 
 def test_tau_double_prime_reduces_to_tau():

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import hashlib
 import json
 import os
 import sys
@@ -202,6 +203,29 @@ def test_schwinger_check_needs_a_nonzero_spin(tmp_path, capsys):
     cap = capsys.readouterr()
     assert cap.err == "invalid input: schwinger-check needs S >= 1/2, got S=0\n" and not cap.out
     assert not (tmp_path / "schwinger_check.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra-check", "--N", "4", "--kappas", "0.1"],
+    ["projections", "--N", "4"],
+    ["scar-verify", "--N", "4"],
+    ["degeneracy-scan", "--N", "4"],
+    ["span", "--N", "4"],
+])
+def test_every_spin_subcommand_needs_a_nonzero_spin(tmp_path, capsys, argv):
+    # at S = 0 every spin operator vanishes, so the checks would pass vacuously
+    assert run(["--out", str(tmp_path), *argv, "--S", "0"]) == EXIT_INVALID
+    cap = capsys.readouterr()
+    assert cap.err == f"invalid input: {argv[0]} needs S >= 1/2, got S=0\n" and not cap.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_degeneracy_scan_csv_is_the_behaviour_contract(tmp_path):
+    # every refactor keeps this scan's CSV byte for byte
+    assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "1/2,1", "--N", "3..7",
+                "--kappa", "0.6", "--p", "1"]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "degeneracy_scan.csv").read_bytes()).hexdigest()
+    assert digest == "ecfe508c6cea9cc1b663de80d805b88de921bd22be3155d3331c268d969b879e"
 
 
 def test_unknown_lattice_kind_is_invalid_input(tmp_path, capsys):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scarlab.elliptic import (EllipticModulus, _jacobi_reduced, commensurate_q,
-                              complete_K, complete_K_array, incomplete_F, jacobi,
-                              jacobi_array, jacobi_fraction, jacobi_sc, solve_q_kappa)
+import elliptic_reference as ref
+from scarlab.elliptic import (EllipticModulus, commensurate_q, complete_K,
+                              complete_K_array, incomplete_F, jacobi, jacobi_array,
+                              jacobi_fraction, jacobi_sc, solve_q_kappa)
 from scarlab.errors import (ModulusOutOfRange, OrderingViolated,
                             PoleAtQuarterPeriod)
+from scarlab.scar import gz_energy
 
 RNG = np.random.default_rng(20240811)
 
@@ -175,15 +177,19 @@ _ARG = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]),
 @given(points=st.lists(st.tuples(_KAPPA, _ARG), min_size=1, max_size=12))
 def test_array_kernel_bit_identical_to_scalar_path(points):
     kappas = [kappa for kappa, _ in points]
-    Ks = [complete_K(kappa) for kappa in kappas]
+    Ks = [ref.complete_K(kappa) for kappa in kappas]
     us = [arg[1] * K if isinstance(arg, tuple) else arg for (_, arg), K in zip(points, Ks)]
     got_K = complete_K_array(kappas)
     assert got_K.tobytes() == np.array(Ks).tobytes()
     got = jacobi_array(us, kappas, got_K)
-    want = np.array([_jacobi_reduced(u, EllipticModulus.from_kappa(kappa))
+    want = np.array([ref._jacobi_reduced(u, ref.modulus(kappa))
                      for u, kappa in zip(us, kappas)]).reshape(-1, 3)
     for j in range(3):
         assert got[j].tobytes() == want[:, j].copy().tobytes()
+    # the public scalar names are 0-d calls of the same kernel
+    assert np.array([complete_K(kappa) for kappa in kappas]).tobytes() == np.array(Ks).tobytes()
+    public = np.array([jacobi(u, kappa) for u, kappa in zip(us, kappas)]).reshape(-1, 3)
+    assert public.tobytes() == want.tobytes()
 
 
 def test_array_kernel_broadcasts_a_scalar_modulus():
@@ -192,9 +198,21 @@ def test_array_kernel_broadcasts_a_scalar_modulus():
     us = np.linspace(-3.0 * K, 5.0 * K, 33)
     got = jacobi_array(us, kappa, K)
     assert np.shape(jacobi_array(0.25, kappa, K)[0]) == ()
-    mod = EllipticModulus.from_kappa(kappa)
-    want = np.array([_jacobi_reduced(u, mod) for u in us.tolist()])
+    mod = ref.modulus(kappa)
+    want = np.array([ref._jacobi_reduced(u, mod) for u in us.tolist()])
     assert np.array(got).T.tobytes() == want.tobytes()
+
+
+def test_scalar_names_return_python_floats():
+    # numpy 2 prints np.float64 as np.float64(...), and the CSVs write repr()
+    mod = EllipticModulus.from_kappa(0.6)
+    q, qmod = solve_q_kappa(0.8, 1.0, 0.3)
+    values = [complete_K(0.6), *jacobi(1.3, 0.6), *jacobi_fraction(Fraction(3, 7), mod),
+              jacobi_sc(0.4, 0.6), incomplete_F(2.0, 0.6), q,
+              mod.kappa, mod.kappa_prime, mod.quarter_period,
+              qmod.kappa, qmod.kappa_prime, qmod.quarter_period,
+              gz_energy(5, 1.0, commensurate_q(1, 5, 0.6))]
+    assert [type(v) for v in values] == [float] * len(values)
 
 
 def test_sc_pole_guard():

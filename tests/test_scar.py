@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import elliptic_reference as ref
 from scarlab import scar as scar_module
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
@@ -42,6 +43,19 @@ def test_eigenstate_residual(N, S, p, kappa, gamma, helicity):
     system = SpinSystem(S, N)
     psi = gz_state(system, ScarSpec.make(helicity, p, gamma, kappa, N))
     assert residual(H, psi) <= 1e-12
+
+
+def test_gz_energy_equals_the_per_point_sum_bit_for_bit():
+    # one table over the phases n q, n = 1..N+1, against 2N+1 scalar evaluations
+    for (N, S, p, kappa) in [(5, 0.5, 1, 0.5), (8, 1.5, 3, 0.6), (12, 1.0, 5, 0.93)]:
+        q = commensurate_q(p, N, kappa)
+        mod = ref.modulus(kappa)
+        sn_q, cn_q, dn_q = ref.jacobi_fraction(q.fraction, mod)
+        acc = 0.0
+        for n in range(1, N + 1):
+            acc += (ref.jacobi_fraction(n * q.fraction, mod)[0]
+                    * ref.jacobi_fraction((n + 1) * q.fraction, mod)[0])
+        assert gz_energy(N, S, q) == N * S * S * cn_q * dn_q + (kappa * S * sn_q) ** 2 * acc
 
 
 def test_site_expectations_follow_elliptic_profile():
@@ -236,7 +250,7 @@ def _site_angles_per_site(spec, phases):
     """Reference: one elliptic evaluation per site, no sharing."""
     thetas, phis = [], []
     for frac in phases:
-        sn, cn, dn = jacobi_fraction(frac, spec.q.modulus)
+        sn, cn, dn = ref.jacobi_fraction(frac, spec.q.modulus)
         ux, uy, uz = spec.alpha * cn, spec.beta * sn, spec.gamma * dn
         thetas.append(math.acos(max(-1.0, min(1.0, uz))))
         local = math.atan2(uy, ux) % (2.0 * math.pi) if (abs(ux) > 0 or abs(uy) > 0) else 0.0
@@ -263,7 +277,7 @@ def _site_angles_fraction_loop(spec, phases):
         winding = math.floor(frac)
         reduced = frac - winding
         if reduced not in local_angles:
-            sn, cn, dn = jacobi_fraction(reduced, spec.q.modulus)
+            sn, cn, dn = ref.jacobi_fraction(reduced, spec.q.modulus)
             ux, uy = spec.alpha * cn, spec.beta * sn
             local = math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0
             local_angles[reduced] = (math.acos(max(-1.0, min(1.0, spec.gamma * dn))), local)
@@ -318,10 +332,10 @@ def test_predicted_sz_current_bit_identical_to_per_vertex_evaluation():
     for kappa in (0.0, 0.55):
         spec = ScarSpec.make(-1, 1, 0.3, kappa, 7)
         phases = assign_site_phases(g, spec.q)
-        sn_q, _, _ = jacobi_fraction(spec.q.fraction, spec.q.modulus)
+        sn_q, _, _ = ref.jacobi_fraction(spec.q.fraction, spec.q.modulus)
         flow = vertex_flow(g)
         want = [-spec.alpha * spec.beta * 1.0 * 1.0
-                * jacobi_fraction(phases[n], spec.q.modulus)[2] * sn_q * flow[n]
+                * ref.jacobi_fraction(phases[n], spec.q.modulus)[2] * sn_q * flow[n]
                 for n in range(5)]
         got = predicted_sz_current(g, system, spec)
         assert np.any(got != 0.0)

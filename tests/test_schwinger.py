@@ -186,6 +186,7 @@ def test_vectorized_basis_matches_per_state_reference(mode, S):
         basis = FockBasis(N, S, mode)
         ref = _reference_states(N, S, mode)
         assert np.array_equal(basis.states, np.array(ref).reshape(len(ref), N, 2))
+        assert basis.states.dtype == np.int8    # the amplitudes below stay float64
         strings = [
             [],
             [(0, UP, True)] * (cap + 1),                  # creation past site_cap
