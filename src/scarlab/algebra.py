@@ -22,15 +22,17 @@ import numpy as np
 from .elliptic import CommensurateQ, jacobi_fraction, jacobi_table
 from .errors import ScarlabError
 from .hamiltonian import build_xyz_chain
-from .scar import ScarSpec, gz_state, residual
-from .spinops import (ManyBodyOperator, SpinSystem, StateVector, expectation,
-                      local_spin_matrices, local_sum, tau)
+from .scar import ScarSpec, chain_phases, gz_energy, gz_state, residual
+from .spectra import _check_dense_cap
+from .spinops import (ManyBodyOperator, SpinSystem, StateVector, all_up, expectation,
+                      local_spin_matrices, local_sum, lowering, tau, tower)
 
 
 @dataclass
 class SgaWitness:
     """Evidence that a generator closes the ladder algebra on the tower."""
     generator: ManyBodyOperator
+    commutator: ManyBodyOperator    # [H, generator]
     commutator_residuals: list
     omega: float
 
@@ -52,16 +54,16 @@ def standard_sga_witness(N: int, S: float, p: int, helicity: int = +1) -> SgaWit
     """Per-m residuals ||([H, tau] - omega tau) S^(m)|| with omega = 0.
 
     At the XXZ point with Jz = cos(q0) the whole helical tower is degenerate,
-    so the ladder relation holds with zero energy spacing.
+    so the ladder relation holds with zero energy spacing.  The tower is the
+    helical_tower of the same helicity.
     """
-    from .scar import helical_tower
     q0 = 2.0 * math.pi * p / N
     H = build_xyz_chain(N, S, 1.0, 1.0, math.cos(q0))
     t = tau(N, S, q0, sign=helicity)
-    comm = H.matrix @ t.matrix - t.matrix @ H.matrix
-    tower = helical_tower(N, S, helicity, p)
-    residuals = [float(np.linalg.norm(comm @ st.amplitudes)) for st in tower.states]
-    return SgaWitness(generator=t, commutator_residuals=residuals, omega=0.0)
+    comm = H.commutator(t)
+    states = tower(t.matrix, all_up(t.system).amplitudes, int(round(2 * N * S)))
+    residuals = [float(np.linalg.norm(comm.matrix @ st)) for st in states]
+    return SgaWitness(generator=t, commutator=comm, commutator_residuals=residuals, omega=0.0)
 
 
 def _lifted_sc_angles(fracs, modulus) -> list:
@@ -79,11 +81,17 @@ def _lifted_sc_angles(fracs, modulus) -> list:
 
 def tau_double_prime(N: int, S: float, q: CommensurateQ) -> ManyBodyOperator:
     """Deformed generator sum_n e^{i q_n} S^-_n with q_n = arctan(sc((n+1)q, kappa))."""
-    system = SpinSystem(S, N)
-    sm = local_spin_matrices(S)[4]
-    angles = _lifted_sc_angles([(n + 1) * q.fraction for n in range(N)], q.modulus)
-    terms = [((n,), np.exp(1j * angle) * sm) for n, angle in enumerate(angles)]
-    return ManyBodyOperator(system, local_sum(system, terms), hermitian=False)
+    return lowering(SpinSystem(S, N), _lifted_sc_angles(chain_phases(N, q), q.modulus))
+
+
+def deformed_tower_deficit(N: int, S: float, q: CommensurateQ) -> float:
+    """Worst subspace_deficit of tau''^m |up...up>, m = 1..2NS, against the chain's
+    ED eigenspace at gz_energy(N, S, q); first-order accurate, so ~ kappa^4."""
+    sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+    basis = degenerate_subspace(build_xyz_chain(N, S, dn, 1.0, cn), gz_energy(N, S, q))
+    tpp = tau_double_prime(N, S, q)
+    states = tower(tpp.matrix, all_up(tpp.system).amplitudes, int(round(2 * N * S)))
+    return max(subspace_deficit(basis, StateVector(tpp.system, st)) for st in states[1:])
 
 
 def perturbative_split(N: int, S: float, q0: float):
@@ -104,6 +112,7 @@ def reduced_resolvent_apply(H0: ManyBodyOperator, E0: float, vec: np.ndarray) ->
     farther than 1e-8 from E0 (the standard first-order prescription when the
     unperturbed level is degenerate).
     """
+    _check_dense_cap(H0.system.total_dim, vectors=True)
     evals, evecs = np.linalg.eigh(H0.dense())
     coeffs = evecs.conj().T @ vec
     keep = np.abs(evals - E0) > 1e-8
@@ -124,6 +133,7 @@ def first_order_deformation(N: int, S: float, p: int, kappa: float,
 
 def degenerate_subspace(H: ManyBodyOperator, E: float) -> np.ndarray:
     """Orthonormal columns spanning the eigenspace of H within 1e-8 max(1, |H|) of E."""
+    _check_dense_cap(H.system.total_dim, vectors=True)
     evals, evecs = np.linalg.eigh(H.dense())
     cols = evecs[:, np.abs(evals - E) <= 1e-8 * max(1.0, np.abs(evals).max())]
     if cols.shape[1] == 0:

@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabErr
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
                       all_up, apply_sum, coherent_product_state,
-                      coherent_product_states, local_spin_matrices, tau)
+                      coherent_product_states, local_spin_matrices, tau, tower)
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,8 @@ def helical_tower(N: int, S: float, helicity: int, p: int) -> ScarTower:
     system = SpinSystem(S, N)
     q0 = 2.0 * math.pi * p / N
     lower = tau(N, S, q0, sign=helicity).matrix
-    two_ns = int(round(2 * N * S))
-    states = [all_up(system)]
-    vec = states[0].amplitudes
-    for _ in range(two_ns):
-        vec = lower @ vec
-        nrm = np.linalg.norm(vec)
-        states.append(StateVector(system, vec / nrm))
+    states = [StateVector(system, v) for v in
+              tower(lower, all_up(system).amplitudes, int(round(2 * N * S)))]
     return ScarTower(system=system, states=states, helicity=helicity, q0=q0, p=p)
 
 
@@ -196,17 +191,20 @@ def projections(N: int, S: float, p: int, kappa: float, gamma: float,
 def projection_table(N: int, S: float, p: int, kappa: float, gammas,
                      helicity: int = +1) -> list:
     """(P+, P-) of `projections` at every gamma; the towers depend on N, S and
-    p only, so both are built once."""
+    p only and the Jacobi table of the chain phases on kappa only, so each is
+    built once."""
     system = SpinSystem(S, N)
     q = commensurate_q(p, N, kappa)
     specs = [ScarSpec(helicity, p, float(gamma), float(kappa), q) for gamma in gammas]
+    phases = jacobi_table(chain_phases(N, q), q.modulus)
     same = helical_tower(N, S, helicity, p)
     oppo = helical_tower(N, S, -helicity, p)
     shared = N // math.gcd(2 * p, N)
     two_ns = len(same.states) - 1
     table = []
     for spec in specs:
-        psi = gz_state(system, spec)
+        theta, phi = _table_angles(spec, phases)
+        psi = StateVector(system, coherent_product_states(system, theta[None], phi[None])[0])
         p_same = sum(abs(st.overlap(psi)) ** 2 for st in same.states)
         p_oppo = 0.0
         for m in range(1, two_ns):

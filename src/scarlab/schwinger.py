@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
 from .hamiltonian import _chain_bonds, chain_terms
-from .spinops import SpinSystem, local_spin_matrices, local_sum
+from .spinops import SpinSystem, local_spin_matrices, local_sum, tower
 
 UP, DOWN = 0, 1
 _MODES = ("constrained", "hardcore", "enlarged")
@@ -196,15 +196,8 @@ def tau_prime(basis: FockBasis) -> sp.csr_matrix:
 
 def zeta_states(N: int, S: float, basis: FockBasis | None = None) -> tuple:
     """Normalized tau'^m |down...down>, m = 0..2NS."""
-    if basis is None:
-        basis = FockBasis(N, S)
-    tp = tau_prime(basis)
-    vec = basis.vacuum_product()
-    states = [vec]
-    for _ in range(int(round(2 * N * S))):
-        vec = tp @ vec
-        states.append(vec / np.linalg.norm(vec))
-    return basis, states
+    basis = FockBasis(N, S) if basis is None else basis
+    return basis, tower(tau_prime(basis), basis.vacuum_product(), int(round(2 * N * S)))
 
 
 def rotated_tower_states(N: int, S: float, p: int) -> list:

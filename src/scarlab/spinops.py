@@ -7,7 +7,8 @@ Basis conventions (fixed globally, do not change):
 Every many-body operator is assembled by local_sum from a list of local
 terms, and apply_sum applies the same list to a vector without a matrix;
 embed and two_site are the Kronecker-product reference local_sum is tested
-against.
+against.  lowering builds every phased sum of S^-, and tower the normalized
+powers of a ladder operator on a start vector.
 """
 
 from __future__ import annotations
@@ -258,12 +259,25 @@ def apply_sum(system: SpinSystem, terms, amplitudes) -> np.ndarray:
     return dst
 
 
-def tau(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
-    """tau_+/- = sum_n e^{+/- i (n+1) q0} S^-_n; lowers total Sz by one."""
-    system = SpinSystem(S, N)
-    sm = local_spin_matrices(S)[4]
-    terms = [((n,), np.exp(1j * sign * (n + 1) * q0) * sm) for n in range(N)]
+def lowering(system: SpinSystem, phases) -> ManyBodyOperator:
+    """sum_n e^{i phases[n]} S^-_n, one phase per site; lowers total Sz by one."""
+    sm = local_spin_matrices(system.S)[4]
+    terms = [((n,), np.exp(1j * phase) * sm) for n, phase in enumerate(phases)]
     return ManyBodyOperator(system, local_sum(system, terms), hermitian=False)
+
+
+def tau(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
+    """tau_+/- = sum_n e^{+/- i (n+1) q0} S^-_n."""
+    return lowering(SpinSystem(S, N), [sign * (n + 1) * q0 for n in range(N)])
+
+
+def tower(lower, start: np.ndarray, steps: int) -> list:
+    """[L^m start / ||L^m start||, m = 0..steps]; the power itself is carried unnormalized."""
+    states = [start / np.linalg.norm(start)]
+    for _ in range(steps):
+        start = lower @ start
+        states.append(start / np.linalg.norm(start))
+    return states
 
 
 def basis_state(system: SpinSystem, local_indices) -> StateVector:

@@ -16,14 +16,12 @@ from scarlab.lattice import (CLASS_DEPENDENT, CLASS_INDEPENDENT, CLASS_NONE,
                              honeycomb_su2, kagome_su2, lieb, square,
                              square_shifted, triangular_su2, trimer_brickwall,
                              trimer_ladder)
-from scarlab.scar import (ScarSpec, gz_angles, gz_energy, gz_state,
-                          helical_expansion, helical_tower, projections,
-                          residual, span_rank)
+from scarlab.scar import (ScarSpec, gz_angles, gz_state, helical_expansion,
+                          helical_tower, projections, residual, span_rank)
 from scarlab.schwinger import (decomposition_check, zeta_annihilation_residuals,
                                zeta_tower_fidelities)
 from scarlab.spectra import scan_degeneracy, _translation_matrix
-from scarlab.spinops import (SiteAngles, SpinSystem, StateVector, all_up,
-                             embed, local_spin_matrices)
+from scarlab.spinops import SiteAngles, SpinSystem, embed, local_spin_matrices
 
 RNG = np.random.default_rng(2024)
 
@@ -268,26 +266,14 @@ def test_criterion_10_lattice_rules():
 
 
 def test_criterion_11_approximated_sga():
-    from scarlab.algebra import (degenerate_subspace, subspace_deficit, tau,
-                                 tau_double_prime)
+    from scarlab.algebra import deformed_tower_deficit, tau, tau_double_prime
     N, S, p = 5, 0.5, 1
     q0 = 2.0 * math.pi * p / N
     diff = (tau_double_prime(N, S, commensurate_q(p, N, 0.0)).matrix
             - tau(N, S, q0).matrix)
     entrywise = float(np.abs(diff.toarray()).max())
-    system = SpinSystem(S, N)
-    deficits = []
-    for kappa in (0.1, 0.2, 0.4):
-        q, H = chain_at(N, S, p, kappa)
-        basis = degenerate_subspace(H, gz_energy(N, S, q))
-        tpp = tau_double_prime(N, S, q)
-        vec = all_up(system).amplitudes
-        worst = 0.0
-        for _ in range(int(round(2 * N * S))):
-            vec = tpp.matrix @ vec
-            psi = StateVector(system, vec / np.linalg.norm(vec))
-            worst = max(worst, subspace_deficit(basis, psi))
-        deficits.append(worst)
+    deficits = [deformed_tower_deficit(N, S, commensurate_q(p, N, kappa))
+                for kappa in (0.1, 0.2, 0.4)]
     slope = float(np.polyfit(np.log([0.01, 0.04, 0.16]), np.log(deficits), 1)[0])
     ok = (entrywise <= 1e-13 and deficits[0] < deficits[1] < deficits[2]
           and slope >= 1.7)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 
 import elliptic_reference as ref
-from scarlab.algebra import (degenerate_subspace, first_order_deformation,
-                             generalized_family, lambda_op, perturbative_split,
-                             reduced_resolvent_apply, standard_sga_witness,
-                             subspace_deficit, tau, tau_double_prime)
+from scarlab.algebra import (deformed_tower_deficit, degenerate_subspace,
+                             first_order_deformation, generalized_family, lambda_op,
+                             perturbative_split, reduced_resolvent_apply,
+                             standard_sga_witness, subspace_deficit, tau,
+                             tau_double_prime)
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.hamiltonian import build_xyz_chain
 from scarlab.scar import gz_energy
@@ -77,27 +78,10 @@ def test_tau_double_prime_reduces_to_tau():
         assert np.abs(diff.toarray()).max() <= 1e-13
 
 
-def tower_deficit(N, S, p, kappa):
-    """Worst projection deficit of the deformed tower onto the ED subspace."""
-    q = commensurate_q(p, N, kappa)
-    sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-    H = build_xyz_chain(N, S, dn, 1.0, cn)
-    basis = degenerate_subspace(H, gz_energy(N, S, q))
-    system = SpinSystem(S, N)
-    tpp = tau_double_prime(N, S, q)
-    vec = all_up(system).amplitudes
-    worst = 0.0
-    for _ in range(int(round(2 * N * S))):
-        vec = tpp.matrix @ vec
-        psi = StateVector(system, vec / np.linalg.norm(vec))
-        worst = max(worst, subspace_deficit(basis, psi))
-    return worst
-
-
 def test_deformed_tower_deficit_scaling():
     N, S, p = 5, 0.5, 1
     kappas = [0.1, 0.2, 0.4]
-    defs = [tower_deficit(N, S, p, k) for k in kappas]
+    defs = [deformed_tower_deficit(N, S, commensurate_q(p, N, k)) for k in kappas]
     assert defs[0] < defs[1] < defs[2]
     # first-order accuracy: deficit ~ kappa^4, slope >= 1.7 vs kappa^2
     x = np.log([k * k for k in kappas])

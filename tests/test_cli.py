@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -527,3 +528,48 @@ def test_frame_rejects_non_finite_couplings(tmp_path, capsys, monkeypatch, value
     assert run(["--out", out, "frame", "--couplings", str(path)]) == EXIT_INVALID
     assert _one_invalid_input_line(capsys)
     assert not (tmp_path / "frame.csv").exists()
+
+
+def test_elliptic_round_trip_fails_on_a_broken_inversion(tmp_path, capsys, monkeypatch):
+    from scarlab import elliptic
+    solve = elliptic.solve_q_kappa_array
+
+    def off_by_a_permille(Jx, Jy, Jz):
+        q, kappa, K, _, _ = solve(Jx, Jy, Jz)
+        _, cn, dn = elliptic.jacobi_array(q * 1.001, kappa, K)
+        return q * 1.001, kappa, K, cn, dn
+
+    monkeypatch.setattr(elliptic, "solve_q_kappa_array", off_by_a_permille)
+    assert run(["--out", str(tmp_path), "elliptic", "--points", "200"]) == EXIT_PHYSICS
+    assert "FAIL: coupling round-trip" in capsys.readouterr().out
+
+
+def test_algebra_check_builds_each_operator_once(tmp_path, monkeypatch):
+    import scarlab.algebra  # noqa: F401  (its module-level names are patched too)
+    from scarlab import hamiltonian
+    calls = {"build_xyz_chain": [], "tau": []}
+    for fname, original in (("build_xyz_chain", hamiltonian.build_xyz_chain),
+                            ("tau", spinops.tau)):
+        def counted(*args, _original=original, _calls=calls[fname], **kwargs):
+            _calls.append(args)
+            return _original(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scarlab") and getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counted)
+    assert run(["--out", str(tmp_path), "algebra-check", "--N", "5", "--S", "1/2",
+                "--kappas", "0.0,0.1,0.2,0.4"]) == EXIT_OK
+    q0 = 2.0 * math.pi / 5
+    assert calls["tau"] == [(5, 0.5, q0)]
+    # the XXZ chain once, then one chain per nonzero kappa
+    xxz, *chains = calls["build_xyz_chain"]
+    assert xxz == (5, 0.5, 1.0, 1.0, math.cos(q0))
+    assert len(chains) == 3 and all(c[:2] == (5, 0.5) and c[2] < 1.0 for c in chains)
+
+
+def test_algebra_check_over_the_dense_cap_is_a_numerical_failure(tmp_path, capsys):
+    # dim 2^15 = 32,768 needs eigenvectors above the dense cap: exit 2, no dense eigh
+    assert run(["--out", str(tmp_path), "algebra-check", "--N", "15", "--S", "1/2",
+                "--kappas", "0.0,0.2"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "exceeds dense cap" in err
+    assert len(err.strip().splitlines()) == 1

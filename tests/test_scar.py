@@ -7,7 +7,7 @@ import pytest
 
 import elliptic_reference as ref
 from scarlab import scar as scar_module
-from scarlab.elliptic import commensurate_q, jacobi_fraction
+from scarlab.elliptic import commensurate_q, jacobi_fraction, jacobi_table
 from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
 from scarlab.hamiltonian import build_on_graph, build_xyz_chain, chain_terms, graph_terms
 from scarlab.lattice import (Edge, ScarGraph, assign_site_phases, chain,
@@ -165,11 +165,14 @@ def test_projection_table_equals_the_per_call_path(N, S, p, helicity, monkeypatc
     gammas = [-0.9, -0.3, 0.0, 0.45, 0.9]
     for kappa in (0.0, 0.35, 0.8):
         want = [_reference_projections(N, S, p, kappa, g, helicity) for g in gammas]
-        calls = []
+        calls, tables = [], []
         monkeypatch.setattr(scar_module, "helical_tower",
                             lambda *a: calls.append(a) or helical_tower(*a))
+        monkeypatch.setattr(scar_module, "jacobi_table",
+                            lambda *a: tables.append(a) or jacobi_table(*a))
         assert projection_table(N, S, p, kappa, gammas, helicity) == want    # bit for bit
         assert len(calls) == 2
+        assert len(tables) == 1     # one phase table for every gamma
         monkeypatch.undo()
         assert projections(N, S, p, kappa, gammas[1], helicity) == want[1]
 

@@ -13,8 +13,9 @@ from scarlab.spinops import (SiteAngles, SpinSystem,
                              all_down, all_up, apply_sum, basis_state,
                              coherent_product_state, coherent_product_states, embed,
                              entanglement_entropy, expectation,
-                             local_spin_matrices, local_sum, product_rotation,
-                             site_spin_expectations, two_site)
+                             local_spin_matrices, local_sum, lowering,
+                             product_rotation, site_spin_expectations, tower,
+                             two_site)
 
 RNG = np.random.default_rng(7)
 
@@ -253,3 +254,18 @@ def test_batched_states_check_shapes():
         coherent_product_states(system, np.zeros(3), np.zeros(3))
     with pytest.raises(DimensionMismatch):
         coherent_product_state(SiteAngles((0.1,) * 2, (0.0,) * 2), system)
+
+
+@pytest.mark.parametrize("S,N", [(0.5, 5), (1.0, 3), (1.5, 2)])
+def test_tower_is_the_normalized_matrix_powers(S, N):
+    system = SpinSystem(S, N)
+    lower = lowering(system, RNG.uniform(-3.0, 3.0, N)).matrix
+    start = all_up(system).amplitudes
+    steps = int(round(2 * N * S))
+    states = tower(lower, start, steps)
+    assert len(states) == steps + 1
+    for m, state in enumerate(states):
+        want = np.linalg.matrix_power(lower.toarray(), m) @ start
+        assert np.abs(state - want / np.linalg.norm(want)).max() <= 1e-12
+    # 2NS lowerings take |up...up> to |down...down>
+    assert abs(abs(np.vdot(all_down(system).amplitudes, states[-1])) - 1.0) <= 1e-12
