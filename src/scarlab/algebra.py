@@ -10,6 +10,9 @@ Three layers:
     in kappa^2, together with the perturbative split H = H0 + kappa^2 H1;
   * the generalized family of rotation-generated states at fixed energy,
     whose pairwise energy spacings all vanish.
+
+Eigenspaces come from spectra.full_spectrum, the one many-body eigensolver
+and dense cap, within degeneracy_at's window around the energy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .elliptic import CommensurateQ, jacobi_fraction, jacobi_table
 from .errors import ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import ScarSpec, chain_phases, gz_energy, gz_state, residual
-from .spectra import _check_dense_cap
+from .spectra import degeneracy_at, full_spectrum
 from .spinops import (ManyBodyOperator, SpinSystem, StateVector, all_up, expectation,
                       local_spin_matrices, local_sum, lowering, tau, tower)
 
@@ -108,14 +111,13 @@ def perturbative_split(N: int, S: float, q0: float):
 def reduced_resolvent_apply(H0: ManyBodyOperator, E0: float, vec: np.ndarray) -> np.ndarray:
     """(H0 - E0)^+ vec with the degenerate eigenspace at E0 projected out.
 
-    Dense eigendecomposition; the inverse is taken only on eigenvalues
-    farther than 1e-8 from E0 (the standard first-order prescription when the
-    unperturbed level is degenerate).
+    Eigenpairs from spectra.full_spectrum; the inverse is taken only on
+    eigenvalues outside degeneracy_at's window around E0 (the standard
+    first-order prescription when the unperturbed level is degenerate).
     """
-    _check_dense_cap(H0.system.total_dim, vectors=True)
-    evals, evecs = np.linalg.eigh(H0.dense())
+    evals, evecs = full_spectrum(H0)
     coeffs = evecs.conj().T @ vec
-    keep = np.abs(evals - E0) > 1e-8
+    keep = np.abs(evals - E0) > degeneracy_at(evals, E0).tol
     coeffs = np.where(keep, coeffs / np.where(keep, evals - E0, 1.0), 0.0)
     return evecs @ coeffs
 
@@ -132,10 +134,9 @@ def first_order_deformation(N: int, S: float, p: int, kappa: float,
 
 
 def degenerate_subspace(H: ManyBodyOperator, E: float) -> np.ndarray:
-    """Orthonormal columns spanning the eigenspace of H within 1e-8 max(1, |H|) of E."""
-    _check_dense_cap(H.system.total_dim, vectors=True)
-    evals, evecs = np.linalg.eigh(H.dense())
-    cols = evecs[:, np.abs(evals - E) <= 1e-8 * max(1.0, np.abs(evals).max())]
+    """Orthonormal columns spanning the eigenspace of H within degeneracy_at's window of E."""
+    evals, evecs = full_spectrum(H)
+    cols = evecs[:, np.abs(evals - E) <= degeneracy_at(evals, E).tol]
     if cols.shape[1] == 0:
         raise ScarlabError(f"no eigenvalues within tolerance of E = {E}")
     return cols

@@ -65,7 +65,9 @@ class CheckLog:
         return EXIT_PHYSICS if self.failed else EXIT_OK
 
 
-def _write_outputs(outdir: str, name: str, header, rows, config: dict):
+def _write_outputs(outdir: str, name: str, header, rows, config: dict, record=None):
+    """<name>.csv and the <name>.json sidecar: record's keys, then config,
+    version and timestamp."""
     os.makedirs(outdir, exist_ok=True)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -77,7 +79,7 @@ def _write_outputs(outdir: str, name: str, header, rows, config: dict):
         fh.write(buf.getvalue())
     config = {k: v for k, v in config.items()
               if isinstance(v, (int, float, str, bool, list, type(None)))}
-    sidecar = {"version": __version__, "config": config,
+    sidecar = {**(record or {}), "version": __version__, "config": config,
                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     with open(os.path.join(outdir, f"{name}.json"), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -224,24 +226,15 @@ def cmd_scar_verify(args, log: CheckLog) -> int:
 
 
 def cmd_degeneracy_scan(args, log: CheckLog) -> int:
-    from .spectra import scan_degeneracy
+    from .spectra import DegeneracyScan, scan_degeneracy
     if not 0.0 <= args.kappa < 1.0:
         raise InvalidInput(f"--kappa must lie in [0, 1), got {args.kappa}")
     S_list = [_parse_spin(t) for t in args.S.split(",")]
     N_list = _parse_range(args.N)
     p_list = _parse_range(args.p)
     scan = scan_degeneracy(S_list, N_list, args.kappa, p_list)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "degeneracy_scan.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(scan.to_csv())
-    with open(os.path.join(args.out, "degeneracy_scan.json"), "w") as fh:
-        config = {k: v for k, v in vars(args).items()
-                  if isinstance(v, (int, float, str, bool, list, type(None)))}
-        doc = json.loads(scan.sidecar(config))
-        doc["version"] = __version__
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    csv_path = _write_outputs(args.out, "degeneracy_scan", DegeneracyScan.HEADER,
+                              scan.table(), vars(args), scan.summary())
     for r in scan.rows:
         if "error:" in r.flag:
             log.check(f"S={r.S} N={r.N} p={r.p}", False, r.flag)
@@ -334,10 +327,16 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
     from .algebra import (deformed_tower_deficit, lambda_op, standard_sga_witness,
                           tau_double_prime)
     from .elliptic import commensurate_q
+    from .spectra import check_dense_cap
+    from .spinops import SpinSystem
     N, S, p = args.N, args.S, args.p
     if N < 3:
         # the tower energy counts N bonds of a periodic ring
         raise InvalidInput(f"algebra-check needs a ring of N >= 3 sites, got N={N}")
+    kappas = _parse_floats(args.kappas)
+    if any(kappas):
+        # a nonzero kappa needs eigenvectors: stop at the cap before any check runs
+        check_dense_cap(SpinSystem(S, N).total_dim, vectors=True)
     wit = standard_sga_witness(N, S, p)
     t = wit.generator
     lam = lambda_op(N, S, 2.0 * math.pi * p / N)
@@ -349,7 +348,7 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
     worst = max(wit.commutator_residuals)
     log.check("tower ladder closure", worst <= 1e-10, f"max {worst:.2e}")
     rows = [["commutator", repr(d1)], ["mutual", repr(d2)], ["tower", repr(worst)]]
-    for kappa in _parse_floats(args.kappas):
+    for kappa in kappas:
         q = commensurate_q(p, N, kappa)
         if kappa == 0.0:
             dev = float(abs(tau_double_prime(N, S, q).matrix - t.matrix).max())

@@ -125,12 +125,3 @@ def vanishing_conditions(H_rot: ManyBodyOperator):
         a2[n] = lowered * np.vdot(basis_state(system, idx2).amplitudes, w)
     return a2, a1
 
-
-def load_parameters(text: str) -> dict:
-    """Parameters JSON {"S", "kappa", "p", "denominator", "J", "Jprime"}."""
-    import json
-    doc = json.loads(text)
-    out = {"S": float(doc["S"]), "kappa": float(doc["kappa"]),
-           "p": int(doc["p"]), "denominator": int(doc["denominator"]),
-           "J": float(doc.get("J", 1.0)), "Jprime": float(doc.get("Jprime", 1.0))}
-    return out

@@ -1,4 +1,4 @@
-"""Exact diagonalization, degeneracy counting, and scan persistence.
+"""Exact diagonalization, degeneracy counting, and the degeneracy scan.
 
 Dense Hermitian diagonalization at desk scale, one momentum x decoupled block
 of H at a time (momentum only when H is translation invariant) and in real
@@ -10,9 +10,6 @@ of the quarter period K).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +28,7 @@ TOL_SCALE = 1e-8
 GAP_AUDIT_FACTOR = 10.0
 
 
-def _check_dense_cap(dim: int, vectors: bool) -> None:
+def check_dense_cap(dim: int, vectors: bool) -> None:
     cap = DENSE_CAP_VECTORS if vectors else DENSE_CAP_VALUES
     if dim > cap:
         raise DimensionCap(f"dimension {dim} exceeds dense cap {cap}")
@@ -80,7 +77,7 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     """
     # deferred: importing csgraph at module load adds ~130 ms to every start
     from scipy.sparse.csgraph import connected_components
-    _check_dense_cap(H.system.total_dim, vectors)
+    check_dense_cap(H.system.total_dim, vectors)
     A = H.matrix
     rot = _rotations(H.system)
     P = rot[1 % len(rot)]
@@ -257,21 +254,17 @@ class ScanRow:
 @dataclass
 class DegeneracyScan:
     rows: list = field(default_factory=list)
+    HEADER = ("S", "N", "p", "kappa", "E", "count", "expected", "flag")
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["S", "N", "p", "kappa", "E", "count", "expected", "flag"])
-        for r in self.rows:
-            w.writerow([r.S, r.N, r.p, r.kappa, repr(r.E), r.count, r.expected, r.flag])
-        return buf.getvalue()
+    def table(self) -> list:
+        """CSV body rows under HEADER; E as repr so reruns are byte-identical."""
+        return [[r.S, r.N, r.p, r.kappa, repr(r.E), r.count, r.expected, r.flag]
+                for r in self.rows]
 
-    def sidecar(self, config: dict | None = None) -> str:
-        doc = {"tol_scale": TOL_SCALE, "gap_audit_factor": GAP_AUDIT_FACTOR,
-               "rows": len(self.rows), "records": [r.record() for r in self.rows]}
-        if config is not None:
-            doc["config"] = config
-        return json.dumps(doc, indent=2, sort_keys=True)
+    def summary(self) -> dict:
+        """Sidecar keys: the tolerances used and one record() per row."""
+        return {"tol_scale": TOL_SCALE, "gap_audit_factor": GAP_AUDIT_FACTOR,
+                "rows": len(self.rows), "records": [r.record() for r in self.rows]}
 
 
 def scan_degeneracy(S_list, N_range, kappa: float, p_range) -> DegeneracyScan:
@@ -297,7 +290,7 @@ def scan_degeneracy(S_list, N_range, kappa: float, p_range) -> DegeneracyScan:
                     q = commensurate_q(p, N, kappa)
                     sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
                     row.dim = SpinSystem(S, N).total_dim
-                    _check_dense_cap(row.dim, vectors=False)
+                    check_dense_cap(row.dim, vectors=False)
                     H = build_xyz_chain(N, S, dn, 1.0, cn)
                     row.E = gz_energy(N, S, q)
                     evals, _, _, solved = _solve(H, vectors=False)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 import elliptic_reference as ref
 from scarlab.algebra import (deformed_tower_deficit, degenerate_subspace,
@@ -11,7 +12,8 @@ from scarlab.algebra import (deformed_tower_deficit, degenerate_subspace,
                              standard_sga_witness, subspace_deficit, tau,
                              tau_double_prime)
 from scarlab.elliptic import commensurate_q, jacobi_fraction
-from scarlab.hamiltonian import build_xyz_chain
+from scarlab.frames import CsseCouplings
+from scarlab.hamiltonian import build_csse_chain, build_xyz_chain
 from scarlab.scar import gz_energy
 from scarlab.spinops import (SpinSystem, StateVector, all_up, embed,
                              local_spin_matrices, local_sum)
@@ -120,6 +122,25 @@ def test_reduced_resolvent_solves_off_kernel():
     vperp = vec - kernel @ (kernel.conj().T @ vec)
     assert np.linalg.norm(h0.dense() @ out - E0 * out - vperp) <= 1e-9
     assert np.linalg.norm(kernel.conj().T @ out) <= 1e-12
+
+
+@pytest.mark.parametrize("H, dtype", [
+    # momentum blocks: 1-state, real (k = 0, pi) and complex blocks
+    (build_xyz_chain(4, 0.5, 0.7, 1.0, 0.2), np.complex128),
+    # trivial group, the two real Sz-parity blocks
+    (build_xyz_chain(5, 0.5, 0.7, 1.0, 0.2, periodic=False), np.float64),
+    # J13/J23 break Sz parity: one complex block per momentum
+    (build_csse_chain(4, 0.5, CsseCouplings(J1=0.7, J2=1.0, J3=0.2, J12=0.1,
+                                            J13=0.3, J23=-0.25)), np.complex128),
+])
+def test_degenerate_subspace_matches_dense_eigh(H, dtype):
+    evals, evecs = np.linalg.eigh(H.dense())
+    tol = 1e-8 * max(1.0, evals[-1] - evals[0])
+    for E in evals:
+        want = evecs[:, np.abs(evals - E) <= tol]
+        got = degenerate_subspace(H, E)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got @ got.conj().T - want @ want.conj().T).max() <= 1e-10
 
 
 def test_first_order_deformation_improves_deficit():

@@ -59,6 +59,9 @@ def test_degeneracy_scan_csv(tmp_path):
     assert (tmp_path / "degeneracy_scan.csv").read_bytes() == body1
     doc = json.loads((tmp_path / "degeneracy_scan.json").read_text())
     assert doc["config"]["kappa"] == 0.8
+    assert set(doc) == {"tol_scale", "gap_audit_factor", "rows", "records", "config",
+                        "version", "timestamp"}
+    assert doc["rows"] == len(doc["records"]) == 2
 
 
 def test_projections_subcommand(tmp_path):
@@ -570,6 +573,13 @@ def test_algebra_check_over_the_dense_cap_is_a_numerical_failure(tmp_path, capsy
     # dim 2^15 = 32,768 needs eigenvectors above the dense cap: exit 2, no dense eigh
     assert run(["--out", str(tmp_path), "algebra-check", "--N", "15", "--S", "1/2",
                 "--kappas", "0.0,0.2"]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and "exceeds dense cap" in err
-    assert len(err.strip().splitlines()) == 1
+    cap = capsys.readouterr()
+    assert cap.err == "numerical failure: dimension 32768 exceeds dense cap 20000\n"
+    # the cap is checked before any check runs
+    assert cap.out == ""
+    assert not (tmp_path / "algebra_check.csv").exists()
+    # kappa = 0 alone needs no eigenvectors and runs at that size
+    assert run(["--out", str(tmp_path), "algebra-check", "--N", "15", "--S", "1/2",
+                "--kappas", "0.0"]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: ") == 4
+    assert (tmp_path / "algebra_check.csv").exists()

@@ -8,7 +8,7 @@ import elliptic_reference as ref
 from scarlab.elliptic import commensurate_q, jacobi, jacobi_fraction
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import (_bond_matrix, build_csse_chain, build_on_graph,
-                                 build_xyz_chain, graph_terms, load_parameters,
+                                 build_xyz_chain, graph_terms,
                                  rotated_hamiltonian, vanishing_conditions)
 from scarlab.lattice import CSSE, SU2, kagome_su2, nnn_chain
 from scarlab.lattice import chain as chain_graph
@@ -160,9 +160,3 @@ def test_vanishing_conditions_sharpness():
     a2, a1 = vanishing_conditions(Hr)
     assert max(np.abs(a2).max(), np.abs(a1).max()) > 1e-4
 
-
-def test_load_parameters():
-    doc = '{"S": 1, "kappa": 0.8, "p": 2, "denominator": 6, "J": 0.5}'
-    params = load_parameters(doc)
-    assert params == {"S": 1.0, "kappa": 0.8, "p": 2, "denominator": 6,
-                      "J": 0.5, "Jprime": 1.0}

@@ -1,7 +1,5 @@
 """Diagonalization utilities, degeneracy counting, and the scan."""
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -12,7 +10,7 @@ from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionCap, NotTranslationInvariant
 from scarlab.hamiltonian import build_xyz_chain
 from scarlab.scar import gz_energy
-from scarlab.spectra import (degeneracy_at, full_spectrum, is_special_q,
+from scarlab.spectra import (DegeneracyScan, degeneracy_at, full_spectrum, is_special_q,
                              scan_degeneracy, translation_sectors)
 
 
@@ -96,21 +94,21 @@ def test_is_special_q():
 
 def test_scan_rows_and_csv_format():
     scan = scan_degeneracy([0.5], [4, 5], 0.8, [1])
-    text = scan.to_csv()
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["S", "N", "p", "kappa", "E", "count", "expected", "flag"]
-    assert len(rows) == 3
-    by_n = {int(r[1]): r for r in rows[1:]}
+    rows = scan.table()
+    assert list(DegeneracyScan.HEADER) == ["S", "N", "p", "kappa", "E", "count", "expected",
+                                           "flag"]
+    assert len(rows) == 2 and all(len(r) == len(DegeneracyScan.HEADER) for r in rows)
+    by_n = {int(r[1]): r for r in rows}
     # N=4 at p=1 is the special commensurability q = K
     assert "special-q" in by_n[4][7]
     assert int(by_n[5][5]) == int(by_n[5][6]) == 10
     assert by_n[5][7] == ""
-    # rerun is byte identical
-    again = scan_degeneracy([0.5], [4, 5], 0.8, [1]).to_csv()
-    assert again == text
-    doc = json.loads(scan.sidecar({"seed": 0}))
+    # rerun is identical, E written as its repr
+    again = scan_degeneracy([0.5], [4, 5], 0.8, [1]).table()
+    assert again == rows and all(isinstance(r[4], str) for r in rows)
+    doc = json.loads(json.dumps(scan.summary()))
     assert doc["gap_audit_factor"] == 10.0
-    assert doc["config"] == {"seed": 0}
+    assert doc["tol_scale"] == spectra.TOL_SCALE and doc["rows"] == 2
 
 
 def test_scan_isolates_row_failures():
@@ -133,7 +131,7 @@ def test_scan_propagates_programming_errors(monkeypatch):
 
 def test_scan_records_how_each_row_was_computed():
     scan = scan_degeneracy([0.5], [5], 0.8, [1])
-    rec = json.loads(scan.sidecar())["records"][0]
+    rec = json.loads(json.dumps(scan.summary()))["records"][0]
     assert rec["dim"] == 32 and rec["dtype"] == "float64"
     assert rec["blocks"] == [16, 16]            # the two Sz-parity sectors
     assert rec["count"] == 10 and rec["flag"] == ""
