@@ -42,7 +42,7 @@ class DimensionCap(ScarlabError):
 
 
 class NoRootFound(ScarlabError):
-    """Frame-angle root search failed from every start point."""
+    """No frame-angle root satisfies the angle equations (they overflow)."""
 
 
 class InconsistentPhases(ScarlabError):

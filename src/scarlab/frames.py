@@ -5,17 +5,16 @@ The CSSE bond is the symmetric 3x3 matrix
     M = [[J1, J12, J13], [J12, J2, J23], [J13, J23, J3]],
 
 and the reduction is a sequence of SO(3) frame rotations Rx(psi), Ry(phi),
-Rz(theta) that diagonalizes M.  The (psi, phi) pair is found by a multi-start
-2D Newton solve of the two closed-form zero conditions; theta then kills the
-remaining xy coupling in closed form.  The eigenvalues of M serve as an
-independent cross-check of the whole procedure.
+Rz(theta) that diagonalizes M.  (psi, phi) turns an eigen-axis of M onto z in
+closed form, which zeroes the xz and yz couplings; theta then kills the
+remaining xy coupling.  The eigenvalues of M cross-check the whole procedure.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,8 +38,12 @@ class CsseCouplings:
 
     @classmethod
     def from_json(cls, text: str) -> "CsseCouplings":
-        doc = json.loads(text)
-        return cls(**{k: float(doc.get(k, 0.0)) for k in ("J1", "J2", "J3", "J12", "J13", "J23")})
+        doc, names = json.loads(text), [f.name for f in fields(cls)]
+        if not (isinstance(doc, dict) and set(doc) <= set(names)
+                and all(type(v) in (int, float) for v in doc.values())):
+            raise InvalidInput(f"couplings file: expected an object of numbers keyed by "
+                               f"{', '.join(names)}, got {doc!r:.80}")
+        return cls(**{k: float(doc.get(k, 0.0)) for k in names})
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.J1, self.J12, self.J13],
@@ -111,54 +114,21 @@ def _canonicalize(psi: float, phi: float) -> tuple[float, float]:
     return psi, phi
 
 
-def solve_frame_angles(c: CsseCouplings, grid: int = 8) -> list[tuple[float, float]]:
-    """All distinct (psi, phi) roots in [0, pi)^2 of the angle equations.
+def solve_frame_angles(c: CsseCouplings) -> list[tuple[float, float]]:
+    """All (psi, phi) roots in [0, pi)^2 of the angle equations, one per eigen-axis of M.
 
-    Multi-start Newton with a numerically differenced Jacobian; roots are kept
-    only if the residual re-evaluates below 1e-12.  Sorted by psi^2 + phi^2 so
-    the first entry is the canonical root.
+    Ry(phi) Rx(psi) maps +-(-sin phi, sin psi cos phi, cos psi cos phi) to e_z; at
+    gimbal lock (an axis along e_x) psi is free and taken as 0.  Roots with residual
+    above 1e-12 max(1, max|M|) are dropped; the smallest psi^2 + phi^2 comes first.
     """
-    roots: list[tuple[float, float]] = []
-    h = 1e-7
-    starts = [(math.pi * (i + 0.5) / grid, math.pi * (j + 0.5) / grid)
-              for i in range(grid) for j in range(grid)]
-    starts.insert(0, (0.0, 0.0))
-    for psi0, phi0 in starts:
-        psi, phi = psi0, phi0
-        converged = False
-        for _ in range(60):
-            f1, f2 = angle_equations(c, psi, phi)
-            if math.hypot(f1, f2) < 1e-14:
-                converged = True
-                break
-            j11 = (angle_equations(c, psi + h, phi)[0] - angle_equations(c, psi - h, phi)[0]) / (2 * h)
-            j12 = (angle_equations(c, psi, phi + h)[0] - angle_equations(c, psi, phi - h)[0]) / (2 * h)
-            j21 = (angle_equations(c, psi + h, phi)[1] - angle_equations(c, psi - h, phi)[1]) / (2 * h)
-            j22 = (angle_equations(c, psi, phi + h)[1] - angle_equations(c, psi, phi - h)[1]) / (2 * h)
-            det = j11 * j22 - j12 * j21
-            if abs(det) < 1e-14:
-                break
-            dpsi = (f1 * j22 - f2 * j12) / det
-            dphi = (f2 * j11 - f1 * j21) / det
-            step = math.hypot(dpsi, dphi)
-            if step > 1.0:               # damp wild Newton steps
-                dpsi, dphi = dpsi / step, dphi / step
-            psi, phi = psi - dpsi, phi - dphi
-            if step < 1e-15:
-                converged = True
-                break
-        if not converged:
-            continue
-        cpsi, cphi = _canonicalize(psi, phi)
-        f1, f2 = angle_equations(c, cpsi, cphi)
-        if max(abs(f1), abs(f2)) > _ROOT_TOL:
-            continue
-        if not any(abs(cpsi - r[0]) < 1e-7 and abs(cphi - r[1]) < 1e-7 for r in roots):
-            roots.append((cpsi, cphi))
+    m = c.matrix()
+    tol = _ROOT_TOL * max(1.0, float(np.abs(m).max()))
+    axes = [_canonicalize(math.atan2(v[1], v[2]), math.atan2(-v[0], math.hypot(v[1], v[2])))
+            for v in np.linalg.eigh(m)[1].T]
+    roots = [r for r in axes if max(map(abs, angle_equations(c, *r))) <= tol]
     if not roots:
-        raise NoRootFound("no (psi, phi) root found from any start point")
-    roots.sort(key=lambda r: (r[0] * r[0] + r[1] * r[1], r))
-    return roots
+        raise NoRootFound("no eigen-axis of M satisfies the angle equations")
+    return sorted(roots, key=lambda r: (r[0] * r[0] + r[1] * r[1], r))
 
 
 @dataclass(frozen=True)
@@ -192,4 +162,4 @@ def xyz_reduction(c: CsseCouplings) -> FrameSolution:
     f1, f2 = angle_equations(c, psi, phi)
     return FrameSolution(psi=psi, phi=phi, theta=theta,
                          primed=(jxp, jyp, jzp, jxyp), xyz=(jx, jy, jz),
-                         residual=max(abs(f1), abs(f2), off))
+                         residual=float(max(abs(f1), abs(f2), off)))

@@ -104,9 +104,6 @@ class ManyBodyOperator:
         if self.matrix.shape != (d, d):
             raise DimensionMismatch("matrix shape != (total_dim, total_dim)")
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     def dagger(self) -> "ManyBodyOperator":
         return ManyBodyOperator(self.system, self.matrix.conj().T.tocsr(), self.hermitian)
 

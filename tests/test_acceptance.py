@@ -115,8 +115,8 @@ def test_criterion_05_frame_reduction():
         worst_eq = max(worst_eq, abs(f1), abs(f2))
         sol = xyz_reduction(c)
         jx, jy, jz = sol.xyz
-        e_full = np.linalg.eigvalsh(build_csse_chain(4, 0.5, c).dense())
-        e_xyz = np.linalg.eigvalsh(build_xyz_chain(4, 0.5, jx, jy, jz).dense())
+        e_full = np.linalg.eigvalsh(build_csse_chain(4, 0.5, c).matrix.toarray())
+        e_xyz = np.linalg.eigvalsh(build_xyz_chain(4, 0.5, jx, jy, jz).matrix.toarray())
         worst_spec = max(worst_spec, float(np.abs(e_full - e_xyz).max()))
         want = np.sort(np.linalg.eigvalsh(c.matrix()))
         worst_eig = max(worst_eig, float(np.abs(np.sort(sol.xyz) - want).max()))

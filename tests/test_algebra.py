@@ -112,7 +112,7 @@ def test_reduced_resolvent_solves_off_kernel():
     N, S = 4, 0.5
     q0 = 2.0 * math.pi / N
     h0, _ = perturbative_split(N, S, q0)
-    evals, evecs = np.linalg.eigh(h0.dense())
+    evals, evecs = np.linalg.eigh(h0.matrix.toarray())
     E0 = evals[0]
     rng = np.random.default_rng(3)
     vec = rng.normal(size=h0.system.total_dim) + 0j
@@ -120,7 +120,7 @@ def test_reduced_resolvent_solves_off_kernel():
     # (H0 - E0) out must equal vec with the degenerate subspace removed
     kernel = evecs[:, np.abs(evals - E0) <= 1e-8]
     vperp = vec - kernel @ (kernel.conj().T @ vec)
-    assert np.linalg.norm(h0.dense() @ out - E0 * out - vperp) <= 1e-9
+    assert np.linalg.norm(h0.matrix.toarray() @ out - E0 * out - vperp) <= 1e-9
     assert np.linalg.norm(kernel.conj().T @ out) <= 1e-12
 
 
@@ -134,7 +134,7 @@ def test_reduced_resolvent_solves_off_kernel():
                                             J13=0.3, J23=-0.25)), np.complex128),
 ])
 def test_degenerate_subspace_matches_dense_eigh(H, dtype):
-    evals, evecs = np.linalg.eigh(H.dense())
+    evals, evecs = np.linalg.eigh(H.matrix.toarray())
     tol = 1e-8 * max(1.0, evals[-1] - evals[0])
     for E in evals:
         want = evecs[:, np.abs(evals - E) <= tol]

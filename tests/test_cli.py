@@ -533,6 +533,28 @@ def test_frame_rejects_non_finite_couplings(tmp_path, capsys, monkeypatch, value
     assert not (tmp_path / "frame.csv").exists()
 
 
+@pytest.mark.parametrize("doc", ["[1, 2]", "3", '{"J1": null}', '{"J1": true}',
+                                 '{"J1": "0.3"}', '{"Jx": 1}'])
+def test_frame_rejects_malformed_couplings_file(tmp_path, capsys, doc):
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    assert run(["--out", str(tmp_path), "frame", "--couplings", str(path)]) == EXIT_INVALID
+    assert _one_invalid_input_line(capsys)
+    assert not (tmp_path / "frame.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--J1", "0.3", "--J2", "0.8", "--J3", "0.1", "--J12", "0.2"],
+    ["--J1", "1234.5", "--J2", "3000.7", "--J3", "-812.1", "--J12", "2000.3",
+     "--J13", "777.7", "--J23", "-1500.2"]])
+def test_frame_csv_cells_are_plain_floats(tmp_path, capsys, argv):
+    assert run(["--out", str(tmp_path), "frame", *argv]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: ") == 3
+    header, row = (tmp_path / "frame.csv").read_text().splitlines()
+    assert header.split(",") == ["psi", "phi", "theta", "Jx", "Jy", "Jz", "residual"]
+    assert all(math.isfinite(float(cell)) for cell in row.split(","))
+
+
 def test_elliptic_round_trip_fails_on_a_broken_inversion(tmp_path, capsys, monkeypatch):
     from scarlab import elliptic
     solve = elliptic.solve_q_kappa_array

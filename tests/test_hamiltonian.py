@@ -125,8 +125,8 @@ def test_rotated_hamiltonian_is_isospectral():
     angles = SiteAngles(tuple(RNG.uniform(0, math.pi, 4)),
                         tuple(RNG.uniform(-math.pi, math.pi, 4)))
     Hr = rotated_hamiltonian(H, angles)
-    e0 = np.linalg.eigvalsh(H.dense())
-    e1 = np.linalg.eigvalsh(Hr.dense())
+    e0 = np.linalg.eigvalsh(H.matrix.toarray())
+    e1 = np.linalg.eigvalsh(Hr.matrix.toarray())
     assert np.abs(e0 - e1).max() <= 1e-11
 
 

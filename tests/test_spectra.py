@@ -17,10 +17,10 @@ from scarlab.spectra import (DegeneracyScan, degeneracy_at, full_spectrum, is_sp
 def test_full_spectrum_matches_numpy():
     H = build_xyz_chain(4, 0.5, 0.7, 1.0, 0.2)
     evals, evecs = full_spectrum(H)
-    want = np.linalg.eigvalsh(H.dense())
+    want = np.linalg.eigvalsh(H.matrix.toarray())
     assert np.abs(evals - want).max() <= 1e-12
     recon = evecs @ np.diag(evals) @ evecs.conj().T
-    assert np.abs(recon - H.dense()).max() <= 1e-10
+    assert np.abs(recon - H.matrix.toarray()).max() <= 1e-10
 
 
 def test_full_spectrum_dimension_cap():

@@ -24,7 +24,7 @@ def _block_count(H):
 
 
 def _assert_matches_dense(H):
-    dense = H.dense()
+    dense = H.matrix.toarray()
     want = np.linalg.eigvalsh(dense)
     tol = 1e-10 * max(1.0, float(want[-1] - want[0]))
     evals = full_spectrum(H, vectors=False)
@@ -109,7 +109,7 @@ def test_periodic_chain_is_solved_in_momentum_blocks():
     assert max(record["solved_blocks"]) <= math.ceil(dim / N) + N
     assert sum(record["solved_blocks"]) == dim
     assert record["blocks"] == [512, 512]       # the Sz-parity sectors of H
-    assert np.abs(evals - np.linalg.eigvalsh(H.dense())).max() <= 1e-10 * np.ptp(evals)
+    assert np.abs(evals - np.linalg.eigvalsh(H.matrix.toarray())).max() <= 1e-10 * np.ptp(evals)
 
 
 def test_open_chain_and_graph_keep_their_component_blocks():

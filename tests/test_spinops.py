@@ -71,7 +71,7 @@ def test_product_rotation_unitary_and_maps_up():
     phi = tuple(RNG.uniform(-math.pi, math.pi, 5))
     angles = SiteAngles(theta, phi)
     V = product_rotation(angles, system)
-    dense = V.dense()
+    dense = V.matrix.toarray()
     assert np.allclose(dense.conj().T @ dense, np.eye(system.total_dim), atol=1e-12)
     got = dense @ all_up(system).amplitudes
     want = coherent_product_state(angles, system).amplitudes
@@ -240,7 +240,7 @@ def test_product_rotation_bit_identical_to_kron_reference(S, N):
     want = np.array([[1.0 + 0.0j]])
     for n in range(N - 1, -1, -1):
         want = np.kron(want, _local_rotation_reference(S, theta[n], phi[n]))
-    got = product_rotation(SiteAngles.make(theta, phi), system).dense()
+    got = product_rotation(SiteAngles.make(theta, phi), system).matrix.toarray()
     assert np.array_equal(got, want)
 
 
