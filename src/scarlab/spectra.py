@@ -34,20 +34,25 @@ def check_dense_cap(dim: int, vectors: bool) -> None:
         raise DimensionCap(f"dimension {dim} exceeds dense cap {cap}")
 
 
-def _blocks(H: ManyBodyOperator):
-    """(real, labels): whether every entry of H is exactly real, and the block
-    of each basis state.
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected component of each of n nodes under the undirected edges
+    a[j] - b[j], numbered in order of their smallest nodes as scipy's
+    connected_components numbers them.  Every round hooks the larger root of
+    each edge onto the smaller one and jumps pointers until every tree is a
+    star (Shiloach-Vishkin)."""
+    root = np.arange(n)
+    while not np.array_equal(ra := root[a], rb := root[b]):
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return np.cumsum(root == np.arange(n))[root] - 1
 
-    labels[i] is the connected component of state i in the graph whose edges
-    are the nonzero entries of H, so H is exactly block diagonal over them.
-    For the XYZ chain the blocks are the two Sz-parity sectors, for XXZ the
-    Sz sectors; a coupling that breaks Sz parity (J13, J23) leaves one block.
-    """
-    # deferred: importing csgraph at module load adds ~130 ms to every start
-    from scipy.sparse.csgraph import connected_components
-    A = H.matrix
-    _, labels = connected_components(A != 0, directed=False)
-    return A.dtype.kind != "c" or not np.any(A.data.imag), labels
+
+def _dense_block(size: int, r: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The size x size matrix with v summed in at (r, c); float64 when it is real."""
+    re, im = (np.bincount(r * size + c, w, size * size).reshape(size, size)
+              for w in (v.real, v.imag))
+    return re + 1j * im if np.any(im) else re
 
 
 def _rotations(system: SpinSystem) -> np.ndarray:
@@ -73,10 +78,11 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     of the orbit graph (a ~ b when H links orbit a to b: the Sz-parity
     sectors for XYZ).  A block is solved in float64 when its entries are
     real, and 1-state blocks are read off the diagonal.  With the trivial
-    group the blocks are exactly those of _blocks(H).
+    group every orbit is one state, so the blocks are the connected
+    components of the graph of H's nonzero entries: the two Sz-parity
+    sectors for XYZ, the Sz sectors for XXZ, and one block when a coupling
+    such as J13 or J23 breaks Sz parity.
     """
-    # deferred: importing csgraph at module load adds ~130 ms to every start
-    from scipy.sparse.csgraph import connected_components
     check_dense_cap(H.system.total_dim, vectors)
     A = H.matrix
     rot = _rotations(H.system)
@@ -96,8 +102,9 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     i, b, h = C.row[nz], C.col[nz], C.data[nz]
     a, h = rpos[i], h * np.sqrt(L[reps[b]] / L[i])
     n = reps.size
-    _, comp = connected_components(sp.csr_matrix((np.ones(a.size), (a, b)), (n, n)),
-                                   directed=False)
+    comp = _components(n, a, b)
+    by = np.argsort(comp[a], kind="stable")          # entries grouped by block
+    i, a, b, h = i[by], a[by], b[by], h[by]
     m = np.arange(G)                                 # e^{2 pi i m/G}, exact at quarters
     phase = np.where(4 * m % G == 0, np.array([1, 1j, -1, -1j])[4 * m // G % 4],
                      np.exp(2j * np.pi * m / G))
@@ -105,28 +112,32 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     evals, ks, sizes_all, vecs, cplx = [], [], [], [], False
     for k in range(G):
         ok = k * L[reps] % G == 0
-        e = ok[a] & ok[b]
         sel = np.flatnonzero(ok)
         order = sel[np.argsort(comp[sel], kind="stable")]   # block members, contiguous
-        sizes = np.bincount(comp[sel])
-        sizes = sizes[sizes > 0]
-        Hk = sp.csr_matrix((h[e] * phase[k * back[i[e]] % G], (a[e], b[e])), (n, n))
-        Hk = Hk[order][:, order]
-        ev = Hk.diagonal().real                          # exact on 1-state blocks
+        ids, sizes = np.unique(comp[sel], return_counts=True)
+        starts = np.cumsum(sizes) - sizes
+        loc = np.empty(n, dtype=np.intp)                 # index of an orbit in its block
+        loc[order] = np.arange(order.size) - np.repeat(starts, sizes)
+        e = np.flatnonzero(ok[a] & ok[b])
+        r, c, v = loc[a[e]], loc[b[e]], h[e] * phase[k * back[i[e]] % G]
+        parts = (np.split(x, np.searchsorted(comp[a[e]], ids[1:])) for x in (r, c, v))
+        ev = np.empty(order.size)
         if vectors:                     # psi[T^l a] = v[a] e^{-2 pi i kl/N} / sqrt(L_a)
             coef = phase[k * back % G].conj() / np.sqrt(L)
             E = sp.csc_matrix((coef if np.any(coef.imag) else coef.real,
                                (np.arange(rpos.size), rpos)), (rpos.size, n))[:, order]
         base = sum(map(len, evals))
-        for lo, hi in zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)):
-            blk = Hk[lo:hi, lo:hi]
-            real = not np.any(blk.data.imag)
-            cplx |= not real and hi - lo > 1
-            if hi - lo > 1:
-                res = solve((blk.real if real else blk).toarray())
-                ev[lo:hi] = res[0] if vectors else res
+        for lo, size, *entries in zip(starts, sizes, *parts):
+            blk = _dense_block(size, *entries)
+            cplx |= blk.dtype.kind == "c" and size > 1
+            if size > 1:
+                res = solve(blk)
+                ev[lo:lo + size] = res[0] if vectors else res
+            else:
+                ev[lo] = blk[0, 0].real
             if vectors:
-                vecs.append((base + lo, E[:, lo:hi], res[1] if hi - lo > 1 else np.ones((1, 1))))
+                vecs.append((base + lo, E[:, lo:lo + size],
+                             res[1] if size > 1 else np.ones((1, 1))))
         evals.append(ev)
         ks.append(np.full(ev.size, k))
         sizes_all.extend(sizes.tolist())

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -553,6 +554,50 @@ def test_frame_csv_cells_are_plain_floats(tmp_path, capsys, argv):
     header, row = (tmp_path / "frame.csv").read_text().splitlines()
     assert header.split(",") == ["psi", "phi", "theta", "Jx", "Jy", "Jz", "residual"]
     assert all(math.isfinite(float(cell)) for cell in row.split(","))
+
+
+MEGA_COUPLINGS = ["--J1", "1234500", "--J2", "3000700", "--J3", "-812100", "--J12", "2000300",
+                  "--J13", "777700", "--J23", "-1500200"]
+
+
+def test_frame_checks_are_relative_above_unit_couplings(tmp_path, capsys):
+    # residual 1.40e-09 and eigenvalue match 9.31e-10 are about 3e-16 max|M|
+    assert run(["--out", str(tmp_path), "frame", *MEGA_COUPLINGS]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: ") == 3
+
+
+@pytest.mark.parametrize("argv", [["--J1", "0.3", "--J2", "0.8", "--J3", "0.1", "--J12", "0.2",
+                                   "--J13", "-0.05"], MEGA_COUPLINGS])
+def test_frame_residual_fails_on_perturbed_angles(tmp_path, capsys, monkeypatch, argv):
+    from scarlab import frames
+    solve = frames.solve_frame_angles
+
+    def off_by_1e8(c):
+        psi, phi = solve(c)[0]
+        return [(psi + 1e-8, phi - 1e-8)]
+
+    monkeypatch.setattr(frames, "solve_frame_angles", off_by_1e8)
+    assert run(["--out", str(tmp_path), "frame", *argv]) == EXIT_PHYSICS
+    assert "FAIL: frame residual" in capsys.readouterr().out
+
+
+def test_no_subcommand_imports_scipy_linalg_or_csgraph(tmp_path):
+    # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg, 0.07-0.09 s a process
+    script = """
+import sys
+from scarlab.cli import main
+for argv in (["degeneracy-scan", "--S", "1/2", "--N", "6"], ["algebra-check", "--N", "5", "--S", "1/2"],
+             ["frame"], ["span"], ["schwinger-check", "--N", "3"]):
+    assert main(["--out", sys.argv[1], *argv]) == 0, argv
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"))))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_elliptic_round_trip_fails_on_a_broken_inversion(tmp_path, capsys, monkeypatch):

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+import spectra_reference as ref
 from scarlab.elliptic import commensurate_q
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import build_csse_chain, build_on_graph, build_xyz_chain
 from scarlab.lattice import generate
-from scarlab.spectra import _blocks, _solve, _translation_matrix, full_spectrum
+from scarlab.spectra import _components, _solve, _translation_matrix, full_spectrum
 
 # (S, largest N) pairs that keep the dense oracle at dim <= 81
 CHAIN_SIZES = [(0.5, 2), (0.5, 3), (0.5, 4), (0.5, 5), (0.5, 6),
@@ -20,7 +23,7 @@ couplings = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 def _block_count(H):
-    return int(_blocks(H)[1].max()) + 1
+    return int(ref.blocks(H)[1].max()) + 1
 
 
 def _assert_matches_dense(H):
@@ -41,7 +44,7 @@ def _assert_matches_dense(H):
 def test_block_spectrum_of_xyz_chains(size, jx, jy, jz, xxz, periodic):
     S, N = size
     H = build_xyz_chain(N, S, jy if xxz else jx, jy, jz, periodic=periodic)
-    real, _ = _blocks(H)
+    real, _ = ref.blocks(H)
     assert real and _block_count(H) >= 2
     _assert_matches_dense(H)
 
@@ -55,7 +58,7 @@ def test_block_spectrum_of_rotated_csse_chain(seed, S):
     c = CsseCouplings(J1=M[0, 0], J2=M[1, 1], J3=M[2, 2],
                       J12=M[0, 1], J13=M[0, 2], J23=M[1, 2])
     H = build_csse_chain(3, S, c)
-    real, _ = _blocks(H)
+    real, _ = ref.blocks(H)
     assert not real and _block_count(H) == 1
     _assert_matches_dense(H)
 
@@ -116,7 +119,7 @@ def test_open_chain_and_graph_keep_their_component_blocks():
     q = commensurate_q(1, 3, 0.5)
     for H in (build_xyz_chain(7, 0.5, 0.7, 1.0, 0.3, periodic=False),
               build_on_graph(generate("square", 3, 3), 0.5, q)):
-        real, labels = _blocks(H)
+        real, labels = ref.blocks(H)
         for vectors in (False, True):
             _, V, _, record = _solve(H, vectors)
             assert record["symmetry"] == "none"
@@ -133,3 +136,42 @@ def test_open_chain_and_graph_keep_their_component_blocks():
 def test_couplings_near_underflow_beside_order_one_ones(N, S, jx, jy, jz, periodic):
     # values-only LAPACK gave +-1.2269 for +-1.25 on a 4x4 block holding 1e-146 diagonals
     _assert_matches_dense(build_xyz_chain(N, S, jx, jy, jz, periodic=periodic))
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))   # self-loops, repeats
+    return n, np.array([u for u, _ in edges], dtype=int), np.array([v for _, v in edges], dtype=int)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=edge_lists())
+@example(graph=(1, np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
+@example(graph=(5, np.array([3, 3, 1, 1]), np.array([3, 0, 0, 0])))
+def test_components_match_csgraph(graph):
+    n, a, b = graph
+    want = connected_components(sp.csr_matrix((np.ones(a.size), (a, b)), (n, n)), directed=False)[1]
+    assert np.array_equal(_components(n, a, b), want)
+
+
+def test_components_of_a_path_in_descending_order():
+    # every hook moves a root by one step: the slowest chain for min-label hooking
+    n = 1000
+    a = np.arange(n - 1)[::-1]
+    assert np.array_equal(_components(n, a, a + 1), np.zeros(n, dtype=int))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("S, N", [(0.5, 6), (1.0, 4), (1.5, 3)])
+def test_solve_blocks_are_the_components_of_h(S, N, periodic):
+    c = CsseCouplings(J1=0.3, J2=0.8, J3=0.1, J12=0.2, J13=-0.15, J23=0.25)
+    for H, count in ((build_xyz_chain(N, S, 0.7, 1.0, 0.3, periodic=periodic), 2),  # Sz parity
+                     (build_xyz_chain(N, S, 1.0, 1.0, 0.3, periodic=periodic),       # kappa = 0: Sz
+                      round(2 * N * S) + 1),
+                     (build_csse_chain(N, S, c, periodic=periodic), 1)):
+        _, labels = ref.blocks(H)
+        _, _, _, record = _solve(H, vectors=False)
+        assert record["blocks"] == sorted(np.bincount(labels).tolist())
+        assert len(record["blocks"]) == count
