@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import io
 import json
@@ -233,6 +234,9 @@ def cmd_degeneracy_scan(args, log: CheckLog) -> int:
         raise InvalidInput(f"--kappa must lie in [0, 1), got {args.kappa}")
     S_list = [_parse_spin(t) for t in args.S.split(",")]
     N_list = _parse_range(args.N)
+    if min(N_list) < 3:
+        # 4NS counts the N bonds of a periodic ring; at N = 0 the special-q test divides by N
+        raise InvalidInput(f"degeneracy-scan needs rings of N >= 3 sites, got N={min(N_list)}")
     p_list = _parse_range(args.p)
     scan = scan_degeneracy(S_list, N_list, args.kappa, p_list)
     csv_path = _write_outputs(args.out, "degeneracy_scan", DegeneracyScan.HEADER,
@@ -487,8 +491,14 @@ def _attach_negative_values(argv):
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser once per process; building it costs about 2 ms."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)

@@ -1,11 +1,12 @@
 """Exact diagonalization, degeneracy counting, and the degeneracy scan.
 
-Dense Hermitian diagonalization at desk scale, one momentum x decoupled block
-of H at a time (momentum only when H is translation invariant) and in real
-arithmetic when the block is real, a clustered degeneracy count at the scar
-energy with an explicit gap audit, and the degeneracy-versus-size scan
-(count 4NS away from the special commensurabilities where q hits a multiple
-of the quarter period K).
+Dense Hermitian diagonalization at desk scale, one symmetry block of H at a
+time (momentum and the +-1 characters of the spin flip m -> -m, each where H
+commutes with it; a block whose spectrum an exact symmetry repeats is copied,
+not solved) and in real arithmetic when the block is real, a clustered
+degeneracy count at the scar energy with an explicit gap audit, and the
+degeneracy-versus-size scan (count 4NS away from the special
+commensurabilities where q hits a multiple of the quarter period K).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elliptic import commensurate_q
-from .errors import DimensionCap, NotTranslationInvariant, ScarlabError
+from .errors import DimensionCap, ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import gz_energy
 from .spinops import ManyBodyOperator, SpinSystem
@@ -65,88 +66,170 @@ def _rotations(system: SpinSystem) -> np.ndarray:
     return np.array(rot)
 
 
+def _invariant(A: sp.csr_matrix, perm: np.ndarray, sign: np.ndarray | None = None) -> bool:
+    """Whether A[perm s, perm t] = A[s, t] for all s, t; with sign, whether
+    sign[s] sign[t] A[perm s, perm t] = conj(A[s, t]) instead."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    B = A[perm]
+    B.indices = inv[B.indices]                       # relabelled columns, left unsorted
+    B.has_sorted_indices = False
+    if sign is not None:
+        B.data *= np.repeat(sign, np.diff(B.indptr)) * sign[B.indices]
+        A = A.conj()
+    return abs(B - A).max() <= 1e-12 * abs(A).max()
+
+
+def _theta_signs(system: SpinSystem) -> np.ndarray:
+    """(-1)^(sum of the local indices l_n) of every basis index: with the
+    complement and complex conjugation this is time reversal, which maps
+    |l> to (-1)^l |d-1-l> on every site and flips every spin component."""
+    s, total = np.arange(system.total_dim), 0
+    for _ in range(system.N):
+        s, l = np.divmod(s, system.local_dim)
+        total = total + l
+    return 1.0 - 2 * (total % 2)
+
+
 def _solve(H: ManyBodyOperator, vectors: bool):
     """(evals, V, ks, record): ascending eigenvalues of H, the eigenvectors
     (None unless vectors), the momentum of each eigenvalue, and what was solved.
 
-    When H commutes with the one-site shift T the group is {T^j} of order N,
-    otherwise only the identity.  Each orbit is labelled by its smallest
-    index a and has length L_a.  An entry h of H from representative b into
-    i = T^l a adds h e^{2 pi i k l/N} sqrt(L_b/L_a) to H_k[a, b], and only
-    orbits with kL = 0 mod N carry momentum k (Sandvik, AIP Conf. Proc. 1297,
-    135 (2010)).  Each block is one momentum k times one connected component
-    of the orbit graph (a ~ b when H links orbit a to b: the Sz-parity
-    sectors for XYZ).  A block is solved in float64 when its entries are
-    real, and 1-state blocks are read off the diagonal.  With the trivial
-    group every orbit is one state, so the blocks are the connected
-    components of the graph of H's nonzero entries: the two Sz-parity
-    sectors for XYZ, the Sz sectors for XXZ, and one block when a coupling
-    such as J13 or J23 breaks Sz parity.
+    The symmetry group is abelian: the powers T^j of the one-site shift when
+    H commutes with T (else only the identity), times {1, P} when H commutes
+    with the digit complement P: s -> dim-1-s, which maps m -> -m on every
+    site and is the pi rotation about x up to a global phase.  Element
+    T^j P^e has the characters chi(T^j P^e) = e^{2 pi i kj/N} sigma^e.  Each
+    orbit is labelled by its smallest index a and has length L_a.  An entry
+    h of H from representative b into i = g a adds h chi(g) sqrt(L_b/L_a) to
+    H_chi[a, b], and only orbits on whose stabilizer chi is trivial carry chi
+    (Sandvik, AIP Conf. Proc. 1297, 135 (2010); the block design of QuSpin,
+    Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Each block is one
+    character times one connected component of the orbit graph.  A block is
+    solved in float64 when its entries are real, and 1-state blocks are read
+    off the diagonal.
+
+    blocks in the record are the sectors of H: the components of the graph
+    of H's entries over T-orbits (the two Sz-parity sectors for XYZ, the Sz
+    sectors for XXZ, one sector when J13 or J23 breaks Sz parity).  P maps
+    a sector either to itself, where sigma = +-1 split it in two (XYZ with
+    2SN even), or onto another (2SN odd swaps the Sz-parity sectors); the
+    two then form one component whose sigma = -1 blocks repeat the
+    sigma = +1 spectra.  Without vectors those blocks are copied rather than
+    solved, and so is the block at -k when an antiunitary symmetry maps
+    (k, sigma) to (-k, sigma'): complex conjugation when H is real, else
+    time reversal (_theta_signs; sigma' = (-1)^{2SN} sigma), used only where
+    the numerics confirm it (_pairing).  With vectors every block is solved.
+    Where a commutation test fails the group lacks that element, and the
+    blocks are those of the smaller group.
     """
     check_dense_cap(H.system.total_dim, vectors)
     A = H.matrix
+    dim = A.shape[0]
     rot = _rotations(H.system)
-    P = rot[1 % len(rot)]
-    invariant = abs(A[P][:, P] - A).max() <= 1e-12 * abs(A).max()
-    G = len(rot) if invariant else 1
-    rot = rot[:G]
-    rep = rot.min(axis=0)
-    back = -rot.argmin(axis=0) % G                   # s = T^back[s] rep[s]
-    L = G // np.count_nonzero(rot == rot[0], axis=0)  # orbit lengths
-    reps = np.flatnonzero(rep == rot[0])
+    invariant = _invariant(A, rot[1 % len(rot)])
+    NT = len(rot) if invariant else 1
+    perms = rot[:NT]
+    complement = _invariant(A, dim - 1 - rot[0])
+    if complement:
+        perms = np.vstack([perms, dim - 1 - perms])  # row NT + j is T^j P
+    G = len(perms)
+    rep = perms.min(axis=0)
+    g = perms.argmin(axis=0)
+    back = -g % NT + g // NT * NT                     # s = back[s] rep[s]
+    reps = np.flatnonzero(rep == perms[0])
     rpos = np.searchsorted(reps, rep)                # orbit of every state
+    stab = perms[:, reps] == reps                    # stabilizer of every representative
+    L = G // stab.sum(axis=0)                        # orbit lengths
+    n = reps.size
     C = A.tocsc()[:, reps].tocoo()
     # entries below 1e-30 max|H| move no eigenvalue at double precision; kept beside
     # O(1) entries, values-only eigvalsh lost digits on them (+-1.2269 for +-1.25 at 1e-146)
     nz = np.abs(C.data) > 1e-30 * np.abs(C.data).max(initial=0.0)
     i, b, h = C.row[nz], C.col[nz], C.data[nz]
-    a, h = rpos[i], h * np.sqrt(L[reps[b]] / L[i])
-    n = reps.size
-    comp = _components(n, a, b)
+    a, half = rpos[i], back[i] // NT                 # i lies in the T-orbit of P^half rep_a
+    h = h * np.sqrt(L[b] / L[a])
+    # node a + n e is the T-orbit of P^e rep_a: its components are H's sectors;
+    # an orbit that some T^j P fixes (or every orbit, without P) is one T-orbit
+    fixed = np.flatnonzero(stab[NT:].any(axis=0) if complement else np.ones(n, bool))
+    sector = _components(2 * n, np.concatenate([b, b + n, fixed]),
+                         np.concatenate([a + n * half, a + n * (1 - half), fixed + n]))
+    _, comp = np.unique(np.minimum(sector[:n], sector[n:]), return_inverse=True)
+    ncomp = comp.max(initial=-1) + 1
+    swapped = np.zeros(ncomp, dtype=bool)
+    swapped[comp] = sector[:n] != sector[n:]
     by = np.argsort(comp[a], kind="stable")          # entries grouped by block
     i, a, b, h = i[by], a[by], b[by], h[by]
-    m = np.arange(G)                                 # e^{2 pi i m/G}, exact at quarters
-    phase = np.where(4 * m % G == 0, np.array([1, 1j, -1, -1j])[4 * m // G % 4],
-                     np.exp(2j * np.pi * m / G))
+    m = np.arange(NT)                                # e^{2 pi i m/NT}, exact at quarters
+    phase = np.where(4 * m % NT == 0, np.array([1, 1j, -1, -1j])[4 * m // NT % 4],
+                     np.exp(2j * np.pi * m / NT))
+    signs = (1, -1) if complement else (1,)
+    chars = [(k, sigma) for k in range(NT) for sigma in signs]
+    el = np.arange(G)
+    chi = np.array([phase[k * el % NT] * sigma ** (el // NT) for k, sigma in chars])
+    ok = (chi @ stab).real > 0.5                     # chi is trivial on the stabilizer
+    src = np.arange(len(chars) * ncomp).reshape(len(chars), ncomp)  # the block each copies
+    pairing = "none"
+    if not vectors:
+        if complement:                               # sigma = -1 repeats +1 on swapped sectors
+            src[1::2, swapped] = src[0::2, swapped]
+        pairing, image = _pairing(H, chars, NT, ok, comp, rpos, reps)
+        if image is not None:
+            src = np.minimum(src, image)
+    src = src.ravel()
+    while not np.array_equal(src[src], src):         # follow copies of copies to a solve
+        src = src[src]
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    evals, ks, sizes_all, vecs, cplx = [], [], [], [], False
-    for k in range(G):
-        ok = k * L[reps] % G == 0
-        sel = np.flatnonzero(ok)
+    evals, ks, vecs, solved, copied, done, cplx = [], [], [], [], [], {}, False
+    for x, (k, _) in enumerate(chars):
+        sel = np.flatnonzero(ok[x])
         order = sel[np.argsort(comp[sel], kind="stable")]   # block members, contiguous
         ids, sizes = np.unique(comp[sel], return_counts=True)
         starts = np.cumsum(sizes) - sizes
-        loc = np.empty(n, dtype=np.intp)                 # index of an orbit in its block
-        loc[order] = np.arange(order.size) - np.repeat(starts, sizes)
-        e = np.flatnonzero(ok[a] & ok[b])
-        r, c, v = loc[a[e]], loc[b[e]], h[e] * phase[k * back[i[e]] % G]
-        parts = (np.split(x, np.searchsorted(comp[a[e]], ids[1:])) for x in (r, c, v))
+        ids_flat = x * ncomp + ids
         ev = np.empty(order.size)
-        if vectors:                     # psi[T^l a] = v[a] e^{-2 pi i kl/N} / sqrt(L_a)
-            coef = phase[k * back % G].conj() / np.sqrt(L)
-            E = sp.csc_matrix((coef if np.any(coef.imag) else coef.real,
-                               (np.arange(rpos.size), rpos)), (rpos.size, n))[:, order]
+        if np.any(src[ids_flat] == ids_flat):
+            loc = np.empty(n, dtype=np.intp)             # index of an orbit in its block
+            loc[order] = np.arange(order.size) - np.repeat(starts, sizes)
+            e = np.flatnonzero(ok[x][a] & ok[x][b])
+            r, c, v = loc[a[e]], loc[b[e]], h[e] * chi[x][back[i[e]]]
+            parts = list(zip(*(np.split(y, np.searchsorted(comp[a[e]], ids[1:]))
+                               for y in (r, c, v))))
+        if vectors:                     # psi[g a] = v[a] conj(chi(g)) / sqrt(L_a)
+            coef = chi[x][back].conj() / np.sqrt(L[rpos])
+            coef = coef if np.any(coef.imag) else coef.real
+            member = np.where(ok[x][rpos], comp[rpos], -1)     # block of every state
         base = sum(map(len, evals))
-        for lo, size, *entries in zip(starts, sizes, *parts):
-            blk = _dense_block(size, *entries)
+        for j, (lo, size, f) in enumerate(zip(starts, sizes, ids_flat)):
+            if src[f] != f:
+                ev[lo:lo + size] = done[src[f]]
+                copied.append(int(size))
+                continue
+            blk = _dense_block(size, *parts[j])
             cplx |= blk.dtype.kind == "c" and size > 1
             if size > 1:
                 res = solve(blk)
                 ev[lo:lo + size] = res[0] if vectors else res
             else:
                 ev[lo] = blk[0, 0].real
+            done[f] = ev[lo:lo + size]
+            solved.append(int(size))
             if vectors:
-                vecs.append((base + lo, E[:, lo:lo + size],
+                rows = np.flatnonzero(member == ids[j])
+                vecs.append((base + lo, rows, coef[rows], loc[rpos[rows]],
                              res[1] if size > 1 else np.ones((1, 1))))
         evals.append(ev)
         ks.append(np.full(ev.size, k))
-        sizes_all.extend(sizes.tolist())
     evals = np.concatenate(evals)
     rank = np.argsort(evals, kind="stable")
+    acts = [name for name, on in (("split", ~swapped), ("swap", swapped)) if on.any()]
     record = {"symmetry": "translation" if invariant else "none",
               "dtype": "complex128" if np.any(A.data.imag) else "float64",
-              "blocks": sorted(np.bincount(comp, weights=L[reps]).astype(int).tolist()),
-              "solved_blocks": sorted(sizes_all),
+              "blocks": sorted(np.bincount(sector, np.tile(L / 2, 2)).astype(int).tolist()),
+              "complement": "+".join(acts) if complement else "none",
+              "pairing": pairing,
+              "solved_blocks": sorted(solved),
+              "copied_blocks": sorted(copied),
               "solved_dtype": "complex128" if cplx else "float64"}
     if not vectors:
         return evals[rank], None, np.concatenate(ks)[rank], record
@@ -154,15 +237,39 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     pos = np.empty_like(rank)
     pos[rank] = np.arange(rank.size)
     V = np.zeros((rank.size, rank.size),
-                 dtype=np.result_type(*(x.dtype for _, Eb, v in vecs for x in (Eb, v))))
-    for lo, Eb, v in vecs:
-        V[:, pos[lo:lo + v.shape[1]]] = Eb @ v
+                 dtype=np.result_type(*(x.dtype for *_, c, _, v in vecs for x in (c, v))))
+    for lo, rows, c, at, v in vecs:
+        V[np.ix_(rows, pos[lo:lo + v.shape[1]])] = c[:, None] * v[at]
     return evals[rank], V, np.concatenate(ks)[rank], record
+
+
+def _pairing(H, chars, NT, ok, comp, rpos, reps):
+    """(name, image): the antiunitary symmetry of H that maps character
+    (k, sigma) to (-k, sigma') and the block of each (character, component)
+    it maps to, or ("none", None).  Complex conjugation fixes every state;
+    time reversal maps orbit a to the orbit of P rep_a."""
+    A = H.matrix
+    dim = A.shape[0]
+    if not np.any(A.data.imag):
+        name, pa, flip = "conjugation", np.arange(reps.size), 1.0
+    else:
+        sign = _theta_signs(H.system)
+        if not _invariant(A, dim - 1 - np.arange(dim), sign):
+            return "none", None
+        name, pa, flip = "time-reversal", rpos[dim - 1 - reps], sign[-1] * sign[0]
+    complement = len(chars) > NT
+    img = np.array([chars.index((-k % NT, sigma * flip if complement else sigma))
+                    for k, sigma in chars])
+    cmap = np.zeros(comp.max(initial=-1) + 1, dtype=np.intp)
+    cmap[comp] = comp[pa]
+    if not (np.array_equal(cmap[comp], comp[pa]) and np.array_equal(ok[img][:, pa], ok)):
+        return "none", None
+    return name, img[:, None] * cmap.size + cmap
 
 
 def full_spectrum(H: ManyBodyOperator, vectors: bool = True):
     """Ascending eigenvalues (and eigenvectors, columns of V) of a Hermitian
-    operator, solved densely one momentum x connected block at a time (_solve).
+    operator, solved densely one symmetry block at a time (_solve).
 
     The eigenvectors are real when H is real and has no translation symmetry;
     a translation-invariant H has complex momentum eigenvectors.
@@ -199,27 +306,6 @@ def degeneracy_at(evals: np.ndarray, E: float, tol: float | None = None) -> Dege
                             resolved=gap >= GAP_AUDIT_FACTOR * tol)
 
 
-def _translation_matrix(system: SpinSystem) -> sp.csr_matrix:
-    """One-site cyclic shift T on the product basis (site n+1 -> n)."""
-    rot = _rotations(system)
-    return sp.csr_matrix((np.ones(rot.shape[1]), (rot[1 % system.N], rot[0])),
-                         shape=(rot.shape[1],) * 2)
-
-
-def translation_sectors(H: ManyBodyOperator, N: int) -> dict:
-    """Momentum-resolved spectra {k: eigenvalues} of a periodic chain.
-
-    The momentum blocks of _solve; the multiset union over k reproduces the
-    full spectrum.
-    """
-    if H.system.N != N:
-        raise NotTranslationInvariant(f"operator acts on {H.system.N} sites, not {N}")
-    evals, _, ks, record = _solve(H, vectors=False)
-    if record["symmetry"] != "translation":
-        raise NotTranslationInvariant("H does not commute with the one-site shift")
-    return {k: evals[ks == k] for k in range(N)}
-
-
 def is_special_q(p: int, N: int) -> bool:
     """q = 4pK/N lands on an integer multiple of K exactly when N divides 4p."""
     return (4 * p) % N == 0
@@ -239,7 +325,10 @@ class ScanRow:
     dtype: str | None = None
     blocks: list | None = None
     symmetry: str | None = None
+    complement: str | None = None
+    pairing: str | None = None
     solved_blocks: list | None = None
+    copied_blocks: list | None = None
     solved_dtype: str | None = None
     tol: float | None = None
     gap: float | None = None
@@ -248,17 +337,23 @@ class ScanRow:
         """The row with how it was computed, for the JSON sidecar.
 
         dtype and blocks describe H: the dtype of its entries and the sizes
-        of its decoupled sectors (the two Sz-parity sectors for XYZ).
-        symmetry, solved_blocks and solved_dtype describe the solve: the
-        group used, the sizes of the momentum blocks (they sum to dim) and
-        complex128 when any block was solved in complex arithmetic.  A gap
-        of None means no eigenvalue lies outside the tolerance.
+        of its decoupled sectors (the two Sz-parity sectors for XYZ).  The
+        rest describe the solve: symmetry is the translation group used,
+        complement how the digit complement acts on the sectors (split,
+        swap, both or none), pairing the antiunitary symmetry that copies
+        momentum k to -k, solved_blocks and copied_blocks the sizes of the
+        blocks solved and of those whose spectra were copied (together they
+        sum to dim), and solved_dtype complex128 when any block was solved
+        in complex arithmetic.  A gap of None means no eigenvalue lies
+        outside the tolerance.
         """
         gap = None if self.gap is None or math.isinf(self.gap) else self.gap
         return {"S": self.S, "N": self.N, "p": self.p, "count": self.count,
                 "flag": self.flag, "dim": self.dim, "dtype": self.dtype,
                 "blocks": self.blocks, "symmetry": self.symmetry,
-                "solved_blocks": self.solved_blocks, "solved_dtype": self.solved_dtype,
+                "complement": self.complement, "pairing": self.pairing,
+                "solved_blocks": self.solved_blocks, "copied_blocks": self.copied_blocks,
+                "solved_dtype": self.solved_dtype,
                 "tol": self.tol, "gap": gap}
 
 

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from spectra_reference import translation_matrix
 
 from scarlab.elliptic import (commensurate_q, complete_K_array, jacobi, jacobi_array,
                               jacobi_fraction, solve_q_kappa)
@@ -20,7 +21,7 @@ from scarlab.scar import (ScarSpec, gz_angles, gz_state, helical_expansion,
                           helical_tower, projections, residual, span_rank)
 from scarlab.schwinger import (decomposition_check, zeta_annihilation_residuals,
                                zeta_tower_fidelities)
-from scarlab.spectra import scan_degeneracy, _translation_matrix
+from scarlab.spectra import scan_degeneracy
 from scarlab.spinops import SiteAngles, SpinSystem, embed, local_spin_matrices
 
 RNG = np.random.default_rng(2024)
@@ -196,7 +197,7 @@ def test_criterion_08_xxz_tower_and_expansion():
             _, _, szl, _, _ = local_spin_matrices(S)
             sz_tot = sum((embed(szl, n, system).matrix for n in range(N)),
                          start=0.0 * embed(szl, 0, system).matrix)
-            T = _translation_matrix(system)
+            T = translation_matrix(system)
             for m, st in enumerate(tower.states):
                 v = st.amplitudes
                 worst_eig = max(worst_eig,

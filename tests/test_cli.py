@@ -650,3 +650,27 @@ def test_algebra_check_over_the_dense_cap_is_a_numerical_failure(tmp_path, capsy
                 "--kappas", "0.0"]) == EXIT_OK
     assert capsys.readouterr().out.count("PASS: ") == 4
     assert (tmp_path / "algebra_check.csv").exists()
+
+
+def test_main_twice_in_one_process_gives_the_same_output(tmp_path, capsys):
+    # the parser is built once per process; a second call must not see the first's state
+    argv = ["--out", str(tmp_path), "degeneracy-scan", "--S", "1/2", "--N", "4..5",
+            "--kappa", "0.6", "--p", "1"]
+    outputs = []
+    for _ in range(2):
+        assert run(argv) == EXIT_OK
+        outputs.append((capsys.readouterr().out, (tmp_path / "degeneracy_scan.csv").read_bytes()))
+        assert run(["--out", str(tmp_path / "frame"), "frame", "--J1", "0.3"]) == EXIT_OK
+        capsys.readouterr()
+    assert outputs[0] == outputs[1] and outputs[0][0].count("PASS") == 1
+
+
+@pytest.mark.parametrize("sizes", ["0", "1", "2", "-2..3", "3,2"])
+def test_degeneracy_scan_needs_rings(tmp_path, capsys, sizes):
+    # N = 0 divided by zero in the special-q test; N = 1 and 2 have no ring of N bonds
+    assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "1/2", "--N", sizes]) \
+        == EXIT_INVALID
+    cap = capsys.readouterr()
+    assert cap.err.startswith("invalid input: degeneracy-scan needs rings of N >= 3 sites")
+    assert len(cap.err.strip().splitlines()) == 1 and not cap.out
+    assert not list(tmp_path.iterdir())

