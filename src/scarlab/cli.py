@@ -186,10 +186,10 @@ def cmd_frame(args, log: CheckLog) -> int:
 
 def cmd_scar_verify(args, log: CheckLog) -> int:
     from .elliptic import commensurate_q, jacobi_fraction
-    from .hamiltonian import chain_terms, graph_terms
+    from .hamiltonian import _chain_bonds, graph_couplings
     from .lattice import ScarGraph, check_circuit_rule, generate
-    from .scar import ScarSpec, gz_state, residual
-    from .spinops import SpinSystem, _check_spin
+    from .scar import ScarSpec, gz_angles, local_residual
+    from .spinops import _check_spin
     helicity = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}.get(args.helicity)
     if helicity is None:
         raise InvalidInput(f"--helicity must be +, +1, 1, - or -1, got {args.helicity!r}")
@@ -207,21 +207,21 @@ def cmd_scar_verify(args, log: CheckLog) -> int:
     else:
         g = None
     if g is None:
-        system = SpinSystem(args.S, args.N)
-        psi = gz_state(system, spec)            # checks denominator == N before the state
-        sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-        terms = chain_terms(args.N, args.S, np.diag([dn, 1.0, cn]))
+        N = args.N
+        angles = gz_angles(N, spec)             # checks denominator == N
+        _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+        u, v = np.array(_chain_bonds(N, True), dtype=int).reshape(-1, 2).T   # none at N = 1
+        M = np.broadcast_to(np.diag([dn, 1.0, cn]), (len(u), 3, 3))
     else:
         rep = check_circuit_rule(g, q)
         log.check("circuit rule", rep.satisfied, rep.admissible_q)
         if not rep.satisfied:
             return log.exit_code
-        system = SpinSystem(args.S, g.num_vertices)
-        psi = gz_state(system, spec, graph=g)
-        terms = graph_terms(g, args.S, q)
-    res = residual(terms, psi)
+        N, u, v, M = g.num_vertices, g.u, g.v, graph_couplings(g, q)
+        angles = gz_angles(N, spec, graph=g)
+    res = local_residual(u, v, M, args.S, angles)
     log.check("eigenstate residual", res <= args.tol, f"{res:.2e} <= {args.tol:.1e}")
-    rows = [[args.S, system.N, args.p, args.kappa, args.gamma, helicity, repr(res)]]
+    rows = [[args.S, N, args.p, args.kappa, args.gamma, helicity, repr(res)]]
     _write_outputs(args.out, "scar_verify",
                    ["S", "N", "p", "kappa", "gamma", "helicity", "residual"],
                    rows, vars(args))
@@ -233,12 +233,7 @@ def cmd_degeneracy_scan(args, log: CheckLog) -> int:
     if not 0.0 <= args.kappa < 1.0:
         raise InvalidInput(f"--kappa must lie in [0, 1), got {args.kappa}")
     S_list = [_parse_spin(t) for t in args.S.split(",")]
-    N_list = _parse_range(args.N)
-    if min(N_list) < 3:
-        # 4NS counts the N bonds of a periodic ring; at N = 0 the special-q test divides by N
-        raise InvalidInput(f"degeneracy-scan needs rings of N >= 3 sites, got N={min(N_list)}")
-    p_list = _parse_range(args.p)
-    scan = scan_degeneracy(S_list, N_list, args.kappa, p_list)
+    scan = scan_degeneracy(S_list, _parse_range(args.N), args.kappa, _parse_range(args.p))
     csv_path = _write_outputs(args.out, "degeneracy_scan", DegeneracyScan.HEADER,
                               scan.table(), vars(args), scan.summary())
     for r in scan.rows:

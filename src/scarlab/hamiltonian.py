@@ -3,7 +3,8 @@
 Covers the 1D XYZ chain, the centrosymmetric spin-exchange (CSSE) chain with
 the full symmetric 3x3 coupling per bond, the graph Hamiltonian whose CSSE
 bonds carry couplings J*(dn(r*q), 1, cn(r*q)) and whose SU(2) bonds are
-isotropic, plus the rotated-frame form used for the local vanishing-condition
+isotropic (graph_couplings, one 3x3 matrix per edge, which both the sparse
+builder and scar.local_residual read), plus the rotated-frame form used for the local vanishing-condition
 checks of the scar construction.
 """
 
@@ -60,23 +61,29 @@ def build_csse_chain(N: int, S: float, c: CsseCouplings,
     return _chain_operator(N, S, c.matrix(), periodic)
 
 
-def graph_terms(g: ScarGraph, S: float, q: CommensurateQ) -> list:
-    """local_sum terms of the graph Hamiltonian: CSSE bonds
-    J*(dn(r q) SxSx + SySy + cn(r q) SzSz), SU(2) bonds J * S_n . S_m; the r
+def graph_couplings(g: ScarGraph, q: CommensurateQ) -> np.ndarray:
+    """(m, 3, 3) exchange matrix of every edge, in edge order: CSSE bonds
+    J diag(dn(r q), 1, cn(r q)), SU(2) bonds J times the identity; the r
     multiplier evaluates the elliptic factors at r*q on the exact rational tag,
-    in one jacobi_table call over the distinct r.  One bond matrix is built
-    per distinct (kind, r, J); the terms keep the edge order."""
-    rs = np.unique(g.r[g.kind != SU2]).tolist()
-    _, index, (_, cn, dn) = jacobi_table([r * q.fraction for r in rs], q.modulus)
-    csse = {r: np.diag([d, 1.0, c]) for r, d, c in zip(rs, dn[index].tolist(), cn[index].tolist())}
-    bonds, terms = {}, []
-    for u, v, kind, r, J in zip(*(c.tolist() for c in (g.u, g.v, g.kind, g.r, g.J))):
-        bond = bonds.get((kind, r, J))
-        if bond is None:
-            M = J * (np.eye(3) if kind == SU2 else csse[r])
-            bond = bonds[kind, r, J] = _bond_matrix(S, M)
-        terms.append(((u, v), bond))
-    return terms
+    in one jacobi_table call over the distinct r."""
+    csse = g.kind != SU2
+    rs = np.unique(g.r[csse])
+    _, index, (_, cn, dn) = jacobi_table([r * q.fraction for r in rs.tolist()], q.modulus)
+    diag = np.ones((g.num_edges, 3))
+    at = np.searchsorted(rs, g.r[csse])
+    diag[csse, 0], diag[csse, 2] = dn[index][at], cn[index][at]
+    M = np.zeros((g.num_edges, 3, 3))
+    M[:, [0, 1, 2], [0, 1, 2]] = g.J[:, None] * diag
+    return M
+
+
+def graph_terms(g: ScarGraph, S: float, q: CommensurateQ) -> list:
+    """local_sum terms of the graph Hamiltonian of graph_couplings.  One bond
+    matrix is built per distinct coupling matrix; the terms keep the edge order."""
+    M = graph_couplings(g, q)
+    distinct, which = np.unique(M.reshape(-1, 9), axis=0, return_inverse=True)
+    bonds = [_bond_matrix(S, m.reshape(3, 3)) for m in distinct]
+    return [((u, v), bonds[i]) for u, v, i in zip(g.u.tolist(), g.v.tolist(), which.tolist())]
 
 
 def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator:

@@ -9,7 +9,9 @@ with alpha = sqrt(1-gamma^2), beta = sqrt(1-gamma^2+kappa^2 gamma^2).  On a
 chain the site phases are q_n = (n+1) q; on a graph they come from the
 sigma-flow propagation of the lattice module.  The kappa -> 0 limit is the
 planar helical scar, whose tower structure and binomial expansion are also
-provided here.
+provided here.  The eigenstate test is local: local_residual sums the
+one-flip amplitudes per site and the two-flip amplitudes per bond of a
+product state, with no Hilbert-space vector; residual is its ED oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .elliptic import CommensurateQ, commensurate_q, jacobi_fraction, jacobi_tab
 from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
-                      all_up, apply_sum, coherent_product_state,
+                      all_up, coherent_product_state,
                       coherent_product_states, local_spin_matrices, tau, tower)
 
 
@@ -89,17 +91,16 @@ def chain_phases(N: int, q: CommensurateQ) -> list:
     return [(n + 1) * q.fraction for n in range(N)]
 
 
-def gz_angles(system: SpinSystem, spec: ScarSpec,
-              graph: ScarGraph | None = None) -> SiteAngles:
-    """Bloch angles of the scar on a chain (default) or a rule-satisfying graph."""
+def gz_angles(N: int, spec: ScarSpec, graph: ScarGraph | None = None) -> SiteAngles:
+    """Bloch angles of the scar on a chain of N sites (default) or on a
+    rule-satisfying graph of N vertices."""
     if graph is None:
-        if spec.q.denominator != system.N:
-            raise IncommensurateQ(
-                f"chain of {system.N} sites needs q = 4pK/{system.N}, "
-                f"got denominator {spec.q.denominator}")
-        phases = chain_phases(system.N, spec.q)
+        if spec.q.denominator != N:
+            raise IncommensurateQ(f"chain of {N} sites needs q = 4pK/{N}, "
+                                  f"got denominator {spec.q.denominator}")
+        phases = chain_phases(N, spec.q)
     else:
-        if graph.num_vertices != system.N:
+        if graph.num_vertices != N:
             raise DimensionMismatch("graph order != number of spins")
         phases = assign_site_phases(graph, spec.q)
     return site_angles(spec, phases)
@@ -108,7 +109,7 @@ def gz_angles(system: SpinSystem, spec: ScarSpec,
 def gz_state(system: SpinSystem, spec: ScarSpec,
              graph: ScarGraph | None = None) -> StateVector:
     """Product scar state on a chain (default) or on a rule-satisfying graph."""
-    return coherent_product_state(gz_angles(system, spec, graph), system)
+    return coherent_product_state(gz_angles(system.N, spec, graph), system)
 
 
 def gz_energy(N: int, S: float, q: CommensurateQ) -> float:
@@ -127,20 +128,43 @@ def gz_energy(N: int, S: float, q: CommensurateQ) -> float:
     return N * S * S * cn[0] * dn[0] + (kappa * S * sn[0]) ** 2 * acc
 
 
-def residual(H, psi: StateVector) -> float:
-    """Eigenstate defect ||H psi - <H> psi||_2 for a normalized psi.
-
-    H is a ManyBodyOperator or a local_sum term list; a term list is applied
-    to psi by apply_sum, with no matrix formed.
-    """
-    if not isinstance(H, ManyBodyOperator):
-        hpsi = apply_sum(psi.system, H, psi.amplitudes)
-    elif psi.system != H.system:
+def residual(H: ManyBodyOperator, psi: StateVector) -> float:
+    """Eigenstate defect ||H psi - <H> psi||_2 for a normalized psi, by ED
+    (the oracle local_residual is tested against)."""
+    if psi.system != H.system:
         raise DimensionMismatch("operator and state on different systems")
-    else:
-        hpsi = H.matrix @ psi.amplitudes
+    hpsi = H.matrix @ psi.amplitudes
     e = np.vdot(psi.amplitudes, hpsi)
     return float(np.linalg.norm(hpsi - e * psi.amplitudes))
+
+
+def flip_amplitudes(u, v, M, S: float, angles: SiteAngles):
+    """(c, d): the components of H psi - <H> psi for a spin-coherent product psi.
+
+    H = sum_b sum_ij M[b, i, j] S^i_{u_b} S^j_{v_b} over bonds b of distinct
+    site pairs.  In the frame (e1, e2, n) of site w, with n its Bloch vector,
+    S^i |psi_w> = S n_i |psi_w> + m_i |flip_w>, m = sqrt(S/2) (e1 + i e2).  So
+    H psi - <H> psi is a sum of orthonormal states: site w flipped, amplitude
+    c[w], the sum over the bonds at w of S m_u.M.n_v (w = u) or S n_u.M.m_v
+    (w = v); both ends of bond b flipped, amplitude d[b] = m_u.M.m_v.
+    """
+    theta, phi = np.asarray(angles.theta), np.asarray(angles.phi)
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    n = np.stack([st * cp, st * sp, ct], axis=1)
+    m = math.sqrt(S / 2) * np.stack([ct * cp - 1j * sp, ct * sp + 1j * cp, -st + 0j], axis=1)
+    u, v, M = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp), np.asarray(M)
+    Mn, Mm = np.einsum("bij,bj->bi", M, n[v]), np.einsum("bij,bj->bi", M, m[v])
+    c = np.zeros(len(theta), dtype=complex)
+    np.add.at(c, u, S * np.einsum("bi,bi->b", m[u], Mn))
+    np.add.at(c, v, S * np.einsum("bi,bi->b", n[u], Mm))
+    return c, np.einsum("bi,bi->b", m[u], Mm)
+
+
+def local_residual(u, v, M, S: float, angles: SiteAngles) -> float:
+    """||H psi - <H> psi||_2 = sqrt(sum |c|^2 + sum |d|^2) of flip_amplitudes:
+    O(bonds), with no Hilbert-space vector."""
+    c, d = flip_amplitudes(u, v, M, S, angles)
+    return float(np.sqrt(np.vdot(c, c).real + np.vdot(d, d).real))
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elliptic import commensurate_q
-from .errors import DimensionCap, ScarlabError
+from .errors import DimensionCap, InvalidInput, ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import gz_energy
 from .spinops import ManyBodyOperator, SpinSystem
@@ -379,9 +379,14 @@ def scan_degeneracy(S_list, N_range, kappa: float, p_range) -> DegeneracyScan:
     flag carries semicolon-joined markers: special-q when q is a multiple of
     K, deviates when the count misses 4NS, unresolved when the gap audit
     fails, error:... when a row could not be computed (a dimension over the
-    dense cap fails before H is built).
+    dense cap fails before H is built).  Any N below 3 is invalid input,
+    raised before a row is computed.
     """
     from .elliptic import jacobi_fraction
+    N_range = list(N_range)
+    if min(N_range, default=3) < 3:
+        # 4NS counts the N bonds of a periodic ring; at N = 0 the special-q test divides by N
+        raise InvalidInput(f"degeneracy-scan needs rings of N >= 3 sites, got N={min(N_range)}")
     scan = DegeneracyScan()
     for S in S_list:
         for N in N_range:

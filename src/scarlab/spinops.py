@@ -1,14 +1,13 @@
-"""Spin-S local operators, Kronecker embedding, product states, expectations.
+"""Spin-S local operators, the sparse term assembler, product states, expectations.
 
 Basis conventions (fixed globally, do not change):
   * local Sz eigenbasis ordered m = S, S-1, ..., -S, so local index l = S - m;
   * composite index i = sum_n l_n * (2S+1)^n with site 0 least significant.
 
 Every many-body operator is assembled by local_sum from a list of local
-terms, and apply_sum applies the same list to a vector without a matrix;
-embed and two_site are the Kronecker-product reference local_sum is tested
-against.  lowering builds every phased sum of S^-, and tower the normalized
-powers of a ladder operator on a start vector.
+terms (its Kronecker-product reference lives with the tests).  lowering
+builds every phased sum of S^-, and tower the normalized powers of a ladder
+operator on a start vector.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ class SpinSystem:
         if self.N < 1:
             raise InvalidSpin(f"need at least one site, got N={self.N}")
         if self.total_dim > MATFREE_DIM_CAP:
-            raise DimensionCap(f"(2S+1)^N = {self.total_dim} exceeds cap {MATFREE_DIM_CAP}")
+            raise DimensionCap(f"(2S+1)^N = {self.local_dim}^{self.N} exceeds cap "
+                               f"{MATFREE_DIM_CAP}")
 
     @property
     def local_dim(self) -> int:
@@ -138,48 +138,6 @@ class ManyBodyOperator:
         return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
 
 
-def embed(local_op: np.ndarray, site: int, system: SpinSystem,
-          hermitian: bool | None = None) -> ManyBodyOperator:
-    """Place a local operator at one site (Kronecker reference for local_sum)."""
-    if not 0 <= site < system.N:
-        raise SiteOutOfRange(f"site {site} outside [0, {system.N})")
-    d = system.local_dim
-    left = sp.identity(d ** (system.N - site - 1), dtype=complex, format="csr")
-    right = sp.identity(d ** site, dtype=complex, format="csr")
-    mat = sp.kron(left, sp.kron(sp.csr_matrix(local_op), right, format="csr"), format="csr")
-    if hermitian is None:
-        hermitian = bool(np.allclose(local_op, np.asarray(local_op).conj().T, atol=1e-14))
-    return ManyBodyOperator(system, mat, hermitian)
-
-
-def two_site(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int,
-             system: SpinSystem) -> sp.csr_matrix:
-    """(op_a at site_a) @ (op_b at site_b), disjoint sites (Kronecker reference)."""
-    if site_a == site_b:
-        raise SiteOutOfRange("two_site needs distinct sites")
-    a = embed(op_a, site_a, system).matrix
-    b = embed(op_b, site_b, system).matrix
-    return (a @ b).tocsr()
-
-
-def _checked_terms(system: SpinSystem, terms):
-    """(terms as (sites tuple, op array) pairs checked against the system, dtype).
-
-    dtype is float64 when every op is real, else complex128; every op has it.
-    """
-    d, N = system.local_dim, system.N
-    terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
-    for sites, op in terms:
-        if len(set(sites)) != len(sites) or not all(0 <= n < N for n in sites):
-            raise SiteOutOfRange(f"sites {sites} must be distinct and in [0, {N})")
-        if op.shape != (d ** len(sites),) * 2:
-            raise DimensionMismatch(f"{sites} needs a {d ** len(sites)}-square matrix")
-    real = not any(np.any(np.imag(op)) for _, op in terms)
-    dtype = np.dtype(np.float64 if real else np.complex128)
-    return [(sites, (op.real if real else op).astype(dtype, copy=False))
-            for sites, op in terms], dtype
-
-
 def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     """Sparse sum_t (op_t on sites_t), identity on the other sites.
 
@@ -191,7 +149,16 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     the operator strings of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
     """
     d, N, dim = system.local_dim, system.N, system.total_dim
-    terms, dtype = _checked_terms(system, terms)
+    terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
+    for sites, op in terms:
+        if len(set(sites)) != len(sites) or not all(0 <= n < N for n in sites):
+            raise SiteOutOfRange(f"sites {sites} must be distinct and in [0, {N})")
+        if op.shape != (d ** len(sites),) * 2:
+            raise DimensionMismatch(f"{sites} needs a {d ** len(sites)}-square matrix")
+    real = not any(np.any(np.imag(op)) for _, op in terms)
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    terms = [(sites, (op.real if real else op).astype(dtype, copy=False))
+             for sites, op in terms]
     n_off = sum((np.count_nonzero(op) - np.count_nonzero(np.diag(op))) * d ** (N - len(sites))
                 for sites, op in terms)
     rows, cols = np.empty((2, n_off + dim), dtype=np.int32)
@@ -221,39 +188,6 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     out = sp.coo_matrix((vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
     out.eliminate_zeros()                    # duplicates that cancelled
     return out
-
-
-def apply_sum(system: SpinSystem, terms, amplitudes) -> np.ndarray:
-    """(sum_t op_t on sites_t) @ amplitudes without forming a matrix.
-
-    Same terms as local_sum.  Per term the vector is viewed as
-    (d^a, d, d^b, d, ..., d^z), one length-d axis per site, and every nonzero
-    op[r, c] adds op[r, c] times the slice at the digits of c to the slice at
-    the digits of r: no index arrays, only strided views.
-    """
-    d, N = system.local_dim, system.N
-    terms, dtype = _checked_terms(system, terms)
-    src = np.asarray(amplitudes)
-    if src.shape != (system.total_dim,):
-        raise DimensionMismatch("amplitude vector length != total_dim")
-    dst = np.zeros(src.shape, np.result_type(src, dtype))
-    for sites, op in terms:
-        shape, axis, top = [], {}, N             # C order: the highest site first
-        for t in sorted(range(len(sites)), key=sites.__getitem__, reverse=True):
-            shape += [d ** (top - sites[t] - 1), d]
-            axis[t], top = len(shape) - 1, sites[t]
-        shape.append(d ** top)
-        src_t, dst_t = src.reshape(shape), dst.reshape(shape)
-
-        def view(local):
-            idx = [slice(None)] * len(shape)
-            for t, ax in axis.items():
-                idx[ax] = local // d ** t % d
-            return tuple(idx)
-
-        for r, c in zip(*np.nonzero(op)):
-            dst_t[view(r)] += op[r, c] * src_t[view(c)]
-    return dst
 
 
 def lowering(system: SpinSystem, phases) -> ManyBodyOperator:

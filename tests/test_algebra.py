@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import elliptic_reference as ref
+from spinops_reference import embed
 from scarlab.algebra import (deformed_tower_deficit, degenerate_subspace,
                              first_order_deformation, generalized_family, lambda_op,
                              perturbative_split, reduced_resolvent_apply,
@@ -15,7 +16,7 @@ from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import build_csse_chain, build_xyz_chain
 from scarlab.scar import gz_energy
-from scarlab.spinops import (SpinSystem, StateVector, all_up, embed,
+from scarlab.spinops import (SpinSystem, StateVector, all_up,
                              local_spin_matrices, local_sum)
 
 

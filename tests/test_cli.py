@@ -491,17 +491,48 @@ def test_degeneracy_scan_rejects_modulus_outside_unit_interval(tmp_path, capsys,
 def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
     def no_matrix(*args, **kwargs):
         raise AssertionError("scar-verify assembled a sparse operator")
-    assembler = spinops.local_sum
+
+    def no_vector(*args, **kwargs):
+        raise AssertionError("scar-verify built a (2S+1)^N state vector")
+    stubs = {spinops.local_sum: no_matrix, spinops.coherent_product_states: no_vector}
     for name, module in list(sys.modules.items()):
-        if name.startswith("scarlab") and getattr(module, "local_sum", None) is assembler:
-            monkeypatch.setattr(module, "local_sum", no_matrix)
+        if name.startswith("scarlab"):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in stubs):
+                    monkeypatch.setattr(module, attr, stubs[value])
     out = str(tmp_path)
     assert run(["--out", out, "scar-verify", "--N", "6", "--S", "1", "--kappa", "0.8",
                 "--gamma", "0.5"]) == EXIT_OK
     assert run(["--out", out, "scar-verify", "--lattice", "lieb", "--dims", "2,2",
                 "--denominator", "4", "--kappa", "0.6", "--gamma", "-0.3",
                 "--helicity", "-"]) == EXIT_OK
-    assert capsys.readouterr().out.count("PASS: eigenstate residual") == 2
+    # far over the dimension cap: each of these exited 2 while a state vector was built
+    assert run(["--out", out, "scar-verify", "--N", "3000"]) == EXIT_OK
+    assert run(["--out", out, "scar-verify", "--lattice", "lieb", "--dims", "30,30",
+                "--S", "1", "--denominator", "60"]) == EXIT_OK
+    assert run(["--out", out, "scar-verify", "--lattice", "square", "--dims", "100,100",
+                "--S", "1/2", "--denominator", "100", "--kappa", "0.5",
+                "--gamma", "0.4"]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: eigenstate residual") == 5
+    assert (tmp_path / "scar_verify.csv").read_text().splitlines()[1].startswith(
+        "0.5,10000,1,0.5,0.4,1,")
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_scar_verify_chains_of_one_and_two_sites(tmp_path, capsys, N):
+    # N = 1 has no bond (residual 0); N = 2 keeps its single bond
+    assert run(["--out", str(tmp_path), "scar-verify", "--N", str(N), "--kappa", "0.4",
+                "--gamma", "0.3"]) == EXIT_OK
+    assert "PASS: eigenstate residual" in capsys.readouterr().out
+    row = (tmp_path / "scar_verify.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == str(N) and (N == 2 or float(row[-1]) == 0.0)
+
+
+def test_dimension_cap_message_names_the_size_as_a_power(tmp_path, capsys):
+    # it printed (2S+1)^N as a 904-digit integer
+    assert run(["--out", str(tmp_path), "span", "--N", "3000", "--S", "1/2"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: (2S+1)^N = 2^3000 exceeds cap {spinops.MATFREE_DIM_CAP}\n"
 
 
 def test_scar_verify_rejects_unknown_helicity(tmp_path, capsys, monkeypatch):

@@ -5,15 +5,17 @@ import math
 import numpy as np
 
 import elliptic_reference as ref
+from spinops_reference import two_site
 from scarlab.elliptic import commensurate_q, jacobi, jacobi_fraction
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import (_bond_matrix, build_csse_chain, build_on_graph,
-                                 build_xyz_chain, graph_terms,
+                                 build_xyz_chain, graph_couplings, graph_terms,
                                  rotated_hamiltonian, vanishing_conditions)
-from scarlab.lattice import CSSE, SU2, kagome_su2, nnn_chain
+from scarlab.lattice import (CSSE, SU2, honeycomb_su2, kagome_su2, lieb, nnn_chain,
+                             square_shifted, trimer_brickwall)
 from scarlab.lattice import chain as chain_graph
 from scarlab.scar import ScarSpec, gz_angles
-from scarlab.spinops import SiteAngles, SpinSystem, local_spin_matrices, two_site
+from scarlab.spinops import SiteAngles, SpinSystem, local_spin_matrices, local_sum
 
 RNG = np.random.default_rng(99)
 
@@ -91,24 +93,54 @@ def test_graph_builder_matches_two_site_sum():
     assert abs(H.matrix - want).max() <= 1e-13
 
 
+def _per_edge_terms(g, S, q):
+    """Reference: one bond matrix per edge, from a per-edge elliptic evaluation."""
+    terms = []
+    for e in g.edges:
+        if e.kind == SU2:
+            M = e.J * np.eye(3)
+        else:
+            _, cn, dn = ref.jacobi_fraction(e.r * q.fraction, q.modulus)
+            M = e.J * np.diag([dn, 1.0, cn])
+        terms.append(((e.u, e.v), _bond_matrix(S, M)))
+    return terms
+
+
 def test_graph_terms_equal_the_per_edge_bond_matrices():
-    # one bond matrix per (kind, r, J) class, the terms still in edge order
+    # one bond matrix per distinct coupling matrix, the terms still in edge order
     q = commensurate_q(1, 6, 0.45)
     for g, S in ((kagome_su2(2, 2, J=0.7, Jprime=-1.3), 0.5), (nnn_chain(12, Jnnn=0.4), 1.0)):
-        want = []
-        for e in g.edges:
-            if e.kind == SU2:
-                M = e.J * np.eye(3)
-            else:
-                _, cn, dn = ref.jacobi_fraction(e.r * q.fraction, q.modulus)
-                M = e.J * np.diag([dn, 1.0, cn])
-            want.append(((e.u, e.v), _bond_matrix(S, M)))
+        want = _per_edge_terms(g, S, q)
         got = graph_terms(g, S, q)
         assert len({id(bond) for _, bond in got}) < len(got)
         assert [sites for sites, _ in got] == [sites for sites, _ in want]
         assert all(type(n) is int for sites, _ in got for n in sites)
         for (_, a), (_, b) in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+
+def test_build_on_graph_csr_bit_identical_to_per_edge_bond_matrices():
+    # SU(2) and CSSE bonds, r > 1 multipliers, negative and zero J
+    q = commensurate_q(1, 6, 0.45)
+    for g, S in ((kagome_su2(2, 2, J=0.7, Jprime=-1.3), 0.5), (nnn_chain(12, Jnnn=0.4), 1.0),
+                 (honeycomb_su2(4, 2), 1.0), (lieb(2, 2), 0.5), (square_shifted(4, 3), 0.5),
+                 (trimer_brickwall(3, 3), 0.5), (nnn_chain(8, Jnnn=0.0), 0.5)):
+        got = build_on_graph(g, S, q).matrix
+        want = local_sum(SpinSystem(S, g.num_vertices), _per_edge_terms(g, S, q))
+        assert got.dtype == want.dtype
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+def test_graph_couplings_are_the_per_edge_matrices():
+    q = commensurate_q(1, 6, 0.45)
+    for g in (nnn_chain(12, Jnnn=0.4), kagome_su2(2, 2, J=0.7, Jprime=-1.3)):
+        M = graph_couplings(g, q)
+        assert M.shape == (g.num_edges, 3, 3)
+        for m, e in zip(M, g.edges):
+            _, cn, dn = ref.jacobi_fraction(e.r * q.fraction, q.modulus)
+            want = e.J * (np.eye(3) if e.kind == SU2 else np.diag([dn, 1.0, cn]))
+            assert m.tobytes() == (want + 0.0).tobytes()     # +0.0: no -0.0 off the diagonal
 
 
 def test_builder_dtypes():
@@ -135,9 +167,8 @@ def test_vanishing_conditions_at_scar_angles():
     q = commensurate_q(p, N, kappa)
     sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
     H = build_xyz_chain(N, S, dn, 1.0, cn)
-    system = SpinSystem(S, N)
     spec = ScarSpec.make(+1, p, gamma, kappa, N)
-    Hr = rotated_hamiltonian(H, gz_angles(system, spec))
+    Hr = rotated_hamiltonian(H, gz_angles(N, spec))
     a2, a1 = vanishing_conditions(Hr)
     assert np.abs(a2).max() <= 1e-11
     assert np.abs(a1).max() <= 1e-11

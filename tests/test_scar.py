@@ -7,22 +7,24 @@ import pytest
 
 import elliptic_reference as ref
 from spectra_reference import translation_matrix
+from spinops_reference import embed
 from scarlab import scar as scar_module
 from scarlab.elliptic import commensurate_q, jacobi_fraction, jacobi_table
 from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
-from scarlab.hamiltonian import build_on_graph, build_xyz_chain, chain_terms, graph_terms
+from scarlab.hamiltonian import (_bond_matrix, _chain_bonds, build_on_graph, build_xyz_chain,
+                                 graph_couplings, rotated_hamiltonian, vanishing_conditions)
 from scarlab.lattice import (Edge, ScarGraph, assign_site_phases, chain,
                              check_circuit_rule, honeycomb_su2, kagome_su2, lieb,
                              modified_honeycomb,
                              nnn_chain, square, square_shifted, triangular_su2,
                              trimer_brickwall, trimer_ladder, vertex_flow)
-from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy, gz_state,
-                          helical_expansion, site_angles,
-                          helical_tower, local_sz_current, predicted_sz_current,
-                          projection_table, projections, residual,
-                          shared_state_overlaps, span_rank)
-from scarlab.spinops import (SpinSystem, embed, expectation,
-                             local_spin_matrices, local_sum, site_spin_expectations)
+from scarlab.scar import (ScarSpec, chain_phases, flip_amplitudes, gz_angles, gz_energy,
+                          gz_state, helical_expansion, helical_tower, local_residual,
+                          local_sz_current, predicted_sz_current, projection_table,
+                          projections, residual, shared_state_overlaps, site_angles, span_rank)
+from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem, coherent_product_state,
+                             expectation, local_spin_matrices, local_sum,
+                             site_spin_expectations)
 
 
 def chain_setup(N, S, p, kappa):
@@ -244,9 +246,9 @@ def test_graph_scar_and_current():
 def test_gz_angles_checks_like_gz_state():
     spec = ScarSpec.make(+1, 1, 0.3, 0.5, 5)
     with pytest.raises(IncommensurateQ):
-        gz_angles(SpinSystem(0.5, 6), spec)
+        gz_angles(6, spec)
     with pytest.raises(DimensionMismatch):
-        gz_angles(SpinSystem(0.5, 8), spec, graph=square(3, 3))
+        gz_angles(8, spec, graph=square(3, 3))
 
 
 def _site_angles_per_site(spec, phases):
@@ -359,32 +361,78 @@ def _largest_admitted_denominator(g):
                if check_circuit_rule(g, commensurate_q(1, d, 0.5)).satisfied)
 
 
+def _chain_couplings(N, q):
+    """Bond columns and (m, 3, 3) couplings diag(dn(q), 1, cn(q)) of the periodic chain."""
+    _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+    u, v = np.array(_chain_bonds(N, True), dtype=int).reshape(-1, 2).T
+    return u, v, np.broadcast_to(np.diag([dn, 1.0, cn]), (len(u), 3, 3))
+
+
 @pytest.mark.parametrize("g,S", ED_GRAPHS)
 def test_term_list_residual_matches_sparse_residual(g, S):
+    # local_residual on graph_couplings against the ED residual of build_on_graph
     denom = _largest_admitted_denominator(g)
     system = SpinSystem(S, g.num_vertices)
     spec = ScarSpec(helicity=-1, p=1, gamma=0.3, kappa=0.4, q=commensurate_q(1, denom, 0.4))
+    angles = gz_angles(g.num_vertices, spec, graph=g)
     psi = gz_state(system, spec, graph=g)
     # kappa_H = 0.4 is the scar's own H; 0.8 makes psi a non-eigenstate
     for kappa_h in (0.4, 0.8):
         q = commensurate_q(1, denom, kappa_h)
-        got = residual(graph_terms(g, S, q), psi)
+        got = local_residual(g.u, g.v, graph_couplings(g, q), S, angles)
         want = residual(build_on_graph(g, S, q), psi)
         assert abs(got - want) <= 1e-13 + 1e-12 * want
-    assert residual(graph_terms(g, S, spec.q), psi) <= 1e-12
+    assert local_residual(g.u, g.v, graph_couplings(g, spec.q), S, angles) <= 1e-12
 
 
 def test_term_list_residual_on_the_chain():
+    # local_residual on the chain's bonds with diag(dn, 1, cn) against the ED residual
     for N, S, p, kappa, gamma in [(5, 0.5, 1, 0.6, 0.5), (6, 1.0, 1, 0.8, 0.9),
-                                  (4, 1.5, 1, 0.5, 0.7)]:
-        psi = gz_state(SpinSystem(S, N), ScarSpec.make(+1, p, gamma, kappa, N))
+                                  (4, 1.5, 1, 0.5, 0.7), (2, 1.0, 1, 0.4, 0.3),
+                                  (1, 0.5, 1, 0.5, 0.2)]:
+        spec = ScarSpec.make(+1, p, gamma, kappa, N)
+        psi = gz_state(SpinSystem(S, N), spec)
         for kappa_h in (kappa, 0.3):
             q = commensurate_q(p, N, kappa_h)
             sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-            got = residual(chain_terms(N, S, np.diag([dn, 1.0, cn])), psi)
+            got = local_residual(*_chain_couplings(N, q), S, gz_angles(N, spec))
             want = residual(build_xyz_chain(N, S, dn, 1.0, cn), psi)
             assert abs(got - want) <= 1e-13 + 1e-12 * want
-            assert (got <= 1e-12) == (kappa_h == kappa)
+            # N = 1 has no bond, and at N = 2, q = 2K gives (dn, cn) = (1, -1) at any
+            # kappa_H: there psi is an eigenstate of every kappa_H's H
+            assert (got <= 1e-12) == (kappa_h == kappa or N <= 2)
+
+
+@pytest.mark.parametrize("N,S", [(1, 0.5), (2, 1.0), (3, 0.5), (5, 1.5), (6, 1.0)])
+def test_local_residual_matches_ed_on_random_product_states(N, S):
+    # a random real 3x3 coupling per bond, not symmetric, and random Bloch angles
+    rng = np.random.default_rng(17 + N)
+    system = SpinSystem(S, N)
+    u, v = np.array(_chain_bonds(N, True), dtype=int).reshape(-1, 2).T
+    for _ in range(4):
+        M = rng.normal(size=(len(u), 3, 3))
+        angles = SiteAngles.make(rng.uniform(0.0, math.pi, N), rng.uniform(-4.0, 4.0, N))
+        H = local_sum(system, [((a, b), _bond_matrix(S, m)) for a, b, m in zip(u, v, M)])
+        got = local_residual(u, v, M, S, angles)
+        want = residual(ManyBodyOperator(system, H, hermitian=True),
+                        coherent_product_state(angles, system))
+        assert abs(got - want) <= 1e-13 + 1e-12 * want
+        assert (want > 1e-2) == (N > 1)
+
+
+@pytest.mark.parametrize("N,S,kappa,kappa_h", [(6, 1.0, 0.6, 0.6), (6, 1.0, 0.6, 0.85),
+                                               (5, 0.5, 0.4, 0.7), (4, 1.5, 0.5, 0.2)])
+def test_flip_amplitudes_are_the_vanishing_conditions(N, S, kappa, kappa_h):
+    # a1_n = sqrt(2S) <flip_n|H'|up>, a2_n = 2S <flip_n flip_n+1|H'|up> in the rotated frame
+    spec = ScarSpec.make(+1, 1, 0.4, kappa, N)
+    angles = gz_angles(N, spec)
+    q = commensurate_q(1, N, kappa_h)
+    _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+    a2, a1 = vanishing_conditions(rotated_hamiltonian(build_xyz_chain(N, S, dn, 1.0, cn), angles))
+    c, d = flip_amplitudes(*_chain_couplings(N, q), S, angles)
+    assert np.abs(np.abs(a1) - math.sqrt(2 * S) * np.abs(c)).max() <= 1e-12
+    assert np.abs(np.abs(a2) - 2 * S * np.abs(d)).max() <= 1e-12
+    assert (max(np.abs(a1).max(), np.abs(a2).max()) > 1e-3) == (kappa_h != kappa)
 
 
 def _local_sz_current_per_site(g, system, spec, H):

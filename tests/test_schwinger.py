@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from spinops_reference import embed, two_site
 
 from scarlab import schwinger
 from scarlab.errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
@@ -14,7 +15,7 @@ from scarlab.schwinger import (DOWN, UP, FockBasis, annihilator_report,
                                bilinear, decomposition_check,
                                zeta_annihilation_residuals, zeta_states,
                                zeta_tower_fidelities)
-from scarlab.spinops import SpinSystem, embed, local_spin_matrices
+from scarlab.spinops import SpinSystem, local_spin_matrices
 
 
 def test_constrained_basis_is_spin_space():
@@ -102,7 +103,6 @@ def test_identity_bond_sum():
     U = con.spin_isometry()
     system = SpinSystem(S, N)
     sx, sy, sz, _, _ = local_spin_matrices(S)
-    from scarlab.spinops import two_site
     n, m = 0, 1
     boson = (bilinear(enl, "zeta", n, m) @ bilinear(enl, "zeta", m, n)
              + bilinear(enl, "eta", n, m).conj().T @ bilinear(enl, "eta", m, n))

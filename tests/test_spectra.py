@@ -8,7 +8,7 @@ from spectra_reference import translation_sectors
 
 from scarlab import spectra
 from scarlab.elliptic import commensurate_q, jacobi_fraction
-from scarlab.errors import DimensionCap, NotTranslationInvariant
+from scarlab.errors import DimensionCap, InvalidInput, NotTranslationInvariant
 from scarlab.hamiltonian import build_xyz_chain
 from scarlab.scar import gz_energy
 from scarlab.spectra import (DegeneracyScan, degeneracy_at, full_spectrum, is_special_q,
@@ -120,6 +120,16 @@ def test_scan_isolates_row_failures():
     # the cap is checked before the 1.68M-dim operator would be built
     assert scan.rows[0].flag == "error:DimensionCap"
     assert scan.rows[0].dim == 6 ** 8
+
+
+@pytest.mark.parametrize("N_range", [[0], [1], [2], [-2, -1, 0, 1, 2, 3], [5, 2], range(1, 4)])
+def test_scan_rejects_rings_below_three_sites_before_any_row(monkeypatch, N_range):
+    # N = 0 divided by zero in is_special_q, and N = 1 wrote a special-q;deviates row
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was computed before the input check")
+    monkeypatch.setattr(spectra, "is_special_q", no_row)
+    with pytest.raises(InvalidInput, match=r"needs rings of N >= 3 sites, got N="):
+        scan_degeneracy([0.5], N_range, 0.6, [1])
 
 
 def test_scan_propagates_programming_errors(monkeypatch):

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spinops_reference import embed, two_site
 
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
                             SiteOutOfRange)
-from scarlab.spinops import (SiteAngles, SpinSystem,
-                             all_down, all_up, apply_sum, basis_state,
-                             coherent_product_state, coherent_product_states, embed,
+from scarlab.spinops import (MATFREE_DIM_CAP, SiteAngles, SpinSystem,
+                             all_down, all_up, basis_state,
+                             coherent_product_state, coherent_product_states,
                              entanglement_entropy, expectation,
                              local_spin_matrices, local_sum, lowering,
-                             product_rotation, site_spin_expectations, tower,
-                             two_site)
+                             product_rotation, site_spin_expectations, tower)
 
 RNG = np.random.default_rng(7)
 
@@ -121,47 +121,6 @@ def test_local_sum_dtype_and_guards():
         local_sum(system, [((0, 1), sz)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), S=st.sampled_from([0.5, 1.0, 1.5]),
-       N=st.integers(2, 5), n_terms=st.integers(1, 6), complex_ops=st.booleans())
-def test_apply_sum_matches_local_sum(seed, S, N, n_terms, complex_ops):
-    rng = np.random.default_rng(seed)
-    system = SpinSystem(S, N)
-    d = system.local_dim
-    terms = []
-    for _ in range(n_terms):
-        # 1-3 distinct sites in any order; sites repeat across terms
-        sites = tuple(int(n) for n in rng.choice(N, rng.integers(1, min(3, N) + 1),
-                                                 replace=False))
-        shape = (d ** len(sites),) * 2
-        op = rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < 0.6)
-        if complex_ops:
-            op = op + 1j * rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < 0.6)
-        terms.append((sites, op))
-    v = rng.normal(size=system.total_dim) + 1j * rng.normal(size=system.total_dim)
-    got = apply_sum(system, terms, v)
-    want = local_sum(system, terms) @ v
-    assert got.dtype == np.complex128
-    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
-
-
-def test_apply_sum_dtype_and_guards():
-    system = SpinSystem(1.0, 3)
-    sx, sy, sz, _, _ = local_spin_matrices(1.0)
-    real = np.arange(27.0)
-    assert apply_sum(system, [((0, 2), np.kron(sx, sz))], real).dtype == np.float64
-    assert apply_sum(system, [((0, 2), np.kron(sx, sy))], real).dtype == np.complex128
-    assert not apply_sum(system, [], real).any()
-    with pytest.raises(SiteOutOfRange):
-        apply_sum(system, [((1, 1), np.kron(sz, sz))], real)
-    with pytest.raises(SiteOutOfRange):
-        apply_sum(system, [((3,), sz)], real)
-    with pytest.raises(DimensionMismatch):
-        apply_sum(system, [((0, 1), sz)], real)
-    with pytest.raises(DimensionMismatch):
-        apply_sum(system, [((0,), sz)], real[:-1])
-
-
 def test_operator_algebra_helpers():
     system = SpinSystem(0.5, 3)
     sx, sy, sz, _, _ = local_spin_matrices(0.5)
@@ -192,6 +151,16 @@ def test_dimension_guards():
     big = SpinSystem(0.5, 13)
     with pytest.raises(DimensionCap):
         product_rotation(SiteAngles((0.1,) * 13, (0.0,) * 13), big)
+
+
+@pytest.mark.parametrize("S,N,size", [(0.5, 3000, "2^3000"), (1.0, 16, "3^16"),
+                                      (2.5, 10, "6^10")])
+def test_dimension_cap_names_the_size_as_a_power(S, N, size):
+    # the cap itself is unchanged: 3^15 = 14,348,907 is under it, 3^16 over
+    SpinSystem(1.0, 15)
+    with pytest.raises(DimensionCap) as err:
+        SpinSystem(S, N)
+    assert str(err.value) == f"(2S+1)^N = {size} exceeds cap {MATFREE_DIM_CAP}"
 
 
 def _local_rotation_reference(S, theta, phi):
