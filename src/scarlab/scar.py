@@ -25,8 +25,8 @@ from .elliptic import CommensurateQ, commensurate_q, jacobi_fraction, jacobi_tab
 from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
-                      all_up, coherent_product_state,
-                      coherent_product_states, local_spin_matrices, tau, tower)
+                      all_up, coherent_product_state, coherent_product_states,
+                      local_spin_matrices, matvec, tau, tower)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def residual(H: ManyBodyOperator, psi: StateVector) -> float:
     (the oracle local_residual is tested against)."""
     if psi.system != H.system:
         raise DimensionMismatch("operator and state on different systems")
-    hpsi = H.matrix @ psi.amplitudes
+    hpsi = matvec(H.matrix, psi.amplitudes)
     e = np.vdot(psi.amplitudes, hpsi)
     return float(np.linalg.norm(hpsi - e * psi.amplitudes))
 
@@ -298,7 +298,7 @@ def local_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec,
     """
     psi = gz_state(system, spec, graph=g).amplitudes
     d = system.local_dim
-    w = (psi.conj() * (H.matrix @ psi)).imag
+    w = (psi.conj() * matvec(H.matrix, psi)).imag
     m = np.diag(local_spin_matrices(system.S)[2]).real
     return np.array([2.0 * m @ w.reshape(-1, d, d ** n).sum(axis=(0, 2))
                      for n in range(g.num_vertices)])

@@ -5,7 +5,7 @@ Basis conventions (fixed globally, do not change):
   * composite index i = sum_n l_n * (2S+1)^n with site 0 least significant.
 
 Every many-body operator is assembled by local_sum from a list of local
-terms (its Kronecker-product reference lives with the tests).  lowering
+terms (its Kronecker-product and COO references live with the tests).  lowering
 builds every phased sum of S^-, and tower the normalized powers of a ladder
 operator on a start vector.
 """
@@ -138,15 +138,44 @@ class ManyBodyOperator:
         return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
 
 
+def _term_table(sites, op: np.ndarray, d: int, stride: np.ndarray):
+    """Per local row r of one term: its off-diagonal entries as (column step,
+    value) pairs in column order, padded with zeros to the widest row, and its
+    diagonal entry."""
+    local = np.arange(op.shape[0])
+    offset = sum((local // d ** t % d) * stride[n] for t, n in enumerate(sites))
+    rows, cols = np.nonzero((op != 0) & (local[:, None] != local))
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    shape = (local.size, int(slot.max(initial=-1)) + 1)
+    step, vals = np.zeros(shape, dtype=np.int32), np.zeros(shape, dtype=op.dtype)
+    step[rows, slot] = offset[cols] - offset[rows]
+    vals[rows, slot] = op[rows, cols]
+    return step, vals, np.diagonal(op)
+
+
+def _on_sites(table: np.ndarray, sites, N: int, d: int) -> np.ndarray:
+    """A table over a term's local rows, broadcast onto the (d,)*N basis tensor
+    (axis N-1-n is site n, and sites[0] is the table's low digit)."""
+    axes = [N - 1 - n for n in reversed(sites)]
+    shape = np.ones(N, dtype=int)
+    shape[axes] = d
+    return table.reshape((d,) * len(sites)).transpose(np.argsort(axes)).reshape(shape)
+
+
 def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     """Sparse sum_t (op_t on sites_t), identity on the other sites.
 
     A term is (sites, op), op a d^k x d^k matrix on k distinct sites with
     sites[0] the least significant local digit: A_u B_v is ((u, v), kron(B, A)).
-    Off-diagonal entries are counted, then written by digit arithmetic into
-    preallocated int32 rows/cols and one values array; the diagonal sums in a
-    dense vector.  float64 when every term is real, else complex128.  After
-    the operator strings of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
+    Each term becomes a table over its local rows (_term_table), and row i
+    looks its entries up through its digits on the term's sites.  The CSR
+    arrays are allocated once, at the count those tables give, and filled a
+    block of rows at a time: each row in term order with its diagonal last,
+    then sorted, duplicates summed and zeros dropped, as scipy canonicalizes
+    COO triplets in that order.  A block is the most rows, a power of d, whose
+    slots fit in 2^16, so its scratch stays a few MB at any term count.
+    float64 when every term is real, else complex128.  After the operator
+    strings of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
     """
     d, N, dim = system.local_dim, system.N, system.total_dim
     terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
@@ -157,36 +186,68 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
             raise DimensionMismatch(f"{sites} needs a {d ** len(sites)}-square matrix")
     real = not any(np.any(np.imag(op)) for _, op in terms)
     dtype = np.dtype(np.float64 if real else np.complex128)
-    terms = [(sites, (op.real if real else op).astype(dtype, copy=False))
-             for sites, op in terms]
-    n_off = sum((np.count_nonzero(op) - np.count_nonzero(np.diag(op))) * d ** (N - len(sites))
-                for sites, op in terms)
-    rows, cols = np.empty((2, n_off + dim), dtype=np.int32)
-    vals = np.empty(n_off + dim, dtype=dtype)
-    diag = np.zeros(dim, dtype=vals.dtype)
     stride = d ** np.arange(N, dtype=np.int64)
+    tables = [_term_table(sites, (op.real if real else op).astype(dtype, copy=False), d, stride)
+              for sites, op in terms]
+    diag = np.zeros((d,) * N, dtype=dtype)
+    for (sites, _), table in zip(terms, tables):
+        if table[2].any():
+            diag += _on_sites(table[2], sites, N, d)
+    diag = diag.ravel()
+    total = np.count_nonzero(diag) + sum(np.count_nonzero(table[1]) * d ** (N - len(sites))
+                                         for (sites, _), table in zip(terms, tables))
+    index = np.int32 if max(total, dim) < 2 ** 31 else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    indices, data = np.empty(total, dtype=index), np.empty(total, dtype=dtype)
+
+    # Every term's padded rows in one flat table, then `height` entries for
+    # the diagonal of the current block.  Slot j of term t reads flat entry
+    # start + width_t * r_t, r_t = sum_k d^k digit(sites_t[k]): the digits
+    # dotted with column j of `weight`.  The diagonal slot reads its row's own
+    # entry past the terms.  A block is d^h rows that share their high digits,
+    # so its slots are one table over the low digits, built a site at a time,
+    # plus one row of offsets from the high ones.
+    width = [table[0].shape[1] for table in tables]
+    slots = sum(width) + 1
+    h = 0
+    while h < N and d ** (h + 1) * slots <= 1 << 16:
+        h += 1
+    height = d ** h
+    step, vals = (np.concatenate([table[a].ravel() for table in tables]
+                                 + [np.zeros(height, dtype=dt)])
+                  for a, dt in ((0, np.int32), (1, dtype)))
+    live = vals != 0                         # the padding is 0, every entry is not
+    weight = np.zeros((N, slots), dtype=np.intp)
+    weight[:h, -1] = stride[:h]
+    low_at = np.full((1, slots), step.size - height, dtype=np.intp)
+    col = base = 0
+    for (sites, _), table, w in zip(terms, tables, width):
+        weight[list(sites), col:col + w] = w * d ** np.arange(len(sites))[:, None]
+        low_at[0, col:col + w] = base + np.arange(w)
+        col, base = col + w, base + table[0].size
+    for n in range(h):
+        low_at = (np.arange(d)[:, None, None] * weight[n] + low_at).reshape(-1, slots)
     pos = 0
-    for sites, op in terms:
-        base = np.zeros(1, dtype=np.int64)       # every digit string off the sites
-        for n in range(N):
-            if n not in sites:
-                base = (base[:, None] + stride[n] * np.arange(d)).ravel()
-        local = np.arange(op.shape[0])
-        offset = sum((local // d ** t % d) * stride[n] for t, n in enumerate(sites))
-        for r, c in zip(*np.nonzero(op)):
-            if r == c:
-                diag[base + offset[r]] += op[r, c]
-                continue
-            rows[pos:pos + base.size] = base + offset[r]
-            cols[pos:pos + base.size] = base + offset[c]
-            vals[pos:pos + base.size] = op[r, c]
-            pos += base.size
-    nz = np.flatnonzero(diag)
-    end = pos + nz.size
-    rows[pos:end] = cols[pos:end] = nz
-    vals[pos:end] = diag[nz]
-    out = sp.coo_matrix((vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
-    out.eliminate_zeros()                    # duplicates that cancelled
+    for i0 in range(0, dim, height):
+        vals[-height:] = diag[i0:i0 + height]
+        live[-height:] = vals[-height:] != 0
+        at = (low_at + (i0 // stride % d) @ weight).ravel()
+        kept = np.flatnonzero(live[at])
+        ptr = np.searchsorted(kept, np.arange(0, (height + 1) * slots, slots)).astype(index)
+        rows = np.repeat(np.arange(i0, i0 + height, dtype=index), np.diff(ptr))
+        at = at[kept]
+        block = sp.csr_matrix((vals[at], rows + step[at], ptr), shape=(height, dim))
+        block.sum_duplicates()
+        block.eliminate_zeros()
+        end = pos + block.nnz
+        indices[pos:end], data[pos:end] = block.indices, block.data
+        indptr[i0 + 1:i0 + height + 1] = pos + block.indptr[1:]
+        pos = end
+    if pos < total:                          # duplicates that summed or cancelled
+        indices.resize(pos, refcheck=False)
+        data.resize(pos, refcheck=False)
+    out = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    out.has_canonical_format = True
     return out
 
 
@@ -298,11 +359,19 @@ def product_rotation(angles: SiteAngles, system: SpinSystem) -> ManyBodyOperator
     return ManyBodyOperator(system, sp.csr_matrix(full), hermitian=False)
 
 
+def matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """A @ x.  A real A meets a complex x as two real products, so scipy does
+    not copy A's data to complex128 for one product."""
+    if A.dtype.kind == "c" or x.dtype.kind != "c":
+        return A @ x
+    return A @ x.real + 1j * (A @ x.imag)
+
+
 def expectation(op: ManyBodyOperator, psi: StateVector) -> complex:
     """<psi|op|psi>; collapses to the real part for Hermitian operators."""
     if psi.system != op.system:
         raise DimensionMismatch("operator and state on different systems")
-    val = complex(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes))
+    val = complex(np.vdot(psi.amplitudes, matvec(op.matrix, psi.amplitudes)))
     if op.hermitian and abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)):
         return complex(val.real)
     return val

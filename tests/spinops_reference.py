@@ -1,15 +1,16 @@
-"""Kronecker-product oracles of `scarlab.spinops` that only the tests use.
+"""Oracles of `scarlab.spinops` that only the tests use.
 
 embed places one local operator at one site and two_site multiplies two of
 them, each through scipy.sparse.kron with identities on the other sites
 (site 0 least significant); local_sum, the one assembler in the package, is
-tested against them.
+tested against them.  coo_local_sum is the earlier COO assembler, the
+bit-identity oracle of local_sum's CSR.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from scarlab.errors import SiteOutOfRange
+from scarlab.errors import DimensionMismatch, SiteOutOfRange
 from scarlab.spinops import ManyBodyOperator, SpinSystem
 
 
@@ -35,3 +36,50 @@ def two_site(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int,
     a = embed(op_a, site_a, system).matrix
     b = embed(op_b, site_b, system).matrix
     return (a @ b).tocsr()
+
+
+def coo_local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
+    """local_sum through COO triplets: off-diagonal entries are counted, then
+    written by digit arithmetic into preallocated int32 rows/cols and one
+    values array, the diagonal summed in a dense vector, and scipy's tocsr
+    sorts, sums duplicates, and eliminate_zeros drops what cancelled."""
+    d, N, dim = system.local_dim, system.N, system.total_dim
+    terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
+    for sites, op in terms:
+        if len(set(sites)) != len(sites) or not all(0 <= n < N for n in sites):
+            raise SiteOutOfRange(f"sites {sites} must be distinct and in [0, {N})")
+        if op.shape != (d ** len(sites),) * 2:
+            raise DimensionMismatch(f"{sites} needs a {d ** len(sites)}-square matrix")
+    real = not any(np.any(np.imag(op)) for _, op in terms)
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    terms = [(sites, (op.real if real else op).astype(dtype, copy=False))
+             for sites, op in terms]
+    n_off = sum((np.count_nonzero(op) - np.count_nonzero(np.diag(op))) * d ** (N - len(sites))
+                for sites, op in terms)
+    rows, cols = np.empty((2, n_off + dim), dtype=np.int32)
+    vals = np.empty(n_off + dim, dtype=dtype)
+    diag = np.zeros(dim, dtype=vals.dtype)
+    stride = d ** np.arange(N, dtype=np.int64)
+    pos = 0
+    for sites, op in terms:
+        base = np.zeros(1, dtype=np.int64)       # every digit string off the sites
+        for n in range(N):
+            if n not in sites:
+                base = (base[:, None] + stride[n] * np.arange(d)).ravel()
+        local = np.arange(op.shape[0])
+        offset = sum((local // d ** t % d) * stride[n] for t, n in enumerate(sites))
+        for r, c in zip(*np.nonzero(op)):
+            if r == c:
+                diag[base + offset[r]] += op[r, c]
+                continue
+            rows[pos:pos + base.size] = base + offset[r]
+            cols[pos:pos + base.size] = base + offset[c]
+            vals[pos:pos + base.size] = op[r, c]
+            pos += base.size
+    nz = np.flatnonzero(diag)
+    end = pos + nz.size
+    rows[pos:end] = cols[pos:end] = nz
+    vals[pos:end] = diag[nz]
+    out = sp.coo_matrix((vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
+    out.eliminate_zeros()                    # duplicates that cancelled
+    return out

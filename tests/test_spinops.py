@@ -1,20 +1,23 @@
 """Spin operator and product-state layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from spinops_reference import embed, two_site
+from spinops_reference import coo_local_sum, embed, two_site
 
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
                             SiteOutOfRange)
+from scarlab.hamiltonian import chain_terms
 from scarlab.spinops import (MATFREE_DIM_CAP, SiteAngles, SpinSystem,
                              all_down, all_up, basis_state,
                              coherent_product_state, coherent_product_states,
                              entanglement_entropy, expectation,
-                             local_spin_matrices, local_sum, lowering,
+                             local_spin_matrices, local_sum, lowering, matvec,
                              product_rotation, site_spin_expectations, tower)
 
 RNG = np.random.default_rng(7)
@@ -119,6 +122,91 @@ def test_local_sum_dtype_and_guards():
         local_sum(system, [((3,), sz)])
     with pytest.raises(DimensionMismatch):
         local_sum(system, [((0, 1), sz)])
+
+
+@st.composite
+def _term_lists(draw):
+    """(system, terms) with 1-3 site terms on sparse dyadic matrices, so sums
+    are exact: zero local rows, diagonal-only and complex terms, and copies
+    on the same sites, reversed or negated."""
+    S = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    d, N = int(2 * S + 1), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    complex_terms = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        sites = tuple(draw(st.permutations(range(N)))[:draw(st.integers(1, min(3, N)))])
+        shape = (d ** len(sites),) * 2
+        density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+        op = rng.choice([-2.0, -0.5, 0.5, 1.0], size=shape) * (rng.random(shape) < density)
+        if complex_terms and draw(st.booleans()):
+            op = op + 1j * rng.choice([-1.0, 0.0, 0.5], size=shape)
+        if draw(st.booleans()):
+            op[rng.random(shape[0]) < 0.5] = 0.0           # local rows that are all zero
+        if draw(st.booleans()):
+            op = np.diag(np.diag(op))
+        terms.append((sites, op))
+        k = len(sites)                   # op on the same sites listed backwards
+        back = op.reshape((d,) * 2 * k).transpose(*range(k - 1, -1, -1),
+                                                  *range(2 * k - 1, k - 1, -1)).reshape(shape)
+        copy = draw(st.sampled_from(["none", "same", "reversed", "cancel"]))
+        if copy != "none":
+            terms.append({"same": (sites, op), "reversed": (sites[::-1], back),
+                          "cancel": (sites[::-1], -back)}[copy])
+    return SpinSystem(S, N), terms
+
+
+def _same_csr_as_coo_local_sum(system, terms):
+    """local_sum's CSR, after checking its arrays byte for byte against coo_local_sum's."""
+    got, want = local_sum(system, terms), coo_local_sum(system, terms)
+    assert got.dtype == want.dtype
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_term_lists())
+def test_local_sum_bit_identical_to_coo_assembler(case):
+    got = _same_csr_as_coo_local_sum(*case)
+    assert got.has_canonical_format
+    assert sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape).has_canonical_format
+
+
+@pytest.mark.parametrize("field", [0, 1])
+def test_local_sum_bit_identical_to_coo_assembler_across_row_blocks(field):
+    """S=1 N=9 chain with a non-symmetric M and a field along x or y: 27 row
+    blocks, rows longer than 16 entries, and the single flips of site n from
+    its two bonds and its field summed as one entry."""
+    system = SpinSystem(1.0, 9)
+    terms = chain_terms(9, 1.0, RNG.normal(size=(3, 3)))
+    terms += [((n,), 0.3 * local_spin_matrices(1.0)[field]) for n in range(9)]
+    _same_csr_as_coo_local_sum(system, terms)
+
+
+@pytest.mark.parametrize("S,N", [(1.0, 10), (0.5, 16)])
+def test_local_sum_peak_memory_within_half_again_its_csr(S, N):
+    """The scratch of local_sum stays a fraction of the CSR it returns."""
+    system, terms = SpinSystem(S, N), chain_terms(N, S, np.diag([0.3, 1.0, 0.7]))
+    tracemalloc.start()
+    try:
+        H = local_sum(system, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+
+
+def test_matvec_bit_identical_to_the_complex_product():
+    system = SpinSystem(1.0, 5)
+    real = local_sum(system, chain_terms(5, 1.0, np.diag(RNG.normal(size=3))))
+    cplx = local_sum(system, [((0,), local_spin_matrices(1.0)[1])]) + real
+    assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
+    x = RNG.normal(size=system.total_dim) + 1j * RNG.normal(size=system.total_dim)
+    for A in (real, cplx):
+        for v in (x, x.real):
+            got, want = matvec(A, v), A.astype(np.result_type(A.dtype, v.dtype)) @ v
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_operator_algebra_helpers():
