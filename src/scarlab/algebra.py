@@ -28,7 +28,7 @@ from .hamiltonian import build_xyz_chain
 from .scar import ScarSpec, chain_phases, gz_energy, gz_state, residual
 from .spectra import degeneracy_at, full_spectrum
 from .spinops import (ManyBodyOperator, SpinSystem, StateVector, all_up, expectation,
-                      local_spin_matrices, local_sum, lowering, tau, tower)
+                      local_spin_matrices, lowering, tau, tower)
 
 
 @dataclass
@@ -50,7 +50,7 @@ def lambda_op(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
     _, _, sz, _, sm = local_spin_matrices(S)
     terms = [((n, (n + s) % N), s * 1j * math.sin(q0) * np.exp(1j * sign * (n + 1) * q0)
               * np.kron(sz, sm)) for n in range(N) for s in (+1, -1)]
-    return ManyBodyOperator(system, local_sum(system, terms), hermitian=False)
+    return ManyBodyOperator.from_terms(system, terms, hermitian=False)
 
 
 def standard_sga_witness(N: int, S: float, p: int, helicity: int = +1) -> SgaWitness:

@@ -16,8 +16,7 @@ from .elliptic import CommensurateQ, jacobi_table
 from .frames import CsseCouplings
 from .lattice import SU2, ScarGraph
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, all_up,
-                      basis_state, local_spin_matrices, local_sum,
-                      product_rotation)
+                      basis_state, local_spin_matrices, product_rotation)
 
 
 def _bond_matrix(S: float, M: np.ndarray) -> np.ndarray:
@@ -45,8 +44,7 @@ def chain_terms(N: int, S: float, M: np.ndarray, periodic: bool = True) -> list:
 
 def _chain_operator(N: int, S: float, M: np.ndarray, periodic: bool) -> ManyBodyOperator:
     system = SpinSystem(S, N)
-    return ManyBodyOperator(system, local_sum(system, chain_terms(N, S, M, periodic)),
-                            hermitian=True)
+    return ManyBodyOperator.from_terms(system, chain_terms(N, S, M, periodic), hermitian=True)
 
 
 def build_xyz_chain(N: int, S: float, Jx: float, Jy: float, Jz: float,
@@ -87,9 +85,9 @@ def graph_terms(g: ScarGraph, S: float, q: CommensurateQ) -> list:
 
 
 def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator:
-    """The graph Hamiltonian of graph_terms as a sparse operator."""
+    """The graph Hamiltonian as the operator of its graph_terms."""
     system = SpinSystem(S, g.num_vertices)
-    return ManyBodyOperator(system, local_sum(system, graph_terms(g, S, q)), hermitian=True)
+    return ManyBodyOperator.from_terms(system, graph_terms(g, S, q), hermitian=True)
 
 
 def rotated_hamiltonian(H: ManyBodyOperator, angles: SiteAngles,

@@ -12,6 +12,9 @@ planar helical scar, whose tower structure and binomial expansion are also
 provided here.  The eigenstate test is local: local_residual sums the
 one-flip amplitudes per site and the two-flip amplitudes per bond of a
 product state, with no Hilbert-space vector; residual is its ED oracle.
+The Sz current is local too: local_sz_current reads the terms of H and the
+product state's site vectors, with no state vector and no CSR (Jepsen et
+al., Nat. Phys. 18, 899 (2022), measure such currents of helix states).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabErr
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
                       all_up, coherent_product_state, coherent_product_states,
-                      local_spin_matrices, matvec, tau, tower)
+                      coherent_site_vectors, local_spin_matrices, matvec, tau, tower)
 
 
 @dataclass(frozen=True)
@@ -291,17 +294,38 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
 
 def local_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec,
                      H: ManyBodyOperator) -> np.ndarray:
-    """<i[H, Sz_n]> on the graph scar state, one value per vertex.
+    """<i[H, Sz_u]> on the graph scar state, one value per vertex, from H's terms.
 
-    For Hermitian H this is 2 Im <psi| Sz_n H |psi>: one matvec, then the
-    site-n marginal of conj(psi) * H psi weighted by the Sz eigenvalues.
+    On a product state only the terms h_t on sites s_t that hold u contribute:
+    with u = s_t[k], <i[h_t, Sz_u]> = i phi_t^dag (h_t Z_k - Z_k h_t) phi_t,
+    phi_t the product of the coherent site vectors on s_t and Z_k the Sz of
+    local digit k.  The terms are batched per distinct op object, so this
+    builds neither the (2S+1)^N state nor H's matrix, in O(terms).  Returns
+    the real part, which for Hermitian H is the whole value.
     """
-    psi = gz_state(system, spec, graph=g).amplitudes
-    d = system.local_dim
-    w = (psi.conj() * matvec(H.matrix, psi)).imag
-    m = np.diag(local_spin_matrices(system.S)[2]).real
-    return np.array([2.0 * m @ w.reshape(-1, d, d ** n).sum(axis=(0, 2))
-                     for n in range(g.num_vertices)])
+    if H.system != system:
+        raise DimensionMismatch("operator and state on different systems")
+    if H.terms is None:
+        raise InvalidInput("local_sz_current reads the local terms of H, and this H was "
+                           "made from a matrix; build it with ManyBodyOperator.from_terms")
+    angles = gz_angles(system.N, spec, graph=g)
+    vecs = coherent_site_vectors(system.S, angles.theta, angles.phi)
+    m, d = np.diag(local_spin_matrices(system.S)[2]).real, system.local_dim
+    batches = {}
+    for sites, op in H.terms:
+        batches.setdefault(id(op), (op, []))[1].append(sites)
+    current = np.zeros(system.N)
+    for op, sites in batches.values():
+        sites = np.array(sites, dtype=np.intp)
+        t, k = sites.shape
+        phi = np.ones((t, 1), dtype=complex)
+        for j in range(k - 1, -1, -1):
+            phi = (phi[:, :, None] * vecs[sites[:, j], None, :]).reshape(t, -1)
+        for j in range(k):
+            z = m[np.arange(d ** k) // d ** j % d]
+            val = 1j * np.einsum("ti,ij,tj->t", phi.conj(), op * z - z[:, None] * op, phi)
+            current += np.bincount(sites[:, j], weights=val.real, minlength=system.N)
+    return current
 
 
 def predicted_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec) -> np.ndarray:

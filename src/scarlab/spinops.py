@@ -5,9 +5,11 @@ Basis conventions (fixed globally, do not change):
   * composite index i = sum_n l_n * (2S+1)^n with site 0 least significant.
 
 Every many-body operator is assembled by local_sum from a list of local
-terms (its Kronecker-product and COO references live with the tests).  lowering
-builds every phased sum of S^-, and tower the normalized powers of a ladder
-operator on a start vector.
+terms (its Kronecker-product and COO references live with the tests).  A
+builder hands its terms to ManyBodyOperator.from_terms, which keeps them and
+assembles on the first .matrix, so code that reads only the terms never
+pays for the CSR.  lowering builds every phased sum of S^-, and tower the
+normalized powers of a ladder operator on a start vector.
 """
 
 from __future__ import annotations
@@ -91,18 +93,33 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass
 class ManyBodyOperator:
-    system: SpinSystem
-    matrix: sp.csr_matrix
-    hermitian: bool = False
+    """A sparse operator on a spin system, given as its CSR matrix or, through
+    from_terms, as the local terms it is the local_sum of.  A term-built
+    operator keeps its terms and assembles its matrix on first use; one made
+    from a matrix has terms None."""
 
-    def __post_init__(self):
-        self.matrix = sp.csr_matrix(self.matrix,
-                                    dtype=np.result_type(self.matrix.dtype, float))
-        d = self.system.total_dim
-        if self.matrix.shape != (d, d):
+    def __init__(self, system: SpinSystem, matrix, hermitian: bool = False):
+        self.system, self.hermitian, self.terms = system, hermitian, None
+        self._matrix = sp.csr_matrix(matrix, dtype=np.result_type(matrix.dtype, float))
+        d = system.total_dim
+        if self._matrix.shape != (d, d):
             raise DimensionMismatch("matrix shape != (total_dim, total_dim)")
+
+    @classmethod
+    def from_terms(cls, system: SpinSystem, terms, hermitian: bool = False) -> "ManyBodyOperator":
+        """The operator local_sum(system, terms), its terms checked now and
+        its CSR assembled on the first .matrix."""
+        op = cls.__new__(cls)
+        op.system, op.hermitian, op._matrix = system, hermitian, None
+        op.terms = _checked_terms(system, terms)[0]
+        return op
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        if self._matrix is None:
+            self._matrix = local_sum(self.system, self.terms)
+        return self._matrix
 
     def dagger(self) -> "ManyBodyOperator":
         return ManyBodyOperator(self.system, self.matrix.conj().T.tocsr(), self.hermitian)
@@ -162,6 +179,23 @@ def _on_sites(table: np.ndarray, sites, N: int, d: int) -> np.ndarray:
     return table.reshape((d,) * len(sites)).transpose(np.argsort(axes)).reshape(shape)
 
 
+def _checked_terms(system: SpinSystem, terms):
+    """(terms, dtype): each term as (sites tuple, op cast to dtype), float64
+    when every op is real, else complex128; terms that shared an op object
+    still do.  Raises SiteOutOfRange or DimensionMismatch on a bad term."""
+    d, N = system.local_dim, system.N
+    terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
+    for sites, op in terms:
+        if len(set(sites)) != len(sites) or not all(0 <= n < N for n in sites):
+            raise SiteOutOfRange(f"sites {sites} must be distinct and in [0, {N})")
+        if op.shape != (d ** len(sites),) * 2:
+            raise DimensionMismatch(f"{sites} needs a {d ** len(sites)}-square matrix")
+    real = not any(np.any(np.imag(op)) for _, op in terms)
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    cast = {id(op): (op.real if real else op).astype(dtype, copy=False) for _, op in terms}
+    return [(sites, cast[id(op)]) for sites, op in terms], dtype
+
+
 def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     """Sparse sum_t (op_t on sites_t), identity on the other sites.
 
@@ -178,17 +212,9 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     strings of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
     """
     d, N, dim = system.local_dim, system.N, system.total_dim
-    terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
-    for sites, op in terms:
-        if len(set(sites)) != len(sites) or not all(0 <= n < N for n in sites):
-            raise SiteOutOfRange(f"sites {sites} must be distinct and in [0, {N})")
-        if op.shape != (d ** len(sites),) * 2:
-            raise DimensionMismatch(f"{sites} needs a {d ** len(sites)}-square matrix")
-    real = not any(np.any(np.imag(op)) for _, op in terms)
-    dtype = np.dtype(np.float64 if real else np.complex128)
+    terms, dtype = _checked_terms(system, terms)
     stride = d ** np.arange(N, dtype=np.int64)
-    tables = [_term_table(sites, (op.real if real else op).astype(dtype, copy=False), d, stride)
-              for sites, op in terms]
+    tables = [_term_table(sites, op, d, stride) for sites, op in terms]
     diag = np.zeros((d,) * N, dtype=dtype)
     for (sites, _), table in zip(terms, tables):
         if table[2].any():
@@ -255,7 +281,7 @@ def lowering(system: SpinSystem, phases) -> ManyBodyOperator:
     """sum_n e^{i phases[n]} S^-_n, one phase per site; lowers total Sz by one."""
     sm = local_spin_matrices(system.S)[4]
     terms = [((n,), np.exp(1j * phase) * sm) for n, phase in enumerate(phases)]
-    return ManyBodyOperator(system, local_sum(system, terms), hermitian=False)
+    return ManyBodyOperator.from_terms(system, terms, hermitian=False)
 
 
 def tau(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
@@ -321,18 +347,24 @@ def _site_rotations(S: float, theta, phi) -> np.ndarray:
     return rot_z @ rot_y
 
 
+def coherent_site_vectors(S: float, theta, phi) -> np.ndarray:
+    """(..., 2S+1) spin-coherent site vectors over the shape of theta and phi:
+    each site's rotation times |S, S> (a matvec: a column slice would keep the
+    sign of zero entries)."""
+    return _site_rotations(S, theta, phi) @ np.eye(_check_spin(S) + 1, dtype=complex)[0]
+
+
 def coherent_product_states(system: SpinSystem, theta, phi) -> np.ndarray:
     """(G, d^N) unit-norm spin-coherent product states from (G, N) Bloch angles.
 
     Site n of row g points along theta[g, n], phi[g, n]; helicity enters through
-    the sign of phi.  Each site vector is its rotation times |S, S> (a matvec: a
-    column slice would keep the sign of zero entries), joined highest site first
+    the sign of phi.  The coherent_site_vectors are joined highest site first
     by the broadcast outer products np.kron takes (site 0 least significant).
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 2 or theta.shape != phi.shape or theta.shape[1] != system.N:
         raise DimensionMismatch(f"angle arrays must both have shape (G, {system.N})")
-    vecs = _site_rotations(system.S, theta, phi) @ np.eye(system.local_dim, dtype=complex)[0]
+    vecs = coherent_site_vectors(system.S, theta, phi)
     full = np.ones((len(theta), 1), dtype=complex)
     for n in range(system.N - 1, -1, -1):
         full = (full[:, :, None] * vecs[:, n, None, :]).reshape(len(theta), -1)

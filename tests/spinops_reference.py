@@ -4,8 +4,11 @@ embed places one local operator at one site and two_site multiplies two of
 them, each through scipy.sparse.kron with identities on the other sites
 (site 0 least significant); local_sum, the one assembler in the package, is
 tested against them.  coo_local_sum is the earlier COO assembler, the
-bit-identity oracle of local_sum's CSR.
+bit-identity oracle of local_sum's CSR.  stub_everywhere swaps functions for
+stubs under every name the scarlab modules hold them by.
 """
+
+import sys
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,3 +86,13 @@ def coo_local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     out = sp.coo_matrix((vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
     out.eliminate_zeros()                    # duplicates that cancelled
     return out
+
+
+def stub_everywhere(monkeypatch, stubs: dict):
+    """Replace each key of stubs, a function, by its value wherever a loaded
+    scarlab module refers to it by name."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scarlab"):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in stubs):
+                    monkeypatch.setattr(module, attr, stubs[value])

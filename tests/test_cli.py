@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from spinops_reference import stub_everywhere
 
 from scarlab import spinops
 from scarlab.cli import (EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS,
@@ -494,12 +495,8 @@ def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
 
     def no_vector(*args, **kwargs):
         raise AssertionError("scar-verify built a (2S+1)^N state vector")
-    stubs = {spinops.local_sum: no_matrix, spinops.coherent_product_states: no_vector}
-    for name, module in list(sys.modules.items()):
-        if name.startswith("scarlab"):
-            for attr, value in list(vars(module).items()):
-                if any(value is f for f in stubs):
-                    monkeypatch.setattr(module, attr, stubs[value])
+    stub_everywhere(monkeypatch, {spinops.local_sum: no_matrix,
+                                  spinops.coherent_product_states: no_vector})
     out = str(tmp_path)
     assert run(["--out", out, "scar-verify", "--N", "6", "--S", "1", "--kappa", "0.8",
                 "--gamma", "0.5"]) == EXIT_OK

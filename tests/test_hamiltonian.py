@@ -3,19 +3,22 @@
 import math
 
 import numpy as np
+import pytest
 
 import elliptic_reference as ref
-from spinops_reference import two_site
+from spinops_reference import stub_everywhere, two_site
+from scarlab import spinops
+from scarlab.algebra import lambda_op
 from scarlab.elliptic import commensurate_q, jacobi, jacobi_fraction
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import (_bond_matrix, build_csse_chain, build_on_graph,
-                                 build_xyz_chain, graph_couplings, graph_terms,
+                                 build_xyz_chain, chain_terms, graph_couplings, graph_terms,
                                  rotated_hamiltonian, vanishing_conditions)
 from scarlab.lattice import (CSSE, SU2, honeycomb_su2, kagome_su2, lieb, nnn_chain,
                              square_shifted, trimer_brickwall)
 from scarlab.lattice import chain as chain_graph
 from scarlab.scar import ScarSpec, gz_angles
-from scarlab.spinops import SiteAngles, SpinSystem, local_spin_matrices, local_sum
+from scarlab.spinops import SiteAngles, SpinSystem, local_spin_matrices, local_sum, tau
 
 RNG = np.random.default_rng(99)
 
@@ -130,6 +133,45 @@ def test_build_on_graph_csr_bit_identical_to_per_edge_bond_matrices():
         assert got.dtype == want.dtype
         for attr in ("data", "indices", "indptr"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+def _term_builds():
+    """(builder call, its system, its terms written out here) for every
+    builder of a term operator."""
+    q, q0 = commensurate_q(1, 6, 0.45), 2.0 * math.pi / 5
+    c = CsseCouplings(J1=0.3, J2=0.8, J3=0.1, J12=0.2, J13=-0.15, J23=0.25)
+    g = kagome_su2(2, 2, J=0.7, Jprime=-1.3)
+    _, _, sz, _, sm = local_spin_matrices(1.0)
+    lam = [((n, (n + s) % 5), s * 1j * math.sin(q0) * np.exp(1j * (n + 1) * q0)
+            * np.kron(sz, sm)) for n in range(5) for s in (+1, -1)]
+    return [
+        (lambda: build_xyz_chain(5, 1.0, 0.3, 1.0, 0.7), SpinSystem(1.0, 5),
+         chain_terms(5, 1.0, np.diag([0.3, 1.0, 0.7]))),
+        (lambda: build_csse_chain(4, 0.5, c, periodic=False), SpinSystem(0.5, 4),
+         chain_terms(4, 0.5, c.matrix(), periodic=False)),
+        (lambda: build_on_graph(g, 0.5, q), SpinSystem(0.5, 12), _per_edge_terms(g, 0.5, q)),
+        (lambda: tau(6, 1.0, q0, sign=-1), SpinSystem(1.0, 6),
+         [((n,), np.exp(-1j * (n + 1) * q0) * sm) for n in range(6)]),
+        (lambda: lambda_op(5, 1.0, q0), SpinSystem(1.0, 5), lam),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_term_operators_assemble_their_local_sum_on_first_use(monkeypatch, case):
+    build, system, terms = _term_builds()[case]
+    want = local_sum(system, terms)
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("assembled at construction")
+    with monkeypatch.context() as m:
+        stub_everywhere(m, {spinops.local_sum: no_matrix})
+        H = build()
+    assert H.system == system and len(H.terms) == len(terms)
+    got = H.matrix
+    assert got is H.matrix and got.dtype == want.dtype
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_graph_couplings_are_the_per_edge_matrices():

@@ -7,10 +7,12 @@ import pytest
 
 import elliptic_reference as ref
 from spectra_reference import translation_matrix
-from spinops_reference import embed
+from spinops_reference import embed, stub_everywhere
+from test_spectra_properties import DM_X, _chain_with_field
 from scarlab import scar as scar_module
+from scarlab import spinops
 from scarlab.elliptic import commensurate_q, jacobi_fraction, jacobi_table
-from scarlab.errors import DimensionMismatch, IncommensurateQ, ScarlabError
+from scarlab.errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from scarlab.hamiltonian import (_bond_matrix, _chain_bonds, build_on_graph, build_xyz_chain,
                                  graph_couplings, rotated_hamiltonian, vanishing_conditions)
 from scarlab.lattice import (Edge, ScarGraph, assign_site_phases, chain,
@@ -457,3 +459,62 @@ def test_local_sz_current_matches_per_site_reference(g, S, denom):
         assert np.abs(local_sz_current(g, system, spec, H) - want).max() <= 1e-14
     # at kappa_H = 0.8 the state is no eigenstate and carries a current
     assert np.abs(want).max() >= 1e-2
+
+
+@pytest.mark.parametrize("g,S", ED_GRAPHS)
+def test_local_sz_current_matches_per_site_reference_on_every_generator(g, S):
+    denom = _largest_admitted_denominator(g)
+    system = SpinSystem(S, g.num_vertices)
+    spec = ScarSpec(helicity=-1, p=1, gamma=0.3, kappa=0.55, q=commensurate_q(1, denom, 0.55))
+    # kappa_H = 0.55 is the scar's own H; 0.8 is a mismatched one
+    for kappa_h in (0.55, 0.8):
+        H = build_on_graph(g, S, commensurate_q(1, denom, kappa_h))
+        want = _local_sz_current_per_site(g, system, spec, H)
+        assert np.abs(local_sz_current(g, system, spec, H) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("S", [0.5, 1.0])
+def test_local_sz_current_of_a_complex_hermitian_chain(S):
+    # DM bonds and a field off every axis: complex terms, one- and two-site
+    N = 6
+    spec = ScarSpec.make(+1, 1, 0.4, 0.6, N)
+    H = _chain_with_field(N, S, np.diag([0.7, 1.0, 0.3]) + 0.5 * DM_X, (0.3, 0.4, 0.5))
+    assert H.matrix.dtype == np.complex128
+    want = _local_sz_current_per_site(chain(N), SpinSystem(S, N), spec, H)
+    got = local_sz_current(chain(N), SpinSystem(S, N), spec, H)
+    assert np.abs(got - want).max() <= 1e-14
+    assert np.abs(want).max() >= 1e-2
+
+
+def test_local_sz_current_builds_no_state_and_no_matrix(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("local_sz_current assembled a sparse operator")
+
+    def no_vector(*args, **kwargs):
+        raise AssertionError("local_sz_current built a (2S+1)^N state vector")
+    g, system = square(3, 3), SpinSystem(0.5, 9)
+    spec = ScarSpec(helicity=+1, p=1, gamma=0.4, kappa=0.4, q=commensurate_q(1, 3, 0.4))
+    big, big_system = square(4, 6), SpinSystem(0.5, 24)
+    big_spec = ScarSpec(helicity=-1, p=1, gamma=0.2, kappa=0.7, q=commensurate_q(1, 2, 0.7))
+    with monkeypatch.context() as m:
+        stub_everywhere(m, {spinops.local_sum: no_matrix,
+                            spinops.coherent_product_states: no_vector})
+        H = build_on_graph(g, 0.5, commensurate_q(1, 3, 0.8))
+        got = local_sz_current(g, system, spec, H)
+        # dim 2^24: the per-site reference would need a 415,469,100-entry CSR
+        big_got = local_sz_current(big, big_system, big_spec,
+                                   build_on_graph(big, 0.5, big_spec.q))
+    assert np.abs(got - _local_sz_current_per_site(g, system, spec, H)).max() <= 1e-14
+    assert np.abs(got).max() >= 1e-2
+    assert np.abs(big_got - predicted_sz_current(big, big_system, big_spec)).max() <= 1e-12
+
+
+def test_local_sz_current_checks_its_operator_first():
+    g = square(3, 3)
+    spec = ScarSpec(helicity=+1, p=1, gamma=0.4, kappa=0.4, q=commensurate_q(1, 3, 0.4))
+    H = build_on_graph(g, 1.0, spec.q)
+    with pytest.raises(DimensionMismatch):
+        local_sz_current(g, SpinSystem(0.5, 9), spec, H)
+    # an operator given as a matrix carries no terms to read
+    with pytest.raises(InvalidInput, match="terms"):
+        local_sz_current(g, H.system, spec, ManyBodyOperator(H.system, H.matrix, hermitian=True))

@@ -15,7 +15,7 @@ from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import build_csse_chain, build_on_graph, build_xyz_chain, chain_terms
 from scarlab.lattice import generate
 from scarlab.spectra import _components, _solve, full_spectrum
-from scarlab.spinops import ManyBodyOperator, SpinSystem, local_spin_matrices, local_sum
+from scarlab.spinops import ManyBodyOperator, SpinSystem, local_spin_matrices
 
 # (S, largest N) pairs that keep the dense oracle at dim <= 81
 CHAIN_SIZES = [(0.5, 2), (0.5, 3), (0.5, 4), (0.5, 5), (0.5, 6),
@@ -210,11 +210,14 @@ def test_solve_blocks_are_the_components_of_h(S, N, periodic):
 
 def _chain_with_field(N, S, M, field):
     """The periodic chain with exchange matrix M on every bond plus the
-    uniform field sum_n field . S_n, assembled by local_sum."""
-    system = SpinSystem(S, N)
+    uniform field sum_n field . S_n, as the operator of those terms."""
     one_site = sum(f * op for f, op in zip(field, local_spin_matrices(S)[:3]))
     terms = chain_terms(N, S, M) + [((n,), one_site) for n in range(N)]
-    return ManyBodyOperator(system, local_sum(system, terms), hermitian=True)
+    return ManyBodyOperator.from_terms(SpinSystem(S, N), terms, hermitian=True)
+
+
+# a Dzyaloshinskii-Moriya bond along x, antisymmetric: S^y_u S^z_v - S^z_u S^y_v
+DM_X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
 # (S, N) with 2SN even and odd, dims 16..256
@@ -234,9 +237,8 @@ def test_reduced_spectra_match_dense(kind, size, jx, jy, jz, j):
     if kind.startswith("csse"):
         coupling = {"csse-j12": "J12", "csse-j13": "J13", "csse-j23": "J23"}[kind]
         H = build_csse_chain(N, S, CsseCouplings(J1=jx, J2=jy, J3=jz, **{coupling: j}))
-    elif kind == "dm-x":                # Dzyaloshinskii-Moriya bond along x
-        dm = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-        H = _chain_with_field(N, S, np.diag([jx, jy, jz]) + j * dm, (0.0, 0.0, 0.0))
+    elif kind == "dm-x":
+        H = _chain_with_field(N, S, np.diag([jx, jy, jz]) + j * DM_X, (0.0, 0.0, 0.0))
     elif kind == "xyz-field":
         H = _chain_with_field(N, S, np.diag([jx, jy, jz]), (0.0, j, 0.0))
     elif kind == "square":
@@ -266,13 +268,27 @@ def test_reduced_spectra_match_dense(kind, size, jx, jy, jz, j):
         "csse-j13": ({"none"}, "conjugation"),         # S_x S_z is odd under P, real
         # S_y S_z is even under P and complex; time reversal maps sigma to (-1)^{2SN} sigma
         "csse-j23": ({split, swap, both}, "time-reversal"),
-        # the same with no bond inversion to map k to -k at fixed sigma
-        "dm-x": ({split, swap, both}, "time-reversal"),
+        # the same with no bond inversion to map k to -k at fixed sigma; on two
+        # sites (2SN even) P maps each Sz-parity sector to itself
+        "dm-x": ({split} if N == 2 else {split, swap, both}, "time-reversal"),
         "open": ({split, swap, both}, "conjugation"), "square": ({swap}, "conjugation"),
         "xyz-field": ({"none"}, "none"),               # neither real nor time-reversal even
     }[kind]
     assert record["complement"] in complement and record["pairing"] == pairing
-    assert record["symmetry"] == "translation" or kind in ("open", "square")
+    # the one bond of a two-site DM chain changes sign under the site swap
+    symmetry = "none" if kind == "dm-x" and N == 2 else "translation"
+    assert record["symmetry"] == symmetry or kind in ("open", "square")
+
+
+@pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
+def test_two_site_dm_bond_has_no_translation(S):
+    # the periodic two-site chain has one bond, and its DM part is odd under the
+    # site swap, the one translation; jx = jy = jz = 0, j = 1 as hypothesis found it
+    H = _chain_with_field(2, S, DM_X, (0.0, 0.0, 0.0))
+    evals, _, _, record = _solve(H, vectors=False)
+    assert (record["symmetry"], record["complement"], record["pairing"]) == \
+        ("none", "split", "time-reversal")
+    assert np.abs(evals - np.linalg.eigvalsh(H.matrix.toarray())).max() <= 1e-10
 
 
 def test_chiral_chain_keeps_both_momenta():

@@ -13,7 +13,7 @@ from spinops_reference import coo_local_sum, embed, two_site
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
                             SiteOutOfRange)
 from scarlab.hamiltonian import chain_terms
-from scarlab.spinops import (MATFREE_DIM_CAP, SiteAngles, SpinSystem,
+from scarlab.spinops import (MATFREE_DIM_CAP, ManyBodyOperator, SiteAngles, SpinSystem,
                              all_down, all_up, basis_state,
                              coherent_product_state, coherent_product_states,
                              entanglement_entropy, expectation,
@@ -122,6 +122,26 @@ def test_local_sum_dtype_and_guards():
         local_sum(system, [((3,), sz)])
     with pytest.raises(DimensionMismatch):
         local_sum(system, [((0, 1), sz)])
+
+
+def test_term_operator_checks_its_terms_at_construction():
+    system = SpinSystem(1.0, 3)
+    sx, sy, sz, _, _ = local_spin_matrices(1.0)
+    with pytest.raises(SiteOutOfRange):
+        ManyBodyOperator.from_terms(system, [((1, 1), np.kron(sz, sz))])
+    with pytest.raises(SiteOutOfRange):
+        ManyBodyOperator.from_terms(system, [((3,), sz)])
+    with pytest.raises(DimensionMismatch):
+        ManyBodyOperator.from_terms(system, [((0, 1), sz)])
+    with pytest.raises(SiteOutOfRange):
+        lowering(system, [0.1, 0.2, 0.3, 0.4])
+    # the dtype is chosen at construction, one cast per distinct op object
+    real = ManyBodyOperator.from_terms(system, [((0,), sx), ((2,), sx), ((1,), sz)])
+    assert [op.dtype for _, op in real.terms] == [np.float64] * 3
+    assert real.terms[0][1] is real.terms[1][1]
+    mixed = ManyBodyOperator.from_terms(system, [((0,), sx), ((1,), sy)])
+    assert [op.dtype for _, op in mixed.terms] == [np.complex128] * 2
+    assert real.matrix.dtype == np.float64 and mixed.matrix.dtype == np.complex128
 
 
 @st.composite
