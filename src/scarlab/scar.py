@@ -15,6 +15,7 @@ product state, with no Hilbert-space vector; residual is its ED oracle.
 The Sz current is local too: local_sz_current reads the terms of H and the
 product state's site vectors, with no state vector and no CSR (Jepsen et
 al., Nat. Phys. 18, 899 (2022), measure such currents of helix states).
+span_rank ranks the family over gamma from its site vectors alone.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import CommensurateQ, commensurate_q, jacobi_fraction, jacobi_table
+from .elliptic import CommensurateQ, _pow, commensurate_q, jacobi_fraction, jacobi_table
 from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
                       all_up, coherent_product_state, coherent_product_states,
-                      coherent_site_vectors, local_spin_matrices, matvec, tau, tower)
+                      coherent_site_vectors, local_spin_matrices, matvec,
+                      product_singular_values, tau, tower)
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,7 @@ class ScarSpec:
     q: CommensurateQ
 
     def __post_init__(self):
-        if self.helicity not in (-1, +1):
-            raise InvalidInput("helicity must be +1 or -1")
-        if abs(self.gamma) > 1.0:
-            raise InvalidInput(f"|gamma| must be <= 1, got {self.gamma}")
+        _check_family(self.helicity, [self.gamma])
 
     @classmethod
     def make(cls, helicity: int, p: int, gamma: float, kappa: float,
@@ -62,15 +61,36 @@ class ScarSpec:
                              + (self.kappa * self.gamma) ** 2))
 
 
-def _table_angles(spec: ScarSpec, table):
-    """(theta, phi) arrays for one spec over a jacobi_table of the site phases."""
-    winding, index, elliptic = table
-    two_pi, theta, local = 2.0 * math.pi, [], []
-    for sn, cn, dn in zip(*(f.tolist() for f in elliptic)):
-        ux, uy = spec.alpha * cn, spec.beta * sn
-        local.append(math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0)
-        theta.append(math.acos(max(-1.0, min(1.0, spec.gamma * dn))))
-    return np.array(theta)[index], spec.helicity * (two_pi * winding + np.array(local)[index])
+def _check_family(helicity: int, gammas) -> None:
+    """The checks of a ScarSpec, for one helicity and each gamma of a family."""
+    if helicity not in (-1, +1):
+        raise InvalidInput("helicity must be +1 or -1")
+    for gamma in gammas:
+        if abs(gamma) > 1.0:
+            raise InvalidInput(f"|gamma| must be <= 1, got {gamma}")
+
+
+# math.acos and math.atan2 element by element, like elliptic's _pow for
+# x ** 2: numpy's arccos and arctan2 do not always agree with libm.
+_acos = np.frompyfunc(math.acos, 1, 1)
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _table_angles(helicity: int, kappa: float, gammas, table):
+    """(G, N) theta and phi over a jacobi_table of the site phases, row g at
+    gammas[g]: per element the operations of ScarSpec.alpha and .beta and of
+    site_angles, bit for bit (fmax and fmin are Python's max and min, NaN too)."""
+    winding, index, (sn, cn, dn) = table
+    gamma = np.asarray(gammas, dtype=float)[:, None]
+    rest = 1.0 - _pow(gamma, 2).astype(float)
+    alpha = np.sqrt(np.fmax(0.0, rest))
+    beta = np.sqrt(np.fmax(0.0, rest + _pow(kappa * gamma, 2).astype(float)))
+    ux, uy = alpha * cn, beta * sn
+    two_pi = 2.0 * math.pi
+    local = np.where((np.abs(ux) > 0) | (np.abs(uy) > 0),
+                     _atan2(uy, ux).astype(float) % two_pi, 0.0)
+    theta = _acos(np.fmax(-1.0, np.fmin(1.0, gamma * dn))).astype(float)
+    return theta[:, index], helicity * (two_pi * winding + local[:, index])
 
 
 def site_angles(spec: ScarSpec, phases) -> SiteAngles:
@@ -83,10 +103,12 @@ def site_angles(spec: ScarSpec, phases) -> SiteAngles:
     increments of phi_n carry physical minus signs, so the winding from the
     exact rational tag is kept rather than wrapped away.  theta_n = arccos of
     the Sz expectation over S.  The elliptic functions, math.acos and
-    math.atan2 run once per distinct reduced phase, then a gather per site.
+    math.atan2 run once per distinct reduced phase, then a gather per site:
+    the one-gamma row of _table_angles.
     """
-    theta, phi = _table_angles(spec, jacobi_table(phases, spec.q.modulus))
-    return SiteAngles(tuple(theta.tolist()), tuple(phi.tolist()))
+    theta, phi = _table_angles(spec.helicity, spec.kappa, [spec.gamma],
+                               jacobi_table(phases, spec.q.modulus))
+    return SiteAngles(tuple(theta[0].tolist()), tuple(phi[0].tolist()))
 
 
 def chain_phases(N: int, q: CommensurateQ) -> list:
@@ -222,15 +244,15 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
     built once."""
     system = SpinSystem(S, N)
     q = commensurate_q(p, N, kappa)
-    specs = [ScarSpec(helicity, p, float(gamma), float(kappa), q) for gamma in gammas]
-    phases = jacobi_table(chain_phases(N, q), q.modulus)
+    _check_family(helicity, gammas)
+    thetas, phis = _table_angles(helicity, float(kappa), gammas,
+                                 jacobi_table(chain_phases(N, q), q.modulus))
     same = helical_tower(N, S, helicity, p)
     oppo = helical_tower(N, S, -helicity, p)
     shared = N // math.gcd(2 * p, N)
     two_ns = len(same.states) - 1
     table = []
-    for spec in specs:
-        theta, phi = _table_angles(spec, phases)
+    for theta, phi in zip(thetas, phis):
         psi = StateVector(system, coherent_product_states(system, theta[None], phi[None])[0])
         p_same = sum(abs(st.overlap(psi)) ** 2 for st in same.states)
         p_oppo = 0.0
@@ -263,7 +285,11 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
 
     Rank of the matrix of gz_state columns, singular values thresholded at
     1e-8 * sigma_max; a doubled grid must reproduce the rank, otherwise the
-    sampling is declared unstable.  Each grid is one batch of product states.
+    sampling is declared unstable.  Each grid's angles are one _table_angles
+    call, and its singular values come from product_singular_values on the
+    site vectors, in O(N d G^3) with no (2S+1)^N state.  SpinSystem(S, N)
+    still bounds the sizes to (2S+1)^N <= MATFREE_DIM_CAP: the sweep's cost
+    has no guard of its own.
     """
     system = SpinSystem(S, N)
     min_pts = int(round(4 * N * S)) + 4
@@ -271,10 +297,8 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
     table = jacobi_table(chain_phases(N, q), q.modulus)
 
     def rank_for(grid):
-        angles = np.array([_table_angles(ScarSpec(helicity, p, float(g), float(kappa), q), table)
-                           for g in grid])
-        states = coherent_product_states(system, angles[:, 0], angles[:, 1])
-        sv = np.linalg.svd(states.T, compute_uv=False)
+        theta, phi = _table_angles(helicity, float(kappa), grid, table)
+        sv = product_singular_values(coherent_site_vectors(system.S, theta, phi))
         return int(np.sum(sv > 1e-8 * sv[0]))
 
     if gamma_grid is None:
@@ -285,6 +309,7 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
         gamma_grid = np.asarray(gamma_grid, dtype=float)
         if gamma_grid.size < min_pts:
             raise ScarlabError(f"gamma grid needs at least {min_pts} points")
+    _check_family(helicity, gamma_grid)
     r1 = rank_for(gamma_grid)
     r2 = rank_for(_chebyshev_grid(2 * len(gamma_grid)))
     if r1 != r2:

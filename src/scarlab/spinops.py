@@ -10,6 +10,8 @@ builder hands its terms to ManyBodyOperator.from_terms, which keeps them and
 assembles on the first .matrix, so code that reads only the terms never
 pays for the CSR.  lowering builds every phased sum of S^-, and tower the
 normalized powers of a ladder operator on a start vector.
+product_singular_values gives the singular values of a batch of product
+states from their site vectors, without the d^N amplitudes.
 """
 
 from __future__ import annotations
@@ -369,6 +371,26 @@ def coherent_product_states(system: SpinSystem, theta, phi) -> np.ndarray:
     for n in range(system.N - 1, -1, -1):
         full = (full[:, :, None] * vecs[:, n, None, :]).reshape(len(theta), -1)
     return full
+
+
+def product_singular_values(vecs) -> np.ndarray:
+    """Singular values, largest first, of the d^N x G matrix whose column g is
+    the product state of the site vectors vecs[g, n] (shape (G, N, d)), in
+    O(N d G^3) and without the d^N rows.
+
+    The matrix is the column-wise Kronecker (Khatri-Rao) product of the d x G
+    site matrices V_n, site 0 least significant.  If the product over sites
+    below n is Q R, Q with orthonormal columns, then V_n . (Q R) =
+    (I_d x Q)(V_n . R), and I_d x Q has orthonormal columns too.  So the sweep
+    R <- triangle of the QR of V_n . R, from R = ones((1, G)), uses orthogonal
+    steps only and ends at an at most G x G R with the singular values of the
+    whole matrix.
+    """
+    vecs = np.asarray(vecs)
+    r = np.ones((1, vecs.shape[0]), dtype=vecs.dtype)
+    for v in vecs.transpose(1, 2, 0):
+        r = np.linalg.qr((v[:, None, :] * r).reshape(-1, r.shape[1]), mode="r")
+    return np.linalg.svd(r, compute_uv=False)
 
 
 def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVector:

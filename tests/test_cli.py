@@ -515,6 +515,17 @@ def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
         "0.5,10000,1,0.5,0.4,1,")
 
 
+def test_span_builds_no_product_state(tmp_path, capsys, monkeypatch):
+    def no_vector(*args, **kwargs):
+        raise AssertionError("span built a (2S+1)^N state vector")
+    stub_everywhere(monkeypatch, {spinops.coherent_product_states: no_vector})
+    out = str(tmp_path)
+    assert run(["--out", out, "span", "--N", "7", "--S", "1"]) == EXIT_OK
+    # 3^15 amplitudes per state: the dense path held 128 and then 256 of them
+    assert run(["--out", out, "span", "--N", "15", "--S", "1", "--kappas", "0.0,0.5"]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: rank <= 4NS") == 2
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_scar_verify_chains_of_one_and_two_sites(tmp_path, capsys, N):
     # N = 1 has no bond (residual 0); N = 2 keeps its single bond

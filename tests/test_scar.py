@@ -10,6 +10,7 @@ from spectra_reference import translation_matrix
 from spinops_reference import embed, stub_everywhere
 from test_spectra_properties import DM_X, _chain_with_field
 from scarlab import scar as scar_module
+from scarlab.scar import _table_angles as table_angles
 from scarlab import spinops
 from scarlab.elliptic import commensurate_q, jacobi_fraction, jacobi_table
 from scarlab.errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
@@ -169,14 +170,17 @@ def test_projection_table_equals_the_per_call_path(N, S, p, helicity, monkeypatc
     gammas = [-0.9, -0.3, 0.0, 0.45, 0.9]
     for kappa in (0.0, 0.35, 0.8):
         want = [_reference_projections(N, S, p, kappa, g, helicity) for g in gammas]
-        calls, tables = [], []
+        calls, tables, angles = [], [], []
         monkeypatch.setattr(scar_module, "helical_tower",
                             lambda *a: calls.append(a) or helical_tower(*a))
         monkeypatch.setattr(scar_module, "jacobi_table",
                             lambda *a: tables.append(a) or jacobi_table(*a))
+        monkeypatch.setattr(scar_module, "_table_angles",
+                            lambda *a: angles.append(a) or table_angles(*a))
         assert projection_table(N, S, p, kappa, gammas, helicity) == want    # bit for bit
         assert len(calls) == 2
         assert len(tables) == 1     # one phase table for every gamma
+        assert len(angles) == 1     # and one angle grid
         monkeypatch.undo()
         assert projections(N, S, p, kappa, gammas[1], helicity) == want[1]
 
@@ -217,7 +221,7 @@ def _span_rank_per_column(N, S, kappa, helicity=+1, p=1, rel_tol=1e-8):
     return r1
 
 
-@pytest.mark.parametrize("N,S", [(6, 0.5), (5, 1.0), (4, 1.5)])
+@pytest.mark.parametrize("N,S", [(6, 0.5), (5, 1.0), (4, 1.5), (7, 1.0), (9, 0.5)])
 def test_span_rank_matches_per_column_reference(N, S):
     for kappa in (0.0, 0.35, 0.85):
         for helicity, p in ((+1, 1), (-1, 2)):
@@ -225,9 +229,57 @@ def test_span_rank_matches_per_column_reference(N, S):
                 N, S, kappa, helicity, p)
 
 
+def _table_angles_per_spec(helicity, p, kappa, gammas, q, table):
+    """Reference: one ScarSpec per gamma and a Python loop over the distinct
+    phases, math.atan2 and math.acos per element."""
+    winding, index, elliptic = table
+    two_pi, thetas, phis = 2.0 * math.pi, [], []
+    for gamma in gammas:
+        spec = ScarSpec(helicity, p, float(gamma), float(kappa), q)
+        theta, local = [], []
+        for sn, cn, dn in zip(*(f.tolist() for f in elliptic)):
+            ux, uy = spec.alpha * cn, spec.beta * sn
+            local.append(math.atan2(uy, ux) % two_pi if (abs(ux) > 0 or abs(uy) > 0) else 0.0)
+            theta.append(math.acos(max(-1.0, min(1.0, spec.gamma * dn))))
+        thetas.append(np.array(theta)[index])
+        phis.append(spec.helicity * (two_pi * winding + np.array(local)[index]))
+    return np.array(thetas), np.array(phis)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 12])
+@pytest.mark.parametrize("kappa", [0.0, 0.55, 0.9])
+@pytest.mark.parametrize("helicity", [+1, -1])
+def test_grid_angles_bit_identical_to_per_spec_loop(N, kappa, helicity):
+    q = commensurate_q(1, N, kappa)
+    table = jacobi_table(chain_phases(N, q), q.modulus)
+    # the Chebyshev grids of span_rank at S = 1/2 and S = 1; the ends and the
+    # middle; NaN, which passes the |gamma| <= 1 check and Python's max and min;
+    # gammas where libm's pow(x, 2) and x * x give alpha (the first) or beta at
+    # kappa 0.55 and 0.9 one ulp apart
+    grids = [scar_module._chebyshev_grid(count) for count in (4 * N + 8, 8 * N + 8, 16 * N + 16)]
+    for gammas in grids + [np.array([-1.0, 0.0, 1.0, math.nan, -0.803434124030634,
+                                     -0.7736516799071553, 0.41426112845625895])]:
+        theta, phi = table_angles(helicity, kappa, gammas, table)
+        want_theta, want_phi = _table_angles_per_spec(helicity, 1, kappa, gammas, q, table)
+        assert theta.shape == phi.shape == (len(gammas), N)
+        assert theta.tobytes() == want_theta.tobytes()
+        assert phi.tobytes() == want_phi.tobytes()
+
+
 def test_span_rank_rejects_small_grid():
     with pytest.raises(ScarlabError):
         span_rank(5, 0.5, 0.3, gamma_grid=np.linspace(-0.9, 0.9, 5))
+
+
+def test_gamma_families_are_checked_like_scar_specs():
+    with pytest.raises(InvalidInput, match=r"\|gamma\| must be <= 1, got 1.5"):
+        projection_table(5, 0.5, 1, 0.3, [0.2, 1.5])
+    with pytest.raises(InvalidInput, match="helicity"):
+        projection_table(5, 0.5, 1, 0.3, [0.2], helicity=0)
+    with pytest.raises(InvalidInput, match="got -1.2"):
+        span_rank(5, 0.5, 0.3, gamma_grid=np.linspace(-1.2, 0.9, 30))
+    with pytest.raises(InvalidInput, match="helicity"):
+        span_rank(5, 0.5, 0.3, helicity=2)
 
 
 def test_graph_scar_and_current():

@@ -18,7 +18,8 @@ from scarlab.spinops import (MATFREE_DIM_CAP, ManyBodyOperator, SiteAngles, Spin
                              coherent_product_state, coherent_product_states,
                              entanglement_entropy, expectation,
                              local_spin_matrices, local_sum, lowering, matvec,
-                             product_rotation, site_spin_expectations, tower)
+                             product_rotation, product_singular_values,
+                             site_spin_expectations, tower)
 
 RNG = np.random.default_rng(7)
 
@@ -307,6 +308,44 @@ def test_batched_states_bit_identical_to_kron_reference(S, N, G, data):
         assert got[g].tobytes() == _coherent_state_kron(theta[g], phi[g], system).tobytes()
     single = coherent_product_state(SiteAngles(tuple(theta[0]), tuple(phi[0])), system)
     assert single.amplitudes.tobytes() == got[0].tobytes()
+
+
+def _khatri_rao(vecs):
+    """(d^N, G) explicit matrix whose column g is the product of the site
+    vectors vecs[g, :] (site 0 least significant)."""
+    cols = np.ones((vecs.shape[0], 1), dtype=complex)
+    for n in range(vecs.shape[1] - 1, -1, -1):
+        cols = (cols[:, :, None] * vecs[:, n, None, :]).reshape(len(vecs), -1)
+    return cols.T
+
+
+def _check_product_singular_values(d, N, G, distinct, seed):
+    """Random unit site vectors, columns repeating with period `distinct`
+    (so ranks below min(d^N, G) occur too), against the explicit SVD."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((distinct, N, d)) + 1j * rng.standard_normal((distinct, N, d))
+    vecs = (vecs / np.linalg.norm(vecs, axis=2, keepdims=True))[np.arange(G) % distinct]
+    want = np.linalg.svd(_khatri_rao(vecs), compute_uv=False)
+    got = product_singular_values(vecs)
+    assert got.shape == want.shape == (min(d ** N, G),)
+    assert np.abs(got - want).max() <= 1e-12 * want[0]
+    assert np.sum(got > 1e-8 * got[0]) == np.sum(want > 1e-8 * want[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), N=st.integers(1, 6), data=st.data())
+def test_product_singular_values_match_dense_svd(d, N, data):
+    # G runs up to d^N + 5, and at most 64 so the explicit matrix stays small
+    G = data.draw(st.integers(1, min(d ** N + 5, 64)), label="G")
+    _check_product_singular_values(d, N, G, data.draw(st.integers(1, G), label="distinct"),
+                                   data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+
+
+@pytest.mark.parametrize("d,N,G,distinct", [(2, 1, 1, 1), (4, 1, 9, 9), (2, 3, 13, 13),
+                                            (3, 2, 14, 5), (3, 4, 64, 64)])
+def test_product_singular_values_at_the_edges(d, N, G, distinct):
+    # N = 1, G = 1, G > d^N (d^N caps the rank) and repeated columns
+    _check_product_singular_values(d, N, G, distinct, seed=G)
 
 
 @pytest.mark.parametrize("S,N", [(0.5, 5), (1.5, 3)])
