@@ -27,6 +27,7 @@ carries a boundary-crossing vector so cycle contractibility is computable.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import json
@@ -106,15 +107,17 @@ class ScarGraph:
     @functools.cached_property
     def edges(self) -> list:
         """The edges as Edge records of Python scalars."""
-        rows = zip(*(self.columns[k].tolist() for k in Edge._fields[:-1]),
-                   map(tuple, self.crossing.tolist()))
+        ranged = _range_rows(self.crossing)     # one tuple per distinct crossing, shared
+        crossing = (map(ranged[1].__getitem__, ranged[0].tolist()) if ranged
+                    else zip(*self.crossing.T.tolist()))
+        rows = zip(*(self.columns[k].tolist() for k in Edge._fields[:-1]), crossing)
         return list(map(functools.partial(tuple.__new__, Edge), rows))   # no per-edge __new__
 
     def to_json(self) -> str:
-        """One compact JSON document, the edges as one object of seven columns."""
-        return json.dumps({"vertices": self.num_vertices,
-                           "edges": {k: c.tolist() for k, c in self.columns.items()},
-                           "boundary": dict(self.boundary)})
+        """One compact JSON document, the edges as one object of seven columns (json.dumps' text)."""
+        cols = ", ".join(f'"{k}": {_json_column(c)}' for k, c in self.columns.items())
+        return (f'{{"vertices": {json.dumps(self.num_vertices)}, "edges": {{{cols}}}, '
+                f'"boundary": {json.dumps(dict(self.boundary))}}}')
 
     @classmethod
     def from_json(cls, text: str) -> "ScarGraph":
@@ -140,16 +143,19 @@ class ScarGraph:
             _check_document(edges)
             column = functools.partial(_document_column, edges)
         crossing = column("crossing")
-        if not all(c is _MISSING or (type(c) is list and len(c) == 2) for c in crossing):
+        pairs = set(map(type, crossing)) <= {list} and set(map(len, crossing)) <= {2}
+        if not (pairs or all(c is _MISSING or (type(c) is list and len(c) == 2)
+                             for c in crossing)):
             raise InvalidGraph("graph file: every 'crossing' must be a list of two integers")
         n = int(_int_column([doc["vertices"]], "vertices", _FILE)[0])
         u, v, sigma, r = (_int_column(column(k), k, _FILE) for k in ("u", "v", "sigma", "r"))
-        missing = [c is _MISSING for c in crossing]
-        if any(missing):
+        if not pairs:       # some crossings are missing
             inferred = _infer_crossing(u, v, n, boundary).tolist()
-            crossing = [i if miss else c for c, i, miss in zip(crossing, inferred, missing)]
+            crossing = [i if c is _MISSING else c for c, i in zip(crossing, inferred)]
         crossing = _crossing_column(crossing, len(u), _FILE)
-        kind, J = list(map(str, column("kind"))), column("J")
+        kind, J = column("kind"), column("J")
+        if not set(map(type, kind)) <= {str}:
+            kind = list(map(str, kind))
         if not set(map(type, J)) <= {float}:
             J = list(map(_float, J))
         return cls(n, dict(u=u, v=v, sigma=sigma, kind=kind, r=r, J=J, crossing=crossing),
@@ -189,6 +195,34 @@ def _check_document(cols) -> None:
                                f"'u' has {m}")
 
 
+def _range_rows(c: np.ndarray):
+    """(index, rows), row i of c being rows[index[i]], for an int64 column whose rows can
+    take at most len(c) values: rows lists them all, as ints (1-D c) or tuples; else None."""
+    rows = c[:, None] if c.ndim == 1 else c
+    lo, hi = (int(c.min()), int(c.max())) if c.dtype == np.int64 and c.size else (0, -1)
+    if not 0 < (hi - lo + 1) ** rows.shape[1] <= len(c):
+        return None
+    index = (rows - lo) @ (hi - lo + 1) ** np.arange(rows.shape[1] - 1, -1, -1)
+    values = range(lo, hi + 1)
+    return index, values if c.ndim == 1 else list(itertools.product(values, repeat=rows.shape[1]))
+
+
+def _json_column(c: np.ndarray) -> str:
+    """json.dumps(c.tolist()) from the text of each distinct value (row), made once.
+
+    1-D float64 is keyed by bit pattern, so -0.0 and 0.0 (and NaNs) keep their own
+    text; Python-int objects, strings and wide int ranges are dumped whole."""
+    if ranged := _range_rows(c):
+        index, rows = ranged
+        words = list(map(str, rows if c.ndim == 1 else map(list, rows)))
+    elif c.dtype == np.float64 and c.ndim == 1 and c.size:
+        bits, index = np.unique(c.view(np.int64), return_inverse=True)
+        words = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    else:
+        return json.dumps(c.tolist())
+    return f"[{', '.join(np.array(words, dtype=object)[index].tolist())}]"
+
+
 def _document_column(cols, name) -> list:
     """One column of a checked edges object; a missing optional column takes the default."""
     if name in cols:
@@ -211,18 +245,20 @@ def _int_column(values, name, source="") -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype.kind in "iub":
         return values.astype(np.int64)
     values = list(values)
-    if not set(map(type, values)) <= {int}:
-        try:
-            ints = list(map(int, values))
-        except (TypeError, ValueError, OverflowError):
-            ints = None
-        if ints != values:
-            raise InvalidGraph(f"{source}every {name!r} must be an integer")
-        values = ints
+    try:        # one C pass that checks and converts Python ints (and bools) of 64 bits
+        return np.array(array.array("q", values))
+    except (TypeError, OverflowError):
+        pass
     try:
-        return np.array(values, dtype=np.int64)
+        ints = list(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise InvalidGraph(f"{source}every {name!r} must be an integer")
+    try:
+        return np.array(ints, dtype=np.int64)
     except OverflowError:
-        return np.array(values, dtype=object)
+        return np.array(ints, dtype=object)
 
 
 def _crossing_column(values, m, source="") -> np.ndarray:

@@ -2,11 +2,13 @@
 
 These are the Edge-record generators, the adjacency-list BFS, the per-edge
 validation walk and the per-record graph-file reader that `scarlab.lattice`
-replaced with edge columns, and the cycle walks and walk-based
-classification that it replaced with forest potentials.  The column versions
-must emit the same edges in the same order, walk exactly the same spanning
-forest, load (or reject, with the same message) every per-record document
-the same way, and classify every graph alike.
+replaced with edge columns, the cycle walks and walk-based classification
+that it replaced with forest potentials, and the list-based column writer
+and reader that it replaced with whole-column text and type checks.  The
+column versions must emit the same edges in the same order, walk exactly
+the same spanning forest, write the same bytes, load (or reject, with the
+same message) every per-record and column document the same way, and
+classify every graph alike.
 """
 
 import itertools
@@ -367,3 +369,58 @@ def _wrap_count(a, b, n):
     d = b - a
     dmin = (d + n // 2) % n - n // 2
     return (dmin - d) // n
+
+
+def to_json(g):
+    """The graph file as json.dumps writes the document with every column as a list."""
+    return json.dumps({"vertices": g.num_vertices,
+                       "edges": {k: c.tolist() for k, c in g.columns.items()},
+                       "boundary": dict(g.boundary)})
+
+
+def load_columns(text):
+    """The column-document reader: (num_vertices, edges, boundary), or its error.
+
+    Its checks run column by column in the order the record reader made them:
+    the columns present and of one length, every crossing a pair, then the
+    integers of vertices, u, v, sigma and r, missing crossings inferred, the
+    crossing integers, J, and last the per-edge validation walk.
+    """
+    doc = json.loads(text)
+    if not (isinstance(doc, dict) and isinstance(doc.get("edges"), dict)
+            and isinstance(doc.get("boundary", {}), dict)):
+        raise InvalidGraph("graph file: expected an object with an 'edges' list "
+                           "and an optional 'boundary' object")
+    boundary = dict(doc.get("boundary", {"type": "none"}))
+    cols = doc["edges"]
+    for k in ("u", "v", "sigma", "kind"):
+        if k not in cols:
+            raise InvalidGraph(f"graph file: the 'edges' object has no {k!r} column")
+    m = len(cols["u"]) if type(cols["u"]) is list else 0
+    for k in Edge._fields:
+        if k in cols and type(cols[k]) is not list:
+            raise InvalidGraph(f"graph file: edge column {k!r} must be a list")
+        if k in cols and len(cols[k]) != m:
+            raise InvalidGraph(f"graph file: edge column {k!r} has {len(cols[k])} entries, "
+                               f"'u' has {m}")
+    if not all(type(c) is list and len(c) == 2 for c in cols.get("crossing", ())):
+        raise InvalidGraph("graph file: every 'crossing' must be a list of two integers")
+    (n,) = _strict_ints([doc["vertices"]], "vertices")
+    us, vs, sigmas = (_strict_ints(cols[k], k) for k in ("u", "v", "sigma"))
+    rs = _strict_ints(cols.get("r", [1] * m), "r")
+    if "crossing" in cols:
+        crossings = [tuple(_strict_ints(c, "crossing")) for c in cols["crossing"]]
+    else:
+        crossings = [_infer_crossing(u, v, n, boundary) for u, v in zip(us, vs)]
+    kinds = list(map(str, cols["kind"]))
+    js = [_number(j) for j in cols.get("J", [1.0] * m)]
+    edges = list(map(Edge, us, vs, sigmas, kinds, rs, js, crossings))
+    validate(n, edges)
+    return n, edges, boundary
+
+
+def _number(value):
+    try:
+        return float(value)
+    except (TypeError, OverflowError):
+        raise InvalidGraph(f"graph file: every 'J' must be a number, got {value!r}") from None

@@ -481,6 +481,21 @@ def test_degeneracy_scan_fails_error_rows_behind_special_q(tmp_path, capsys):
         "2.5,8,2,0.6,nan,0,80,special-q;error:DimensionCap"
 
 
+def test_degeneracy_scan_accepts_p_divisible_by_n_and_flags_it(tmp_path):
+    # p = 0 is 0 (mod N) for every N: the rows run, special-q and off the 4NS count
+    assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "1/2", "--N", "4..5",
+                "--p", "0", "--kappa", "0.5"]) == EXIT_OK
+    rows = (tmp_path / "degeneracy_scan.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5:] for row in rows] == [["5", "8", "special-q;deviates"],
+                                                   ["6", "10", "special-q;deviates"]]
+
+
+def test_span_accepts_p_equal_to_n(tmp_path):
+    assert run(["--out", str(tmp_path), "span", "--N", "5", "--S", "1/2", "--p", "5",
+                "--kappas", "0.0,0.5"]) == EXIT_OK
+    assert (tmp_path / "span.csv").read_text().splitlines() == ["kappa,rank", "0.0,6", "0.5,6"]
+
+
 @pytest.mark.parametrize("kappa", ["-0.6", "1.0", "nan"])
 def test_degeneracy_scan_rejects_modulus_outside_unit_interval(tmp_path, capsys, kappa):
     assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "1/2", "--N", "4",

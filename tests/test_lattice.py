@@ -1,7 +1,11 @@
 """Scar graphs: rules, classification, generators, serialization."""
 
+import copy
+import hashlib
 import json
+import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -469,6 +473,90 @@ def test_record_documents_load_as_the_record_reader_did(seed, edits):
     else:
         g = ScarGraph.from_json(text)
         assert (g.num_vertices, g.edges, g.boundary) == (n, edges, boundary)
+
+
+def _edited_column_document(rng):
+    """A generator's column file with 1-3 edits: a value from _DOC_VALUES put in place
+    of the vertex count, of a column entry or of a whole column, a bad shift, or a
+    column dropped or cut short."""
+    doc = json.loads(rng.choice([square(3, 3), square_shifted(4, 3), lieb(2, 2), kagome_su2(2, 2),
+                                 nnn_chain(6)]).to_json())
+    cols = doc["edges"]
+    for _ in range(rng.randint(1, 3)):
+        where, key = rng.random(), rng.choice(Edge._fields)
+        value = copy.deepcopy(rng.choice(_DOC_VALUES))
+        if where < 0.1:
+            doc["vertices"] = value
+        elif where < 0.15:
+            doc["boundary"]["shift"] = rng.choice([1, 2 ** 40, "x"])
+        elif where < 0.3:
+            cols.pop(key, None)
+        elif where < 0.35:
+            cols[key] = value
+        elif type(cols.get(key)) is list and cols[key]:
+            if where < 0.5:
+                del cols[key][rng.randrange(len(cols[key])):]
+            else:
+                cols[key][rng.randrange(len(cols[key]))] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_column_documents_load_as_the_column_reader_did(seed):
+    """Edited column files load to the same graph as the list-based column reader, or
+    fail with the same error."""
+    text = _edited_column_document(random.Random(seed))
+    try:
+        n, edges, boundary = ref.load_columns(text)
+    except (InvalidGraph, KeyError, ValueError) as exc:    # one line and exit 3 from the CLI
+        with pytest.raises(type(exc)) as err:
+            ScarGraph.from_json(text)
+        assert str(err.value) == str(exc)
+    else:
+        g = ScarGraph.from_json(text)
+        assert (g.num_vertices, g.edges, g.boundary) == (n, edges, boundary)
+
+
+# J values whose text a value-keyed table would merge: signed zeros, NaNs of two
+# payloads, the smallest subnormal and the infinities
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+_J_TEXT_VALUES = [-0.0, 0.0, 5e-324, math.nan, _NAN_PAYLOAD, 1e308, math.inf, -math.inf, 0.1, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), stride=st.sampled_from([1, 3, 2 ** 40]))
+def test_writer_matches_the_dumps_oracle_on_random_columns(data, n, stride):
+    """Byte-identical to json.dumps on every column path: narrow and wide integer
+    ranges, r and crossing beyond 64 bits, the J values above, mixed kinds, m = 0."""
+    pairs = data.draw(st.lists(st.sampled_from([(a, b) for a in range(n) for b in range(a + 1, n)]),
+                               unique=True, max_size=15))
+    small = data.draw(st.booleans())
+    r = st.sampled_from([1, 2] if small else [1, 2, 2 ** 62, 2 ** 70])
+    cross = st.sampled_from([-1, 0, 1] if small else [-1, 0, 2, 2 ** 62, 2 ** 70, -2 ** 63])
+    edges = []
+    for a, b in pairs:
+        kind = data.draw(st.sampled_from([CSSE, SU2]))
+        sigma = 0 if kind == SU2 else data.draw(st.sampled_from([1, -1]))
+        edges.append(Edge(a * stride, b * stride, sigma, kind, data.draw(r),
+                          data.draw(st.sampled_from(_J_TEXT_VALUES)),
+                          (data.draw(cross), data.draw(cross))))
+    g = ScarGraph((n - 1) * stride + 1, edges)
+    text = g.to_json()
+    assert text == ref.to_json(g)
+    assert ScarGraph.from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("kind, dims", [(k, d) for k, *d in TEST_SIZES + SCALE_SIZES])
+def test_writer_matches_the_dumps_oracle_on_generators(kind, dims):
+    g = generate(kind, *dims)
+    assert g.to_json() == ref.to_json(g)
+
+
+def test_square_100x100_file_is_pinned():
+    text = square(100, 100).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7b592557924274908b3d93d549a31f52abcb944bd7170c8089ac525d3b14c1ab"
 
 
 def test_values_beyond_64_bits_stay_exact():
