@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .elliptic import CommensurateQ, jacobi_fraction, jacobi_table
 from .errors import ScarlabError
@@ -35,7 +36,7 @@ from .spinops import (ManyBodyOperator, SpinSystem, StateVector, all_up, expecta
 class SgaWitness:
     """Evidence that a generator closes the ladder algebra on the tower."""
     generator: ManyBodyOperator
-    commutator: ManyBodyOperator    # [H, generator]
+    commutator: sp.csr_matrix       # [H, generator]
     commutator_residuals: list
     omega: float
 
@@ -50,7 +51,7 @@ def lambda_op(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
     _, _, sz, _, sm = local_spin_matrices(S)
     terms = [((n, (n + s) % N), s * 1j * math.sin(q0) * np.exp(1j * sign * (n + 1) * q0)
               * np.kron(sz, sm)) for n in range(N) for s in (+1, -1)]
-    return ManyBodyOperator.from_terms(system, terms, hermitian=False)
+    return ManyBodyOperator(system, terms)
 
 
 def standard_sga_witness(N: int, S: float, p: int, helicity: int = +1) -> SgaWitness:
@@ -63,9 +64,9 @@ def standard_sga_witness(N: int, S: float, p: int, helicity: int = +1) -> SgaWit
     q0 = 2.0 * math.pi * p / N
     H = build_xyz_chain(N, S, 1.0, 1.0, math.cos(q0))
     t = tau(N, S, q0, sign=helicity)
-    comm = H.commutator(t)
+    comm = H.matrix @ t.matrix - t.matrix @ H.matrix
     states = tower(t.matrix, all_up(t.system).amplitudes, int(round(2 * N * S)))
-    residuals = [float(np.linalg.norm(comm.matrix @ st)) for st in states]
+    residuals = [float(np.linalg.norm(comm @ st)) for st in states]
     return SgaWitness(generator=t, commutator=comm, commutator_residuals=residuals, omega=0.0)
 
 

@@ -269,8 +269,10 @@ def cmd_projections(args, log: CheckLog) -> int:
 
 
 def cmd_span(args, log: CheckLog) -> int:
+    from .elliptic import complete_K_array
     from .scar import span_rank
     kappas = _parse_floats(args.kappas)
+    complete_K_array(kappas)        # every kappa is checked before any rank
     rows = []
     cap = int(round(4 * args.N * args.S))
     ok = True
@@ -327,7 +329,7 @@ def cmd_lattice_generate(args, log: CheckLog) -> int:
 def cmd_algebra_check(args, log: CheckLog) -> int:
     from .algebra import (deformed_tower_deficit, lambda_op, standard_sga_witness,
                           tau_double_prime)
-    from .elliptic import commensurate_q
+    from .elliptic import commensurate_q, complete_K_array
     from .spectra import check_dense_cap
     from .spinops import SpinSystem
     N, S, p = args.N, args.S, args.p
@@ -335,6 +337,7 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
         # the tower energy counts N bonds of a periodic ring
         raise InvalidInput(f"algebra-check needs a ring of N >= 3 sites, got N={N}")
     kappas = _parse_floats(args.kappas)
+    complete_K_array(kappas)        # every kappa is checked before any check runs
     if any(kappas):
         # a nonzero kappa needs eigenvectors: stop at the cap before any check runs
         check_dense_cap(SpinSystem(S, N).total_dim, vectors=True)
@@ -342,8 +345,8 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
     t = wit.generator
     lam = lambda_op(N, S, 2.0 * math.pi * p / N)
     # sparse maxima: no dim x dim dense copy
-    d1 = float(abs(wit.commutator.matrix - lam.matrix).max())
-    d2 = float(abs(t.commutator(lam).matrix).max())
+    d1 = float(abs(wit.commutator - lam.matrix).max())
+    d2 = float(abs(t.matrix @ lam.matrix - lam.matrix @ t.matrix).max())
     log.check("[H, tau] = Lambda", d1 <= 1e-11, f"{d1:.2e}")
     log.check("[tau, Lambda] = 0", d2 <= 1e-11, f"{d2:.2e}")
     worst = max(wit.commutator_residuals)

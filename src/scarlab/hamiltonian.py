@@ -4,8 +4,10 @@ Covers the 1D XYZ chain, the centrosymmetric spin-exchange (CSSE) chain with
 the full symmetric 3x3 coupling per bond, the graph Hamiltonian whose CSSE
 bonds carry couplings J*(dn(r*q), 1, cn(r*q)) and whose SU(2) bonds are
 isotropic (graph_couplings, one 3x3 matrix per edge, which both the sparse
-builder and scar.local_residual read), plus the rotated-frame form used for the local vanishing-condition
-checks of the scar construction.
+builder and scar.local_residual read).  Each builder returns the
+ManyBodyOperator of its terms.  The rotated frame H' of the local
+vanishing-condition checks is a dense array, and vanishing_conditions reads
+its amplitudes from column 0 of H'.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 from .elliptic import CommensurateQ, jacobi_table
 from .frames import CsseCouplings
 from .lattice import SU2, ScarGraph
-from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, all_up,
-                      basis_state, local_spin_matrices, product_rotation)
+from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, local_spin_matrices,
+                      product_rotation)
 
 
 def _bond_matrix(S: float, M: np.ndarray) -> np.ndarray:
@@ -43,8 +45,7 @@ def chain_terms(N: int, S: float, M: np.ndarray, periodic: bool = True) -> list:
 
 
 def _chain_operator(N: int, S: float, M: np.ndarray, periodic: bool) -> ManyBodyOperator:
-    system = SpinSystem(S, N)
-    return ManyBodyOperator.from_terms(system, chain_terms(N, S, M, periodic), hermitian=True)
+    return ManyBodyOperator(SpinSystem(S, N), chain_terms(N, S, M, periodic))
 
 
 def build_xyz_chain(N: int, S: float, Jx: float, Jy: float, Jz: float,
@@ -86,47 +87,35 @@ def graph_terms(g: ScarGraph, S: float, q: CommensurateQ) -> list:
 
 def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator:
     """The graph Hamiltonian as the operator of its graph_terms."""
-    system = SpinSystem(S, g.num_vertices)
-    return ManyBodyOperator.from_terms(system, graph_terms(g, S, q), hermitian=True)
+    return ManyBodyOperator(SpinSystem(S, g.num_vertices), graph_terms(g, S, q))
 
 
 def rotated_hamiltonian(H: ManyBodyOperator, angles: SiteAngles,
-                        helicity: int = +1) -> ManyBodyOperator:
-    """H' = U H U^dag with U the inverse of the coherent-state product rotation.
+                        helicity: int = +1) -> np.ndarray:
+    """H' = U H U^dag, dense, with U the inverse of the coherent-state product
+    rotation V, so H' = V^dag H V.
 
     U maps the product scar state with the given Bloch angles onto |up...up>,
-    so when the angles are scar angles, H'|up...up> = E |up...up>.  Dense
-    under the hood, hence product_rotation's dimension cap.
+    so when the angles are scar angles, H'|up...up> = E |up...up>.  V is
+    dense, hence product_rotation's dimension cap.
     """
     phi = tuple(helicity * p for p in angles.phi)
     V = product_rotation(SiteAngles(angles.theta, phi), H.system)
-    Vd = V.dagger()
-    return ManyBodyOperator(H.system, (Vd.matrix @ H.matrix @ V.matrix).tocsr(),
-                            hermitian=H.hermitian)
+    HV = H.matrix @ V
+    return np.conj(V, out=V).T @ HV      # in place: one dim^2 array fewer at peak
 
 
-def vanishing_conditions(H_rot: ManyBodyOperator):
+def vanishing_conditions(H_rot: np.ndarray, system: SpinSystem):
     """Per-site amplitudes that must vanish for the rotated scar to be an eigenstate.
 
     a2_n = <up| s+_n s+_{n+1} H' |up> (two-magnon creation amplitude) and
     a1_n = <up| s+_n H' |up> (single-magnon amplitude), both with periodic
-    site indexing.  Evaluated as overlaps of single basis vectors with H'|up>,
-    so no operator products are formed.
+    site indexing.  |up...up> is basis state 0 and flipping site n adds d^n
+    to the index, so both are entries of H' column 0 (at N = 1, site n + 1
+    is site n and the two-flip state is the one-flip state).
     """
-    system = H_rot.system
-    N = system.N
-    S = system.S
-    w = H_rot.matrix @ all_up(system).amplitudes
-    a2 = np.zeros(N, dtype=complex)
-    a1 = np.zeros(N, dtype=complex)
-    lowered = 2.0 * S                      # <S,S-1|S-|S,S> squared
-    for n in range(N):
-        idx1 = [0] * N
-        idx1[n] = 1
-        a1[n] = np.sqrt(lowered) * np.vdot(basis_state(system, idx1).amplitudes, w)
-        idx2 = [0] * N
-        idx2[n] = 1
-        idx2[(n + 1) % N] = 1
-        a2[n] = lowered * np.vdot(basis_state(system, idx2).amplitudes, w)
-    return a2, a1
-
+    N, lowered = system.N, 2.0 * system.S     # <S,S-1|S-|S,S> squared
+    one = system.local_dim ** np.arange(N)
+    two = one + np.roll(one, -1) if N > 1 else one
+    w = H_rot[:, 0]
+    return lowered * w[two], np.sqrt(lowered) * w[one]

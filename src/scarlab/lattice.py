@@ -69,7 +69,8 @@ class ScarGraph:
     u, v, sigma and r are int64, kind an object array of strings, J float64
     and crossing an (m, 2) int64 array; r and crossing fall back to Python-int
     objects for values beyond 64 bits.  `edges` rebuilds the Edge records
-    (once, on first use) for small-graph consumers.
+    (once, on first use) for small-graph consumers; `forest`, the BFS forest
+    every rule and phase check reads, is also walked once, on first use.
     """
 
     def __init__(self, num_vertices: int, edges=(), boundary: dict | None = None):
@@ -112,6 +113,11 @@ class ScarGraph:
                     else zip(*self.crossing.T.tolist()))
         rows = zip(*(self.columns[k].tolist() for k in Edge._fields[:-1]), crossing)
         return list(map(functools.partial(tuple.__new__, Edge), rows))   # no per-edge __new__
+
+    @functools.cached_property
+    def forest(self) -> tuple:
+        """The BFS spanning forest (parent, chords) of _forest, walked once per graph."""
+        return _forest(self)
 
     def to_json(self) -> str:
         """One compact JSON document, the edges as one object of seven columns (json.dumps' text)."""
@@ -379,7 +385,9 @@ def _forest(g: ScarGraph) -> tuple:
     parent = np.array(parent, dtype=np.int64)
     in_tree = np.zeros(g.num_edges, dtype=bool)
     in_tree[parent[parent >= 0] >> 1] = True
-    return parent, np.flatnonzero(~in_tree)
+    chords = np.flatnonzero(~in_tree)
+    parent.flags.writeable = chords.flags.writeable = False
+    return parent, chords
 
 
 def _potentials(g: ScarGraph, step) -> tuple:
@@ -391,7 +399,7 @@ def _potentials(g: ScarGraph, step) -> tuple:
     closed by chord c = chords[j].  P is summed by pointer jumping, exactly (in
     Python ints when int64 could overflow).
     """
-    parent, chords = _forest(g)
+    parent, chords = g.forest
     n = g.num_vertices
     step = _half_edges(step, -step)
     if step.dtype != object and int(np.abs(step).max(initial=0)) * (2 * n + 2) >= 2 ** 63:

@@ -330,9 +330,6 @@ def local_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec,
     """
     if H.system != system:
         raise DimensionMismatch("operator and state on different systems")
-    if H.terms is None:
-        raise InvalidInput("local_sz_current reads the local terms of H, and this H was "
-                           "made from a matrix; build it with ManyBodyOperator.from_terms")
     angles = gz_angles(system.N, spec, graph=g)
     vecs = coherent_site_vectors(system.S, angles.theta, angles.phi)
     m, d = np.diag(local_spin_matrices(system.S)[2]).real, system.local_dim

@@ -6,9 +6,10 @@ Basis conventions (fixed globally, do not change):
 
 Every many-body operator is assembled by local_sum from a list of local
 terms (its Kronecker-product and COO references live with the tests).  A
-builder hands its terms to ManyBodyOperator.from_terms, which keeps them and
-assembles on the first .matrix, so code that reads only the terms never
-pays for the CSR.  lowering builds every phased sum of S^-, and tower the
+ManyBodyOperator is such a term list: it keeps the terms and assembles on
+the first .matrix, so code that reads only the terms never pays for the
+CSR; anything derived from one (a commutator, a rotated frame) is a plain
+scipy or numpy array.  lowering builds every phased sum of S^-, and tower the
 normalized powers of a ladder operator on a start vector.
 product_singular_values gives the singular values of a batch of product
 states from their site vectors, without the d^N amplitudes.
@@ -16,6 +17,7 @@ states from their site vectors, without the d^N amplitudes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,65 +98,16 @@ class StateVector:
 
 
 class ManyBodyOperator:
-    """A sparse operator on a spin system, given as its CSR matrix or, through
-    from_terms, as the local terms it is the local_sum of.  A term-built
-    operator keeps its terms and assembles its matrix on first use; one made
-    from a matrix has terms None."""
+    """The operator local_sum(system, terms) on a spin system: its local terms,
+    checked and cast on construction, and its CSR, assembled on the first
+    .matrix, so code that reads only the terms never pays for it."""
 
-    def __init__(self, system: SpinSystem, matrix, hermitian: bool = False):
-        self.system, self.hermitian, self.terms = system, hermitian, None
-        self._matrix = sp.csr_matrix(matrix, dtype=np.result_type(matrix.dtype, float))
-        d = system.total_dim
-        if self._matrix.shape != (d, d):
-            raise DimensionMismatch("matrix shape != (total_dim, total_dim)")
+    def __init__(self, system: SpinSystem, terms):
+        self.system, self.terms = system, _checked_terms(system, terms)[0]
 
-    @classmethod
-    def from_terms(cls, system: SpinSystem, terms, hermitian: bool = False) -> "ManyBodyOperator":
-        """The operator local_sum(system, terms), its terms checked now and
-        its CSR assembled on the first .matrix."""
-        op = cls.__new__(cls)
-        op.system, op.hermitian, op._matrix = system, hermitian, None
-        op.terms = _checked_terms(system, terms)[0]
-        return op
-
-    @property
+    @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            self._matrix = local_sum(self.system, self.terms)
-        return self._matrix
-
-    def dagger(self) -> "ManyBodyOperator":
-        return ManyBodyOperator(self.system, self.matrix.conj().T.tocsr(), self.hermitian)
-
-    def __add__(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
-        if other.system != self.system:
-            raise DimensionMismatch("operator systems differ")
-        return ManyBodyOperator(self.system, self.matrix + other.matrix,
-                                self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
-        if other.system != self.system:
-            raise DimensionMismatch("operator systems differ")
-        return ManyBodyOperator(self.system, self.matrix - other.matrix,
-                                self.hermitian and other.hermitian)
-
-    def __matmul__(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
-        if other.system != self.system:
-            raise DimensionMismatch("operator systems differ")
-        return ManyBodyOperator(self.system, (self.matrix @ other.matrix).tocsr(), False)
-
-    def __mul__(self, scalar) -> "ManyBodyOperator":
-        return ManyBodyOperator(self.system, self.matrix * scalar,
-                                self.hermitian and abs(complex(scalar).imag) == 0.0)
-
-    __rmul__ = __mul__
-
-    def commutator(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
-        return self @ other - other @ self
-
-    def hermiticity_defect(self) -> float:
-        diff = self.matrix - self.matrix.conj().T
-        return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
+        return local_sum(self.system, self.terms)
 
 
 def _term_table(sites, op: np.ndarray, d: int, stride: np.ndarray):
@@ -283,7 +236,7 @@ def lowering(system: SpinSystem, phases) -> ManyBodyOperator:
     """sum_n e^{i phases[n]} S^-_n, one phase per site; lowers total Sz by one."""
     sm = local_spin_matrices(system.S)[4]
     terms = [((n,), np.exp(1j * phase) * sm) for n, phase in enumerate(phases)]
-    return ManyBodyOperator.from_terms(system, terms, hermitian=False)
+    return ManyBodyOperator(system, terms)
 
 
 def tau(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
@@ -398,11 +351,10 @@ def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVecto
     return StateVector(system, coherent_product_states(system, [angles.theta], [angles.phi])[0])
 
 
-def product_rotation(angles: SiteAngles, system: SpinSystem) -> ManyBodyOperator:
-    """Full product rotation U = prod_n exp(-i phi_n Sz_n) exp(-i theta_n Sy_n).
-
-    Dense under the hood (a product of per-site rotations has no sparsity), so
-    it is capped at ROTATION_DIM_CAP; use coherent_product_state for vectors.
+def product_rotation(angles: SiteAngles, system: SpinSystem) -> np.ndarray:
+    """Full product rotation U = prod_n exp(-i phi_n Sz_n) exp(-i theta_n Sy_n),
+    as a dense array: a product of per-site rotations has no sparsity, so it
+    is capped at ROTATION_DIM_CAP; use coherent_product_state for vectors.
     """
     if system.total_dim > ROTATION_DIM_CAP:
         raise DimensionCap(f"product rotation dense at dim {system.total_dim} > "
@@ -410,7 +362,7 @@ def product_rotation(angles: SiteAngles, system: SpinSystem) -> ManyBodyOperator
     full = np.array([[1.0 + 0.0j]])
     for u in _site_rotations(system.S, angles.theta, angles.phi)[::-1]:
         full = np.kron(full, u)
-    return ManyBodyOperator(system, sp.csr_matrix(full), hermitian=False)
+    return full
 
 
 def matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -422,13 +374,10 @@ def matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
 
 def expectation(op: ManyBodyOperator, psi: StateVector) -> complex:
-    """<psi|op|psi>; collapses to the real part for Hermitian operators."""
+    """<psi|op|psi> as computed (take .real for a Hermitian op)."""
     if psi.system != op.system:
         raise DimensionMismatch("operator and state on different systems")
-    val = complex(np.vdot(psi.amplitudes, matvec(op.matrix, psi.amplitudes)))
-    if op.hermitian and abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)):
-        return complex(val.real)
-    return val
+    return complex(np.vdot(psi.amplitudes, matvec(op.matrix, psi.amplitudes)))
 
 
 def site_spin_expectations(psi: StateVector) -> np.ndarray:

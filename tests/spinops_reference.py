@@ -14,21 +14,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from scarlab.errors import DimensionMismatch, SiteOutOfRange
-from scarlab.spinops import ManyBodyOperator, SpinSystem
+from scarlab.spinops import SpinSystem
 
 
-def embed(local_op: np.ndarray, site: int, system: SpinSystem,
-          hermitian: bool | None = None) -> ManyBodyOperator:
+def embed(local_op: np.ndarray, site: int, system: SpinSystem) -> sp.csr_matrix:
     """Place a local operator at one site (Kronecker reference for local_sum)."""
     if not 0 <= site < system.N:
         raise SiteOutOfRange(f"site {site} outside [0, {system.N})")
     d = system.local_dim
     left = sp.identity(d ** (system.N - site - 1), dtype=complex, format="csr")
     right = sp.identity(d ** site, dtype=complex, format="csr")
-    mat = sp.kron(left, sp.kron(sp.csr_matrix(local_op), right, format="csr"), format="csr")
-    if hermitian is None:
-        hermitian = bool(np.allclose(local_op, np.asarray(local_op).conj().T, atol=1e-14))
-    return ManyBodyOperator(system, mat, hermitian)
+    return sp.kron(left, sp.kron(sp.csr_matrix(local_op), right, format="csr"), format="csr")
 
 
 def two_site(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int,
@@ -36,8 +32,8 @@ def two_site(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int,
     """(op_a at site_a) @ (op_b at site_b), disjoint sites (Kronecker reference)."""
     if site_a == site_b:
         raise SiteOutOfRange("two_site needs distinct sites")
-    a = embed(op_a, site_a, system).matrix
-    b = embed(op_b, site_b, system).matrix
+    a = embed(op_a, site_a, system)
+    b = embed(op_b, site_b, system)
     return (a @ b).tocsr()
 
 

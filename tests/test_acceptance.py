@@ -135,7 +135,7 @@ def test_criterion_06_vanishing_conditions():
                                     (7, 0.5, 2, 0.8, 0.6)]:
         q, H = chain_at(N, S, p, kappa)
         spec = ScarSpec.make(+1, p, gamma, kappa, N)
-        a2, a1 = vanishing_conditions(rotated_hamiltonian(H, gz_angles(N, spec)))
+        a2, a1 = vanishing_conditions(rotated_hamiltonian(H, gz_angles(N, spec)), H.system)
         worst_on = max(worst_on, float(np.abs(a2).max()), float(np.abs(a1).max()))
         # sharpness: detune q by 0.05 and rebuild the site angles
         thetas, phis = [], []
@@ -145,7 +145,7 @@ def test_criterion_06_vanishing_conditions():
             thetas.append(math.acos(uz))
             phis.append(math.atan2(spec.beta * sn, spec.alpha * cn))
         b2, b1 = vanishing_conditions(
-            rotated_hamiltonian(H, SiteAngles(tuple(thetas), tuple(phis))))
+            rotated_hamiltonian(H, SiteAngles(tuple(thetas), tuple(phis))), H.system)
         worst_off = min(worst_off, max(float(np.abs(b2).max()),
                                        float(np.abs(b1).max())))
     ok = worst_on <= 1e-11 and worst_off > 1e-4
@@ -195,8 +195,8 @@ def test_criterion_08_xxz_tower_and_expansion():
             system = SpinSystem(S, N)
             tower = helical_tower(N, S, +1, p)
             _, _, szl, _, _ = local_spin_matrices(S)
-            sz_tot = sum((embed(szl, n, system).matrix for n in range(N)),
-                         start=0.0 * embed(szl, 0, system).matrix)
+            sz_tot = sum((embed(szl, n, system) for n in range(N)),
+                         start=0.0 * embed(szl, 0, system))
             T = translation_matrix(system)
             for m, st in enumerate(tower.states):
                 v = st.amplitudes

@@ -47,9 +47,9 @@ def test_tau_and_lambda_match_kron_reference():
         _, _, sz, _, sm = local_spin_matrices(S)
         want_tau = want_lam = 0.0
         for n in range(N):
-            lower = np.exp(1j * sign * (n + 1) * q0) * embed(sm, n, system).matrix
-            zdiff = (embed(sz, (n + 1) % N, system).matrix
-                     - embed(sz, (n - 1) % N, system).matrix)
+            lower = np.exp(1j * sign * (n + 1) * q0) * embed(sm, n, system)
+            zdiff = (embed(sz, (n + 1) % N, system)
+                     - embed(sz, (n - 1) % N, system))
             want_tau = want_tau + lower
             want_lam = want_lam + 1j * math.sin(q0) * lower @ zdiff
         assert abs(tau(N, S, q0, sign).matrix - want_tau).max() <= 1e-14

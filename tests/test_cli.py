@@ -728,3 +728,48 @@ def test_degeneracy_scan_needs_rings(tmp_path, capsys, sizes):
     assert cap.err.startswith("invalid input: degeneracy-scan needs rings of N >= 3 sites")
     assert len(cap.err.strip().splitlines()) == 1 and not cap.out
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra-check", "--N", "4", "--S", "1/2", "--kappas", "0.2,1.5"],
+    # above the dense cap too: the kappas are checked first
+    ["algebra-check", "--N", "15", "--S", "1/2", "--kappas", "0.2,1.5"],
+    ["span", "--N", "4", "--S", "1/2", "--kappas", "0.2,1.5"],
+])
+def test_every_kappa_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # algebra-check printed three PASS lines and an INFO line, and span ranked
+    # kappa = 0.2, before kappa = 1.5 stopped them
+    from scarlab import algebra, scar
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before every kappa was checked")
+    stub_everywhere(monkeypatch, {algebra.standard_sga_witness: no_work, scar.span_rank: no_work})
+    assert run(["--out", str(tmp_path), *argv]) == EXIT_INVALID
+    cap = capsys.readouterr()
+    assert cap.err == "invalid input: kappa must lie in [0, 1), got 1.5\n"
+    assert cap.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_scar_verify_walks_the_forest_once_per_graph(tmp_path, capsys, monkeypatch):
+    from scarlab import lattice
+    walks = []
+
+    def counted(g, _walk=lattice._forest):
+        walks.append(g)
+        return _walk(g)
+    monkeypatch.setattr(lattice, "_forest", counted)
+    argv = ["scar-verify", "--lattice", "square", "--dims", "6,6", "--S", "1/2",
+            "--denominator", "6", "--kappa", "0.5", "--gamma", "0.4"]
+    outputs = []
+    # check_circuit_rule and the site phases share one walk
+    for out, forest, count in (("cached", lattice.ScarGraph.forest, 1),
+                               # walked afresh at every read, as before the cache
+                               ("walked", property(counted), 2)):
+        monkeypatch.setattr(lattice.ScarGraph, "forest", forest)
+        walks.clear()
+        assert run(["--out", str(tmp_path / out), *argv]) == EXIT_OK
+        outputs.append((capsys.readouterr().out, (tmp_path / out / "scar_verify.csv").read_bytes()))
+        assert len(walks) == count
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count("PASS") == 2

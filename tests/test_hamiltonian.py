@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import elliptic_reference as ref
 from spinops_reference import stub_everywhere, two_site
@@ -11,21 +12,22 @@ from scarlab import spinops
 from scarlab.algebra import lambda_op
 from scarlab.elliptic import commensurate_q, jacobi, jacobi_fraction
 from scarlab.frames import CsseCouplings
-from scarlab.hamiltonian import (_bond_matrix, build_csse_chain, build_on_graph,
+from scarlab.hamiltonian import (_bond_matrix, _chain_bonds, build_csse_chain, build_on_graph,
                                  build_xyz_chain, chain_terms, graph_couplings, graph_terms,
                                  rotated_hamiltonian, vanishing_conditions)
 from scarlab.lattice import (CSSE, SU2, honeycomb_su2, kagome_su2, lieb, nnn_chain,
                              square_shifted, trimer_brickwall)
 from scarlab.lattice import chain as chain_graph
 from scarlab.scar import ScarSpec, gz_angles
-from scarlab.spinops import SiteAngles, SpinSystem, local_spin_matrices, local_sum, tau
+from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem, all_up, basis_state,
+                             local_spin_matrices, local_sum, product_rotation, tau)
 
 RNG = np.random.default_rng(99)
 
 
 def test_xyz_chain_hermitian_and_bond_count():
     H = build_xyz_chain(5, 0.5, 0.7, 1.0, -0.3)
-    assert H.hermiticity_defect() <= 1e-14
+    assert abs(H.matrix - H.matrix.conj().T).max() <= 1e-14
     # oracle: explicit bond sum
     system = SpinSystem(0.5, 5)
     sx, sy, sz, _, _ = local_spin_matrices(0.5)
@@ -52,7 +54,7 @@ def test_open_chain_has_no_wrap_bond():
 def test_csse_chain_offdiagonal_terms():
     c = CsseCouplings(J1=0.2, J2=-0.4, J3=0.6, J12=0.1, J13=0.0, J23=-0.2)
     H = build_csse_chain(3, 0.5, c, periodic=False)
-    assert H.hermiticity_defect() <= 1e-14
+    assert abs(H.matrix - H.matrix.conj().T).max() <= 1e-14
     system = SpinSystem(0.5, 3)
     sx, sy, sz, _, _ = local_spin_matrices(0.5)
     ops = (sx, sy, sz)
@@ -200,7 +202,7 @@ def test_rotated_hamiltonian_is_isospectral():
                         tuple(RNG.uniform(-math.pi, math.pi, 4)))
     Hr = rotated_hamiltonian(H, angles)
     e0 = np.linalg.eigvalsh(H.matrix.toarray())
-    e1 = np.linalg.eigvalsh(Hr.matrix.toarray())
+    e1 = np.linalg.eigvalsh(Hr)
     assert np.abs(e0 - e1).max() <= 1e-11
 
 
@@ -211,7 +213,7 @@ def test_vanishing_conditions_at_scar_angles():
     H = build_xyz_chain(N, S, dn, 1.0, cn)
     spec = ScarSpec.make(+1, p, gamma, kappa, N)
     Hr = rotated_hamiltonian(H, gz_angles(N, spec))
-    a2, a1 = vanishing_conditions(Hr)
+    a2, a1 = vanishing_conditions(Hr, H.system)
     assert np.abs(a2).max() <= 1e-11
     assert np.abs(a1).max() <= 1e-11
 
@@ -230,6 +232,57 @@ def test_vanishing_conditions_sharpness():
         thetas.append(math.acos(max(-1.0, min(1.0, uz))))
         phis.append(math.atan2(spec.beta * snn, spec.alpha * cnn))
     Hr = rotated_hamiltonian(H, SiteAngles(tuple(thetas), tuple(phis)))
-    a2, a1 = vanishing_conditions(Hr)
+    a2, a1 = vanishing_conditions(Hr, H.system)
     assert max(np.abs(a2).max(), np.abs(a1).max()) > 1e-4
 
+
+def _random_operator(system, rng):
+    """A random complex operator: one term on every site and one on every ring bond."""
+    def local(k):
+        shape = (system.local_dim ** k,) * 2
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    terms = [((n,), local(1)) for n in range(system.N)]
+    return ManyBodyOperator(system, terms + [(b, local(2)) for b in _chain_bonds(system.N, True)])
+
+
+def _random_angles(N, rng):
+    return SiteAngles.make(rng.uniform(0.0, math.pi, N), rng.uniform(-math.pi, math.pi, N))
+
+
+@pytest.mark.parametrize("N,S", [(1, 0.5), (2, 1.0), (3, 0.5), (3, 1.5), (4, 1.0)])
+def test_vanishing_conditions_are_overlaps_with_flipped_states(N, S):
+    # the amplitudes were overlaps of basis_state vectors with H'|up...up>;
+    # they are read from column 0 of H' now (at N = 1 both flips hit site 0)
+    rng = np.random.default_rng(int(10 * N + 2 * S))
+    system = SpinSystem(S, N)
+    H_rot = rotated_hamiltonian(_random_operator(system, rng), _random_angles(N, rng))
+    w = H_rot @ all_up(system).amplitudes
+    want2, want1 = np.zeros(N, dtype=complex), np.zeros(N, dtype=complex)
+    lowered = 2.0 * S
+    for n in range(N):
+        flip = [0] * N
+        flip[n] = 1
+        want1[n] = np.sqrt(lowered) * np.vdot(basis_state(system, flip).amplitudes, w)
+        flip[(n + 1) % N] = 1
+        want2[n] = lowered * np.vdot(basis_state(system, flip).amplitudes, w)
+    a2, a1 = vanishing_conditions(H_rot, system)
+    assert a1.tobytes() == want1.tobytes() and a2.tobytes() == want2.tobytes()
+    assert np.abs(want1).min() > 1e-3 and np.abs(want2).min() > 1e-3
+
+
+@pytest.mark.parametrize("case", ["xyz", "csse", "random"])
+@pytest.mark.parametrize("helicity", [+1, -1])
+def test_rotated_hamiltonian_matches_the_sparse_product(case, helicity):
+    rng = np.random.default_rng(5 + helicity)
+    H = {"xyz": lambda: build_xyz_chain(5, 1.0, 0.8, 1.0, -0.3),
+         "csse": lambda: build_csse_chain(4, 1.5, CsseCouplings(J1=0.2, J2=-0.4, J3=0.6,
+                                                                J12=0.1, J23=-0.2)),
+         "random": lambda: _random_operator(SpinSystem(0.5, 6), rng)}[case]()
+    angles = _random_angles(H.system.N, rng)
+    got = rotated_hamiltonian(H, angles, helicity)
+    # the sparse product the rotated frame was built from
+    V = sp.csr_matrix(product_rotation(
+        SiteAngles(angles.theta, tuple(helicity * p for p in angles.phi)), H.system))
+    want = (V.conj().T @ H.matrix @ V).toarray()
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * abs(H.matrix).max()

@@ -35,7 +35,7 @@ def test_spin_raising_maps_to_boson_hop():
     U = basis.spin_isometry()
     _, _, _, sp_, _ = local_spin_matrices(S)
     for n in range(N):
-        spin_side = embed(sp_, n, system).matrix.toarray()
+        spin_side = embed(sp_, n, system).toarray()
         boson_side = basis.monomial([(n, UP, True), (n, DOWN, False)]).toarray()
         assert np.abs(U @ boson_side @ U.T - spin_side).max() <= 1e-13
 

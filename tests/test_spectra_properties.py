@@ -213,7 +213,7 @@ def _chain_with_field(N, S, M, field):
     uniform field sum_n field . S_n, as the operator of those terms."""
     one_site = sum(f * op for f, op in zip(field, local_spin_matrices(S)[:3]))
     terms = chain_terms(N, S, M) + [((n,), one_site) for n in range(N)]
-    return ManyBodyOperator.from_terms(SpinSystem(S, N), terms, hermitian=True)
+    return ManyBodyOperator(SpinSystem(S, N), terms)
 
 
 # a Dzyaloshinskii-Moriya bond along x, antisymmetric: S^y_u S^z_v - S^z_u S^y_v
