@@ -186,7 +186,7 @@ def cmd_frame(args, log: CheckLog) -> int:
 
 def cmd_scar_verify(args, log: CheckLog) -> int:
     from .elliptic import commensurate_q, jacobi_fraction
-    from .hamiltonian import _chain_bonds, graph_couplings
+    from .hamiltonian import chain_couplings, graph_couplings
     from .lattice import ScarGraph, check_circuit_rule, generate
     from .scar import ScarSpec, gz_angles, local_residual
     from .spinops import _check_spin
@@ -210,8 +210,7 @@ def cmd_scar_verify(args, log: CheckLog) -> int:
         N = args.N
         angles = gz_angles(N, spec)             # checks denominator == N
         _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-        u, v = np.array(_chain_bonds(N, True), dtype=int).reshape(-1, 2).T   # none at N = 1
-        M = np.broadcast_to(np.diag([dn, 1.0, cn]), (len(u), 3, 3))
+        u, v, M = chain_couplings(N, np.diag([dn, 1.0, cn]))    # no bond at N = 1
     else:
         rep = check_circuit_rule(g, q)
         log.check("circuit rule", rep.satisfied, rep.admissible_q)

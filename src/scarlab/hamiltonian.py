@@ -5,20 +5,22 @@ the full symmetric 3x3 coupling per bond, the graph Hamiltonian whose CSSE
 bonds carry couplings J*(dn(r*q), 1, cn(r*q)) and whose SU(2) bonds are
 isotropic (graph_couplings, one 3x3 matrix per edge, which both the sparse
 builder and scar.local_residual read).  Each builder returns the
-ManyBodyOperator of its terms.  The rotated frame H' of the local
-vanishing-condition checks is a dense array, and vanishing_conditions reads
-its amplitudes from column 0 of H'.
+ManyBodyOperator of its terms.  The vanishing conditions of the rotated scar
+are the per-site and per-bond flip amplitudes of scar.flip_amplitudes on the
+chain's coupling table, with no Hilbert-space vector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .elliptic import CommensurateQ, jacobi_table
 from .frames import CsseCouplings
 from .lattice import SU2, ScarGraph
-from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, local_spin_matrices,
-                      product_rotation)
+from .scar import flip_amplitudes
+from .spinops import ManyBodyOperator, SiteAngles, SpinSystem, _check_spin, local_spin_matrices
 
 
 def _bond_matrix(S: float, M: np.ndarray) -> np.ndarray:
@@ -90,32 +92,25 @@ def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator
     return ManyBodyOperator(SpinSystem(S, g.num_vertices), graph_terms(g, S, q))
 
 
-def rotated_hamiltonian(H: ManyBodyOperator, angles: SiteAngles,
-                        helicity: int = +1) -> np.ndarray:
-    """H' = U H U^dag, dense, with U the inverse of the coherent-state product
-    rotation V, so H' = V^dag H V.
+def chain_couplings(N: int, M: np.ndarray):
+    """Bond columns u, v of the periodic chain (_chain_bonds: none at N = 1, one
+    at N = 2) and M broadcast to their (m, 3, 3) coupling table."""
+    u, v = np.array(_chain_bonds(N, True), dtype=int).reshape(-1, 2).T
+    return u, v, np.broadcast_to(M, (len(u), 3, 3))
 
-    U maps the product scar state with the given Bloch angles onto |up...up>,
-    so when the angles are scar angles, H'|up...up> = E |up...up>.  V is
-    dense, hence product_rotation's dimension cap.
+
+def vanishing_conditions(N: int, S: float, M: np.ndarray, angles: SiteAngles):
+    """(a2, a1): the amplitudes that must vanish for the product state with the
+    given Bloch angles to be an eigenstate of the periodic chain with exchange
+    matrix M on every bond.
+
+    In the rotated frame H' = V^dag H V, V the product rotation of the angles,
+    a1_n = sqrt(2S) <up| s+_n H' |up> (one magnon at site n) and
+    a2_b = 2S <up| s+_u s+_v H' |up> (two magnons on bond b = (u, v)).  These
+    are sqrt(2S) c and 2S d of scar.flip_amplitudes, so there is no d^N array.
+    a1 has N entries; a2 follows the bonds of chain_couplings: bond n is
+    (n, n + 1 mod N) for N >= 3, N = 2 has the one bond (0, 1), N = 1 none.
     """
-    phi = tuple(helicity * p for p in angles.phi)
-    V = product_rotation(SiteAngles(angles.theta, phi), H.system)
-    HV = H.matrix @ V
-    return np.conj(V, out=V).T @ HV      # in place: one dim^2 array fewer at peak
-
-
-def vanishing_conditions(H_rot: np.ndarray, system: SpinSystem):
-    """Per-site amplitudes that must vanish for the rotated scar to be an eigenstate.
-
-    a2_n = <up| s+_n s+_{n+1} H' |up> (two-magnon creation amplitude) and
-    a1_n = <up| s+_n H' |up> (single-magnon amplitude), both with periodic
-    site indexing.  |up...up> is basis state 0 and flipping site n adds d^n
-    to the index, so both are entries of H' column 0 (at N = 1, site n + 1
-    is site n and the two-flip state is the one-flip state).
-    """
-    N, lowered = system.N, 2.0 * system.S     # <S,S-1|S-|S,S> squared
-    one = system.local_dim ** np.arange(N)
-    two = one + np.roll(one, -1) if N > 1 else one
-    w = H_rot[:, 0]
-    return lowered * w[two], np.sqrt(lowered) * w[one]
+    _check_spin(S)
+    c, d = flip_amplitudes(*chain_couplings(N, M), S, angles)
+    return 2.0 * S * d, math.sqrt(2.0 * S) * c

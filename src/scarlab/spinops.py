@@ -8,9 +8,9 @@ Every many-body operator is assembled by local_sum from a list of local
 terms (its Kronecker-product and COO references live with the tests).  A
 ManyBodyOperator is such a term list: it keeps the terms and assembles on
 the first .matrix, so code that reads only the terms never pays for the
-CSR; anything derived from one (a commutator, a rotated frame) is a plain
-scipy or numpy array.  lowering builds every phased sum of S^-, and tower the
-normalized powers of a ladder operator on a start vector.
+CSR; anything derived from one (a commutator) is a plain scipy array.
+lowering builds every phased sum of S^-, and tower the normalized powers of
+a ladder operator on a start vector.
 product_singular_values gives the singular values of a batch of product
 states from their site vectors, without the d^N amplitudes.
 """
@@ -26,7 +26,6 @@ import scipy.sparse as sp
 from .errors import DimensionCap, DimensionMismatch, InvalidSpin, SiteOutOfRange
 
 MATFREE_DIM_CAP = 20_000_000
-ROTATION_DIM_CAP = 4096     # product_rotation (and so rotated_hamiltonian) is dense
 
 
 def _check_spin(S: float) -> int:
@@ -349,20 +348,6 @@ def product_singular_values(vecs) -> np.ndarray:
 def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVector:
     """One coherent product state: coherent_product_states with G = 1."""
     return StateVector(system, coherent_product_states(system, [angles.theta], [angles.phi])[0])
-
-
-def product_rotation(angles: SiteAngles, system: SpinSystem) -> np.ndarray:
-    """Full product rotation U = prod_n exp(-i phi_n Sz_n) exp(-i theta_n Sy_n),
-    as a dense array: a product of per-site rotations has no sparsity, so it
-    is capped at ROTATION_DIM_CAP; use coherent_product_state for vectors.
-    """
-    if system.total_dim > ROTATION_DIM_CAP:
-        raise DimensionCap(f"product rotation dense at dim {system.total_dim} > "
-                           f"{ROTATION_DIM_CAP}")
-    full = np.array([[1.0 + 0.0j]])
-    for u in _site_rotations(system.S, angles.theta, angles.phi)[::-1]:
-        full = np.kron(full, u)
-    return full
 
 
 def matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

@@ -4,8 +4,11 @@ embed places one local operator at one site and two_site multiplies two of
 them, each through scipy.sparse.kron with identities on the other sites
 (site 0 least significant); local_sum, the one assembler in the package, is
 tested against them.  coo_local_sum is the earlier COO assembler, the
-bit-identity oracle of local_sum's CSR.  stub_everywhere swaps functions for
-stubs under every name the scarlab modules hold them by.
+bit-identity oracle of local_sum's CSR.  product_rotation is the dense
+d^N x d^N product of the site rotations and rotated_hamiltonian the dense
+frame V^dag H V; column0_conditions reads the vanishing conditions from its
+column 0, the oracle of hamiltonian.vanishing_conditions.  stub_everywhere
+swaps functions for stubs under every name the scarlab modules hold them by.
 """
 
 import sys
@@ -14,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from scarlab.errors import DimensionMismatch, SiteOutOfRange
-from scarlab.spinops import SpinSystem
+from scarlab.spinops import ManyBodyOperator, SiteAngles, SpinSystem, _site_rotations
 
 
 def embed(local_op: np.ndarray, site: int, system: SpinSystem) -> sp.csr_matrix:
@@ -82,6 +85,39 @@ def coo_local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     out = sp.coo_matrix((vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
     out.eliminate_zeros()                    # duplicates that cancelled
     return out
+
+
+def product_rotation(angles: SiteAngles, system: SpinSystem) -> np.ndarray:
+    """Full product rotation V = prod_n exp(-i phi_n Sz_n) exp(-i theta_n Sy_n),
+    as a dense array: a product of per-site rotations has no sparsity."""
+    full = np.array([[1.0 + 0.0j]])
+    for u in _site_rotations(system.S, angles.theta, angles.phi)[::-1]:
+        full = np.kron(full, u)
+    return full
+
+
+def rotated_hamiltonian(H: ManyBodyOperator, angles: SiteAngles,
+                        helicity: int = +1) -> np.ndarray:
+    """H' = V^dag H V, dense, V the product rotation of the angles with phi
+    multiplied by the helicity.  V maps |up...up> onto the product state of
+    the angles, so when they are scar angles, H'|up...up> = E |up...up>."""
+    phi = tuple(helicity * p for p in angles.phi)
+    V = product_rotation(SiteAngles(angles.theta, phi), H.system)
+    HV = H.matrix @ V
+    return np.conj(V, out=V).T @ HV      # in place: one dim^2 array fewer at peak
+
+
+def column0_conditions(H_rot: np.ndarray, system: SpinSystem):
+    """(a2, a1) read from column 0 of H': a2_n = 2S <up| s+_n s+_{n+1} H' |up>
+    and a1_n = sqrt(2S) <up| s+_n H' |up>, n + 1 taken mod N.  |up...up> is
+    basis state 0 and flipping site n adds d^n to the index.  a2 has N
+    entries at every N: at N = 2 both are the one bond's, and at N = 1, site
+    n + 1 is site n, so the "two-flip" entry is the one-flip amplitude."""
+    N, lowered = system.N, 2.0 * system.S     # <S,S-1|S-|S,S> squared
+    one = system.local_dim ** np.arange(N)
+    two = one + np.roll(one, -1) if N > 1 else one
+    w = H_rot[:, 0]
+    return lowered * w[two], np.sqrt(lowered) * w[one]
 
 
 def stub_everywhere(monkeypatch, stubs: dict):

@@ -7,20 +7,22 @@ import pytest
 import scipy.sparse as sp
 
 import elliptic_reference as ref
-from spinops_reference import stub_everywhere, two_site
+from spinops_reference import (column0_conditions, product_rotation, rotated_hamiltonian,
+                               stub_everywhere, two_site)
 from scarlab import spinops
 from scarlab.algebra import lambda_op
 from scarlab.elliptic import commensurate_q, jacobi, jacobi_fraction
+from scarlab.errors import InvalidSpin
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import (_bond_matrix, _chain_bonds, build_csse_chain, build_on_graph,
                                  build_xyz_chain, chain_terms, graph_couplings, graph_terms,
-                                 rotated_hamiltonian, vanishing_conditions)
+                                 vanishing_conditions)
 from scarlab.lattice import (CSSE, SU2, honeycomb_su2, kagome_su2, lieb, nnn_chain,
                              square_shifted, trimer_brickwall)
 from scarlab.lattice import chain as chain_graph
 from scarlab.scar import ScarSpec, gz_angles
 from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem, all_up, basis_state,
-                             local_spin_matrices, local_sum, product_rotation, tau)
+                             local_spin_matrices, local_sum, tau)
 
 RNG = np.random.default_rng(99)
 
@@ -210,12 +212,12 @@ def test_vanishing_conditions_at_scar_angles():
     N, S, p, kappa, gamma = 6, 1.0, 1, 0.6, 0.4
     q = commensurate_q(p, N, kappa)
     sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-    H = build_xyz_chain(N, S, dn, 1.0, cn)
     spec = ScarSpec.make(+1, p, gamma, kappa, N)
-    Hr = rotated_hamiltonian(H, gz_angles(N, spec))
-    a2, a1 = vanishing_conditions(Hr, H.system)
+    a2, a1 = vanishing_conditions(N, S, np.diag([dn, 1.0, cn]), gz_angles(N, spec))
     assert np.abs(a2).max() <= 1e-11
     assert np.abs(a1).max() <= 1e-11
+    with pytest.raises(InvalidSpin):     # no SpinSystem is built, so S is checked here
+        vanishing_conditions(N, 0.7, np.diag([dn, 1.0, cn]), gz_angles(N, spec))
 
 
 def test_vanishing_conditions_sharpness():
@@ -223,7 +225,6 @@ def test_vanishing_conditions_sharpness():
     N, S, p, kappa, gamma = 6, 1.0, 1, 0.6, 0.4
     q = commensurate_q(p, N, kappa)
     sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-    H = build_xyz_chain(N, S, dn, 1.0, cn)
     spec = ScarSpec.make(+1, p, gamma, kappa, N)
     thetas, phis = [], []
     for n in range(N):
@@ -231,8 +232,8 @@ def test_vanishing_conditions_sharpness():
         uz = spec.gamma * dnn
         thetas.append(math.acos(max(-1.0, min(1.0, uz))))
         phis.append(math.atan2(spec.beta * snn, spec.alpha * cnn))
-    Hr = rotated_hamiltonian(H, SiteAngles(tuple(thetas), tuple(phis)))
-    a2, a1 = vanishing_conditions(Hr, H.system)
+    a2, a1 = vanishing_conditions(N, S, np.diag([dn, 1.0, cn]),
+                                  SiteAngles(tuple(thetas), tuple(phis)))
     assert max(np.abs(a2).max(), np.abs(a1).max()) > 1e-4
 
 
@@ -265,7 +266,7 @@ def test_vanishing_conditions_are_overlaps_with_flipped_states(N, S):
         want1[n] = np.sqrt(lowered) * np.vdot(basis_state(system, flip).amplitudes, w)
         flip[(n + 1) % N] = 1
         want2[n] = lowered * np.vdot(basis_state(system, flip).amplitudes, w)
-    a2, a1 = vanishing_conditions(H_rot, system)
+    a2, a1 = column0_conditions(H_rot, system)
     assert a1.tobytes() == want1.tobytes() and a2.tobytes() == want2.tobytes()
     assert np.abs(want1).min() > 1e-3 and np.abs(want2).min() > 1e-3
 

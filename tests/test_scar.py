@@ -7,21 +7,23 @@ import pytest
 
 import elliptic_reference as ref
 from spectra_reference import translation_matrix
-from spinops_reference import embed, stub_everywhere
+from spinops_reference import column0_conditions, embed, rotated_hamiltonian, stub_everywhere
 from test_spectra_properties import DM_X, _chain_with_field
 from scarlab import scar as scar_module
 from scarlab.scar import _table_angles as table_angles
 from scarlab import spinops
 from scarlab.elliptic import commensurate_q, jacobi_fraction, jacobi_table
 from scarlab.errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
+from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import (_bond_matrix, _chain_bonds, build_on_graph, build_xyz_chain,
-                                 graph_couplings, rotated_hamiltonian, vanishing_conditions)
+                                 chain_couplings, chain_terms, graph_couplings,
+                                 vanishing_conditions)
 from scarlab.lattice import (Edge, ScarGraph, assign_site_phases, chain,
                              check_circuit_rule, honeycomb_su2, kagome_su2, lieb,
                              modified_honeycomb,
                              nnn_chain, square, square_shifted, triangular_su2,
                              trimer_brickwall, trimer_ladder, vertex_flow)
-from scarlab.scar import (ScarSpec, chain_phases, flip_amplitudes, gz_angles, gz_energy,
+from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy,
                           gz_state, helical_expansion, helical_tower, local_residual,
                           local_sz_current, predicted_sz_current, projection_table,
                           projections, residual, shared_state_overlaps, site_angles, span_rank)
@@ -418,8 +420,7 @@ def _largest_admitted_denominator(g):
 def _chain_couplings(N, q):
     """Bond columns and (m, 3, 3) couplings diag(dn(q), 1, cn(q)) of the periodic chain."""
     _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-    u, v = np.array(_chain_bonds(N, True), dtype=int).reshape(-1, 2).T
-    return u, v, np.broadcast_to(np.diag([dn, 1.0, cn]), (len(u), 3, 3))
+    return chain_couplings(N, np.diag([dn, 1.0, cn]))
 
 
 @pytest.mark.parametrize("g,S", ED_GRAPHS)
@@ -462,7 +463,7 @@ def test_local_residual_matches_ed_on_random_product_states(N, S):
     # a random real 3x3 coupling per bond, not symmetric, and random Bloch angles
     rng = np.random.default_rng(17 + N)
     system = SpinSystem(S, N)
-    u, v = np.array(_chain_bonds(N, True), dtype=int).reshape(-1, 2).T
+    u, v, _ = chain_couplings(N, np.eye(3))
     for _ in range(4):
         M = rng.normal(size=(len(u), 3, 3))
         angles = SiteAngles.make(rng.uniform(0.0, math.pi, N), rng.uniform(-4.0, 4.0, N))
@@ -473,20 +474,46 @@ def test_local_residual_matches_ed_on_random_product_states(N, S):
         assert (want > 1e-2) == (N > 1)
 
 
-@pytest.mark.parametrize("N,S,kappa,kappa_h", [(6, 1.0, 0.6, 0.6), (6, 1.0, 0.6, 0.85),
-                                               (5, 0.5, 0.4, 0.7), (4, 1.5, 0.5, 0.2)])
-def test_flip_amplitudes_are_the_vanishing_conditions(N, S, kappa, kappa_h):
-    # a1_n = sqrt(2S) <flip_n|H'|up>, a2_n = 2S <flip_n flip_n+1|H'|up> in the rotated frame
-    spec = ScarSpec.make(+1, 1, 0.4, kappa, N)
-    angles = gz_angles(N, spec)
+def _scar_case(N, S, kappa, kappa_h):
+    """The XYZ chain diag(dn, 1, cn) of kappa_h at the scar angles of kappa: lit
+    exactly when kappa_h != kappa, except that N = 1 has no bond and at N = 2,
+    q = 2K gives (dn, cn) = (1, -1) at any kappa_h."""
     q = commensurate_q(1, N, kappa_h)
     _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-    H = build_xyz_chain(N, S, dn, 1.0, cn)
-    a2, a1 = vanishing_conditions(rotated_hamiltonian(H, angles), H.system)
-    c, d = flip_amplitudes(*_chain_couplings(N, q), S, angles)
-    assert np.abs(np.abs(a1) - math.sqrt(2 * S) * np.abs(c)).max() <= 1e-12
-    assert np.abs(np.abs(a2) - 2 * S * np.abs(d)).max() <= 1e-12
-    assert (max(np.abs(a1).max(), np.abs(a2).max()) > 1e-3) == (kappa_h != kappa)
+    angles = gz_angles(N, ScarSpec.make(+1, 1, 0.4, kappa, N))
+    return pytest.param(N, S, np.diag([dn, 1.0, cn]), angles, kappa_h != kappa and N > 2,
+                        id=f"{N}-{S}-{kappa}-{kappa_h}")
+
+
+def _random_case(N, S, coupling):
+    """Random Bloch angles (the sharpness case), lit at any couplings."""
+    M = {"xyz": np.diag([0.8, 1.0, -0.3]),
+         "csse": CsseCouplings(J1=0.2, J2=-0.4, J3=0.6, J12=0.1, J23=-0.2).matrix()}[coupling]
+    rng = np.random.default_rng(31 * N + int(2 * S))
+    angles = SiteAngles.make(rng.uniform(0.0, math.pi, N), rng.uniform(-math.pi, math.pi, N))
+    return pytest.param(N, S, M, angles, True, id=f"{N}-{S}-{coupling}-random")
+
+
+@pytest.mark.parametrize("N,S,M,angles,lit", [
+    _scar_case(1, 0.5, 0.5, 0.3), _scar_case(2, 1.0, 0.4, 0.7), _scar_case(6, 1.0, 0.6, 0.6),
+    _scar_case(6, 1.0, 0.6, 0.85), _scar_case(5, 0.5, 0.4, 0.7), _scar_case(4, 1.5, 0.5, 0.2),
+    _random_case(3, 0.5, "xyz"), _random_case(4, 1.0, "csse"), _random_case(5, 1.5, "csse"),
+    _random_case(6, 0.5, "csse")])
+def test_flip_amplitudes_are_the_vanishing_conditions(N, S, M, angles, lit):
+    # a1_n = sqrt(2S) <flip_n|H'|up> = sqrt(2S) c_n and a2_b = 2S d_b in the rotated
+    # frame, phases included, at phi and at -phi against the dense frame's two
+    # helicities; a2 has one entry per bond of the chain (N for N >= 3, one at
+    # N = 2, none at N = 1), where the dense column-0 reader has N
+    H = ManyBodyOperator(SpinSystem(S, N), chain_terms(N, S, M))
+    bonds, tol = len(_chain_bonds(N, True)), 1e-12 * np.abs(M).max()
+    for helicity in (-1, +1):
+        want2, want1 = column0_conditions(rotated_hamiltonian(H, angles, helicity), H.system)
+        a2, a1 = vanishing_conditions(
+            N, S, M, SiteAngles(angles.theta, tuple(helicity * p for p in angles.phi)))
+        assert a1.shape == (N,) and a2.shape == (bonds,)
+        assert np.abs(a1 - want1).max() <= tol
+        assert np.abs(a2 - want2[:bonds]).max(initial=0.0) <= tol
+        assert (np.abs(np.concatenate([a1, a2])).max() > 1e-3) == lit
 
 
 def _local_sz_current_per_site(g, system, spec, H):

