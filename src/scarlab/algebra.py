@@ -11,8 +11,8 @@ Three layers:
   * the generalized family of rotation-generated states at fixed energy,
     whose pairwise energy spacings all vanish.
 
-Eigenspaces come from spectra.full_spectrum, the one many-body eigensolver
-and dense cap, within degeneracy_at's window around the energy.
+Eigenspaces come from spectra.full_spectrum, the one many-body eigensolver,
+within degeneracy_at's window around the energy; it checks the memory budget.
 """
 
 from __future__ import annotations

@@ -329,7 +329,7 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
     from .algebra import (deformed_tower_deficit, lambda_op, standard_sga_witness,
                           tau_double_prime)
     from .elliptic import commensurate_q, complete_K_array
-    from .spectra import check_dense_cap
+    from .spectra import check_eigenvectors
     from .spinops import SpinSystem
     N, S, p = args.N, args.S, args.p
     if N < 3:
@@ -338,8 +338,8 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
     kappas = _parse_floats(args.kappas)
     complete_K_array(kappas)        # every kappa is checked before any check runs
     if any(kappas):
-        # a nonzero kappa needs eigenvectors: stop at the cap before any check runs
-        check_dense_cap(SpinSystem(S, N).total_dim, vectors=True)
+        # a nonzero kappa needs eigenvectors: stop at the budget before any check runs
+        check_eigenvectors(SpinSystem(S, N).total_dim)
     wit = standard_sga_witness(N, S, p)
     t = wit.generator
     lam = lambda_op(N, S, 2.0 * math.pi * p / N)

@@ -38,7 +38,8 @@ class DimensionMismatch(ScarlabError):
 
 
 class DimensionCap(ScarlabError):
-    """Requested Hilbert-space dimension exceeds the configured cap."""
+    """A size out of reach: an allocation over spinops.MEMORY_BUDGET bytes, or
+    Schwinger occupation keys past int64."""
 
 
 class NoRootFound(ScarlabError):

@@ -29,7 +29,7 @@ from .elliptic import CommensurateQ, _pow, commensurate_q, jacobi_fraction, jaco
 from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
-                      all_up, coherent_product_state, coherent_product_states,
+                      all_up, check_bytes, coherent_product_state, coherent_product_states,
                       coherent_site_vectors, local_spin_matrices, matvec,
                       product_singular_values, tau, tower)
 
@@ -241,16 +241,18 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
                      helicity: int = +1) -> list:
     """(P+, P-) of `projections` at every gamma; the towers depend on N, S and
     p only and the Jacobi table of the chain phases on kappa only, so each is
-    built once."""
+    built once, after the memory budget is checked for both towers."""
     system = SpinSystem(S, N)
     q = commensurate_q(p, N, kappa)
     _check_family(helicity, gammas)
     thetas, phis = _table_angles(helicity, float(kappa), gammas,
                                  jacobi_table(chain_phases(N, q), q.modulus))
+    two_ns = int(round(2 * N * S))
+    check_bytes(32 * (two_ns + 1) * system.total_dim, f"two towers of {two_ns + 1} states "
+                f"of (2S+1)^N = {system.local_dim}^{N} amplitudes")
     same = helical_tower(N, S, helicity, p)
     oppo = helical_tower(N, S, -helicity, p)
     shared = N // math.gcd(2 * p, N)
-    two_ns = len(same.states) - 1
     table = []
     for theta, phi in zip(thetas, phis):
         psi = StateVector(system, coherent_product_states(system, theta[None], phi[None])[0])
@@ -288,7 +290,7 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
     sampling is declared unstable.  Each grid's angles are one _table_angles
     call, and its singular values come from product_singular_values on the
     site vectors, in O(N d G^3) with no (2S+1)^N state.  SpinSystem(S, N)
-    still bounds the sizes to (2S+1)^N <= MATFREE_DIM_CAP: the sweep's cost
+    still asks that one such state fit the memory budget: the sweep's cost
     has no guard of its own.
     """
     system = SpinSystem(S, N)

@@ -18,21 +18,24 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elliptic import commensurate_q
-from .errors import DimensionCap, InvalidInput, ScarlabError
+from .errors import InvalidInput, ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import gz_energy
-from .spinops import ManyBodyOperator, SpinSystem
+from .spinops import MEMORY_BUDGET, ManyBodyOperator, SpinSystem, check_bytes
 
-DENSE_CAP_VECTORS = 20000
-DENSE_CAP_VALUES = 60000
 TOL_SCALE = 1e-8
 GAP_AUDIT_FACTOR = 10.0
 
 
-def check_dense_cap(dim: int, vectors: bool) -> None:
-    cap = DENSE_CAP_VECTORS if vectors else DENSE_CAP_VALUES
-    if dim > cap:
-        raise DimensionCap(f"dimension {dim} exceeds dense cap {cap}")
+def check_eigenvectors(dim: int) -> None:
+    """Stop before the complex dim x dim eigenvector matrix of full_spectrum
+    would pass the memory budget."""
+    check_bytes(16 * dim * dim, f"the {dim:,} x {dim:,} eigenvector matrix")
+
+
+def _block_bytes(size: int) -> int:
+    """At most five complex size x size arrays: a dense block and LAPACK's copies."""
+    return 80 * size * size
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,11 +124,19 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     time reversal (_theta_signs; sigma' = (-1)^{2SN} sigma), used only where
     the numerics confirm it (_pairing).  With vectors every block is solved.
     Where a commutation test fails the group lacks that element, and the
-    blocks are those of the smaller group.
+    blocks are those of the smaller group.  The memory budget is checked
+    for V, for the symmetry tables beside H and a copy of it, and for the
+    largest block beside H and the tables, all before any solve.
     """
-    check_dense_cap(H.system.total_dim, vectors)
     A = H.matrix
     dim = A.shape[0]
+    if vectors:
+        check_eigenvectors(dim)
+    # rot, its complement and their stack: 4N rows of int64, and rep, g, back and rpos;
+    # H is held throughout, and _invariant and tocsc each make one copy of it
+    csr = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    held = csr + 32 * (H.system.N + 1) * dim
+    check_bytes(held + csr, f"the symmetry tables of {dim:,} states")
     rot = _rotations(H.system)
     invariant = _invariant(A, rot[1 % len(rot)])
     NT = len(rot) if invariant else 1
@@ -168,6 +179,8 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     el = np.arange(G)
     chi = np.array([phase[k * el % NT] * sigma ** (el // NT) for k, sigma in chars])
     ok = (chi @ stab).real > 0.5                     # chi is trivial on the stabilizer
+    largest = int(max(np.bincount(comp[row]).max(initial=0) for row in ok))
+    check_bytes(held + _block_bytes(largest), f"a dense block of {largest:,} states")
     src = np.arange(len(chars) * ncomp).reshape(len(chars), ncomp)  # the block each copies
     pairing = "none"
     if not vectors:
@@ -368,8 +381,9 @@ class DegeneracyScan:
                 for r in self.rows]
 
     def summary(self) -> dict:
-        """Sidecar keys: the tolerances used and one record() per row."""
+        """Sidecar keys: the tolerances and memory budget used and one record() per row."""
         return {"tol_scale": TOL_SCALE, "gap_audit_factor": GAP_AUDIT_FACTOR,
+                "memory_budget": MEMORY_BUDGET,
                 "rows": len(self.rows), "records": [r.record() for r in self.rows]}
 
 
@@ -378,9 +392,10 @@ def scan_degeneracy(S_list, N_range, kappa: float, p_range) -> DegeneracyScan:
 
     flag carries semicolon-joined markers: special-q when q is a multiple of
     K, deviates when the count misses 4NS, unresolved when the gap audit
-    fails, error:... when a row could not be computed (a dimension over the
-    dense cap fails before H is built).  Any N below 3 is invalid input,
-    raised before a row is computed.
+    fails, error:... when a row could not be computed (error:DimensionCap
+    when a block is over the memory budget, before any block is solved and,
+    where dim / 4N states already are, before H is built).
+    Any N below 3 is invalid input, raised before a row is computed.
     """
     from .elliptic import jacobi_fraction
     N_range = list(N_range)
@@ -401,7 +416,13 @@ def scan_degeneracy(S_list, N_range, kappa: float, p_range) -> DegeneracyScan:
                     q = commensurate_q(p, N, kappa)
                     sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
                     row.dim = SpinSystem(S, N).total_dim
-                    check_dense_cap(row.dim, vectors=False)
+                    if 1.0 - dn > 1e-12:
+                        # Jx = dn != Jy = 1: hopping and pair terms join each sector of
+                        # one 2Sz parity, so the 2N elements T^j P^e leave at most 4N
+                        # blocks, and the largest holds dim / 4N states or more
+                        least = -(-row.dim // (4 * N))
+                        check_bytes(_block_bytes(least),
+                                    f"a dense block of {least:,} states or more")
                     H = build_xyz_chain(N, S, dn, 1.0, cn)
                     row.E = gz_energy(N, S, q)
                     evals, _, _, solved = _solve(H, vectors=False)

@@ -25,7 +25,17 @@ import scipy.sparse as sp
 
 from .errors import DimensionCap, DimensionMismatch, InvalidSpin, SiteOutOfRange
 
-MATFREE_DIM_CAP = 20_000_000
+MEMORY_BUDGET = 5 * 2 ** 30     # bytes held at once on 7 GB: a 4 GiB V (dim 2^14) fits
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """The one memory cap: raise DimensionCap before a step allocates `what`
+    when nbytes, what it allocates and what it holds alongside, passes
+    MEMORY_BUDGET."""
+    if nbytes > MEMORY_BUDGET:
+        from decimal import Decimal         # no float overflow at 16 * 2^3000 bytes
+        raise DimensionCap(f"{what} would take {Decimal(int(nbytes)) / 2 ** 30:.4g} GiB, over "
+                           f"the {Decimal(MEMORY_BUDGET) / 2 ** 30:.4g} GiB memory budget")
 
 
 def _check_spin(S: float) -> int:
@@ -45,9 +55,7 @@ class SpinSystem:
         _check_spin(self.S)
         if self.N < 1:
             raise InvalidSpin(f"need at least one site, got N={self.N}")
-        if self.total_dim > MATFREE_DIM_CAP:
-            raise DimensionCap(f"(2S+1)^N = {self.local_dim}^{self.N} exceeds cap "
-                               f"{MATFREE_DIM_CAP}")
+        check_bytes(16 * self.total_dim, f"(2S+1)^N = {self.local_dim}^{self.N} amplitudes")
 
     @property
     def local_dim(self) -> int:
@@ -176,7 +184,10 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     diag = diag.ravel()
     total = np.count_nonzero(diag) + sum(np.count_nonzero(table[1]) * d ** (N - len(sites))
                                          for (sites, _), table in zip(terms, tables))
-    index = np.int32 if max(total, dim) < 2 ** 31 else np.int64
+    index = np.dtype(np.int32 if max(total, dim) < 2 ** 31 else np.int64)
+    # the CSR arrays beside the diagonal they are filled from
+    check_bytes((total + dim + 1) * index.itemsize + (total + dim) * dtype.itemsize,
+                f"the CSR of {total:,} entries")
     indptr = np.zeros(dim + 1, dtype=index)
     indices, data = np.empty(total, dtype=index), np.empty(total, dtype=dtype)
 

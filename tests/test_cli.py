@@ -61,8 +61,9 @@ def test_degeneracy_scan_csv(tmp_path):
     assert (tmp_path / "degeneracy_scan.csv").read_bytes() == body1
     doc = json.loads((tmp_path / "degeneracy_scan.json").read_text())
     assert doc["config"]["kappa"] == 0.8
-    assert set(doc) == {"tol_scale", "gap_audit_factor", "rows", "records", "config",
-                        "version", "timestamp"}
+    assert set(doc) == {"tol_scale", "gap_audit_factor", "memory_budget", "rows", "records",
+                        "config", "version", "timestamp"}
+    assert doc["memory_budget"] == spinops.MEMORY_BUDGET
     assert doc["rows"] == len(doc["records"]) == 2
 
 
@@ -79,6 +80,24 @@ def test_projections_skips_every_shared_state(tmp_path):
                 "--p", "2", "--kappa", "0.5", "--gammas", "0.2"]) == EXIT_OK
     row = (tmp_path / "projections.csv").read_text().splitlines()[1].split(",")
     assert float(row[1]) + float(row[2]) <= 1.0 + 1e-12
+
+
+def test_projections_over_the_memory_budget_is_a_numerical_failure(tmp_path, capsys,
+                                                                  monkeypatch):
+    # two towers of 25 states of 2^24 amplitudes are 12.5 GiB: this ran out of memory
+    # with a traceback (exit 1) while the towers were built
+    from scarlab import scar
+
+    def no_tower(*args, **kwargs):
+        raise AssertionError("a tower was built before the memory budget was checked")
+    monkeypatch.setattr(scar, "helical_tower", no_tower)
+    assert run(["--out", str(tmp_path), "projections", "--N", "24", "--S", "1/2"]) \
+        == EXIT_NUMERICAL
+    cap = capsys.readouterr()
+    assert cap.err == ("numerical failure: two towers of 25 states of (2S+1)^N = 2^24 amplitudes "
+                       f"would take 12.5 GiB, over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB "
+                       "memory budget\n")
+    assert cap.out == "" and not (tmp_path / "projections.csv").exists()
 
 
 def test_negative_comma_list_values(tmp_path):
@@ -473,7 +492,8 @@ def test_elliptic_needs_at_least_one_point(tmp_path, capsys, points):
 
 
 def test_degeneracy_scan_fails_error_rows_behind_special_q(tmp_path, capsys):
-    # 4p/N = 1 makes the row special-q; S=5/2 N=8 is over the dense cap
+    # 4p/N = 1 makes the row special-q; S=5/2 N=8 stops before H is built, as its largest
+    # block of dim / 4N = 52,488 states or more is over the memory budget
     assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "5/2", "--N", "8",
                 "--kappa", "0.6", "--p", "2"]) == EXIT_PHYSICS
     assert "FAIL: S=2.5 N=8 p=2  (special-q;error:DimensionCap)" in capsys.readouterr().out
@@ -518,7 +538,7 @@ def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
     assert run(["--out", out, "scar-verify", "--lattice", "lieb", "--dims", "2,2",
                 "--denominator", "4", "--kappa", "0.6", "--gamma", "-0.3",
                 "--helicity", "-"]) == EXIT_OK
-    # far over the dimension cap: each of these exited 2 while a state vector was built
+    # far over the memory budget: each of these exited 2 while a state vector was built
     assert run(["--out", out, "scar-verify", "--N", "3000"]) == EXIT_OK
     assert run(["--out", out, "scar-verify", "--lattice", "lieb", "--dims", "30,30",
                 "--S", "1", "--denominator", "60"]) == EXIT_OK
@@ -555,7 +575,8 @@ def test_dimension_cap_message_names_the_size_as_a_power(tmp_path, capsys):
     # it printed (2S+1)^N as a 904-digit integer
     assert run(["--out", str(tmp_path), "span", "--N", "3000", "--S", "1/2"]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert err == f"numerical failure: (2S+1)^N = 2^3000 exceeds cap {spinops.MATFREE_DIM_CAP}\n"
+    assert err == ("numerical failure: (2S+1)^N = 2^3000 amplitudes would take 1.833e+895 GiB, "
+                   f"over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB memory budget\n")
 
 
 def test_scar_verify_rejects_unknown_helicity(tmp_path, capsys, monkeypatch):
@@ -691,12 +712,14 @@ def test_algebra_check_builds_each_operator_once(tmp_path, monkeypatch):
 
 
 def test_algebra_check_over_the_dense_cap_is_a_numerical_failure(tmp_path, capsys):
-    # dim 2^15 = 32,768 needs eigenvectors above the dense cap: exit 2, no dense eigh
+    # dim 2^15 = 32,768 needs a 16 GiB eigenvector matrix, over the memory budget:
+    # exit 2, no dense eigh
     assert run(["--out", str(tmp_path), "algebra-check", "--N", "15", "--S", "1/2",
                 "--kappas", "0.0,0.2"]) == EXIT_NUMERICAL
     cap = capsys.readouterr()
-    assert cap.err == "numerical failure: dimension 32768 exceeds dense cap 20000\n"
-    # the cap is checked before any check runs
+    assert cap.err == ("numerical failure: the 32,768 x 32,768 eigenvector matrix would take "
+                       f"16 GiB, over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB memory budget\n")
+    # the budget is checked before any check runs
     assert cap.out == ""
     assert not (tmp_path / "algebra_check.csv").exists()
     # kappa = 0 alone needs no eigenvectors and runs at that size
@@ -732,7 +755,7 @@ def test_degeneracy_scan_needs_rings(tmp_path, capsys, sizes):
 
 @pytest.mark.parametrize("argv", [
     ["algebra-check", "--N", "4", "--S", "1/2", "--kappas", "0.2,1.5"],
-    # above the dense cap too: the kappas are checked first
+    # over the memory budget too: the kappas are checked first
     ["algebra-check", "--N", "15", "--S", "1/2", "--kappas", "0.2,1.5"],
     ["span", "--N", "4", "--S", "1/2", "--kappas", "0.2,1.5"],
 ])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from spectra_reference import translation_sectors
 
-from scarlab import spectra
+from scarlab import spectra, spinops
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionCap, InvalidInput, NotTranslationInvariant
 from scarlab.hamiltonian import build_xyz_chain
@@ -25,9 +25,43 @@ def test_full_spectrum_matches_numpy():
 
 
 def test_full_spectrum_dimension_cap():
-    H = build_xyz_chain(8, 1.5, 1.0, 1.0, 1.0)   # 4^8 = 65536 > both caps
-    with pytest.raises(DimensionCap):
+    H = build_xyz_chain(8, 1.5, 1.0, 1.0, 1.0)   # V of dim 4^8 = 65536 is 64 GiB complex
+    with pytest.raises(DimensionCap, match="eigenvector matrix"):
         full_spectrum(H, vectors=True)
+
+
+@pytest.mark.parametrize("periodic,vectors,point", [
+    (True, False, "the CSR of"),
+    (True, False, "the symmetry tables of"),
+    (False, False, "a dense block of"),          # no translation: blocks of 64 states
+    (True, True, "the 256 x 256 eigenvector matrix"),
+], ids=["csr", "tables", "block", "vectors"])
+def test_every_budget_check_stops_before_any_solve(monkeypatch, periodic, vectors, point):
+    def chain():
+        return build_xyz_chain(8, 0.5, 0.3, 1.0, 0.7, periodic=periodic)
+
+    checks = []                                  # (what, bytes) of every check, in order
+    real = spinops.check_bytes
+
+    def spy(nbytes, what):
+        checks.append((what, nbytes))
+        real(nbytes, what)
+    for module in (spinops, spectra):
+        monkeypatch.setattr(module, "check_bytes", spy)
+    full_spectrum(chain(), vectors=vectors)
+    at = next(j for j, (what, _) in enumerate(checks) if what.startswith(point))
+    need = int(checks[at][1])
+    assert all(nbytes < need for _, nbytes in checks[:at])   # this check is the first to fail
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a block was built or solved before the budget check")
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", need - 1)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, no_solve)
+    monkeypatch.setattr(spectra, "_dense_block", no_solve)
+    H = chain()
+    with pytest.raises(DimensionCap, match=f"^{point}"):
+        full_spectrum(H, vectors=vectors)
 
 
 def test_degeneracy_counting_and_gap_audit():
@@ -113,13 +147,55 @@ def test_scan_rows_and_csv_format():
 
 
 def test_scan_isolates_row_failures():
-    # S too large for the dense cap must become an error row, not an exception
+    # a block over the memory budget must become an error row, not an exception
     scan = scan_degeneracy([2.5], [8], 0.8, [1])
     assert len(scan.rows) == 1
     assert scan.rows[0].flag.startswith("error:")
-    # the cap is checked before the 1.68M-dim operator would be built
+    # its largest block holds dim / 4N states or more: the row stops before H (dim 1.68M)
     assert scan.rows[0].flag == "error:DimensionCap"
     assert scan.rows[0].dim == 6 ** 8
+
+
+def _no_chain(*args, **kwargs):
+    raise AssertionError("H was built before the memory budget was checked")
+
+
+@pytest.mark.parametrize("S,N,budget", [
+    (2.5, 8, None),
+    (2.5, 9, None),                               # dim 10.1M: H alone would be 5.3 GB
+    (0.5, 8, 80 * 8 * 8 - 1),                     # dim / 4N = 8 states, one byte short
+], ids=["S5/2-N8", "S5/2-N9", "S1/2-N8-low-budget"])
+def test_scan_stops_rows_over_the_budget_before_h_is_built(monkeypatch, S, N, budget):
+    monkeypatch.setattr(spectra, "build_xyz_chain", _no_chain)
+    if budget is not None:
+        monkeypatch.setattr(spinops, "MEMORY_BUDGET", budget)
+    scan = scan_degeneracy([S], [N], 0.8, [1])
+    assert scan.rows[0].flag == "error:DimensionCap"
+    assert scan.rows[0].dim == round(2 * S + 1) ** N
+
+
+def test_scan_skips_the_bound_where_jx_equals_jy(monkeypatch):
+    # q = 2K at 4p/N = 2 gives dn = 1: Jx = Jy conserves Sz, so S=1 N=6 has more than 4N
+    # blocks, the largest of 21 states, below dim / 4N = 30.4; the row goes on to build H
+    monkeypatch.setattr(spectra, "build_xyz_chain", _no_chain)
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 80 * 31 * 31 - 1)
+    with pytest.raises(AssertionError, match="H was built"):
+        scan_degeneracy([1.0], [6], 0.6, [3])
+
+
+def test_scan_bound_on_the_largest_block_holds():
+    # the scan stops a row when dim / 4N states are over the budget; wherever that
+    # bound is applied (Jx = dn != 1), some block of the solve is at least that large
+    applied = 0
+    for S, N in [(0.5, n) for n in range(3, 11)] + [(1.0, 5), (1.0, 6), (1.5, 5)]:
+        for p in (1, 2, 3):
+            q = commensurate_q(p, N, 0.6)
+            dn = jacobi_fraction(q.fraction, q.modulus)[2]
+            row = scan_degeneracy([S], [N], 0.6, [p]).rows[0]
+            if 1.0 - dn > 1e-12:
+                applied += 1
+                assert max(row.solved_blocks + row.copied_blocks) >= row.dim / (4 * N)
+    assert applied >= 25
 
 
 @pytest.mark.parametrize("N_range", [[0], [1], [2], [-2, -1, 0, 1, 2, 3], [5, 2], range(1, 4)])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from spinops_reference import coo_local_sum, embed, product_rotation, two_site
 
+from scarlab import spinops
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
                             SiteOutOfRange)
 from scarlab.hamiltonian import chain_terms
-from scarlab.spinops import (MATFREE_DIM_CAP, ManyBodyOperator, SiteAngles, SpinSystem,
+from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem,
                              all_down, all_up, basis_state,
                              coherent_product_state, coherent_product_states,
                              entanglement_entropy, expectation,
@@ -250,12 +252,15 @@ def test_dimension_guards():
 
 @pytest.mark.parametrize("S,N,size", [(0.5, 3000, "2^3000"), (1.0, 16, "3^16"),
                                       (2.5, 10, "6^10")])
-def test_dimension_cap_names_the_size_as_a_power(S, N, size):
-    # the cap itself is unchanged: 3^15 = 14,348,907 is under it, 3^16 over
+def test_dimension_cap_names_the_size_as_a_power(monkeypatch, S, N, size):
+    # a budget of one complex 3^15-amplitude state: 3^15 fits, 3^16 and 6^10 do not
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 16 * 3 ** 15)
     SpinSystem(1.0, 15)
     with pytest.raises(DimensionCap) as err:
         SpinSystem(S, N)
-    assert str(err.value) == f"(2S+1)^N = {size} exceeds cap {MATFREE_DIM_CAP}"
+    need = Decimal(16 * round(2 * S + 1) ** N) / 2 ** 30
+    assert str(err.value) == (f"(2S+1)^N = {size} amplitudes would take {need:.4g} GiB, "
+                              "over the 0.2138 GiB memory budget")
 
 
 def _local_rotation_reference(S, theta, phi):
