@@ -111,10 +111,13 @@ def _parse_spin(text: str) -> float:
 
 
 def _check_spins(args):
-    """--S >= 1/2: at S = 0 every spin operator vanishes and each check is vacuous."""
+    """--S >= 1/2 (at S = 0 every spin operator vanishes and each check is
+    vacuous), then a half-integer, for every value before any work."""
+    from .spinops import _check_spin
     for S in map(_parse_spin, args.S.split(",")) if isinstance(args.S, str) else [args.S]:
         if not S >= 0.5:
             raise InvalidInput(f"{args.command} needs S >= 1/2, got S={S:g}")
+        _check_spin(S)
 
 
 def _lattice_dims(kind: str, text: str):
@@ -189,37 +192,33 @@ def cmd_scar_verify(args, log: CheckLog) -> int:
     from .hamiltonian import chain_couplings, graph_couplings
     from .lattice import ScarGraph, check_circuit_rule, generate
     from .scar import ScarSpec, gz_angles, local_residual
-    from .spinops import _check_spin
     helicity = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}.get(args.helicity)
     if helicity is None:
         raise InvalidInput(f"--helicity must be +, +1, 1, - or -1, got {args.helicity!r}")
-    denom = args.N if args.denominator is None else args.denominator
-    # S, the denominator, kappa and gamma are checked before any graph is read
-    _check_spin(args.S)
-    q = commensurate_q(args.p, denom, args.kappa)
+    on_chain = args.graph is None and args.lattice == "chain"
+    N = _lattice_dims("chain", args.dims)[0] if on_chain and args.dims else args.N
+    # the denominator, kappa and gamma are checked before any graph is read
+    q = commensurate_q(args.p, N if args.denominator is None else args.denominator, args.kappa)
     spec = ScarSpec(helicity=helicity, p=args.p, gamma=args.gamma,
                     kappa=args.kappa, q=q)
-    if args.graph:
-        with open(args.graph) as fh:
-            g = ScarGraph.from_json(fh.read())
-    elif args.lattice != "chain":
-        g = generate(args.lattice, *_lattice_dims(args.lattice, args.dims or str(args.N)))
-    else:
-        g = None
-    if g is None:
-        N = args.N
+    if on_chain:
         angles = gz_angles(N, spec)             # checks denominator == N
         _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
         u, v, M = chain_couplings(N, np.diag([dn, 1.0, cn]))    # no bond at N = 1
     else:
+        if args.graph:
+            with open(args.graph) as fh:
+                g = ScarGraph.from_json(fh.read())
+        else:
+            g = generate(args.lattice, *_lattice_dims(args.lattice, args.dims or str(args.N)))
         rep = check_circuit_rule(g, q)
         log.check("circuit rule", rep.satisfied, rep.admissible_q)
-        if not rep.satisfied:
-            return log.exit_code
         N, u, v, M = g.num_vertices, g.u, g.v, graph_couplings(g, q)
-        angles = gz_angles(N, spec, graph=g)
-    res = local_residual(u, v, M, args.S, angles)
-    log.check("eigenstate residual", res <= args.tol, f"{res:.2e} <= {args.tol:.1e}")
+        angles = gz_angles(N, spec, graph=g) if rep.satisfied else None
+    res = math.nan                              # the row of a failed circuit rule
+    if angles is not None:
+        res = local_residual(u, v, M, args.S, angles)
+        log.check("eigenstate residual", res <= args.tol, f"{res:.2e} <= {args.tol:.1e}")
     rows = [[args.S, N, args.p, args.kappa, args.gamma, helicity, repr(res)]]
     _write_outputs(args.out, "scar_verify",
                    ["S", "N", "p", "kappa", "gamma", "helicity", "residual"],

@@ -1,13 +1,15 @@
 """Many-body Hamiltonian builders.
 
-Covers the 1D XYZ chain, the centrosymmetric spin-exchange (CSSE) chain with
-the full symmetric 3x3 coupling per bond, the graph Hamiltonian whose CSSE
-bonds carry couplings J*(dn(r*q), 1, cn(r*q)) and whose SU(2) bonds are
-isotropic (graph_couplings, one 3x3 matrix per edge, which both the sparse
-builder and scar.local_residual read).  Each builder returns the
-ManyBodyOperator of its terms.  The vanishing conditions of the rotated scar
-are the per-site and per-bond flip amplitudes of scar.flip_amplitudes on the
-chain's coupling table, with no Hilbert-space vector.
+Every spin-exchange Hamiltonian here is a coupling table (u, v, M): bond k
+couples sites u_k and v_k through the 3x3 exchange matrix M[k].
+chain_couplings is the table of the 1D XYZ and centrosymmetric spin-exchange
+(CSSE) chains, with one matrix on every bond; graph_couplings that of a graph,
+whose CSSE bonds carry J*(dn(r*q), 1, cn(r*q)) and whose SU(2) bonds are
+isotropic.  coupling_terms turns any table into the local_sum terms every
+builder returns as a ManyBodyOperator, and scar.local_residual reads the same
+tables.  The vanishing conditions of the rotated scar are the per-site and
+per-bond flip amplitudes of scar.flip_amplitudes on the chain's table, with
+no Hilbert-space vector.
 """
 
 from __future__ import annotations
@@ -31,35 +33,35 @@ def _bond_matrix(S: float, M: np.ndarray) -> np.ndarray:
                np.zeros((ops[0].size,) * 2))
 
 
-def _chain_bonds(N: int, periodic: bool):
-    bonds = [(n, n + 1) for n in range(N - 1)]
-    if periodic and N > 2:
-        bonds.append((N - 1, 0))
-    elif periodic and N == 2:
-        bonds = [(0, 1)]          # periodic two-site chain has a single bond
-    return bonds
+def chain_couplings(N: int, M: np.ndarray, periodic: bool = True):
+    """The chain's coupling table: bond columns u, v and M broadcast to (m, 3, 3).
+    Bond n is (n, n + 1); a periodic chain of N >= 3 sites adds the closing
+    bond (N - 1, 0), so N = 2 has one bond either way and N = 1 none."""
+    u = np.arange(N - 1 + (periodic and N >= 3))
+    return u, (u + 1) % N, np.broadcast_to(M, (len(u), 3, 3))
 
 
-def chain_terms(N: int, S: float, M: np.ndarray, periodic: bool = True) -> list:
-    """local_sum terms of the chain with exchange matrix M on every bond."""
-    bond = _bond_matrix(S, M)
-    return [(b, bond) for b in _chain_bonds(N, periodic)]
-
-
-def _chain_operator(N: int, S: float, M: np.ndarray, periodic: bool) -> ManyBodyOperator:
-    return ManyBodyOperator(SpinSystem(S, N), chain_terms(N, S, M, periodic))
+def coupling_terms(u, v, M: np.ndarray, S: float) -> list:
+    """local_sum terms of sum_k sum_ab M[k, a, b] S^a_{u_k} S^b_{v_k}, the
+    Hamiltonian of the coupling table (u, v, M).  One bond matrix is built per
+    distinct coupling matrix, shared by its terms; the terms keep the bond order."""
+    distinct, which = np.unique(np.reshape(M, (-1, 9)), axis=0, return_inverse=True)
+    bonds = [_bond_matrix(S, m.reshape(3, 3)) for m in distinct]
+    return [((a, b), bonds[i]) for a, b, i in zip(u.tolist(), v.tolist(), which.tolist())]
 
 
 def build_xyz_chain(N: int, S: float, Jx: float, Jy: float, Jz: float,
                     periodic: bool = True) -> ManyBodyOperator:
     """H = sum_n Jx Sx_n Sx_{n+1} + Jy Sy_n Sy_{n+1} + Jz Sz_n Sz_{n+1}."""
-    return _chain_operator(N, S, np.diag([Jx, Jy, Jz]).astype(float), periodic)
+    M = np.diag([Jx, Jy, Jz]).astype(float)
+    return ManyBodyOperator(SpinSystem(S, N), coupling_terms(*chain_couplings(N, M, periodic), S))
 
 
 def build_csse_chain(N: int, S: float, c: CsseCouplings,
                      periodic: bool = True) -> ManyBodyOperator:
     """Chain with the full symmetric 3x3 exchange matrix on every bond."""
-    return _chain_operator(N, S, c.matrix(), periodic)
+    return ManyBodyOperator(SpinSystem(S, N),
+                            coupling_terms(*chain_couplings(N, c.matrix(), periodic), S))
 
 
 def graph_couplings(g: ScarGraph, q: CommensurateQ) -> np.ndarray:
@@ -78,25 +80,10 @@ def graph_couplings(g: ScarGraph, q: CommensurateQ) -> np.ndarray:
     return M
 
 
-def graph_terms(g: ScarGraph, S: float, q: CommensurateQ) -> list:
-    """local_sum terms of the graph Hamiltonian of graph_couplings.  One bond
-    matrix is built per distinct coupling matrix; the terms keep the edge order."""
-    M = graph_couplings(g, q)
-    distinct, which = np.unique(M.reshape(-1, 9), axis=0, return_inverse=True)
-    bonds = [_bond_matrix(S, m.reshape(3, 3)) for m in distinct]
-    return [((u, v), bonds[i]) for u, v, i in zip(g.u.tolist(), g.v.tolist(), which.tolist())]
-
-
 def build_on_graph(g: ScarGraph, S: float, q: CommensurateQ) -> ManyBodyOperator:
-    """The graph Hamiltonian as the operator of its graph_terms."""
-    return ManyBodyOperator(SpinSystem(S, g.num_vertices), graph_terms(g, S, q))
-
-
-def chain_couplings(N: int, M: np.ndarray):
-    """Bond columns u, v of the periodic chain (_chain_bonds: none at N = 1, one
-    at N = 2) and M broadcast to their (m, 3, 3) coupling table."""
-    u, v = np.array(_chain_bonds(N, True), dtype=int).reshape(-1, 2).T
-    return u, v, np.broadcast_to(M, (len(u), 3, 3))
+    """The graph Hamiltonian as the operator of its graph_couplings."""
+    return ManyBodyOperator(SpinSystem(S, g.num_vertices),
+                            coupling_terms(g.u, g.v, graph_couplings(g, q), S))
 
 
 def vanishing_conditions(N: int, S: float, M: np.ndarray, angles: SiteAngles):

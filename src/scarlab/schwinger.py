@@ -6,13 +6,14 @@ bijection l_n = n_down that space is isometric to the spin product basis with
 S+_n = c+_{n,up} c_{n,down} mapping exactly.  The zeta-states tau'^m |down..>
 reproduce the helical tower in a site-dependently rotated frame, the hopping
 and pairing bilinears annihilate all of them, and the rotated XXZ chain
-equals a group-theoretical assembly H0 + sum_a O_a T_a of those bilinears.
+equals a group-theoretical assembly H0 + sum_a O_a T_a of those bilinears,
+bond by bond over the ring's coupling table (hamiltonian.chain_couplings).
 
 Three basis modes:
   constrained - per-site total exactly 2S (the physical space);
   hardcore    - per-site total at most 2S, global total within 2 of 2SN;
-                the home of the annihilation-chain checks, where creation on
-                a full site projects to zero;
+                the home of the annihilation checks, where creation on a
+                full site projects to zero;
   enlarged    - per-site total at most 2S+2, global total within 2 of 2SN;
                 large enough to hold every intermediate of a product of two
                 bilinears, used for the Hamiltonian assembly.
@@ -35,8 +36,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
-from .hamiltonian import _chain_bonds, chain_terms
-from .spinops import SpinSystem, local_spin_matrices, local_sum, tower
+from .hamiltonian import chain_couplings, coupling_terms
+from .spinops import (ManyBodyOperator, SpinSystem, _check_spin, local_spin_matrices, local_sum,
+                      tower)
 
 UP, DOWN = 0, 1
 _MODES = ("constrained", "hardcore", "enlarged")
@@ -52,9 +54,7 @@ class FockBasis:
     """
 
     def __init__(self, N: int, S: float, mode: str = "constrained"):
-        two_s = int(round(2 * S))
-        if abs(2 * S - two_s) > 1e-12:
-            raise ScarlabError(f"S must be a half-integer, got {S}")
+        two_s = _check_spin(S)
         if mode not in _MODES:
             raise ScarlabError(f"unknown basis mode {mode!r}")
         self.N, self.S, self.mode = N, S, mode
@@ -230,57 +230,27 @@ def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
     return fids
 
 
-def annihilation_chain_check(op: sp.spmatrix, tp: sp.spmatrix,
-                             vacuum: np.ndarray, depth: int) -> float:
-    """max_k ||ad_{tau'}^k(op) |vac>|| for k = 0..depth.
-
-    Vanishing of the whole chain is equivalent to op annihilating every
-    zeta-state.
-    """
-    cur = op.copy()
-    worst = float(np.linalg.norm(cur @ vacuum))
-    for _ in range(depth):
-        cur = (cur @ tp - tp @ cur).tocsr()
-        worst = max(worst, float(np.linalg.norm(cur @ vacuum)))
-    return worst
-
-
 def annihilator_report(N: int, S: float) -> dict:
-    """Chain residuals for zeta, eta, epsilon plus a generic control bilinear.
+    """max_m ||op |m_zeta>|| for zeta, eta, epsilon plus a generic control bilinear.
 
     Evaluated on the hardcore basis, where creation on a full site projects
     to zero.  The control is the bare pair annihilator c_{0,up} c_{1,down},
     which lowers site totals (so it survives the hard-core projection) but
-    does not annihilate the zeta-states; its chain residual must be O(1).
+    does not annihilate the zeta-states; its residual must be O(1).
     """
     basis = FockBasis(N, S, mode="hardcore")
-    tp = tau_prime(basis)
-    vac = basis.vacuum_product()
-    depth = int(round(2 * N * S)) + 1
-    out = {}
-    for kind in ("zeta", "eta", "epsilon"):
-        out[kind] = annihilation_chain_check(bilinear(basis, kind, 0, 1), tp, vac, depth)
-    generic = basis.monomial([(0, UP, False), (1, DOWN, False)])
-    out["generic"] = annihilation_chain_check(generic, tp, vac, depth)
-    return out
+    _, zstates = zeta_states(N, S, basis=basis)
+    ops = {kind: bilinear(basis, kind, 0, 1) for kind in ("zeta", "eta", "epsilon")}
+    ops["generic"] = basis.monomial([(0, UP, False), (1, DOWN, False)])
+    return {kind: max(float(np.linalg.norm(op @ z)) for z in zstates)
+            for kind, op in ops.items()}
 
 
-def zeta_annihilation_residuals(N: int, S: float) -> dict:
-    """max_m ||op |m_zeta>|| per operator kind, on the hardcore basis."""
-    hc = FockBasis(N, S, mode="hardcore")
-    _, zstates = zeta_states(N, S, basis=hc)
-    out = {}
-    for kind in ("zeta", "eta", "epsilon"):
-        op = bilinear(hc, kind, 0, 1)
-        out[kind] = max(float(np.linalg.norm(op @ z)) for z in zstates)
-    return out
-
-
-def _rotated_spin_hamiltonian(N: int, S: float, q0: float, Jx: float) -> sp.csr_matrix:
-    """Jx cos(q0) sum S.S - Jx sin(q0) sum (Sx_n Sy_{n+1} - Sy_n Sx_{n+1})."""
+def _rotated_spin_hamiltonian(N: int, S: float, q0: float, Jx: float) -> ManyBodyOperator:
+    """Jx cos(q0) sum S.S - Jx sin(q0) sum (Sx_n Sy_{n+1} - Sy_n Sx_{n+1}) on the ring."""
     M = Jx * math.cos(q0) * np.eye(3)
     M[0, 1], M[1, 0] = -Jx * math.sin(q0), Jx * math.sin(q0)
-    return local_sum(SpinSystem(S, N), chain_terms(N, S, M))
+    return ManyBodyOperator(SpinSystem(S, N), coupling_terms(*chain_couplings(N, M), S))
 
 
 def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
@@ -294,15 +264,17 @@ def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
     basis and restricted to the constrained subspace.  The pair terms that
     drop two bosons telescope out of the restriction, and the locally
     non-Hermitian Sz difference term sums to zero on the periodic ring, so
-    the two sides must agree exactly.
+    the two sides must agree exactly.  The bonds are those of the spin side's
+    terms.
     """
+    H = _rotated_spin_hamiltonian(N, S, q0, Jx)
     con = FockBasis(N, S)
     enl = FockBasis(N, S, mode="enlarged")
     E = con.embed_into(enl)
     dim = enl.dim
     total = sp.csr_matrix((dim, dim), dtype=complex)
     cos_q, sin_q = math.cos(q0), math.sin(q0)
-    for n, m in _chain_bonds(N, periodic=True):
+    for (n, m), _ in H.terms:
         # bilinear only calls .monomial; O1 and O2 reuse three of the bond's
         # zeta and epsilon monomials each way, so each op tuple is built once
         bond = SimpleNamespace(monomial=functools.cache(enl.monomial))
@@ -322,5 +294,5 @@ def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
     rhs = (E.T @ total @ E).toarray()
     rhs += -N * Jx * S * cos_q / 2.0 * np.eye(con.dim)
     U = con.spin_isometry()
-    lhs = U.T @ _rotated_spin_hamiltonian(N, S, q0, Jx).toarray() @ U
+    lhs = U.T @ H.matrix.toarray() @ U
     return float(np.abs(lhs - rhs).max())

@@ -245,6 +245,17 @@ def test_every_spin_subcommand_needs_a_nonzero_spin(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["schwinger-check", "--N", "3", "--S", "0.7"],
+                                  ["degeneracy-scan", "--S", "1/2,0.7", "--N", "5"]])
+def test_every_spin_must_be_a_half_integer(tmp_path, capsys, argv):
+    # schwinger-check exited 2 from FockBasis, and the scan wrote an
+    # error:InvalidSpin row and exited 1
+    assert run(["--out", str(tmp_path), *argv]) == EXIT_INVALID
+    cap = capsys.readouterr()
+    assert cap.err == "invalid input: 2S must be a non-negative integer, got S=0.7\n"
+    assert not cap.out and not list(tmp_path.iterdir())
+
+
 def test_degeneracy_scan_csv_is_the_behaviour_contract(tmp_path):
     # every refactor keeps this scan's CSV byte for byte
     assert run(["--out", str(tmp_path), "degeneracy-scan", "--S", "1/2,1", "--N", "3..7",
@@ -425,6 +436,31 @@ def test_scar_verify_chain_denominator_must_be_n(tmp_path, capsys, monkeypatch):
                 "--denominator", "5"]) == EXIT_INVALID
     assert _one_invalid_input_line(capsys)
     assert not (tmp_path / "scar_verify.csv").exists()
+
+
+def test_scar_verify_chain_takes_its_size_from_dims(tmp_path):
+    # --dims was ignored on the chain: the N = 6 chain was verified, its row written
+    rows = []
+    for size in (["--dims", "5"], ["--N", "5"]):
+        out = tmp_path / size[0][2:]
+        assert run(["--out", str(out), "scar-verify", "--lattice", "chain", *size,
+                    "--kappa", "0.4", "--gamma", "0.3"]) == EXIT_OK
+        rows.append((out / "scar_verify.csv").read_text())
+    assert rows[0] == rows[1] and rows[0].splitlines()[1].split(",")[1] == "5"
+
+
+def test_scar_verify_writes_its_row_when_the_circuit_rule_fails(tmp_path, capsys):
+    # the failing run wrote no CSV, so the passing run's file read as its result
+    out = str(tmp_path)
+    square = ["--out", out, "scar-verify", "--lattice", "square", "--dims", "4,4"]
+    assert run([*square, "--denominator", "4"]) == EXIT_OK
+    capsys.readouterr()
+    assert run([*square, "--denominator", "5"]) == EXIT_PHYSICS
+    assert [line.split("  ")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "FAIL: circuit rule"]
+    assert (tmp_path / "scar_verify.csv").read_text().splitlines()[1:] == [
+        "0.5,16,1,0.0,0.0,1,nan"]
+    assert json.loads((tmp_path / "scar_verify.json").read_text())["config"]["denominator"] == 5
 
 
 def _raw_graph_file(tmp_path, text):

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import elliptic_reference as ref
+from hamiltonian_reference import chain_bonds, chain_terms, graph_terms
 from spinops_reference import (column0_conditions, product_rotation, rotated_hamiltonian,
                                stub_everywhere, two_site)
 from scarlab import spinops
@@ -14,13 +15,14 @@ from scarlab.algebra import lambda_op
 from scarlab.elliptic import commensurate_q, jacobi, jacobi_fraction
 from scarlab.errors import InvalidSpin
 from scarlab.frames import CsseCouplings
-from scarlab.hamiltonian import (_bond_matrix, _chain_bonds, build_csse_chain, build_on_graph,
-                                 build_xyz_chain, chain_terms, graph_couplings, graph_terms,
+from scarlab.hamiltonian import (_bond_matrix, build_csse_chain, build_on_graph, build_xyz_chain,
+                                 chain_couplings, coupling_terms, graph_couplings,
                                  vanishing_conditions)
-from scarlab.lattice import (CSSE, SU2, honeycomb_su2, kagome_su2, lieb, nnn_chain,
-                             square_shifted, trimer_brickwall)
+from scarlab.lattice import (CSSE, GENERATORS, SU2, generate, honeycomb_su2, kagome_su2, lieb,
+                             nnn_chain, square_shifted, trimer_brickwall)
 from scarlab.lattice import chain as chain_graph
 from scarlab.scar import ScarSpec, gz_angles
+from scarlab.schwinger import _rotated_spin_hamiltonian
 from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem, all_up, basis_state,
                              local_spin_matrices, local_sum, tau)
 
@@ -118,7 +120,7 @@ def test_graph_terms_equal_the_per_edge_bond_matrices():
     q = commensurate_q(1, 6, 0.45)
     for g, S in ((kagome_su2(2, 2, J=0.7, Jprime=-1.3), 0.5), (nnn_chain(12, Jnnn=0.4), 1.0)):
         want = _per_edge_terms(g, S, q)
-        got = graph_terms(g, S, q)
+        got = coupling_terms(g.u, g.v, graph_couplings(g, q), S)
         assert len({id(bond) for _, bond in got}) < len(got)
         assert [sites for sites, _ in got] == [sites for sites, _ in want]
         assert all(type(n) is int for sites, _ in got for n in sites)
@@ -137,6 +139,62 @@ def test_build_on_graph_csr_bit_identical_to_per_edge_bond_matrices():
         assert got.dtype == want.dtype
         for attr in ("data", "indices", "indptr"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+def _assert_same_csr(got, want):
+    assert got.dtype == want.dtype
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_terms(got, want):
+    """Equal sites and op bytes, term by term, with one op object per distinct op."""
+    assert [sites for sites, _ in got] == [sites for sites, _ in want]
+    assert all(type(n) is int for sites, _ in got for n in sites)
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+    distinct = {op.tobytes() for _, op in want}
+    assert len({id(op) for _, op in got}) == len(distinct)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+def test_chain_builders_equal_the_chain_terms_byte_for_byte(N, periodic):
+    # XYZ (real) and CSSE (complex) chains through the coupling table, against
+    # the chain's own bond numbering: none at N = 1, one bond at N = 2
+    S, c = 1.0, CsseCouplings(J1=0.3, J2=0.8, J3=0.1, J12=0.2, J13=-0.15, J23=0.25)
+    for H, M in ((build_xyz_chain(N, S, 0.3, 1.0, -0.7, periodic), np.diag([0.3, 1.0, -0.7])),
+                 (build_csse_chain(N, S, c, periodic), c.matrix())):
+        want = chain_terms(N, S, M, periodic)
+        _assert_same_terms(coupling_terms(*chain_couplings(N, M, periodic), S), want)
+        _assert_same_csr(H.matrix, local_sum(SpinSystem(S, N), want))
+
+
+SMALLEST_DIMS = {"chain": (3,), "square": (3, 3), "square_shifted": (3, 3), "lieb": (2, 2),
+                 "triangular_su2": (3, 3), "kagome_su2": (2, 2), "honeycomb_su2": (4, 2),
+                 "modified_honeycomb": (4, 3), "trimer_ladder": (3,),
+                 "trimer_brickwall": (3, 3), "nnn_chain": (5,)}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_build_on_graph_equals_the_graph_terms_byte_for_byte(kind):
+    # every generator at its smallest size, SU(2) bonds and r > 1 multipliers included
+    g, q = generate(kind, *SMALLEST_DIMS[kind]), commensurate_q(1, 6, 0.45)
+    want = graph_terms(g, 0.5, q)
+    _assert_same_terms(coupling_terms(g.u, g.v, graph_couplings(g, q), 0.5), want)
+    _assert_same_csr(build_on_graph(g, 0.5, q).matrix,
+                     local_sum(SpinSystem(0.5, g.num_vertices), want))
+
+
+@pytest.mark.parametrize("N,S", [(3, 0.5), (4, 1.0), (5, 0.5)])
+def test_rotated_spin_hamiltonian_equals_the_chain_terms_byte_for_byte(N, S):
+    # Schwinger's rotated ring: an antisymmetric M, one bond matrix for every bond
+    q0, Jx = 2.0 * math.pi / N, 0.8
+    M = Jx * math.cos(q0) * np.eye(3)
+    M[0, 1], M[1, 0] = -Jx * math.sin(q0), Jx * math.sin(q0)
+    H, want = _rotated_spin_hamiltonian(N, S, q0, Jx), chain_terms(N, S, M)
+    _assert_same_terms(H.terms, want)
+    _assert_same_csr(H.matrix, local_sum(SpinSystem(S, N), want))
 
 
 def _term_builds():
@@ -172,10 +230,8 @@ def test_term_operators_assemble_their_local_sum_on_first_use(monkeypatch, case)
         H = build()
     assert H.system == system and len(H.terms) == len(terms)
     got = H.matrix
-    assert got is H.matrix and got.dtype == want.dtype
-    for attr in ("data", "indices", "indptr"):
-        a, b = getattr(got, attr), getattr(want, attr)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got is H.matrix
+    _assert_same_csr(got, want)
 
 
 def test_graph_couplings_are_the_per_edge_matrices():
@@ -243,7 +299,7 @@ def _random_operator(system, rng):
         shape = (system.local_dim ** k,) * 2
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
     terms = [((n,), local(1)) for n in range(system.N)]
-    return ManyBodyOperator(system, terms + [(b, local(2)) for b in _chain_bonds(system.N, True)])
+    return ManyBodyOperator(system, terms + [(b, local(2)) for b in chain_bonds(system.N, True)])
 
 
 def _random_angles(N, rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import elliptic_reference as ref
+from hamiltonian_reference import chain_bonds, chain_terms
 from spectra_reference import translation_matrix
 from spinops_reference import column0_conditions, embed, rotated_hamiltonian, stub_everywhere
 from test_spectra_properties import DM_X, _chain_with_field
@@ -15,9 +16,8 @@ from scarlab import spinops
 from scarlab.elliptic import commensurate_q, jacobi_fraction, jacobi_table
 from scarlab.errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
 from scarlab.frames import CsseCouplings
-from scarlab.hamiltonian import (_bond_matrix, _chain_bonds, build_on_graph, build_xyz_chain,
-                                 chain_couplings, chain_terms, graph_couplings,
-                                 vanishing_conditions)
+from scarlab.hamiltonian import (_bond_matrix, build_on_graph, build_xyz_chain, chain_couplings,
+                                 graph_couplings, vanishing_conditions)
 from scarlab.lattice import (Edge, ScarGraph, assign_site_phases, chain,
                              check_circuit_rule, honeycomb_su2, kagome_su2, lieb,
                              modified_honeycomb,
@@ -505,7 +505,7 @@ def test_flip_amplitudes_are_the_vanishing_conditions(N, S, M, angles, lit):
     # helicities; a2 has one entry per bond of the chain (N for N >= 3, one at
     # N = 2, none at N = 1), where the dense column-0 reader has N
     H = ManyBodyOperator(SpinSystem(S, N), chain_terms(N, S, M))
-    bonds, tol = len(_chain_bonds(N, True)), 1e-12 * np.abs(M).max()
+    bonds, tol = len(chain_bonds(N, True)), 1e-12 * np.abs(M).max()
     for helicity in (-1, +1):
         want2, want1 = column0_conditions(rotated_hamiltonian(H, angles, helicity), H.system)
         a2, a1 = vanishing_conditions(

@@ -10,10 +10,9 @@ import scipy.sparse as sp
 from spinops_reference import embed, two_site
 
 from scarlab import schwinger
-from scarlab.errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
-from scarlab.schwinger import (DOWN, UP, FockBasis, annihilator_report,
-                               bilinear, decomposition_check,
-                               zeta_annihilation_residuals, zeta_states,
+from scarlab.errors import DimensionCap, DimensionMismatch, InvalidSpin, SameSite, ScarlabError
+from scarlab.schwinger import (DOWN, UP, FockBasis, annihilator_report, bilinear,
+                               decomposition_check, tau_prime, zeta_states,
                                zeta_tower_fidelities)
 from scarlab.spinops import SpinSystem, local_spin_matrices
 
@@ -61,19 +60,42 @@ def test_zeta_states_equal_rotated_tower(N, S, p):
     assert max(abs(1.0 - f) for f in fids) <= 1e-12
 
 
+def annihilation_chain(op, tp, vacuum, depth):
+    """max_k ||ad_{tau'}^k(op) |vac>|| for k = 0..depth: the whole chain
+    vanishes exactly when op annihilates every zeta-state."""
+    cur = op.copy()
+    worst = float(np.linalg.norm(cur @ vacuum))
+    for _ in range(depth):
+        cur = (cur @ tp - tp @ cur).tocsr()
+        worst = max(worst, float(np.linalg.norm(cur @ vacuum)))
+    return worst
+
+
 @pytest.mark.parametrize("N,S", [(3, 0.5), (4, 0.5), (3, 1.0)])
 def test_annihilation_chains(N, S):
+    # the direct residuals on the zeta-states against the ad_{tau'} chain oracle
     rep = annihilator_report(N, S)
     assert rep["zeta"] <= 1e-12
     assert rep["eta"] <= 1e-12
     assert rep["epsilon"] <= 1e-12
     # a bare pair annihilator is not in the commutant: O(1) failure
     assert rep["generic"] > 1e-1
+    basis = FockBasis(N, S, mode="hardcore")
+    tp, vac, depth = tau_prime(basis), basis.vacuum_product(), int(round(2 * N * S)) + 1
+    for kind in ("zeta", "eta", "epsilon"):
+        assert annihilation_chain(bilinear(basis, kind, 0, 1), tp, vac, depth) <= 1e-12
+    generic = basis.monomial([(0, UP, False), (1, DOWN, False)])
+    assert annihilation_chain(generic, tp, vac, depth) > 1e-1
 
 
 def test_zeta_annihilation_direct():
-    res = zeta_annihilation_residuals(4, 0.5)
-    assert max(res.values()) <= 1e-12
+    res = annihilator_report(4, 0.5)
+    assert max(res[kind] for kind in ("zeta", "eta", "epsilon")) <= 1e-12
+    # the control is the direct norm of c_{0,up} c_{1,down} on the zeta-states
+    hc = FockBasis(4, 0.5, mode="hardcore")
+    _, zstates = zeta_states(4, 0.5, basis=hc)
+    generic = hc.monomial([(0, UP, False), (1, DOWN, False)])
+    assert res["generic"] == max(float(np.linalg.norm(generic @ z)) for z in zstates)
 
 
 def test_symmetric_pair_combination_fails():
@@ -121,6 +143,8 @@ def test_guards():
         FockBasis(2, 0.5, mode="bogus")
     with pytest.raises(ScarlabError):
         FockBasis(2, 0.5, mode="hardcore").spin_isometry()
+    with pytest.raises(InvalidSpin):
+        FockBasis(3, 0.7)
 
 
 # reference: the per-state loop over tuple occupations that FockBasis replaced

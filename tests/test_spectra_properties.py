@@ -12,7 +12,8 @@ from scipy.sparse.csgraph import connected_components
 import spectra_reference as ref
 from scarlab.elliptic import commensurate_q
 from scarlab.frames import CsseCouplings
-from scarlab.hamiltonian import build_csse_chain, build_on_graph, build_xyz_chain, chain_terms
+from scarlab.hamiltonian import (build_csse_chain, build_on_graph, build_xyz_chain, chain_couplings,
+                                 coupling_terms)
 from scarlab.lattice import generate
 from scarlab.spectra import _components, _solve, full_spectrum
 from scarlab.spinops import ManyBodyOperator, SpinSystem, local_spin_matrices
@@ -212,7 +213,7 @@ def _chain_with_field(N, S, M, field):
     """The periodic chain with exchange matrix M on every bond plus the
     uniform field sum_n field . S_n, as the operator of those terms."""
     one_site = sum(f * op for f, op in zip(field, local_spin_matrices(S)[:3]))
-    terms = chain_terms(N, S, M) + [((n,), one_site) for n in range(N)]
+    terms = coupling_terms(*chain_couplings(N, M), S) + [((n,), one_site) for n in range(N)]
     return ManyBodyOperator(SpinSystem(S, N), terms)
 
 

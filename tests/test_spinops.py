@@ -14,7 +14,7 @@ from spinops_reference import coo_local_sum, embed, product_rotation, two_site
 from scarlab import spinops
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
                             SiteOutOfRange)
-from scarlab.hamiltonian import chain_terms
+from scarlab.hamiltonian import chain_couplings, coupling_terms
 from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem,
                              all_down, all_up, basis_state,
                              coherent_product_state, coherent_product_states,
@@ -202,7 +202,7 @@ def test_local_sum_bit_identical_to_coo_assembler_across_row_blocks(field):
     blocks, rows longer than 16 entries, and the single flips of site n from
     its two bonds and its field summed as one entry."""
     system = SpinSystem(1.0, 9)
-    terms = chain_terms(9, 1.0, RNG.normal(size=(3, 3)))
+    terms = coupling_terms(*chain_couplings(9, RNG.normal(size=(3, 3))), 1.0)
     terms += [((n,), 0.3 * local_spin_matrices(1.0)[field]) for n in range(9)]
     _same_csr_as_coo_local_sum(system, terms)
 
@@ -210,7 +210,8 @@ def test_local_sum_bit_identical_to_coo_assembler_across_row_blocks(field):
 @pytest.mark.parametrize("S,N", [(1.0, 10), (0.5, 16)])
 def test_local_sum_peak_memory_within_half_again_its_csr(S, N):
     """The scratch of local_sum stays a fraction of the CSR it returns."""
-    system, terms = SpinSystem(S, N), chain_terms(N, S, np.diag([0.3, 1.0, 0.7]))
+    system = SpinSystem(S, N)
+    terms = coupling_terms(*chain_couplings(N, np.diag([0.3, 1.0, 0.7])), S)
     tracemalloc.start()
     try:
         H = local_sum(system, terms)
@@ -222,7 +223,7 @@ def test_local_sum_peak_memory_within_half_again_its_csr(S, N):
 
 def test_matvec_bit_identical_to_the_complex_product():
     system = SpinSystem(1.0, 5)
-    real = local_sum(system, chain_terms(5, 1.0, np.diag(RNG.normal(size=3))))
+    real = local_sum(system, coupling_terms(*chain_couplings(5, np.diag(RNG.normal(size=3))), 1.0))
     cplx = local_sum(system, [((0,), local_spin_matrices(1.0)[1])]) + real
     assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
     x = RNG.normal(size=system.total_dim) + 1j * RNG.normal(size=system.total_dim)
