@@ -188,22 +188,23 @@ def cmd_frame(args, log: CheckLog) -> int:
 
 
 def cmd_scar_verify(args, log: CheckLog) -> int:
-    from .elliptic import commensurate_q, jacobi_fraction
+    from .elliptic import jacobi_fraction
     from .hamiltonian import chain_couplings, graph_couplings
-    from .lattice import ScarGraph, check_circuit_rule, generate
+    from .lattice import ScarGraph, check_circuit_rule, generate, winding_gcd
     from .scar import ScarSpec, gz_angles, local_residual
     helicity = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}.get(args.helicity)
     if helicity is None:
         raise InvalidInput(f"--helicity must be +, +1, 1, - or -1, got {args.helicity!r}")
     on_chain = args.graph is None and args.lattice == "chain"
     N = _lattice_dims("chain", args.dims)[0] if on_chain and args.dims else args.N
+    if on_chain and args.denominator is None:
+        args.denominator = N                    # the sidecar records the denominator used
     # the denominator, kappa and gamma are checked before any graph is read
-    q = commensurate_q(args.p, N if args.denominator is None else args.denominator, args.kappa)
-    spec = ScarSpec(helicity=helicity, p=args.p, gamma=args.gamma,
-                    kappa=args.kappa, q=q)
+    spec = ScarSpec.make(helicity, args.p, args.gamma, args.kappa,
+                         N if args.denominator is None else args.denominator)
     if on_chain:
         angles = gz_angles(N, spec)             # checks denominator == N
-        _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+        _, cn, dn = jacobi_fraction(spec.q.fraction, spec.q.modulus)
         u, v, M = chain_couplings(N, np.diag([dn, 1.0, cn]))    # no bond at N = 1
     else:
         if args.graph:
@@ -211,9 +212,12 @@ def cmd_scar_verify(args, log: CheckLog) -> int:
                 g = ScarGraph.from_json(fh.read())
         else:
             g = generate(args.lattice, *_lattice_dims(args.lattice, args.dims or str(args.N)))
-        rep = check_circuit_rule(g, q)
+        if args.denominator is None:            # the largest one the windings admit
+            args.denominator = winding_gcd(g) or g.num_vertices
+            spec = ScarSpec.make(helicity, args.p, args.gamma, args.kappa, args.denominator)
+        rep = check_circuit_rule(g, spec.q)
         log.check("circuit rule", rep.satisfied, rep.admissible_q)
-        N, u, v, M = g.num_vertices, g.u, g.v, graph_couplings(g, q)
+        N, u, v, M = g.num_vertices, g.u, g.v, graph_couplings(g, spec.q)
         angles = gz_angles(N, spec, graph=g) if rep.satisfied else None
     res = math.nan                              # the row of a failed circuit rule
     if angles is not None:

@@ -434,13 +434,16 @@ class RuleReport:
 
 
 def _admissible_description(windings) -> str:
-    nonzero = [abs(w) for w in windings if w != 0]
-    if not nonzero:
+    g0 = math.gcd(*windings)
+    if not g0:
         return "any commensurate q = 4pK(kappa)/denominator"
-    g0 = 0
-    for w in nonzero:
-        g0 = math.gcd(g0, w)
     return f"q = 4pK(kappa)/d for integer p and any divisor d of {g0}"
+
+
+def winding_gcd(g: ScarGraph) -> int:
+    """gcd of the fundamental-cycle windings of sigma * r, 0 when none winds:
+    q = 4pK/d, p/d in lowest terms, passes the circuit rule exactly when d divides it."""
+    return math.gcd(*_potentials(g, (g.sigma * g.r)[:, None])[2][:, 0].tolist())
 
 
 def check_circuit_rule(g: ScarGraph, q: CommensurateQ) -> RuleReport:

@@ -9,18 +9,18 @@ and pairing bilinears annihilate all of them, and the rotated XXZ chain
 equals a group-theoretical assembly H0 + sum_a O_a T_a of those bilinears,
 bond by bond over the ring's coupling table (hamiltonian.chain_couplings).
 
-Three basis modes:
+Two basis modes:
   constrained - per-site total exactly 2S (the physical space);
   hardcore    - per-site total at most 2S, global total within 2 of 2SN;
                 the home of the annihilation checks, where creation on a
-                full site projects to zero;
-  enlarged    - per-site total at most 2S+2, global total within 2 of 2SN;
-                large enough to hold every intermediate of a product of two
-                bilinears, used for the Hamiltonian assembly.
+                full site projects to zero.
 
 Operators are applied as boson monomials (amplitude sqrt factors from the
-occupations, projection onto the basis only at the final state), so the
-hard-core truncation never corrupts intermediate states.  A basis is an
+occupations, projection onto the basis only at the final state), so no
+truncation corrupts intermediate states.  A product of two bilinears is one
+composed four-factor monomial on the constrained basis: from a constrained
+state a bilinear leaves every site total within 2S +- 1 and the global total
+within 2 of 2SN, so no intermediate is ever projected out.  A basis is an
 integer occupation array with one integer key per state, so a monomial is
 one vectorized pass over all states: column arithmetic on the touched
 occupations, then a sorted-key lookup of the final states.
@@ -29,54 +29,60 @@ occupations, then a sorted-key lookup of the final states.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionCap, DimensionMismatch, SameSite, ScarlabError
+from .errors import DimensionCap, SameSite, ScarlabError
 from .hamiltonian import chain_couplings, coupling_terms
-from .spinops import (ManyBodyOperator, SpinSystem, _check_spin, local_spin_matrices, local_sum,
-                      tower)
+from .spinops import (ManyBodyOperator, SpinSystem, _check_spin, check_bytes,
+                      local_spin_matrices, local_sum, tower)
 
 UP, DOWN = 0, 1
-_MODES = ("constrained", "hardcore", "enlarged")
-_KINDS = ("zeta", "eta", "epsilon", "O1", "O2")
+# kind: (sign, flavor at m, dagger at m, flavor at n) of each of its two
+# monomials; site n is always annihilated
+_BILINEARS = {
+    "zeta": ((1, UP, True, UP), (1, DOWN, True, DOWN)),
+    "eta": ((1, UP, False, DOWN), (-1, DOWN, False, UP)),
+    "epsilon": ((1, UP, True, DOWN), (-1, DOWN, True, UP)),
+    "O1": ((1, UP, True, UP), (-1, DOWN, False, DOWN)),
+    "O2": ((1, UP, True, DOWN), (1, DOWN, True, UP)),
+}
 
 
 class FockBasis:
-    """Two-flavor boson occupation basis in one of the three modes.
+    """Two-flavor boson occupation basis in one of the two modes.
 
     states: int8 array (dim, N, 2) of occupations [site, flavor] in product
     order, site 0 most significant.  Each state has one integer key, sum
-    occ[n, f] (site_cap+1)^(2n+f); a lookup is a searchsorted on the keys.
+    occ[n, f] (2S+1)^(2n+f); a lookup is a searchsorted on the keys.
     """
 
     def __init__(self, N: int, S: float, mode: str = "constrained"):
         two_s = _check_spin(S)
-        if mode not in _MODES:
+        if mode not in ("constrained", "hardcore"):
             raise ScarlabError(f"unknown basis mode {mode!r}")
         self.N, self.S, self.mode = N, S, mode
-        if mode == "constrained":
-            site_cap, slack = two_s, 0
-        elif mode == "hardcore":
-            site_cap, slack = two_s, 2
-        else:
-            site_cap, slack = two_s + 2, 2
-        if (site_cap + 1) ** (2 * N) > np.iinfo(np.int64).max:
+        if (two_s + 1) ** (2 * N) > np.iinfo(np.int64).max:
             raise DimensionCap(f"occupation keys of N={N} S={S} {mode} overflow int64")
-        site_occ = np.array([(u, t - u) for t in range(site_cap + 1) for u in range(t + 1)],
+        lo, hi = two_s * N - (2 if mode == "hardcore" else 0), two_s * N
+        # states per global total: a site of total t has t + 1 flavor splits
+        per_total = functools.reduce(np.convolve, [np.arange(1, two_s + 2)] * N, np.ones(1, int))
+        dim = int(per_total[max(lo, 0):hi + 1].sum())
+        # two int8 occupation copies at the last step; int64 keys, order, sorted keys, temporary
+        check_bytes(dim * (4 * N + 32), f"the {dim:,} states of the N={N} S={S} {mode} basis")
+        site_occ = np.array([(u, t - u) for t in range(two_s + 1) for u in range(t + 1)],
                             dtype=np.int8)
-        lo, hi = two_s * N - slack, two_s * N + slack
         # extend site by site, keeping prefixes whose total can still land in [lo, hi]
         states, run = np.zeros((1, 0, 2), dtype=np.int8), np.zeros(1, dtype=np.int64)
         for left in range(N - 1, -1, -1):
             tot = run[:, None] + site_occ.sum(axis=1)
-            i, j = np.nonzero((tot <= hi) & (tot + left * site_cap >= lo))
+            i, j = np.nonzero((tot <= hi) & (tot + left * two_s >= lo))
             states, run = np.concatenate([states[i], site_occ[j, None]], axis=1), tot[i, j]
-        self.states, self._site_cap = states, site_cap
-        self._weights = (site_cap + 1) ** np.arange(2 * N, dtype=np.int64).reshape(N, 2)
+        self.states, self._site_cap = states, two_s
+        self._weights = (two_s + 1) ** np.arange(2 * N, dtype=np.int64).reshape(N, 2)
         self._keys = self._key(states)
         self._order = np.argsort(self._keys)
         self._sorted_keys = self._keys[self._order]
@@ -120,8 +126,11 @@ class FockBasis:
             shift += self._weights[site, flavor] * (cnt - self.states[:, site, flavor])
         cols = np.flatnonzero(alive)
         rows = self._lookup(self._keys[cols] + shift[cols])
-        cols = cols[rows >= 0]
-        return sp.csr_matrix((amp[cols], (rows[rows >= 0], cols)), shape=(self.dim, self.dim))
+        cols, rows = cols[rows >= 0], rows[rows >= 0]
+        # every surviving state moves by one key shift: a row holds at most one entry
+        cols = cols[np.argsort(rows)]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.dim))])
+        return sp.csr_matrix((amp[cols], cols, indptr), shape=(self.dim, self.dim))
 
     def vacuum_product(self) -> np.ndarray:
         """|down...down>: every site filled with 2S down bosons."""
@@ -130,28 +139,21 @@ class FockBasis:
         vec[self._lookup(self._key(occ))] = 1.0
         return vec
 
-    def spin_isometry(self) -> np.ndarray:
-        """Columns: constrained Fock states as spin product-basis vectors.
+    def spin_index(self) -> np.ndarray:
+        """Spin product-basis index of each constrained Fock state.
 
         The spin module indexes local states by the number of lowerings from
-        Sz = +S, which equals n_down, so the map is a permutation of labels.
+        Sz = +S, site 0 least significant; that number is n_down, so the
+        bijection is a permutation of labels.
         """
         if self.mode != "constrained":
             raise ScarlabError("spin bijection is defined on the constrained basis")
-        system = SpinSystem(self.S, self.N)
-        if system.total_dim != self.dim:
-            raise DimensionMismatch("constrained basis size != spin dimension")
-        U = np.zeros((system.total_dim, self.dim))
-        U[self.states[:, :, DOWN] @ system.local_dim ** np.arange(self.N), np.arange(self.dim)] = 1.0
-        return U
+        return self.states[:, :, DOWN] @ (self._site_cap + 1) ** np.arange(self.N)
 
-    def embed_into(self, other: "FockBasis") -> sp.csr_matrix:
-        """Inclusion matrix of this basis's states inside a larger basis."""
-        rows = other._lookup(other._key(self.states))
-        if (rows < 0).any():
-            raise DimensionMismatch(f"{self.mode} states missing from the {other.mode} basis")
-        return sp.csr_matrix((np.ones(self.dim), (rows, range(self.dim))),
-                             shape=(other.dim, self.dim))
+
+def _monomials(kind: str, m: int, n: int) -> list:
+    """(sign, ops) of the two monomials of a bilinear."""
+    return [(sign, ((m, fm, dm), (n, fn, False))) for sign, fm, dm, fn in _BILINEARS[kind]]
 
 
 def bilinear(basis: FockBasis, kind: str, m: int, n: int) -> sp.csr_matrix:
@@ -168,30 +170,15 @@ def bilinear(basis: FockBasis, kind: str, m: int, n: int) -> sp.csr_matrix:
     """
     if m == n:
         raise SameSite(f"bilinear requires two distinct sites, got {m}")
-    if kind not in _KINDS:
+    if kind not in _BILINEARS:
         raise ScarlabError(f"unknown bilinear kind {kind!r}")
-    if kind == "zeta":
-        return (basis.monomial(((m, UP, True), (n, UP, False)))
-                + basis.monomial(((m, DOWN, True), (n, DOWN, False))))
-    if kind == "eta":
-        return (basis.monomial(((m, UP, False), (n, DOWN, False)))
-                - basis.monomial(((m, DOWN, False), (n, UP, False))))
-    if kind == "epsilon":
-        return (basis.monomial(((m, UP, True), (n, DOWN, False)))
-                - basis.monomial(((m, DOWN, True), (n, UP, False))))
-    if kind == "O1":
-        return (basis.monomial(((m, UP, True), (n, UP, False)))
-                - basis.monomial(((m, DOWN, False), (n, DOWN, False))))
-    return (basis.monomial(((m, UP, True), (n, DOWN, False)))
-            + basis.monomial(((m, DOWN, True), (n, UP, False))))
+    (sa, a), (sb, b) = _monomials(kind, m, n)
+    return sa * basis.monomial(a) + sb * basis.monomial(b)
 
 
 def tau_prime(basis: FockBasis) -> sp.csr_matrix:
     """Raising generator sum_n c+_{n,up} c_{n,down}; preserves the constraint."""
-    total = sp.csr_matrix((basis.dim, basis.dim))
-    for n in range(basis.N):
-        total = total + basis.monomial([(n, UP, True), (n, DOWN, False)])
-    return total.tocsr()
+    return sum(basis.monomial([(n, UP, True), (n, DOWN, False)]) for n in range(basis.N)).tocsr()
 
 
 def zeta_states(N: int, S: float, basis: FockBasis | None = None) -> tuple:
@@ -212,22 +199,15 @@ def rotated_tower_states(N: int, S: float, p: int) -> list:
     q0 = 2.0 * math.pi * p / N
     sz = local_spin_matrices(S)[2]
     angle = local_sum(system, [((n,), (n + 1) * q0 * sz) for n in range(N)]).diagonal()
-    rot = np.exp(1j * angle)
-    tower = helical_tower(N, S, +1, p)
-    return [rot * st.amplitudes for st in tower.states]
+    return [np.exp(1j * angle) * st.amplitudes for st in helical_tower(N, S, +1, p).states]
 
 
 def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
     """|<m_zeta | rotated tower state 2NS-m>| for every m (should all be 1)."""
     basis, zstates = zeta_states(N, S)
-    U = basis.spin_isometry()
+    index = basis.spin_index()
     rotated = rotated_tower_states(N, S, p)
-    M = len(zstates) - 1
-    fids = []
-    for m, zv in enumerate(zstates):
-        spin_vec = U @ zv
-        fids.append(float(abs(np.vdot(spin_vec, rotated[M - m]))))
-    return fids
+    return [float(abs(np.vdot(zv, rotated[-1 - m][index]))) for m, zv in enumerate(zstates)]
 
 
 def annihilator_report(N: int, S: float) -> dict:
@@ -253,46 +233,58 @@ def _rotated_spin_hamiltonian(N: int, S: float, q0: float, Jx: float) -> ManyBod
     return ManyBodyOperator(SpinSystem(S, N), coupling_terms(*chain_couplings(N, M), S))
 
 
+def _bond_monomials(n: int, m: int, q0: float, Jx: float) -> dict:
+    """Composed four-factor monomials of bond (n, m)'s six bilinear products,
+    each distinct ops tuple once: {ops: coefficient}."""
+    def adjoint(monos):
+        return [(s, tuple((i, f, not d) for i, f, d in reversed(ops))) for s, ops in monos]
+
+    hop, cur = Jx * math.cos(q0) / 4.0, -0.5j * Jx * math.sin(q0)
+    products = [(hop, _monomials("zeta", n, m), _monomials("zeta", m, n)),
+                (hop, adjoint(_monomials("eta", n, m)), _monomials("eta", m, n)),
+                (cur, _monomials("O1", n, m), _monomials("zeta", m, n)),
+                (-cur, _monomials("O1", m, n), _monomials("zeta", n, m)),
+                (cur, _monomials("O2", n, m), _monomials("epsilon", m, n)),
+                (-cur, _monomials("O2", m, n), _monomials("epsilon", n, m))]
+    coef = {}
+    for c, left, right in products:
+        for (sa, a), (sb, b) in itertools.product(left, right):
+            coef[a + b] = coef.get(a + b, 0.0) + c * sa * sb
+    return coef
+
+
+def bilinear_form(basis: FockBasis, bonds: list, q0: float, Jx: float = 1.0) -> sp.csr_matrix:
+    """The bilinear side of decomposition_check on the constrained basis.
+
+    Per bond (n, m): -Jx S cos(q0)/2, the hopping/pairing block
+    (Jx cos(q0)/4) (zeta_nm zeta_mn + eta+_nm eta_mn), and the current block
+    (-i Jx sin(q0)/2) (O1_nm zeta_mn - O1_mn zeta_nm + O2_nm eps_mn -
+    O2_mn eps_nm).  Each product of two bilinears is its composed monomials,
+    one monomial call per distinct ops tuple, and every term of every bond is
+    summed in one COO -> CSR conversion.
+    """
+    diag = np.arange(basis.dim)
+    parts = [(diag, diag, np.full(basis.dim, -len(bonds) * Jx * basis.S * math.cos(q0) / 2.0))]
+    for n, m in bonds:
+        for ops, c in _bond_monomials(n, m, q0, Jx).items():
+            term = basis.monomial(ops)
+            parts.append((np.repeat(diag, np.diff(term.indptr)), term.indices, c * term.data))
+    rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+
+
 def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
     """Entrywise deviation between the rotated spin chain and its bilinear form.
 
-    The bilinear side is the constant -N Jx S cos(q0)/2, the hopping/pairing
-    block (Jx cos(q0)/4) sum (zeta_{n,n+1} zeta_{n+1,n} + eta+_{n,n+1}
-    eta_{n+1,n}), and the current block (-i Jx sin(q0)/2) sum (O1_{n,n+1}
-    zeta_{n+1,n} - O1_{n+1,n} zeta_{n,n+1} + O2_{n,n+1} eps_{n+1,n} -
-    O2_{n+1,n} eps_{n,n+1}), assembled as true boson products on the enlarged
-    basis and restricted to the constrained subspace.  The pair terms that
-    drop two bosons telescope out of the restriction, and the locally
-    non-Hermitian Sz difference term sums to zero on the periodic ring, so
-    the two sides must agree exactly.  The bonds are those of the spin side's
-    terms.
+    The bilinear side is bilinear_form over the bonds of the spin side's
+    terms.  The pair terms that drop two bosons telescope out of the
+    constrained space, and the locally non-Hermitian Sz difference term sums
+    to zero on the periodic ring, so the two sides must agree exactly.  The
+    spin side is read in the Fock order through the spin bijection, an index
+    permutation of its CSR.
     """
     H = _rotated_spin_hamiltonian(N, S, q0, Jx)
-    con = FockBasis(N, S)
-    enl = FockBasis(N, S, mode="enlarged")
-    E = con.embed_into(enl)
-    dim = enl.dim
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    cos_q, sin_q = math.cos(q0), math.sin(q0)
-    for (n, m), _ in H.terms:
-        # bilinear only calls .monomial; O1 and O2 reuse three of the bond's
-        # zeta and epsilon monomials each way, so each op tuple is built once
-        bond = SimpleNamespace(monomial=functools.cache(enl.monomial))
-        z_nm = bilinear(bond, "zeta", n, m)
-        z_mn = bilinear(bond, "zeta", m, n)
-        e_nm = bilinear(bond, "eta", n, m)
-        e_mn = bilinear(bond, "eta", m, n)
-        o1_nm = bilinear(bond, "O1", n, m)
-        o1_mn = bilinear(bond, "O1", m, n)
-        o2_nm = bilinear(bond, "O2", n, m)
-        o2_mn = bilinear(bond, "O2", m, n)
-        eps_nm = bilinear(bond, "epsilon", n, m)
-        eps_mn = bilinear(bond, "epsilon", m, n)
-        total = total + (Jx * cos_q / 4.0) * (z_nm @ z_mn + e_nm.conj().T @ e_mn)
-        total = total + (-0.5j * Jx * sin_q) * (
-            o1_nm @ z_mn - o1_mn @ z_nm + o2_nm @ eps_mn - o2_mn @ eps_nm)
-    rhs = (E.T @ total @ E).toarray()
-    rhs += -N * Jx * S * cos_q / 2.0 * np.eye(con.dim)
-    U = con.spin_isometry()
-    lhs = U.T @ H.matrix.toarray() @ U
-    return float(np.abs(lhs - rhs).max())
+    basis = FockBasis(N, S)
+    index = basis.spin_index()
+    rhs = bilinear_form(basis, [sites for sites, _ in H.terms], q0, Jx)
+    return float(abs(H.matrix[index][:, index] - rhs).max())

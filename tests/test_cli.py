@@ -223,6 +223,17 @@ def test_algebra_check_needs_a_ring(tmp_path, capsys):
     assert not (tmp_path / "algebra_check.csv").exists()
 
 
+def test_schwinger_check_over_the_memory_budget_is_a_numerical_failure(tmp_path, capsys):
+    # the constrained Fock basis of 2^26 states is refused before it is enumerated
+    assert run(["--out", str(tmp_path), "schwinger-check", "--N", "26",
+                "--S", "1/2"]) == EXIT_NUMERICAL
+    cap = capsys.readouterr()
+    assert cap.err == ("numerical failure: the 67,108,864 states of the N=26 S=0.5 constrained "
+                       f"basis would take 8.5 GiB, over the {spinops.MEMORY_BUDGET / 2 ** 30:g} "
+                       "GiB memory budget\n") and not cap.out
+    assert not (tmp_path / "schwinger_check.csv").exists()
+
+
 def test_schwinger_check_needs_a_nonzero_spin(tmp_path, capsys):
     assert run(["--out", str(tmp_path), "schwinger-check", "--N", "4", "--S", "0"]) == EXIT_INVALID
     cap = capsys.readouterr()
@@ -461,6 +472,26 @@ def test_scar_verify_writes_its_row_when_the_circuit_rule_fails(tmp_path, capsys
     assert (tmp_path / "scar_verify.csv").read_text().splitlines()[1:] == [
         "0.5,16,1,0.0,0.0,1,nan"]
     assert json.loads((tmp_path / "scar_verify.json").read_text())["config"]["denominator"] == 5
+
+
+def test_scar_verify_defaults_a_graph_denominator_to_its_windings(tmp_path, capsys):
+    # a graph took --N's default of 6, so square 4x4 failed its circuit rule
+    out = tmp_path / "square"
+    assert run(["--out", str(out), "scar-verify", "--lattice", "square",
+                "--dims", "4,4"]) == EXIT_OK
+    assert "PASS: circuit rule" in capsys.readouterr().out
+    assert json.loads((out / "scar_verify.json").read_text())["config"]["denominator"] == 4
+    # an SU(2) triangle winds nowhere, so it takes its vertex count
+    bond = {"sigma": 0, "kind": "su2"}
+    graph = _raw_graph_file(tmp_path, json.dumps({"vertices": 3, "edges": [
+        dict(bond, u=0, v=1), dict(bond, u=1, v=2), dict(bond, u=2, v=0)]}))
+    out = tmp_path / "triangle"
+    assert run(["--out", str(out), "scar-verify", "--graph", graph]) == EXIT_OK
+    assert json.loads((out / "scar_verify.json").read_text())["config"]["denominator"] == 3
+    # the chain's default is its size, recorded as well
+    out = tmp_path / "chain"
+    assert run(["--out", str(out), "scar-verify", "--N", "5"]) == EXIT_OK
+    assert json.loads((out / "scar_verify.json").read_text())["config"]["denominator"] == 5
 
 
 def _raw_graph_file(tmp_path, text):

@@ -1,20 +1,22 @@
 """Two-flavor boson realization of the helical scar subspace."""
 
 import math
-from itertools import product as iter_product
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hamiltonian_reference import chain_bonds
+from schwinger_reference import (SITE_CAP_SLACK, EnlargedBasis, embed_into,
+                                 enlarged_bilinear_form, reference_bilinear, reference_states)
 from spinops_reference import embed, two_site
 
 from scarlab import schwinger
 from scarlab.errors import DimensionCap, DimensionMismatch, InvalidSpin, SameSite, ScarlabError
 from scarlab.schwinger import (DOWN, UP, FockBasis, annihilator_report, bilinear,
-                               decomposition_check, tau_prime, zeta_states,
+                               bilinear_form, decomposition_check, tau_prime, zeta_states,
                                zeta_tower_fidelities)
-from scarlab.spinops import SpinSystem, local_spin_matrices
+from scarlab.spinops import MEMORY_BUDGET, SpinSystem, local_spin_matrices
 
 
 def test_constrained_basis_is_spin_space():
@@ -22,8 +24,8 @@ def test_constrained_basis_is_spin_space():
         basis = FockBasis(N, S)
         system = SpinSystem(S, N)
         assert basis.dim == system.total_dim
-        U = basis.spin_isometry()
-        assert np.abs(U.T @ U - np.eye(basis.dim)).max() <= 1e-15
+        # the bijection is a permutation of the spin product basis
+        assert np.array_equal(np.sort(basis.spin_index()), np.arange(system.total_dim))
 
 
 def test_spin_raising_maps_to_boson_hop():
@@ -31,12 +33,12 @@ def test_spin_raising_maps_to_boson_hop():
     N, S = 3, 1.0
     basis = FockBasis(N, S)
     system = SpinSystem(S, N)
-    U = basis.spin_isometry()
+    index = basis.spin_index()
     _, _, _, sp_, _ = local_spin_matrices(S)
     for n in range(N):
-        spin_side = embed(sp_, n, system).toarray()
+        spin_side = embed(sp_, n, system).toarray()[np.ix_(index, index)]
         boson_side = basis.monomial([(n, UP, True), (n, DOWN, False)]).toarray()
-        assert np.abs(U @ boson_side @ U.T - spin_side).max() <= 1e-13
+        assert np.abs(boson_side - spin_side).max() <= 1e-13
 
 
 def test_monomial_respects_boson_statistics():
@@ -117,21 +119,39 @@ def test_decomposition_equals_rotated_chain(N, S):
 
 def test_identity_bond_sum():
     # (zeta_nm zeta_mn + eta+_nm eta_mn) / 4 = S_n . S_m + S/2 on the
-    # constrained space, the scalar part of the decomposition
-    N, S = 3, 0.5
-    con = FockBasis(N, S)
-    enl = FockBasis(N, S, mode="enlarged")
-    E = con.embed_into(enl)
-    U = con.spin_isometry()
-    system = SpinSystem(S, N)
-    sx, sy, sz, _, _ = local_spin_matrices(S)
+    # constrained space, the scalar part of the decomposition: the composed
+    # monomials of one bond at q0 = 0, where the current block vanishes
     n, m = 0, 1
-    boson = (bilinear(enl, "zeta", n, m) @ bilinear(enl, "zeta", m, n)
-             + bilinear(enl, "eta", n, m).conj().T @ bilinear(enl, "eta", m, n))
-    lhs = U @ (E.T @ (boson / 4.0) @ E).toarray() @ U.T
-    rhs = (two_site(sx, n, sx, m, system) + two_site(sy, n, sy, m, system)
-           + two_site(sz, n, sz, m, system)).toarray() + 0.5 * S * np.eye(8)
-    assert np.abs(lhs - rhs).max() <= 1e-13
+    terms = schwinger._bond_monomials(n, m, 0.0, 1.0)
+    assert all(len(ops) == 4 for ops in terms)
+    for N, S in [(3, 0.5), (3, 1.0)]:
+        con = FockBasis(N, S)
+        system = SpinSystem(S, N)
+        sx, sy, sz, _, _ = local_spin_matrices(S)
+        boson = sum(c * con.monomial(ops) for ops, c in terms.items()).toarray()
+        index = con.spin_index()
+        rhs = (two_site(sx, n, sx, m, system) + two_site(sy, n, sy, m, system)
+               + two_site(sz, n, sz, m, system)).toarray()[np.ix_(index, index)]
+        assert np.abs(boson - rhs - 0.5 * S * np.eye(con.dim)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("N,S", [(3, 0.5), (4, 0.5), (5, 0.5), (3, 1.0), (4, 1.0), (3, 1.5)])
+@pytest.mark.parametrize("q0", ["2pi/N", 0.7])
+def test_bilinear_form_matches_enlarged_basis_oracle(N, S, q0):
+    # the composed monomials on the constrained states against the products
+    # of bilinears on the enlarged basis, restricted by its inclusion matrix
+    q0 = 2.0 * math.pi / N if q0 == "2pi/N" else q0
+    bonds = [tuple(b) for b in chain_bonds(N, True)]
+    got = bilinear_form(FockBasis(N, S), bonds, q0).toarray()
+    assert np.abs(got - enlarged_bilinear_form(N, S, bonds, q0)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["zeta", "eta", "epsilon", "O1", "O2"])
+def test_bilinear_table_matches_the_written_out_sums(kind):
+    basis = FockBasis(3, 1.0, mode="hardcore")
+    for m, n in ((0, 1), (2, 0)):
+        got, ref = bilinear(basis, kind, m, n), reference_bilinear(basis, kind, m, n)
+        assert np.abs((got - ref).toarray()).max() == 0.0
 
 
 def test_guards():
@@ -139,29 +159,16 @@ def test_guards():
         bilinear(FockBasis(2, 0.5), "zeta", 1, 1)
     with pytest.raises(ScarlabError):
         bilinear(FockBasis(2, 0.5), "bogus", 0, 1)
+    for mode in ("bogus", "enlarged"):
+        with pytest.raises(ScarlabError):
+            FockBasis(2, 0.5, mode=mode)
     with pytest.raises(ScarlabError):
-        FockBasis(2, 0.5, mode="bogus")
-    with pytest.raises(ScarlabError):
-        FockBasis(2, 0.5, mode="hardcore").spin_isometry()
+        FockBasis(2, 0.5, mode="hardcore").spin_index()
     with pytest.raises(InvalidSpin):
         FockBasis(3, 0.7)
 
 
 # reference: the per-state loop over tuple occupations that FockBasis replaced
-
-_SITE_CAP_SLACK = {"constrained": (0, 0), "hardcore": (0, 2), "enlarged": (2, 2)}
-
-
-def _reference_states(N, S, mode):
-    """itertools.product over site occupations, filtered by the global total."""
-    two_s = int(round(2 * S))
-    extra, slack = _SITE_CAP_SLACK[mode]
-    site_cap = two_s + extra
-    site_occ = [(u, t - u) for t in range(site_cap + 1) for u in range(t + 1)]
-    lo, hi = two_s * N - slack, two_s * N + slack
-    return [combo for combo in iter_product(site_occ, repeat=N)
-            if lo <= sum(u + d for u, d in combo) <= hi]
-
 
 def _reference_monomial(states, ops):
     index = {s: i for i, s in enumerate(states)}
@@ -200,15 +207,15 @@ def _assert_same_csr(a, b):
     assert np.array_equal(a.data, b.data)
 
 
-@pytest.mark.parametrize("mode", ["constrained", "hardcore", "enlarged"])
+@pytest.mark.parametrize("mode", ["constrained", "hardcore"])
 @pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
 def test_vectorized_basis_matches_per_state_reference(mode, S):
     rng = np.random.default_rng(int(4 * S) + 10 * len(mode))
     two_s = int(round(2 * S))
-    cap = two_s + _SITE_CAP_SLACK[mode][0]
+    cap = two_s + SITE_CAP_SLACK[mode][0]
     for N in (2, 3, 4) if S < 1.5 else (2, 3):
         basis = FockBasis(N, S, mode)
-        ref = _reference_states(N, S, mode)
+        ref = reference_states(N, S, mode)
         assert np.array_equal(basis.states, np.array(ref).reshape(len(ref), N, 2))
         assert basis.states.dtype == np.int8    # the amplitudes below stay float64
         strings = [
@@ -231,13 +238,14 @@ def test_vectorized_basis_matches_per_state_reference(mode, S):
 
 @pytest.mark.parametrize("N,S", [(3, 0.5), (2, 1.0), (2, 1.5)])
 def test_embed_into_matches_reference(N, S):
-    small, big = FockBasis(N, S), FockBasis(N, S, mode="enlarged")
-    big_ref = _reference_states(N, S, "enlarged")
+    # the oracle's inclusion of the constrained states in the enlarged basis
+    small, big = FockBasis(N, S), EnlargedBasis(N, S)
+    big_ref = reference_states(N, S, "enlarged")
     index = {s: i for i, s in enumerate(big_ref)}
-    rows = [index[occ] for occ in _reference_states(N, S, "constrained")]
+    rows = [index[occ] for occ in reference_states(N, S, "constrained")]
     ref = sp.csr_matrix((np.ones(small.dim), (rows, range(small.dim))),
                         shape=(big.dim, small.dim))
-    _assert_same_csr(small.embed_into(big), ref)
+    _assert_same_csr(embed_into(small, big), ref)
 
 
 def test_key_overflow_and_missing_states_raise():
@@ -246,7 +254,23 @@ def test_key_overflow_and_missing_states_raise():
         FockBasis(32, 0.5)
     # enlarged states with a site total above 2S are not in the constrained basis
     with pytest.raises(DimensionMismatch):
-        FockBasis(2, 0.5, mode="enlarged").embed_into(FockBasis(2, 0.5))
+        embed_into(EnlargedBasis(2, 0.5), FockBasis(2, 0.5))
+
+
+def test_basis_over_the_memory_budget_raises_before_enumerating():
+    # 2^26 constrained states: 8.5 GiB of occupations and keys, where only the
+    # int64 key overflow at N=32 stopped the enumeration before
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCap) as err:
+            FockBasis(26, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("the 67,108,864 states of the N=26 S=0.5 constrained basis would "
+                              f"take 8.5 GiB, over the {MEMORY_BUDGET / 2 ** 30:g} GiB memory "
+                              "budget")
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("N,S,q0", [(5, 0.5, 2 * math.pi / 5), (4, 1.0, 0.7)])
@@ -259,11 +283,8 @@ def test_decomposition_check_computes_each_bond_monomial_once(monkeypatch, N, S,
         return raw(self, ops)
 
     monkeypatch.setattr(FockBasis, "monomial", counted)
-    memoized = decomposition_check(N, S, q0)
-    # 10 bilinears of 2 monomials per bond, 6 of which O1 and O2 repeat
-    assert len(calls) == 14 * N and len(set(calls)) == len(calls)
-    # reference: every bilinear straight from the basis, 20 monomials per bond
-    monkeypatch.setattr(schwinger, "functools", SimpleNamespace(cache=lambda fn: fn))
-    calls.clear()
-    assert decomposition_check(N, S, q0) == memoized
-    assert len(calls) == 20 * N
+    assert decomposition_check(N, S, q0) <= 1e-12
+    # 6 products of two bilinears, 4 composed four-factor monomials each; 2 of
+    # O1_nm zeta_mn's are zeta_nm zeta_mn's, so 22 distinct per bond
+    assert len(calls) == 22 * N and len(set(calls)) == len(calls)
+    assert all(len(ops) == 4 for ops in calls)
