@@ -13,6 +13,8 @@ Three layers:
 
 Eigenspaces come from spectra.full_spectrum, the one many-body eigensolver,
 within degeneracy_at's window around the energy; it checks the memory budget.
+Commutators are term lists (commutator_terms), assembled by local_sum like
+any operator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .elliptic import CommensurateQ, jacobi_fraction, jacobi_table
 from .errors import ScarlabError
@@ -36,9 +37,32 @@ from .spinops import (ManyBodyOperator, SpinSystem, StateVector, all_up, expecta
 class SgaWitness:
     """Evidence that a generator closes the ladder algebra on the tower."""
     generator: ManyBodyOperator
-    commutator: sp.csr_matrix       # [H, generator]
+    commutator: ManyBodyOperator    # [H, generator]
     commutator_residuals: list
     omega: float
+
+
+def commutator_terms(system: SpinSystem, left, right) -> list:
+    """The terms of [A, B] for A and B given by their terms: one term per set
+    of sites that an overlapping pair covers (terms on disjoint sites
+    commute), the sum of [a, b] over those pairs, sites ascending."""
+    d, out = system.local_dim, {}
+    for sa, a in left:
+        for sb, b in right:
+            if set(sa) & set(sb):
+                union = tuple(sorted({*sa, *sb}))
+                a_u, b_u = _on_union(a, sa, union, d), _on_union(b, sb, union, d)
+                out[union] = out.get(union, 0) + (a_u @ b_u - b_u @ a_u)
+    return list(out.items())
+
+
+def _on_union(op: np.ndarray, sites, union, d: int) -> np.ndarray:
+    """op on sites (sites[0] its low digit) as a matrix on union (union[0]
+    the low digit), identity on union's other sites."""
+    k, order = len(union), list(sites) + [n for n in union if n not in sites]
+    full = np.kron(np.eye(d ** (k - len(sites))), op).reshape((d,) * 2 * k)
+    axes = [k - 1 - order.index(n) for n in reversed(union)]   # tensor axis a is digit k-1-a
+    return full.transpose(axes + [k + a for a in axes]).reshape(d ** k, d ** k)
 
 
 def lambda_op(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
@@ -64,9 +88,9 @@ def standard_sga_witness(N: int, S: float, p: int, helicity: int = +1) -> SgaWit
     q0 = 2.0 * math.pi * p / N
     H = build_xyz_chain(N, S, 1.0, 1.0, math.cos(q0))
     t = tau(N, S, q0, sign=helicity)
-    comm = H.matrix @ t.matrix - t.matrix @ H.matrix
+    comm = ManyBodyOperator(t.system, commutator_terms(t.system, H.terms, t.terms))
     states = tower(t.matrix, all_up(t.system).amplitudes, int(round(2 * N * S)))
-    residuals = [float(np.linalg.norm(comm @ st)) for st in states]
+    residuals = [float(np.linalg.norm(comm.matrix @ st)) for st in states]
     return SgaWitness(generator=t, commutator=comm, commutator_residuals=residuals, omega=0.0)
 
 

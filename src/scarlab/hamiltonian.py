@@ -70,10 +70,9 @@ def graph_couplings(g: ScarGraph, q: CommensurateQ) -> np.ndarray:
     multiplier evaluates the elliptic factors at r*q on the exact rational tag,
     in one jacobi_table call over the distinct r."""
     csse = g.kind != SU2
-    rs = np.unique(g.r[csse])
+    rs, at = np.unique(g.r[csse], return_inverse=True)   # a bare np.unique imports numpy.ma
     _, index, (_, cn, dn) = jacobi_table([r * q.fraction for r in rs.tolist()], q.modulus)
     diag = np.ones((g.num_edges, 3))
-    at = np.searchsorted(rs, g.r[csse])
     diag[csse, 0], diag[csse, 2] = dn[index][at], cn[index][at]
     M = np.zeros((g.num_edges, 3, 3))
     M[:, [0, 1, 2], [0, 1, 2]] = g.J[:, None] * diag

@@ -30,8 +30,8 @@ from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabErr
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
                       all_up, check_bytes, coherent_product_state, coherent_product_states,
-                      coherent_site_vectors, local_spin_matrices, matvec,
-                      product_singular_values, tau, tower)
+                      coherent_site_vectors, local_spin_matrices, product_singular_values,
+                      tau, tower)
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def residual(H: ManyBodyOperator, psi: StateVector) -> float:
     (the oracle local_residual is tested against)."""
     if psi.system != H.system:
         raise DimensionMismatch("operator and state on different systems")
-    hpsi = matvec(H.matrix, psi.amplitudes)
+    hpsi = H.matrix @ psi.amplitudes
     e = np.vdot(psi.amplitudes, hpsi)
     return float(np.linalg.norm(hpsi - e * psi.amplitudes))
 

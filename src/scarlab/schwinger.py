@@ -33,12 +33,11 @@ import itertools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionCap, SameSite, ScarlabError
 from .hamiltonian import chain_couplings, coupling_terms
-from .spinops import (ManyBodyOperator, SpinSystem, _check_spin, check_bytes,
-                      local_spin_matrices, local_sum, tower)
+from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype,
+                      check_bytes, coo_csr, local_spin_matrices, local_sum, max_gap, tower)
 
 UP, DOWN = 0, 1
 # kind: (sign, flavor at m, dagger at m, flavor at n) of each of its two
@@ -100,7 +99,7 @@ class FockBasis:
         pos = np.searchsorted(self._sorted_keys, keys).clip(max=self.dim - 1)
         return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
 
-    def monomial(self, ops) -> sp.csr_matrix:
+    def monomial(self, ops) -> Csr:
         """Normal boson action of a product of c / c+ factors.
 
         ops is a sequence of (site, flavor, dagger) applied right to left,
@@ -129,8 +128,22 @@ class FockBasis:
         cols, rows = cols[rows >= 0], rows[rows >= 0]
         # every surviving state moves by one key shift: a row holds at most one entry
         cols = cols[np.argsort(rows)]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.dim))])
-        return sp.csr_matrix((amp[cols], cols, indptr), shape=(self.dim, self.dim))
+        index = _index_dtype(self.dim)
+        indptr = np.zeros(self.dim + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
+        return Csr(amp[cols], cols.astype(index), indptr, (self.dim, self.dim))
+
+    def monomial_sum(self, coef_ops, diagonal: float = 0.0) -> Csr:
+        """diagonal times the identity plus sum_j c_j monomial(ops_j) over the
+        (c_j, ops_j) pairs; entries at one place are summed in the listed
+        order, the identity first, as scipy sums COO duplicates (coo_csr)."""
+        states = np.arange(self.dim)
+        parts = [(states, states, np.full(self.dim, diagonal))]
+        for c, ops in coef_ops:
+            term = self.monomial(ops)
+            parts.append((term.rows(), term.indices, c * term.data))
+        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+        return coo_csr(rows, cols, vals, (self.dim, self.dim))
 
     def vacuum_product(self) -> np.ndarray:
         """|down...down>: every site filled with 2S down bosons."""
@@ -156,7 +169,7 @@ def _monomials(kind: str, m: int, n: int) -> list:
     return [(sign, ((m, fm, dm), (n, fn, False))) for sign, fm, dm, fn in _BILINEARS[kind]]
 
 
-def bilinear(basis: FockBasis, kind: str, m: int, n: int) -> sp.csr_matrix:
+def bilinear(basis: FockBasis, kind: str, m: int, n: int) -> Csr:
     """Two-site boson bilinears of the group-theoretical decomposition.
 
     zeta    = c+_{m,up} c_{n,up} + c+_{m,down} c_{n,down}   (flavor-blind hop)
@@ -172,13 +185,12 @@ def bilinear(basis: FockBasis, kind: str, m: int, n: int) -> sp.csr_matrix:
         raise SameSite(f"bilinear requires two distinct sites, got {m}")
     if kind not in _BILINEARS:
         raise ScarlabError(f"unknown bilinear kind {kind!r}")
-    (sa, a), (sb, b) = _monomials(kind, m, n)
-    return sa * basis.monomial(a) + sb * basis.monomial(b)
+    return basis.monomial_sum(_monomials(kind, m, n))
 
 
-def tau_prime(basis: FockBasis) -> sp.csr_matrix:
+def tau_prime(basis: FockBasis) -> Csr:
     """Raising generator sum_n c+_{n,up} c_{n,down}; preserves the constraint."""
-    return sum(basis.monomial([(n, UP, True), (n, DOWN, False)]) for n in range(basis.N)).tocsr()
+    return basis.monomial_sum((1, [(n, UP, True), (n, DOWN, False)]) for n in range(basis.N))
 
 
 def zeta_states(N: int, S: float, basis: FockBasis | None = None) -> tuple:
@@ -253,7 +265,7 @@ def _bond_monomials(n: int, m: int, q0: float, Jx: float) -> dict:
     return coef
 
 
-def bilinear_form(basis: FockBasis, bonds: list, q0: float, Jx: float = 1.0) -> sp.csr_matrix:
+def bilinear_form(basis: FockBasis, bonds: list, q0: float, Jx: float = 1.0) -> Csr:
     """The bilinear side of decomposition_check on the constrained basis.
 
     Per bond (n, m): -Jx S cos(q0)/2, the hopping/pairing block
@@ -261,16 +273,11 @@ def bilinear_form(basis: FockBasis, bonds: list, q0: float, Jx: float = 1.0) -> 
     (-i Jx sin(q0)/2) (O1_nm zeta_mn - O1_mn zeta_nm + O2_nm eps_mn -
     O2_mn eps_nm).  Each product of two bilinears is its composed monomials,
     one monomial call per distinct ops tuple, and every term of every bond is
-    summed in one COO -> CSR conversion.
+    summed in one monomial_sum.
     """
-    diag = np.arange(basis.dim)
-    parts = [(diag, diag, np.full(basis.dim, -len(bonds) * Jx * basis.S * math.cos(q0) / 2.0))]
-    for n, m in bonds:
-        for ops, c in _bond_monomials(n, m, q0, Jx).items():
-            term = basis.monomial(ops)
-            parts.append((np.repeat(diag, np.diff(term.indptr)), term.indices, c * term.data))
-    rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    return basis.monomial_sum([(c, ops) for n, m in bonds
+                               for ops, c in _bond_monomials(n, m, q0, Jx).items()],
+                              -len(bonds) * Jx * basis.S * math.cos(q0) / 2.0)
 
 
 def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
@@ -281,10 +288,13 @@ def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
     constrained space, and the locally non-Hermitian Sz difference term sums
     to zero on the periodic ring, so the two sides must agree exactly.  The
     spin side is read in the Fock order through the spin bijection, an index
-    permutation of its CSR.
+    permutation of its CSR entries.
     """
     H = _rotated_spin_hamiltonian(N, S, q0, Jx)
     basis = FockBasis(N, S)
     index = basis.spin_index()
     rhs = bilinear_form(basis, [sites for sites, _ in H.terms], q0, Jx)
-    return float(abs(H.matrix[index][:, index] - rhs).max())
+    fock = np.empty_like(index)
+    fock[index] = np.arange(index.size)              # Fock position of every spin state
+    A = H.matrix
+    return max_gap(rhs, fock[A.rows()], fock[A.indices], A.data)

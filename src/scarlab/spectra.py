@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .elliptic import commensurate_q
 from .errors import InvalidInput, ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import gz_energy
-from .spinops import MEMORY_BUDGET, ManyBodyOperator, SpinSystem, check_bytes
+from .spinops import MEMORY_BUDGET, Csr, ManyBodyOperator, SpinSystem, check_bytes, max_gap
 
 TOL_SCALE = 1e-8
 GAP_AUDIT_FACTOR = 10.0
@@ -40,8 +39,8 @@ def _block_bytes(size: int) -> int:
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Connected component of each of n nodes under the undirected edges
-    a[j] - b[j], numbered in order of their smallest nodes as scipy's
-    connected_components numbers them.  Every round hooks the larger root of
+    a[j] - b[j], numbered in order of their smallest nodes (as the csgraph
+    oracle of the tests numbers them).  Every round hooks the larger root of
     each edge onto the smaller one and jumps pointers until every tree is a
     star (Shiloach-Vishkin)."""
     root = np.arange(n)
@@ -69,18 +68,25 @@ def _rotations(system: SpinSystem) -> np.ndarray:
     return np.array(rot)
 
 
-def _invariant(A: sp.csr_matrix, perm: np.ndarray, sign: np.ndarray | None = None) -> bool:
+def _invariant(A: Csr, perm: np.ndarray, sign: np.ndarray | None = None) -> bool:
     """Whether A[perm s, perm t] = A[s, t] for all s, t; with sign, whether
     sign[s] sign[t] A[perm s, perm t] = conj(A[s, t]) instead."""
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    B = A[perm]
-    B.indices = inv[B.indices]                       # relabelled columns, left unsorted
-    B.has_sorted_indices = False
+    s, t, h = inv[A.rows()], inv[A.indices], A.data  # entry (s, t) of the relabelled A
     if sign is not None:
-        B.data *= np.repeat(sign, np.diff(B.indptr)) * sign[B.indices]
-        A = A.conj()
-    return abs(B - A).max() <= 1e-12 * abs(A).max()
+        h = h * (sign[s] * sign[t])
+        A = Csr(A.data.conj(), A.indices, A.indptr, A.shape)
+    return max_gap(A, s, t, h) <= 1e-12 * np.abs(A.data).max(initial=0.0)
+
+
+def _columns(A: Csr, pick: np.ndarray):
+    """(rows, columns, values) of the entries of A in the columns where pick
+    is true, column by column and rows ascending, the order of scipy's
+    A.tocsc()[:, columns].tocoo(): one stable argsort of their columns."""
+    at = np.flatnonzero(pick[A.indices])
+    at = at[np.argsort(A.indices[at], kind="stable")]
+    return A.rows()[at], A.indices[at], A.data[at]
 
 
 def _theta_signs(system: SpinSystem) -> np.ndarray:
@@ -133,10 +139,9 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     if vectors:
         check_eigenvectors(dim)
     # rot, its complement and their stack: 4N rows of int64, and rep, g, back and rpos;
-    # H is held throughout, and _invariant and tocsc each make one copy of it
-    csr = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-    held = csr + 32 * (H.system.N + 1) * dim
-    check_bytes(held + csr, f"the symmetry tables of {dim:,} states")
+    # H is held throughout; _invariant's keys and lookups take up to ~110 B per entry of H
+    held = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + 32 * (H.system.N + 1) * dim
+    check_bytes(held + 128 * A.nnz, f"the symmetry tables of {dim:,} states")
     rot = _rotations(H.system)
     invariant = _invariant(A, rot[1 % len(rot)])
     NT = len(rot) if invariant else 1
@@ -153,11 +158,11 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     stab = perms[:, reps] == reps                    # stabilizer of every representative
     L = G // stab.sum(axis=0)                        # orbit lengths
     n = reps.size
-    C = A.tocsc()[:, reps].tocoo()
+    i, b, h = _columns(A, rep == perms[0])          # H's representative columns
     # entries below 1e-30 max|H| move no eigenvalue at double precision; kept beside
     # O(1) entries, values-only eigvalsh lost digits on them (+-1.2269 for +-1.25 at 1e-146)
-    nz = np.abs(C.data) > 1e-30 * np.abs(C.data).max(initial=0.0)
-    i, b, h = C.row[nz], C.col[nz], C.data[nz]
+    nz = np.abs(h) > 1e-30 * np.abs(h).max(initial=0.0)
+    i, b, h = i[nz], rpos[b[nz]], h[nz]
     a, half = rpos[i], back[i] // NT                 # i lies in the T-orbit of P^half rep_a
     h = h * np.sqrt(L[b] / L[a])
     # node a + n e is the T-orbit of P^e rep_a: its components are H's sectors;
@@ -180,7 +185,8 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     chi = np.array([phase[k * el % NT] * sigma ** (el // NT) for k, sigma in chars])
     ok = (chi @ stab).real > 0.5                     # chi is trivial on the stabilizer
     largest = int(max(np.bincount(comp[row]).max(initial=0) for row in ok))
-    check_bytes(held + _block_bytes(largest), f"a dense block of {largest:,} states")
+    largest_bytes = _block_bytes(largest)
+    check_bytes(held + largest_bytes, f"a dense block of {largest:,} states")
     src = np.arange(len(chars) * ncomp).reshape(len(chars), ncomp)  # the block each copies
     pairing = "none"
     if not vectors:
@@ -243,7 +249,8 @@ def _solve(H: ManyBodyOperator, vectors: bool):
               "pairing": pairing,
               "solved_blocks": sorted(solved),
               "copied_blocks": sorted(copied),
-              "solved_dtype": "complex128" if cplx else "float64"}
+              "solved_dtype": "complex128" if cplx else "float64",
+              "largest_block_bytes": largest_bytes}
     if not vectors:
         return evals[rank], None, np.concatenate(ks)[rank], record
     # column j of the block solve lands at the position of eigenvalue j
@@ -343,6 +350,7 @@ class ScanRow:
     solved_blocks: list | None = None
     copied_blocks: list | None = None
     solved_dtype: str | None = None
+    largest_block_bytes: int | None = None
     tol: float | None = None
     gap: float | None = None
 
@@ -357,8 +365,9 @@ class ScanRow:
         momentum k to -k, solved_blocks and copied_blocks the sizes of the
         blocks solved and of those whose spectra were copied (together they
         sum to dim), and solved_dtype complex128 when any block was solved
-        in complex arithmetic.  A gap of None means no eigenvalue lies
-        outside the tolerance.
+        in complex arithmetic, and largest_block_bytes the bytes of the
+        largest block that were checked against the memory budget.  A gap of
+        None means no eigenvalue lies outside the tolerance.
         """
         gap = None if self.gap is None or math.isinf(self.gap) else self.gap
         return {"S": self.S, "N": self.N, "p": self.p, "count": self.count,
@@ -367,6 +376,7 @@ class ScanRow:
                 "complement": self.complement, "pairing": self.pairing,
                 "solved_blocks": self.solved_blocks, "copied_blocks": self.copied_blocks,
                 "solved_dtype": self.solved_dtype,
+                "largest_block_bytes": self.largest_block_bytes,
                 "tol": self.tol, "gap": gap}
 
 

@@ -5,10 +5,12 @@ Basis conventions (fixed globally, do not change):
   * composite index i = sum_n l_n * (2S+1)^n with site 0 least significant.
 
 Every many-body operator is assembled by local_sum from a list of local
-terms (its Kronecker-product and COO references live with the tests).  A
-ManyBodyOperator is such a term list: it keeps the terms and assembles on
+terms into a Csr, three numpy arrays in canonical CSR order (its
+Kronecker-product and COO references, through scipy, live with the tests).
+A ManyBodyOperator is such a term list: it keeps the terms and assembles on
 the first .matrix, so code that reads only the terms never pays for the
-CSR; anything derived from one (a commutator) is a plain scipy array.
+CSR; anything derived from one (a commutator, a difference) is a term list
+too, and goes the same way.
 lowering builds every phased sum of S^-, and tower the normalized powers of
 a ladder operator on a start vector.
 product_singular_values gives the singular values of a batch of product
@@ -21,7 +23,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionCap, DimensionMismatch, InvalidSpin, SiteOutOfRange
 
@@ -113,23 +114,214 @@ class ManyBodyOperator:
         self.system, self.terms = system, _checked_terms(system, terms)[0]
 
     @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> "Csr":
         return local_sum(self.system, self.terms)
 
 
-def _term_table(sites, op: np.ndarray, d: int, stride: np.ndarray):
-    """Per local row r of one term: its off-diagonal entries as (column step,
-    value) pairs in column order, padded with zeros to the widest row, and its
-    diagonal entry."""
+class Csr:
+    """A sparse matrix in canonical CSR form: each row's columns ascending, no
+    duplicates, no stored zeros.  local_sum and FockBasis.monomial return one."""
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, tuple(shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        rows = self.rows()
+        on = rows == self.indices
+        out = np.zeros(min(self.shape), dtype=self.dtype)
+        out[rows[on]] = self.data[on]
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for a vector x, each row summed left to right from zero, bit
+        for bit as scipy's CSR product."""
+        rows, n, a, y = self.rows(), self.shape[0], self.data, np.asarray(x)[self.indices]
+        if a.dtype.kind != "c" and y.dtype.kind != "c":
+            return np.bincount(rows, a * y, n).astype(np.float64, copy=False)
+        out = np.zeros(n, dtype=np.complex128)
+        if a.dtype.kind == "c":          # scipy's textbook complex product, not numpy's fused one
+            w = a.real * y.real
+            w -= a.imag * y.imag
+            out.real = np.bincount(rows, w, n)
+            np.multiply(a.real, y.imag, out=w)
+            w += a.imag * y.real
+        else:                            # two real products: A's data is never copied to complex
+            out.real = np.bincount(rows, a * y.real, n)
+            w = a * y.imag
+        out.imag = np.bincount(rows, w, n)
+        return out
+
+
+def _index_dtype(n: int) -> np.dtype:
+    return np.dtype(np.int32 if n < 2 ** 31 else np.int64)
+
+
+def _std_sort_order(keys: list) -> list:
+    """The positions of keys in the order libstdc++'s std::sort leaves them
+    (comparing keys only): introsort, a median-of-three quicksort down to
+    parts of 16 with heapsort past 2 log2(n) levels, then one insertion sort."""
+    k, a = keys, list(range(len(keys)))
+
+    def sift(first, hole, n, v):                     # __adjust_heap, then __push_heap
+        top = child = hole
+        while child < (n - 1) // 2:
+            child = 2 * child + 2
+            child -= k[a[first + child]] < k[a[first + child - 1]]
+            a[first + hole], hole = a[first + child], child
+        if n % 2 == 0 and child == (n - 2) // 2:
+            child = 2 * child + 2
+            a[first + hole], hole = a[first + child - 1], child - 1
+        while hole > top and k[a[first + (hole - 1) // 2]] < k[v]:
+            a[first + hole], hole = a[first + (hole - 1) // 2], (hole - 1) // 2
+        a[first + hole] = v
+
+    def loop(first, last, depth):
+        while last - first > 16:
+            if depth == 0:                           # heapsort: make_heap, sort_heap
+                for hole in range((last - first - 2) // 2, -1, -1):
+                    sift(first, hole, last - first, a[first + hole])
+                for end in range(last - 1, first, -1):
+                    v, a[end] = a[end], a[first]
+                    sift(first, 0, end - first, v)
+                return
+            depth -= 1
+            i, j, m = first + 1, (first + last) // 2, last - 1
+            x, y, z = k[a[i]], k[a[j]], k[a[m]]      # their median to the front
+            m = (j if y < z else m if x < z else i) if x < y else (i if x < z else m if y < z else j)
+            a[first], a[m] = a[m], a[first]
+            lo, hi, pivot = first + 1, last, k[a[first]]
+            while True:                              # __unguarded_partition
+                while k[a[lo]] < pivot:
+                    lo += 1
+                hi -= 1
+                while pivot < k[a[hi]]:
+                    hi -= 1
+                if lo >= hi:
+                    break
+                a[lo], a[hi] = a[hi], a[lo]
+                lo += 1
+            loop(lo, last, depth)
+            last = lo
+
+    loop(0, len(a), 2 * (len(a).bit_length() - 1))
+    for i in range(1, len(a)):                       # insertion sort: stable
+        v, j = a[i], i
+        while j > 0 and k[v] < k[a[j - 1]]:
+            a[j], j = a[j - 1], j - 1
+        a[j] = v
+    return a
+
+
+def _coo_sum(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int):
+    """(rows, cols, sums) of the distinct (row, col) pairs among COO entries,
+    in row-major order, each summed in the order scipy's COO -> CSR conversion
+    adds them, with zero sums dropped.
+
+    scipy lists each row's entries in the order given and adds duplicates
+    left to right.  Unless every row is already in column order, it first
+    sorts each row with libstdc++'s std::sort: an insertion sort, which keeps
+    equal columns in the listed order, up to 16 entries, and an introsort
+    above, which may not.  Two addends sum alike either way, so only rows of
+    more than 16 entries with 3 or more at one column go through
+    _std_sort_order.
+    """
+    key = rows.astype(np.int64) * ncols + cols
+    bits = max(key.size - 1, 1).bit_length()
+    if int(key.max(initial=0)) < 1 << (63 - bits):  # each key with its position: one plain sort
+        key <<= bits
+        key |= np.arange(key.size)
+        key.sort()
+        order = key & ((1 << bits) - 1)
+        key >>= bits
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    head, sums = order, vals[order]
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    if not new.all():
+        group = np.cumsum(new) - 1
+        many = rows[order[new][np.bincount(group) >= 3]]
+        if many.size:
+            listed = np.argsort(rows, kind="stable")
+            if np.any(np.diff(rows[listed] * np.int64(ncols) + cols[listed]) < 0):
+                count = np.bincount(rows)                # scipy sorts: some row is out of order
+                start = np.cumsum(count) - count         # of each row, listed or sorted
+                redo = np.zeros(count.size, dtype=bool)
+                redo[many] = True
+                for r in np.flatnonzero(redo & (count > 16)).tolist():
+                    at = listed[start[r]:start[r] + count[r]]
+                    order[start[r]:start[r] + count[r]] = at[_std_sort_order(cols[at].tolist())]
+                sums = vals[order]
+        head, sums, rest = order[new], sums[new], sums[~new]
+        np.add.at(sums, group[~new], rest)           # each added to its first in turn
+    keep = sums != 0
+    if keep.all():
+        return rows[head], cols[head], sums
+    return rows[head[keep]], cols[head[keep]], sums[keep]
+
+
+def coo_csr(rows, cols, vals, shape) -> Csr:
+    """The Csr of COO entries, duplicates summed as scipy sums them (_coo_sum)."""
+    r, c, v = _coo_sum(np.asarray(rows), np.asarray(cols), np.asarray(vals), shape[1])
+    index = _index_dtype(max(v.size, *shape))
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(r, minlength=shape[0]), out=indptr[1:])
+    return Csr(v, c.astype(index), indptr, shape)
+
+
+def max_gap(A: Csr, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
+    """max |B - A| over the union of the entries of A and of B, B given by
+    vals at distinct (rows, cols): B's entries are looked up by row-major key,
+    which A's canonical order keeps ascending."""
+    ka = np.append(A.rows() * A.shape[1] + A.indices, np.iinfo(np.int64).max)
+    kb = rows.astype(np.int64) * A.shape[1] + cols
+    at = np.searchsorted(ka, kb)
+    found = ka[at] == kb
+    hit = np.zeros(ka.size, dtype=bool)
+    hit[at[found]] = True
+    gap = np.where(found, vals - np.append(A.data, 0)[at], vals)
+    return float(max(np.abs(gap).max(initial=0.0), np.abs(A.data[~hit[:-1]]).max(initial=0.0)))
+
+
+def _op_table(op: np.ndarray):
+    """The site-free part of a term's row table: the off-diagonal nonzeros
+    (local row, local column, slot) in column order within each row, their
+    values padded with zeros to the widest row, and the diagonal."""
     local = np.arange(op.shape[0])
-    offset = sum((local // d ** t % d) * stride[n] for t, n in enumerate(sites))
     rows, cols = np.nonzero((op != 0) & (local[:, None] != local))
     slot = np.arange(rows.size) - np.searchsorted(rows, rows)
-    shape = (local.size, int(slot.max(initial=-1)) + 1)
-    step, vals = np.zeros(shape, dtype=np.int32), np.zeros(shape, dtype=op.dtype)
-    step[rows, slot] = offset[cols] - offset[rows]
+    vals = np.zeros((local.size, int(slot.max(initial=-1)) + 1), dtype=op.dtype)
     vals[rows, slot] = op[rows, cols]
-    return step, vals, np.diagonal(op)
+    return rows, cols, slot, vals, np.diagonal(op)
+
+
+def _column_steps(sites, table, d: int, stride: np.ndarray) -> np.ndarray:
+    """A term's column steps, slot for slot with its _op_table values: the
+    index change of each entry on the term's sites."""
+    rows, cols, slot, vals, _ = table
+    local = np.arange(vals.shape[0])
+    offset = sum((local // d ** t % d) * stride[n] for t, n in enumerate(sites))
+    step = np.zeros(vals.shape, dtype=np.int32)
+    step[rows, slot] = offset[cols] - offset[rows]
+    return step
 
 
 def _on_sites(table: np.ndarray, sites, N: int, d: int) -> np.ndarray:
@@ -158,33 +350,36 @@ def _checked_terms(system: SpinSystem, terms):
     return [(sites, cast[id(op)]) for sites, op in terms], dtype
 
 
-def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
+def local_sum(system: SpinSystem, terms) -> Csr:
     """Sparse sum_t (op_t on sites_t), identity on the other sites.
 
     A term is (sites, op), op a d^k x d^k matrix on k distinct sites with
     sites[0] the least significant local digit: A_u B_v is ((u, v), kron(B, A)).
-    Each term becomes a table over its local rows (_term_table), and row i
-    looks its entries up through its digits on the term's sites.  The CSR
-    arrays are allocated once, at the count those tables give, and filled a
-    block of rows at a time: each row in term order with its diagonal last,
-    then sorted, duplicates summed and zeros dropped, as scipy canonicalizes
-    COO triplets in that order.  A block is the most rows, a power of d, whose
-    slots fit in 2^16, so its scratch stays a few MB at any term count.
+    Each distinct op becomes a table over its local rows (_op_table), each
+    term its column steps (_column_steps), and row i looks its entries up
+    through its digits on the term's sites.  The CSR arrays are allocated
+    once, at the count those tables give, and filled a block of rows at a
+    time: each row in term order with its diagonal last, then sorted,
+    duplicates summed and zeros dropped as scipy canonicalizes COO triplets
+    in that order (_coo_sum).  A block is the most rows, a power of d, whose
+    slots fit in 2^13: its scratch, well under 1 MB at any term count, is
+    reused from block to block instead of being mapped afresh.
     float64 when every term is real, else complex128.  After the operator
     strings of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
     """
     d, N, dim = system.local_dim, system.N, system.total_dim
     terms, dtype = _checked_terms(system, terms)
     stride = d ** np.arange(N, dtype=np.int64)
-    tables = [_term_table(sites, op, d, stride) for sites, op in terms]
+    ops = {id(op): _op_table(op) for _, op in terms}
+    tables = [ops[id(op)] for _, op in terms]
     diag = np.zeros((d,) * N, dtype=dtype)
     for (sites, _), table in zip(terms, tables):
-        if table[2].any():
-            diag += _on_sites(table[2], sites, N, d)
+        if table[4].any():
+            diag += _on_sites(table[4], sites, N, d)
     diag = diag.ravel()
-    total = np.count_nonzero(diag) + sum(np.count_nonzero(table[1]) * d ** (N - len(sites))
+    total = np.count_nonzero(diag) + sum(table[0].size * d ** (N - len(sites))
                                          for (sites, _), table in zip(terms, tables))
-    index = np.dtype(np.int32 if max(total, dim) < 2 ** 31 else np.int64)
+    index = _index_dtype(max(total, dim))
     # the CSR arrays beside the diagonal they are filled from
     check_bytes((total + dim + 1) * index.itemsize + (total + dim) * dtype.itemsize,
                 f"the CSR of {total:,} entries")
@@ -198,15 +393,16 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     # entry past the terms.  A block is d^h rows that share their high digits,
     # so its slots are one table over the low digits, built a site at a time,
     # plus one row of offsets from the high ones.
-    width = [table[0].shape[1] for table in tables]
+    width = [table[3].shape[1] for table in tables]
     slots = sum(width) + 1
     h = 0
-    while h < N and d ** (h + 1) * slots <= 1 << 16:
+    while h < N and d ** (h + 1) * slots <= 1 << 13:
         h += 1
     height = d ** h
-    step, vals = (np.concatenate([table[a].ravel() for table in tables]
-                                 + [np.zeros(height, dtype=dt)])
-                  for a, dt in ((0, np.int32), (1, dtype)))
+    step = np.concatenate([_column_steps(sites, table, d, stride).ravel()
+                           for (sites, _), table in zip(terms, tables)]
+                          + [np.zeros(height, dtype=np.int32)])
+    vals = np.concatenate([table[3].ravel() for table in tables] + [np.zeros(height, dtype)])
     live = vals != 0                         # the padding is 0, every entry is not
     weight = np.zeros((N, slots), dtype=np.intp)
     weight[:h, -1] = stride[:h]
@@ -215,7 +411,7 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     for (sites, _), table, w in zip(terms, tables, width):
         weight[list(sites), col:col + w] = w * d ** np.arange(len(sites))[:, None]
         low_at[0, col:col + w] = base + np.arange(w)
-        col, base = col + w, base + table[0].size
+        col, base = col + w, base + table[3].size
     for n in range(h):
         low_at = (np.arange(d)[:, None, None] * weight[n] + low_at).reshape(-1, slots)
     pos = 0
@@ -224,22 +420,18 @@ def local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
         live[-height:] = vals[-height:] != 0
         at = (low_at + (i0 // stride % d) @ weight).ravel()
         kept = np.flatnonzero(live[at])
-        ptr = np.searchsorted(kept, np.arange(0, (height + 1) * slots, slots)).astype(index)
-        rows = np.repeat(np.arange(i0, i0 + height, dtype=index), np.diff(ptr))
+        rows = kept // slots
         at = at[kept]
-        block = sp.csr_matrix((vals[at], rows + step[at], ptr), shape=(height, dim))
-        block.sum_duplicates()
-        block.eliminate_zeros()
-        end = pos + block.nnz
-        indices[pos:end], data[pos:end] = block.indices, block.data
-        indptr[i0 + 1:i0 + height + 1] = pos + block.indptr[1:]
+        rows, cols, sums = _coo_sum(rows, i0 + rows + step[at], vals[at], dim)
+        end = pos + sums.size
+        indices[pos:end], data[pos:end] = cols, sums
+        np.cumsum(np.bincount(rows, minlength=height), out=indptr[i0 + 1:i0 + height + 1])
+        indptr[i0 + 1:i0 + height + 1] += pos
         pos = end
     if pos < total:                          # duplicates that summed or cancelled
         indices.resize(pos, refcheck=False)
         data.resize(pos, refcheck=False)
-    out = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    out.has_canonical_format = True
-    return out
+    return Csr(data, indices, indptr, (dim, dim))
 
 
 def lowering(system: SpinSystem, phases) -> ManyBodyOperator:
@@ -361,19 +553,11 @@ def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVecto
     return StateVector(system, coherent_product_states(system, [angles.theta], [angles.phi])[0])
 
 
-def matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """A @ x.  A real A meets a complex x as two real products, so scipy does
-    not copy A's data to complex128 for one product."""
-    if A.dtype.kind == "c" or x.dtype.kind != "c":
-        return A @ x
-    return A @ x.real + 1j * (A @ x.imag)
-
-
 def expectation(op: ManyBodyOperator, psi: StateVector) -> complex:
     """<psi|op|psi> as computed (take .real for a Hermitian op)."""
     if psi.system != op.system:
         raise DimensionMismatch("operator and state on different systems")
-    return complex(np.vdot(psi.amplitudes, matvec(op.matrix, psi.amplitudes)))
+    return complex(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes))
 
 
 def site_spin_expectations(psi: StateVector) -> np.ndarray:

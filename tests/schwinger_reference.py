@@ -15,6 +15,8 @@ from itertools import product as iter_product
 import numpy as np
 import scipy.sparse as sp
 
+from spinops_reference import as_scipy
+
 from scarlab.errors import DimensionMismatch
 from scarlab.schwinger import DOWN, UP, FockBasis
 
@@ -62,21 +64,19 @@ def embed_into(small, big) -> sp.csr_matrix:
 
 
 def reference_bilinear(basis, kind, m, n) -> sp.csr_matrix:
-    """The bilinears written out as sums of two monomials."""
+    """The bilinears written out as sums of two monomials, in scipy arithmetic."""
+    def mono(*ops):
+        return as_scipy(basis.monomial(ops))
+
     if kind == "zeta":
-        return (basis.monomial(((m, UP, True), (n, UP, False)))
-                + basis.monomial(((m, DOWN, True), (n, DOWN, False))))
+        return mono((m, UP, True), (n, UP, False)) + mono((m, DOWN, True), (n, DOWN, False))
     if kind == "eta":
-        return (basis.monomial(((m, UP, False), (n, DOWN, False)))
-                - basis.monomial(((m, DOWN, False), (n, UP, False))))
+        return mono((m, UP, False), (n, DOWN, False)) - mono((m, DOWN, False), (n, UP, False))
     if kind == "epsilon":
-        return (basis.monomial(((m, UP, True), (n, DOWN, False)))
-                - basis.monomial(((m, DOWN, True), (n, UP, False))))
+        return mono((m, UP, True), (n, DOWN, False)) - mono((m, DOWN, True), (n, UP, False))
     if kind == "O1":
-        return (basis.monomial(((m, UP, True), (n, UP, False)))
-                - basis.monomial(((m, DOWN, False), (n, DOWN, False))))
-    return (basis.monomial(((m, UP, True), (n, DOWN, False)))
-            + basis.monomial(((m, DOWN, True), (n, UP, False))))
+        return mono((m, UP, True), (n, UP, False)) - mono((m, DOWN, False), (n, DOWN, False))
+    return mono((m, UP, True), (n, DOWN, False)) + mono((m, DOWN, True), (n, UP, False))
 
 
 @functools.cache

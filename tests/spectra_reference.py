@@ -3,13 +3,16 @@
 blocks is the block discovery that spectra replaced with its numpy component
 routine `_components`: connected_components over the graph of the nonzero
 entries of H, which numbers each component by its smallest node.
-translation_matrix and translation_sectors are the momentum-sector oracles:
+invariant is the scipy form of spectra._invariant: the relabelled matrix minus
+A, its largest entry against the tolerance.  translation_matrix and
+translation_sectors are the momentum-sector oracles:
 the one-site shift as a sparse matrix, and the spectrum of every momentum.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from spinops_reference import as_scipy
 
 from scarlab.errors import NotTranslationInvariant
 from scarlab.spectra import _rotations, _solve
@@ -24,9 +27,24 @@ def blocks(H):
     For the XYZ chain the blocks are the two Sz-parity sectors, for XXZ the
     Sz sectors; a coupling that breaks Sz parity (J13, J23) leaves one block.
     """
-    A = H.matrix
+    A = as_scipy(H.matrix)
     _, labels = connected_components(A != 0, directed=False)
     return A.dtype.kind != "c" or not np.any(A.data.imag), labels
+
+
+def invariant(A, perm, sign=None) -> bool:
+    """Whether A[perm s, perm t] = A[s, t] for all s, t; with sign, whether
+    sign[s] sign[t] A[perm s, perm t] = conj(A[s, t]), in scipy arithmetic."""
+    A = as_scipy(A)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    B = A[perm]
+    B.indices = inv[B.indices]                       # relabelled columns, left unsorted
+    B.has_sorted_indices = False
+    if sign is not None:
+        B.data *= np.repeat(sign, np.diff(B.indptr)) * sign[B.indices]
+        A = A.conj()
+    return abs(B - A).max() <= 1e-12 * abs(A).max()
 
 
 def translation_matrix(system):

@@ -1,7 +1,8 @@
 """Oracles of `scarlab.spinops` that only the tests use.
 
-embed places one local operator at one site and two_site multiplies two of
-them, each through scipy.sparse.kron with identities on the other sites
+as_scipy views a Csr as a scipy CSR matrix, so the tests can do sparse
+arithmetic on the package's operators with scipy as the oracle.  embed
+places one local operator at one site and two_site multiplies two of them, each through scipy.sparse.kron with identities on the other sites
 (site 0 least significant); local_sum, the one assembler in the package, is
 tested against them.  coo_local_sum is the earlier COO assembler, the
 bit-identity oracle of local_sum's CSR.  product_rotation is the dense
@@ -18,6 +19,11 @@ import scipy.sparse as sp
 
 from scarlab.errors import DimensionMismatch, SiteOutOfRange
 from scarlab.spinops import ManyBodyOperator, SiteAngles, SpinSystem, _site_rotations
+
+
+def as_scipy(A) -> sp.csr_matrix:
+    """The scipy CSR matrix over the three arrays of a Csr."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
 
 
 def embed(local_op: np.ndarray, site: int, system: SpinSystem) -> sp.csr_matrix:
@@ -103,7 +109,7 @@ def rotated_hamiltonian(H: ManyBodyOperator, angles: SiteAngles,
     the angles, so when they are scar angles, H'|up...up> = E |up...up>."""
     phi = tuple(helicity * p for p in angles.phi)
     V = product_rotation(SiteAngles(angles.theta, phi), H.system)
-    HV = H.matrix @ V
+    HV = as_scipy(H.matrix) @ V
     return np.conj(V, out=V).T @ HV      # in place: one dim^2 array fewer at peak
 
 

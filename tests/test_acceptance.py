@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 from spectra_reference import translation_matrix
-from spinops_reference import embed
+from spinops_reference import as_scipy, embed
 
 from scarlab.elliptic import (commensurate_q, complete_K_array, jacobi, jacobi_array,
                               jacobi_fraction, solve_q_kappa)
@@ -271,8 +271,8 @@ def test_criterion_11_approximated_sga():
     from scarlab.algebra import deformed_tower_deficit, tau, tau_double_prime
     N, S, p = 5, 0.5, 1
     q0 = 2.0 * math.pi * p / N
-    diff = (tau_double_prime(N, S, commensurate_q(p, N, 0.0)).matrix
-            - tau(N, S, q0).matrix)
+    diff = (as_scipy(tau_double_prime(N, S, commensurate_q(p, N, 0.0)).matrix)
+            - as_scipy(tau(N, S, q0).matrix))
     entrywise = float(np.abs(diff.toarray()).max())
     deficits = [deformed_tower_deficit(N, S, commensurate_q(p, N, kappa))
                 for kappa in (0.1, 0.2, 0.4)]

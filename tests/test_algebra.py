@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import elliptic_reference as ref
-from spinops_reference import embed
-from scarlab.algebra import (deformed_tower_deficit, degenerate_subspace,
+from spinops_reference import as_scipy, embed
+from scarlab.algebra import (commutator_terms, deformed_tower_deficit, degenerate_subspace,
                              first_order_deformation, generalized_family, lambda_op,
                              perturbative_split, reduced_resolvent_apply,
                              standard_sga_witness, subspace_deficit, tau,
@@ -26,12 +26,36 @@ def test_ladder_commutation_relations():
         H = build_xyz_chain(N, S, 1.0, 1.0, math.cos(q0))
         t = tau(N, S, q0)
         lam = lambda_op(N, S, q0)
-        comm = H.matrix @ t.matrix - t.matrix @ H.matrix
-        assert np.abs((comm - lam.matrix).toarray()).max() <= 1e-12
-        mutual = t.matrix @ lam.matrix - lam.matrix @ t.matrix
+        H, t, lam = as_scipy(H.matrix), as_scipy(t.matrix), as_scipy(lam.matrix)
+        comm = H @ t - t @ H
+        assert np.abs((comm - lam).toarray()).max() <= 1e-12
+        mutual = t @ lam - lam @ t
         assert np.abs(mutual.toarray()).max() <= 1e-12
         # Lambda annihilates the fully polarized state
-        assert np.linalg.norm(lam.matrix @ all_up(SpinSystem(S, N)).amplitudes) == 0.0
+        assert np.linalg.norm(lam @ all_up(SpinSystem(S, N)).amplitudes) == 0.0
+
+
+@pytest.mark.parametrize("S", [0.5, 1.0])
+def test_commutator_terms_assemble_the_scipy_commutator(S):
+    # random terms on 1-3 sites, in any site order, overlapping or not: the
+    # term-wise commutator against the product of the two assembled matrices
+    rng = np.random.default_rng(int(4 * S))
+    system = SpinSystem(S, 5)
+    d = system.local_dim
+
+    def random_terms(count):
+        out = []
+        for _ in range(count):
+            sites = tuple(rng.permutation(5)[:rng.integers(1, 4)].tolist())
+            shape = (d ** len(sites),) * 2
+            out.append((sites, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+        return out
+
+    left, right = random_terms(4), random_terms(3)
+    A, B = (as_scipy(local_sum(system, terms)) for terms in (left, right))
+    got = as_scipy(local_sum(system, commutator_terms(system, left, right)))
+    want = A @ B - B @ A
+    assert abs(got - want).max() <= 1e-13 * abs(want).max()
 
 
 def test_sga_witness_closes_on_tower():
@@ -52,8 +76,8 @@ def test_tau_and_lambda_match_kron_reference():
                      - embed(sz, (n - 1) % N, system))
             want_tau = want_tau + lower
             want_lam = want_lam + 1j * math.sin(q0) * lower @ zdiff
-        assert abs(tau(N, S, q0, sign).matrix - want_tau).max() <= 1e-14
-        assert abs(lambda_op(N, S, q0, sign).matrix - want_lam).max() <= 1e-14
+        assert abs(as_scipy(tau(N, S, q0, sign).matrix) - want_tau).max() <= 1e-14
+        assert abs(as_scipy(lambda_op(N, S, q0, sign).matrix) - want_lam).max() <= 1e-14
 
 
 def test_tau_double_prime_equals_the_per_site_construction():
@@ -68,8 +92,8 @@ def test_tau_double_prime_equals_the_per_site_construction():
             sn, cn, _ = ref.jacobi_fraction(frac, mod)
             angle = math.atan2(sn, cn) + 2.0 * math.pi * math.floor(frac + 0.5)
             terms.append(((n,), np.exp(1j * angle) * sm))
-        got = tau_double_prime(N, S, q).matrix
-        want = local_sum(SpinSystem(S, N), terms)
+        got = as_scipy(tau_double_prime(N, S, q).matrix)
+        want = as_scipy(local_sum(SpinSystem(S, N), terms))
         assert (got != want).nnz == 0
 
 
@@ -77,7 +101,7 @@ def test_tau_double_prime_reduces_to_tau():
     for (N, S) in [(5, 0.5), (4, 1.0)]:
         q = commensurate_q(1, N, 0.0)
         q0 = 2.0 * math.pi / N
-        diff = tau_double_prime(N, S, q).matrix - tau(N, S, q0).matrix
+        diff = as_scipy(tau_double_prime(N, S, q).matrix) - as_scipy(tau(N, S, q0).matrix)
         assert np.abs(diff.toarray()).max() <= 1e-13
 
 
@@ -103,7 +127,7 @@ def test_perturbative_split_remainder_order():
         q = commensurate_q(p, N, kappa)
         sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
         H = build_xyz_chain(N, S, dn, 1.0, cn)
-        rem = H.matrix - h0.matrix - kappa ** 2 * h1.matrix
+        rem = as_scipy(H.matrix) - as_scipy(h0.matrix) - kappa ** 2 * as_scipy(h1.matrix)
         norms.append(np.abs(rem.toarray()).max())
     slope = np.polyfit(np.log(kappas), np.log(norms), 1)[0]
     assert slope >= 3.5   # remainder is O(kappa^4)

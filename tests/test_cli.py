@@ -65,6 +65,9 @@ def test_degeneracy_scan_csv(tmp_path):
                         "config", "version", "timestamp"}
     assert doc["memory_budget"] == spinops.MEMORY_BUDGET
     assert doc["rows"] == len(doc["records"]) == 2
+    # the bytes of the largest block, as checked against the budget: five complex arrays
+    for rec in doc["records"]:
+        assert rec["largest_block_bytes"] == 80 * max(rec["solved_blocks"] + rec["copied_blocks"]) ** 2
 
 
 def test_projections_subcommand(tmp_path):
@@ -723,16 +726,21 @@ def test_frame_residual_fails_on_perturbed_angles(tmp_path, capsys, monkeypatch,
     assert "FAIL: frame residual" in capsys.readouterr().out
 
 
-def test_no_subcommand_imports_scipy_linalg_or_csgraph(tmp_path):
-    # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg, 0.07-0.09 s a process
+def test_no_subcommand_imports_scipy(tmp_path):
+    # the runtime is numpy alone: import scipy.sparse took 0.2-0.3 s and 22 MB a process
     script = """
-import sys
+import os, sys
 from scarlab.cli import main
+out = sys.argv[1]
 for argv in (["degeneracy-scan", "--S", "1/2", "--N", "6"], ["algebra-check", "--N", "5", "--S", "1/2"],
-             ["frame"], ["span"], ["schwinger-check", "--N", "3"]):
-    assert main(["--out", sys.argv[1], *argv]) == 0, argv
-print(sorted(m for m in sys.modules
-             if m.startswith(("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"))))
+             ["frame"], ["span"], ["schwinger-check", "--N", "3"],
+             ["lattice-generate", "--kind", "square_shifted", "--dims", "4,3", "--shift", "1"],
+             ["lattice-check", "--graph", os.path.join(out, "square_shifted.json"), "--p", "1",
+              "--denominator", "4", "--kappa", "0.5"],
+             ["scar-verify", "--N", "6", "--S", "1/2"], ["projections", "--N", "5", "--S", "1/2"],
+             ["elliptic", "--points", "200"]):
+    assert main(["--out", out, *argv]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

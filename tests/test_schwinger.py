@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hamiltonian_reference import chain_bonds
 from schwinger_reference import (SITE_CAP_SLACK, EnlargedBasis, embed_into,
                                  enlarged_bilinear_form, reference_bilinear, reference_states)
-from spinops_reference import embed, two_site
+from spinops_reference import as_scipy, embed, two_site
 
 from scarlab import schwinger
 from scarlab.errors import DimensionCap, DimensionMismatch, InvalidSpin, SameSite, ScarlabError
@@ -83,10 +83,10 @@ def test_annihilation_chains(N, S):
     # a bare pair annihilator is not in the commutant: O(1) failure
     assert rep["generic"] > 1e-1
     basis = FockBasis(N, S, mode="hardcore")
-    tp, vac, depth = tau_prime(basis), basis.vacuum_product(), int(round(2 * N * S)) + 1
+    tp, vac, depth = as_scipy(tau_prime(basis)), basis.vacuum_product(), int(round(2 * N * S)) + 1
     for kind in ("zeta", "eta", "epsilon"):
-        assert annihilation_chain(bilinear(basis, kind, 0, 1), tp, vac, depth) <= 1e-12
-    generic = basis.monomial([(0, UP, False), (1, DOWN, False)])
+        assert annihilation_chain(as_scipy(bilinear(basis, kind, 0, 1)), tp, vac, depth) <= 1e-12
+    generic = as_scipy(basis.monomial([(0, UP, False), (1, DOWN, False)]))
     assert annihilation_chain(generic, tp, vac, depth) > 1e-1
 
 
@@ -105,8 +105,8 @@ def test_symmetric_pair_combination_fails():
     N, S = 3, 0.5
     hc = FockBasis(N, S, mode="hardcore")
     _, zstates = zeta_states(N, S, basis=hc)
-    sym = (hc.monomial([(0, UP, False), (1, DOWN, False)])
-           + hc.monomial([(0, DOWN, False), (1, UP, False)]))
+    sym = (as_scipy(hc.monomial([(0, UP, False), (1, DOWN, False)]))
+           + as_scipy(hc.monomial([(0, DOWN, False), (1, UP, False)])))
     worst = max(float(np.linalg.norm(sym @ z)) for z in zstates)
     assert worst > 1e-1
 
@@ -128,7 +128,7 @@ def test_identity_bond_sum():
         con = FockBasis(N, S)
         system = SpinSystem(S, N)
         sx, sy, sz, _, _ = local_spin_matrices(S)
-        boson = sum(c * con.monomial(ops) for ops, c in terms.items()).toarray()
+        boson = sum(c * as_scipy(con.monomial(ops)) for ops, c in terms.items()).toarray()
         index = con.spin_index()
         rhs = (two_site(sx, n, sx, m, system) + two_site(sy, n, sy, m, system)
                + two_site(sz, n, sz, m, system)).toarray()[np.ix_(index, index)]
@@ -151,7 +151,7 @@ def test_bilinear_table_matches_the_written_out_sums(kind):
     basis = FockBasis(3, 1.0, mode="hardcore")
     for m, n in ((0, 1), (2, 0)):
         got, ref = bilinear(basis, kind, m, n), reference_bilinear(basis, kind, m, n)
-        assert np.abs((got - ref).toarray()).max() == 0.0
+        assert np.abs((as_scipy(got) - ref).toarray()).max() == 0.0
 
 
 def test_guards():

@@ -305,3 +305,50 @@ def test_chiral_chain_keeps_both_momenta():
     gap = max(np.abs(np.sort(evals[ks == k]) - np.sort(evals[ks == N - k])).max()
               for k in range(1, N))
     assert gap > 0.1
+
+
+@st.composite
+def _operators(draw):
+    """An XYZ, CSSE or random-term operator on a small chain."""
+    S, N = draw(st.sampled_from([(0.5, 2), (0.5, 4), (0.5, 6), (1.0, 3), (1.0, 4), (1.5, 3)]))
+    kind = draw(st.sampled_from(["xyz", "csse", "random"]))
+    if kind == "xyz":
+        return build_xyz_chain(N, S, *draw(st.lists(couplings, min_size=3, max_size=3)))
+    if kind == "csse":
+        return build_csse_chain(N, S, CsseCouplings(*draw(st.lists(couplings, min_size=6,
+                                                                     max_size=6))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = int(2 * S + 1)
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        sites = tuple(rng.permutation(N)[:draw(st.integers(1, min(2, N)))].tolist())
+        op = rng.normal(size=(d ** len(sites),) * 2) * (rng.random((d ** len(sites),) * 2) < 0.5)
+        terms.append((sites, op + 1j * rng.normal(size=op.shape) * draw(st.booleans())))
+    return ManyBodyOperator(SpinSystem(S, N), terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(H=_operators(), which=st.sampled_from(["shift", "complement", "random"]),
+       signed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_invariant_matches_the_scipy_form(H, which, signed, seed):
+    from scarlab.spectra import _invariant, _rotations, _theta_signs
+    dim = H.system.total_dim
+    rot = _rotations(H.system)
+    perm = {"shift": rot[1 % len(rot)], "complement": dim - 1 - rot[0],
+            "random": np.random.default_rng(seed).permutation(dim)}[which]
+    sign = _theta_signs(H.system) if signed else None
+    assert _invariant(H.matrix, perm, sign) == ref.invariant(H.matrix, perm, sign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(H=_operators(), seed=st.integers(0, 2 ** 32 - 1))
+def test_column_read_matches_scipy_tocsc(H, seed):
+    from scarlab.spectra import _columns
+    from spinops_reference import as_scipy
+    A = H.matrix
+    pick = np.random.default_rng(seed).random(A.shape[1]) < 0.3
+    cols = np.flatnonzero(pick)
+    want = as_scipy(A).tocsc()[:, cols].tocoo()
+    rows, got_cols, vals = _columns(A, pick)
+    assert np.array_equal(rows, want.row) and np.array_equal(got_cols, cols[want.col])
+    assert vals.dtype == want.data.dtype and vals.tobytes() == want.data.tobytes()

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from spinops_reference import coo_local_sum, embed, product_rotation, two_site
+from spinops_reference import as_scipy, coo_local_sum, embed, product_rotation, two_site
 
 from scarlab import spinops
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
@@ -19,7 +19,7 @@ from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem,
                              all_down, all_up, basis_state,
                              coherent_product_state, coherent_product_states,
                              entanglement_entropy, expectation,
-                             local_spin_matrices, local_sum, lowering, matvec,
+                             local_spin_matrices, local_sum, lowering,
                              product_singular_values,
                              site_spin_expectations, tower)
 
@@ -103,11 +103,11 @@ def test_local_sum_matches_kron_oracle(S):
         bond = sum(M[a, b] * np.kron(ops[b], ops[a]) for a in range(3) for b in range(3))
         want = sum(M[a, b] * two_site(ops[a], u, ops[b], v, system)
                    for a in range(3) for b in range(3))
-        got = local_sum(system, [((u, v), bond)])
+        got = as_scipy(local_sum(system, [((u, v), bond)]))
         assert np.abs((got - want).toarray()).max() <= 1e-14
     d = system.local_dim
     A = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
-    got = local_sum(system, [((2,), A), ((0,), A.T), ((2,), A)])
+    got = as_scipy(local_sum(system, [((2,), A), ((0,), A.T), ((2,), A)]))
     want = 2.0 * embed(A, 2, system) + embed(A.T, 0, system)
     assert got.dtype == np.complex128
     assert np.abs((got - want).toarray()).max() <= 1e-14
@@ -192,8 +192,7 @@ def _same_csr_as_coo_local_sum(system, terms):
 @given(case=_term_lists())
 def test_local_sum_bit_identical_to_coo_assembler(case):
     got = _same_csr_as_coo_local_sum(*case)
-    assert got.has_canonical_format
-    assert sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape).has_canonical_format
+    assert as_scipy(got).has_canonical_format
 
 
 @pytest.mark.parametrize("field", [0, 1])
@@ -205,6 +204,145 @@ def test_local_sum_bit_identical_to_coo_assembler_across_row_blocks(field):
     terms = coupling_terms(*chain_couplings(9, RNG.normal(size=(3, 3))), 1.0)
     terms += [((n,), 0.3 * local_spin_matrices(1.0)[field]) for n in range(9)]
     _same_csr_as_coo_local_sum(system, terms)
+
+
+@st.composite
+def _random_term_lists(draw):
+    """(system, terms) at d = 2-4 and N = 1-6 with random real or complex
+    entries, so the order of a sum shows in its last bits: exact zeros,
+    all-zero local rows, and copies of a term on the same sites, reversed,
+    or reversed and negated (exact cancellation), up to three of one term
+    so that three or more entries meet in rows of more than 16."""
+    S = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    d, N = int(2 * S + 1), draw(st.integers(1, 6 if S < 1.5 else 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    complex_terms = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        sites = tuple(draw(st.permutations(range(N)))[:draw(st.integers(1, min(3, N)))])
+        shape = (d ** len(sites),) * 2
+        op = rng.normal(size=shape) * (rng.random(shape) < draw(st.sampled_from([0.2, 0.6, 1.0])))
+        if complex_terms and draw(st.booleans()):
+            op = op + 1j * rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        if draw(st.booleans()):
+            op[rng.random(shape[0]) < 0.3] = 0.0            # local rows that are all zero
+        k = len(sites)
+        back = op.reshape((d,) * 2 * k).transpose(*range(k - 1, -1, -1),
+                                                  *range(2 * k - 1, k - 1, -1)).reshape(shape)
+        terms.append((sites, op))
+        for _ in range(draw(st.integers(0, 2))):
+            copy = draw(st.sampled_from(["same", "reversed", "cancel", "scaled"]))
+            terms.append({"same": (sites, op), "reversed": (sites[::-1], back),
+                          "cancel": (sites[::-1], -back), "scaled": (sites, 0.3 * op)}[copy])
+    return SpinSystem(S, N), terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_term_lists())
+def test_local_sum_bit_identical_to_scipy_coo_on_random_entries(case):
+    # coo_local_sum is scipy's COO -> CSR conversion; local_sum must sum each
+    # entry's addends in the order it does, sorts of long rows included
+    _same_csr_as_coo_local_sum(*case)
+
+
+def _scipy_sort_order(keys):
+    """The permutation scipy's sort_indices applies to one CSR row of columns keys."""
+    row = sp.csr_matrix((np.arange(len(keys), dtype=float), np.array(keys, dtype=np.int32),
+                         np.array([0, len(keys)])), shape=(1, max(keys, default=0) + 1))
+    row.has_sorted_indices = False
+    row.sort_indices()
+    return row.data.astype(int).tolist()
+
+
+def _introsort_killer(n):
+    """n distinct keys that drive a median-of-three quicksort into its worst
+    case (McIlroy, Softw. Pract. Exper. 29, 341 (1999)): keys are frozen
+    lazily, the pivot candidate last, as the sort compares them."""
+    val, state = [None] * n, {"next": 0, "candidate": None}
+
+    class Key:
+        def __init__(self, i):
+            self.i = i
+
+        def __lt__(self, other):
+            x, y = self.i, other.i
+            if val[x] is None and val[y] is None:
+                z = x if x == state["candidate"] else y
+                val[z], state["next"] = state["next"], state["next"] + 1
+            if val[x] is None:
+                state["candidate"] = x
+            elif val[y] is None:
+                state["candidate"] = y
+            return (n if val[x] is None else val[x]) < (n if val[y] is None else val[y])
+
+    spinops._std_sort_order([Key(i) for i in range(n)])
+    return [n if v is None else v for v in val]
+
+
+def test_std_sort_order_is_scipys_row_sort():
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n = int(rng.integers(0, 150))
+        keys = rng.integers(0, max(1, n // int(rng.integers(1, 8))), n).tolist()
+        assert spinops._std_sort_order(keys) == _scipy_sort_order(keys)
+    # inputs that exhaust introsort's depth budget, so it falls back to
+    # heapsort, with some keys merged into duplicates
+    for n in (40, 100, 300):
+        killer = _introsort_killer(n)
+        for merges in range(8):
+            keys = list(killer)
+            for a, b in rng.integers(0, n, (merges, 2)):
+                keys[a] = keys[b]
+            assert spinops._std_sort_order(keys) == _scipy_sort_order(keys)
+
+
+def test_coo_csr_is_scipys_coo_to_csr():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)))
+        n = int(rng.integers(0, 300))
+        rows, cols = rng.integers(0, shape[0], n), rng.integers(0, shape[1], n)
+        vals = rng.normal(size=n) * (rng.random(n) < 0.9)
+        if rng.random() < 0.5:
+            vals = vals + 1j * rng.normal(size=n)
+        got = spinops.coo_csr(rows, cols, vals, shape)
+        want = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        want.eliminate_zeros()
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_random_term_lists(), seed=st.integers(0, 2 ** 32 - 1))
+def test_csr_product_diagonal_and_dense_form_match_scipy(case, seed):
+    A = local_sum(*case)
+    want = as_scipy(A)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=A.shape[1])
+    for v in (x, x + 1j * rng.normal(size=x.size)):
+        got, ref = A @ v, want @ v
+        assert got.dtype == ref.dtype
+        bound = 1e-15 * np.linalg.norm(A.data) * np.linalg.norm(v)
+        assert np.abs(got - ref).max(initial=0.0) <= bound and np.array_equal(got, ref)
+    assert np.array_equal(A.toarray(), want.toarray())
+    assert np.array_equal(A.diagonal(), want.diagonal())
+    assert A.nnz == want.nnz and A.shape == want.shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_random_term_lists(), seed=st.integers(0, 2 ** 32 - 1))
+def test_max_gap_is_the_scipy_difference(case, seed):
+    # B: A's entries relabelled by a permutation that is a symmetry, a random
+    # one, or none, then some values moved and some entries dropped
+    A = local_sum(*case)
+    rng = np.random.default_rng(seed)
+    dim = A.shape[0]
+    perm = [np.arange(dim), rng.permutation(dim), dim - 1 - np.arange(dim)][seed % 3]
+    keep = rng.random(A.nnz) < 0.9
+    rows, cols = perm[A.rows()][keep], perm[A.indices][keep]
+    vals = A.data[keep] + (rng.random(keep.sum()) < 0.2) * rng.normal(size=keep.sum())
+    B = sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
+    assert spinops.max_gap(A, rows, cols, vals) == abs(B - as_scipy(A)).max()
 
 
 @pytest.mark.parametrize("S,N", [(1.0, 10), (0.5, 16)])
@@ -223,13 +361,14 @@ def test_local_sum_peak_memory_within_half_again_its_csr(S, N):
 
 def test_matvec_bit_identical_to_the_complex_product():
     system = SpinSystem(1.0, 5)
-    real = local_sum(system, coupling_terms(*chain_couplings(5, np.diag(RNG.normal(size=3))), 1.0))
-    cplx = local_sum(system, [((0,), local_spin_matrices(1.0)[1])]) + real
+    terms = coupling_terms(*chain_couplings(5, np.diag(RNG.normal(size=3))), 1.0)
+    real = local_sum(system, terms)
+    cplx = local_sum(system, [((0,), local_spin_matrices(1.0)[1])] + terms)
     assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
     x = RNG.normal(size=system.total_dim) + 1j * RNG.normal(size=system.total_dim)
     for A in (real, cplx):
         for v in (x, x.real):
-            got, want = matvec(A, v), A.astype(np.result_type(A.dtype, v.dtype)) @ v
+            got, want = A @ v, as_scipy(A).astype(np.result_type(A.dtype, v.dtype)) @ v
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
