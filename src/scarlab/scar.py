@@ -215,6 +215,12 @@ def helical_tower(N: int, S: float, helicity: int, p: int) -> ScarTower:
     return ScarTower(system=system, states=states, helicity=helicity, q0=q0, p=p)
 
 
+def _opposite_tower(tower: ScarTower) -> list:
+    """The states of the opposite-helicity tower: tau_-/+ = conj(tau_+/-) and
+    |up...up> is real, so they are the conjugates of the tower's states."""
+    return [StateVector(tower.system, st.amplitudes.conj()) for st in tower.states]
+
+
 def helical_expansion(tower: ScarTower, theta: float) -> StateVector:
     """Binomial superposition sum_m sqrt(C(M,m)) cos^{M-m}(t/2) sin^m(t/2) S^(m)."""
     M = len(tower.states) - 1
@@ -251,7 +257,7 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
     check_bytes(32 * (two_ns + 1) * system.total_dim, f"two towers of {two_ns + 1} states "
                 f"of (2S+1)^N = {system.local_dim}^{N} amplitudes")
     same = helical_tower(N, S, helicity, p)
-    oppo = helical_tower(N, S, -helicity, p)
+    oppo = _opposite_tower(same)
     shared = N // math.gcd(2 * p, N)
     table = []
     for theta, phi in zip(thetas, phis):
@@ -261,7 +267,7 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
         for m in range(1, two_ns):
             if m % shared == 0:
                 continue
-            p_oppo += abs(oppo.states[m].overlap(psi)) ** 2
+            p_oppo += abs(oppo[m].overlap(psi)) ** 2
         table.append((float(p_same), float(p_oppo)))
     return table
 
@@ -269,9 +275,9 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
 def shared_state_overlaps(N: int, S: float, p: int):
     """Overlap matrix of the towers' states at multiples of N / gcd(2p, N) (reported only)."""
     same = helical_tower(N, S, +1, p)
-    oppo = helical_tower(N, S, -1, p)
+    oppo = _opposite_tower(same)
     idx = [m for m in range(len(same.states)) if m % (N // math.gcd(2 * p, N)) == 0]
-    mat = np.array([[oppo.states[j].overlap(same.states[i]) for j in idx] for i in idx])
+    mat = np.array([[oppo[j].overlap(same.states[i]) for j in idx] for i in idx])
     return idx, mat
 
 

@@ -136,7 +136,7 @@ class FockBasis:
     def monomial_sum(self, coef_ops, diagonal: float = 0.0) -> Csr:
         """diagonal times the identity plus sum_j c_j monomial(ops_j) over the
         (c_j, ops_j) pairs; entries at one place are summed in the listed
-        order, the identity first, as scipy sums COO duplicates (coo_csr)."""
+        order, the identity first (coo_csr)."""
         states = np.arange(self.dim)
         parts = [(states, states, np.full(self.dim, diagonal))]
         for c, ops in coef_ops:

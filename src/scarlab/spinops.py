@@ -173,74 +173,15 @@ def _index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if n < 2 ** 31 else np.int64)
 
 
-def _std_sort_order(keys: list) -> list:
-    """The positions of keys in the order libstdc++'s std::sort leaves them
-    (comparing keys only): introsort, a median-of-three quicksort down to
-    parts of 16 with heapsort past 2 log2(n) levels, then one insertion sort."""
-    k, a = keys, list(range(len(keys)))
-
-    def sift(first, hole, n, v):                     # __adjust_heap, then __push_heap
-        top = child = hole
-        while child < (n - 1) // 2:
-            child = 2 * child + 2
-            child -= k[a[first + child]] < k[a[first + child - 1]]
-            a[first + hole], hole = a[first + child], child
-        if n % 2 == 0 and child == (n - 2) // 2:
-            child = 2 * child + 2
-            a[first + hole], hole = a[first + child - 1], child - 1
-        while hole > top and k[a[first + (hole - 1) // 2]] < k[v]:
-            a[first + hole], hole = a[first + (hole - 1) // 2], (hole - 1) // 2
-        a[first + hole] = v
-
-    def loop(first, last, depth):
-        while last - first > 16:
-            if depth == 0:                           # heapsort: make_heap, sort_heap
-                for hole in range((last - first - 2) // 2, -1, -1):
-                    sift(first, hole, last - first, a[first + hole])
-                for end in range(last - 1, first, -1):
-                    v, a[end] = a[end], a[first]
-                    sift(first, 0, end - first, v)
-                return
-            depth -= 1
-            i, j, m = first + 1, (first + last) // 2, last - 1
-            x, y, z = k[a[i]], k[a[j]], k[a[m]]      # their median to the front
-            m = (j if y < z else m if x < z else i) if x < y else (i if x < z else m if y < z else j)
-            a[first], a[m] = a[m], a[first]
-            lo, hi, pivot = first + 1, last, k[a[first]]
-            while True:                              # __unguarded_partition
-                while k[a[lo]] < pivot:
-                    lo += 1
-                hi -= 1
-                while pivot < k[a[hi]]:
-                    hi -= 1
-                if lo >= hi:
-                    break
-                a[lo], a[hi] = a[hi], a[lo]
-                lo += 1
-            loop(lo, last, depth)
-            last = lo
-
-    loop(0, len(a), 2 * (len(a).bit_length() - 1))
-    for i in range(1, len(a)):                       # insertion sort: stable
-        v, j = a[i], i
-        while j > 0 and k[v] < k[a[j - 1]]:
-            a[j], j = a[j - 1], j - 1
-        a[j] = v
-    return a
-
-
 def _coo_sum(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int):
     """(rows, cols, sums) of the distinct (row, col) pairs among COO entries,
-    in row-major order, each summed in the order scipy's COO -> CSR conversion
-    adds them, with zero sums dropped.
+    in row-major order, with zero sums dropped.
 
-    scipy lists each row's entries in the order given and adds duplicates
-    left to right.  Unless every row is already in column order, it first
-    sorts each row with libstdc++'s std::sort: an insertion sort, which keeps
-    equal columns in the listed order, up to 16 entries, and an introsort
-    above, which may not.  Two addends sum alike either way, so only rows of
-    more than 16 entries with 3 or more at one column go through
-    _std_sort_order.
+    The one sum order of the package: each pair's addends are summed in the
+    order they are listed, left to right from the first.  A stable sort by
+    row-major key keeps that order; the key packed with its position into
+    one int64 is a plain sort, and argsort(kind="stable") the fallback for
+    keys too wide to pack.
     """
     key = rows.astype(np.int64) * ncols + cols
     bits = max(key.size - 1, 1).bit_length()
@@ -257,21 +198,8 @@ def _coo_sum(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int):
     new = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
     if not new.all():
-        group = np.cumsum(new) - 1
-        many = rows[order[new][np.bincount(group) >= 3]]
-        if many.size:
-            listed = np.argsort(rows, kind="stable")
-            if np.any(np.diff(rows[listed] * np.int64(ncols) + cols[listed]) < 0):
-                count = np.bincount(rows)                # scipy sorts: some row is out of order
-                start = np.cumsum(count) - count         # of each row, listed or sorted
-                redo = np.zeros(count.size, dtype=bool)
-                redo[many] = True
-                for r in np.flatnonzero(redo & (count > 16)).tolist():
-                    at = listed[start[r]:start[r] + count[r]]
-                    order[start[r]:start[r] + count[r]] = at[_std_sort_order(cols[at].tolist())]
-                sums = vals[order]
         head, sums, rest = order[new], sums[new], sums[~new]
-        np.add.at(sums, group[~new], rest)           # each added to its first in turn
+        np.add.at(sums, np.cumsum(new)[~new] - 1, rest)    # each added to its first in turn
     keep = sums != 0
     if keep.all():
         return rows[head], cols[head], sums
@@ -279,7 +207,7 @@ def _coo_sum(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int):
 
 
 def coo_csr(rows, cols, vals, shape) -> Csr:
-    """The Csr of COO entries, duplicates summed as scipy sums them (_coo_sum)."""
+    """The Csr of COO entries, duplicates summed in the listed order (_coo_sum)."""
     r, c, v = _coo_sum(np.asarray(rows), np.asarray(cols), np.asarray(vals), shape[1])
     index = _index_dtype(max(v.size, *shape))
     indptr = np.zeros(shape[0] + 1, dtype=index)
@@ -360,10 +288,10 @@ def local_sum(system: SpinSystem, terms) -> Csr:
     through its digits on the term's sites.  The CSR arrays are allocated
     once, at the count those tables give, and filled a block of rows at a
     time: each row in term order with its diagonal last, then sorted,
-    duplicates summed and zeros dropped as scipy canonicalizes COO triplets
-    in that order (_coo_sum).  A block is the most rows, a power of d, whose
-    slots fit in 2^13: its scratch, well under 1 MB at any term count, is
-    reused from block to block instead of being mapped afresh.
+    duplicates summed in that order and zeros dropped (_coo_sum).  A block
+    is the most rows, a power of d, whose slots fit in 2^13: its scratch,
+    well under 1 MB at any term count, is reused from block to block
+    instead of being mapped afresh.
     float64 when every term is real, else complex128.  After the operator
     strings of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
     """

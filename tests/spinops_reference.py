@@ -4,12 +4,14 @@ as_scipy views a Csr as a scipy CSR matrix, so the tests can do sparse
 arithmetic on the package's operators with scipy as the oracle.  embed
 places one local operator at one site and two_site multiplies two of them, each through scipy.sparse.kron with identities on the other sites
 (site 0 least significant); local_sum, the one assembler in the package, is
-tested against them.  coo_local_sum is the earlier COO assembler, the
-bit-identity oracle of local_sum's CSR.  product_rotation is the dense
-d^N x d^N product of the site rotations and rotated_hamiltonian the dense
-frame V^dag H V; column0_conditions reads the vanishing conditions from its
-column 0, the oracle of hamiltonian.vanishing_conditions.  stub_everywhere
-swaps functions for stubs under every name the scarlab modules hold them by.
+tested against them.  coo_local_sum is the earlier COO assembler: it lists
+the triplets of local_sum's operator in local_sum's order, and listed_sum,
+a pure-Python sum in the listed order, turns them into local_sum's CSR bit
+for bit.  product_rotation is the dense d^N x d^N product of the site
+rotations and rotated_hamiltonian the dense frame V^dag H V;
+column0_conditions reads the vanishing conditions from its column 0, the
+oracle of hamiltonian.vanishing_conditions.  stub_everywhere swaps functions
+for stubs under every name the scarlab modules hold them by.
 """
 
 import sys
@@ -18,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from scarlab.errors import DimensionMismatch, SiteOutOfRange
-from scarlab.spinops import ManyBodyOperator, SiteAngles, SpinSystem, _site_rotations
+from scarlab.spinops import Csr, ManyBodyOperator, SiteAngles, SpinSystem, _site_rotations
 
 
 def as_scipy(A) -> sp.csr_matrix:
@@ -46,11 +48,11 @@ def two_site(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int,
     return (a @ b).tocsr()
 
 
-def coo_local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
-    """local_sum through COO triplets: off-diagonal entries are counted, then
-    written by digit arithmetic into preallocated int32 rows/cols and one
-    values array, the diagonal summed in a dense vector, and scipy's tocsr
-    sorts, sums duplicates, and eliminate_zeros drops what cancelled."""
+def coo_local_sum(system: SpinSystem, terms):
+    """(rows, cols, vals): local_sum's operator as COO triplets, term by term
+    with the diagonal last.  Off-diagonal entries are counted, then written by
+    digit arithmetic into preallocated int32 rows/cols and one values array;
+    the diagonal is summed in a dense vector and listed where it is nonzero."""
     d, N, dim = system.local_dim, system.N, system.total_dim
     terms = [(tuple(sites), np.asarray(op)) for sites, op in terms]
     for sites, op in terms:
@@ -88,9 +90,26 @@ def coo_local_sum(system: SpinSystem, terms) -> sp.csr_matrix:
     end = pos + nz.size
     rows[pos:end] = cols[pos:end] = nz
     vals[pos:end] = diag[nz]
-    out = sp.coo_matrix((vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
-    out.eliminate_zeros()                    # duplicates that cancelled
-    return out
+    return rows[:end], cols[:end], vals[:end]
+
+
+def listed_sum(rows, cols, vals, shape) -> Csr:
+    """The Csr of COO triplets with each (row, col)'s addends summed in a dict,
+    left to right from the first in the order they are listed, zero sums
+    dropped and the rest emitted in row-major order: the one sum order that
+    local_sum and coo_csr promise, in pure Python."""
+    vals = np.asarray(vals)
+    sums = {}
+    for key, v in zip((np.asarray(rows, dtype=np.int64) * shape[1] + cols).tolist(), vals.tolist()):
+        if key in sums:
+            sums[key] += v
+        else:
+            sums[key] = v
+    keys = np.array(sorted(key for key, v in sums.items() if v != 0), dtype=np.int64)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]), out=indptr[1:])
+    return Csr(np.array([sums[key] for key in keys.tolist()], dtype=vals.dtype),
+               (keys % shape[1]).astype(np.int32), indptr, shape)
 
 
 def product_rotation(angles: SiteAngles, system: SpinSystem) -> np.ndarray:

@@ -180,11 +180,19 @@ def test_projection_table_equals_the_per_call_path(N, S, p, helicity, monkeypatc
         monkeypatch.setattr(scar_module, "_table_angles",
                             lambda *a: angles.append(a) or table_angles(*a))
         assert projection_table(N, S, p, kappa, gammas, helicity) == want    # bit for bit
-        assert len(calls) == 2
+        assert len(calls) == 1     # the opposite tower is the conjugate of this one
         assert len(tables) == 1     # one phase table for every gamma
         assert len(angles) == 1     # and one angle grid
         monkeypatch.undo()
         assert projections(N, S, p, kappa, gammas[1], helicity) == want[1]
+
+
+@pytest.mark.parametrize("N,S,p", [(8, 1.0, 1), (6, 0.5, 1), (7, 1.5, 2), (10, 0.5, 3)])
+def test_opposite_tower_is_the_conjugate_bit_for_bit(N, S, p):
+    same, oppo = helical_tower(N, S, +1, p), helical_tower(N, S, -1, p)
+    assert len(same.states) == len(oppo.states) == int(round(2 * N * S)) + 1
+    for a, b in zip(same.states, oppo.states):     # exactly equal; a zero's sign may differ
+        assert np.array_equal(a.amplitudes.conj(), b.amplitudes)
 
 
 def test_shared_states_between_towers():

@@ -9,7 +9,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from spinops_reference import as_scipy, coo_local_sum, embed, product_rotation, two_site
+from spinops_reference import (as_scipy, coo_local_sum, embed, listed_sum, product_rotation,
+                               two_site)
 
 from scarlab import spinops
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
@@ -179,12 +180,43 @@ def _term_lists(draw):
     return SpinSystem(S, N), terms
 
 
-def _same_csr_as_coo_local_sum(system, terms):
-    """local_sum's CSR, after checking its arrays byte for byte against coo_local_sum's."""
-    got, want = local_sum(system, terms), coo_local_sum(system, terms)
-    assert got.dtype == want.dtype
+def _same_arrays(got, want):
+    """The three CSR arrays of got and want equal byte for byte, dtypes too."""
+    assert got.dtype == want.dtype and got.shape == want.shape
     for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _scipy_within_roundoff(got, rows, cols, vals, shape):
+    """got against scipy's COO -> CSR of the same triplets at every listed
+    (row, col), 0 where one stores nothing: bit-identical where at most two
+    addends meet, since IEEE addition commutes, and each of the real and
+    imaginary parts within (k - 1) 2^-52 sum |addends| where k >= 3 meet,
+    since scipy sums them in the order its row sort leaves."""
+    want = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    want.eliminate_zeros()
+    keys, inverse, k = np.unique(rows.astype(np.int64) * shape[1] + cols,
+                                 return_inverse=True, return_counts=True)
+    size = np.bincount(inverse, np.abs(vals), keys.size)
+    at = []
+    for A in (got, want):
+        stored = np.repeat(np.arange(shape[0]), np.diff(A.indptr)) * shape[1] + A.indices
+        out = np.zeros(keys.size, dtype=A.dtype)
+        out[np.searchsorted(keys, stored)] = A.data
+        at.append(out)
+    few = k <= 2
+    assert at[0].dtype == at[1].dtype and at[0][few].tobytes() == at[1][few].tobytes()
+    gap, bound = at[0][~few] - at[1][~few], (k[~few] - 1) * 2.0 ** -52 * size[~few]
+    assert np.all(np.abs(gap.real) <= bound) and np.all(np.abs(gap.imag) <= bound)
+
+
+def _same_csr_as_coo_local_sum(system, terms):
+    """local_sum's CSR, after checking its arrays byte for byte against the
+    listed_sum of coo_local_sum's triplets, listed in local_sum's order, and
+    within roundoff against scipy's sum of them."""
+    got, triplets = local_sum(system, terms), coo_local_sum(system, terms)
+    _same_arrays(got, listed_sum(*triplets, got.shape))
+    _scipy_within_roundoff(got, *triplets, got.shape)
     return got
 
 
@@ -199,7 +231,7 @@ def test_local_sum_bit_identical_to_coo_assembler(case):
 def test_local_sum_bit_identical_to_coo_assembler_across_row_blocks(field):
     """S=1 N=9 chain with a non-symmetric M and a field along x or y: 27 row
     blocks, rows longer than 16 entries, and the single flips of site n from
-    its two bonds and its field summed as one entry."""
+    its two bonds and its field summed as one entry, in term order."""
     system = SpinSystem(1.0, 9)
     terms = coupling_terms(*chain_couplings(9, RNG.normal(size=(3, 3))), 1.0)
     terms += [((n,), 0.3 * local_spin_matrices(1.0)[field]) for n in range(9)]
@@ -240,63 +272,14 @@ def _random_term_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_random_term_lists())
 def test_local_sum_bit_identical_to_scipy_coo_on_random_entries(case):
-    # coo_local_sum is scipy's COO -> CSR conversion; local_sum must sum each
-    # entry's addends in the order it does, sorts of long rows included
+    # local_sum sums each entry's addends in the order coo_local_sum lists
+    # them; scipy's sum of the same triplets, whose row sort may reorder
+    # three or more addends in rows of more than 16, agrees within roundoff
     _same_csr_as_coo_local_sum(*case)
 
 
-def _scipy_sort_order(keys):
-    """The permutation scipy's sort_indices applies to one CSR row of columns keys."""
-    row = sp.csr_matrix((np.arange(len(keys), dtype=float), np.array(keys, dtype=np.int32),
-                         np.array([0, len(keys)])), shape=(1, max(keys, default=0) + 1))
-    row.has_sorted_indices = False
-    row.sort_indices()
-    return row.data.astype(int).tolist()
-
-
-def _introsort_killer(n):
-    """n distinct keys that drive a median-of-three quicksort into its worst
-    case (McIlroy, Softw. Pract. Exper. 29, 341 (1999)): keys are frozen
-    lazily, the pivot candidate last, as the sort compares them."""
-    val, state = [None] * n, {"next": 0, "candidate": None}
-
-    class Key:
-        def __init__(self, i):
-            self.i = i
-
-        def __lt__(self, other):
-            x, y = self.i, other.i
-            if val[x] is None and val[y] is None:
-                z = x if x == state["candidate"] else y
-                val[z], state["next"] = state["next"], state["next"] + 1
-            if val[x] is None:
-                state["candidate"] = x
-            elif val[y] is None:
-                state["candidate"] = y
-            return (n if val[x] is None else val[x]) < (n if val[y] is None else val[y])
-
-    spinops._std_sort_order([Key(i) for i in range(n)])
-    return [n if v is None else v for v in val]
-
-
-def test_std_sort_order_is_scipys_row_sort():
-    rng = np.random.default_rng(11)
-    for _ in range(3000):
-        n = int(rng.integers(0, 150))
-        keys = rng.integers(0, max(1, n // int(rng.integers(1, 8))), n).tolist()
-        assert spinops._std_sort_order(keys) == _scipy_sort_order(keys)
-    # inputs that exhaust introsort's depth budget, so it falls back to
-    # heapsort, with some keys merged into duplicates
-    for n in (40, 100, 300):
-        killer = _introsort_killer(n)
-        for merges in range(8):
-            keys = list(killer)
-            for a, b in rng.integers(0, n, (merges, 2)):
-                keys[a] = keys[b]
-            assert spinops._std_sort_order(keys) == _scipy_sort_order(keys)
-
-
 def test_coo_csr_is_scipys_coo_to_csr():
+    # in listed order bit for bit, and scipy's sum within roundoff
     rng = np.random.default_rng(12)
     for _ in range(200):
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)))
@@ -306,10 +289,38 @@ def test_coo_csr_is_scipys_coo_to_csr():
         if rng.random() < 0.5:
             vals = vals + 1j * rng.normal(size=n)
         got = spinops.coo_csr(rows, cols, vals, shape)
-        want = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-        want.eliminate_zeros()
-        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        _same_arrays(got, listed_sum(rows, cols, vals, shape))
+        _scipy_within_roundoff(got, rows, cols, vals, shape)
+
+
+@settings(max_examples=6, deadline=None)
+@given(field=st.sampled_from([0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_long_rows_sum_three_or_more_addends_in_listed_order(field, seed):
+    """S=1 N=8 chain with a non-symmetric M, a field along x or y and
+    randomly scaled copies of its terms: rows of more than 16 entries with 3
+    or more addends at one column, where a sort that is not stable would
+    change the order of the sum."""
+    rng = np.random.default_rng(seed)
+    N = 8
+    system = SpinSystem(1.0, N)
+    terms = coupling_terms(*chain_couplings(N, rng.normal(size=(3, 3))), 1.0)
+    terms += [((n,), 0.3 * local_spin_matrices(1.0)[field]) for n in range(N)]
+    terms += [(sites, rng.normal() * op) for sites, op in terms if rng.random() < 0.3]
+    rows, cols, vals = coo_local_sum(system, terms)
+    got, shape = local_sum(system, terms), (system.total_dim,) * 2
+    _, first, k = np.unique(rows.astype(np.int64) * shape[1] + cols,
+                            return_index=True, return_counts=True)
+    assert np.any(np.diff(got.indptr)[rows[first[k >= 3]]] > 16)
+    _same_arrays(got, listed_sum(rows, cols, vals, shape))
+    # each entry's negated sum listed after its addends cancels it exactly
+    gone = spinops.coo_csr(np.concatenate([rows, got.rows()]),
+                           np.concatenate([cols, got.indices]),
+                           np.concatenate([vals, -got.data]), shape)
+    assert gone.nnz == 0
+    # a shuffled listing is summed in its own order
+    p = rng.permutation(rows.size)
+    _same_arrays(spinops.coo_csr(rows[p], cols[p], vals[p], shape),
+                 listed_sum(rows[p], cols[p], vals[p], shape))
 
 
 @settings(max_examples=100, deadline=None)
