@@ -11,8 +11,10 @@ Three layers:
   * the generalized family of rotation-generated states at fixed energy,
     whose pairwise energy spacings all vanish.
 
-Eigenspaces come from spectra.full_spectrum, the one many-body eigensolver,
-within degeneracy_at's window around the energy; it checks the memory budget.
+Eigenpairs come from spectra.full_spectrum, the one many-body eigensolver,
+which checks the memory budget: every eigenvector for the reduced resolvent,
+and for an eigenspace only the eigenvectors within degeneracy_at's window
+around the energy, so the dim x dim eigenvector matrix is never held there.
 Commutators are term lists (commutator_terms), assembled by local_sum like
 any operator.
 """
@@ -159,9 +161,9 @@ def first_order_deformation(N: int, S: float, p: int, kappa: float,
 
 
 def degenerate_subspace(H: ManyBodyOperator, E: float) -> np.ndarray:
-    """Orthonormal columns spanning the eigenspace of H within degeneracy_at's window of E."""
-    evals, evecs = full_spectrum(H)
-    cols = evecs[:, np.abs(evals - E) <= degeneracy_at(evals, E).tol]
+    """Orthonormal columns spanning the eigenspace of H within degeneracy_at's
+    window of E, the only eigenvectors full_spectrum keeps."""
+    _, cols = full_spectrum(H, E=E)
     if cols.shape[1] == 0:
         raise ScarlabError(f"no eigenvalues within tolerance of E = {E}")
     return cols

@@ -331,18 +331,18 @@ def cmd_lattice_generate(args, log: CheckLog) -> int:
 def cmd_algebra_check(args, log: CheckLog) -> int:
     from .algebra import (commutator_terms, deformed_tower_deficit, lambda_op,
                           standard_sga_witness, tau_double_prime)
-    from .elliptic import commensurate_q, complete_K_array
-    from .spectra import check_eigenvectors
+    from .elliptic import commensurate_q, jacobi_fraction
+    from .spectra import _check_xyz_blocks
     from .spinops import SpinSystem, local_sum, max_gap
     N, S, p = args.N, args.S, args.p
     if N < 3:
         # the tower energy counts N bonds of a periodic ring
         raise InvalidInput(f"algebra-check needs a ring of N >= 3 sites, got N={N}")
     kappas = _parse_floats(args.kappas)
-    complete_K_array(kappas)        # every kappa is checked before any check runs
-    if any(kappas):
-        # a nonzero kappa needs eigenvectors: stop at the budget before any check runs
-        check_eigenvectors(SpinSystem(S, N).total_dim)
+    qs = [commensurate_q(p, N, kappa) for kappa in kappas]   # every kappa, before any check
+    for q in qs:
+        # a nonzero kappa solves the chain's blocks: stop at the budget before any check runs
+        _check_xyz_blocks(SpinSystem(S, N), jacobi_fraction(q.fraction, q.modulus)[2], 1.0)
     wit = standard_sga_witness(N, S, p)
     t = wit.generator
     lam = lambda_op(N, S, 2.0 * math.pi * p / N)
@@ -359,8 +359,7 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
     worst = max(wit.commutator_residuals)
     log.check("tower ladder closure", worst <= 1e-10, f"max {worst:.2e}")
     rows = [["commutator", repr(d1)], ["mutual", repr(d2)], ["tower", repr(worst)]]
-    for kappa in kappas:
-        q = commensurate_q(p, N, kappa)
+    for kappa, q in zip(kappas, qs):
         if kappa == 0.0:
             dev = largest_entry(tau_double_prime(N, S, q).terms
                                 + [(sites, -op) for sites, op in t.terms])

@@ -26,15 +26,19 @@ TOL_SCALE = 1e-8
 GAP_AUDIT_FACTOR = 10.0
 
 
-def check_eigenvectors(dim: int) -> None:
-    """Stop before the complex dim x dim eigenvector matrix of full_spectrum
-    would pass the memory budget."""
-    check_bytes(16 * dim * dim, f"the {dim:,} x {dim:,} eigenvector matrix")
-
-
 def _block_bytes(size: int) -> int:
     """At most five complex size x size arrays: a dense block and LAPACK's copies."""
     return 80 * size * size
+
+
+def _check_xyz_blocks(system: SpinSystem, Jx: float, Jy: float) -> None:
+    """Stop before H is built when an XYZ ring's largest block is over the
+    memory budget.  With Jx != Jy, hopping and pair terms join each sector
+    of one 2Sz parity, so the 2N elements T^j P^e leave at most 4N blocks,
+    and the largest holds dim / 4N states or more."""
+    if abs(Jx - Jy) > 1e-12:
+        least = -(-system.total_dim // (4 * system.N))
+        check_bytes(_block_bytes(least), f"a dense block of {least:,} states or more")
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,9 +104,10 @@ def _theta_signs(system: SpinSystem) -> np.ndarray:
     return 1.0 - 2 * (total % 2)
 
 
-def _solve(H: ManyBodyOperator, vectors: bool):
+def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
     """(evals, V, ks, record): ascending eigenvalues of H, the eigenvectors
-    (None unless vectors), the momentum of each eigenvalue, and what was solved.
+    (None unless vectors; with E only those within degeneracy_at's window of
+    E, else all of them), the momentum of each eigenvalue, and what was solved.
 
     The symmetry group is abelian: the powers T^j of the one-site shift when
     H commutes with T (else only the identity), times {1, P} when H commutes
@@ -130,14 +135,22 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     time reversal (_theta_signs; sigma' = (-1)^{2SN} sigma), used only where
     the numerics confirm it (_pairing).  With vectors every block is solved.
     Where a commutation test fails the group lacks that element, and the
-    blocks are those of the smaller group.  The memory budget is checked
-    for V, for the symmetry tables beside H and a copy of it, and for the
-    largest block beside H and the tables, all before any solve.
+    blocks are those of the smaller group.
+
+    Each solved block keeps only the eigenvector columns that can lie in the
+    window, and only the kept columns are scattered into V, so eigenvectors
+    take the current block's plus dim x (kept columns).  The window's tol
+    needs the whole spectral range, so a block is trimmed to a superset
+    first: the range is at most twice the Gershgorin bound max_i sum_j |H_ij|
+    on |eigenvalue|.  The memory budget is checked for the dim x dim V
+    without E, for the symmetry tables beside H and a copy of it, and for
+    the largest block beside H and the tables, all before any solve; with E,
+    for V once its columns are counted, before it is written.
     """
     A = H.matrix
     dim = A.shape[0]
-    if vectors:
-        check_eigenvectors(dim)
+    if vectors and E is None:
+        check_bytes(16 * dim * dim, f"the {dim:,} x {dim:,} eigenvector matrix")
     # rot, its complement and their stack: 4N rows of int64, and rep, g, back and rpos;
     # H is held throughout; _invariant's keys and lookups take up to ~110 B per entry of H
     held = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + 32 * (H.system.N + 1) * dim
@@ -199,6 +212,8 @@ def _solve(H: ManyBodyOperator, vectors: bool):
     while not np.array_equal(src[src], src):         # follow copies of copies to a solve
         src = src[src]
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    if E is not None:
+        wide = 2 * TOL_SCALE * max(1.0, 2 * np.bincount(A.rows(), np.abs(A.data), dim).max())
     evals, ks, vecs, solved, copied, done, cplx = [], [], [], [], [], {}, False
     for x, (k, _) in enumerate(chars):
         sel = np.flatnonzero(ok[x])
@@ -234,9 +249,11 @@ def _solve(H: ManyBodyOperator, vectors: bool):
             done[f] = ev[lo:lo + size]
             solved.append(int(size))
             if vectors:
+                near = (np.arange(size) if E is None else
+                        np.flatnonzero(np.abs(ev[lo:lo + size] - E) <= wide))
                 rows = np.flatnonzero(member == ids[j])
-                vecs.append((base + lo, rows, coef[rows], loc[rpos[rows]],
-                             res[1] if size > 1 else np.ones((1, 1))))
+                vecs.append((base + lo + near, rows, coef[rows], loc[rpos[rows]],
+                             (res[1] if size > 1 else np.ones((1, 1)))[:, near]))
         evals.append(ev)
         ks.append(np.full(ev.size, k))
     evals = np.concatenate(evals)
@@ -253,13 +270,19 @@ def _solve(H: ManyBodyOperator, vectors: bool):
               "largest_block_bytes": largest_bytes}
     if not vectors:
         return evals[rank], None, np.concatenate(ks)[rank], record
-    # column j of the block solve lands at the position of eigenvalue j
-    pos = np.empty_like(rank)
-    pos[rank] = np.arange(rank.size)
-    V = np.zeros((rank.size, rank.size),
-                 dtype=np.result_type(*(x.dtype for *_, c, _, v in vecs for x in (c, v))))
-    for lo, rows, c, at, v in vecs:
-        V[np.ix_(rows, pos[lo:lo + v.shape[1]])] = c[:, None] * v[at]
+    keep = np.ones(dim, bool) if E is None else np.abs(evals - E) <= degeneracy_at(evals, E).tol
+    count = int(keep.sum())
+    if E is not None:   # V beside the kept block columns, at most largest x count
+        check_bytes(held + 16 * (dim + largest) * count,
+                    f"the {dim:,} x {count:,} eigenvector matrix")
+    # kept eigenvalue u is column col[u] of V, in ascending order
+    col = np.empty_like(rank)
+    col[rank] = np.cumsum(keep[rank]) - 1
+    V = np.zeros((dim, count), dtype=np.result_type(
+        np.float64, *(x.dtype for *_, c, _, v in vecs for x in (c, v))))
+    for at_eval, rows, c, at, v in vecs:
+        cols = np.flatnonzero(keep[at_eval])
+        V[np.ix_(rows, col[at_eval[cols]])] = c[:, None] * v[np.ix_(at, cols)]
     return evals[rank], V, np.concatenate(ks)[rank], record
 
 
@@ -287,14 +310,17 @@ def _pairing(H, chars, NT, ok, comp, rpos, reps):
     return name, img[:, None] * cmap.size + cmap
 
 
-def full_spectrum(H: ManyBodyOperator, vectors: bool = True):
+def full_spectrum(H: ManyBodyOperator, vectors: bool = True, E: float | None = None):
     """Ascending eigenvalues (and eigenvectors, columns of V) of a Hermitian
     operator, solved densely one symmetry block at a time (_solve).
 
-    The eigenvectors are real when H is real and has no translation symmetry;
-    a translation-invariant H has complex momentum eigenvectors.
+    V holds every eigenvector, or with E only those within degeneracy_at's
+    window of E, in ascending order of their eigenvalues: dim x dim complex
+    bytes, or dim x (their count).  The eigenvectors are real when H is real
+    and has no translation symmetry; a translation-invariant H has complex
+    momentum eigenvectors.
     """
-    evals, V, _, _ = _solve(H, vectors)
+    evals, V, _, _ = _solve(H, vectors, E)
     return (evals, V) if vectors else evals
 
 
@@ -425,14 +451,9 @@ def scan_degeneracy(S_list, N_range, kappa: float, p_range) -> DegeneracyScan:
                 try:
                     q = commensurate_q(p, N, kappa)
                     sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
-                    row.dim = SpinSystem(S, N).total_dim
-                    if 1.0 - dn > 1e-12:
-                        # Jx = dn != Jy = 1: hopping and pair terms join each sector of
-                        # one 2Sz parity, so the 2N elements T^j P^e leave at most 4N
-                        # blocks, and the largest holds dim / 4N states or more
-                        least = -(-row.dim // (4 * N))
-                        check_bytes(_block_bytes(least),
-                                    f"a dense block of {least:,} states or more")
+                    system = SpinSystem(S, N)
+                    row.dim = system.total_dim
+                    _check_xyz_blocks(system, dn, 1.0)
                     H = build_xyz_chain(N, S, dn, 1.0, cn)
                     row.E = gz_energy(N, S, q)
                     evals, _, _, solved = _solve(H, vectors=False)

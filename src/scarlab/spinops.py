@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionCap, DimensionMismatch, InvalidSpin, SiteOutOfRange
 
-MEMORY_BUDGET = 5 * 2 ** 30     # bytes held at once on 7 GB: a 4 GiB V (dim 2^14) fits
+MEMORY_BUDGET = 5 * 2 ** 30     # bytes held at once on 7 GB: a dense block of 8,000 states fits
 
 
 def check_bytes(nbytes: int, what: str) -> None:

@@ -1,18 +1,22 @@
 """Ladder algebra, deformed generators, and the generalized scar family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import elliptic_reference as ref
+from algebra_reference import masked_subspace
 from spinops_reference import as_scipy, embed
+from scarlab import algebra
 from scarlab.algebra import (commutator_terms, deformed_tower_deficit, degenerate_subspace,
                              first_order_deformation, generalized_family, lambda_op,
                              perturbative_split, reduced_resolvent_apply,
                              standard_sga_witness, subspace_deficit, tau,
                              tau_double_prime)
 from scarlab.elliptic import commensurate_q, jacobi_fraction
+from scarlab.errors import ScarlabError
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import build_csse_chain, build_xyz_chain
 from scarlab.scar import gz_energy
@@ -166,6 +170,54 @@ def test_degenerate_subspace_matches_dense_eigh(H, dtype):
         got = degenerate_subspace(H, E)
         assert got.dtype == dtype and got.shape == want.shape
         assert np.abs(got @ got.conj().T - want @ want.conj().T).max() <= 1e-10
+    # the window path keeps only the columns at E; the whole V, masked, is its oracle.
+    # E is each eigenvalue and 0.99 tol off it, where a window narrower than tol drops it
+    for E in np.concatenate([evals, evals + 0.99 * tol, evals - 0.99 * tol]):
+        assert _projector_gap(degenerate_subspace(H, E), masked_subspace(H, E)) <= 1e-12
+    # 1.01 tol beyond either end no eigenvalue is in the window, though one is in its superset
+    for E in (evals[0] - 1.01 * tol, evals[-1] + 1.01 * tol):
+        for subspace in (degenerate_subspace, masked_subspace):
+            with pytest.raises(ScarlabError, match="no eigenvalues within tolerance"):
+                subspace(H, E)
+
+
+def _projector_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """An upper bound on max |P_got - P_want| for orthonormal columns of one
+    count, ||P_got - P_want||_F = sqrt(2) ||(1 - P_want) got||_F, with no
+    dim x dim matrix."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got.conj().T @ got - np.eye(got.shape[1])).max() <= 1e-12
+    return math.sqrt(2) * float(np.linalg.norm(got - want @ (want.conj().T @ got)))
+
+
+@pytest.mark.parametrize("S, N", [(0.5, N) for N in range(6, 13)]
+                         + [(1.0, N) for N in range(4, 7)] + [(1.5, 4)])
+def test_deformed_tower_deficit_equals_the_masked_full_spectrum(monkeypatch, S, N):
+    q = commensurate_q(1, N, 0.2)
+    _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+    H, E = build_xyz_chain(N, S, dn, 1.0, cn), gz_energy(N, S, q)
+    got, want = degenerate_subspace(H, E), masked_subspace(H, E)
+    assert _projector_gap(got, want) <= 1e-12       # one count, at N = 4 the special q's too
+    deficit = deformed_tower_deficit(N, S, q)
+    monkeypatch.setattr(algebra, "degenerate_subspace", masked_subspace)
+    assert abs(deficit - deformed_tower_deficit(N, S, q)) <= 1e-12
+
+
+def test_degenerate_subspace_holds_no_dim_by_dim_matrix():
+    N, S = 10, 0.5
+    q = commensurate_q(1, N, 0.2)
+    _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+    H = build_xyz_chain(N, S, dn, 1.0, cn)
+    H.matrix                                  # assembled before the trace
+    dim = H.system.total_dim
+    tracemalloc.start()
+    try:
+        basis = degenerate_subspace(H, gz_energy(N, S, q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full path peaks above 16 dim^2 bytes (its complex V); this one near 1.5 MB
+    assert basis.shape == (dim, 20) and peak <= 16 * dim * dim / 4
 
 
 def test_first_order_deformation_improves_deficit():

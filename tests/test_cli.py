@@ -787,17 +787,19 @@ def test_algebra_check_builds_each_operator_once(tmp_path, monkeypatch):
 
 
 def test_algebra_check_over_the_dense_cap_is_a_numerical_failure(tmp_path, capsys):
-    # dim 2^15 = 32,768 needs a 16 GiB eigenvector matrix, over the memory budget:
-    # exit 2, no dense eigh
-    assert run(["--out", str(tmp_path), "algebra-check", "--N", "15", "--S", "1/2",
+    # dim 2^20 in at most 4N = 80 blocks: the largest holds 13,108 states or more, and
+    # that block alone is over the memory budget: exit 2, no dense eigh
+    assert run(["--out", str(tmp_path), "algebra-check", "--N", "20", "--S", "1/2",
                 "--kappas", "0.0,0.2"]) == EXIT_NUMERICAL
     cap = capsys.readouterr()
-    assert cap.err == ("numerical failure: the 32,768 x 32,768 eigenvector matrix would take "
-                       f"16 GiB, over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB memory budget\n")
+    assert cap.err == ("numerical failure: a dense block of 13,108 states or more would take "
+                       f"12.80 GiB, over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB memory "
+                       "budget\n")
     # the budget is checked before any check runs
     assert cap.out == ""
     assert not (tmp_path / "algebra_check.csv").exists()
-    # kappa = 0 alone needs no eigenvectors and runs at that size
+    # kappa = 0 alone solves no block, so the budget lets it through; at N = 20 it takes
+    # 22 s and 1.2 GB, so it runs here at N = 15
     assert run(["--out", str(tmp_path), "algebra-check", "--N", "15", "--S", "1/2",
                 "--kappas", "0.0"]) == EXIT_OK
     assert capsys.readouterr().out.count("PASS: ") == 4

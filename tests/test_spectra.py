@@ -35,10 +35,17 @@ def test_full_spectrum_dimension_cap():
     (True, False, "the symmetry tables of"),
     (False, False, "a dense block of"),          # no translation: blocks of 64 states
     (True, True, "the 256 x 256 eigenvector matrix"),
-], ids=["csr", "tables", "block", "vectors"])
+    # the Ising ring's E = 0 level: the 140 states with four domain walls
+    (True, "window", "the 256 x 140 eigenvector matrix"),
+], ids=["csr", "tables", "block", "vectors", "window"])
 def test_every_budget_check_stops_before_any_solve(monkeypatch, periodic, vectors, point):
+    couplings = (0.0, 0.0, 0.7) if vectors == "window" else (0.3, 1.0, 0.7)
+
     def chain():
-        return build_xyz_chain(8, 0.5, 0.3, 1.0, 0.7, periodic=periodic)
+        return build_xyz_chain(8, 0.5, *couplings, periodic=periodic)
+
+    def spectrum(H):
+        return full_spectrum(H, E=0.0) if vectors == "window" else full_spectrum(H, vectors)
 
     checks = []                                  # (what, bytes) of every check, in order
     real = spinops.check_bytes
@@ -48,20 +55,25 @@ def test_every_budget_check_stops_before_any_solve(monkeypatch, periodic, vector
         real(nbytes, what)
     for module in (spinops, spectra):
         monkeypatch.setattr(module, "check_bytes", spy)
-    full_spectrum(chain(), vectors=vectors)
+    spectrum(chain())
     at = next(j for j, (what, _) in enumerate(checks) if what.startswith(point))
     need = int(checks[at][1])
     assert all(nbytes < need for _, nbytes in checks[:at])   # this check is the first to fail
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("a block was built or solved before the budget check")
+        raise AssertionError("a block was built or solved, or V written, before the budget check")
     monkeypatch.setattr(spinops, "MEMORY_BUDGET", need - 1)
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, no_solve)
-    monkeypatch.setattr(spectra, "_dense_block", no_solve)
+    if vectors == "window":
+        # the window's columns are counted once every block is solved: V is checked
+        # before it is written, and its scatter is the one np.ix_ call of the window path
+        monkeypatch.setattr(np, "ix_", no_solve)
+    else:
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, no_solve)
+        monkeypatch.setattr(spectra, "_dense_block", no_solve)
     H = chain()
     with pytest.raises(DimensionCap, match=f"^{point}"):
-        full_spectrum(H, vectors=vectors)
+        spectrum(H)
 
 
 def test_degeneracy_counting_and_gap_audit():
