@@ -380,15 +380,14 @@ def cmd_schwinger_check(args, log: CheckLog) -> int:
     if N < 3:
         # the decomposition telescopes around a periodic ring of N >= 3 bonds
         raise ValueError(f"schwinger-check needs a ring of N >= 3 sites, got N={N}")
-    fids = zeta_tower_fidelities(N, S, p)
-    dev = max(abs(1.0 - f) for f in fids)
+    # the largest step first, so a size over the memory budget stops before any line
+    dcp = decomposition_check(N, S, 2.0 * math.pi * p / N)
+    dev = max(abs(1.0 - f) for f in zeta_tower_fidelities(N, S, p))
     log.check("zeta-states = rotated tower", dev <= 1e-12, f"max dev {dev:.2e}")
     rep = annihilator_report(N, S)
     worst = max(rep[k] for k in ("zeta", "eta", "epsilon"))
     log.check("zeta/eta/epsilon annihilate", worst <= 1e-12, f"max {worst:.2e}")
     log.check("generic bilinear fails", rep["generic"] > 1e-4, f"{rep['generic']:.2e}")
-    q0 = 2.0 * math.pi * p / N
-    dcp = decomposition_check(N, S, q0)
     log.check("bilinear decomposition", dcp <= 1e-11, f"{dcp:.2e}")
     rows = [["tower_fidelity_dev", repr(dev)], ["annihilation", repr(worst)],
             ["generic_control", repr(rep["generic"])], ["decomposition", repr(dcp)]]

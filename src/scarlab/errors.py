@@ -38,8 +38,7 @@ class DimensionMismatch(ScarlabError):
 
 
 class DimensionCap(ScarlabError):
-    """A size out of reach: an allocation over spinops.MEMORY_BUDGET bytes, or
-    Schwinger occupation keys past int64."""
+    """A size out of reach: an allocation over spinops.MEMORY_BUDGET bytes."""
 
 
 class NoRootFound(ScarlabError):
@@ -56,10 +55,6 @@ class UnsupportedDims(InvalidInput):
 
 class IncommensurateQ(InvalidInput):
     """q is not commensurate with the chain/graph wrap."""
-
-
-class SameSite(ScarlabError):
-    """Two-site bosonic bilinear requested with m == n."""
 
 
 class NotTranslationInvariant(ScarlabError):

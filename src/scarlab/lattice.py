@@ -690,19 +690,6 @@ def honeycomb_su2(Nx: int, Ny: int, J: float = 1.0, Jprime: float = 1.0) -> Scar
               keep=(x + y) % 2 == 0)))
 
 
-def modified_honeycomb(Nx: int, Ny: int, J: float = 1.0) -> ScarGraph:
-    """Brick-wall honeycomb completed with the missing vertical bonds.
-
-    Adding one nearest-neighbor bond per hexagon raises every coordination
-    number from three to four, the minimal change that makes the vertex rule
-    satisfiable; the completed graph is square-lattice-like and hosts both
-    plaquette-locked and free-q scar patterns.
-    """
-    if Nx < 4 or Nx % 2 or Ny < 3:
-        raise UnsupportedDims("modified honeycomb needs even Nx >= 4 and Ny >= 3")
-    return square(Nx, Ny, J)
-
-
 def trimer_ladder(L: int, J: float = 1.0, Jprime: float = 1.0) -> ScarGraph:
     """Ring of SU(2) trimers joined by two helical legs per rung pair.
 
@@ -752,7 +739,6 @@ GENERATORS = {
     "triangular_su2": triangular_su2,
     "kagome_su2": kagome_su2,
     "honeycomb_su2": honeycomb_su2,
-    "modified_honeycomb": modified_honeycomb,
     "trimer_ladder": trimer_ladder,
     "trimer_brickwall": trimer_brickwall,
     "nnn_chain": nnn_chain,

@@ -2,39 +2,30 @@
 
 Each spin-S site carries two boson flavors; on the physical (constrained)
 space every site holds exactly n_up + n_down = 2S bosons, and under the
-bijection l_n = n_down that space is isometric to the spin product basis with
-S+_n = c+_{n,up} c_{n,down} mapping exactly.  The zeta-states tau'^m |down..>
-reproduce the helical tower in a site-dependently rotated frame, the hopping
-and pairing bilinears annihilate all of them, and the rotated XXZ chain
-equals a group-theoretical assembly H0 + sum_a O_a T_a of those bilinears,
-bond by bond over the ring's coupling table (hamiltonian.chain_couplings).
+bijection l_n = n_down it is the spin product basis, state for state and
+index for index, with S+_n = c+_{n,up} c_{n,down} mapping exactly.  The
+zeta-states tau'^m |down..> reproduce the helical tower in a
+site-dependently rotated frame, the hopping and pairing bilinears annihilate
+all of them, and the rotated XXZ chain equals a group-theoretical assembly
+H0 + sum_a O_a T_a of those bilinears, bond by bond over the ring's coupling
+table (hamiltonian.chain_couplings).
 
-Two basis modes:
-  constrained - per-site total exactly 2S (the physical space);
-  hardcore    - per-site total at most 2S, global total within 2 of 2SN;
-                the home of the annihilation checks, where creation on a
-                full site projects to zero.
-
-Operators are applied as boson monomials (amplitude sqrt factors from the
-occupations, projection onto the basis only at the final state), so no
-truncation corrupts intermediate states.  A product of two bilinears is one
-composed four-factor monomial on the constrained basis: from a constrained
-state a bilinear leaves every site total within 2S +- 1 and the global total
-within 2 of 2SN, so no intermediate is ever projected out.  A basis is an
-integer occupation array with one integer key per state, so a monomial is
-one vectorized pass over all states: column arithmetic on the touched
-occupations, then a sorted-key lookup of the final states.
+A boson monomial carries exact sqrt(n) amplitudes through its intermediates
+and changes every state's occupations alike, so its image is the state's
+index plus the change of the n_down digits, and the change of the site
+totals decides whether the image is kept: on the constrained states (a
+product of two bilinears is one composed four-factor monomial there), or
+with every site total at most 2S in the annihilation checks, where creation
+on a full site projects to zero.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 import numpy as np
 
-from .errors import DimensionCap, SameSite, ScarlabError
 from .hamiltonian import chain_couplings, coupling_terms
 from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype,
                       check_bytes, coo_csr, local_spin_matrices, local_sum, max_gap, tower)
@@ -52,64 +43,43 @@ _BILINEARS = {
 
 
 class FockBasis:
-    """Two-flavor boson occupation basis in one of the two modes.
+    """The constrained two-flavor boson states of N spin-S sites by spin index.
 
-    states: int8 array (dim, N, 2) of occupations [site, flavor] in product
-    order, site 0 most significant.  Each state has one integer key, sum
-    occ[n, f] (2S+1)^(2n+f); a lookup is a searchsorted on the keys.
+    states: int8 array (dim, N, 2) of occupations [site, flavor]; state s has
+    n_down = l_n(s), the n-th base-(2S+1) digit of s (site 0 least
+    significant), and n_up = 2S - l_n(s).
     """
 
-    def __init__(self, N: int, S: float, mode: str = "constrained"):
-        two_s = _check_spin(S)
-        if mode not in ("constrained", "hardcore"):
-            raise ScarlabError(f"unknown basis mode {mode!r}")
-        self.N, self.S, self.mode = N, S, mode
-        if (two_s + 1) ** (2 * N) > np.iinfo(np.int64).max:
-            raise DimensionCap(f"occupation keys of N={N} S={S} {mode} overflow int64")
-        lo, hi = two_s * N - (2 if mode == "hardcore" else 0), two_s * N
-        # states per global total: a site of total t has t + 1 flavor splits
-        per_total = functools.reduce(np.convolve, [np.arange(1, two_s + 2)] * N, np.ones(1, int))
-        dim = int(per_total[max(lo, 0):hi + 1].sum())
-        # two int8 occupation copies at the last step; int64 keys, order, sorted keys, temporary
-        check_bytes(dim * (4 * N + 32), f"the {dim:,} states of the N={N} S={S} {mode} basis")
-        site_occ = np.array([(u, t - u) for t in range(two_s + 1) for u in range(t + 1)],
-                            dtype=np.int8)
-        # extend site by site, keeping prefixes whose total can still land in [lo, hi]
-        states, run = np.zeros((1, 0, 2), dtype=np.int8), np.zeros(1, dtype=np.int64)
-        for left in range(N - 1, -1, -1):
-            tot = run[:, None] + site_occ.sum(axis=1)
-            i, j = np.nonzero((tot <= hi) & (tot + left * two_s >= lo))
-            states, run = np.concatenate([states[i], site_occ[j, None]], axis=1), tot[i, j]
-        self.states, self._site_cap = states, two_s
-        self._weights = (two_s + 1) ** np.arange(2 * N, dtype=np.int64).reshape(N, 2)
-        self._keys = self._key(states)
-        self._order = np.argsort(self._keys)
-        self._sorted_keys = self._keys[self._order]
+    def __init__(self, N: int, S: float):
+        d = _check_spin(S) + 1
+        self.N, self.S = N, S
+        # the occupations, and a monomial's working arrays beside them (28 B a state)
+        check_bytes(d ** N * (2 * N + 32),
+                    f"the {d ** N:,} states of the N={N} S={S} basis and one monomial on them")
+        self.states = np.empty((d ** N, N, 2), dtype=np.int8)
+        for n in range(N):
+            # index s = (a d + l) d^n + c: a view whose middle axis is digit n
+            site = self.states.reshape(d ** (N - 1 - n), d, d ** n, N, 2)[:, :, :, n]
+            site[..., DOWN], site[..., UP] = np.arange(d)[:, None], np.arange(d)[::-1, None]
+        self._place = d ** np.arange(N, dtype=np.int64)
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
-    def _key(self, occ: np.ndarray) -> np.ndarray:
-        # column by column: a matmul would first copy every occupation to int64
-        return sum(w * col for col, w in zip(occ.reshape(len(occ), -1).T, self._weights.ravel()))
+    def _images(self, ops):
+        """A product of c / c+ factors, ops = [(site, flavor, dagger), ...]
+        applied right to left, on every state with no intermediate projected.
 
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Basis index of each key, -1 where the key is not a basis state."""
-        pos = np.searchsorted(self._sorted_keys, keys).clip(max=self.dim - 1)
-        return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
-
-    def monomial(self, ops) -> Csr:
-        """Normal boson action of a product of c / c+ factors.
-
-        ops is a sequence of (site, flavor, dagger) applied right to left,
-        each to every state at once.  Amplitudes are the exact sqrt(n) boson
-        factors; only the final state is checked against the basis, which
-        implements the projection P o P without truncating intermediates.
+        Returns (cols, rows, amp, change): the states it does not annihilate,
+        their images' n_down digits as an index (a digit past 2S needs a site
+        total above 2S), the exact sqrt(n) boson amplitudes, and each site's
+        change of total, the same for every state.
         """
         amp = np.ones(self.dim)
         alive = np.ones(self.dim, dtype=bool)
         counts = {}
+        change = np.zeros((self.N, 2), dtype=np.int64)
         for site, flavor, dagger in reversed(list(ops)):
             cnt = counts.get((site, flavor), self.states[:, site, flavor])
             # counts are int8, and np.sqrt of int8 is float16: cast first
@@ -119,24 +89,31 @@ class FockBasis:
                 alive &= cnt > 0
                 # a dead state's count stays at 0 so no sqrt sees a negative
                 amp, counts[site, flavor] = amp * np.sqrt(cnt.astype(float)), np.maximum(cnt - 1, 0)
-        shift = np.zeros(self.dim, dtype=np.int64)
-        for (site, flavor), cnt in counts.items():
-            alive &= cnt <= self._site_cap
-            shift += self._weights[site, flavor] * (cnt - self.states[:, site, flavor])
+            change[site, flavor] += 1 if dagger else -1
         cols = np.flatnonzero(alive)
-        rows = self._lookup(self._keys[cols] + shift[cols])
-        cols, rows = cols[rows >= 0], rows[rows >= 0]
-        # every surviving state moves by one key shift: a row holds at most one entry
-        cols = cols[np.argsort(rows)]
+        return cols, cols + change[:, DOWN] @ self._place, amp[cols], change.sum(axis=1)
+
+    def monomial(self, ops) -> Csr:
+        """_images projected onto the constrained states (P o P): a monomial
+        that changes a site total has no constrained image."""
+        cols, rows, amp, change = self._images(ops)
+        if change.any():
+            cols, rows, amp = cols[:0], rows[:0], amp[:0]
+        # every state moves by one index shift, so rows ascend with cols, one entry each
         index = _index_dtype(self.dim)
         indptr = np.zeros(self.dim + 1, dtype=index)
         np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
-        return Csr(amp[cols], cols.astype(index), indptr, (self.dim, self.dim))
+        return Csr(amp, cols.astype(index), indptr, (self.dim, self.dim))
 
     def monomial_sum(self, coef_ops, diagonal: float = 0.0) -> Csr:
         """diagonal times the identity plus sum_j c_j monomial(ops_j) over the
         (c_j, ops_j) pairs; entries at one place are summed in the listed
-        order, the identity first (coo_csr)."""
+        order, the identity first (coo_csr).  The listed entries, at a peak of
+        31-32 B each, are checked against the budget before any monomial."""
+        coef_ops = list(coef_ops)
+        slots = (len(coef_ops) + 1) * self.dim
+        check_bytes(32 * slots, f"the {slots:,} listed entries of a sum of "
+                    f"{len(coef_ops)} monomials on {self.dim:,} states")
         states = np.arange(self.dim)
         parts = [(states, states, np.full(self.dim, diagonal))]
         for c, ops in coef_ops:
@@ -146,22 +123,10 @@ class FockBasis:
         return coo_csr(rows, cols, vals, (self.dim, self.dim))
 
     def vacuum_product(self) -> np.ndarray:
-        """|down...down>: every site filled with 2S down bosons."""
-        occ = np.broadcast_to([0, int(round(2 * self.S))], (1, self.N, 2))
+        """|down...down>: every site filled with 2S down bosons, the last state."""
         vec = np.zeros(self.dim, dtype=complex)
-        vec[self._lookup(self._key(occ))] = 1.0
+        vec[-1] = 1.0
         return vec
-
-    def spin_index(self) -> np.ndarray:
-        """Spin product-basis index of each constrained Fock state.
-
-        The spin module indexes local states by the number of lowerings from
-        Sz = +S, site 0 least significant; that number is n_down, so the
-        bijection is a permutation of labels.
-        """
-        if self.mode != "constrained":
-            raise ScarlabError("spin bijection is defined on the constrained basis")
-        return self.states[:, :, DOWN] @ (self._site_cap + 1) ** np.arange(self.N)
 
 
 def _monomials(kind: str, m: int, n: int) -> list:
@@ -169,33 +134,14 @@ def _monomials(kind: str, m: int, n: int) -> list:
     return [(sign, ((m, fm, dm), (n, fn, False))) for sign, fm, dm, fn in _BILINEARS[kind]]
 
 
-def bilinear(basis: FockBasis, kind: str, m: int, n: int) -> Csr:
-    """Two-site boson bilinears of the group-theoretical decomposition.
-
-    zeta    = c+_{m,up} c_{n,up} + c+_{m,down} c_{n,down}   (flavor-blind hop)
-    eta     = c_{m,up} c_{n,down} - c_{m,down} c_{n,up}     (pair annihilation)
-    epsilon = c+_{m,up} c_{n,down} - c+_{m,down} c_{n,up}
-    O1      = c+_{m,up} c_{n,up} - c_{m,down} c_{n,down}
-    O2      = c+_{m,up} c_{n,down} + c+_{m,down} c_{n,up}
-
-    The pair annihilator carries the antisymmetric flavor combination: the
-    symmetric one does not annihilate the flavor-symmetric zeta-states.
-    """
-    if m == n:
-        raise SameSite(f"bilinear requires two distinct sites, got {m}")
-    if kind not in _BILINEARS:
-        raise ScarlabError(f"unknown bilinear kind {kind!r}")
-    return basis.monomial_sum(_monomials(kind, m, n))
-
-
 def tau_prime(basis: FockBasis) -> Csr:
     """Raising generator sum_n c+_{n,up} c_{n,down}; preserves the constraint."""
     return basis.monomial_sum((1, [(n, UP, True), (n, DOWN, False)]) for n in range(basis.N))
 
 
-def zeta_states(N: int, S: float, basis: FockBasis | None = None) -> tuple:
-    """Normalized tau'^m |down...down>, m = 0..2NS."""
-    basis = FockBasis(N, S) if basis is None else basis
+def zeta_states(N: int, S: float) -> tuple:
+    """The constrained basis and the normalized tau'^m |down...down>, m = 0..2NS."""
+    basis = FockBasis(N, S)
     return basis, tower(tau_prime(basis), basis.vacuum_product(), int(round(2 * N * S)))
 
 
@@ -215,43 +161,55 @@ def rotated_tower_states(N: int, S: float, p: int) -> list:
 
 
 def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
-    """|<m_zeta | rotated tower state 2NS-m>| for every m (should all be 1)."""
-    basis, zstates = zeta_states(N, S)
-    index = basis.spin_index()
+    """|<m_zeta | rotated tower state 2NS-m>| for every m (should all be 1).
+    The towers' bytes are checked first: with the helical tower and the
+    ladder operators they peak at 51-64 B per amplitude of one tower."""
+    d, two_ns = _check_spin(S) + 1, int(round(2 * N * S))
+    check_bytes(64 * (two_ns + 1) * d ** N, f"two towers of {two_ns + 1} states "
+                f"of (2S+1)^N = {d}^{N} amplitudes")
+    _, zstates = zeta_states(N, S)
     rotated = rotated_tower_states(N, S, p)
-    return [float(abs(np.vdot(zv, rotated[-1 - m][index]))) for m, zv in enumerate(zstates)]
+    return [float(abs(np.vdot(zv, rotated[-1 - m]))) for m, zv in enumerate(zstates)]
 
 
 def annihilator_report(N: int, S: float) -> dict:
     """max_m ||op |m_zeta>|| for zeta, eta, epsilon plus a generic control bilinear.
 
-    Evaluated on the hardcore basis, where creation on a full site projects
-    to zero.  The control is the bare pair annihilator c_{0,up} c_{1,down},
-    which lowers site totals (so it survives the hard-core projection) but
-    does not annihilate the zeta-states; its residual must be O(1).
+    op is projected onto site totals at most 2S: a monomial that raises a
+    site total is dropped.  Both monomials of a bilinear change the site
+    totals alike, so the images are summed by their n_down digits.  The
+    control, the bare pair annihilator c_{0,up} c_{1,down}, lowers site
+    totals but does not annihilate the zeta-states: its residual is O(1).
     """
-    basis = FockBasis(N, S, mode="hardcore")
-    _, zstates = zeta_states(N, S, basis=basis)
-    ops = {kind: bilinear(basis, kind, 0, 1) for kind in ("zeta", "eta", "epsilon")}
-    ops["generic"] = basis.monomial([(0, UP, False), (1, DOWN, False)])
-    return {kind: max(float(np.linalg.norm(op @ z)) for z in zstates)
-            for kind, op in ops.items()}
+    basis, states = zeta_states(N, S)
+    zstates = np.array(states)
+    kinds = {kind: _monomials(kind, 0, 1) for kind in ("zeta", "eta", "epsilon")}
+    kinds["generic"] = [(1, ((0, UP, False), (1, DOWN, False)))]
+    report = {}
+    for kind, monos in kinds.items():
+        out = np.zeros_like(zstates)
+        for sign, ops in monos:
+            cols, rows, amp, change = basis._images(ops)
+            if change.max() <= 0:                # else it creates on a full site
+                out[:, rows] += sign * amp * zstates[:, cols]
+        report[kind] = max(float(np.linalg.norm(image)) for image in out)
+    return report
 
 
-def _rotated_spin_hamiltonian(N: int, S: float, q0: float, Jx: float) -> ManyBodyOperator:
-    """Jx cos(q0) sum S.S - Jx sin(q0) sum (Sx_n Sy_{n+1} - Sy_n Sx_{n+1}) on the ring."""
-    M = Jx * math.cos(q0) * np.eye(3)
-    M[0, 1], M[1, 0] = -Jx * math.sin(q0), Jx * math.sin(q0)
+def _rotated_spin_hamiltonian(N: int, S: float, q0: float) -> ManyBodyOperator:
+    """cos(q0) sum S.S - sin(q0) sum (Sx_n Sy_{n+1} - Sy_n Sx_{n+1}) on the ring."""
+    M = math.cos(q0) * np.eye(3)
+    M[0, 1], M[1, 0] = -math.sin(q0), math.sin(q0)
     return ManyBodyOperator(SpinSystem(S, N), coupling_terms(*chain_couplings(N, M), S))
 
 
-def _bond_monomials(n: int, m: int, q0: float, Jx: float) -> dict:
+def _bond_monomials(n: int, m: int, q0: float) -> dict:
     """Composed four-factor monomials of bond (n, m)'s six bilinear products,
     each distinct ops tuple once: {ops: coefficient}."""
     def adjoint(monos):
         return [(s, tuple((i, f, not d) for i, f, d in reversed(ops))) for s, ops in monos]
 
-    hop, cur = Jx * math.cos(q0) / 4.0, -0.5j * Jx * math.sin(q0)
+    hop, cur = math.cos(q0) / 4.0, -0.5j * math.sin(q0)
     products = [(hop, _monomials("zeta", n, m), _monomials("zeta", m, n)),
                 (hop, adjoint(_monomials("eta", n, m)), _monomials("eta", m, n)),
                 (cur, _monomials("O1", n, m), _monomials("zeta", m, n)),
@@ -265,36 +223,32 @@ def _bond_monomials(n: int, m: int, q0: float, Jx: float) -> dict:
     return coef
 
 
-def bilinear_form(basis: FockBasis, bonds: list, q0: float, Jx: float = 1.0) -> Csr:
-    """The bilinear side of decomposition_check on the constrained basis.
+def bilinear_form(basis: FockBasis, bonds: list, q0: float) -> Csr:
+    """The bilinear side of decomposition_check on the constrained basis, in
+    units of the ring's coupling.
 
-    Per bond (n, m): -Jx S cos(q0)/2, the hopping/pairing block
-    (Jx cos(q0)/4) (zeta_nm zeta_mn + eta+_nm eta_mn), and the current block
-    (-i Jx sin(q0)/2) (O1_nm zeta_mn - O1_mn zeta_nm + O2_nm eps_mn -
+    Per bond (n, m): -S cos(q0)/2, the hopping/pairing block
+    (cos(q0)/4) (zeta_nm zeta_mn + eta+_nm eta_mn), and the current block
+    (-i sin(q0)/2) (O1_nm zeta_mn - O1_mn zeta_nm + O2_nm eps_mn -
     O2_mn eps_nm).  Each product of two bilinears is its composed monomials,
     one monomial call per distinct ops tuple, and every term of every bond is
     summed in one monomial_sum.
     """
     return basis.monomial_sum([(c, ops) for n, m in bonds
-                               for ops, c in _bond_monomials(n, m, q0, Jx).items()],
-                              -len(bonds) * Jx * basis.S * math.cos(q0) / 2.0)
+                               for ops, c in _bond_monomials(n, m, q0).items()],
+                              -len(bonds) * basis.S * math.cos(q0) / 2.0)
 
 
-def decomposition_check(N: int, S: float, q0: float, Jx: float = 1.0) -> float:
+def decomposition_check(N: int, S: float, q0: float) -> float:
     """Entrywise deviation between the rotated spin chain and its bilinear form.
 
     The bilinear side is bilinear_form over the bonds of the spin side's
     terms.  The pair terms that drop two bosons telescope out of the
     constrained space, and the locally non-Hermitian Sz difference term sums
-    to zero on the periodic ring, so the two sides must agree exactly.  The
-    spin side is read in the Fock order through the spin bijection, an index
-    permutation of its CSR entries.
+    to zero on the periodic ring, so the two sides must agree exactly.  Both
+    sides are in the spin index, so H's CSR entries are compared as they are.
     """
-    H = _rotated_spin_hamiltonian(N, S, q0, Jx)
-    basis = FockBasis(N, S)
-    index = basis.spin_index()
-    rhs = bilinear_form(basis, [sites for sites, _ in H.terms], q0, Jx)
-    fock = np.empty_like(index)
-    fock[index] = np.arange(index.size)              # Fock position of every spin state
+    H = _rotated_spin_hamiltonian(N, S, q0)
+    rhs = bilinear_form(FockBasis(N, S), [sites for sites, _ in H.terms], q0)
     A = H.matrix
-    return max_gap(rhs, fock[A.rows()], fock[A.indices], A.data)
+    return max_gap(rhs, A.rows(), A.indices, A.data)

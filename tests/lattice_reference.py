@@ -116,10 +116,6 @@ def honeycomb_su2(Nx, Ny, J=1.0, Jprime=1.0):
     return Nx * Ny, edges, _torus(Nx, Ny)
 
 
-def modified_honeycomb(Nx, Ny, J=1.0):
-    return square(Nx, Ny, J)
-
-
 def trimer_ladder(L, J=1.0, Jprime=1.0):
     edges = []
     for t in range(L):
@@ -159,7 +155,7 @@ def nnn_chain(N, J=1.0, Jnnn=1.0):
 GENERATORS = {
     "chain": chain, "square": square, "square_shifted": square_shifted, "lieb": lieb,
     "triangular_su2": triangular_su2, "kagome_su2": kagome_su2,
-    "honeycomb_su2": honeycomb_su2, "modified_honeycomb": modified_honeycomb,
+    "honeycomb_su2": honeycomb_su2,
     "trimer_ladder": trimer_ladder, "trimer_brickwall": trimer_brickwall,
     "nnn_chain": nnn_chain,
 }

@@ -1,11 +1,18 @@
-"""Test oracles for scarlab.schwinger: the per-state basis enumeration and the
-enlarged-basis assembly of the bilinear form that composed monomials replaced.
+"""Test oracles for scarlab.schwinger: the keyed occupation bases that the
+spin-index numbering replaced, the hardcore-basis annihilator check and the
+enlarged-basis assembly of the bilinear form.
 
-The enlarged basis (per-site total at most 2S+2, global total within 2 of
-2SN) holds every intermediate of a product of two bilinears applied to a
-constrained state.  There the products are true sparse boson products, and
-the inclusion matrix E of the constrained states restricts their sum:
-rhs = E^T total E + constant.
+A keyed basis lists its states in product order (site 0 most significant)
+with one int64 key per state, sum occ[n, f] (cap+1)^(2n+f), and finds a
+monomial's images by a sorted-key lookup.  Its modes:
+  constrained - per-site total exactly 2S (the physical space);
+  hardcore    - per-site total at most 2S, global total within 2 of 2SN,
+                where creation on a full site projects to zero;
+  enlarged    - per-site total at most 2S+2, global total within 2 of 2SN.
+The enlarged basis holds every intermediate of a product of two bilinears
+applied to a constrained state.  There the products are true sparse boson
+products, and the inclusion matrix E of the constrained states restricts
+their sum: rhs = E^T total E + constant.
 """
 
 import functools
@@ -19,6 +26,7 @@ from spinops_reference import as_scipy
 
 from scarlab.errors import DimensionMismatch
 from scarlab.schwinger import DOWN, UP, FockBasis
+from scarlab.spinops import Csr, _index_dtype, tower
 
 # mode: (site cap above 2S, global slack around 2SN)
 SITE_CAP_SLACK = {"constrained": (0, 0), "hardcore": (0, 2), "enlarged": (2, 2)}
@@ -35,30 +43,76 @@ def reference_states(N, S, mode):
             if lo <= sum(u + d for u, d in combo) <= hi]
 
 
-class EnlargedBasis:
-    """The enlarged states with FockBasis's keys, lookup and monomial."""
+class KeyedBasis:
+    """The states of one mode with occupation keys, a sorted-key lookup and
+    the keyed monomial."""
 
-    dim = FockBasis.dim
-    _key = FockBasis._key
-    _lookup = FockBasis._lookup
-    monomial = FockBasis.monomial
-
-    def __init__(self, N, S):
-        self.N, self.S, self.mode = N, S, "enlarged"
-        ref = reference_states(N, S, "enlarged")
+    def __init__(self, N, S, mode):
+        self.N, self.S, self.mode = N, S, mode
+        ref = reference_states(N, S, mode)
         self.states = np.array(ref, dtype=np.int8).reshape(len(ref), N, 2)
-        self._site_cap = int(round(2 * S)) + SITE_CAP_SLACK["enlarged"][0]
+        self._site_cap = int(round(2 * S)) + SITE_CAP_SLACK[mode][0]
         self._weights = (self._site_cap + 1) ** np.arange(2 * N, dtype=np.int64).reshape(N, 2)
         self._keys = self._key(self.states)
         self._order = np.argsort(self._keys)
         self._sorted_keys = self._keys[self._order]
 
+    @property
+    def dim(self):
+        return len(self.states)
+
+    def _key(self, occ):
+        return sum(w * col for col, w in zip(occ.reshape(len(occ), -1).T, self._weights.ravel()))
+
+    def _lookup(self, keys):
+        """Basis index of each key, -1 where the key is not a basis state."""
+        pos = np.searchsorted(self._sorted_keys, keys).clip(max=self.dim - 1)
+        return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
+
+    def monomial(self, ops) -> Csr:
+        """Normal boson action of ops = [(site, flavor, dagger), ...] applied
+        right to left; only the final state is looked up in the basis."""
+        amp = np.ones(self.dim)
+        alive = np.ones(self.dim, dtype=bool)
+        counts = {}
+        for site, flavor, dagger in reversed(list(ops)):
+            cnt = counts.get((site, flavor), self.states[:, site, flavor])
+            if dagger:
+                amp, counts[site, flavor] = amp * np.sqrt((cnt + 1).astype(float)), cnt + 1
+            else:
+                alive &= cnt > 0
+                amp, counts[site, flavor] = amp * np.sqrt(cnt.astype(float)), np.maximum(cnt - 1, 0)
+        shift = np.zeros(self.dim, dtype=np.int64)
+        for (site, flavor), cnt in counts.items():
+            alive &= cnt <= self._site_cap
+            shift += self._weights[site, flavor] * (cnt - self.states[:, site, flavor])
+        cols = np.flatnonzero(alive)
+        rows = self._lookup(self._keys[cols] + shift[cols])
+        cols, rows = cols[rows >= 0], rows[rows >= 0]
+        cols = cols[np.argsort(rows)]
+        index = _index_dtype(self.dim)
+        indptr = np.zeros(self.dim + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
+        return Csr(amp[cols], cols.astype(index), indptr, (self.dim, self.dim))
+
+    def vacuum_product(self):
+        """|down...down>: every site filled with 2S down bosons."""
+        occ = np.broadcast_to([0, int(round(2 * self.S))], (1, self.N, 2))
+        vec = np.zeros(self.dim, dtype=complex)
+        vec[self._lookup(self._key(occ))] = 1.0
+        return vec
+
+
+@functools.cache
+def keyed(N, S, mode):
+    return KeyedBasis(N, S, mode)
+
 
 def embed_into(small, big) -> sp.csr_matrix:
-    """Inclusion matrix of small's states inside a larger basis."""
+    """Inclusion matrix of small's states, in small's order, inside a keyed basis."""
     rows = big._lookup(big._key(small.states))
     if (rows < 0).any():
-        raise DimensionMismatch(f"{small.mode} states missing from the {big.mode} basis")
+        raise DimensionMismatch(f"states missing from the {big.mode} basis")
     return sp.csr_matrix((np.ones(small.dim), (rows, range(small.dim))),
                          shape=(big.dim, small.dim))
 
@@ -79,15 +133,27 @@ def reference_bilinear(basis, kind, m, n) -> sp.csr_matrix:
     return mono((m, UP, True), (n, DOWN, False)) + mono((m, DOWN, True), (n, UP, False))
 
 
-@functools.cache
-def _enlarged(N, S):
-    return EnlargedBasis(N, S)
+def hardcore_zeta_states(N, S):
+    """The keyed hardcore basis and its normalized tau'^m |down...down>."""
+    hc = keyed(N, S, "hardcore")
+    tp = sum(as_scipy(hc.monomial([(n, UP, True), (n, DOWN, False)])) for n in range(N))
+    return hc, tower(tp.tocsr(), hc.vacuum_product(), int(round(2 * N * S)))
 
 
-def enlarged_bilinear_form(N, S, bonds, q0, Jx=1.0) -> np.ndarray:
+def hardcore_annihilator_report(N, S):
+    """annihilator_report on the keyed hardcore basis: each bilinear a sparse
+    sum of its written-out monomials, applied to every hardcore zeta-state."""
+    hc, zstates = hardcore_zeta_states(N, S)
+    ops = {kind: reference_bilinear(hc, kind, 0, 1) for kind in ("zeta", "eta", "epsilon")}
+    ops["generic"] = as_scipy(hc.monomial([(0, UP, False), (1, DOWN, False)]))
+    return {kind: max(float(np.linalg.norm(op @ z)) for z in zstates)
+            for kind, op in ops.items()}
+
+
+def enlarged_bilinear_form(N, S, bonds, q0) -> np.ndarray:
     """Dense rhs of decomposition_check: bond products on the enlarged basis,
-    restricted to the constrained states, plus -Jx S cos(q0)/2 per bond."""
-    con, enl = FockBasis(N, S), _enlarged(N, S)
+    restricted to the constrained states, plus -S cos(q0)/2 per bond."""
+    con, enl = FockBasis(N, S), keyed(N, S, "enlarged")
     E = embed_into(con, enl)
     total = sp.csr_matrix((enl.dim, enl.dim), dtype=complex)
     cos_q, sin_q = math.cos(q0), math.sin(q0)
@@ -97,8 +163,8 @@ def enlarged_bilinear_form(N, S, bonds, q0, Jx=1.0) -> np.ndarray:
         o1_nm, o1_mn = (reference_bilinear(enl, "O1", a, b) for a, b in ((n, m), (m, n)))
         o2_nm, o2_mn = (reference_bilinear(enl, "O2", a, b) for a, b in ((n, m), (m, n)))
         eps_nm, eps_mn = (reference_bilinear(enl, "epsilon", a, b) for a, b in ((n, m), (m, n)))
-        total = total + (Jx * cos_q / 4.0) * (z_nm @ z_mn + e_nm.conj().T @ e_mn)
-        total = total + (-0.5j * Jx * sin_q) * (
+        total = total + (cos_q / 4.0) * (z_nm @ z_mn + e_nm.conj().T @ e_mn)
+        total = total + (-0.5j * sin_q) * (
             o1_nm @ z_mn - o1_mn @ z_nm + o2_nm @ eps_mn - o2_mn @ eps_nm)
     rhs = (E.T @ total @ E).toarray()
-    return rhs - len(bonds) * Jx * S * cos_q / 2.0 * np.eye(con.dim)
+    return rhs - len(bonds) * S * cos_q / 2.0 * np.eye(con.dim)

@@ -227,14 +227,34 @@ def test_algebra_check_needs_a_ring(tmp_path, capsys):
 
 
 def test_schwinger_check_over_the_memory_budget_is_a_numerical_failure(tmp_path, capsys):
-    # the constrained Fock basis of 2^26 states is refused before it is enumerated
-    assert run(["--out", str(tmp_path), "schwinger-check", "--N", "26",
+    # the Fock basis of 2^26 states is refused before it is enumerated, and at
+    # N=19 the bilinear sum of 419 * 2^19 listed entries before any monomial
+    budget = f"over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB memory budget"
+    for n, what in (("26", "the 67,108,864 states of the N=26 S=0.5 basis and one monomial on "
+                           "them would take 5.25 GiB"),
+                    ("19", "the 219,676,672 listed entries of a sum of 418 monomials on 524,288 "
+                           "states would take 6.547 GiB")):
+        assert run(["--out", str(tmp_path), "schwinger-check", "--N", n,
+                    "--S", "1/2"]) == EXIT_NUMERICAL
+        cap = capsys.readouterr()
+        assert cap.err == f"numerical failure: {what}, {budget}\n" and not cap.out
+    assert not (tmp_path / "schwinger_check.csv").exists()
+
+
+def test_schwinger_check_stops_at_the_budget_before_any_line(tmp_path, capsys, monkeypatch):
+    # the decomposition's sum runs first: over the budget it stops before any
+    # PASS line, any CSV and any monomial
+    from scarlab.schwinger import FockBasis
+    calls = []
+    monkeypatch.setattr(FockBasis, "monomial", lambda self, ops: calls.append(ops))
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 20)
+    assert run(["--out", str(tmp_path), "schwinger-check", "--N", "8",
                 "--S", "1/2"]) == EXIT_NUMERICAL
     cap = capsys.readouterr()
-    assert cap.err == ("numerical failure: the 67,108,864 states of the N=26 S=0.5 constrained "
-                       f"basis would take 8.5 GiB, over the {spinops.MEMORY_BUDGET / 2 ** 30:g} "
-                       "GiB memory budget\n") and not cap.out
-    assert not (tmp_path / "schwinger_check.csv").exists()
+    assert cap.err == ("numerical failure: the 45,312 listed entries of a sum of 176 monomials "
+                       "on 256 states would take 0.001350 GiB, over the 0.0009766 GiB memory "
+                       "budget\n") and not cap.out
+    assert calls == [] and not list(tmp_path.iterdir())
 
 
 def test_schwinger_check_needs_a_nonzero_spin(tmp_path, capsys):
@@ -279,14 +299,16 @@ def test_degeneracy_scan_csv_is_the_behaviour_contract(tmp_path):
 
 
 def test_unknown_lattice_kind_is_invalid_input(tmp_path, capsys):
+    # modified_honeycomb was square behind a dims check, and is no kind any more
     out = str(tmp_path)
-    assert run(["--out", out, "lattice-generate", "--kind", "nosuch",
-                "--dims", "6"]) == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert "unknown lattice kind 'nosuch'" in err and "square_shifted" in err
-    assert not (tmp_path / "nosuch.json").exists()
-    assert run(["--out", out, "scar-verify", "--lattice", "nosuch"]) == EXIT_INVALID
-    assert "unknown lattice kind 'nosuch'" in capsys.readouterr().err
+    for kind in ("nosuch", "modified_honeycomb"):
+        assert run(["--out", out, "lattice-generate", "--kind", kind,
+                    "--dims", "6"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"unknown lattice kind '{kind}'" in err and "square_shifted" in err
+        assert not (tmp_path / f"{kind}.json").exists()
+        assert run(["--out", out, "scar-verify", "--lattice", kind]) == EXIT_INVALID
+        assert f"unknown lattice kind '{kind}'" in capsys.readouterr().err
 
 
 def test_lattice_check_circuit_rule_options(tmp_path, capsys):

@@ -19,14 +19,14 @@ from scarlab.lattice import (CLASS_DEPENDENT, CLASS_INDEPENDENT, CLASS_NONE, CSS
                              Edge, ScarGraph, as_uniform_csse,
                              assign_site_phases, chain, check_circuit_rule,
                              check_vertex_rule, classify, generate, honeycomb_su2, kagome_su2, lieb,
-                             modified_honeycomb, nnn_chain, square,
+                             nnn_chain, square,
                              square_shifted, triangular_su2, trimer_brickwall,
                              trimer_ladder)
 
 GENERATORS = [
     chain(6), square(3, 3), square_shifted(4, 3), lieb(2, 2),
     triangular_su2(3, 3), kagome_su2(2, 2), honeycomb_su2(4, 2),
-    modified_honeycomb(4, 3), trimer_ladder(4), trimer_brickwall(3, 3),
+    square(4, 3), trimer_ladder(4), trimer_brickwall(3, 3),
     nnn_chain(6),
 ]
 
@@ -116,7 +116,7 @@ def test_column_document_loads_the_same_graph():
 
 
 def test_missing_crossings_are_inferred_from_grid_numbering():
-    grids = [chain(6), square(3, 3), square(4, 5), triangular_su2(3, 3), modified_honeycomb(4, 3),
+    grids = [chain(6), square(3, 3), square(4, 5), triangular_su2(3, 3), square(4, 3),
              trimer_brickwall(3, 3), nnn_chain(6)]
     grids += [square_shifted(nx, ny, shift=s) for nx, ny in ((3, 3), (3, 4), (4, 3), (5, 4))
               for s in range(nx)]
@@ -228,8 +228,8 @@ def test_site_phase_assignment_consistent():
 def test_generate_dispatch_and_dims_guards():
     g = generate("square", 3, 3)
     assert g.num_vertices == 9
-    with pytest.raises(UnsupportedDims):
-        generate("modified_honeycomb", 2, 2)
+    with pytest.raises(UnsupportedDims, match="unknown lattice kind 'modified_honeycomb'"):
+        generate("modified_honeycomb", 4, 3)
     with pytest.raises(UnsupportedDims):
         generate("trimer_brickwall", 2, 2)
     with pytest.raises(ScarlabError):
@@ -303,7 +303,7 @@ def test_phase_step_holds_on_every_edge_of_every_generator():
             assert phases[0] == 0 and all(0 <= f < 1 for f in phases)
             for e in g.edges:
                 assert (phases[e.v] - phases[e.u] + e.sigma * e.r * q.fraction) % 1 == 0
-    # modified_honeycomb(4, 3) has wrap windings 4 and 3: only q = 4pK admitted
+    # square(4, 3) has wrap windings 4 and 3: only q = 4pK admitted
     assert with_nontrivial_q == len(GENERATORS) - 1
 
 
@@ -342,7 +342,7 @@ from scarlab.lattice import _forest, _potentials  # noqa: E402
 TEST_SIZES = [("chain", 6), ("chain", 3), ("square", 3, 3), ("square", 4, 5),
               ("square_shifted", 4, 3), ("square_shifted", 3, 5), ("lieb", 2, 2), ("lieb", 3, 2),
               ("triangular_su2", 3, 3), ("kagome_su2", 2, 2), ("kagome_su2", 3, 2),
-              ("honeycomb_su2", 4, 2), ("honeycomb_su2", 6, 4), ("modified_honeycomb", 4, 3),
+              ("honeycomb_su2", 4, 2), ("honeycomb_su2", 6, 4), ("square", 4, 3),
               ("trimer_ladder", 4), ("trimer_brickwall", 3, 3), ("trimer_brickwall", 4, 6),
               ("nnn_chain", 6), ("nnn_chain", 7)]
 # the lattices of the lattice_scale benchmark workload

@@ -20,7 +20,6 @@ from scarlab.hamiltonian import (_bond_matrix, build_on_graph, build_xyz_chain, 
                                  graph_couplings, vanishing_conditions)
 from scarlab.lattice import (Edge, ScarGraph, assign_site_phases, chain,
                              check_circuit_rule, honeycomb_su2, kagome_su2, lieb,
-                             modified_honeycomb,
                              nnn_chain, square, square_shifted, triangular_su2,
                              trimer_brickwall, trimer_ladder, vertex_flow)
 from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy,
@@ -415,7 +414,7 @@ def test_predicted_sz_current_bit_identical_to_per_vertex_evaluation():
 ED_GRAPHS = [
     (chain(6), 0.5), (square(3, 3), 0.5), (square_shifted(4, 3), 0.5), (lieb(2, 2), 0.5),
     (triangular_su2(3, 3), 0.5), (kagome_su2(2, 2), 0.5), (honeycomb_su2(4, 2), 0.5),
-    (modified_honeycomb(4, 3), 0.5), (trimer_ladder(4), 0.5), (trimer_brickwall(3, 3), 0.5),
+    (square(4, 3), 0.5), (trimer_ladder(4), 0.5), (trimer_brickwall(3, 3), 0.5),
     (nnn_chain(8), 1.0),
 ]
 

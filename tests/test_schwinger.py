@@ -7,36 +7,46 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hamiltonian_reference import chain_bonds
-from schwinger_reference import (SITE_CAP_SLACK, EnlargedBasis, embed_into,
-                                 enlarged_bilinear_form, reference_bilinear, reference_states)
+from schwinger_reference import (SITE_CAP_SLACK, embed_into, enlarged_bilinear_form,
+                                 hardcore_annihilator_report, hardcore_zeta_states, keyed,
+                                 reference_bilinear, reference_states)
 from spinops_reference import as_scipy, embed, two_site
 
-from scarlab import schwinger
-from scarlab.errors import DimensionCap, DimensionMismatch, InvalidSpin, SameSite, ScarlabError
-from scarlab.schwinger import (DOWN, UP, FockBasis, annihilator_report, bilinear,
-                               bilinear_form, decomposition_check, tau_prime, zeta_states,
+from scarlab import schwinger, spinops
+from scarlab.errors import DimensionCap, DimensionMismatch, InvalidSpin
+from scarlab.schwinger import (DOWN, UP, FockBasis, _monomials, annihilator_report,
+                               bilinear_form, decomposition_check, zeta_states,
                                zeta_tower_fidelities)
 from scarlab.spinops import MEMORY_BUDGET, SpinSystem, local_spin_matrices
 
 
+def _digits(s, N, d):
+    return [s // d ** n % d for n in range(N)]
+
+
 def test_constrained_basis_is_spin_space():
-    for (N, S) in [(3, 0.5), (2, 1.0), (2, 1.5)]:
+    # the constrained states, each once, numbered by spin index: row s holds
+    # n_down = the digits of s (site 0 least significant) and n_up = 2S - them
+    for (N, S) in [(3, 0.5), (5, 0.5), (2, 1.0), (4, 1.0), (2, 1.5), (3, 1.5)]:
         basis = FockBasis(N, S)
-        system = SpinSystem(S, N)
-        assert basis.dim == system.total_dim
-        # the bijection is a permutation of the spin product basis
-        assert np.array_equal(np.sort(basis.spin_index()), np.arange(system.total_dim))
+        two_s = int(round(2 * S))
+        assert basis.dim == SpinSystem(S, N).total_dim
+        rows = [tuple(map(tuple, occ)) for occ in basis.states.tolist()]
+        assert len(set(rows)) == basis.dim
+        assert set(rows) == set(reference_states(N, S, "constrained"))
+        for s, occ in enumerate(basis.states.tolist()):
+            assert [down for _, down in occ] == _digits(s, N, two_s + 1)
+            assert all(up + down == two_s for up, down in occ)
 
 
 def test_spin_raising_maps_to_boson_hop():
-    # S+_n on spins = c+_{n,up} c_{n,down} on the constrained Fock space
+    # S+_n on spins = c+_{n,up} c_{n,down} on the constrained Fock space, index for index
     N, S = 3, 1.0
     basis = FockBasis(N, S)
     system = SpinSystem(S, N)
-    index = basis.spin_index()
     _, _, _, sp_, _ = local_spin_matrices(S)
     for n in range(N):
-        spin_side = embed(sp_, n, system).toarray()[np.ix_(index, index)]
+        spin_side = embed(sp_, n, system).toarray()
         boson_side = basis.monomial([(n, UP, True), (n, DOWN, False)]).toarray()
         assert np.abs(boson_side - spin_side).max() <= 1e-13
 
@@ -50,10 +60,14 @@ def test_monomial_respects_boson_statistics():
 
 
 def test_hardcore_projects_full_site_creation():
-    basis = FockBasis(2, 0.5, mode="hardcore")
-    vac = basis.vacuum_product()   # every site full with 2S down bosons
-    created = basis.monomial([(0, DOWN, True)]) @ vac
-    assert np.linalg.norm(created) == 0.0
+    # creation on a full site: the keyed hardcore oracle projects it to zero,
+    # and on every state it raises site 0's total, which annihilator_report drops
+    hc = keyed(2, 0.5, "hardcore")
+    assert np.linalg.norm(as_scipy(hc.monomial([(0, DOWN, True)])) @ hc.vacuum_product()) == 0.0
+    basis = FockBasis(2, 0.5)
+    cols, rows, amp, change = basis._images([(0, DOWN, True)])
+    assert np.array_equal(cols, np.arange(basis.dim)) and list(change) == [1, 0]
+    assert basis.monomial([(0, DOWN, True)]).nnz == 0
 
 
 @pytest.mark.parametrize("N,S,p", [(3, 0.5, 1), (4, 0.5, 1), (4, 1.0, 1), (5, 1.0, 2)])
@@ -75,39 +89,52 @@ def annihilation_chain(op, tp, vacuum, depth):
 
 @pytest.mark.parametrize("N,S", [(3, 0.5), (4, 0.5), (3, 1.0)])
 def test_annihilation_chains(N, S):
-    # the direct residuals on the zeta-states against the ad_{tau'} chain oracle
+    # the direct residuals on the zeta-states against the ad_{tau'} chain
+    # oracle on the keyed hardcore basis
     rep = annihilator_report(N, S)
     assert rep["zeta"] <= 1e-12
     assert rep["eta"] <= 1e-12
     assert rep["epsilon"] <= 1e-12
     # a bare pair annihilator is not in the commutant: O(1) failure
     assert rep["generic"] > 1e-1
-    basis = FockBasis(N, S, mode="hardcore")
-    tp, vac, depth = as_scipy(tau_prime(basis)), basis.vacuum_product(), int(round(2 * N * S)) + 1
+    hc = keyed(N, S, "hardcore")
+    tp = sum(as_scipy(hc.monomial([(n, UP, True), (n, DOWN, False)])) for n in range(N)).tocsr()
+    vac, depth = hc.vacuum_product(), int(round(2 * N * S)) + 1
     for kind in ("zeta", "eta", "epsilon"):
-        assert annihilation_chain(as_scipy(bilinear(basis, kind, 0, 1)), tp, vac, depth) <= 1e-12
-    generic = as_scipy(basis.monomial([(0, UP, False), (1, DOWN, False)]))
+        assert annihilation_chain(reference_bilinear(hc, kind, 0, 1), tp, vac, depth) <= 1e-12
+    generic = as_scipy(hc.monomial([(0, UP, False), (1, DOWN, False)]))
     assert annihilation_chain(generic, tp, vac, depth) > 1e-1
 
 
 def test_zeta_annihilation_direct():
     res = annihilator_report(4, 0.5)
     assert max(res[kind] for kind in ("zeta", "eta", "epsilon")) <= 1e-12
-    # the control is the direct norm of c_{0,up} c_{1,down} on the zeta-states
-    hc = FockBasis(4, 0.5, mode="hardcore")
-    _, zstates = zeta_states(4, 0.5, basis=hc)
-    generic = hc.monomial([(0, UP, False), (1, DOWN, False)])
-    assert res["generic"] == max(float(np.linalg.norm(generic @ z)) for z in zstates)
+    # the control is the direct norm of c_{0,up} c_{1,down} on the hardcore zeta-states
+    hc, zstates = hardcore_zeta_states(4, 0.5)
+    generic = as_scipy(hc.monomial([(0, UP, False), (1, DOWN, False)]))
+    assert abs(res["generic"] - max(float(np.linalg.norm(generic @ z)) for z in zstates)) <= 1e-15
+
+
+@pytest.mark.parametrize("N,S", [(N, 0.5) for N in range(3, 9)]
+                         + [(N, 1.0) for N in range(3, 6)] + [(3, 1.5), (4, 1.5)])
+def test_annihilator_report_matches_the_keyed_hardcore_oracle(N, S):
+    got, want = annihilator_report(N, S), hardcore_annihilator_report(N, S)
+    assert got.keys() == want.keys()
+    assert all(abs(got[kind] - want[kind]) <= 1e-15 for kind in want), (got, want)
 
 
 def test_symmetric_pair_combination_fails():
     # the flavor-symmetric pair annihilator does not kill the zeta-states
     N, S = 3, 0.5
-    hc = FockBasis(N, S, mode="hardcore")
-    _, zstates = zeta_states(N, S, basis=hc)
-    sym = (as_scipy(hc.monomial([(0, UP, False), (1, DOWN, False)]))
-           + as_scipy(hc.monomial([(0, DOWN, False), (1, UP, False)])))
-    worst = max(float(np.linalg.norm(sym @ z)) for z in zstates)
+    basis, zstates = zeta_states(N, S)
+    worst = 0.0
+    for z in zstates:
+        out = np.zeros(basis.dim, dtype=complex)
+        for ops in ([(0, UP, False), (1, DOWN, False)], [(0, DOWN, False), (1, UP, False)]):
+            cols, rows, amp, change = basis._images(ops)
+            assert list(change) == [-1, -1, 0]
+            out[rows] += amp * z[cols]
+        worst = max(worst, float(np.linalg.norm(out)))
     assert worst > 1e-1
 
 
@@ -122,16 +149,15 @@ def test_identity_bond_sum():
     # constrained space, the scalar part of the decomposition: the composed
     # monomials of one bond at q0 = 0, where the current block vanishes
     n, m = 0, 1
-    terms = schwinger._bond_monomials(n, m, 0.0, 1.0)
+    terms = schwinger._bond_monomials(n, m, 0.0)
     assert all(len(ops) == 4 for ops in terms)
     for N, S in [(3, 0.5), (3, 1.0)]:
         con = FockBasis(N, S)
         system = SpinSystem(S, N)
         sx, sy, sz, _, _ = local_spin_matrices(S)
         boson = sum(c * as_scipy(con.monomial(ops)) for ops, c in terms.items()).toarray()
-        index = con.spin_index()
         rhs = (two_site(sx, n, sx, m, system) + two_site(sy, n, sy, m, system)
-               + two_site(sz, n, sz, m, system)).toarray()[np.ix_(index, index)]
+               + two_site(sz, n, sz, m, system)).toarray()
         assert np.abs(boson - rhs - 0.5 * S * np.eye(con.dim)).max() <= 1e-13
 
 
@@ -148,31 +174,52 @@ def test_bilinear_form_matches_enlarged_basis_oracle(N, S, q0):
 
 @pytest.mark.parametrize("kind", ["zeta", "eta", "epsilon", "O1", "O2"])
 def test_bilinear_table_matches_the_written_out_sums(kind):
-    basis = FockBasis(3, 1.0, mode="hardcore")
+    # the (sign, ops) table behind the annihilator and the bond products,
+    # summed on the keyed hardcore oracle, against the written-out bilinears
+    basis = keyed(3, 1.0, "hardcore")
     for m, n in ((0, 1), (2, 0)):
-        got, ref = bilinear(basis, kind, m, n), reference_bilinear(basis, kind, m, n)
-        assert np.abs((as_scipy(got) - ref).toarray()).max() == 0.0
+        got = sum(sign * as_scipy(basis.monomial(ops)) for sign, ops in _monomials(kind, m, n))
+        ref = reference_bilinear(basis, kind, m, n)
+        assert np.abs((got - ref).toarray()).max() == 0.0
 
 
 def test_guards():
-    with pytest.raises(SameSite):
-        bilinear(FockBasis(2, 0.5), "zeta", 1, 1)
-    with pytest.raises(ScarlabError):
-        bilinear(FockBasis(2, 0.5), "bogus", 0, 1)
-    for mode in ("bogus", "enlarged"):
-        with pytest.raises(ScarlabError):
-            FockBasis(2, 0.5, mode=mode)
-    with pytest.raises(ScarlabError):
-        FockBasis(2, 0.5, mode="hardcore").spin_index()
     with pytest.raises(InvalidSpin):
         FockBasis(3, 0.7)
+    with pytest.raises(TypeError):
+        FockBasis(2, 0.5, mode="hardcore")      # one basis: the constrained states
+
+
+def test_traced_names_stay():
+    # the benchmark's tracer wraps FockBasis.monomial and reads the basis's .dim
+    assert callable(FockBasis.monomial)
+    basis = FockBasis(3, 0.5)
+    assert type(basis.dim) is int and basis.dim == 8
+
+
+def test_every_budget_check_stops_before_any_monomial(monkeypatch):
+    # a budget between the basis's bytes and each later step's: the step's own
+    # check stops it before any monomial is built
+    calls = []
+    monkeypatch.setattr(FockBasis, "monomial", lambda self, ops: calls.append(ops))
+    N, S = 6, 0.5
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 6 * (2 * N + 32))
+    FockBasis(N, S)
+    with pytest.raises(DimensionCap, match="the 8,512 listed entries of a sum of 132 monomials"):
+        decomposition_check(N, S, 2 * math.pi / N)
+    with pytest.raises(DimensionCap, match="two towers of 7 states of"):
+        zeta_tower_fidelities(N, S, 1)
+    assert calls == []
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 6 * (2 * N + 32) - 1)
+    with pytest.raises(DimensionCap, match="the 64 states of the N=6 S=0.5 basis"):
+        FockBasis(N, S)
 
 
 # reference: the per-state loop over tuple occupations that FockBasis replaced
 
-def _reference_monomial(states, ops):
-    index = {s: i for i, s in enumerate(states)}
-    rows, cols, vals = [], [], []
+def _reference_images(states, ops):
+    """(column, final occupation, amplitude) of every state ops does not annihilate."""
+    out = []
     for j, occ in enumerate(states):
         amp = 1.0
         work = [list(site) for site in occ]
@@ -188,14 +235,15 @@ def _reference_monomial(states, ops):
                     break
                 amp *= math.sqrt(cnt)
                 work[site][flavor] = cnt - 1
-        if dead:
-            continue
-        i = index.get(tuple(tuple(site) for site in work))
-        if i is None:
-            continue
-        rows.append(i)
-        cols.append(j)
-        vals.append(amp)
+        if not dead:
+            out.append((j, tuple(tuple(site) for site in work), amp))
+    return out
+
+
+def _reference_monomial(states, ops):
+    index = {s: i for i, s in enumerate(states)}
+    hits = [(index[occ], j, amp) for j, occ, amp in _reference_images(states, ops) if occ in index]
+    rows, cols, vals = zip(*hits) if hits else ((), (), ())
     dim = len(states)
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
@@ -207,6 +255,21 @@ def _assert_same_csr(a, b):
     assert np.array_equal(a.data, b.data)
 
 
+def _strings(N, two_s, cap, rng):
+    strings = [
+        [],
+        [(0, UP, True)] * (cap + 1),                  # creation past the site cap
+        [(0, UP, True), (0, UP, False), (0, UP, False)],  # repeated factor
+        [(N - 1, DOWN, False)] * (two_s + 1),         # annihilates past empty
+        [(1, UP, False), (1, UP, True), (0, DOWN, True), (0, DOWN, True)],
+        [(0, UP, True), (1, UP, False), (1, DOWN, True), (0, DOWN, False)],  # a hop
+    ]
+    for _ in range(25):
+        strings.append([(int(rng.integers(N)), int(rng.integers(2)), bool(rng.integers(2)))
+                        for _ in range(int(rng.integers(1, 6)))])
+    return strings
+
+
 @pytest.mark.parametrize("mode", ["constrained", "hardcore"])
 @pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
 def test_vectorized_basis_matches_per_state_reference(mode, S):
@@ -214,52 +277,60 @@ def test_vectorized_basis_matches_per_state_reference(mode, S):
     two_s = int(round(2 * S))
     cap = two_s + SITE_CAP_SLACK[mode][0]
     for N in (2, 3, 4) if S < 1.5 else (2, 3):
-        basis = FockBasis(N, S, mode)
-        ref = reference_states(N, S, mode)
-        assert np.array_equal(basis.states, np.array(ref).reshape(len(ref), N, 2))
+        basis = FockBasis(N, S)
         assert basis.states.dtype == np.int8    # the amplitudes below stay float64
-        strings = [
-            [],
-            [(0, UP, True)] * (cap + 1),                  # creation past site_cap
-            [(0, UP, True), (0, UP, False), (0, UP, False)],  # repeated factor
-            [(N - 1, DOWN, False)] * (two_s + 1),         # annihilates past empty
-            [(1, UP, False), (1, UP, True), (0, DOWN, True), (0, DOWN, True)],
-        ]
-        for _ in range(25):
-            strings.append([(int(rng.integers(N)), int(rng.integers(2)), bool(rng.integers(2)))
-                            for _ in range(int(rng.integers(1, 6)))])
-        for ops in strings:
-            _assert_same_csr(basis.monomial(ops), _reference_monomial(ref, ops))
-        vac = np.zeros(basis.dim, dtype=complex)
-        vac[ref.index(((0, two_s),) * N)] = 1.0
-        got = basis.vacuum_product()
-        assert got.dtype == vac.dtype and np.array_equal(got, vac)
+        con = [tuple(map(tuple, occ)) for occ in basis.states.tolist()]
+        if mode == "constrained":
+            for ops in _strings(N, two_s, cap, rng):
+                _assert_same_csr(basis.monomial(ops), _reference_monomial(con, ops))
+            vac = np.zeros(basis.dim, dtype=complex)
+            vac[con.index(((0, two_s),) * N)] = 1.0
+            got = basis.vacuum_product()
+            assert got.dtype == vac.dtype and np.array_equal(got, vac)
+            continue
+        # the images the annihilator check keeps: those in the hardcore states
+        ref = reference_states(N, S, "hardcore")
+        hc, hardcore = keyed(N, S, "hardcore"), set(ref)
+        assert np.array_equal(hc.states, np.array(ref).reshape(len(ref), N, 2))
+        for ops in _strings(N, two_s, cap, rng):
+            _assert_same_csr(hc.monomial(ops), _reference_monomial(ref, ops))
+            cols, rows, amp, change = basis._images(ops)
+            images = _reference_images(con, ops)
+            assert list(cols) == [j for j, _, _ in images]
+            assert np.array_equal(amp, [a for _, _, a in images])
+            assert all(list(change) == [u + d - two_s for u, d in occ] for _, occ, _ in images)
+            # the bilinears lower the global total by at most 2, inside the hardcore slack
+            kept = change.max() <= 0 and sum(change) >= -SITE_CAP_SLACK["hardcore"][1]
+            assert [occ in hardcore for _, occ, _ in images] == [kept] * len(images)
+            if change.max() <= 0:
+                assert ([_digits(int(r), N, two_s + 1) for r in rows]
+                        == [[d for _, d in occ] for _, occ, _ in images])
 
 
 @pytest.mark.parametrize("N,S", [(3, 0.5), (2, 1.0), (2, 1.5)])
 def test_embed_into_matches_reference(N, S):
-    # the oracle's inclusion of the constrained states in the enlarged basis
-    small, big = FockBasis(N, S), EnlargedBasis(N, S)
-    big_ref = reference_states(N, S, "enlarged")
-    index = {s: i for i, s in enumerate(big_ref)}
-    rows = [index[occ] for occ in reference_states(N, S, "constrained")]
+    # the oracle's inclusion of the constrained states, in spin-index order, in the enlarged basis
+    small, big = FockBasis(N, S), keyed(N, S, "enlarged")
+    index = {s: i for i, s in enumerate(reference_states(N, S, "enlarged"))}
+    rows = [index[tuple(map(tuple, occ))] for occ in small.states.tolist()]
     ref = sp.csr_matrix((np.ones(small.dim), (rows, range(small.dim))),
                         shape=(big.dim, small.dim))
     _assert_same_csr(embed_into(small, big), ref)
 
 
 def test_key_overflow_and_missing_states_raise():
-    # 2^(2N) occupation keys overflow int64 at N=32: refused before any allocation
+    # 2^32 constrained states: the byte budget refuses them before any allocation,
+    # where the int64 keys of the occupations used to overflow
     with pytest.raises(DimensionCap):
         FockBasis(32, 0.5)
     # enlarged states with a site total above 2S are not in the constrained basis
     with pytest.raises(DimensionMismatch):
-        embed_into(EnlargedBasis(2, 0.5), FockBasis(2, 0.5))
+        embed_into(keyed(2, 0.5, "enlarged"), keyed(2, 0.5, "constrained"))
 
 
 def test_basis_over_the_memory_budget_raises_before_enumerating():
-    # 2^26 constrained states: 8.5 GiB of occupations and keys, where only the
-    # int64 key overflow at N=32 stopped the enumeration before
+    # 2^26 constrained states: 3.25 GiB of occupations, and 2 GiB for one
+    # monomial on them
     tracemalloc.start()
     try:
         with pytest.raises(DimensionCap) as err:
@@ -267,9 +338,9 @@ def test_basis_over_the_memory_budget_raises_before_enumerating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value) == ("the 67,108,864 states of the N=26 S=0.5 constrained basis would "
-                              f"take 8.5 GiB, over the {MEMORY_BUDGET / 2 ** 30:g} GiB memory "
-                              "budget")
+    assert str(err.value) == ("the 67,108,864 states of the N=26 S=0.5 basis and one monomial "
+                              f"on them would take 5.25 GiB, over the {MEMORY_BUDGET / 2 ** 30:g} "
+                              "GiB memory budget")
     assert peak < 2 ** 20
 
 
