@@ -293,13 +293,14 @@ def cmd_lattice_check(args, log: CheckLog) -> int:
     from .lattice import ScarGraph, check_circuit_rule, check_vertex_rule, classify
     if (args.p is None) != (args.denominator is None):
         raise ValueError("the circuit rule needs both --p and --denominator")
+    # q is checked before any graph is read or any line printed
+    q = None if args.p is None else commensurate_q(args.p, args.denominator, args.kappa)
     with open(args.graph) as fh:
         g = ScarGraph.from_json(fh.read())
     violations = check_vertex_rule(g)
     log.check("vertex rule", not violations,
               f"{len(violations)} violating vertices" if violations else "all zero")
-    if args.p is not None and args.denominator is not None:
-        q = commensurate_q(args.p, args.denominator, args.kappa)
+    if q is not None:
         rep = check_circuit_rule(g, q)
         log.check("circuit rule", rep.satisfied, rep.admissible_q)
     else:

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import CommensurateQ, _pow, commensurate_q, jacobi_fraction, jacobi_table
-from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, ScarlabError
+from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, InvalidSpin, ScarlabError
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
-from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector,
-                      all_up, check_bytes, coherent_product_state, coherent_product_states,
-                      coherent_site_vectors, local_spin_matrices, product_singular_values,
-                      tau, tower)
+from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector, _check_spin,
+                      all_up, coherent_product_state, coherent_site_vectors,
+                      local_spin_matrices, product_singular_values, tau, tower)
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def _check_family(helicity: int, gammas) -> None:
     if helicity not in (-1, +1):
         raise InvalidInput("helicity must be +1 or -1")
     for gamma in gammas:
-        if abs(gamma) > 1.0:
+        if not abs(gamma) <= 1.0:           # NaN too
             raise InvalidInput(f"|gamma| must be <= 1, got {gamma}")
 
 
@@ -79,7 +78,7 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 def _table_angles(helicity: int, kappa: float, gammas, table):
     """(G, N) theta and phi over a jacobi_table of the site phases, row g at
     gammas[g]: per element the operations of ScarSpec.alpha and .beta and of
-    site_angles, bit for bit (fmax and fmin are Python's max and min, NaN too)."""
+    site_angles, bit for bit (fmax and fmin are Python's max and min)."""
     winding, index, (sn, cn, dn) = table
     gamma = np.asarray(gammas, dtype=float)[:, None]
     rest = 1.0 - _pow(gamma, 2).astype(float)
@@ -215,12 +214,6 @@ def helical_tower(N: int, S: float, helicity: int, p: int) -> ScarTower:
     return ScarTower(system=system, states=states, helicity=helicity, q0=q0, p=p)
 
 
-def _opposite_tower(tower: ScarTower) -> list:
-    """The states of the opposite-helicity tower: tau_-/+ = conj(tau_+/-) and
-    |up...up> is real, so they are the conjugates of the tower's states."""
-    return [StateVector(tower.system, st.amplitudes.conj()) for st in tower.states]
-
-
 def helical_expansion(tower: ScarTower, theta: float) -> StateVector:
     """Binomial superposition sum_m sqrt(C(M,m)) cos^{M-m}(t/2) sin^m(t/2) S^(m)."""
     M = len(tower.states) - 1
@@ -243,42 +236,56 @@ def projections(N: int, S: float, p: int, kappa: float, gamma: float,
     return projection_table(N, S, p, kappa, [gamma], helicity)[0]
 
 
+def _tower_overlaps(vecs: np.ndarray, phases) -> np.ndarray:
+    """(G, 2NS+1) overlaps <S^(m)|psi_g> of the normalized states S^(m) ~
+    (sum_n e^{i phases[n]} S-_n)^m |up...up> with the product states of the
+    (G, N, d) site vectors vecs: [z^m] prod_n P_n(z) / sqrt(C(2NS, m)), with
+    P_n(z) = sum_k e^{-i phases[n] k} sqrt(C(2S, k)) vecs[:, n, k] z^k.  Each
+    partial product is kept over sqrt(C(2Sn, j)), so each step weight is the
+    square root of a hypergeometric probability, C(2Sn, j) C(2S, k) /
+    C(2S(n+1), j+k), and nothing overflows.  Its log is summed from a table
+    of log rising factorials, rise[r, x] = log((x+r)!/x!), r <= 2S, which
+    keeps the roundoff of log (2NS)! out of the weights.
+    """
+    G, N, d = vecs.shape
+    two_s = d - 1
+    x = np.arange(two_s * N + 1)
+    rise = np.zeros((d, x.size))
+    for r in range(1, d):
+        rise[r] = rise[r - 1] + np.log(x + r)
+    site = np.exp(-1j * np.multiply.outer(phases, np.arange(d))) * vecs
+    acc = np.ones((G, 1), dtype=complex)
+    for n in range(N):
+        a = two_s * n
+        j = np.arange(a + 1)
+        out = np.zeros((G, a + d), dtype=complex)
+        for k in range(d):
+            log_w = (rise[k, two_s - k] - rise[k, 0] + rise[k, j]
+                     + rise[two_s - k, a - j] - rise[two_s, a])
+            out[:, k:k + a + 1] += acc * np.exp(0.5 * log_w) * site[:, n, k, None]
+        acc = out
+    return acc
+
+
 def projection_table(N: int, S: float, p: int, kappa: float, gammas,
                      helicity: int = +1) -> list:
-    """(P+, P-) of `projections` at every gamma; the towers depend on N, S and
-    p only and the Jacobi table of the chain phases on kappa only, so each is
-    built once, after the memory budget is checked for both towers."""
-    system = SpinSystem(S, N)
+    """(P+, P-) of `projections` at every gamma from the site vectors, with no
+    tower and no (2S+1)^N state: one Jacobi table of the chain phases and one
+    angle grid, then _tower_overlaps at the tower phases and at their negation."""
+    _check_spin(S)
+    if N < 1:
+        raise InvalidSpin(f"need at least one site, got N={N}")
     q = commensurate_q(p, N, kappa)
     _check_family(helicity, gammas)
     thetas, phis = _table_angles(helicity, float(kappa), gammas,
                                  jacobi_table(chain_phases(N, q), q.modulus))
-    two_ns = int(round(2 * N * S))
-    check_bytes(32 * (two_ns + 1) * system.total_dim, f"two towers of {two_ns + 1} states "
-                f"of (2S+1)^N = {system.local_dim}^{N} amplitudes")
-    same = helical_tower(N, S, helicity, p)
-    oppo = _opposite_tower(same)
-    shared = N // math.gcd(2 * p, N)
-    table = []
-    for theta, phi in zip(thetas, phis):
-        psi = StateVector(system, coherent_product_states(system, theta[None], phi[None])[0])
-        p_same = sum(abs(st.overlap(psi)) ** 2 for st in same.states)
-        p_oppo = 0.0
-        for m in range(1, two_ns):
-            if m % shared == 0:
-                continue
-            p_oppo += abs(oppo[m].overlap(psi)) ** 2
-        table.append((float(p_same), float(p_oppo)))
-    return table
-
-
-def shared_state_overlaps(N: int, S: float, p: int):
-    """Overlap matrix of the towers' states at multiples of N / gcd(2p, N) (reported only)."""
-    same = helical_tower(N, S, +1, p)
-    oppo = _opposite_tower(same)
-    idx = [m for m in range(len(same.states)) if m % (N // math.gcd(2 * p, N)) == 0]
-    mat = np.array([[oppo[j].overlap(same.states[i]) for j in idx] for i in idx])
-    return idx, mat
+    vecs = coherent_site_vectors(S, thetas, phis)
+    phases = helicity * (2.0 * math.pi * p / N) * np.arange(1, N + 1)
+    same = np.abs(_tower_overlaps(vecs, phases)) ** 2
+    oppo = np.abs(_tower_overlaps(vecs, -phases)) ** 2
+    # the shared states, the two ends included: m a multiple of N / gcd(2p, N)
+    unshared = np.arange(same.shape[1]) % (N // math.gcd(2 * p, N)) != 0
+    return [(math.fsum(a), math.fsum(b[unshared])) for a, b in zip(same, oppo)]
 
 
 def _chebyshev_grid(count: int, lo: float = -0.99, hi: float = 0.99):

@@ -439,23 +439,6 @@ def coherent_site_vectors(S: float, theta, phi) -> np.ndarray:
     return _site_rotations(S, theta, phi) @ np.eye(_check_spin(S) + 1, dtype=complex)[0]
 
 
-def coherent_product_states(system: SpinSystem, theta, phi) -> np.ndarray:
-    """(G, d^N) unit-norm spin-coherent product states from (G, N) Bloch angles.
-
-    Site n of row g points along theta[g, n], phi[g, n]; helicity enters through
-    the sign of phi.  The coherent_site_vectors are joined highest site first
-    by the broadcast outer products np.kron takes (site 0 least significant).
-    """
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    if theta.ndim != 2 or theta.shape != phi.shape or theta.shape[1] != system.N:
-        raise DimensionMismatch(f"angle arrays must both have shape (G, {system.N})")
-    vecs = coherent_site_vectors(system.S, theta, phi)
-    full = np.ones((len(theta), 1), dtype=complex)
-    for n in range(system.N - 1, -1, -1):
-        full = (full[:, :, None] * vecs[:, n, None, :]).reshape(len(theta), -1)
-    return full
-
-
 def product_singular_values(vecs) -> np.ndarray:
     """Singular values, largest first, of the d^N x G matrix whose column g is
     the product state of the site vectors vecs[g, n] (shape (G, N, d)), in
@@ -477,8 +460,14 @@ def product_singular_values(vecs) -> np.ndarray:
 
 
 def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVector:
-    """One coherent product state: coherent_product_states with G = 1."""
-    return StateVector(system, coherent_product_states(system, [angles.theta], [angles.phi])[0])
+    """The coherent product state of the angles: the coherent_site_vectors
+    joined highest site first by the outer products np.kron takes."""
+    if not len(angles.theta) == len(angles.phi) == system.N:
+        raise DimensionMismatch(f"need {system.N} theta and {system.N} phi angles")
+    full = np.ones(1, dtype=complex)
+    for vec in coherent_site_vectors(system.S, angles.theta, angles.phi)[::-1]:
+        full = (full[:, None] * vec).ravel()
+    return StateVector(system, full)
 
 
 def expectation(op: ManyBodyOperator, psi: StateVector) -> complex:

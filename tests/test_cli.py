@@ -85,22 +85,40 @@ def test_projections_skips_every_shared_state(tmp_path):
     assert float(row[1]) + float(row[2]) <= 1.0 + 1e-12
 
 
-def test_projections_over_the_memory_budget_is_a_numerical_failure(tmp_path, capsys,
-                                                                  monkeypatch):
-    # two towers of 25 states of 2^24 amplitudes are 12.5 GiB: this ran out of memory
-    # with a traceback (exit 1) while the towers were built
+def test_projections_at_n24_builds_no_tower_and_no_state(tmp_path, capsys, monkeypatch):
+    # two towers of 25 states of 2^24 amplitudes were 12.5 GiB: this exited 2 at the
+    # memory budget; the closed form reads the site vectors alone
     from scarlab import scar
 
-    def no_tower(*args, **kwargs):
-        raise AssertionError("a tower was built before the memory budget was checked")
-    monkeypatch.setattr(scar, "helical_tower", no_tower)
-    assert run(["--out", str(tmp_path), "projections", "--N", "24", "--S", "1/2"]) \
-        == EXIT_NUMERICAL
+    def no_work(*args, **kwargs):
+        raise AssertionError("projections built a tower, an operator or a (2S+1)^N state")
+    stub_everywhere(monkeypatch, {scar.helical_tower: no_work, spinops.tower: no_work,
+                                  spinops.local_sum: no_work,
+                                  spinops.coherent_product_state: no_work})
+    assert run(["--out", str(tmp_path), "projections", "--N", "24", "--S", "1/2"]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: ") == 1
+    assert len((tmp_path / "projections.csv").read_text().splitlines()) == 10
+
+
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_projections_needs_a_site(tmp_path, capsys, N):
+    assert run(["--out", str(tmp_path), "projections", "--N", N, "--S", "1/2"]) == EXIT_INVALID
     cap = capsys.readouterr()
-    assert cap.err == ("numerical failure: two towers of 25 states of (2S+1)^N = 2^24 amplitudes "
-                       f"would take 12.5 GiB, over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB "
-                       "memory budget\n")
-    assert cap.out == "" and not (tmp_path / "projections.csv").exists()
+    assert cap.err == f"invalid input: need at least one site, got N={N}\n" and not cap.out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["scar-verify", "--N", "6", "--gamma", "nan"],
+                                  ["projections", "--N", "6", "--gammas", "0.2,nan"],
+                                  ["projections", "--N", "6", "--gammas", "inf"]])
+def test_a_non_finite_gamma_is_invalid_input(tmp_path, capsys, argv):
+    # NaN passed |gamma| > 1 and was clamped to theta = 0: scar-verify passed on
+    # the all-up state and wrote gamma=nan
+    assert run(["--out", str(tmp_path), *argv]) == EXIT_INVALID
+    cap = capsys.readouterr()
+    assert cap.err.startswith("invalid input: |gamma| must be <= 1, got ")
+    assert len(cap.err.splitlines()) == 1 and not cap.out
+    assert not list(tmp_path.iterdir())
 
 
 def test_negative_comma_list_values(tmp_path):
@@ -325,6 +343,20 @@ def test_lattice_check_circuit_rule_options(tmp_path, capsys):
     assert [ln.split("  ")[0] for ln in lines if "rule" in ln] == \
         ["PASS: vertex rule", "INFO: circuit rule"]
     assert "not checked: needs --p and --denominator" in lines[1]
+
+
+@pytest.mark.parametrize("kappa", ["nan", "1.5"])
+def test_lattice_check_checks_kappa_before_any_line(tmp_path, capsys, kappa):
+    # it printed "PASS: vertex rule" before it exited 3
+    assert run(["--out", str(tmp_path), "lattice-generate", "--kind", "square",
+                "--dims", "3,3"]) == EXIT_OK
+    capsys.readouterr()
+    out = str(tmp_path / "check")
+    assert run(["--out", out, "lattice-check", "--graph", str(tmp_path / "square.json"),
+                "--p", "1", "--denominator", "3", "--kappa", kappa]) == EXIT_INVALID
+    cap = capsys.readouterr()
+    assert cap.err == f"invalid input: kappa must lie in [0, 1), got {kappa}\n" and not cap.out
+    assert not os.path.exists(out)
 
 
 def _edited_graph(tmp_path, edit, records=True):
@@ -623,7 +655,7 @@ def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
     def no_vector(*args, **kwargs):
         raise AssertionError("scar-verify built a (2S+1)^N state vector")
     stub_everywhere(monkeypatch, {spinops.local_sum: no_matrix,
-                                  spinops.coherent_product_states: no_vector})
+                                  spinops.coherent_product_state: no_vector})
     out = str(tmp_path)
     assert run(["--out", out, "scar-verify", "--N", "6", "--S", "1", "--kappa", "0.8",
                 "--gamma", "0.5"]) == EXIT_OK
@@ -645,7 +677,7 @@ def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
 def test_span_builds_no_product_state(tmp_path, capsys, monkeypatch):
     def no_vector(*args, **kwargs):
         raise AssertionError("span built a (2S+1)^N state vector")
-    stub_everywhere(monkeypatch, {spinops.coherent_product_states: no_vector})
+    stub_everywhere(monkeypatch, {spinops.coherent_product_state: no_vector})
     out = str(tmp_path)
     assert run(["--out", out, "span", "--N", "7", "--S", "1"]) == EXIT_OK
     # 3^15 amplitudes per state: the dense path held 128 and then 256 of them

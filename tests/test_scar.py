@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elliptic_reference as ref
 from hamiltonian_reference import chain_bonds, chain_terms
@@ -25,7 +27,7 @@ from scarlab.lattice import (Edge, ScarGraph, assign_site_phases, chain,
 from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy,
                           gz_state, helical_expansion, helical_tower, local_residual,
                           local_sz_current, predicted_sz_current, projection_table,
-                          projections, residual, shared_state_overlaps, site_angles, span_rank)
+                          projections, residual, site_angles, span_rank)
 from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem, coherent_product_state,
                              expectation, local_spin_matrices, local_sum,
                              site_spin_expectations)
@@ -178,12 +180,39 @@ def test_projection_table_equals_the_per_call_path(N, S, p, helicity, monkeypatc
                             lambda *a: tables.append(a) or jacobi_table(*a))
         monkeypatch.setattr(scar_module, "_table_angles",
                             lambda *a: angles.append(a) or table_angles(*a))
-        assert projection_table(N, S, p, kappa, gammas, helicity) == want    # bit for bit
-        assert len(calls) == 1     # the opposite tower is the conjugate of this one
+        got = projection_table(N, S, p, kappa, gammas, helicity)
+        assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
+        assert len(calls) == 0     # the closed form builds no tower
         assert len(tables) == 1     # one phase table for every gamma
         assert len(angles) == 1     # and one angle grid
         monkeypatch.undo()
-        assert projections(N, S, p, kappa, gammas[1], helicity) == want[1]
+        assert projections(N, S, p, kappa, gammas[1], helicity) == got[1]
+
+
+# the dense oracle holds two towers of 2NS+1 states: at most 3^8 amplitudes each
+MAX_N = {0.5: 8, 1.0: 8, 1.5: 6, 2.0: 5}
+
+
+@settings(max_examples=80, deadline=None)
+@given(S=st.sampled_from(sorted(MAX_N)), data=st.data(), helicity=st.sampled_from([+1, -1]),
+       kappa=st.floats(0.0, 0.95, exclude_max=True),
+       gammas=st.lists(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=3))
+def test_closed_form_projections_equal_the_dense_towers(S, data, helicity, kappa, gammas):
+    N = data.draw(st.integers(1, MAX_N[S]), label="N")
+    p = data.draw(st.integers(1, N), label="p")
+    got = projection_table(N, S, p, kappa, gammas, helicity)
+    want = [_reference_projections(N, S, p, kappa, g, helicity) for g in gammas]
+    assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N,S", [(200, 0.5), (100, 1.0)])
+def test_projections_at_hundreds_of_sites(N, S):
+    # (2S+1)^N = 2^200 and 3^100: the helical scar lies in its tower to roundoff
+    for p_same, p_oppo in projection_table(N, S, 1, 0.0, [-1.0, -0.55, 0.0, 0.3, 0.8, 1.0]):
+        assert abs(p_same - 1.0) <= 1e-10
+        assert p_oppo <= 1e-28
+        assert p_same + p_oppo <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("N,S,p", [(8, 1.0, 1), (6, 0.5, 1), (7, 1.5, 2), (10, 0.5, 3)])
@@ -195,9 +224,12 @@ def test_opposite_tower_is_the_conjugate_bit_for_bit(N, S, p):
 
 
 def test_shared_states_between_towers():
-    idx, mat = shared_state_overlaps(6, 0.5, 1)
+    N, S, p = 6, 0.5, 1
+    same, oppo = helical_tower(N, S, +1, p), helical_tower(N, S, -1, p)
+    idx = [m for m in range(len(same.states)) if m % (N // math.gcd(2 * p, N)) == 0]
+    mat = np.array([[oppo.states[j].overlap(same.states[i]) for j in idx] for i in idx])
     # ends of the tower are the fully polarized states, shared exactly
-    assert idx[0] == 0 and idx[-1] == len(idx) * 0 + max(idx)
+    assert idx[0] == 0 and idx[-1] == len(same.states) - 1
     assert abs(abs(mat[0, 0]) - 1.0) <= 1e-12
     assert abs(abs(mat[-1, -1]) - 1.0) <= 1e-12
 
@@ -262,11 +294,10 @@ def test_grid_angles_bit_identical_to_per_spec_loop(N, kappa, helicity):
     q = commensurate_q(1, N, kappa)
     table = jacobi_table(chain_phases(N, q), q.modulus)
     # the Chebyshev grids of span_rank at S = 1/2 and S = 1; the ends and the
-    # middle; NaN, which passes the |gamma| <= 1 check and Python's max and min;
-    # gammas where libm's pow(x, 2) and x * x give alpha (the first) or beta at
+    # middle; gammas where libm's pow(x, 2) and x * x give alpha (the first) or beta at
     # kappa 0.55 and 0.9 one ulp apart
     grids = [scar_module._chebyshev_grid(count) for count in (4 * N + 8, 8 * N + 8, 16 * N + 16)]
-    for gammas in grids + [np.array([-1.0, 0.0, 1.0, math.nan, -0.803434124030634,
+    for gammas in grids + [np.array([-1.0, 0.0, 1.0, -0.803434124030634,
                                      -0.7736516799071553, 0.41426112845625895])]:
         theta, phi = table_angles(helicity, kappa, gammas, table)
         want_theta, want_phi = _table_angles_per_spec(helicity, 1, kappa, gammas, q, table)
@@ -278,6 +309,17 @@ def test_grid_angles_bit_identical_to_per_spec_loop(N, kappa, helicity):
 def test_span_rank_rejects_small_grid():
     with pytest.raises(ScarlabError):
         span_rank(5, 0.5, 0.3, gamma_grid=np.linspace(-0.9, 0.9, 5))
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_gamma_is_rejected(gamma):
+    # NaN passed |gamma| > 1, and _table_angles clamped it to theta = 0
+    with pytest.raises(InvalidInput, match=r"\|gamma\| must be <= 1"):
+        ScarSpec.make(+1, 1, gamma, 0.3, 6)
+    with pytest.raises(InvalidInput, match=r"\|gamma\| must be <= 1"):
+        projection_table(6, 0.5, 1, 0.3, [0.2, gamma])
+    with pytest.raises(InvalidInput, match=r"\|gamma\| must be <= 1"):
+        span_rank(5, 0.5, 0.3, gamma_grid=[gamma] * 30)
 
 
 def test_gamma_families_are_checked_like_scar_specs():
@@ -584,7 +626,7 @@ def test_local_sz_current_builds_no_state_and_no_matrix(monkeypatch):
     big_spec = ScarSpec(helicity=-1, p=1, gamma=0.2, kappa=0.7, q=commensurate_q(1, 2, 0.7))
     with monkeypatch.context() as m:
         stub_everywhere(m, {spinops.local_sum: no_matrix,
-                            spinops.coherent_product_states: no_vector})
+                            spinops.coherent_product_state: no_vector})
         H = build_on_graph(g, 0.5, commensurate_q(1, 3, 0.8))
         got = local_sz_current(g, system, spec, H)
         # dim 2^24: the per-site reference would need a 415,469,100-entry CSR

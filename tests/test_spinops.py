@@ -18,7 +18,7 @@ from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
 from scarlab.hamiltonian import chain_couplings, coupling_terms
 from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem,
                              all_down, all_up, basis_state,
-                             coherent_product_state, coherent_product_states,
+                             coherent_product_state,
                              entanglement_entropy, expectation,
                              local_spin_matrices, local_sum, lowering,
                              product_singular_values,
@@ -444,12 +444,9 @@ def test_batched_states_bit_identical_to_kron_reference(S, N, G, data):
     system = SpinSystem(S, N)
     theta = data.draw(st.lists(st.lists(ANGLE, min_size=N, max_size=N), min_size=G, max_size=G))
     phi = data.draw(st.lists(st.lists(ANGLE, min_size=N, max_size=N), min_size=G, max_size=G))
-    got = coherent_product_states(system, theta, phi)
-    assert got.shape == (G, system.total_dim)
     for g in range(G):
-        assert got[g].tobytes() == _coherent_state_kron(theta[g], phi[g], system).tobytes()
-    single = coherent_product_state(SiteAngles(tuple(theta[0]), tuple(phi[0])), system)
-    assert single.amplitudes.tobytes() == got[0].tobytes()
+        got = coherent_product_state(SiteAngles(tuple(theta[g]), tuple(phi[g])), system)
+        assert got.amplitudes.tobytes() == _coherent_state_kron(theta[g], phi[g], system).tobytes()
 
 
 def _khatri_rao(vecs):
@@ -505,13 +502,9 @@ def test_product_rotation_bit_identical_to_kron_reference(S, N):
 def test_batched_states_check_shapes():
     system = SpinSystem(1.0, 3)
     with pytest.raises(DimensionMismatch):
-        coherent_product_states(system, np.zeros((2, 4)), np.zeros((2, 4)))
-    with pytest.raises(DimensionMismatch):
-        coherent_product_states(system, np.zeros((2, 3)), np.zeros((1, 3)))
-    with pytest.raises(DimensionMismatch):
-        coherent_product_states(system, np.zeros(3), np.zeros(3))
-    with pytest.raises(DimensionMismatch):
         coherent_product_state(SiteAngles((0.1,) * 2, (0.0,) * 2), system)
+    with pytest.raises(DimensionMismatch):
+        coherent_product_state(SiteAngles((0.1,) * 3, (0.0,) * 2), system)
 
 
 @pytest.mark.parametrize("S,N", [(0.5, 5), (1.0, 3), (1.5, 2)])
