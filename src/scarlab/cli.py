@@ -275,16 +275,12 @@ def cmd_span(args, log: CheckLog) -> int:
     from .scar import span_rank
     kappas = _parse_floats(args.kappas)
     complete_K_array(kappas)        # every kappa is checked before any rank
-    rows = []
     cap = int(round(4 * args.N * args.S))
-    ok = True
-    for kappa in kappas:
-        rank = span_rank(args.N, args.S, kappa, p=args.p)
-        rows.append([kappa, rank])
-        if rank > cap:
-            ok = False
-    log.check(f"rank <= 4NS = {cap}", ok, str([r[1] for r in rows]))
-    _write_outputs(args.out, "span", ["kappa", "rank"], rows, vars(args))
+    ranks = [span_rank(args.N, args.S, kappa, p=args.p) for kappa in kappas]
+    rows = [[kappa, int(rank)] for kappa, rank in zip(kappas, ranks)]
+    cut = [{"kappa": kappa, **rank.cuts} for kappa, rank in zip(kappas, ranks)]
+    log.check(f"rank <= 4NS = {cap}", max(ranks) <= cap, str([int(r) for r in ranks]))
+    _write_outputs(args.out, "span", ["kappa", "rank"], rows, vars(args), {"cut": cut})
     return log.exit_code
 
 

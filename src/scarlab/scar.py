@@ -15,7 +15,8 @@ product state, with no Hilbert-space vector; residual is its ED oracle.
 The Sz current is local too: local_sz_current reads the terms of H and the
 product state's site vectors, with no state vector and no CSR (Jepsen et
 al., Nat. Phys. 18, 899 (2022), measure such currents of helix states).
-span_rank ranks the family over gamma from its site vectors alone.
+span_rank ranks the family over gamma from the site vectors of its gamma > 0
+half alone: at -gamma they are the mirrors J conj(v), up to a phase per site.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import DimensionMismatch, IncommensurateQ, InvalidInput, InvalidSpi
 from .lattice import ScarGraph, assign_site_phases, vertex_flow
 from .spinops import (ManyBodyOperator, SiteAngles, SpinSystem, StateVector, _check_spin,
                       all_up, coherent_product_state, coherent_site_vectors,
-                      local_spin_matrices, product_singular_values, tau, tower)
+                      local_spin_matrices, paired_singular_values, tau, tower)
 
 
 @dataclass(frozen=True)
@@ -288,33 +289,39 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
     return [(math.fsum(a), math.fsum(b[unshared])) for a, b in zip(same, oppo)]
 
 
-def _chebyshev_grid(count: int, lo: float = -0.99, hi: float = 0.99):
-    k = np.arange(count)
-    nodes = np.cos((2 * k + 1) * np.pi / (2 * count))
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+def _chebyshev_grid(count: int):
+    """count Chebyshev nodes on [-0.99, 0.99], largest first, an exact mirror."""
+    half = 0.99 * np.cos((2 * np.arange(count // 2) + 1) * np.pi / (2 * count))
+    return np.concatenate([half, [0.0] * (count % 2), -half[::-1]])
+
+
+class SpanRank(int):
+    """A rank; cuts has sigma_r and sigma_{r+1} / sigma_max on each audited grid."""
+    cuts: dict
 
 
 def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
-              gamma_grid=None) -> int:
+              gamma_grid=None) -> SpanRank:
     """Dimension of the span of the scar family over gamma.
 
     Rank of the matrix of gz_state columns, singular values thresholded at
     1e-8 * sigma_max; a doubled grid must reproduce the rank, otherwise the
-    sampling is declared unstable.  Each grid's angles are one _table_angles
-    call, and its singular values come from product_singular_values on the
-    site vectors, in O(N d G^3) with no (2S+1)^N state.  SpinSystem(S, N)
-    still asks that one such state fit the memory budget: the sweep's cost
-    has no guard of its own.
+    sampling is declared unstable.  A grid is closed under negation and has
+    no 0, as the family at -gamma mirrors the one at gamma: the site vectors
+    of its gamma > 0 half go to paired_singular_values, with no (2S+1)^N
+    state (sigma_{r+1} reads 0 if it dropped it).  SpinSystem(S, N) still asks
+    that one such state fit the memory budget: the sweep has no guard.
     """
     system = SpinSystem(S, N)
     min_pts = int(round(4 * N * S)) + 4
     q = commensurate_q(p, N, kappa)
     table = jacobi_table(chain_phases(N, q), q.modulus)
 
-    def rank_for(grid):
-        theta, phi = _table_angles(helicity, float(kappa), grid, table)
-        sv = product_singular_values(coherent_site_vectors(system.S, theta, phi))
-        return int(np.sum(sv > 1e-8 * sv[0]))
+    def cut_for(grid):
+        theta, phi = _table_angles(helicity, float(kappa), grid[grid > 0], table)
+        sv = np.append(paired_singular_values(coherent_site_vectors(system.S, theta, phi)), 0.0)
+        r = int(np.sum(sv > 1e-8 * sv[0]))
+        return r, (sv[r - 1] / sv[0], sv[r] / sv[0])
 
     if gamma_grid is None:
         # twice the minimum: borderline singular values converge by then,
@@ -325,11 +332,14 @@ def span_rank(N: int, S: float, kappa: float, helicity: int = +1, p: int = 1,
         if gamma_grid.size < min_pts:
             raise ScarlabError(f"gamma grid needs at least {min_pts} points")
     _check_family(helicity, gamma_grid)
-    r1 = rank_for(gamma_grid)
-    r2 = rank_for(_chebyshev_grid(2 * len(gamma_grid)))
+    if 0 in gamma_grid or not np.array_equal(np.sort(gamma_grid), np.sort(-gamma_grid)):
+        raise InvalidInput("gamma grid must be closed under negation and not hold 0")
+    (r1, cut1), (r2, cut2) = cut_for(gamma_grid), cut_for(_chebyshev_grid(2 * len(gamma_grid)))
     if r1 != r2:
         raise ScarlabError(f"span rank unstable under grid doubling: {r1} vs {r2}")
-    return r1
+    rank = SpanRank(r1)
+    rank.cuts = {"sigma_r": [cut1[0], cut2[0]], "sigma_r_plus_1": [cut1[1], cut2[1]]}
+    return rank
 
 
 def local_sz_current(g: ScarGraph, system: SpinSystem, spec: ScarSpec,

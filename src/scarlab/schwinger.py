@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from .hamiltonian import chain_couplings, coupling_terms
-from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype,
-                      check_bytes, coo_csr, local_spin_matrices, local_sum, max_gap, tower)
+from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype, all_up,
+                      check_bytes, coo_csr, local_spin_matrices, local_sum, max_gap, tau, tower)
 
 UP, DOWN = 0, 1
 # kind: (sign, flavor at m, dagger at m, flavor at n) of each of its two
@@ -145,31 +145,32 @@ def zeta_states(N: int, S: float) -> tuple:
     return basis, tower(tau_prime(basis), basis.vacuum_product(), int(round(2 * N * S)))
 
 
-def rotated_tower_states(N: int, S: float, p: int) -> list:
-    """Helical tower mapped by the frame rotation prod_n exp(i (n+1) q0 Sz_n).
+def rotated_tower_states(N: int, S: float, p: int):
+    """Helical tower, state by state, mapped by prod_n exp(i (n+1) q0 Sz_n).
 
     In this frame the helical phases cancel, so state m becomes the uniform
     spin-wave state (sum_n S-_n)^m |up...up>, matching zeta-state 2NS - m
     under the Fock-spin bijection up to a global phase.
     """
-    from .scar import helical_tower
-    system = SpinSystem(S, N)
-    q0 = 2.0 * math.pi * p / N
-    sz = local_spin_matrices(S)[2]
+    system, q0, sz = SpinSystem(S, N), 2.0 * math.pi * p / N, local_spin_matrices(S)[2]
     angle = local_sum(system, [((n,), (n + 1) * q0 * sz) for n in range(N)]).diagonal()
-    return [np.exp(1j * angle) * st.amplitudes for st in helical_tower(N, S, +1, p).states]
+    phase, lower, power = np.exp(1j * angle), tau(N, S, q0).matrix, all_up(system).amplitudes
+    for m in range(int(round(2 * N * S)) + 1):
+        power = lower @ power if m else power
+        yield phase * (power / np.linalg.norm(power))
 
 
 def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
     """|<m_zeta | rotated tower state 2NS-m>| for every m (should all be 1).
-    The towers' bytes are checked first: with the helical tower and the
-    ladder operators they peak at 51-64 B per amplitude of one tower."""
+    The bytes are checked first: the rotated states are compared as they
+    come, so the zeta tower's build is the peak, 51-52 B per amplitude of one
+    tower at S=1/2 N=12-16, charged as 56."""
     d, two_ns = _check_spin(S) + 1, int(round(2 * N * S))
-    check_bytes(64 * (two_ns + 1) * d ** N, f"two towers of {two_ns + 1} states "
+    check_bytes(56 * (two_ns + 1) * d ** N, f"two towers of {two_ns + 1} states "
                 f"of (2S+1)^N = {d}^{N} amplitudes")
     _, zstates = zeta_states(N, S)
-    rotated = rotated_tower_states(N, S, p)
-    return [float(abs(np.vdot(zv, rotated[-1 - m]))) for m, zv in enumerate(zstates)]
+    return [float(abs(np.vdot(zstates[two_ns - m], state)))
+            for m, state in enumerate(rotated_tower_states(N, S, p))][::-1]
 
 
 def annihilator_report(N: int, S: float) -> dict:

@@ -13,8 +13,8 @@ CSR; anything derived from one (a commutator, a difference) is a term list
 too, and goes the same way.
 lowering builds every phased sum of S^-, and tower the normalized powers of
 a ladder operator on a start vector.
-product_singular_values gives the singular values of a batch of product
-states from their site vectors, without the d^N amplitudes.
+paired_singular_values gives the singular values of a batch of product
+states and their mirrors from their site vectors, without the d^N amplitudes.
 """
 
 from __future__ import annotations
@@ -439,24 +439,25 @@ def coherent_site_vectors(S: float, theta, phi) -> np.ndarray:
     return _site_rotations(S, theta, phi) @ np.eye(_check_spin(S) + 1, dtype=complex)[0]
 
 
-def product_singular_values(vecs) -> np.ndarray:
-    """Singular values, largest first, of the d^N x G matrix whose column g is
-    the product state of the site vectors vecs[g, n] (shape (G, N, d)), in
-    O(N d G^3) and without the d^N rows.
+def paired_singular_values(vecs) -> np.ndarray:
+    """Singular values, largest first, down to 1e-15 of the largest, of the
+    d^N x 2G matrix M of the product states of the (G, N, d) site vectors v
+    and of their mirrors J conj(v), J reversing the d components.
 
-    The matrix is the column-wise Kronecker (Khatri-Rao) product of the d x G
-    site matrices V_n, site 0 least significant.  If the product over sites
-    below n is Q R, Q with orthonormal columns, then V_n . (Q R) =
-    (I_d x Q)(V_n . R), and I_d x Q has orthonormal columns too.  So the sweep
-    R <- triangle of the QR of V_n . R, from R = ones((1, G)), uses orthogonal
-    steps only and ends at an at most G x G R with the singular values of the
-    whole matrix.
+    In the site basis w = (1 - i)(v + i J v)/2 a mirror is conj(w), so M has
+    sqrt(2) times the singular values of the real [Re P, Im P], P = Q X the
+    Khatri-Rao product of the w, Q real and orthonormal.  Per site X <- S V^T
+    of the SVD of the real [Re Y, Im Y] (a float view, columns interleaved),
+    Y = W_n . X, rows with S < 1e-15 S_0 dropped.  Later steps keep column
+    norms, so by Weyl each value moves by at most 1e-15 N sqrt(2G) ||M||_F.
     """
-    vecs = np.asarray(vecs)
-    r = np.ones((1, vecs.shape[0]), dtype=vecs.dtype)
-    for v in vecs.transpose(1, 2, 0):
-        r = np.linalg.qr((v[:, None, :] * r).reshape(-1, r.shape[1]), mode="r")
-    return np.linalg.svd(r, compute_uv=False)
+    x = np.ones((1, len(vecs)), dtype=complex)
+    for v in (0.5 * (1 - 1j) * (vecs + 1j * vecs[..., ::-1])).transpose(1, 2, 0).copy():
+        y = (v[:, None, :] * x).reshape(-1, x.shape[1])
+        _, s, wt = np.linalg.svd(y.view(float), full_matrices=False)
+        s = s[s > 1e-15 * s[0]]
+        x = (s[:, None] * wt[:len(s)]).view(complex)
+    return np.sqrt(2) * s
 
 
 def coherent_product_state(angles: SiteAngles, system: SpinSystem) -> StateVector:

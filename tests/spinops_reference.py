@@ -12,6 +12,8 @@ rotations and rotated_hamiltonian the dense frame V^dag H V;
 column0_conditions reads the vanishing conditions from its column 0, the
 oracle of hamiltonian.vanishing_conditions.  stub_everywhere swaps functions
 for stubs under every name the scarlab modules hold them by.
+product_singular_values, the complex QR sweep over site vectors that span_rank
+ran before, is the oracle of spinops.paired_singular_values.
 """
 
 import sys
@@ -153,3 +155,24 @@ def stub_everywhere(monkeypatch, stubs: dict):
             for attr, value in list(vars(module).items()):
                 if any(value is f for f in stubs):
                     monkeypatch.setattr(module, attr, stubs[value])
+
+
+def product_singular_values(vecs) -> np.ndarray:
+    """Singular values, largest first, of the d^N x G matrix whose column g is
+    the product state of the site vectors vecs[g, n] (shape (G, N, d)), in
+    O(N d G^3) and without the d^N rows: the complex oracle of
+    spinops.paired_singular_values.
+
+    The matrix is the column-wise Kronecker (Khatri-Rao) product of the d x G
+    site matrices V_n, site 0 least significant.  If the product over sites
+    below n is Q R, Q with orthonormal columns, then V_n . (Q R) =
+    (I_d x Q)(V_n . R), and I_d x Q has orthonormal columns too.  So the sweep
+    R <- triangle of the QR of V_n . R, from R = ones((1, G)), uses orthogonal
+    steps only and ends at an at most G x G R with the singular values of the
+    whole matrix.
+    """
+    vecs = np.asarray(vecs)
+    r = np.ones((1, vecs.shape[0]), dtype=vecs.dtype)
+    for v in vecs.transpose(1, 2, 0):
+        r = np.linalg.qr((v[:, None, :] * r).reshape(-1, r.shape[1]), mode="r")
+    return np.linalg.svd(r, compute_uv=False)

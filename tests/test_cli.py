@@ -674,6 +674,18 @@ def test_scar_verify_builds_no_sparse_operator(tmp_path, capsys, monkeypatch):
         "0.5,10000,1,0.5,0.4,1,")
 
 
+def test_span_json_records_the_cut_for_each_kappa(tmp_path):
+    assert run(["--out", str(tmp_path), "span", "--N", "7", "--S", "1", "--kappas", "0.0,0.23"]) \
+        == EXIT_OK
+    assert (tmp_path / "span.csv").read_text().splitlines() == ["kappa,rank", "0.0,15", "0.23,20"]
+    cut = json.loads((tmp_path / "span.json").read_text())["cut"]
+    assert [c["kappa"] for c in cut] == [0.0, 0.23]
+    assert cut[0]["sigma_r_plus_1"] == [0.0, 0.0]
+    for c in cut:
+        assert all(1e-8 < s <= 1.0 for s in c["sigma_r"])
+        assert all(0.0 <= s <= 1e-8 for s in c["sigma_r_plus_1"])
+
+
 def test_span_builds_no_product_state(tmp_path, capsys, monkeypatch):
     def no_vector(*args, **kwargs):
         raise AssertionError("span built a (2S+1)^N state vector")

@@ -29,7 +29,7 @@ from scarlab.scar import (ScarSpec, chain_phases, gz_angles, gz_energy,
                           local_sz_current, predicted_sz_current, projection_table,
                           projections, residual, site_angles, span_rank)
 from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem, coherent_product_state,
-                             expectation, local_spin_matrices, local_sum,
+                             coherent_site_vectors, expectation, local_spin_matrices, local_sum,
                              site_spin_expectations)
 
 
@@ -304,6 +304,54 @@ def test_grid_angles_bit_identical_to_per_spec_loop(N, kappa, helicity):
         assert theta.shape == phi.shape == (len(gammas), N)
         assert theta.tobytes() == want_theta.tobytes()
         assert phi.tobytes() == want_phi.tobytes()
+
+
+@pytest.mark.parametrize("count", [8, 9, 104])
+def test_chebyshev_grid_is_an_exact_mirror(count):
+    grid = scar_module._chebyshev_grid(count)
+    assert np.array_equal(grid, -grid[::-1]) and np.all(np.diff(grid) < 0)
+    # the positive half is the Chebyshev formula bit for bit
+    half = 0.99 * np.cos((2 * np.arange(count // 2) + 1) * np.pi / (2 * count))
+    assert grid[:count // 2].tobytes() == half.tobytes()
+    assert count % 2 == 0 or grid[count // 2] == 0.0
+
+
+@pytest.mark.parametrize("S", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("kappa", [0.0, 0.35, 0.85])
+@pytest.mark.parametrize("helicity,p", [(+1, 1), (+1, 2), (-1, 1), (-1, 2)])
+def test_site_vectors_at_minus_gamma_are_mirrored_conjugates(S, kappa, helicity, p):
+    # what paired_singular_values relies on: v(-gamma) = c J conj(v(gamma)) at
+    # each site, |c| = 1 and J reversing the 2S+1 components
+    N = 7
+    q = commensurate_q(p, N, kappa)
+    grid = scar_module._chebyshev_grid(40)
+    theta, phi = table_angles(helicity, kappa, grid, jacobi_table(chain_phases(N, q), q.modulus))
+    vecs = coherent_site_vectors(S, theta, phi)
+    mirror = vecs[::-1, :, ::-1].conj()          # row g: J conj(v(-gamma_g))
+    phase = np.einsum("gnk,gnk->gn", mirror.conj(), vecs)[..., None]
+    assert np.abs(np.abs(phase) - 1.0).max() <= 1e-12
+    assert np.abs(vecs - phase * mirror).max() <= 1e-12
+
+
+def test_span_rank_needs_a_grid_closed_under_negation():
+    half = np.linspace(0.05, 0.95, 15)
+    grid = np.concatenate([half, -half])
+    assert span_rank(5, 0.5, 0.3, gamma_grid=grid) == span_rank(5, 0.5, 0.3)
+    for bad in (np.linspace(0.05, 0.95, 30), np.concatenate([half, [0.0], -half]),
+                np.concatenate([half, np.nextafter(-half, 0.0)]),
+                np.concatenate([half, [0.5], -half])):
+        with pytest.raises(InvalidInput, match="closed under negation and not hold 0"):
+            span_rank(5, 0.5, 0.3, gamma_grid=bad)
+
+
+def test_span_rank_records_the_cut_on_both_grids():
+    rank = span_rank(7, 1.0, 0.23)
+    assert rank == 20 and len(rank.cuts["sigma_r"]) == len(rank.cuts["sigma_r_plus_1"]) == 2
+    assert all(1e-8 < s <= 1.0 for s in rank.cuts["sigma_r"])
+    assert all(0.0 < s <= 1e-8 for s in rank.cuts["sigma_r_plus_1"])
+    # at kappa = 0 the sweep drops every value past 2NS + 1: sigma_{r+1} reads 0
+    rank = span_rank(7, 1.0, 0.0)
+    assert rank == 15 and rank.cuts["sigma_r_plus_1"] == [0.0, 0.0]
 
 
 def test_span_rank_rejects_small_grid():

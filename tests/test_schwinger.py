@@ -15,9 +15,10 @@ from spinops_reference import as_scipy, embed, two_site
 from scarlab import schwinger, spinops
 from scarlab.errors import DimensionCap, DimensionMismatch, InvalidSpin
 from scarlab.schwinger import (DOWN, UP, FockBasis, _monomials, annihilator_report,
-                               bilinear_form, decomposition_check, zeta_states,
-                               zeta_tower_fidelities)
-from scarlab.spinops import MEMORY_BUDGET, SpinSystem, local_spin_matrices
+                               bilinear_form, decomposition_check, rotated_tower_states,
+                               zeta_states, zeta_tower_fidelities)
+from scarlab.scar import helical_tower
+from scarlab.spinops import MEMORY_BUDGET, SpinSystem, local_spin_matrices, local_sum
 
 
 def _digits(s, N, d):
@@ -74,6 +75,32 @@ def test_hardcore_projects_full_site_creation():
 def test_zeta_states_equal_rotated_tower(N, S, p):
     fids = zeta_tower_fidelities(N, S, p)
     assert max(abs(1.0 - f) for f in fids) <= 1e-12
+
+
+@pytest.mark.parametrize("N,S,p", [(5, 0.5, 1), (4, 1.0, 2), (3, 1.5, 1)])
+def test_rotated_states_are_the_phased_helical_tower_bit_for_bit(N, S, p):
+    q0 = 2.0 * math.pi * p / N
+    sz = local_spin_matrices(S)[2]
+    angle = local_sum(SpinSystem(S, N), [((n,), (n + 1) * q0 * sz) for n in range(N)]).diagonal()
+    want = [np.exp(1j * angle) * st.amplitudes for st in helical_tower(N, S, +1, p).states]
+    got = list(rotated_tower_states(N, S, p))
+    assert len(got) == len(want) == int(round(2 * N * S)) + 1
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_zeta_tower_fidelities_peak_within_their_charged_bytes():
+    # the rotated states are compared as they come, so the zeta tower's build
+    # is the peak; holding the helical tower and its phased copies took it to
+    # 64 B per amplitude of one tower here
+    N, S = 12, 0.5
+    tracemalloc.start()
+    try:
+        fids = zeta_tower_fidelities(N, S, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(abs(1.0 - f) for f in fids) <= 1e-12
+    assert peak <= 56 * (2 * N * S + 1) * 2 ** N
 
 
 def annihilation_chain(op, tp, vacuum, depth):

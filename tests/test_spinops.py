@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from spinops_reference import (as_scipy, coo_local_sum, embed, listed_sum, product_rotation,
-                               two_site)
+                               product_singular_values, two_site)
 
 from scarlab import spinops
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
@@ -21,7 +21,7 @@ from scarlab.spinops import (ManyBodyOperator, SiteAngles, SpinSystem,
                              coherent_product_state,
                              entanglement_entropy, expectation,
                              local_spin_matrices, local_sum, lowering,
-                             product_singular_values,
+                             paired_singular_values,
                              site_spin_expectations, tower)
 
 RNG = np.random.default_rng(7)
@@ -485,6 +485,41 @@ def test_product_singular_values_match_dense_svd(d, N, data):
 def test_product_singular_values_at_the_edges(d, N, G, distinct):
     # N = 1, G = 1, G > d^N (d^N caps the rank) and repeated columns
     _check_product_singular_values(d, N, G, distinct, seed=G)
+
+
+def _check_paired_singular_values(d, N, G, distinct, seed):
+    """Random unit site vectors at G points, repeating with period `distinct`,
+    and their mirrors J conj(v), each site times a random unit phase: the real
+    sweep against the complex oracle on the whole 2G-column family."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((distinct, N, d)) + 1j * rng.standard_normal((distinct, N, d))
+    vecs = (vecs / np.linalg.norm(vecs, axis=2, keepdims=True))[np.arange(G) % distinct]
+    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, (G, N, 1)))
+    want = product_singular_values(np.concatenate([vecs, phases * vecs[..., ::-1].conj()]))
+    got = paired_singular_values(vecs)
+    k = len(got)
+    assert 1 <= k <= len(want)
+    # the kept values agree, and the dropped ones lie far below the 1e-8 cut
+    assert np.abs(got - want[:k]).max() <= 1e-12 * want[0]
+    assert np.all(want[k:] <= 1e-12 * want[0])
+    assert np.all(got[1:] <= got[:-1]) and got[-1] > 1e-15 * got[0]
+    assert np.sum(got > 1e-8 * got[0]) == np.sum(want > 1e-8 * want[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 5]), N=st.integers(1, 6), data=st.data())
+def test_paired_singular_values_match_the_complex_sweep(d, N, data):
+    # 2G columns, G at most 32, so the oracle's family stays within 64
+    G = data.draw(st.integers(1, 32), label="G")
+    _check_paired_singular_values(d, N, G, data.draw(st.integers(1, G), label="distinct"),
+                                  data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+
+
+@pytest.mark.parametrize("d,N,G,distinct", [(2, 1, 1, 1), (5, 1, 9, 9), (2, 3, 13, 13),
+                                            (3, 2, 14, 5), (3, 4, 32, 32), (2, 6, 32, 3)])
+def test_paired_singular_values_at_the_edges(d, N, G, distinct):
+    # N = 1, G = 1, 2G > d^N (d^N caps the rank) and repeated columns
+    _check_paired_singular_values(d, N, G, distinct, seed=G)
 
 
 @pytest.mark.parametrize("S,N", [(0.5, 5), (1.5, 3)])
