@@ -120,7 +120,7 @@ def deformed_tower_deficit(N: int, S: float, q: CommensurateQ) -> float:
     sn, cn, dn = jacobi_fraction(q.fraction, q.modulus)
     basis = degenerate_subspace(build_xyz_chain(N, S, dn, 1.0, cn), gz_energy(N, S, q))
     tpp = tau_double_prime(N, S, q)
-    states = tower(tpp.matrix, all_up(tpp.system).amplitudes, int(round(2 * N * S)))
+    states = list(tower(tpp.matrix, all_up(tpp.system).amplitudes, int(round(2 * N * S))))
     return max(subspace_deficit(basis, StateVector(tpp.system, st)) for st in states[1:])
 
 

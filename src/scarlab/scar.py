@@ -290,9 +290,9 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
 
 
 def _chebyshev_grid(count: int):
-    """count Chebyshev nodes on [-0.99, 0.99], largest first, an exact mirror."""
+    """count (even) Chebyshev nodes on [-0.99, 0.99], largest first, an exact mirror."""
     half = 0.99 * np.cos((2 * np.arange(count // 2) + 1) * np.pi / (2 * count))
-    return np.concatenate([half, [0.0] * (count % 2), -half[::-1]])
+    return np.concatenate([half, -half[::-1]])
 
 
 class SpanRank(int):

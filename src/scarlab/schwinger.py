@@ -142,7 +142,7 @@ def tau_prime(basis: FockBasis) -> Csr:
 def zeta_states(N: int, S: float) -> tuple:
     """The constrained basis and the normalized tau'^m |down...down>, m = 0..2NS."""
     basis = FockBasis(N, S)
-    return basis, tower(tau_prime(basis), basis.vacuum_product(), int(round(2 * N * S)))
+    return basis, list(tower(tau_prime(basis), basis.vacuum_product(), int(round(2 * N * S))))
 
 
 def rotated_tower_states(N: int, S: float, p: int):
@@ -154,20 +154,20 @@ def rotated_tower_states(N: int, S: float, p: int):
     """
     system, q0, sz = SpinSystem(S, N), 2.0 * math.pi * p / N, local_spin_matrices(S)[2]
     angle = local_sum(system, [((n,), (n + 1) * q0 * sz) for n in range(N)]).diagonal()
-    phase, lower, power = np.exp(1j * angle), tau(N, S, q0).matrix, all_up(system).amplitudes
-    for m in range(int(round(2 * N * S)) + 1):
-        power = lower @ power if m else power
-        yield phase * (power / np.linalg.norm(power))
+    phase, lower = np.exp(1j * angle), tau(N, S, q0).matrix
+    return (phase * s for s in tower(lower, all_up(system).amplitudes, int(round(2 * N * S))))
 
 
 def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
     """|<m_zeta | rotated tower state 2NS-m>| for every m (should all be 1).
     The bytes are checked first: the rotated states are compared as they
-    come, so the zeta tower's build is the peak, 51-52 B per amplitude of one
-    tower at S=1/2 N=12-16, charged as 56."""
+    come, so only the zeta tower is held and its build is the peak, 51-52 B
+    per amplitude of the tower at S=1/2 N=12-16, charged as 56.  The charge
+    holds from about 2e4 amplitudes per tower (S=1/2 N=11, S=1 N=7) up; below,
+    fixed scratch under 1 MB takes the peak to 64-67 B per amplitude."""
     d, two_ns = _check_spin(S) + 1, int(round(2 * N * S))
-    check_bytes(56 * (two_ns + 1) * d ** N, f"two towers of {two_ns + 1} states "
-                f"of (2S+1)^N = {d}^{N} amplitudes")
+    check_bytes(56 * (two_ns + 1) * d ** N, f"the zeta tower of {two_ns + 1} states "
+                f"of (2S+1)^N = {d}^{N} amplitudes and its build")
     _, zstates = zeta_states(N, S)
     return [float(abs(np.vdot(zstates[two_ns - m], state)))
             for m, state in enumerate(rotated_tower_states(N, S, p))][::-1]

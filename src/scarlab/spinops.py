@@ -374,13 +374,12 @@ def tau(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:
     return lowering(SpinSystem(S, N), [sign * (n + 1) * q0 for n in range(N)])
 
 
-def tower(lower, start: np.ndarray, steps: int) -> list:
-    """[L^m start / ||L^m start||, m = 0..steps]; the power itself is carried unnormalized."""
-    states = [start / np.linalg.norm(start)]
+def tower(lower, start: np.ndarray, steps: int):
+    """Yields L^m start / ||L^m start||, m = 0..steps; the power itself is carried unnormalized."""
+    yield start / np.linalg.norm(start)
     for _ in range(steps):
         start = lower @ start
-        states.append(start / np.linalg.norm(start))
-    return states
+        yield start / np.linalg.norm(start)
 
 
 def basis_state(system: SpinSystem, local_indices) -> StateVector:

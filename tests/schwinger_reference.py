@@ -137,7 +137,7 @@ def hardcore_zeta_states(N, S):
     """The keyed hardcore basis and its normalized tau'^m |down...down>."""
     hc = keyed(N, S, "hardcore")
     tp = sum(as_scipy(hc.monomial([(n, UP, True), (n, DOWN, False)])) for n in range(N))
-    return hc, tower(tp.tocsr(), hc.vacuum_product(), int(round(2 * N * S)))
+    return hc, list(tower(tp.tocsr(), hc.vacuum_product(), int(round(2 * N * S))))
 
 
 def hardcore_annihilator_report(N, S):

@@ -234,7 +234,7 @@ def test_every_budget_check_stops_before_any_monomial(monkeypatch):
     FockBasis(N, S)
     with pytest.raises(DimensionCap, match="the 8,512 listed entries of a sum of 132 monomials"):
         decomposition_check(N, S, 2 * math.pi / N)
-    with pytest.raises(DimensionCap, match="two towers of 7 states of"):
+    with pytest.raises(DimensionCap, match="the zeta tower of 7 states of"):
         zeta_tower_fidelities(N, S, 1)
     assert calls == []
     monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 6 * (2 * N + 32) - 1)

@@ -548,7 +548,7 @@ def test_tower_is_the_normalized_matrix_powers(S, N):
     lower = lowering(system, RNG.uniform(-3.0, 3.0, N)).matrix
     start = all_up(system).amplitudes
     steps = int(round(2 * N * S))
-    states = tower(lower, start, steps)
+    states = list(tower(lower, start, steps))
     assert len(states) == steps + 1
     for m, state in enumerate(states):
         want = np.linalg.matrix_power(lower.toarray(), m) @ start
