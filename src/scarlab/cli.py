@@ -377,9 +377,9 @@ def cmd_schwinger_check(args, log: CheckLog) -> int:
     if N < 3:
         # the decomposition telescopes around a periodic ring of N >= 3 bonds
         raise ValueError(f"schwinger-check needs a ring of N >= 3 sites, got N={N}")
-    # the largest step first, so a size over the memory budget stops before any line
-    dcp = decomposition_check(N, S, 2.0 * math.pi * p / N)
+    # the one step on the (2S+1)^N states first: over the budget it stops before any line
     dev = max(abs(1.0 - f) for f in zeta_tower_fidelities(N, S, p))
+    dcp = decomposition_check(N, S, 2.0 * math.pi * p / N)
     log.check("zeta-states = rotated tower", dev <= 1e-12, f"max dev {dev:.2e}")
     rep = annihilator_report(N, S)
     worst = max(rep[k] for k in ("zeta", "eta", "epsilon"))

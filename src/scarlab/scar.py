@@ -237,33 +237,36 @@ def projections(N: int, S: float, p: int, kappa: float, gamma: float,
     return projection_table(N, S, p, kappa, [gamma], helicity)[0]
 
 
+def log_hypergeometric(b: int, sizes: list):
+    """Yields, for each a in sizes, the (b+1, a+1) table of
+    log [C(b, k) C(a, j) / C(a+b, j+k)], each j+k = m summing to 1, from one
+    table of log rising factorials rise[r, x] = log((x+r)!/x!), r <= b, which
+    keeps the roundoff of log (a+b)! out (math.lgamma does not)."""
+    x = np.arange(max(*sizes, b) + 1)
+    rise = np.zeros((b + 1, x.size))
+    for r in range(1, b + 1):
+        rise[r] = rise[r - 1] + np.log(x + r)
+    for a in sizes:
+        yield np.array([rise[k, b - k] - rise[k, 0] + rise[k, :a + 1] + rise[b - k, a::-1]
+                        - rise[b, a] for k in range(b + 1)])
+
+
 def _tower_overlaps(vecs: np.ndarray, phases) -> np.ndarray:
     """(G, 2NS+1) overlaps <S^(m)|psi_g> of the normalized states S^(m) ~
     (sum_n e^{i phases[n]} S-_n)^m |up...up> with the product states of the
     (G, N, d) site vectors vecs: [z^m] prod_n P_n(z) / sqrt(C(2NS, m)), with
     P_n(z) = sum_k e^{-i phases[n] k} sqrt(C(2S, k)) vecs[:, n, k] z^k.  Each
     partial product is kept over sqrt(C(2Sn, j)), so each step weight is the
-    square root of a hypergeometric probability, C(2Sn, j) C(2S, k) /
-    C(2S(n+1), j+k), and nothing overflows.  Its log is summed from a table
-    of log rising factorials, rise[r, x] = log((x+r)!/x!), r <= 2S, which
-    keeps the roundoff of log (2NS)! out of the weights.
+    square root of a log_hypergeometric weight, and nothing overflows.
     """
     G, N, d = vecs.shape
-    two_s = d - 1
-    x = np.arange(two_s * N + 1)
-    rise = np.zeros((d, x.size))
-    for r in range(1, d):
-        rise[r] = rise[r - 1] + np.log(x + r)
     site = np.exp(-1j * np.multiply.outer(phases, np.arange(d))) * vecs
     acc = np.ones((G, 1), dtype=complex)
-    for n in range(N):
-        a = two_s * n
-        j = np.arange(a + 1)
+    for n, log_w in enumerate(log_hypergeometric(d - 1, [(d - 1) * n for n in range(N)])):
+        a = (d - 1) * n
         out = np.zeros((G, a + d), dtype=complex)
         for k in range(d):
-            log_w = (rise[k, two_s - k] - rise[k, 0] + rise[k, j]
-                     + rise[two_s - k, a - j] - rise[two_s, a])
-            out[:, k:k + a + 1] += acc * np.exp(0.5 * log_w) * site[:, n, k, None]
+            out[:, k:k + a + 1] += acc * np.exp(0.5 * log_w[k]) * site[:, n, k, None]
         acc = out
     return acc
 

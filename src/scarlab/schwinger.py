@@ -7,16 +7,14 @@ index for index, with S+_n = c+_{n,up} c_{n,down} mapping exactly.  The
 zeta-states tau'^m |down..> reproduce the helical tower in a
 site-dependently rotated frame, the hopping and pairing bilinears annihilate
 all of them, and the rotated XXZ chain equals a group-theoretical assembly
-H0 + sum_a O_a T_a of those bilinears, bond by bond over the ring's coupling
-table (hamiltonian.chain_couplings).
+H0 + sum_a O_a T_a of those bilinears, bond by bond.  Both bilinear checks
+are sums of one two-site fact, so they run on sites 0 and 1 at any N.
 
 A boson monomial carries exact sqrt(n) amplitudes through its intermediates
 and changes every state's occupations alike, so its image is the state's
-index plus the change of the n_down digits, and the change of the site
-totals decides whether the image is kept: on the constrained states (a
-product of two bilinears is one composed four-factor monomial there), or
-with every site total at most 2S in the annihilation checks, where creation
-on a full site projects to zero.
+index plus the change of the n_down digits, kept on the constrained states
+(a product of two bilinears is one composed four-factor monomial there) or,
+in the annihilation check, with every site total at most 2S.
 """
 
 from __future__ import annotations
@@ -26,7 +24,9 @@ import math
 
 import numpy as np
 
+from .errors import InvalidInput
 from .hamiltonian import chain_couplings, coupling_terms
+from .scar import log_hypergeometric
 from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype, all_up,
                       check_bytes, coo_csr, local_spin_matrices, local_sum, max_gap, tau, tower)
 
@@ -105,17 +105,16 @@ class FockBasis:
         np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
         return Csr(amp, cols.astype(index), indptr, (self.dim, self.dim))
 
-    def monomial_sum(self, coef_ops, diagonal: float = 0.0) -> Csr:
-        """diagonal times the identity plus sum_j c_j monomial(ops_j) over the
-        (c_j, ops_j) pairs; entries at one place are summed in the listed
-        order, the identity first (coo_csr).  The listed entries, at a peak of
-        31-32 B each, are checked against the budget before any monomial."""
+    def monomial_sum(self, coef_ops) -> Csr:
+        """sum_j c_j monomial(ops_j) over the (c_j, ops_j) pairs; entries at one
+        place are summed in the listed order (coo_csr).  The listed entries, at
+        a peak of 31-32 B each, are checked against the budget before any
+        monomial."""
         coef_ops = list(coef_ops)
-        slots = (len(coef_ops) + 1) * self.dim
+        slots = len(coef_ops) * self.dim
         check_bytes(32 * slots, f"the {slots:,} listed entries of a sum of "
                     f"{len(coef_ops)} monomials on {self.dim:,} states")
-        states = np.arange(self.dim)
-        parts = [(states, states, np.full(self.dim, diagonal))]
+        parts = []
         for c, ops in coef_ops:
             term = self.monomial(ops)
             parts.append((term.rows(), term.indices, c * term.data))
@@ -174,26 +173,33 @@ def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
 
 
 def annihilator_report(N: int, S: float) -> dict:
-    """max_m ||op |m_zeta>|| for zeta, eta, epsilon plus a generic control bilinear.
+    """max_m ||op |m_zeta>|| for zeta, eta, epsilon on sites 0 and 1, plus a
+    control, the bare pair annihilator c_{0,up} c_{1,down}, whose residual is O(1).
 
-    op is projected onto site totals at most 2S: a monomial that raises a
-    site total is dropped.  Both monomials of a bilinear change the site
-    totals alike, so the images are summed by their n_down digits.  The
-    control, the bare pair annihilator c_{0,up} c_{1,down}, lowers site
-    totals but does not annihilate the zeta-states: its residual is O(1).
-    """
-    basis, states = zeta_states(N, S)
-    zstates = np.array(states)
+    A zeta-state is symmetric: |m_zeta> = sum_j sqrt(w_mj) |D_j>_01
+    |D_{m-j}>_rest, D_j the two-site zeta-states and w_mj = C(4S, j)
+    C(2S(N-2), m-j) / C(2SN, m), so ||op |m_zeta>||^2 = sum_j w_mj ||op D_j||^2.
+    op is projected onto site totals at most 2S.  Every monomial of zeta and
+    epsilon creates on the full site 0, so their rows are exact zeros by that
+    projection alone; eta and the control carry the check."""
+    if N < 2:
+        raise InvalidInput(f"the bilinears act on sites 0 and 1: need N >= 2 sites, got N={N}")
+    two_s = _check_spin(S)
+    basis, pair = zeta_states(2, S)
+    pair = np.array(pair)
+    weights = np.exp(next(log_hypergeometric(2 * two_s, [two_s * (N - 2)])))   # w_mj at [j, m - j]
+    m = np.add.outer(np.arange(len(pair)), np.arange(weights.shape[1])).ravel()
     kinds = {kind: _monomials(kind, 0, 1) for kind in ("zeta", "eta", "epsilon")}
     kinds["generic"] = [(1, ((0, UP, False), (1, DOWN, False)))]
     report = {}
     for kind, monos in kinds.items():
-        out = np.zeros_like(zstates)
+        out = np.zeros_like(pair)
         for sign, ops in monos:
             cols, rows, amp, change = basis._images(ops)
             if change.max() <= 0:                # else it creates on a full site
-                out[:, rows] += sign * amp * zstates[:, cols]
-        report[kind] = max(float(np.linalg.norm(image)) for image in out)
+                out[:, rows] += sign * amp * pair[:, cols]
+        norm2 = weights * (np.abs(out) ** 2).sum(axis=1)[:, None]        # w_mj ||op D_j||^2
+        report[kind] = math.sqrt(np.bincount(m, norm2.ravel()).max())
     return report
 
 
@@ -224,32 +230,22 @@ def _bond_monomials(n: int, m: int, q0: float) -> dict:
     return coef
 
 
-def bilinear_form(basis: FockBasis, bonds: list, q0: float) -> Csr:
-    """The bilinear side of decomposition_check on the constrained basis, in
-    units of the ring's coupling.
-
-    Per bond (n, m): -S cos(q0)/2, the hopping/pairing block
-    (cos(q0)/4) (zeta_nm zeta_mn + eta+_nm eta_mn), and the current block
-    (-i sin(q0)/2) (O1_nm zeta_mn - O1_mn zeta_nm + O2_nm eps_mn -
-    O2_mn eps_nm).  Each product of two bilinears is its composed monomials,
-    one monomial call per distinct ops tuple, and every term of every bond is
-    summed in one monomial_sum.
-    """
-    return basis.monomial_sum([(c, ops) for n, m in bonds
-                               for ops, c in _bond_monomials(n, m, q0).items()],
-                              -len(bonds) * basis.S * math.cos(q0) / 2.0)
-
-
 def decomposition_check(N: int, S: float, q0: float) -> float:
-    """Entrywise deviation between the rotated spin chain and its bilinear form.
-
-    The bilinear side is bilinear_form over the bonds of the spin side's
-    terms.  The pair terms that drop two bosons telescope out of the
-    constrained space, and the locally non-Hermitian Sz difference term sums
-    to zero on the periodic ring, so the two sides must agree exactly.  Both
-    sides are in the spin index, so H's CSR entries are compared as they are.
-    """
-    H = _rotated_spin_hamiltonian(N, S, q0)
-    rhs = bilinear_form(FockBasis(N, S), [sites for sites, _ in H.terms], q0)
-    A = H.matrix
-    return max_gap(rhs, A.rows(), A.indices, A.data)
+    """Entrywise deviation between the rotated ring of N sites and its
+    bilinear form, in units of its coupling.  Each bond is one d^2 x d^2
+    identity: bond (0, 1)'s composed monomials equal the spin bond plus
+    S cos(q0)/2 + a (Sz_0 - Sz_1), a = i (2S + 1/2) sin q0, compared entry by
+    entry (the bond gap).  Over the ring's coupling table a site n that is the
+    first end of out_n bonds and the second of in_n keeps a (out_n - in_n) Sz_n,
+    so the deviation is the larger of the bond gap and |a| S sum_n
+    |out_n - in_n|, which is 0 on a ring of N >= 3."""
+    bilinears = FockBasis(2, S).monomial_sum((c, ops)
+                                             for ops, c in _bond_monomials(0, 1, q0).items())
+    bond, a = _rotated_spin_hamiltonian(2, S, q0), 1j * (2 * S + 0.5) * math.sin(q0)
+    sz = local_spin_matrices(S)[2]
+    spin = ManyBodyOperator(bond.system, bond.terms + [
+        ((0,), S * math.cos(q0) / 2.0 * np.eye(len(sz)) + a * sz), ((1,), -a * sz)]).matrix
+    gap = max_gap(bilinears, spin.rows(), spin.indices, spin.data)
+    u, v, _ = chain_couplings(N, np.eye(3))
+    imbalance = int(np.abs(np.bincount(u, minlength=N) - np.bincount(v, minlength=N)).sum())
+    return max(gap, abs(a) * S * imbalance)

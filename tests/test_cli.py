@@ -245,13 +245,13 @@ def test_algebra_check_needs_a_ring(tmp_path, capsys):
 
 
 def test_schwinger_check_over_the_memory_budget_is_a_numerical_failure(tmp_path, capsys):
-    # the Fock basis of 2^26 states is refused before it is enumerated, and at
-    # N=19 the bilinear sum of 419 * 2^19 listed entries before any monomial
+    # the fidelity's zeta tower, the one step on the (2S+1)^N states, runs
+    # first: charged at 56 B per amplitude, it is refused from N=22 on
     budget = f"over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB memory budget"
-    for n, what in (("26", "the 67,108,864 states of the N=26 S=0.5 basis and one monomial on "
-                           "them would take 5.25 GiB"),
-                    ("19", "the 219,676,672 listed entries of a sum of 418 monomials on 524,288 "
-                           "states would take 6.547 GiB")):
+    for n, what in (("26", "the zeta tower of 27 states of (2S+1)^N = 2^26 amplitudes and its "
+                           "build would take 94.5 GiB"),
+                    ("22", "the zeta tower of 23 states of (2S+1)^N = 2^22 amplitudes and its "
+                           "build would take 5.031 GiB")):
         assert run(["--out", str(tmp_path), "schwinger-check", "--N", n,
                     "--S", "1/2"]) == EXIT_NUMERICAL
         cap = capsys.readouterr()
@@ -259,18 +259,30 @@ def test_schwinger_check_over_the_memory_budget_is_a_numerical_failure(tmp_path,
     assert not (tmp_path / "schwinger_check.csv").exists()
 
 
+def test_schwinger_check_runs_past_the_old_decomposition_budget(tmp_path, capsys, monkeypatch):
+    # a budget that the fidelity's 56 B charge fits and a sum of the ring's
+    # 22 N monomials on the (2S+1)^N states, at 32 B a listed entry, would
+    # not: the decomposition holds no d^N array (at S=1/2 N=19 it held 6.5 GiB)
+    N = 11
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 56 * (N + 1) * 2 ** N)
+    assert 32 * (22 * N + 1) * 2 ** N > spinops.MEMORY_BUDGET
+    assert run(["--out", str(tmp_path), "schwinger-check", "--N", str(N), "--S", "1/2"]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: ") == 4
+
+
 def test_schwinger_check_stops_at_the_budget_before_any_line(tmp_path, capsys, monkeypatch):
-    # the decomposition's sum runs first: over the budget it stops before any
-    # PASS line, any CSV and any monomial
+    # the fidelity's zeta tower is charged first: over the budget it stops
+    # before any PASS line, any CSV and any monomial, though the basis fits
     from scarlab.schwinger import FockBasis
     calls = []
     monkeypatch.setattr(FockBasis, "monomial", lambda self, ops: calls.append(ops))
-    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 20)
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 16)
+    assert 2 ** 8 * (2 * 8 + 32) < 2 ** 16 < 56 * 9 * 2 ** 8
     assert run(["--out", str(tmp_path), "schwinger-check", "--N", "8",
                 "--S", "1/2"]) == EXIT_NUMERICAL
     cap = capsys.readouterr()
-    assert cap.err == ("numerical failure: the 45,312 listed entries of a sum of 176 monomials "
-                       "on 256 states would take 0.001350 GiB, over the 0.0009766 GiB memory "
+    assert cap.err == ("numerical failure: the zeta tower of 9 states of (2S+1)^N = 2^8 amplitudes "
+                       "and its build would take 0.0001202 GiB, over the 0.00006104 GiB memory "
                        "budget\n") and not cap.out
     assert calls == [] and not list(tmp_path.iterdir())
 

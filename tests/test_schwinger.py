@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from hamiltonian_reference import chain_bonds
 from schwinger_reference import (SITE_CAP_SLACK, embed_into, enlarged_bilinear_form,
                                  hardcore_annihilator_report, hardcore_zeta_states, keyed,
@@ -13,11 +15,11 @@ from schwinger_reference import (SITE_CAP_SLACK, embed_into, enlarged_bilinear_f
 from spinops_reference import as_scipy, embed, two_site
 
 from scarlab import schwinger, spinops
-from scarlab.errors import DimensionCap, DimensionMismatch, InvalidSpin
-from scarlab.schwinger import (DOWN, UP, FockBasis, _monomials, annihilator_report,
-                               bilinear_form, decomposition_check, rotated_tower_states,
-                               zeta_states, zeta_tower_fidelities)
-from scarlab.scar import helical_tower
+from scarlab.errors import DimensionCap, DimensionMismatch, InvalidInput, InvalidSpin
+from scarlab.schwinger import (DOWN, UP, FockBasis, _bond_monomials, _monomials,
+                               _rotated_spin_hamiltonian, annihilator_report, decomposition_check,
+                               rotated_tower_states, tau_prime, zeta_states, zeta_tower_fidelities)
+from scarlab.scar import helical_tower, log_hypergeometric
 from scarlab.spinops import MEMORY_BUDGET, SpinSystem, local_spin_matrices, local_sum
 
 
@@ -150,6 +152,44 @@ def test_annihilator_report_matches_the_keyed_hardcore_oracle(N, S):
     assert all(abs(got[kind] - want[kind]) <= 1e-15 for kind in want), (got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(two_s=st.integers(1, 6), a=st.integers(0, 3000), pair=st.booleans())
+def test_hypergeometric_weights_sum_to_one_over_each_total(two_s, a, pair):
+    # the shared weights at the widths of both callers: 2S (a tower step) and
+    # 4S (two sites against the rest); each total m = j + k splits with weight 1
+    b = 2 * two_s if pair else two_s
+    w = np.exp(next(log_hypergeometric(b, [a])))
+    assert w.shape == (b + 1, a + 1)
+    total = np.zeros(a + b + 1)
+    for k in range(b + 1):
+        total[k:k + a + 1] += w[k]
+    assert np.abs(total - 1.0).max() <= 1e-13
+
+
+def test_both_bilinear_checks_at_ten_thousand_sites():
+    # two sites and 10^4 + 1 weights, no (2S+1)^N array: at S=1/2 the control
+    # is max_m sqrt(m (N - m) / (N (N - 1))), sqrt(N / (4 (N - 1))) at m = N/2
+    N = 10_000
+    tracemalloc.start()
+    try:
+        rep = annihilator_report(N, 0.5)
+        dcp = decomposition_check(N, 0.5, 2 * math.pi / N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["zeta"] == rep["eta"] == rep["epsilon"] == 0.0
+    assert abs(rep["generic"] - math.sqrt(N / (4 * (N - 1)))) <= 1e-15
+    assert dcp <= 1e-14 and peak < 2 ** 22
+
+
+def test_annihilator_report_needs_two_sites(monkeypatch):
+    # library input: the bilinears act on sites 0 and 1, refused before any work
+    monkeypatch.setattr(schwinger, "zeta_states", lambda N, S: pytest.fail("work started"))
+    for N in (0, 1):
+        with pytest.raises(InvalidInput, match=f"need N >= 2 sites, got N={N}"):
+            annihilator_report(N, 0.5)
+
+
 def test_symmetric_pair_combination_fails():
     # the flavor-symmetric pair annihilator does not kill the zeta-states
     N, S = 3, 0.5
@@ -169,6 +209,18 @@ def test_symmetric_pair_combination_fails():
 def test_decomposition_equals_rotated_chain(N, S):
     q0 = 2.0 * math.pi / N
     assert decomposition_check(N, S, q0) <= 1e-12
+
+
+@pytest.mark.parametrize("S", [0.5, 1.0, 1.5, 2.0])
+def test_decomposition_check_fails_off_the_identity(monkeypatch, S):
+    # the bond gap: the spin bond at q0 + 0.1 against the bilinears at q0
+    assert decomposition_check(5, S, 0.7) <= 1e-14
+    raw = schwinger._rotated_spin_hamiltonian
+    with monkeypatch.context() as m:
+        m.setattr(schwinger, "_rotated_spin_hamiltonian", lambda N, S, q0: raw(N, S, q0 + 0.1))
+        assert decomposition_check(5, S, 0.7) > 1e-2
+    # the telescoping: N = 2 has the one bond (0, 1), so a (Sz_0 - Sz_1) stays
+    assert decomposition_check(2, S, 0.7) == (2 * S + 0.5) * math.sin(0.7) * S * 2
 
 
 def test_identity_bond_sum():
@@ -191,12 +243,18 @@ def test_identity_bond_sum():
 @pytest.mark.parametrize("N,S", [(3, 0.5), (4, 0.5), (5, 0.5), (3, 1.0), (4, 1.0), (3, 1.5)])
 @pytest.mark.parametrize("q0", ["2pi/N", 0.7])
 def test_bilinear_form_matches_enlarged_basis_oracle(N, S, q0):
-    # the composed monomials on the constrained states against the products
-    # of bilinears on the enlarged basis, restricted by its inclusion matrix
+    # bond (0, 1)'s composed monomials on the two-site constrained states
+    # against the products of bilinears on the enlarged basis, restricted by
+    # its inclusion matrix; the oracle carries the -S cos(q0)/2 share
     q0 = 2.0 * math.pi / N if q0 == "2pi/N" else q0
+    got = FockBasis(2, S).monomial_sum((c, ops) for ops, c in _bond_monomials(0, 1, q0).items())
+    want = enlarged_bilinear_form(2, S, [(0, 1)], q0) + S * math.cos(q0) / 2.0 * np.eye(got.shape[0])
+    assert np.abs(got.toarray() - want).max() <= 1e-13
+    # the local-to-global step: on the d^N states the ring's bilinear form is
+    # the rotated ring itself, its bonds' a (Sz_n - Sz_m) remainders cancelled
     bonds = [tuple(b) for b in chain_bonds(N, True)]
-    got = bilinear_form(FockBasis(N, S), bonds, q0).toarray()
-    assert np.abs(got - enlarged_bilinear_form(N, S, bonds, q0)).max() <= 1e-13
+    ring = _rotated_spin_hamiltonian(N, S, q0).matrix.toarray()
+    assert np.abs(enlarged_bilinear_form(N, S, bonds, q0) - ring).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["zeta", "eta", "epsilon", "O1", "O2"])
@@ -224,6 +282,20 @@ def test_traced_names_stay():
     assert type(basis.dim) is int and basis.dim == 8
 
 
+@pytest.mark.parametrize("N,S", [(5, 0.5), (4, 1.0), (3, 1.5)])
+def test_tau_prime_is_the_sum_with_zero_identity_slots_bit_for_bit(N, S):
+    # the oracle lists a zero identity first: tau' is off the diagonal, so those
+    # slots sum to stored zeros that coo_csr drops, and no entry of tau' moves
+    basis = FockBasis(N, S)
+    states = np.arange(basis.dim)
+    parts = [(states, states, np.zeros(basis.dim))]
+    for n in range(N):
+        term = basis.monomial([(n, UP, True), (n, DOWN, False)])
+        parts.append((term.rows(), term.indices, term.data))
+    rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+    _assert_same_csr(tau_prime(basis), spinops.coo_csr(rows, cols, vals, (basis.dim, basis.dim)))
+
+
 def test_every_budget_check_stops_before_any_monomial(monkeypatch):
     # a budget between the basis's bytes and each later step's: the step's own
     # check stops it before any monomial is built
@@ -232,8 +304,6 @@ def test_every_budget_check_stops_before_any_monomial(monkeypatch):
     N, S = 6, 0.5
     monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 6 * (2 * N + 32))
     FockBasis(N, S)
-    with pytest.raises(DimensionCap, match="the 8,512 listed entries of a sum of 132 monomials"):
-        decomposition_check(N, S, 2 * math.pi / N)
     with pytest.raises(DimensionCap, match="the zeta tower of 7 states of"):
         zeta_tower_fidelities(N, S, 1)
     assert calls == []
@@ -377,12 +447,13 @@ def test_decomposition_check_computes_each_bond_monomial_once(monkeypatch, N, S,
     raw = FockBasis.monomial
 
     def counted(self, ops):
-        calls.append(tuple(ops))
+        calls.append((self.dim, tuple(ops)))
         return raw(self, ops)
 
     monkeypatch.setattr(FockBasis, "monomial", counted)
     assert decomposition_check(N, S, q0) <= 1e-12
     # 6 products of two bilinears, 4 composed four-factor monomials each; 2 of
-    # O1_nm zeta_mn's are zeta_nm zeta_mn's, so 22 distinct per bond
-    assert len(calls) == 22 * N and len(set(calls)) == len(calls)
-    assert all(len(ops) == 4 for ops in calls)
+    # O1_nm zeta_mn's are zeta_nm zeta_mn's, so 22 distinct, on bond (0, 1)'s
+    # (2S+1)^2 states alone whatever N is
+    assert len(calls) == 22 and len(set(calls)) == len(calls)
+    assert all(dim == (2 * S + 1) ** 2 and len(ops) == 4 for dim, ops in calls)
