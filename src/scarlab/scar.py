@@ -237,18 +237,25 @@ def projections(N: int, S: float, p: int, kappa: float, gamma: float,
     return projection_table(N, S, p, kappa, [gamma], helicity)[0]
 
 
-def log_hypergeometric(b: int, sizes: list):
+def hypergeometric_weights(b: int, sizes: list):
     """Yields, for each a in sizes, the (b+1, a+1) table of
-    log [C(b, k) C(a, j) / C(a+b, j+k)], each j+k = m summing to 1, from one
-    table of log rising factorials rise[r, x] = log((x+r)!/x!), r <= b, which
-    keeps the roundoff of log (a+b)! out (math.lgamma does not)."""
-    x = np.arange(max(*sizes, b) + 1)
-    rise = np.zeros((b + 1, x.size))
-    for r in range(1, b + 1):
-        rise[r] = rise[r - 1] + np.log(x + r)
+    C(b, k) C(a, j) / C(a+b, j+k), each j+k = m summing to 1, correctly
+    rounded: C(b, k) prod_{r<=k} (j+r) prod_{r<=b-k} (a-j+r) over
+    prod_{r<=b} (a+r), integers below the denominator, are exact in float64
+    while (a+b)^b < 2^53 and Python integers beyond, so each weight is one
+    rounded division."""
     for a in sizes:
-        yield np.array([rise[k, b - k] - rise[k, 0] + rise[k, :a + 1] + rise[b - k, a::-1]
-                        - rise[b, a] for k in range(b + 1)])
+        den = math.prod(range(a + 1, a + b + 1))
+        j = np.arange(a + 1, dtype=float if (a + b) ** b < 2 ** 53 else object)
+        table = []
+        for k in range(b + 1):
+            num = np.full(a + 1, math.comb(b, k), dtype=j.dtype)
+            for r in range(1, k + 1):
+                num = num * (j + r)
+            for r in range(1, b - k + 1):
+                num = num * (a - j + r)
+            table.append(num / den)
+        yield np.array(table, dtype=float)
 
 
 def _tower_overlaps(vecs: np.ndarray, phases) -> np.ndarray:
@@ -257,16 +264,16 @@ def _tower_overlaps(vecs: np.ndarray, phases) -> np.ndarray:
     (G, N, d) site vectors vecs: [z^m] prod_n P_n(z) / sqrt(C(2NS, m)), with
     P_n(z) = sum_k e^{-i phases[n] k} sqrt(C(2S, k)) vecs[:, n, k] z^k.  Each
     partial product is kept over sqrt(C(2Sn, j)), so each step weight is the
-    square root of a log_hypergeometric weight, and nothing overflows.
+    square root of a hypergeometric weight, and nothing overflows.
     """
     G, N, d = vecs.shape
     site = np.exp(-1j * np.multiply.outer(phases, np.arange(d))) * vecs
     acc = np.ones((G, 1), dtype=complex)
-    for n, log_w in enumerate(log_hypergeometric(d - 1, [(d - 1) * n for n in range(N)])):
+    for n, w in enumerate(hypergeometric_weights(d - 1, [(d - 1) * n for n in range(N)])):
         a = (d - 1) * n
         out = np.zeros((G, a + d), dtype=complex)
         for k in range(d):
-            out[:, k:k + a + 1] += acc * np.exp(0.5 * log_w[k]) * site[:, n, k, None]
+            out[:, k:k + a + 1] += acc * np.sqrt(w[k]) * site[:, n, k, None]
         acc = out
     return acc
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .hamiltonian import chain_couplings, coupling_terms
-from .scar import log_hypergeometric
+from .scar import hypergeometric_weights
 from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype, all_up,
                       check_bytes, coo_csr, local_spin_matrices, local_sum, max_gap, tau, tower)
 
@@ -187,7 +187,7 @@ def annihilator_report(N: int, S: float) -> dict:
     two_s = _check_spin(S)
     basis, pair = zeta_states(2, S)
     pair = np.array(pair)
-    weights = np.exp(next(log_hypergeometric(2 * two_s, [two_s * (N - 2)])))   # w_mj at [j, m - j]
+    weights = next(hypergeometric_weights(2 * two_s, [two_s * (N - 2)]))   # w_mj at [j, m - j]
     m = np.add.outer(np.arange(len(pair)), np.arange(weights.shape[1])).ravel()
     kinds = {kind: _monomials(kind, 0, 1) for kind in ("zeta", "eta", "epsilon")}
     kinds["generic"] = [(1, ((0, UP, False), (1, DOWN, False)))]

@@ -1,11 +1,12 @@
 """Exact diagonalization, degeneracy counting, and the degeneracy scan.
 
 Dense Hermitian diagonalization at desk scale, one symmetry block of H at a
-time (momentum and the +-1 characters of the spin flip m -> -m, each where H
-commutes with it; a block whose spectrum an exact symmetry repeats is copied,
-not solved) and in real arithmetic when the block is real, a clustered
-degeneracy count at the scar energy with an explicit gap audit, and the
-degeneracy-versus-size scan (count 4NS away from the special
+time (momentum and the +-1 characters of the spin flip m -> -m, each where
+H's terms show it; a block whose spectrum a symmetry repeats is copied, not
+solved), from H's rows at the orbit representatives alone and in real
+arithmetic wherever an antiunitary symmetry squaring to 1 keeps the block, a
+clustered degeneracy count at the scar energy with an explicit gap audit,
+and the degeneracy-versus-size scan (count 4NS away from the special
 commensurabilities where q hits a multiple of the quarter period K).
 """
 
@@ -20,7 +21,7 @@ from .elliptic import commensurate_q
 from .errors import InvalidInput, ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import gz_energy
-from .spinops import MEMORY_BUDGET, Csr, ManyBodyOperator, SpinSystem, check_bytes, max_gap
+from .spinops import MEMORY_BUDGET, ManyBodyOperator, SpinSystem, check_bytes, local_sum
 
 TOL_SCALE = 1e-8
 GAP_AUDIT_FACTOR = 10.0
@@ -62,6 +63,15 @@ def _dense_block(size: int, r: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.n
     return re + 1j * im if np.any(im) else re
 
 
+def _real_block(size: int, a: np.ndarray, b: np.ndarray, v: np.ndarray,
+                col: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The real part of F^dag H F, entries v of H at orbits (a, b), where row
+    a of F holds val[a] in the block's columns col[a] (two of each)."""
+    w = (val[a].conj()[:, :, None] * v[:, None, None] * val[b][:, None, :]).real
+    at = col[a][:, :, None] * size + col[b][:, None, :]
+    return np.bincount(at.ravel(), w.ravel(), size * size).reshape(size, size)
+
+
 def _rotations(system: SpinSystem) -> np.ndarray:
     """(N, dim) int64: row j holds T^j s for every basis index s, where the
     one-site shift T moves the state of site n+1 to site n (site 0 to N-1)."""
@@ -72,36 +82,66 @@ def _rotations(system: SpinSystem) -> np.ndarray:
     return np.array(rot)
 
 
-def _invariant(A: Csr, perm: np.ndarray, sign: np.ndarray | None = None) -> bool:
-    """Whether A[perm s, perm t] = A[s, t] for all s, t; with sign, whether
-    sign[s] sign[t] A[perm s, perm t] = conj(A[s, t]) instead."""
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    s, t, h = inv[A.rows()], inv[A.indices], A.data  # entry (s, t) of the relabelled A
-    if sign is not None:
-        h = h * (sign[s] * sign[t])
-        A = Csr(A.data.conj(), A.indices, A.indptr, A.shape)
-    return max_gap(A, s, t, h) <= 1e-12 * np.abs(A.data).max(initial=0.0)
+def _mirrored(s: np.ndarray, N: int, d: int) -> np.ndarray:
+    """R s for basis indices s, where the site reflection R moves the state
+    of site n to site N-1-n: the N base-d digits of s reversed."""
+    out = np.zeros_like(s)
+    for _ in range(N):
+        s, digit = np.divmod(s, d)
+        out = out * d + digit
+    return out
 
 
-def _columns(A: Csr, pick: np.ndarray):
-    """(rows, columns, values) of the entries of A in the columns where pick
-    is true, column by column and rows ascending, the order of scipy's
-    A.tocsc()[:, columns].tocoo(): one stable argsort of their columns."""
-    at = np.flatnonzero(pick[A.indices])
-    at = at[np.argsort(A.indices[at], kind="stable")]
-    return A.rows()[at], A.indices[at], A.data[at]
-
-
-def _theta_signs(system: SpinSystem) -> np.ndarray:
-    """(-1)^(sum of the local indices l_n) of every basis index: with the
-    complement and complex conjugation this is time reversal, which maps
-    |l> to (-1)^l |d-1-l> on every site and flips every spin component."""
-    s, total = np.arange(system.total_dim), 0
-    for _ in range(system.N):
-        s, l = np.divmod(s, system.local_dim)
-        total = total + l
+def _digit_parity(s: np.ndarray, count: int, d: int) -> np.ndarray:
+    """(-1)^(sum of the count base-d digits) of every index in s: the sign
+    time reversal, |l> -> (-1)^l |d-1-l> on every site, gives a state."""
+    total = 0
+    for _ in range(count):
+        s, digit = np.divmod(s, d)
+        total = total + digit
     return 1.0 - 2 * (total % 2)
+
+
+def _keyed(terms, d: int, site_map=None) -> dict:
+    """The site-keyed sums of terms, {ascending sites: the sum of the ops on
+    them, factors in that order}, each term first carried to the sites
+    site_map[sites] when a site map is given."""
+    out = {}
+    for sites, op in terms:
+        if site_map is not None:
+            sites = tuple(site_map[n] for n in sites)
+        key = tuple(sorted(sites))
+        if key != sites:                    # axis j of the tensor is factor k-1-j
+            k = len(sites)
+            order = sorted(range(k), key=sites.__getitem__)
+            axes = [k - 1 - order[k - 1 - j] for j in range(k)]
+            op = op.reshape((d,) * 2 * k).transpose(*axes, *(a + k for a in axes))
+            op = op.reshape(d ** k, d ** k)
+        out[key] = out[key] + op if key in out else op
+    return out
+
+
+def _symmetries(H: ManyBodyOperator) -> dict:
+    """Whether H commutes with the shift T, the digit complement P, the site
+    reflection R, complex conjugation and time reversal (|l> -> (-1)^l
+    |d-1-l> on every site, then conjugation), read from its terms: T and R
+    carry the site-keyed sums of the terms (_keyed) to their image sites, the
+    others act on each sum's op, and an element holds when the moved sums
+    equal those of H within 1e-12 of their largest entry."""
+    d, N = H.system.local_dim, H.system.N
+    keyed = _keyed(H.terms, d)
+    tol = 1e-12 * max((np.abs(op).max(initial=0.0) for op in keyed.values()), default=0.0)
+    sign = {k: _digit_parity(np.arange(d ** k), k, d) for k in {len(key) for key in keyed}}
+
+    def holds(moved: dict) -> bool:
+        return all(np.abs(keyed.get(key, 0.0) - moved.get(key, 0.0)).max(initial=0.0) <= tol
+                   for key in keyed.keys() | moved.keys())
+    return {"translation": holds(_keyed(keyed.items(), d, [(n + 1) % N for n in range(N)])),
+            "complement": holds({key: op[::-1, ::-1] for key, op in keyed.items()}),
+            "reflection": holds(_keyed(keyed.items(), d, [N - 1 - n for n in range(N)])),
+            "conjugation": holds({key: op.conj() for key, op in keyed.items()}),
+            "time-reversal": holds({key: np.outer(sign[len(key)], sign[len(key)])
+                                    * op.conj()[::-1, ::-1] for key, op in keyed.items()})}
 
 
 def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
@@ -109,19 +149,34 @@ def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
     (None unless vectors; with E only those within degeneracy_at's window of
     E, else all of them), the momentum of each eigenvalue, and what was solved.
 
-    The symmetry group is abelian: the powers T^j of the one-site shift when
-    H commutes with T (else only the identity), times {1, P} when H commutes
-    with the digit complement P: s -> dim-1-s, which maps m -> -m on every
-    site and is the pi rotation about x up to a global phase.  Element
-    T^j P^e has the characters chi(T^j P^e) = e^{2 pi i kj/N} sigma^e.  Each
-    orbit is labelled by its smallest index a and has length L_a.  An entry
-    h of H from representative b into i = g a adds h chi(g) sqrt(L_b/L_a) to
-    H_chi[a, b], and only orbits on whose stabilizer chi is trivial carry chi
-    (Sandvik, AIP Conf. Proc. 1297, 135 (2010); the block design of QuSpin,
-    Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Each block is one
-    character times one connected component of the orbit graph.  A block is
-    solved in float64 when its entries are real, and 1-state blocks are read
-    off the diagonal.
+    The symmetries are read from H.terms (_symmetries), never from a d^N
+    matrix; terms that do not show a symmetry give the smaller group.
+
+    The group is abelian: the powers T^j of the one-site shift when H
+    commutes with T (else only the identity), times {1, P} when H commutes
+    with P: s -> dim-1-s, which maps m -> -m on every site and is the pi
+    rotation about x up to a global phase.  Element T^j P^e has the
+    characters chi(T^j P^e) = e^{2 pi i kj/N} sigma^e.  Each orbit is
+    labelled by its smallest index a and has length L_a.  local_sum builds
+    only H's rows at the orbit representatives, which conjugated are its
+    representative columns in the same order (H is Hermitian), and so are
+    the dtype, the 1e-30 cut and the Gershgorin bound read from them.  An
+    entry h of H from representative b into i = g a adds h chi(g)
+    sqrt(L_b/L_a) to H_chi[a, b], and only orbits on whose stabilizer chi
+    is trivial carry chi (Sandvik, AIP Conf. Proc. 1297, 135 (2010); the
+    block design of QuSpin, Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
+    Each block is one character times one connected component of the orbit
+    graph.  1-state blocks are read off the diagonal.
+
+    Theta = R K when H is real and R holds, Theta = R Theta_T when H is
+    time-reversal even, R holds and 2SN is even: an antiunitary with
+    Theta^2 = 1 that keeps every (k, sigma).  It maps orbit a to orbit a'
+    with Theta|a> = c_a |a'>, so a block that Theta maps to itself is real
+    in the Theta-fixed basis F: sqrt(c_a) |a> when a' = a, else
+    (|a> + c_a |a'>)/sqrt(2) and i(|a> - c_a |a'>)/sqrt(2), at most two
+    entries per column.  Such a block, when complex, is solved as the real
+    F^dag H_chi F in float64 and its eigenvectors mapped back by F; the
+    others (Kramers blocks, Theta^2 = -1, among them) stay complex.
 
     blocks in the record are the sectors of H: the components of the graph
     of H's entries over T-orbits (the two Sz-parity sectors for XYZ, the Sz
@@ -129,53 +184,54 @@ def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
     a sector either to itself, where sigma = +-1 split it in two (XYZ with
     2SN even), or onto another (2SN odd swaps the Sz-parity sectors); the
     two then form one component whose sigma = -1 blocks repeat the
-    sigma = +1 spectra.  Without vectors those blocks are copied rather than
-    solved, and so is the block at -k when an antiunitary symmetry maps
-    (k, sigma) to (-k, sigma'): complex conjugation when H is real, else
-    time reversal (_theta_signs; sigma' = (-1)^{2SN} sigma), used only where
-    the numerics confirm it (_pairing).  With vectors every block is solved.
-    Where a commutation test fails the group lacks that element, and the
-    blocks are those of the smaller group.
+    sigma = +1 spectra.  For the eigenvalues those blocks are copied rather
+    than solved, and so is the block at -k when a symmetry maps (k, sigma)
+    to (-k, sigma') (pairing): complex conjugation when H is real, else time
+    reversal (sigma' = (-1)^{2SN} sigma), else the unitary R.  Without E
+    every block is solved with its eigenvectors; with E every eigenvalue is
+    solved or copied first, then eigh runs on the blocks with an eigenvalue
+    within twice the Gershgorin bound's window of E, and keeps its columns
+    there (eigh's columns in eigvalsh's order).
 
-    Each solved block keeps only the eigenvector columns that can lie in the
-    window, and only the kept columns are scattered into V, so eigenvectors
-    take the current block's plus dim x (kept columns).  The window's tol
-    needs the whole spectral range, so a block is trimmed to a superset
-    first: the range is at most twice the Gershgorin bound max_i sum_j |H_ij|
-    on |eigenvalue|.  The memory budget is checked for the dim x dim V
-    without E, for the symmetry tables beside H and a copy of it, and for
-    the largest block beside H and the tables, all before any solve; with E,
-    for V once its columns are counted, before it is written.
+    Eigenvectors take the current block's plus dim x (kept columns).  The
+    memory budget is checked for the dim x dim V without E, for the
+    symmetry tables, for the representative rows beside them, and for the
+    largest block beside both, all before any solve; with E, for V once its
+    columns are counted, before it is written.
     """
-    A = H.matrix
-    dim = A.shape[0]
+    system = H.system
+    N, d, dim = system.N, system.local_dim, system.total_dim
     if vectors and E is None:
         check_bytes(16 * dim * dim, f"the {dim:,} x {dim:,} eigenvector matrix")
-    # rot, its complement and their stack: 4N rows of int64, and rep, g, back and rpos;
-    # H is held throughout; _invariant's keys and lookups take up to ~110 B per entry of H
-    held = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + 32 * (H.system.N + 1) * dim
-    check_bytes(held + 128 * A.nnz, f"the symmetry tables of {dim:,} states")
-    rot = _rotations(H.system)
-    invariant = _invariant(A, rot[1 % len(rot)])
-    NT = len(rot) if invariant else 1
-    perms = rot[:NT]
-    complement = _invariant(A, dim - 1 - rot[0])
+    sym = _symmetries(H)
+    invariant, complement, mirror, real = (sym[name] for name in (
+        "translation", "complement", "reflection", "conjugation"))
+    reversal = sym["time-reversal"] and not real
+    NT = N if invariant else 1
+    G = NT * (2 if complement else 1)
+    # the shifts, their complements and the stack of both: 2G rows of int64, and rep, g,
+    # back and rpos
+    held = 8 * (2 * G + 4) * dim
+    check_bytes(held, f"the symmetry tables of {dim:,} states")
+    perms = _rotations(system) if invariant else np.arange(dim)[None]
     if complement:
         perms = np.vstack([perms, dim - 1 - perms])  # row NT + j is T^j P
-    G = len(perms)
     rep = perms.min(axis=0)
     g = perms.argmin(axis=0)
     back = -g % NT + g // NT * NT                     # s = back[s] rep[s]
     reps = np.flatnonzero(rep == perms[0])
     rpos = np.searchsorted(reps, rep)                # orbit of every state
     stab = perms[:, reps] == reps                    # stabilizer of every representative
+    del perms, rep, g
     L = G // stab.sum(axis=0)                        # orbit lengths
     n = reps.size
-    i, b, h = _columns(A, rep == perms[0])          # H's representative columns
+    A = local_sum(system, H.terms, rows=reps if n < dim else None)  # H's representative rows
+    held += A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    b, i, h = A.rows(), A.indices, A.data.conj()     # its representative columns
     # entries below 1e-30 max|H| move no eigenvalue at double precision; kept beside
     # O(1) entries, values-only eigvalsh lost digits on them (+-1.2269 for +-1.25 at 1e-146)
     nz = np.abs(h) > 1e-30 * np.abs(h).max(initial=0.0)
-    i, b, h = i[nz], rpos[b[nz]], h[nz]
+    i, b, h = i[nz], b[nz], h[nz]
     a, half = rpos[i], back[i] // NT                 # i lies in the T-orbit of P^half rep_a
     h = h * np.sqrt(L[b] / L[a])
     # node a + n e is the T-orbit of P^e rep_a: its components are H's sectors;
@@ -200,35 +256,58 @@ def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
     largest = int(max(np.bincount(comp[row]).max(initial=0) for row in ok))
     largest_bytes = _block_bytes(largest)
     check_bytes(held + largest_bytes, f"a dense block of {largest:,} states")
+    mirrored = _mirrored(reps, N, d)                 # R rep_a
     src = np.arange(len(chars) * ncomp).reshape(len(chars), ncomp)  # the block each copies
     pairing = "none"
-    if not vectors:
+    if not vectors or E is not None:
         if complement:                               # sigma = -1 repeats +1 on swapped sectors
             src[1::2, swapped] = src[0::2, swapped]
-        pairing, image = _pairing(H, chars, NT, ok, comp, rpos, reps)
-        if image is not None:
+        options = {"conjugation": (real, np.arange(n), 1),
+                   "time-reversal": (reversal, rpos[dim - 1 - reps], (-1) ** ((d - 1) * N)),
+                   "reflection": (mirror, rpos[mirrored], 1)}
+        pairing = next((name for name, (on, *_) in options.items() if on), "none")
+        image = None if pairing == "none" else _pairing(chars, NT, ok, comp, *options[pairing][1:])
+        if image is None:
+            pairing = "none"
+        else:
             src = np.minimum(src, image)
     src = src.ravel()
     while not np.array_equal(src[src], src):         # follow copies of copies to a solve
         src = src[src]
-    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    theta = mirror and (real or reversal and (d - 1) * N % 2 == 0)
+    if theta:                                        # Theta rep_a = w_a times a state of orbit a'
+        to = mirrored if real else dim - 1 - mirrored
+        tpa, orbit = rpos[to], np.arange(n)
+        kept_by_theta = np.ones(ncomp, dtype=bool)
+        kept_by_theta[comp[comp[tpa] != comp]] = False
+        first = orbit <= tpa                         # a itself or the first of its pair
+        pair = np.where(first, [orbit, tpa], [tpa, orbit]).T
+        # c_a of every character, the first of each pair's for both: F's values in row a
+        c = chi[:, back[to]] * (1.0 if real else _digit_parity(reps, N, d))
+        c = np.where(first, c, c[:, tpa])
+        fvals = np.where(tpa == orbit, [np.sqrt(c), 0 * c], np.where(
+            first, [1 + 0 * c, 1j + 0 * c], [c, -1j * c]) / np.sqrt(2)).transpose(1, 2, 0)
     if E is not None:
-        wide = 2 * TOL_SCALE * max(1.0, 2 * np.bincount(A.rows(), np.abs(A.data), dim).max())
+        bound = np.bincount(A.rows(), np.abs(A.data), n).max(initial=0.0)
+        wide = 2 * TOL_SCALE * max(1.0, 2 * bound)
     evals, ks, vecs, solved, copied, done, cplx = [], [], [], [], [], {}, False
     for x, (k, _) in enumerate(chars):
         sel = np.flatnonzero(ok[x])
         order = sel[np.argsort(comp[sel], kind="stable")]   # block members, contiguous
-        ids, sizes = np.unique(comp[sel], return_counts=True)
+        sizes = np.bincount(comp[sel], minlength=ncomp)
+        ids = np.flatnonzero(sizes)
+        sizes = sizes[ids]
         starts = np.cumsum(sizes) - sizes
         ids_flat = x * ncomp + ids
         ev = np.empty(order.size)
-        if np.any(src[ids_flat] == ids_flat):
+        if vectors or np.any(src[ids_flat] == ids_flat):   # some block is built
             loc = np.empty(n, dtype=np.intp)             # index of an orbit in its block
             loc[order] = np.arange(order.size) - np.repeat(starts, sizes)
             e = np.flatnonzero(ok[x][a] & ok[x][b])
-            r, c, v = loc[a[e]], loc[b[e]], h[e] * chi[x][back[i[e]]]
-            parts = list(zip(*(np.split(y, np.searchsorted(comp[a[e]], ids[1:]))
-                               for y in (r, c, v))))
+            ea, eb, eh = a[e], b[e], h[e] * chi[x][back[i[e]]]
+            cut = np.searchsorted(comp[ea], ids, side="right").tolist()   # block j's end in them
+            if theta:                   # F's two entries in every row a, at block columns fcol[a]
+                fcol, fval = loc[pair], fvals[x]
         if vectors:                     # psi[g a] = v[a] conj(chi(g)) / sqrt(L_a)
             coef = chi[x][back].conj() / np.sqrt(L[rpos])
             coef = coef if np.any(coef.imag) else coef.real
@@ -238,22 +317,41 @@ def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
             if src[f] != f:
                 ev[lo:lo + size] = done[src[f]]
                 copied.append(int(size))
-                continue
-            blk = _dense_block(size, *parts[j])
-            cplx |= blk.dtype.kind == "c" and size > 1
-            if size > 1:
-                res = solve(blk)
-                ev[lo:lo + size] = res[0] if vectors else res
-            else:
-                ev[lo] = blk[0, 0].real
-            done[f] = ev[lo:lo + size]
-            solved.append(int(size))
+                if not vectors:
+                    continue
+            at = slice(cut[j - 1] if j else 0, cut[j])
+            pa, pb, pv = ea[at], eb[at], eh[at]
+            fold = theta and kept_by_theta[ids[j]] and size > 1 and np.any(pv.imag)
+
+            def block():
+                return (_real_block(size, pa, pb, pv, fcol, fval) if fold else
+                        _dense_block(size, loc[pa], loc[pb], pv))
+            if src[f] == f:
+                blk = block()
+                cplx |= blk.dtype.kind == "c" and size > 1
+                if size == 1:
+                    ev[lo] = blk[0, 0].real
+                elif vectors and E is None:
+                    ev[lo:lo + size], w = np.linalg.eigh(blk)
+                else:
+                    ev[lo:lo + size] = np.linalg.eigvalsh(blk)
+                done[f] = ev[lo:lo + size]
+                solved.append(int(size))
             if vectors:
                 near = (np.arange(size) if E is None else
                         np.flatnonzero(np.abs(ev[lo:lo + size] - E) <= wide))
+                if near.size == 0:
+                    continue
+                if size == 1:
+                    w = np.ones((1, 1))
+                elif E is not None:
+                    w = np.linalg.eigh(block())[1]
+                w = w[:, near]
+                if fold:                             # back from the Theta-fixed basis
+                    mem = order[lo:lo + size]
+                    w = fval[mem, :1] * w[fcol[mem, 0]] + fval[mem, 1:] * w[fcol[mem, 1]]
                 rows = np.flatnonzero(member == ids[j])
-                vecs.append((base + lo + near, rows, coef[rows], loc[rpos[rows]],
-                             (res[1] if size > 1 else np.ones((1, 1)))[:, near]))
+                vecs.append((base + lo + near, rows, coef[rows], loc[rpos[rows]], w))
         evals.append(ev)
         ks.append(np.full(ev.size, k))
     evals = np.concatenate(evals)
@@ -278,36 +376,28 @@ def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
     # kept eigenvalue u is column col[u] of V, in ascending order
     col = np.empty_like(rank)
     col[rank] = np.cumsum(keep[rank]) - 1
-    V = np.zeros((dim, count), dtype=np.result_type(
-        np.float64, *(x.dtype for *_, c, _, v in vecs for x in (c, v))))
+    V = np.zeros((dim, count), dtype=np.complex128 if np.any(chi.imag) or np.any(A.data.imag)
+                 else np.float64)
     for at_eval, rows, c, at, v in vecs:
         cols = np.flatnonzero(keep[at_eval])
         V[np.ix_(rows, col[at_eval[cols]])] = c[:, None] * v[np.ix_(at, cols)]
     return evals[rank], V, np.concatenate(ks)[rank], record
 
 
-def _pairing(H, chars, NT, ok, comp, rpos, reps):
-    """(name, image): the antiunitary symmetry of H that maps character
-    (k, sigma) to (-k, sigma') and the block of each (character, component)
-    it maps to, or ("none", None).  Complex conjugation fixes every state;
-    time reversal maps orbit a to the orbit of P rep_a."""
-    A = H.matrix
-    dim = A.shape[0]
-    if not np.any(A.data.imag):
-        name, pa, flip = "conjugation", np.arange(reps.size), 1.0
-    else:
-        sign = _theta_signs(H.system)
-        if not _invariant(A, dim - 1 - np.arange(dim), sign):
-            return "none", None
-        name, pa, flip = "time-reversal", rpos[dim - 1 - reps], sign[-1] * sign[0]
+def _pairing(chars, NT, ok, comp, pa, flip):
+    """The block of each (character, component) that a symmetry mapping
+    character (k, sigma) to (-k, flip sigma) and orbit a to orbit pa[a] maps
+    it to, or None when the components or characters do not map onto blocks.
+    Complex conjugation fixes every orbit, time reversal maps a to the orbit
+    of P rep_a and the reflection to that of R rep_a."""
     complement = len(chars) > NT
     img = np.array([chars.index((-k % NT, sigma * flip if complement else sigma))
                     for k, sigma in chars])
     cmap = np.zeros(comp.max(initial=-1) + 1, dtype=np.intp)
     cmap[comp] = comp[pa]
     if not (np.array_equal(cmap[comp], comp[pa]) and np.array_equal(ok[img][:, pa], ok)):
-        return "none", None
-    return name, img[:, None] * cmap.size + cmap
+        return None
+    return img[:, None] * cmap.size + cmap
 
 
 def full_spectrum(H: ManyBodyOperator, vectors: bool = True, E: float | None = None):
@@ -387,13 +477,14 @@ class ScanRow:
         of its decoupled sectors (the two Sz-parity sectors for XYZ).  The
         rest describe the solve: symmetry is the translation group used,
         complement how the digit complement acts on the sectors (split,
-        swap, both or none), pairing the antiunitary symmetry that copies
-        momentum k to -k, solved_blocks and copied_blocks the sizes of the
-        blocks solved and of those whose spectra were copied (together they
-        sum to dim), and solved_dtype complex128 when any block was solved
-        in complex arithmetic, and largest_block_bytes the bytes of the
-        largest block that were checked against the memory budget.  A gap of
-        None means no eigenvalue lies outside the tolerance.
+        swap, both or none), pairing the symmetry that copies momentum k to
+        -k (conjugation, time-reversal, reflection or none), solved_blocks
+        and copied_blocks the sizes of the blocks solved and of those whose
+        spectra were copied (together they sum to dim), and solved_dtype
+        complex128 when any block was solved in complex arithmetic, and
+        largest_block_bytes the bytes of the largest block that were checked
+        against the memory budget.  A gap of None means no eigenvalue lies
+        outside the tolerance.
         """
         gap = None if self.gap is None or math.isinf(self.gap) else self.gap
         return {"S": self.S, "N": self.N, "p": self.p, "count": self.count,

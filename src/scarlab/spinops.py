@@ -278,40 +278,50 @@ def _checked_terms(system: SpinSystem, terms):
     return [(sites, cast[id(op)]) for sites, op in terms], dtype
 
 
-def local_sum(system: SpinSystem, terms) -> Csr:
-    """Sparse sum_t (op_t on sites_t), identity on the other sites.
+def local_sum(system: SpinSystem, terms, rows=None) -> Csr:
+    """Sparse sum_t (op_t on sites_t), identity on the other sites; with rows,
+    ascending basis indices, only those rows: row r of the len(rows) x dim
+    result is row rows[r] of the sum, bit for bit.
 
     A term is (sites, op), op a d^k x d^k matrix on k distinct sites with
     sites[0] the least significant local digit: A_u B_v is ((u, v), kron(B, A)).
     Each distinct op becomes a table over its local rows (_op_table), each
     term its column steps (_column_steps), and row i looks its entries up
     through its digits on the term's sites.  The CSR arrays are allocated
-    once, at the count those tables give, and filled a block of rows at a
-    time: each row in term order with its diagonal last, then sorted,
-    duplicates summed in that order and zeros dropped (_coo_sum).  A block
-    is the most rows, a power of d, whose slots fit in 2^13: its scratch,
-    well under 1 MB at any term count, is reused from block to block
-    instead of being mapped afresh.
+    once, at the count those tables give (at most every slot of each asked
+    row with rows), and filled a block of rows at a time: each row in term
+    order with its diagonal last, then sorted, duplicates summed in that
+    order and zeros dropped (_coo_sum).  A block is the most rows, a power
+    of d, whose slots fit in 2^13: its work arrays, well under 1 MB at any
+    term count, are reused from block to block instead of being mapped
+    afresh.
     float64 when every term is real, else complex128.  After the operator
     strings of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
     """
     d, N, dim = system.local_dim, system.N, system.total_dim
     terms, dtype = _checked_terms(system, terms)
     stride = d ** np.arange(N, dtype=np.int64)
-    ops = {id(op): _op_table(op) for _, op in terms}
+    ops = {key: _op_table(op) for key, op in {id(op): op for _, op in terms}.items()}
     tables = [ops[id(op)] for _, op in terms]
     diag = np.zeros((d,) * N, dtype=dtype)
     for (sites, _), table in zip(terms, tables):
         if table[4].any():
             diag += _on_sites(table[4], sites, N, d)
     diag = diag.ravel()
-    total = np.count_nonzero(diag) + sum(table[0].size * d ** (N - len(sites))
-                                         for (sites, _), table in zip(terms, tables))
+    width = [table[3].shape[1] for table in tables]
+    slots = sum(width) + 1
+    if rows is None:
+        rows = np.arange(dim)
+        total = np.count_nonzero(diag) + sum(table[0].size * d ** (N - len(sites))
+                                             for (sites, _), table in zip(terms, tables))
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        total = np.count_nonzero(diag[rows]) + rows.size * (slots - 1)
     index = _index_dtype(max(total, dim))
     # the CSR arrays beside the diagonal they are filled from
-    check_bytes((total + dim + 1) * index.itemsize + (total + dim) * dtype.itemsize,
-                f"the CSR of {total:,} entries")
-    indptr = np.zeros(dim + 1, dtype=index)
+    check_bytes((total + rows.size + 1) * index.itemsize + total * dtype.itemsize
+                + diag.nbytes, f"the CSR of {total:,} entries")
+    indptr = np.zeros(rows.size + 1, dtype=index)
     indices, data = np.empty(total, dtype=index), np.empty(total, dtype=dtype)
 
     # Every term's padded rows in one flat table, then `height` entries for
@@ -320,9 +330,8 @@ def local_sum(system: SpinSystem, terms) -> Csr:
     # dotted with column j of `weight`.  The diagonal slot reads its row's own
     # entry past the terms.  A block is d^h rows that share their high digits,
     # so its slots are one table over the low digits, built a site at a time,
-    # plus one row of offsets from the high ones.
-    width = [table[3].shape[1] for table in tables]
-    slots = sum(width) + 1
+    # plus one row of offsets from the high ones; asked rows take their rows
+    # of that table.
     h = 0
     while h < N and d ** (h + 1) * slots <= 1 << 13:
         h += 1
@@ -343,23 +352,27 @@ def local_sum(system: SpinSystem, terms) -> Csr:
     for n in range(h):
         low_at = (np.arange(d)[:, None, None] * weight[n] + low_at).reshape(-1, slots)
     pos = 0
-    for i0 in range(0, dim, height):
+    bounds = np.searchsorted(rows, np.arange(0, dim + height, height))
+    for i0, r0, r1 in zip(range(0, dim, height), bounds[:-1].tolist(), bounds[1:].tolist()):
+        if r0 == r1:
+            continue
+        low = rows[r0:r1] - i0
         vals[-height:] = diag[i0:i0 + height]
         live[-height:] = vals[-height:] != 0
-        at = (low_at + (i0 // stride % d) @ weight).ravel()
+        at = ((low_at if low.size == height else low_at[low]) + (i0 // stride % d) @ weight).ravel()
         kept = np.flatnonzero(live[at])
-        rows = kept // slots
+        r = kept // slots
         at = at[kept]
-        rows, cols, sums = _coo_sum(rows, i0 + rows + step[at], vals[at], dim)
+        r, cols, sums = _coo_sum(r, i0 + low[r] + step[at], vals[at], dim)
         end = pos + sums.size
         indices[pos:end], data[pos:end] = cols, sums
-        np.cumsum(np.bincount(rows, minlength=height), out=indptr[i0 + 1:i0 + height + 1])
-        indptr[i0 + 1:i0 + height + 1] += pos
+        np.cumsum(np.bincount(r, minlength=low.size), out=indptr[r0 + 1:r1 + 1])
+        indptr[r0 + 1:r1 + 1] += pos
         pos = end
     if pos < total:                          # duplicates that summed or cancelled
         indices.resize(pos, refcheck=False)
         data.resize(pos, refcheck=False)
-    return Csr(data, indices, indptr, (dim, dim))
+    return Csr(data, indices, indptr, (rows.size, dim))
 
 
 def lowering(system: SpinSystem, phases) -> ManyBodyOperator:

@@ -3,8 +3,10 @@
 blocks is the block discovery that spectra replaced with its numpy component
 routine `_components`: connected_components over the graph of the nonzero
 entries of H, which numbers each component by its smallest node.
-invariant is the scipy form of spectra._invariant: the relabelled matrix minus
-A, its largest entry against the tolerance.  translation_matrix and
+_invariant is the CSR commutation test spectra used before it read its
+symmetries from the terms, with _theta_signs the time-reversal signs, and
+invariant its scipy form: the relabelled matrix minus A, its largest entry
+against the tolerance.  translation_matrix and
 translation_sectors are the momentum-sector oracles:
 the one-site shift as a sparse matrix, and the spectrum of every momentum.
 """
@@ -16,6 +18,7 @@ from spinops_reference import as_scipy
 
 from scarlab.errors import NotTranslationInvariant
 from scarlab.spectra import _rotations, _solve
+from scarlab.spinops import Csr, max_gap
 
 
 def blocks(H):
@@ -30,6 +33,29 @@ def blocks(H):
     A = as_scipy(H.matrix)
     _, labels = connected_components(A != 0, directed=False)
     return A.dtype.kind != "c" or not np.any(A.data.imag), labels
+
+
+def _invariant(A: Csr, perm: np.ndarray, sign: np.ndarray | None = None) -> bool:
+    """Whether A[perm s, perm t] = A[s, t] for all s, t; with sign, whether
+    sign[s] sign[t] A[perm s, perm t] = conj(A[s, t]) instead."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    s, t, h = inv[A.rows()], inv[A.indices], A.data  # entry (s, t) of the relabelled A
+    if sign is not None:
+        h = h * (sign[s] * sign[t])
+        A = Csr(A.data.conj(), A.indices, A.indptr, A.shape)
+    return max_gap(A, s, t, h) <= 1e-12 * np.abs(A.data).max(initial=0.0)
+
+
+def _theta_signs(system) -> np.ndarray:
+    """(-1)^(sum of the local indices l_n) of every basis index: with the
+    complement and complex conjugation this is time reversal, which maps
+    |l> to (-1)^l |d-1-l> on every site and flips every spin component."""
+    s, total = np.arange(system.total_dim), 0
+    for _ in range(system.N):
+        s, l = np.divmod(s, system.local_dim)
+        total = total + l
+    return 1.0 - 2 * (total % 2)
 
 
 def invariant(A, perm, sign=None) -> bool:

@@ -9,7 +9,8 @@ from spectra_reference import translation_sectors
 from scarlab import spectra, spinops
 from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.errors import DimensionCap, InvalidInput, NotTranslationInvariant
-from scarlab.hamiltonian import build_xyz_chain
+from scarlab.frames import CsseCouplings
+from scarlab.hamiltonian import build_csse_chain, build_xyz_chain
 from scarlab.scar import gz_energy
 from scarlab.spectra import (DegeneracyScan, degeneracy_at, full_spectrum, is_special_q,
                              scan_degeneracy)
@@ -31,7 +32,8 @@ def test_full_spectrum_dimension_cap():
 
 
 @pytest.mark.parametrize("periodic,vectors,point", [
-    (True, False, "the CSR of"),
+    # an open chain with J12 has neither T nor P: every row of H is built
+    (False, False, "the CSR of"),
     (True, False, "the symmetry tables of"),
     (False, False, "a dense block of"),          # no translation: blocks of 64 states
     (True, True, "the 256 x 256 eigenvector matrix"),
@@ -42,6 +44,8 @@ def test_every_budget_check_stops_before_any_solve(monkeypatch, periodic, vector
     couplings = (0.0, 0.0, 0.7) if vectors == "window" else (0.3, 1.0, 0.7)
 
     def chain():
+        if point == "the CSR of":
+            return build_csse_chain(8, 0.5, CsseCouplings(0.3, 1.0, 0.7, J12=0.2), periodic=False)
         return build_xyz_chain(8, 0.5, *couplings, periodic=periodic)
 
     def spectrum(H):

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import spectra_reference as ref
-from scarlab.elliptic import commensurate_q
+from scarlab import spectra
+from scarlab.elliptic import commensurate_q, jacobi_fraction
 from scarlab.frames import CsseCouplings
 from scarlab.hamiltonian import (build_csse_chain, build_on_graph, build_xyz_chain, chain_couplings,
                                  coupling_terms)
 from scarlab.lattice import generate
-from scarlab.spectra import _components, _solve, full_spectrum
-from scarlab.spinops import ManyBodyOperator, SpinSystem, local_spin_matrices
+from scarlab.scar import gz_energy
+from scarlab.spectra import (_components, _mirrored, _solve, _symmetries, degeneracy_at,
+                             full_spectrum, scan_degeneracy)
+from scarlab.spinops import ManyBodyOperator, SpinSystem, local_spin_matrices, local_sum
 
 # (S, largest N) pairs that keep the dense oracle at dim <= 81
 CHAIN_SIZES = [(0.5, 2), (0.5, 3), (0.5, 4), (0.5, 5), (0.5, 6),
@@ -273,7 +276,8 @@ def test_reduced_spectra_match_dense(kind, size, jx, jy, jz, j):
         # sites (2SN even) P maps each Sz-parity sector to itself
         "dm-x": ({split} if N == 2 else {split, swap, both}, "time-reversal"),
         "open": ({split, swap, both}, "conjugation"), "square": ({swap}, "conjugation"),
-        "xyz-field": ({"none"}, "none"),               # neither real nor time-reversal even
+        # neither real nor time-reversal even, but the site reflection maps k to -k
+        "xyz-field": ({"none"}, "reflection"),
     }[kind]
     assert record["complement"] in complement and record["pairing"] == pairing
     # the one bond of a two-site DM chain changes sign under the site swap
@@ -308,14 +312,14 @@ def test_chiral_chain_keeps_both_momenta():
 
 
 @st.composite
-def _operators(draw):
-    """An XYZ, CSSE or random-term operator on a small chain."""
+def _operators(draw, values=couplings):
+    """An XYZ, CSSE or random-term operator on a small chain, its couplings drawn from values."""
     S, N = draw(st.sampled_from([(0.5, 2), (0.5, 4), (0.5, 6), (1.0, 3), (1.0, 4), (1.5, 3)]))
     kind = draw(st.sampled_from(["xyz", "csse", "random"]))
     if kind == "xyz":
-        return build_xyz_chain(N, S, *draw(st.lists(couplings, min_size=3, max_size=3)))
+        return build_xyz_chain(N, S, *draw(st.lists(values, min_size=3, max_size=3)))
     if kind == "csse":
-        return build_csse_chain(N, S, CsseCouplings(*draw(st.lists(couplings, min_size=6,
+        return build_csse_chain(N, S, CsseCouplings(*draw(st.lists(values, min_size=6,
                                                                      max_size=6))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = int(2 * S + 1)
@@ -331,24 +335,159 @@ def _operators(draw):
 @given(H=_operators(), which=st.sampled_from(["shift", "complement", "random"]),
        signed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_invariant_matches_the_scipy_form(H, which, signed, seed):
-    from scarlab.spectra import _invariant, _rotations, _theta_signs
+    from scarlab.spectra import _rotations
     dim = H.system.total_dim
     rot = _rotations(H.system)
     perm = {"shift": rot[1 % len(rot)], "complement": dim - 1 - rot[0],
             "random": np.random.default_rng(seed).permutation(dim)}[which]
-    sign = _theta_signs(H.system) if signed else None
-    assert _invariant(H.matrix, perm, sign) == ref.invariant(H.matrix, perm, sign)
+    sign = ref._theta_signs(H.system) if signed else None
+    assert ref._invariant(H.matrix, perm, sign) == ref.invariant(H.matrix, perm, sign)
 
 
 @settings(max_examples=150, deadline=None)
 @given(H=_operators(), seed=st.integers(0, 2 ** 32 - 1))
 def test_column_read_matches_scipy_tocsc(H, seed):
-    from scarlab.spectra import _columns
+    # _solve reads H's representative columns as its rows there, conjugated: for a
+    # Hermitian H they are scipy's A.tocsc()[:, columns] bit for bit, in the same order
     from spinops_reference import as_scipy
-    A = H.matrix
-    pick = np.random.default_rng(seed).random(A.shape[1]) < 0.3
-    cols = np.flatnonzero(pick)
-    want = as_scipy(A).tocsc()[:, cols].tocoo()
-    rows, got_cols, vals = _columns(A, pick)
-    assert np.array_equal(rows, want.row) and np.array_equal(got_cols, cols[want.col])
-    assert vals.dtype == want.data.dtype and vals.tobytes() == want.data.tobytes()
+    H = ManyBodyOperator(H.system, [(sites, op + op.conj().T) for sites, op in H.terms])
+    cols = np.flatnonzero(np.random.default_rng(seed).random(H.system.total_dim) < 0.3)
+    want = as_scipy(H.matrix).tocsc()[:, cols].tocoo()
+    A = local_sum(H.system, H.terms, rows=cols)
+    assert A.shape == (cols.size, H.system.total_dim)
+    assert np.array_equal(A.indices, want.row) and np.array_equal(A.rows(), want.col)
+    got = A.data.conj()        # equal to the bit but for the sign of a zero imaginary part
+    assert got.dtype == want.data.dtype and np.array_equal(got, want.data)
+
+
+def _oracle_symmetries(H) -> dict:
+    """The five symmetries of _symmetries by the CSR commutation test."""
+    A, dim = H.matrix, H.system.total_dim
+    flip = dim - 1 - np.arange(dim)
+    return {"translation": ref._invariant(A, ref._rotations(H.system)[1 % H.system.N]),
+            "complement": ref._invariant(A, flip),
+            "reflection": ref._invariant(A, _mirrored(np.arange(dim), H.system.N,
+                                                      H.system.local_dim)),
+            "conjugation": ref._invariant(A, np.arange(dim), np.ones(dim)),
+            "time-reversal": ref._invariant(A, flip, ref._theta_signs(H.system))}
+
+
+# Zero or clear of the tolerances: a symmetry broken by 1e-12 of the largest entry reads
+# either way, since the terms compare against their largest entry and the CSR against
+# its own, where up to 2N terms add
+clear = st.one_of(st.just(0.0), st.floats(1e-6, 2.0), st.floats(-2.0, -1e-6))
+
+
+@st.composite
+def _operators_of_every_kind(draw):
+    """An operator of every kind the package makes: XYZ, XXZ, CSSE, open, field
+    and DM chains, the square graph, and the random-term operators."""
+    kind = draw(st.sampled_from(["xyz", "xxz", "csse", "open", "field", "dm", "square",
+                                 "terms"]))
+    if kind == "terms":
+        return draw(_operators(clear))
+    if kind == "square":
+        return build_on_graph(generate("square", 3, 3), 0.5,
+                              commensurate_q(1, 3, draw(st.floats(0.0, 0.95))))
+    S, N = draw(st.sampled_from(EVEN_SIZES + ODD_SIZES))
+    jx, jy, jz, j = (draw(clear) for _ in range(4))
+    if kind == "csse":
+        return build_csse_chain(N, S, CsseCouplings(*(draw(clear) for _ in range(6))))
+    if kind in ("field", "dm"):
+        M = np.diag([jx, jy, jz]) + (j * DM_X if kind == "dm" else 0.0)
+        field = [draw(clear) for _ in range(3)] if kind == "field" else (0.0, 0.0, 0.0)
+        return _chain_with_field(N, S, M, field)
+    return build_xyz_chain(N, S, jy if kind == "xxz" else jx, jy, jz, periodic=kind != "open")
+
+
+@settings(max_examples=200, deadline=None)
+@given(H=_operators_of_every_kind())
+def test_symmetries_from_the_terms_match_the_csr_oracle(H):
+    assert _symmetries(H) == _oracle_symmetries(H)
+
+
+REAL_BLOCK_SIZES = [(0.5, n) for n in range(2, 9)] + [(1.0, n) for n in range(2, 8)]
+
+
+@pytest.mark.parametrize("S, N", REAL_BLOCK_SIZES)
+def test_real_blocks_match_the_complex_path(monkeypatch, S, N):
+    # Theta = R K (real H) or R Theta_T (2SN even) makes every block real; without R
+    # the same blocks are solved complex, the path this replaced
+    c = CsseCouplings(J1=0.3, J2=0.8, J3=0.1, J12=0.2, J13=-0.15, J23=0.25)
+    read = spectra._symmetries
+    for H, theta in ((build_xyz_chain(N, S, 0.7, 1.0, 0.3), True),
+                     (build_xyz_chain(N, S, 1.0, 1.0, 0.3), True),            # XXZ
+                     (build_xyz_chain(N, S, 0.7, 1.0, 0.3, periodic=False), True),
+                     (build_csse_chain(N, S, c), round(2 * S * N) % 2 == 0)):
+        evals, V, ks, record = _solve(H, vectors=True)
+        values, _, _, vrecord = _solve(H, vectors=False)
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_symmetries", lambda H: {**read(H), "reflection": False})
+            want = _solve(H, vectors=False)[0]
+        tol = 1e-12 * max(1.0, want[-1] - want[0])
+        assert np.abs(evals - want).max() <= tol and np.abs(values - want).max() <= tol
+        assert record["solved_dtype"] == vrecord["solved_dtype"] == \
+            ("float64" if theta else "complex128")
+        dense = H.matrix.toarray()
+        assert np.abs(V.conj().T @ V - np.eye(len(evals))).max() <= 1e-10
+        assert np.abs(V.conj().T @ dense @ V - np.diag(evals)).max() <= 1e-10
+        if record["symmetry"] == "translation":
+            T = ref.translation_matrix(H.system)
+            assert np.abs(T @ V - V * np.exp(2j * np.pi * ks / N)).max() <= 1e-10
+
+
+def test_kramers_blocks_stay_complex():
+    # 2SN odd: time reversal squares to -1 and no basis makes a block real
+    c = CsseCouplings(J1=0.3, J2=0.8, J3=0.1, J12=0.2, J13=-0.15, J23=0.25)
+    H = build_csse_chain(5, 1.5, c)
+    evals, _, _, record = _solve(H, vectors=False)
+    assert record["solved_dtype"] == "complex128" and record["pairing"] == "time-reversal"
+    assert np.abs(evals - np.linalg.eigvalsh(H.matrix.toarray())).max() <= 1e-10
+
+
+def test_periodic_chain_spectra_never_assemble_h(monkeypatch):
+    built = []
+
+    def chain(*args, **kwargs):
+        built.append(build_xyz_chain(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(spectra, "build_xyz_chain", chain)
+    row = scan_degeneracy([0.5], [8], 0.6, [1]).rows[0]
+    assert row.count == 16 and row.solved_dtype == "float64"
+    assert "matrix" not in vars(built[0])
+    c = CsseCouplings(J1=0.3, J2=0.8, J3=0.1, J12=0.2, J13=-0.15, J23=0.25)
+    H = build_csse_chain(6, 1.0, c)
+    full_spectrum(H, vectors=False)
+    assert "matrix" not in vars(H)
+
+
+def test_reflection_pairs_the_momenta_of_a_chain_in_a_field():
+    # XYZ + 0.4 sum S^y is neither real nor time-reversal even; R maps k to -k
+    N, S = 5, 0.5
+    H = _chain_with_field(N, S, np.diag([0.7, 1.0, 0.3]), (0.0, 0.4, 0.0))
+    evals, _, ks, record = _solve(H, vectors=False)
+    assert record["pairing"] == "reflection"
+    assert sum(record["solved_blocks"]) + sum(record["copied_blocks"]) == 2 ** N
+    assert sum(record["copied_blocks"]) == 2 ** N * 2 // N      # k = 3, 4 copy k = 2, 1
+    assert np.abs(evals - np.linalg.eigvalsh(H.matrix.toarray())).max() <= 1e-10
+
+
+# the tier-1 scar chains: S=1/2 N=3..10, S=1 N=3..7 at kappa 0.6 and p = 1
+SCAR_CHAINS = [(0.5, n) for n in range(3, 11)] + [(1.0, n) for n in range(3, 8)]
+
+
+@pytest.mark.parametrize("S, N", SCAR_CHAINS)
+def test_values_first_window_matches_every_block_eigh(S, N):
+    # with E, eigvalsh on every block (copies included), eigh only where E lies: the
+    # count and the eigenspace equal those of eigh on every block, and the tol does
+    # to a few ulp (eigvalsh and eigh round apart; 2e-15 relative on these chains)
+    q = commensurate_q(1, N, 0.6)
+    _, cn, dn = jacobi_fraction(q.fraction, q.modulus)
+    H = build_xyz_chain(N, S, dn, 1.0, cn)
+    E = gz_energy(N, S, q)
+    evals, V, _, _ = _solve(H, True, E)
+    every, W, _, _ = _solve(H, True)
+    got, want = degeneracy_at(evals, E), degeneracy_at(every, E)
+    assert got.count == want.count == V.shape[1] and abs(got.tol / want.tol - 1) <= 1e-14
+    W = W[:, np.abs(every - E) <= want.tol]
+    assert np.abs(V @ V.conj().T - W @ W.conj().T).max() <= 1e-10
