@@ -262,11 +262,13 @@ def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
     if not vectors or E is not None:
         if complement:                               # sigma = -1 repeats +1 on swapped sectors
             src[1::2, swapped] = src[0::2, swapped]
-        options = {"conjugation": (real, np.arange(n), 1),
-                   "time-reversal": (reversal, rpos[dim - 1 - reps], (-1) ** ((d - 1) * N)),
-                   "reflection": (mirror, rpos[mirrored], 1)}
-        pairing = next((name for name, (on, *_) in options.items() if on), "none")
-        image = None if pairing == "none" else _pairing(chars, NT, ok, comp, *options[pairing][1:])
+        if real:
+            pairing, pa, flip = "conjugation", np.arange(n), 1
+        elif reversal:
+            pairing, pa, flip = "time-reversal", rpos[dim - 1 - reps], (-1) ** ((d - 1) * N)
+        elif mirror:
+            pairing, pa, flip = "reflection", rpos[mirrored], 1
+        image = None if pairing == "none" else _pairing(chars, NT, ok, comp, pa, flip)
         if image is None:
             pairing = "none"
         else:
@@ -322,12 +324,9 @@ def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
             at = slice(cut[j - 1] if j else 0, cut[j])
             pa, pb, pv = ea[at], eb[at], eh[at]
             fold = theta and kept_by_theta[ids[j]] and size > 1 and np.any(pv.imag)
-
-            def block():
-                return (_real_block(size, pa, pb, pv, fcol, fval) if fold else
-                        _dense_block(size, loc[pa], loc[pb], pv))
+            blk = (_real_block(size, pa, pb, pv, fcol, fval) if fold else
+                   _dense_block(size, loc[pa], loc[pb], pv))
             if src[f] == f:
-                blk = block()
                 cplx |= blk.dtype.kind == "c" and size > 1
                 if size == 1:
                     ev[lo] = blk[0, 0].real
@@ -345,7 +344,7 @@ def _solve(H: ManyBodyOperator, vectors: bool, E: float | None = None):
                 if size == 1:
                     w = np.ones((1, 1))
                 elif E is not None:
-                    w = np.linalg.eigh(block())[1]
+                    w = np.linalg.eigh(blk)[1]
                 w = w[:, near]
                 if fold:                             # back from the Theta-fixed basis
                     mem = order[lo:lo + size]
