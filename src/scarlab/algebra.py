@@ -31,7 +31,7 @@ from .errors import ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import ScarSpec, chain_phases, gz_energy, gz_state, residual
 from .spectra import degeneracy_at, full_spectrum
-from .spinops import (ManyBodyOperator, SpinSystem, StateVector, all_up, expectation,
+from .spinops import (ManyBodyOperator, SpinSystem, StateVector, _on_union, all_up, expectation,
                       local_spin_matrices, lowering, tau, tower)
 
 
@@ -56,15 +56,6 @@ def commutator_terms(system: SpinSystem, left, right) -> list:
                 a_u, b_u = _on_union(a, sa, union, d), _on_union(b, sb, union, d)
                 out[union] = out.get(union, 0) + (a_u @ b_u - b_u @ a_u)
     return list(out.items())
-
-
-def _on_union(op: np.ndarray, sites, union, d: int) -> np.ndarray:
-    """op on sites (sites[0] its low digit) as a matrix on union (union[0]
-    the low digit), identity on union's other sites."""
-    k, order = len(union), list(sites) + [n for n in union if n not in sites]
-    full = np.kron(np.eye(d ** (k - len(sites))), op).reshape((d,) * 2 * k)
-    axes = [k - 1 - order.index(n) for n in reversed(union)]   # tensor axis a is digit k-1-a
-    return full.transpose(axes + [k + a for a in axes]).reshape(d ** k, d ** k)
 
 
 def lambda_op(N: int, S: float, q0: float, sign: int = +1) -> ManyBodyOperator:

@@ -330,7 +330,7 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
                           standard_sga_witness, tau_double_prime)
     from .elliptic import commensurate_q, jacobi_fraction
     from .spectra import _check_xyz_blocks
-    from .spinops import SpinSystem, local_sum, max_gap
+    from .spinops import SpinSystem, local_sum
     N, S, p = args.N, args.S, args.p
     if N < 3:
         # the tower energy counts N bonds of a periodic ring
@@ -348,8 +348,7 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
         """max |entry| of the operator of a term list: no dim x dim dense copy."""
         return float(np.abs(local_sum(t.system, terms).data).max(initial=0.0))
 
-    L = lam.matrix
-    d1 = max_gap(wit.commutator.matrix, L.rows(), L.indices, L.data)
+    d1 = largest_entry(wit.commutator.terms + [(sites, -op) for sites, op in lam.terms])
     d2 = largest_entry(commutator_terms(t.system, t.terms, lam.terms))
     log.check("[H, tau] = Lambda", d1 <= 1e-11, f"{d1:.2e}")
     log.check("[tau, Lambda] = 0", d2 <= 1e-11, f"{d2:.2e}")

@@ -3,12 +3,14 @@
 Each spin-S site carries two boson flavors; on the physical (constrained)
 space every site holds exactly n_up + n_down = 2S bosons, and under the
 bijection l_n = n_down it is the spin product basis, state for state and
-index for index, with S+_n = c+_{n,up} c_{n,down} mapping exactly.  The
+index for index, with S+_n = c+_{n,up} c_{n,down} mapping exactly.  So tau'
+is one site's monomial on every site, assembled by local_sum, and the
 zeta-states tau'^m |down..> reproduce the helical tower in a
 site-dependently rotated frame, the hopping and pairing bilinears annihilate
 all of them, and the rotated XXZ chain equals a group-theoretical assembly
 H0 + sum_a O_a T_a of those bilinears, bond by bond.  Both bilinear checks
-are sums of one two-site fact, so they run on sites 0 and 1 at any N.
+are sums of one two-site fact, so they run on sites 0 and 1 at any N, and
+FockBasis is built on one or two sites only.
 
 A boson monomial carries exact sqrt(n) amplitudes through its intermediates
 and changes every state's occupations alike, so its image is the state's
@@ -27,8 +29,8 @@ import numpy as np
 from .errors import InvalidInput
 from .hamiltonian import chain_couplings, coupling_terms
 from .scar import hypergeometric_weights
-from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype, all_up,
-                      check_bytes, coo_csr, local_spin_matrices, local_sum, max_gap, tau, tower)
+from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype, all_down,
+                      all_up, check_bytes, local_spin_matrices, local_sum, tau, tower)
 
 UP, DOWN = 0, 1
 # kind: (sign, flavor at m, dagger at m, flavor at n) of each of its two
@@ -105,43 +107,25 @@ class FockBasis:
         np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
         return Csr(amp, cols.astype(index), indptr, (self.dim, self.dim))
 
-    def monomial_sum(self, coef_ops) -> Csr:
-        """sum_j c_j monomial(ops_j) over the (c_j, ops_j) pairs; entries at one
-        place are summed in the listed order (coo_csr).  The listed entries, at
-        a peak of 31-32 B each, are checked against the budget before any
-        monomial."""
-        coef_ops = list(coef_ops)
-        slots = len(coef_ops) * self.dim
-        check_bytes(32 * slots, f"the {slots:,} listed entries of a sum of "
-                    f"{len(coef_ops)} monomials on {self.dim:,} states")
-        parts = []
-        for c, ops in coef_ops:
-            term = self.monomial(ops)
-            parts.append((term.rows(), term.indices, c * term.data))
-        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-        return coo_csr(rows, cols, vals, (self.dim, self.dim))
-
-    def vacuum_product(self) -> np.ndarray:
-        """|down...down>: every site filled with 2S down bosons, the last state."""
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[-1] = 1.0
-        return vec
-
 
 def _monomials(kind: str, m: int, n: int) -> list:
     """(sign, ops) of the two monomials of a bilinear."""
     return [(sign, ((m, fm, dm), (n, fn, False))) for sign, fm, dm, fn in _BILINEARS[kind]]
 
 
-def tau_prime(basis: FockBasis) -> Csr:
-    """Raising generator sum_n c+_{n,up} c_{n,down}; preserves the constraint."""
-    return basis.monomial_sum((1, [(n, UP, True), (n, DOWN, False)]) for n in range(basis.N))
+def tau_prime(N: int, S: float) -> ManyBodyOperator:
+    """Raising generator sum_n c+_{n,up} c_{n,down}.  It keeps every site
+    total, so on the constrained states each monomial is one site's operator:
+    the one-site basis's monomial on every site, assembled by local_sum."""
+    hop = FockBasis(1, S).monomial([(0, UP, True), (0, DOWN, False)]).toarray()
+    return ManyBodyOperator(SpinSystem(S, N), [((n,), hop) for n in range(N)])
 
 
-def zeta_states(N: int, S: float) -> tuple:
-    """The constrained basis and the normalized tau'^m |down...down>, m = 0..2NS."""
-    basis = FockBasis(N, S)
-    return basis, list(tower(tau_prime(basis), basis.vacuum_product(), int(round(2 * N * S))))
+def zeta_states(N: int, S: float) -> list:
+    """The normalized tau'^m |down...down>, m = 0..2NS: the tower of tau'
+    from all_down."""
+    lift = tau_prime(N, S)
+    return list(tower(lift.matrix, all_down(lift.system).amplitudes, int(round(2 * N * S))))
 
 
 def rotated_tower_states(N: int, S: float, p: int):
@@ -160,14 +144,14 @@ def rotated_tower_states(N: int, S: float, p: int):
 def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
     """|<m_zeta | rotated tower state 2NS-m>| for every m (should all be 1).
     The bytes are checked first: the rotated states are compared as they
-    come, so only the zeta tower is held and its build is the peak, 51-52 B
+    come, so only the zeta tower is held and its build is the peak, 49-50 B
     per amplitude of the tower at S=1/2 N=12-16, charged as 56.  The charge
     holds from about 2e4 amplitudes per tower (S=1/2 N=11, S=1 N=7) up; below,
-    fixed scratch under 1 MB takes the peak to 64-67 B per amplitude."""
+    fixed scratch under 1 MB takes the peak to 93 B per amplitude at S=1/2 N=8."""
     d, two_ns = _check_spin(S) + 1, int(round(2 * N * S))
     check_bytes(56 * (two_ns + 1) * d ** N, f"the zeta tower of {two_ns + 1} states "
                 f"of (2S+1)^N = {d}^{N} amplitudes and its build")
-    _, zstates = zeta_states(N, S)
+    zstates = zeta_states(N, S)
     return [float(abs(np.vdot(zstates[two_ns - m], state)))
             for m, state in enumerate(rotated_tower_states(N, S, p))][::-1]
 
@@ -185,8 +169,7 @@ def annihilator_report(N: int, S: float) -> dict:
     if N < 2:
         raise InvalidInput(f"the bilinears act on sites 0 and 1: need N >= 2 sites, got N={N}")
     two_s = _check_spin(S)
-    basis, pair = zeta_states(2, S)
-    pair = np.array(pair)
+    basis, pair = FockBasis(2, S), np.array(zeta_states(2, S))
     weights = next(hypergeometric_weights(2 * two_s, [two_s * (N - 2)]))   # w_mj at [j, m - j]
     m = np.add.outer(np.arange(len(pair)), np.arange(weights.shape[1])).ravel()
     kinds = {kind: _monomials(kind, 0, 1) for kind in ("zeta", "eta", "epsilon")}
@@ -230,6 +213,13 @@ def _bond_monomials(n: int, m: int, q0: float) -> dict:
     return coef
 
 
+def _bilinear_bond(S: float, q0: float) -> np.ndarray:
+    """Bond (0, 1)'s composed monomials on FockBasis(2, S) as one dense
+    d^2 x d^2 array, summed from zero in their listed order."""
+    basis = FockBasis(2, S)
+    return sum(c * basis.monomial(ops).toarray() for ops, c in _bond_monomials(0, 1, q0).items())
+
+
 def decomposition_check(N: int, S: float, q0: float) -> float:
     """Entrywise deviation between the rotated ring of N sites and its
     bilinear form, in units of its coupling.  Each bond is one d^2 x d^2
@@ -239,13 +229,11 @@ def decomposition_check(N: int, S: float, q0: float) -> float:
     first end of out_n bonds and the second of in_n keeps a (out_n - in_n) Sz_n,
     so the deviation is the larger of the bond gap and |a| S sum_n
     |out_n - in_n|, which is 0 on a ring of N >= 3."""
-    bilinears = FockBasis(2, S).monomial_sum((c, ops)
-                                             for ops, c in _bond_monomials(0, 1, q0).items())
     bond, a = _rotated_spin_hamiltonian(2, S, q0), 1j * (2 * S + 0.5) * math.sin(q0)
     sz = local_spin_matrices(S)[2]
     spin = ManyBodyOperator(bond.system, bond.terms + [
         ((0,), S * math.cos(q0) / 2.0 * np.eye(len(sz)) + a * sz), ((1,), -a * sz)]).matrix
-    gap = max_gap(bilinears, spin.rows(), spin.indices, spin.data)
+    gap = float(np.abs(_bilinear_bond(S, q0) - spin.toarray()).max())
     u, v, _ = chain_couplings(N, np.eye(3))
     imbalance = int(np.abs(np.bincount(u, minlength=N) - np.bincount(v, minlength=N)).sum())
     return max(gap, abs(a) * S * imbalance)

@@ -21,7 +21,8 @@ from .elliptic import commensurate_q
 from .errors import InvalidInput, ScarlabError
 from .hamiltonian import build_xyz_chain
 from .scar import gz_energy
-from .spinops import MEMORY_BUDGET, ManyBodyOperator, SpinSystem, check_bytes, local_sum
+from .spinops import (MEMORY_BUDGET, ManyBodyOperator, SpinSystem, _on_union, check_bytes,
+                      local_sum)
 
 TOL_SCALE = 1e-8
 GAP_AUDIT_FACTOR = 10.0
@@ -111,12 +112,8 @@ def _keyed(terms, d: int, site_map=None) -> dict:
         if site_map is not None:
             sites = tuple(site_map[n] for n in sites)
         key = tuple(sorted(sites))
-        if key != sites:                    # axis j of the tensor is factor k-1-j
-            k = len(sites)
-            order = sorted(range(k), key=sites.__getitem__)
-            axes = [k - 1 - order[k - 1 - j] for j in range(k)]
-            op = op.reshape((d,) * 2 * k).transpose(*axes, *(a + k for a in axes))
-            op = op.reshape(d ** k, d ** k)
+        if key != sites:
+            op = _on_union(op, sites, key, d)
         out[key] = out[key] + op if key in out else op
     return out
 

@@ -4,13 +4,13 @@ Basis conventions (fixed globally, do not change):
   * local Sz eigenbasis ordered m = S, S-1, ..., -S, so local index l = S - m;
   * composite index i = sum_n l_n * (2S+1)^n with site 0 least significant.
 
-Every many-body operator is assembled by local_sum from a list of local
-terms into a Csr, three numpy arrays in canonical CSR order (its
-Kronecker-product and COO references, through scipy, live with the tests).
-A ManyBodyOperator is such a term list: it keeps the terms and assembles on
-the first .matrix, so code that reads only the terms never pays for the
-CSR; anything derived from one (a commutator, a difference) is a term list
-too, and goes the same way.
+Every many-body operator, Schwinger's tau' too, is assembled by local_sum
+from a list of local terms into a Csr, three numpy arrays in canonical CSR
+order (its Kronecker-product and COO references, through scipy, live with
+the tests).  A ManyBodyOperator is such a term list: it keeps the terms and
+assembles on the first .matrix, so code that reads only the terms never pays
+for the CSR; anything derived from one (a commutator, a difference) is a term
+list too, so two operators compare by the largest entry of their difference.
 lowering builds every phased sum of S^-, and tower the normalized powers of
 a ladder operator on a start vector.
 paired_singular_values gives the singular values of a batch of product
@@ -206,29 +206,6 @@ def _coo_sum(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int):
     return rows[head[keep]], cols[head[keep]], sums[keep]
 
 
-def coo_csr(rows, cols, vals, shape) -> Csr:
-    """The Csr of COO entries, duplicates summed in the listed order (_coo_sum)."""
-    r, c, v = _coo_sum(np.asarray(rows), np.asarray(cols), np.asarray(vals), shape[1])
-    index = _index_dtype(max(v.size, *shape))
-    indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(np.bincount(r, minlength=shape[0]), out=indptr[1:])
-    return Csr(v, c.astype(index), indptr, shape)
-
-
-def max_gap(A: Csr, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
-    """max |B - A| over the union of the entries of A and of B, B given by
-    vals at distinct (rows, cols): B's entries are looked up by row-major key,
-    which A's canonical order keeps ascending."""
-    ka = np.append(A.rows() * A.shape[1] + A.indices, np.iinfo(np.int64).max)
-    kb = rows.astype(np.int64) * A.shape[1] + cols
-    at = np.searchsorted(ka, kb)
-    found = ka[at] == kb
-    hit = np.zeros(ka.size, dtype=bool)
-    hit[at[found]] = True
-    gap = np.where(found, vals - np.append(A.data, 0)[at], vals)
-    return float(max(np.abs(gap).max(initial=0.0), np.abs(A.data[~hit[:-1]]).max(initial=0.0)))
-
-
 def _op_table(op: np.ndarray):
     """The site-free part of a term's row table: the off-diagonal nonzeros
     (local row, local column, slot) in column order within each row, their
@@ -259,6 +236,15 @@ def _on_sites(table: np.ndarray, sites, N: int, d: int) -> np.ndarray:
     shape = np.ones(N, dtype=int)
     shape[axes] = d
     return table.reshape((d,) * len(sites)).transpose(np.argsort(axes)).reshape(shape)
+
+
+def _on_union(op: np.ndarray, sites, union, d: int) -> np.ndarray:
+    """op on sites (sites[0] its low digit) as a matrix on union (union[0]
+    the low digit), identity on union's other sites: kron(eye, op) by broadcasting."""
+    k, order = len(union), list(sites) + [n for n in union if n not in sites]
+    full = (np.eye(d ** (k - len(sites)))[:, None, :, None] * op[:, None]).reshape((d,) * 2 * k)
+    axes = [k - 1 - order.index(n) for n in reversed(union)]   # tensor axis a is digit k-1-a
+    return full.transpose(axes + [k + a for a in axes]).reshape(d ** k, d ** k)
 
 
 def _checked_terms(system: SpinSystem, terms):

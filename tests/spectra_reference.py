@@ -4,9 +4,9 @@ blocks is the block discovery that spectra replaced with its numpy component
 routine `_components`: connected_components over the graph of the nonzero
 entries of H, which numbers each component by its smallest node.
 _invariant is the CSR commutation test spectra used before it read its
-symmetries from the terms, with _theta_signs the time-reversal signs, and
-invariant its scipy form: the relabelled matrix minus A, its largest entry
-against the tolerance.  translation_matrix and
+symmetries from the terms, with _theta_signs the time-reversal signs and
+max_gap its comparison of two entry sets, and invariant its scipy form: the
+relabelled matrix minus A, its largest entry against the tolerance.  translation_matrix and
 translation_sectors are the momentum-sector oracles:
 the one-site shift as a sparse matrix, and the spectrum of every momentum.
 """
@@ -18,7 +18,7 @@ from spinops_reference import as_scipy
 
 from scarlab.errors import NotTranslationInvariant
 from scarlab.spectra import _rotations, _solve
-from scarlab.spinops import Csr, max_gap
+from scarlab.spinops import Csr
 
 
 def blocks(H):
@@ -33,6 +33,20 @@ def blocks(H):
     A = as_scipy(H.matrix)
     _, labels = connected_components(A != 0, directed=False)
     return A.dtype.kind != "c" or not np.any(A.data.imag), labels
+
+
+def max_gap(A: Csr, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
+    """max |B - A| over the union of the entries of A and of B, B given by
+    vals at distinct (rows, cols): B's entries are looked up by row-major key,
+    which A's canonical order keeps ascending."""
+    ka = np.append(A.rows() * A.shape[1] + A.indices, np.iinfo(np.int64).max)
+    kb = rows.astype(np.int64) * A.shape[1] + cols
+    at = np.searchsorted(ka, kb)
+    found = ka[at] == kb
+    hit = np.zeros(ka.size, dtype=bool)
+    hit[at[found]] = True
+    gap = np.where(found, vals - np.append(A.data, 0)[at], vals)
+    return float(max(np.abs(gap).max(initial=0.0), np.abs(A.data[~hit[:-1]]).max(initial=0.0)))
 
 
 def _invariant(A: Csr, perm: np.ndarray, sign: np.ndarray | None = None) -> bool:

@@ -7,7 +7,8 @@ places one local operator at one site and two_site multiplies two of them, each 
 tested against them.  coo_local_sum is the earlier COO assembler: it lists
 the triplets of local_sum's operator in local_sum's order, and listed_sum,
 a pure-Python sum in the listed order, turns them into local_sum's CSR bit
-for bit.  product_rotation is the dense d^N x d^N product of the site
+for bit; coo_sum_csr is the Csr of COO triplets summed by spinops._coo_sum,
+the sum behind local_sum's row blocks.  product_rotation is the dense d^N x d^N product of the site
 rotations and rotated_hamiltonian the dense frame V^dag H V;
 column0_conditions reads the vanishing conditions from its column 0, the
 oracle of hamiltonian.vanishing_conditions.  stub_everywhere swaps functions
@@ -22,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from scarlab.errors import DimensionMismatch, SiteOutOfRange
-from scarlab.spinops import Csr, ManyBodyOperator, SiteAngles, SpinSystem, _site_rotations
+from scarlab.spinops import (Csr, ManyBodyOperator, SiteAngles, SpinSystem, _coo_sum,
+                             _site_rotations)
 
 
 def as_scipy(A) -> sp.csr_matrix:
@@ -99,7 +101,7 @@ def listed_sum(rows, cols, vals, shape) -> Csr:
     """The Csr of COO triplets with each (row, col)'s addends summed in a dict,
     left to right from the first in the order they are listed, zero sums
     dropped and the rest emitted in row-major order: the one sum order that
-    local_sum and coo_csr promise, in pure Python."""
+    local_sum and _coo_sum promise, in pure Python."""
     vals = np.asarray(vals)
     sums = {}
     for key, v in zip((np.asarray(rows, dtype=np.int64) * shape[1] + cols).tolist(), vals.tolist()):
@@ -112,6 +114,15 @@ def listed_sum(rows, cols, vals, shape) -> Csr:
     np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]), out=indptr[1:])
     return Csr(np.array([sums[key] for key in keys.tolist()], dtype=vals.dtype),
                (keys % shape[1]).astype(np.int32), indptr, shape)
+
+
+def coo_sum_csr(rows, cols, vals, shape) -> Csr:
+    """The Csr of COO triplets, each (row, col)'s addends summed in the
+    listed order by spinops._coo_sum."""
+    r, c, v = _coo_sum(np.asarray(rows), np.asarray(cols), np.asarray(vals), shape[1])
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r, minlength=shape[0]), out=indptr[1:])
+    return Csr(v, c.astype(np.int32), indptr, shape)
 
 
 def product_rotation(angles: SiteAngles, system: SpinSystem) -> np.ndarray:

@@ -864,6 +864,17 @@ def test_algebra_check_builds_each_operator_once(tmp_path, monkeypatch):
     assert len(chains) == 3 and all(c[:2] == (5, 0.5) and c[2] < 1.0 for c in chains)
 
 
+def test_algebra_check_fails_on_a_shifted_lambda(tmp_path, capsys, monkeypatch):
+    # Lambda at q0 + 0.1: the largest entry of the assembled [H, tau] - Lambda
+    # reads the shift, so that comparison cannot pass vacuously
+    from scarlab import algebra
+    raw = algebra.lambda_op
+    monkeypatch.setattr(algebra, "lambda_op", lambda N, S, q0, sign=+1: raw(N, S, q0 + 0.1, sign))
+    assert run(["--out", str(tmp_path), "algebra-check", "--N", "5", "--S", "1/2",
+                "--kappas", "0.0"]) == EXIT_PHYSICS == 1
+    assert "FAIL: [H, tau] = Lambda" in capsys.readouterr().out
+
+
 def test_algebra_check_over_the_dense_cap_is_a_numerical_failure(tmp_path, capsys):
     # dim 2^20 in at most 4N = 80 blocks: the largest holds 13,108 states or more, and
     # that block alone is over the memory budget: exit 2, no dense eigh

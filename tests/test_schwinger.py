@@ -13,15 +13,15 @@ from hamiltonian_reference import chain_bonds
 from schwinger_reference import (SITE_CAP_SLACK, embed_into, enlarged_bilinear_form,
                                  hardcore_annihilator_report, hardcore_zeta_states, keyed,
                                  reference_bilinear, reference_states)
-from spinops_reference import as_scipy, embed, two_site
+from spinops_reference import as_scipy, coo_sum_csr, embed, two_site
 
 from scarlab import schwinger, spinops
 from scarlab.errors import DimensionCap, DimensionMismatch, InvalidInput, InvalidSpin
-from scarlab.schwinger import (DOWN, UP, FockBasis, _bond_monomials, _monomials,
+from scarlab.schwinger import (DOWN, UP, FockBasis, _bilinear_bond, _monomials,
                                _rotated_spin_hamiltonian, annihilator_report, decomposition_check,
                                rotated_tower_states, tau_prime, zeta_states, zeta_tower_fidelities)
 from scarlab.scar import helical_tower, hypergeometric_weights
-from scarlab.spinops import MEMORY_BUDGET, SpinSystem, local_spin_matrices, local_sum
+from scarlab.spinops import MEMORY_BUDGET, SpinSystem, all_down, local_spin_matrices, local_sum
 
 
 def _digits(s, N, d):
@@ -205,7 +205,7 @@ def test_annihilator_report_needs_two_sites(monkeypatch):
 def test_symmetric_pair_combination_fails():
     # the flavor-symmetric pair annihilator does not kill the zeta-states
     N, S = 3, 0.5
-    basis, zstates = zeta_states(N, S)
+    basis, zstates = FockBasis(N, S), zeta_states(N, S)
     worst = 0.0
     for z in zstates:
         out = np.zeros(basis.dim, dtype=complex)
@@ -259,9 +259,9 @@ def test_bilinear_form_matches_enlarged_basis_oracle(N, S, q0):
     # against the products of bilinears on the enlarged basis, restricted by
     # its inclusion matrix; the oracle carries the -S cos(q0)/2 share
     q0 = 2.0 * math.pi / N if q0 == "2pi/N" else q0
-    got = FockBasis(2, S).monomial_sum((c, ops) for ops, c in _bond_monomials(0, 1, q0).items())
+    got = _bilinear_bond(S, q0)
     want = enlarged_bilinear_form(2, S, [(0, 1)], q0) + S * math.cos(q0) / 2.0 * np.eye(got.shape[0])
-    assert np.abs(got.toarray() - want).max() <= 1e-13
+    assert np.abs(got - want).max() <= 1e-13
     # the local-to-global step: on the d^N states the ring's bilinear form is
     # the rotated ring itself, its bonds' a (Sz_n - Sz_m) remainders cancelled
     bonds = [tuple(b) for b in chain_bonds(N, True)]
@@ -297,7 +297,7 @@ def test_traced_names_stay():
 @pytest.mark.parametrize("N,S", [(5, 0.5), (4, 1.0), (3, 1.5)])
 def test_tau_prime_is_the_sum_with_zero_identity_slots_bit_for_bit(N, S):
     # the oracle lists a zero identity first: tau' is off the diagonal, so those
-    # slots sum to stored zeros that coo_csr drops, and no entry of tau' moves
+    # slots sum to stored zeros that _coo_sum drops, and no entry of tau' moves
     basis = FockBasis(N, S)
     states = np.arange(basis.dim)
     parts = [(states, states, np.zeros(basis.dim))]
@@ -305,7 +305,26 @@ def test_tau_prime_is_the_sum_with_zero_identity_slots_bit_for_bit(N, S):
         term = basis.monomial([(n, UP, True), (n, DOWN, False)])
         parts.append((term.rows(), term.indices, term.data))
     rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-    _assert_same_csr(tau_prime(basis), spinops.coo_csr(rows, cols, vals, (basis.dim, basis.dim)))
+    _assert_same_csr(tau_prime(N, S).matrix, coo_sum_csr(rows, cols, vals, (basis.dim, basis.dim)))
+
+
+@pytest.mark.parametrize("N,S", [(5, 0.5), (4, 1.0), (3, 1.5)])
+def test_one_site_tau_prime_and_zeta_states_match_the_n_site_fock_sum_bit_for_bit(N, S):
+    # tau' from one site's monomial through local_sum against scipy's sum of
+    # the N-site basis's monomials, and the zeta-states against the tower of
+    # that sum from the last basis state, |down...down>
+    basis = FockBasis(N, S)
+    want = sum(as_scipy(basis.monomial([(n, UP, True), (n, DOWN, False)])) for n in range(N))
+    got = tau_prime(N, S).matrix
+    assert got.dtype == want.dtype and got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    vacuum = np.zeros(basis.dim, dtype=complex)
+    vacuum[-1] = 1.0
+    powers = list(spinops.tower(want, vacuum, int(round(2 * N * S))))
+    zstates = zeta_states(N, S)
+    assert len(zstates) == len(powers) == int(round(2 * N * S)) + 1
+    assert all(z.tobytes() == w.tobytes() for z, w in zip(zstates, powers))
 
 
 def test_every_budget_check_stops_before_any_monomial(monkeypatch):
@@ -394,7 +413,8 @@ def test_vectorized_basis_matches_per_state_reference(mode, S):
                 _assert_same_csr(basis.monomial(ops), _reference_monomial(con, ops))
             vac = np.zeros(basis.dim, dtype=complex)
             vac[con.index(((0, two_s),) * N)] = 1.0
-            got = basis.vacuum_product()
+            # the zeta tower's start, all_down, is the Fock state of 2S down bosons a site
+            got = all_down(SpinSystem(S, N)).amplitudes
             assert got.dtype == vac.dtype and np.array_equal(got, vac)
             continue
         # the images the annihilator check keeps: those in the hardcore states

@@ -360,6 +360,23 @@ def test_column_read_matches_scipy_tocsc(H, seed):
     assert got.dtype == want.data.dtype and np.array_equal(got, want.data)
 
 
+@settings(max_examples=150, deadline=None)
+@given(H=_operators(), seed=st.integers(0, 2 ** 32 - 1))
+def test_max_gap_is_the_scipy_difference(H, seed):
+    # B: A's entries relabelled by a permutation that is a symmetry, a random
+    # one, or none, then some values moved and some entries dropped
+    from spinops_reference import as_scipy
+    A = H.matrix
+    rng = np.random.default_rng(seed)
+    dim = A.shape[0]
+    perm = [np.arange(dim), rng.permutation(dim), dim - 1 - np.arange(dim)][seed % 3]
+    keep = rng.random(A.nnz) < 0.9
+    rows, cols = perm[A.rows()][keep], perm[A.indices][keep]
+    vals = A.data[keep] + (rng.random(keep.sum()) < 0.2) * rng.normal(size=keep.sum())
+    B = sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
+    assert ref.max_gap(A, rows, cols, vals) == abs(B - as_scipy(A)).max()
+
+
 def _oracle_symmetries(H) -> dict:
     """The five symmetries of _symmetries by the CSR commutation test."""
     A, dim = H.matrix, H.system.total_dim

@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from spinops_reference import (as_scipy, coo_local_sum, embed, listed_sum, product_rotation,
-                               product_singular_values, two_site)
+from spinops_reference import (as_scipy, coo_local_sum, coo_sum_csr, embed, listed_sum,
+                               product_rotation, product_singular_values, two_site)
 
 from scarlab import spinops
 from scarlab.errors import (DimensionCap, DimensionMismatch, InvalidSpin,
@@ -278,8 +278,9 @@ def test_local_sum_bit_identical_to_scipy_coo_on_random_entries(case):
     _same_csr_as_coo_local_sum(*case)
 
 
-def test_coo_csr_is_scipys_coo_to_csr():
-    # in listed order bit for bit, and scipy's sum within roundoff
+def test_coo_sum_is_scipys_coo_to_csr():
+    # _coo_sum's sums, as a Csr built here, in listed order bit for bit, and
+    # scipy's sum within roundoff
     rng = np.random.default_rng(12)
     for _ in range(200):
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)))
@@ -288,7 +289,7 @@ def test_coo_csr_is_scipys_coo_to_csr():
         vals = rng.normal(size=n) * (rng.random(n) < 0.9)
         if rng.random() < 0.5:
             vals = vals + 1j * rng.normal(size=n)
-        got = spinops.coo_csr(rows, cols, vals, shape)
+        got = coo_sum_csr(rows, cols, vals, shape)
         _same_arrays(got, listed_sum(rows, cols, vals, shape))
         _scipy_within_roundoff(got, rows, cols, vals, shape)
 
@@ -313,13 +314,12 @@ def test_long_rows_sum_three_or_more_addends_in_listed_order(field, seed):
     assert np.any(np.diff(got.indptr)[rows[first[k >= 3]]] > 16)
     _same_arrays(got, listed_sum(rows, cols, vals, shape))
     # each entry's negated sum listed after its addends cancels it exactly
-    gone = spinops.coo_csr(np.concatenate([rows, got.rows()]),
-                           np.concatenate([cols, got.indices]),
-                           np.concatenate([vals, -got.data]), shape)
+    gone = coo_sum_csr(np.concatenate([rows, got.rows()]), np.concatenate([cols, got.indices]),
+                       np.concatenate([vals, -got.data]), shape)
     assert gone.nnz == 0
     # a shuffled listing is summed in its own order
     p = rng.permutation(rows.size)
-    _same_arrays(spinops.coo_csr(rows[p], cols[p], vals[p], shape),
+    _same_arrays(coo_sum_csr(rows[p], cols[p], vals[p], shape),
                  listed_sum(rows[p], cols[p], vals[p], shape))
 
 
@@ -338,22 +338,6 @@ def test_csr_product_diagonal_and_dense_form_match_scipy(case, seed):
     assert np.array_equal(A.toarray(), want.toarray())
     assert np.array_equal(A.diagonal(), want.diagonal())
     assert A.nnz == want.nnz and A.shape == want.shape
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=_random_term_lists(), seed=st.integers(0, 2 ** 32 - 1))
-def test_max_gap_is_the_scipy_difference(case, seed):
-    # B: A's entries relabelled by a permutation that is a symmetry, a random
-    # one, or none, then some values moved and some entries dropped
-    A = local_sum(*case)
-    rng = np.random.default_rng(seed)
-    dim = A.shape[0]
-    perm = [np.arange(dim), rng.permutation(dim), dim - 1 - np.arange(dim)][seed % 3]
-    keep = rng.random(A.nnz) < 0.9
-    rows, cols = perm[A.rows()][keep], perm[A.indices][keep]
-    vals = A.data[keep] + (rng.random(keep.sum()) < 0.2) * rng.normal(size=keep.sum())
-    B = sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
-    assert spinops.max_gap(A, rows, cols, vals) == abs(B - as_scipy(A)).max()
 
 
 @pytest.mark.parametrize("S,N", [(1.0, 10), (0.5, 16)])
