@@ -370,15 +370,14 @@ def cmd_algebra_check(args, log: CheckLog) -> int:
 
 
 def cmd_schwinger_check(args, log: CheckLog) -> int:
-    from .schwinger import (annihilator_report, decomposition_check,
-                            zeta_tower_fidelities)
+    from .schwinger import annihilator_report, decomposition_check, zeta_tower_fidelities
     N, S, p = args.N, args.S, args.p
     if N < 3:
         # the decomposition telescopes around a periodic ring of N >= 3 bonds
         raise ValueError(f"schwinger-check needs a ring of N >= 3 sites, got N={N}")
-    # the one step on the (2S+1)^N states first: over the budget it stops before any line
-    dev = max(abs(1.0 - f) for f in zeta_tower_fidelities(N, S, p))
+    # the one charged step first: over the budget it stops before any line
     dcp = decomposition_check(N, S, 2.0 * math.pi * p / N)
+    dev = max(abs(1.0 - f) for f in zeta_tower_fidelities(N, S, p))
     log.check("zeta-states = rotated tower", dev <= 1e-12, f"max dev {dev:.2e}")
     rep = annihilator_report(N, S)
     worst = max(rep[k] for k in ("zeta", "eta", "epsilon"))

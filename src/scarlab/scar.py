@@ -258,22 +258,17 @@ def hypergeometric_weights(b: int, sizes: list):
         yield np.array(table, dtype=float)
 
 
-def _tower_overlaps(vecs: np.ndarray, phases) -> np.ndarray:
-    """(G, 2NS+1) overlaps <S^(m)|psi_g> of the normalized states S^(m) ~
-    (sum_n e^{i phases[n]} S-_n)^m |up...up> with the product states of the
-    (G, N, d) site vectors vecs: [z^m] prod_n P_n(z) / sqrt(C(2NS, m)), with
-    P_n(z) = sum_k e^{-i phases[n] k} sqrt(C(2S, k)) vecs[:, n, k] z^k.  Each
-    partial product is kept over sqrt(C(2Sn, j)), so each step weight is the
-    square root of a hypergeometric weight, and nothing overflows.
-    """
-    G, N, d = vecs.shape
-    site = np.exp(-1j * np.multiply.outer(phases, np.arange(d))) * vecs
+def _site_product(site: np.ndarray, power: float) -> np.ndarray:
+    """[z^m] prod_n sum_k C(d-1, k)^power site[:, n, k] z^k / C((d-1)N, m)^power
+    of (G, N, d) site coefficients, each partial product kept over C((d-1)n,
+    j)^power: a step weight is a hypergeometric weight to the power, no overflow."""
+    G, N, d = site.shape
     acc = np.ones((G, 1), dtype=complex)
     for n, w in enumerate(hypergeometric_weights(d - 1, [(d - 1) * n for n in range(N)])):
         a = (d - 1) * n
         out = np.zeros((G, a + d), dtype=complex)
         for k in range(d):
-            out[:, k:k + a + 1] += acc * np.sqrt(w[k]) * site[:, n, k, None]
+            out[:, k:k + a + 1] += acc * w[k] ** power * site[:, n, k, None]
         acc = out
     return acc
 
@@ -281,8 +276,9 @@ def _tower_overlaps(vecs: np.ndarray, phases) -> np.ndarray:
 def projection_table(N: int, S: float, p: int, kappa: float, gammas,
                      helicity: int = +1) -> list:
     """(P+, P-) of `projections` at every gamma from the site vectors, with no
-    tower and no (2S+1)^N state: one Jacobi table of the chain phases and one
-    angle grid, then _tower_overlaps at the tower phases and at their negation."""
+    tower and no (2S+1)^N state: one Jacobi table of the chain phases, one
+    angle grid, then the overlaps with the towers at the phases and at their
+    negation, _site_product at power 1/2 of e^{-i phases[n] k} vecs[:, n, k]."""
     _check_spin(S)
     if N < 1:
         raise InvalidSpin(f"need at least one site, got N={N}")
@@ -292,8 +288,8 @@ def projection_table(N: int, S: float, p: int, kappa: float, gammas,
                                  jacobi_table(chain_phases(N, q), q.modulus))
     vecs = coherent_site_vectors(S, thetas, phis)
     phases = helicity * (2.0 * math.pi * p / N) * np.arange(1, N + 1)
-    same = np.abs(_tower_overlaps(vecs, phases)) ** 2
-    oppo = np.abs(_tower_overlaps(vecs, -phases)) ** 2
+    same, oppo = (np.abs(_site_product(np.exp(-1j * np.multiply.outer(ph, np.arange(vecs.shape[2])))
+                                       * vecs, 0.5)) ** 2 for ph in (phases, -phases))
     # the shared states, the two ends included: m a multiple of N / gcd(2p, N)
     unshared = np.arange(same.shape[1]) % (N // math.gcd(2 * p, N)) != 0
     return [(math.fsum(a), math.fsum(b[unshared])) for a, b in zip(same, oppo)]

@@ -10,7 +10,9 @@ site-dependently rotated frame, the hopping and pairing bilinears annihilate
 all of them, and the rotated XXZ chain equals a group-theoretical assembly
 H0 + sum_a O_a T_a of those bilinears, bond by bond.  Both bilinear checks
 are sums of one two-site fact, so they run on sites 0 and 1 at any N, and
-FockBasis is built on one or two sites only.
+FockBasis is built on one or two sites only.  Both towers are powers of a
+sum of one-site operators on a product state, so their fidelities are
+products of N site polynomials: no check holds a (2S+1)^N array.
 
 A boson monomial carries exact sqrt(n) amplitudes through its intermediates
 and changes every state's occupations alike, so its image is the state's
@@ -26,11 +28,11 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, InvalidSpin
 from .hamiltonian import chain_couplings, coupling_terms
-from .scar import hypergeometric_weights
+from .scar import _site_product, hypergeometric_weights
 from .spinops import (Csr, ManyBodyOperator, SpinSystem, _check_spin, _index_dtype, all_down,
-                      all_up, check_bytes, local_spin_matrices, local_sum, tau, tower)
+                      check_bytes, local_spin_matrices, tower)
 
 UP, DOWN = 0, 1
 # kind: (sign, flavor at m, dagger at m, flavor at n) of each of its two
@@ -128,32 +130,31 @@ def zeta_states(N: int, S: float) -> list:
     return list(tower(lift.matrix, all_down(lift.system).amplitudes, int(round(2 * N * S))))
 
 
-def rotated_tower_states(N: int, S: float, p: int):
-    """Helical tower, state by state, mapped by prod_n exp(i (n+1) q0 Sz_n).
-
-    In this frame the helical phases cancel, so state m becomes the uniform
-    spin-wave state (sum_n S-_n)^m |up...up>, matching zeta-state 2NS - m
-    under the Fock-spin bijection up to a global phase.
-    """
-    system, q0, sz = SpinSystem(S, N), 2.0 * math.pi * p / N, local_spin_matrices(S)[2]
-    angle = local_sum(system, [((n,), (n + 1) * q0 * sz) for n in range(N)]).diagonal()
-    phase, lower = np.exp(1j * angle), tau(N, S, q0).matrix
-    return (phase * s for s in tower(lower, all_up(system).amplitudes, int(round(2 * N * S))))
-
-
 def zeta_tower_fidelities(N: int, S: float, p: int) -> list:
-    """|<m_zeta | rotated tower state 2NS-m>| for every m (should all be 1).
-    The bytes are checked first: the rotated states are compared as they
-    come, so only the zeta tower is held and its build is the peak, 49-50 B
-    per amplitude of the tower at S=1/2 N=12-16, charged as 56.  The charge
-    holds from about 2e4 amplitudes per tower (S=1/2 N=11, S=1 N=7) up; below,
-    fixed scratch under 1 MB takes the peak to 93 B per amplitude at S=1/2 N=8."""
-    d, two_ns = _check_spin(S) + 1, int(round(2 * N * S))
-    check_bytes(56 * (two_ns + 1) * d ** N, f"the zeta tower of {two_ns + 1} states "
-                f"of (2S+1)^N = {d}^{N} amplitudes and its build")
-    zstates = zeta_states(N, S)
-    return [float(abs(np.vdot(zstates[two_ns - m], state)))
-            for m, state in enumerate(rotated_tower_states(N, S, p))][::-1]
+    """|<m_zeta | rotated tower state 2NS-m>| for every m (should all be 1),
+    with no (2S+1)^N state.  Both towers are powers of a sum of one-site
+    operators on a product state: tau'^m |down...> = m! [z^m] prod_n exp(z h)
+    |down>_n, h tau''s one-site matrix, and likewise e^{i(n+1)q0} S-_n, q0 =
+    2 pi p / N, on |up...>, phased by exp(i (n+1) q0 Sz_n).  Power j of h meets
+    power 2S - j of S- on one basis state, so the overlap and both squared
+    norms are z^m coefficients of products of N site polynomials of degree 2S."""
+    two_s = _check_spin(S)
+    if N < 1:
+        raise InvalidSpin(f"need at least one site, got N={N}")
+    d, phi = two_s + 1, 2.0 * math.pi * p / N * np.arange(1, N + 1)
+    hop, zeta = FockBasis(1, S).monomial([(0, UP, True), (0, DOWN, False)]), [np.eye(d)[two_s]]
+    for j in range(1, d):
+        zeta.append(hop @ zeta[-1] / j)         # h^j |down> / j!
+    _, _, sz, _, lower = local_spin_matrices(S)
+    phase, rot, rows = np.exp(1j * np.multiply.outer(phi, sz.diagonal())), np.eye(1, d), []
+    for r in range(d):                      # (e^{i(n+1)q0} S-)^r |up> / r! on site n, phased
+        z, v = zeta[two_s - r], phase * rot
+        rows.append((v @ z, np.full(N, z @ z), (np.abs(v) ** 2).sum(axis=1)))
+        rot = np.exp(1j * phi)[:, None] * (rot @ lower.T) / (r + 1)
+    # over the C(2S, j) that _site_product multiplies back; its C(2NS, m) cancels in the ratio
+    site = np.array(rows[::-1]).transpose(1, 2, 0) / [math.comb(two_s, j) for j in range(d)]
+    overlap, zeta_norm2, rot_norm2 = _site_product(site, 1)
+    return (np.abs(overlap) / np.sqrt(zeta_norm2.real * rot_norm2.real)).tolist()
 
 
 def annihilator_report(N: int, S: float) -> dict:
@@ -228,7 +229,10 @@ def decomposition_check(N: int, S: float, q0: float) -> float:
     entry (the bond gap).  Over the ring's coupling table a site n that is the
     first end of out_n bonds and the second of in_n keeps a (out_n - in_n) Sz_n,
     so the deviation is the larger of the bond gap and |a| S sum_n
-    |out_n - in_n|, which is 0 on a ring of N >= 3."""
+    |out_n - in_n|, which is 0 on a ring of N >= 3.  The dense bond arrays
+    peak at 3.5-3.7 x 16 B an entry at S=15/2-15, charged as 64 B."""
+    d2 = (_check_spin(S) + 1) ** 2
+    check_bytes(64 * d2 * d2, f"the dense {d2:,} x {d2:,} bond arrays of the S={S} decomposition")
     bond, a = _rotated_spin_hamiltonian(2, S, q0), 1j * (2 * S + 0.5) * math.sin(q0)
     sz = local_spin_matrices(S)[2]
     spin = ManyBodyOperator(bond.system, bond.terms + [

@@ -13,6 +13,9 @@ The enlarged basis holds every intermediate of a product of two bilinears
 applied to a constrained state.  There the products are true sparse boson
 products, and the inclusion matrix E of the constrained states restricts
 their sum: rhs = E^T total E + constant.
+
+The d^N fidelity oracle: the helical tower phased into the rotated frame
+state by state, against the zeta-states of the N-site tau'.
 """
 
 import functools
@@ -25,8 +28,9 @@ import scipy.sparse as sp
 from spinops_reference import as_scipy
 
 from scarlab.errors import DimensionMismatch
-from scarlab.schwinger import DOWN, UP, FockBasis
-from scarlab.spinops import Csr, _index_dtype, tower
+from scarlab.schwinger import DOWN, UP, FockBasis, zeta_states
+from scarlab.spinops import (Csr, SpinSystem, _index_dtype, all_up, local_spin_matrices,
+                             local_sum, tau, tower)
 
 # mode: (site cap above 2S, global slack around 2SN)
 SITE_CAP_SLACK = {"constrained": (0, 0), "hardcore": (0, 2), "enlarged": (2, 2)}
@@ -168,3 +172,25 @@ def enlarged_bilinear_form(N, S, bonds, q0) -> np.ndarray:
             o1_nm @ z_mn - o1_mn @ z_nm + o2_nm @ eps_mn - o2_mn @ eps_nm)
     rhs = (E.T @ total @ E).toarray()
     return rhs - len(bonds) * S * cos_q / 2.0 * np.eye(con.dim)
+
+
+def rotated_tower_states(N, S, p):
+    """Helical tower, state by state, mapped by prod_n exp(i (n+1) q0 Sz_n).
+
+    In this frame the helical phases cancel, so state m becomes the uniform
+    spin-wave state (sum_n S-_n)^m |up...up>, matching zeta-state 2NS - m
+    under the Fock-spin bijection up to a global phase.
+    """
+    system, q0, sz = SpinSystem(S, N), 2.0 * math.pi * p / N, local_spin_matrices(S)[2]
+    angle = local_sum(system, [((n,), (n + 1) * q0 * sz) for n in range(N)]).diagonal()
+    phase, lower = np.exp(1j * angle), tau(N, S, q0).matrix
+    return (phase * s for s in tower(lower, all_up(system).amplitudes, int(round(2 * N * S))))
+
+
+def reference_tower_fidelities(N, S, p):
+    """|<m_zeta | rotated tower state 2NS-m>| for every m on the (2S+1)^N
+    states: the zeta tower held, the rotated states compared as they come."""
+    two_ns = int(round(2 * N * S))
+    zstates = zeta_states(N, S)
+    return [float(abs(np.vdot(zstates[two_ns - m], state)))
+            for m, state in enumerate(rotated_tower_states(N, S, p))][::-1]

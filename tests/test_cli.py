@@ -244,25 +244,26 @@ def test_algebra_check_needs_a_ring(tmp_path, capsys):
     assert not (tmp_path / "algebra_check.csv").exists()
 
 
-def test_schwinger_check_over_the_memory_budget_is_a_numerical_failure(tmp_path, capsys):
-    # the fidelity's zeta tower, the one step on the (2S+1)^N states, runs
-    # first: charged at 56 B per amplitude, it is refused from N=22 on
+def test_schwinger_check_over_the_memory_budget_is_a_numerical_failure(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the decomposition's dense (2S+1)^2 x (2S+1)^2 bond arrays, charged at 64 B
+    # an entry, run first: at S=50 they are refused before any line, any file
+    # and any monomial
+    from scarlab.schwinger import FockBasis
+    calls = []
+    monkeypatch.setattr(FockBasis, "monomial", lambda self, ops: calls.append(ops))
     budget = f"over the {spinops.MEMORY_BUDGET / 2 ** 30:g} GiB memory budget"
-    for n, what in (("26", "the zeta tower of 27 states of (2S+1)^N = 2^26 amplitudes and its "
-                           "build would take 94.5 GiB"),
-                    ("22", "the zeta tower of 23 states of (2S+1)^N = 2^22 amplitudes and its "
-                           "build would take 5.031 GiB")):
-        assert run(["--out", str(tmp_path), "schwinger-check", "--N", n,
-                    "--S", "1/2"]) == EXIT_NUMERICAL
-        cap = capsys.readouterr()
-        assert cap.err == f"numerical failure: {what}, {budget}\n" and not cap.out
-    assert not (tmp_path / "schwinger_check.csv").exists()
+    assert run(["--out", str(tmp_path), "schwinger-check", "--N", "3", "--S", "50"]) == EXIT_NUMERICAL
+    cap = capsys.readouterr()
+    assert cap.err == ("numerical failure: the dense 10,201 x 10,201 bond arrays of the S=50.0 "
+                       f"decomposition would take 6.202 GiB, {budget}\n") and not cap.out
+    assert calls == [] and not list(tmp_path.iterdir())
 
 
 def test_schwinger_check_runs_past_the_old_decomposition_budget(tmp_path, capsys, monkeypatch):
-    # a budget that the fidelity's 56 B charge fits and a sum of the ring's
-    # 22 N monomials on the (2S+1)^N states, at 32 B a listed entry, would
-    # not: the decomposition holds no d^N array (at S=1/2 N=19 it held 6.5 GiB)
+    # a budget that a sum of the ring's 22 N monomials on the (2S+1)^N states,
+    # at 32 B a listed entry, would not fit: the decomposition holds no d^N
+    # array (at S=1/2 N=19 it held 6.5 GiB)
     N = 11
     monkeypatch.setattr(spinops, "MEMORY_BUDGET", 56 * (N + 1) * 2 ** N)
     assert 32 * (22 * N + 1) * 2 ** N > spinops.MEMORY_BUDGET
@@ -270,21 +271,23 @@ def test_schwinger_check_runs_past_the_old_decomposition_budget(tmp_path, capsys
     assert capsys.readouterr().out.count("PASS: ") == 4
 
 
-def test_schwinger_check_stops_at_the_budget_before_any_line(tmp_path, capsys, monkeypatch):
-    # the fidelity's zeta tower is charged first: over the budget it stops
-    # before any PASS line, any CSV and any monomial, though the basis fits
-    from scarlab.schwinger import FockBasis
-    calls = []
-    monkeypatch.setattr(FockBasis, "monomial", lambda self, ops: calls.append(ops))
+def test_schwinger_check_runs_under_a_budget_below_one_zeta_tower(tmp_path, capsys, monkeypatch):
+    # 64 KiB, under the 0.12 MiB that the zeta tower of 9 states of 2^8
+    # amplitudes was charged: the fidelity holds no (2S+1)^N array
     monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 16)
-    assert 2 ** 8 * (2 * 8 + 32) < 2 ** 16 < 56 * 9 * 2 ** 8
-    assert run(["--out", str(tmp_path), "schwinger-check", "--N", "8",
-                "--S", "1/2"]) == EXIT_NUMERICAL
+    assert run(["--out", str(tmp_path), "schwinger-check", "--N", "8", "--S", "1/2"]) == EXIT_OK
     cap = capsys.readouterr()
-    assert cap.err == ("numerical failure: the zeta tower of 9 states of (2S+1)^N = 2^8 amplitudes "
-                       "and its build would take 0.0001202 GiB, over the 0.00006104 GiB memory "
-                       "budget\n") and not cap.out
-    assert calls == [] and not list(tmp_path.iterdir())
+    assert cap.out.count("PASS: ") == 4 and not cap.err
+
+
+@pytest.mark.parametrize("N,S", [("2000", "1/2"), ("500", "1")])
+def test_schwinger_check_at_thousands_of_sites(tmp_path, capsys, N, S):
+    # (2S+1)^N = 2^2000 and 3^500: the fidelity is a product of N site
+    # polynomials, and the bilinear checks run on sites 0 and 1
+    assert run(["--out", str(tmp_path), "schwinger-check", "--N", N, "--S", S]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS: ") == 4
+    rows = dict(line.split(",") for line in (tmp_path / "schwinger_check.csv").read_text().split())
+    assert float(rows["tower_fidelity_dev"]) <= 1e-12
 
 
 def test_schwinger_check_needs_a_nonzero_spin(tmp_path, capsys):
@@ -312,7 +315,7 @@ def test_every_spin_subcommand_needs_a_nonzero_spin(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [["schwinger-check", "--N", "3", "--S", "0.7"],
                                   ["degeneracy-scan", "--S", "1/2,0.7", "--N", "5"]])
 def test_every_spin_must_be_a_half_integer(tmp_path, capsys, argv):
-    # schwinger-check exited 2 from FockBasis, and the scan wrote an
+    # refused as invalid input before any work: the scan once wrote an
     # error:InvalidSpin row and exited 1
     assert run(["--out", str(tmp_path), *argv]) == EXIT_INVALID
     cap = capsys.readouterr()

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from hamiltonian_reference import chain_bonds
 from schwinger_reference import (SITE_CAP_SLACK, embed_into, enlarged_bilinear_form,
                                  hardcore_annihilator_report, hardcore_zeta_states, keyed,
-                                 reference_bilinear, reference_states)
+                                 reference_bilinear, reference_states, reference_tower_fidelities,
+                                 rotated_tower_states)
 from spinops_reference import as_scipy, coo_sum_csr, embed, two_site
 
 from scarlab import schwinger, spinops
 from scarlab.errors import DimensionCap, DimensionMismatch, InvalidInput, InvalidSpin
 from scarlab.schwinger import (DOWN, UP, FockBasis, _bilinear_bond, _monomials,
                                _rotated_spin_hamiltonian, annihilator_report, decomposition_check,
-                               rotated_tower_states, tau_prime, zeta_states, zeta_tower_fidelities)
+                               tau_prime, zeta_states, zeta_tower_fidelities)
 from scarlab.scar import helical_tower, hypergeometric_weights
 from scarlab.spinops import MEMORY_BUDGET, SpinSystem, all_down, local_spin_matrices, local_sum
 
@@ -74,10 +75,17 @@ def test_hardcore_projects_full_site_creation():
     assert basis.monomial([(0, DOWN, True)]).nnz == 0
 
 
-@pytest.mark.parametrize("N,S,p", [(3, 0.5, 1), (4, 0.5, 1), (4, 1.0, 1), (5, 1.0, 2)])
+@pytest.mark.parametrize("N,S,p", [(N, S, p) for S, sizes in ((0.5, range(3, 15)), (1.0, range(3, 9)),
+                                                                (1.5, range(3, 6)))
+                                     for N in sizes for p in (1, 2)])
 def test_zeta_states_equal_rotated_tower(N, S, p):
+    # the site-polynomial products against the d^N oracle: the zeta tower held
+    # and the phased helical tower compared state by state
     fids = zeta_tower_fidelities(N, S, p)
     assert max(abs(1.0 - f) for f in fids) <= 1e-12
+    want = reference_tower_fidelities(N, S, p)
+    assert len(fids) == len(want) == int(round(2 * N * S)) + 1
+    assert max(abs(f - w) for f, w in zip(fids, want)) <= 1e-14
 
 
 @pytest.mark.parametrize("N,S,p", [(5, 0.5, 1), (4, 1.0, 2), (3, 1.5, 1)])
@@ -91,19 +99,19 @@ def test_rotated_states_are_the_phased_helical_tower_bit_for_bit(N, S, p):
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-def test_zeta_tower_fidelities_peak_within_their_charged_bytes():
-    # the rotated states are compared as they come, so the zeta tower's build
-    # is the peak; holding the helical tower and its phased copies took it to
-    # 64 B per amplitude of one tower here
-    N, S = 12, 0.5
+def test_zeta_tower_fidelities_hold_no_spin_space_array():
+    # at S=1/2 N=24 one state of the 2^24 spin space is 256 MiB; the zeta
+    # tower that the d^N path held was 56 B per amplitude, 22 GiB here
+    N, S = 24, 0.5
     tracemalloc.start()
     try:
         fids = zeta_tower_fidelities(N, S, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(fids) == 2 * N * S + 1
     assert max(abs(1.0 - f) for f in fids) <= 1e-12
-    assert peak <= 56 * (2 * N * S + 1) * 2 ** N
+    assert peak < 2 ** 16
 
 
 def annihilation_chain(op, tp, vacuum, depth):
@@ -328,19 +336,21 @@ def test_one_site_tau_prime_and_zeta_states_match_the_n_site_fock_sum_bit_for_bi
 
 
 def test_every_budget_check_stops_before_any_monomial(monkeypatch):
-    # a budget between the basis's bytes and each later step's: the step's own
-    # check stops it before any monomial is built
+    # a budget one byte under a step's charge: its own check stops it before
+    # any monomial is built, the basis's at its bytes and the decomposition's
+    # at 64 B per entry of its dense (2S+1)^2 x (2S+1)^2 bond arrays
     calls = []
     monkeypatch.setattr(FockBasis, "monomial", lambda self, ops: calls.append(ops))
     N, S = 6, 0.5
     monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 6 * (2 * N + 32))
     FockBasis(N, S)
-    with pytest.raises(DimensionCap, match="the zeta tower of 7 states of"):
-        zeta_tower_fidelities(N, S, 1)
-    assert calls == []
     monkeypatch.setattr(spinops, "MEMORY_BUDGET", 2 ** 6 * (2 * N + 32) - 1)
     with pytest.raises(DimensionCap, match="the 64 states of the N=6 S=0.5 basis"):
         FockBasis(N, S)
+    monkeypatch.setattr(spinops, "MEMORY_BUDGET", 64 * 16 ** 2 - 1)
+    with pytest.raises(DimensionCap, match="the dense 16 x 16 bond arrays of the S=1.5 decomposition"):
+        decomposition_check(N, 1.5, 0.7)
+    assert calls == []
 
 
 # reference: the per-state loop over tuple occupations that FockBasis replaced
